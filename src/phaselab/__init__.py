@@ -10,17 +10,16 @@ convergence rates.
 __version__ = "0.1.0"
 
 from .diagnostics import (CSV_COLUMNS, EntropyBreakdown, coercivity_check,
-                          dissipation, gl_energy, interface_errors,
                           relative_entropy)
 from .experiments import (GronwallFit, RateFit, RateReport, SweepPlan,
                           check_identities, fit_rate, gronwall_fit,
                           initial_entropy_study, run_sweep)
 from .geometry import (CutoffSpec, PlaneInterface, SphereInterface,
-                       extended_curvature, extended_fields, signed_distance,
-                       tau_truncation, xi, xi_pde_residuals)
+                       extended_fields, signed_distance, tau_truncation,
+                       xi_pde_residuals)
 from .grids import Grid, full_grid, radial_grid
 from .potentials import (PotentialSpec, ProfileTable, make_polynomial_potential,
-                         make_standard_potential, potential_by_name, psi,
+                         make_standard_potential, potential_by_name,
                          solve_profile)
 from .solver import (BlowUpError, ConfigError, RunResult, SimulationConfig,
                      initial_data, make_stepper, run, validate)

@@ -14,9 +14,9 @@ import sys
 import time
 from pathlib import Path
 
-
 from . import __version__, config, diagnostics, experiments, snapshots, solver
-from .potentials import potential_by_name, solve_profile
+from .potentials import (normalization_integral, potential_by_name,
+                         solve_profile)
 from .solver import BlowUpError, ConfigError
 
 EXIT_OK = 0
@@ -82,7 +82,6 @@ def cmd_profile(args) -> int:
         lines.append(f"{float(s)!r},{float(th)!r},{float(dth)!r}")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
-    from .potentials import normalization_integral
     norm = normalization_integral(pot.w)
     print(f"wrote {path}")
     print(f"normalization integral of sqrt(2W) over [-1,1]: {norm:.10f} "
@@ -91,8 +90,9 @@ def cmd_profile(args) -> int:
     return EXIT_OK
 
 
-def _run_simulation(cfg, materialized, out_dir: Path, snapshot_every):
+def _run_simulation(cfg, out_dir: Path, snapshot_every):
     res = solver.run(cfg, keep_snapshots=snapshot_every is not None)
+    out_dir.mkdir(parents=True, exist_ok=True)
     artifacts = []
 
     csv_path = out_dir / "diagnostics.csv"
@@ -125,24 +125,10 @@ def _run_simulation(cfg, materialized, out_dir: Path, snapshot_every):
 def cmd_simulate(args) -> int:
     doc = config.load_json(args.config)
     cfg, materialized = config.build_simulation(doc)
-    issues = solver.validate(cfg)
-    if issues:
-        print("invalid configuration:", file=sys.stderr)
-        for msg in issues:
-            print(f"  - {msg}", file=sys.stderr)
-        return EXIT_CONFIG
-
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
-    try:
-        res, artifacts = _run_simulation(
-            cfg, materialized, out_dir,
-            materialized["diagnostics"].get("snapshot_every"))
-    except BlowUpError as exc:
-        print(f"runtime failure: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-
+    res, artifacts = _run_simulation(
+        cfg, out_dir, materialized["diagnostics"]["snapshot_every"])
     wall = time.perf_counter() - started
     _write_manifest(out_dir, "simulate", args.config, materialized,
                     artifacts, {"wall_s": wall, "run_wall_s": res.wall_s},
@@ -160,20 +146,20 @@ def cmd_sweep(args) -> int:
     doc = config.load_json(args.plan)
     plan, materialized = config.build_plan(doc)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
 
-    mode = doc.get("mode", "full")
-    artifacts = []
-    if mode == "initial-entropy":
-        report = experiments.initial_entropy_study(plan)
+    if materialized["mode"] == "initial-entropy":
+        report, runs = experiments.initial_entropy_study(plan), []
     else:
-        result = experiments.run_sweep(plan, threads=args.threads)
-        report = result.report
-        for eps, run_res in zip(plan.epsilons, result.runs):
-            name = f"diagnostics_eps_{eps:g}.csv"
-            diagnostics.write_csv(out_dir / name, run_res.breakdowns)
-            artifacts.append(name)
+        result = experiments.run_sweep(plan)
+        report, runs = result.report, result.runs
+
+    out_dir.mkdir(parents=True, exist_ok=True)
+    artifacts = []
+    for eps, run_res in zip(plan.epsilons, runs):
+        name = f"diagnostics_eps_{eps:g}.csv"
+        diagnostics.write_csv(out_dir / name, run_res.breakdowns)
+        artifacts.append(name)
 
     summary = out_dir / "summary.json"
     summary.write_text(
@@ -197,26 +183,12 @@ def cmd_sweep(args) -> int:
 def cmd_check_identities(args) -> int:
     doc = config.load_json(args.config)
     cfg, materialized = config.build_simulation(doc)
-    issues = solver.validate(cfg)
-    if issues:
-        print("invalid configuration:", file=sys.stderr)
-        for msg in issues:
-            print(f"  - {msg}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    ident_sec = dict(doc.get("identities", {}))
-    levels = int(ident_sec.get("levels", 3))
-    min_order = float(ident_sec.get("min_order", 1.0))
-
+    levels, min_order = config.build_identities(doc)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
-    try:
-        report = experiments.check_identities(cfg, levels=levels)
-    except BlowUpError as exc:
-        print(f"runtime failure: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+    report = experiments.check_identities(cfg, levels=levels)
 
+    out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "identities.json"
     payload = report.to_json_dict()
     payload["min_order_required"] = min_order
@@ -264,10 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(cfg_flag, required=True,
                        dest=cfg_flag.lstrip("-").replace("-", "_"))
         p.add_argument("--out", required=True)
-        p.add_argument("--threads", type=int, default=1)
-        p.add_argument("--seedless", action="store_true", default=True,
-                       help="assert determinism mode (always on; the shipped "
-                            "modules contain no randomized components)")
         p.set_defaults(func=func)
     return parser
 

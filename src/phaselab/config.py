@@ -1,9 +1,10 @@
 """JSON configuration ingestion.
 
 A run configuration is a single document with sections {potential,
-trajectory, cutoff, grid, stepper, diagnostics}; sweep plans add a sweep
-section.  Every default is materialized into the returned dict so that
-manifests are self-describing.
+trajectory, cutoff, grid, stepper, diagnostics, identities}; a sweep plan
+wraps one as its base.  Keys no section defines are rejected.  Every default
+is materialized into the returned dict so that manifests are
+self-describing.
 """
 
 from __future__ import annotations
@@ -13,22 +14,56 @@ from pathlib import Path
 
 import numpy as np
 
-from .experiments import DEFAULT_BANDS, SweepPlan
+from .experiments import (DEFAULT_BANDS, DEFAULT_DT_OVER_EPS2,
+                          DEFAULT_H_OVER_EPS, SweepPlan)
 from .geometry import CutoffSpec, PlaneInterface, SphereInterface
-from .grids import FULL, Grid, RADIAL
+from .grids import FULL, Grid, npts_for_spacing
 from .potentials import potential_by_name, solve_profile
 from .solver import ConfigError, SEMI_IMPLICIT, SimulationConfig
 
 R_C_RADIUS_FRACTION = 0.45   # default r_c for spheres: fraction of min R(t)
 R_C_PLANE_DEFAULT = 0.5
-DEFAULT_H_OVER_EPS = 8.0
-DEFAULT_DT_OVER_EPS2 = 20.0
+
+SECTION_KEYS = {
+    "potential": ("name", "coeffs", "s_max", "n_samples"),
+    "cutoff": ("r_c", "c_quad"),
+    "grid": ("mode", "dim", "half_width", "npts", "h_over_eps"),
+    "stepper": ("scheme", "dt", "dt_over_eps2", "t_end"),
+    "diagnostics": ("cadence", "s0", "compute_identity", "snapshot_every"),
+    "identities": ("levels", "min_order"),
+}
+TRAJECTORY_KEYS = {"plane": ("type", "normal", "offset", "t_max"),
+                   "sphere": ("type", "dim", "radius0", "center", "t_max")}
+RUN_KEYS = ("epsilon", "trajectory") + tuple(SECTION_KEYS)
+PLAN_KEYS = ("mode", "base", "epsilons", "h_over_eps", "dt_over_eps2",
+             "initial_h_over_eps", "bands")
+SWEEP_MODES = ("full", "initial-entropy")
 
 
 def _require(section: dict, key: str, where: str):
     if key not in section:
         raise ConfigError([f"{where}.{key}: missing required key"])
     return section[key]
+
+
+def _unknown(section: dict, allowed, where: str) -> list:
+    return [f"{where}{key}: unknown key" for key in section
+            if key not in allowed]
+
+
+def _unknown_keys(doc: dict) -> list:
+    """Every key of a run document that its section does not define."""
+    issues = _unknown(doc, RUN_KEYS, "")
+    for name in ("trajectory",) + tuple(SECTION_KEYS):
+        sec = doc.get(name, {})
+        if not isinstance(sec, dict):
+            issues.append(f"{name}: must be an object")
+        elif name in SECTION_KEYS:
+            issues.extend(_unknown(sec, SECTION_KEYS[name], f"{name}."))
+        elif sec.get("type") in TRAJECTORY_KEYS:   # else reported on build
+            issues.extend(_unknown(sec, TRAJECTORY_KEYS[sec["type"]],
+                                   "trajectory."))
+    return issues
 
 
 def _build_trajectory(sec: dict):
@@ -62,6 +97,9 @@ def build_simulation(doc: dict):
     problem that blocks construction; solver.validate covers the rest.
     """
     doc = dict(doc)
+    issues = _unknown_keys(doc)
+    if issues:
+        raise ConfigError(issues)
     pot_sec = dict(doc.get("potential", {"name": "standard"}))
     pot_sec.setdefault("name", "standard")
     try:
@@ -97,9 +135,7 @@ def build_simulation(doc: dict):
     npts = grid_sec.get("npts")
     h_over_eps = float(grid_sec.get("h_over_eps", DEFAULT_H_OVER_EPS))
     if npts is None:
-        h = eps / h_over_eps
-        npts = (int(round(half_width / h)) + 1 if mode == RADIAL
-                else int(round(2.0 * half_width / h)))
+        npts = npts_for_spacing(mode, half_width, eps / h_over_eps)
     try:
         grid = Grid(mode=mode, dim=dim, half_width=half_width, npts=int(npts))
     except ValueError as exc:
@@ -158,38 +194,63 @@ def _traj_dict(traj) -> dict:
 
 
 def build_plan(doc: dict):
-    """Construct a SweepPlan from a plan document {base, epsilons, ...}."""
+    """Construct a SweepPlan from a plan document {base, epsilons, ...}.
+
+    The returned dict carries the sweep mode, one of SWEEP_MODES.
+    """
+    bands_doc = dict(doc.get("bands", {}))
+    issues = (_unknown(doc, PLAN_KEYS, "plan.")
+              + _unknown(bands_doc, DEFAULT_BANDS, "plan.bands."))
+    mode = doc.get("mode", "full")
+    if mode not in SWEEP_MODES:
+        issues.append(f"plan.mode: unknown mode {mode!r} (expected one of "
+                      f"{', '.join(SWEEP_MODES)})")
     base_doc = dict(_require(doc, "base", "plan"))
     epsilons = [float(e) for e in _require(doc, "epsilons", "plan")]
     if not epsilons:
         raise ConfigError(["plan.epsilons: must be a nonempty list"])
     base_doc.setdefault("epsilon", epsilons[0])
-    base_cfg, materialized = build_simulation(base_doc)
+    try:
+        base_cfg, materialized = build_simulation(base_doc)
+    except ConfigError as exc:
+        raise ConfigError(issues + exc.messages) from exc
+    if issues:
+        raise ConfigError(issues)
     bands = dict(DEFAULT_BANDS)
-    for key, val in dict(doc.get("bands", {})).items():
+    for key, val in bands_doc.items():
         bands[key] = tuple(val) if isinstance(val, (list, tuple)) else val
     plan = SweepPlan(
-        base=base_cfg,
-        epsilons=epsilons,
-        h_over_eps=float(doc.get("h_over_eps", DEFAULT_H_OVER_EPS)),
-        dt_over_eps2=float(doc.get("dt_over_eps2", DEFAULT_DT_OVER_EPS2)),
-        initial_h_over_eps=float(doc.get("initial_h_over_eps", 16.0)),
-        bands=bands)
+        base=base_cfg, epsilons=epsilons, bands=bands,
+        **{key: float(doc[key]) for key in
+           ("h_over_eps", "dt_over_eps2", "initial_h_over_eps") if key in doc})
     materialized_plan = {
         "base": materialized,
         "epsilons": epsilons,
         "h_over_eps": plan.h_over_eps,
         "dt_over_eps2": plan.dt_over_eps2,
         "initial_h_over_eps": plan.initial_h_over_eps,
-        "mode": doc.get("mode", "full"),
+        "mode": mode,
         "bands": {k: list(v) if isinstance(v, tuple) else v
                   for k, v in bands.items()},
     }
     return plan, materialized_plan
 
 
+def build_identities(doc: dict):
+    """(levels, min_order) of a check-identities run document."""
+    sec = dict(doc.get("identities", {}))
+    levels = int(sec.get("levels", 3))
+    if levels < 2:
+        raise ConfigError([f"identities.levels: need >= 2 refinement "
+                           f"levels, got {levels}"])
+    return levels, float(sec.get("min_order", 1.0))
+
+
 def load_json(path):
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError([f"{path}: cannot read ({exc.strerror})"]) from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:

@@ -113,40 +113,6 @@ def derived_fields(u: np.ndarray, eps: float, pot: PotentialSpec, grid: Grid,
                          curvature_scalar=curvature_scalar, density=density)
 
 
-def gl_energy(u: np.ndarray, eps: float, pot: PotentialSpec,
-              grid: Grid) -> float:
-    """Diffuse interface energy: int eps |grad u|^2 / 2 + W(u)/eps."""
-    g = grid.gradient(u)
-    gmag2 = np.sum(g * g, axis=0)
-    return grid.integrate(0.5 * eps * gmag2 + pot.w(np.clip(u, -1, 1)) / eps)
-
-
-def dissipation(u: np.ndarray, eps: float, pot: PotentialSpec,
-                grid: Grid) -> float:
-    """L2 rate of energy decay: int (eps lap u - W'(u)/eps)^2 / eps."""
-    resid = eps * grid.laplacian(u) - pot.dw(u) / eps
-    return grid.integrate(resid ** 2 / eps)
-
-
-def interface_errors(u: np.ndarray, eps: float, pot: PotentialSpec,
-                     traj: InterfaceTrajectory, grid: Grid, t: float,
-                     s0: float):
-    """L1 distance of the phase map to the exact indicator, and the same
-    error weighted by the smooth truncation tau(dist / s0)."""
-    psi_field = pot.psi(u)
-    if grid.mode == "radial":
-        r = grid.axis
-        dist = traj.radius(t) - r
-    else:
-        pts = np.moveaxis(grid.coords(), 0, -1)
-        from .geometry import signed_distance
-        dist = signed_distance(traj, pts, t)
-    chi = np.where(dist >= 0.0, 1.0, -1.0)
-    err_l1 = grid.integrate(np.abs(psi_field - chi))
-    err_w = grid.integrate((chi - psi_field) * tau_truncation(dist / s0))
-    return err_l1, err_w
-
-
 def relative_entropy(u: np.ndarray, eps: float, pot: PotentialSpec,
                      traj: InterfaceTrajectory, cutoff: CutoffSpec,
                      grid: Grid, t: float, s0: Optional[float] = None,

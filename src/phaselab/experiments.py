@@ -10,15 +10,18 @@ Everything here is deterministic: fixed iteration order, no randomness.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
 from . import diagnostics, solver
-from .grids import Grid, RADIAL
-from .solver import ConfigError, SimulationConfig
+from .grids import npts_for_spacing
+from .solver import BlowUpError, ConfigError, SimulationConfig
+
+DEFAULT_H_OVER_EPS = 8.0
+DEFAULT_DT_OVER_EPS2 = 20.0
+DEFAULT_INITIAL_H_OVER_EPS = 16.0
 
 DEFAULT_BANDS = {
     "err_l1": (0.8, 1.2),
@@ -95,9 +98,9 @@ class SweepPlan:
 
     base: SimulationConfig
     epsilons: list
-    h_over_eps: float = 8.0
-    dt_over_eps2: float = 20.0
-    initial_h_over_eps: float = 16.0
+    h_over_eps: float = DEFAULT_H_OVER_EPS
+    dt_over_eps2: float = DEFAULT_DT_OVER_EPS2
+    initial_h_over_eps: float = DEFAULT_INITIAL_H_OVER_EPS
     bands: dict = field(default_factory=lambda: dict(DEFAULT_BANDS))
 
     def validate(self) -> list:
@@ -118,14 +121,9 @@ class SweepPlan:
 
     def member(self, eps: float, h_over_eps: Optional[float] = None) -> SimulationConfig:
         rel = h_over_eps if h_over_eps is not None else self.h_over_eps
-        h = eps / rel
         grid = self.base.grid
-        if grid.mode == RADIAL:
-            npts = int(round(grid.half_width / h)) + 1
-        else:
-            npts = int(round(2.0 * grid.half_width / h))
-        new_grid = Grid(mode=grid.mode, dim=grid.dim,
-                        half_width=grid.half_width, npts=npts)
+        new_grid = replace(grid, npts=npts_for_spacing(
+            grid.mode, grid.half_width, eps / rel))
         return replace(self.base, epsilon=eps, grid=new_grid,
                        dt=eps ** 2 / self.dt_over_eps2)
 
@@ -175,7 +173,7 @@ def initial_entropy_study(plan: SweepPlan) -> RateReport:
         u0 = solver.initial_data(cfg)
         b = diagnostics.relative_entropy(
             u0, eps, cfg.potential, cfg.trajectory, cfg.cutoff, cfg.grid,
-            0.0, s0=cfg.s0 if cfg.s0 is not None else cfg.cutoff.r_c / 4.0)
+            0.0, s0=cfg.s0)
         values.append(b.rel_entropy)
     fit = fit_rate(list(zip(plan.epsilons, values)))
     band = plan.bands.get("initial_entropy", DEFAULT_BANDS["initial_entropy"])
@@ -187,25 +185,19 @@ def initial_entropy_study(plan: SweepPlan) -> RateReport:
         pass_flags={"initial_entropy": _in_band(fit.slope, band)})
 
 
-def run_sweep(plan: SweepPlan, threads: int = 1,
-              keep_runs: bool = True) -> SweepResult:
+def run_sweep(plan: SweepPlan) -> SweepResult:
     """Run every member, track sup_t of the interface error and the relative
     entropy, fit both slopes and the per-member growth constants."""
     issues = plan.validate()
     if issues:
         raise ConfigError(issues)
 
-    def one(eps):
+    results = []
+    for eps in plan.epsilons:
         try:
-            return solver.run(plan.member(eps))
-        except Exception as exc:
-            raise RuntimeError(f"sweep member eps={eps} failed: {exc}") from exc
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, plan.epsilons))
-    else:
-        results = [one(eps) for eps in plan.epsilons]
+            results.append(solver.run(plan.member(eps)))
+        except BlowUpError as exc:
+            raise BlowUpError(f"sweep member eps={eps:g}: {exc}") from exc
 
     sup_err, sup_ent, e0s, gronwall = [], [], [], []
     for res in results:
@@ -244,7 +236,7 @@ def run_sweep(plan: SweepPlan, threads: int = 1,
         slopes=slopes,
         gronwall_constants=cs,
         pass_flags=pass_flags)
-    return SweepResult(report=report, runs=results if keep_runs else [])
+    return SweepResult(report=report, runs=results)
 
 
 @dataclass
@@ -283,12 +275,8 @@ class IdentityReport:
 
 def _refined(cfg: SimulationConfig, factor: int) -> SimulationConfig:
     grid = cfg.grid
-    if grid.mode == RADIAL:
-        npts = (grid.npts - 1) * factor + 1
-    else:
-        npts = grid.npts * factor
-    new_grid = Grid(mode=grid.mode, dim=grid.dim,
-                    half_width=grid.half_width, npts=npts)
+    new_grid = replace(grid, npts=npts_for_spacing(
+        grid.mode, grid.half_width, grid.h / factor))
     return replace(cfg, grid=new_grid, dt=cfg.dt / factor,
                    compute_identity=True)
 
@@ -302,26 +290,18 @@ def check_identities(cfg: SimulationConfig, levels: int = 3) -> IdentityReport:
     base_dt = replace(cfg, compute_identity=True)
     runs = [solver.run(_refined(base_dt, 2 ** lv)) for lv in range(levels)]
 
-    base_times = [b.t for b in runs[0].breakdowns[1:-1]]
-    common = []
-    for t in base_times:
-        if all(any(abs(b.t - t) < 1e-12 for b in r.breakdowns[1:-1])
-               for r in runs):
-            common.append(t)
+    # nested levels step through bit-identical times, so exact matching holds
+    common = set.intersection(*({b.t for b in r.breakdowns[1:-1]}
+                                for r in runs))
     if not common:
         raise RuntimeError("no common interior diagnostic times across levels")
 
     out_levels = []
     for lv, r in enumerate(runs):
-        ident = []
-        by_time = {round(b.t, 12): b for b in r.breakdowns}
-        for t in common:
-            b = by_time[round(t, 12)]
-            if not math.isnan(b.identity_residual):
-                ident.append(b.identity_residual)
+        ident = [b.identity_residual for b in r.breakdowns
+                 if b.t in common and not math.isnan(b.identity_residual)]
         all_diss = diagnostics.dissipation_residuals(r.breakdowns)
-        diss = [v for t, v in all_diss
-                if any(abs(t - c) < 1e-12 for c in common)]
+        diss = [v for t, v in all_diss if t in common]
         out_levels.append(IdentityLevel(
             h=_refined(base_dt, 2 ** lv).grid.h, dt=r.dt,
             identity_residual=max(ident),

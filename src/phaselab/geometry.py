@@ -100,30 +100,6 @@ def signed_distance(traj: InterfaceTrajectory, x, t: float):
     return traj.radius(t) - np.linalg.norm(rel, axis=-1)
 
 
-def project(traj: InterfaceTrajectory, x, t: float):
-    """Nearest-point projection onto the interface (ill-defined at a sphere
-    center; callers stay inside the tube where it is smooth)."""
-    _check_time(traj, t)
-    x = np.asarray(x, dtype=float)
-    if isinstance(traj, PlaneInterface):
-        n = np.asarray(traj.normal)
-        return x - (x @ n - traj.offset)[..., np.newaxis] * n
-    rel = x - np.asarray(traj.center)
-    r = np.linalg.norm(rel, axis=-1, keepdims=True)
-    return np.asarray(traj.center) + traj.radius(t) * rel / r
-
-
-def inner_normal(traj: InterfaceTrajectory, x, t: float):
-    """Unit inner normal at the projected point, equal to grad dist."""
-    _check_time(traj, t)
-    x = np.asarray(x, dtype=float)
-    if isinstance(traj, PlaneInterface):
-        return np.broadcast_to(np.asarray(traj.normal), x.shape).copy()
-    rel = x - np.asarray(traj.center)
-    r = np.linalg.norm(rel, axis=-1, keepdims=True)
-    return -rel / r
-
-
 def smoothstep(x):
     """Quintic smoothstep: 0 below 0, 1 above 1, C^2 across the joints."""
     x = np.clip(x, 0.0, 1.0)
@@ -177,41 +153,6 @@ class CutoffSpec:
     def deriv_bound(self) -> float:
         """C with |eta'(s)| <= C * min(1/r_c, |s|/r_c^2) for all s."""
         return 4.0 * self.c_quad + 30.0
-
-
-def xi(traj: InterfaceTrajectory, cutoff: CutoffSpec, x, t: float):
-    """Extended inner normal eta(dist) * n_I(P_I x); |xi| <= 1.
-
-    Returns the zero vector wherever eta vanishes (this covers the sphere
-    center once R(t) > r_c/2, which configuration validation enforces).
-    """
-    x = np.asarray(x, dtype=float)
-    dist = signed_distance(traj, x, t)
-    eta = cutoff.eta(dist)
-    if isinstance(traj, PlaneInterface):
-        return eta[..., np.newaxis] * np.asarray(traj.normal)
-    rel = x - np.asarray(traj.center)
-    r = np.linalg.norm(rel, axis=-1, keepdims=True)
-    direction = np.where(r > 0.0, -rel / np.where(r > 0.0, r, 1.0), 0.0)
-    return eta[..., np.newaxis] * direction
-
-
-def extended_curvature(traj: InterfaceTrajectory, cutoff: CutoffSpec, x,
-                       t: float):
-    """Curvature vector of the projected point, damped by eta_tilde.
-
-    Zero for planes; for spheres it points toward the center with magnitude
-    (d-1)/R(t) on the interface.
-    """
-    x = np.asarray(x, dtype=float)
-    if isinstance(traj, PlaneInterface):
-        return np.zeros(x.shape)
-    dist = signed_distance(traj, x, t)
-    k = traj.curvature_scale(t)
-    rel = x - np.asarray(traj.center)
-    r = np.linalg.norm(rel, axis=-1, keepdims=True)
-    direction = np.where(r > 0.0, -rel / np.where(r > 0.0, r, 1.0), 0.0)
-    return (k * cutoff.eta_tilde(dist))[..., np.newaxis] * direction
 
 
 @dataclass

@@ -108,23 +108,6 @@ class Grid:
             out[ax] = (hi - lo) / (2.0 * h)
         return out
 
-    def divergence(self, v: np.ndarray) -> np.ndarray:
-        """Divergence of a vector field (central differences).
-
-        Radially: dv_r/dr + (d-1) v_r / r, with the axis value from the
-        symmetric limit d * dv_r/dr (v_r is odd in r).
-        """
-        h = self.h
-        if self.mode == RADIAL:
-            vr = v[0]
-            out = np.empty_like(vr)
-            out[1:-1] = (vr[2:] - vr[:-2]) / (2.0 * h) \
-                + (self.dim - 1) * vr[1:-1] / self.axis[1:-1]
-            out[0] = self.dim * (vr[1] - (-vr[1])) / (2.0 * h)
-            out[-1] = (vr[-1] - vr[-2]) / h + (self.dim - 1) * vr[-1] / self.axis[-1]
-            return out
-        return sum(self.gradient(v[ax])[ax] for ax in range(self.dim))
-
     def laplacian(self, u: np.ndarray) -> np.ndarray:
         """Second-order Laplacian matching the solver's zero-flux stencil."""
         h2 = self.h ** 2
@@ -146,6 +129,13 @@ class Grid:
                           for k in range(self.dim))]
             out += (hi - 2.0 * u + lo) / h2
         return out
+
+
+def npts_for_spacing(mode: str, half_width: float, h: float) -> int:
+    """Points per axis (full) or radial nodes whose spacing is closest to h."""
+    if mode == RADIAL:
+        return int(round(half_width / h)) + 1
+    return int(round(2.0 * half_width / h))
 
 
 def full_grid(dim: int, half_width: float, npts: int) -> Grid:

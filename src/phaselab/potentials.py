@@ -177,11 +177,6 @@ def potential_by_name(name: str, coeffs=None) -> PotentialSpec:
     raise PotentialError(f"unknown potential '{name}'")
 
 
-def psi(p: PotentialSpec, u):
-    """Phase map of u under p; clamps u into [-1, 1] before integrating."""
-    return p.psi(u)
-
-
 @dataclass(frozen=True)
 class ProfileTable:
     """Sampled equilibrium profile with monotone-cubic interpolation.

@@ -34,7 +34,7 @@ EXTINCTION_EPS_FACTOR = 4.0  # sphere must keep R(t_max) >= 4 eps
 
 
 class BlowUpError(RuntimeError):
-    """Raised when the field leaves [-2, 2], signalling instability."""
+    """Raised when the field leaves [-2, 2] or stops being finite."""
 
 
 class ConfigError(ValueError):
@@ -244,7 +244,7 @@ def run(cfg: SimulationConfig, keep_snapshots: bool = False,
     """Advance from profile initial data to t_end, recording diagnostics at
     the configured cadence (the initial and final states are always rows).
 
-    Aborts with BlowUpError when max |u| exceeds 2.  The clamp counter
+    Aborts with BlowUpError when max |u| exceeds 2 or is not finite.  The clamp counter
     totals grid values found outside [-1, 1] across all steps.
     """
     if not _skip_validation:
@@ -255,12 +255,11 @@ def run(cfg: SimulationConfig, keep_snapshots: bool = False,
     start = time.perf_counter()
     dt = cfg.dt_actual()
     n_steps = cfg.steps()
-    s0 = cfg.s0 if cfg.s0 is not None else cfg.cutoff.r_c / 4.0
 
     def measure(u, t):
         return diagnostics.relative_entropy(
             u, cfg.epsilon, cfg.potential, cfg.trajectory, cfg.cutoff,
-            cfg.grid, t, s0=s0, with_identity=cfg.compute_identity)
+            cfg.grid, t, s0=cfg.s0, with_identity=cfg.compute_identity)
 
     u = initial_data(cfg, _validated=True)
     rows = [measure(u, 0.0)]
@@ -271,9 +270,10 @@ def run(cfg: SimulationConfig, keep_snapshots: bool = False,
     for k in range(1, n_steps + 1):
         u = step(u)
         m = float(np.max(np.abs(u)))
-        if m > 2.0:
+        if not m <= 2.0:   # NaN compares false, so it is caught here too
             raise BlowUpError(
-                f"max |u| = {m:.3f} at step {k} (t = {k * dt:.6g})")
+                f"max |u| = {m:.3f} at step {k} (t = {k * dt:.6g}): the "
+                f"field left [-2, 2] or is not finite")
         clamps += count_excursions(u)
         if k % cfg.cadence == 0 or k == n_steps:
             t = k * dt

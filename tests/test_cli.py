@@ -5,9 +5,27 @@ import numpy as np
 
 import phaselab.cli as cli
 import phaselab.solver
+from phaselab import config
 from phaselab.snapshots import read_snapshot
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def write_json(path, doc):
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def small_plan(tmp_path, **extra):
+    """A three-member circle plan that runs in about a second."""
+    plan = {
+        "base": json.loads((CONFIGS / "circle_radial.json").read_text()),
+        "epsilons": [0.16, 0.08, 0.04],
+        **extra,
+    }
+    plan["base"]["stepper"]["t_end"] = 0.01
+    plan["base"]["grid"]["half_width"] = 1.8
+    return write_json(tmp_path / "plan.json", plan)
 
 
 def read_csv(path):
@@ -95,21 +113,14 @@ def test_simulate_circle_sample(tmp_path):
 
 
 def test_sweep_reports_and_determinism(tmp_path):
-    plan = {
-        "base": json.loads((CONFIGS / "circle_radial.json").read_text()),
-        "epsilons": [0.16, 0.08, 0.04],
-        "bands": {"err_l1": [0.0, 10.0], "rel_entropy": [0.0, 10.0]},
-    }
-    plan["base"]["stepper"]["t_end"] = 0.01
-    plan["base"]["grid"]["half_width"] = 1.8
-    plan_path = tmp_path / "plan.json"
-    plan_path.write_text(json.dumps(plan))
+    plan_path = small_plan(
+        tmp_path, bands={"err_l1": [0.0, 10.0], "rel_entropy": [0.0, 10.0]})
 
     out1, out2 = tmp_path / "s1", tmp_path / "s2"
     assert cli.main(["sweep", "--plan", str(plan_path),
                      "--out", str(out1)]) == 0
-    assert cli.main(["sweep", "--plan", str(plan_path), "--out", str(out2),
-                     "--threads", "3"]) == 0
+    assert cli.main(["sweep", "--plan", str(plan_path),
+                     "--out", str(out2)]) == 0
 
     summary = json.loads((out1 / "summary.json").read_text())
     for key in ("epsilons", "quantities", "slopes", "gronwall_constants",
@@ -123,17 +134,35 @@ def test_sweep_reports_and_determinism(tmp_path):
 
 
 def test_sweep_band_violation_exit_code(tmp_path):
-    plan = {
-        "base": json.loads((CONFIGS / "circle_radial.json").read_text()),
-        "epsilons": [0.16, 0.08, 0.04],
-        "bands": {"err_l1": [5.0, 6.0]},
-    }
-    plan["base"]["stepper"]["t_end"] = 0.01
-    plan["base"]["grid"]["half_width"] = 1.8
-    plan_path = tmp_path / "plan.json"
-    plan_path.write_text(json.dumps(plan))
-    assert cli.main(["sweep", "--plan", str(plan_path),
+    plan_path = small_plan(tmp_path, bands={"err_l1": [5.0, 6.0]})
+    assert cli.main(["sweep", "--plan", plan_path,
                      "--out", str(tmp_path / "out")]) == 3
+
+
+def test_sweep_member_blowup_exit_code(tmp_path, monkeypatch, capsys):
+    def boom(*a, **k):
+        raise phaselab.solver.BlowUpError("max |u| = nan at step 3 (t = 1)")
+
+    monkeypatch.setattr(phaselab.solver, "run", boom)
+    out = tmp_path / "out"
+    rc = cli.main(["sweep", "--plan", small_plan(tmp_path),
+                   "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "runtime failure: sweep member eps=0.16: max |u| = nan at step 3" \
+        in err
+    assert not out.exists()
+
+
+def test_sweep_unknown_mode_rejected(tmp_path, capsys):
+    doc = json.loads((CONFIGS / "initial_entropy_plane.json").read_text())
+    doc["mode"] = "inital-entropy"
+    out = tmp_path / "out"
+    rc = cli.main(["sweep", "--plan", write_json(tmp_path / "p.json", doc),
+                   "--out", str(out)])
+    assert rc == 2
+    assert "plan.mode: unknown mode 'inital-entropy'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_initial_entropy_mode(tmp_path):
@@ -165,3 +194,65 @@ def test_invalid_json_reports_config_error(tmp_path, capsys):
                    "--out", str(tmp_path / "out")])
     assert rc == 2
     assert "not valid JSON" in capsys.readouterr().err
+
+
+def test_missing_config_file_reports_config_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    for command, flag in (("simulate", "--config"), ("sweep", "--plan"),
+                          ("check-identities", "--config")):
+        rc = cli.main([command, flag, str(tmp_path / "missing.json"),
+                       "--out", str(out)])
+        assert rc == 2
+        assert "missing.json: cannot read" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unknown_keys_all_listed(tmp_path, capsys):
+    doc = json.loads((CONFIGS / "plane1d.json").read_text())
+    doc["diagnostics"]["cadance"] = 5
+    doc["stepper"]["shceme"] = "explicit"
+    out = tmp_path / "out"
+    rc = cli.main(["simulate", "--config", write_json(tmp_path / "c.json", doc),
+                   "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "diagnostics.cadance: unknown key" in err
+    assert "stepper.shceme: unknown key" in err
+    assert not out.exists()
+
+    plan = json.loads((CONFIGS / "sweep_circle.json").read_text())
+    plan["h_over_epsilon"] = 16
+    plan["bands"]["err_L1"] = [0.8, 1.2]
+    plan["base"]["grid"]["npst"] = 100
+    rc = cli.main(["sweep", "--plan", write_json(tmp_path / "p.json", plan),
+                   "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    for key in ("plan.h_over_epsilon", "plan.bands.err_L1", "grid.npst"):
+        assert f"{key}: unknown key" in err
+    assert not out.exists()
+
+
+def test_identity_levels_below_two_rejected(tmp_path, capsys):
+    doc = json.loads((CONFIGS / "identities_plane.json").read_text())
+    doc["identities"]["levels"] = 1
+    out = tmp_path / "out"
+    rc = cli.main(["check-identities", "--config",
+                   write_json(tmp_path / "c.json", doc), "--out", str(out)])
+    assert rc == 2
+    assert "identities.levels" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_shipped_configs_load():
+    root = CONFIGS.parent
+    paths = sorted(CONFIGS.glob("*.json")) \
+        + sorted((root / "perfbench" / "workloads").glob("*.json"))
+    assert len(paths) == 9
+    for path in paths:
+        doc = config.load_json(path)
+        if "base" in doc:
+            config.build_plan(doc)
+        else:
+            config.build_simulation(doc)
+            config.build_identities(doc)

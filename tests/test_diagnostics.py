@@ -22,18 +22,23 @@ def psi_exact(u):
     return 1.5 * u - 0.5 * u ** 3
 
 
-def test_gl_energy_minimizer(standard_potential):
-    grid = pl.full_grid(1, 0.5, 64)
-    assert dg.gl_energy(np.ones(grid.shape), 0.05, standard_potential,
-                        grid) == 0.0
+def row(u, cfg, **kw):
+    """The relative_entropy breakdown of u on cfg's geometry at t = 0."""
+    return dg.relative_entropy(u, cfg.epsilon, cfg.potential, cfg.trajectory,
+                               cfg.cutoff, cfg.grid, 0.0, **kw)
+
+
+def test_gl_energy_minimizer(standard_potential, profile):
+    cfg = make_plane_config(standard_potential, profile, h_over_eps=3.2)
+    assert cfg.grid.npts == 64
+    assert row(np.ones(cfg.grid.shape), cfg).gl_energy == 0.0
 
 
 def test_gl_energy_profile_line_tension(standard_potential, profile):
     # co-area oracle: int theta'(x/eps)^2 / eps dx = int sqrt(2W) = 2;
     # the discrete gradient under-reads by ~0.6 (h/eps)^2, so resolve well
     cfg = make_plane_config(standard_potential, profile, h_over_eps=128)
-    u0 = pl.initial_data(cfg)
-    val = dg.gl_energy(u0, cfg.epsilon, standard_potential, cfg.grid)
+    val = row(pl.initial_data(cfg), cfg).gl_energy
     assert val == pytest.approx(2.0, abs=1e-4)
 
 
@@ -41,15 +46,14 @@ def test_gl_energy_circle_perimeter(standard_potential, profile):
     # line tension 2 times perimeter 2 pi R
     cfg = make_circle_config(standard_potential, profile, eps=0.05,
                              half_width=1.4, mode="full")
-    u0 = pl.initial_data(cfg)
-    val = dg.gl_energy(u0, cfg.epsilon, standard_potential, cfg.grid)
+    val = row(pl.initial_data(cfg), cfg).gl_energy
     assert abs(val - 4.0 * math.pi) / (4.0 * math.pi) < 0.02
 
 
-def test_dissipation_minimizer(standard_potential):
-    grid = pl.full_grid(1, 0.5, 64)
-    assert dg.dissipation(-np.ones(grid.shape), 0.05, standard_potential,
-                          grid) < 1e-24
+def test_dissipation_minimizer(standard_potential, profile):
+    cfg = make_plane_config(standard_potential, profile, h_over_eps=3.2)
+    assert cfg.grid.npts == 64
+    assert row(-np.ones(cfg.grid.shape), cfg).dissipation < 1e-24
 
 
 def test_dissipation_profile_refines_to_zero(standard_potential, profile):
@@ -57,9 +61,7 @@ def test_dissipation_profile_refines_to_zero(standard_potential, profile):
     for h_over_eps in (16, 32):
         cfg = make_plane_config(standard_potential, profile,
                                 h_over_eps=h_over_eps)
-        u0 = pl.initial_data(cfg)
-        vals.append(dg.dissipation(u0, cfg.epsilon, standard_potential,
-                                   cfg.grid))
+        vals.append(row(pl.initial_data(cfg), cfg).dissipation)
     assert vals[1] < vals[0] / 8.0   # h^4 scaling of the squared residual
     assert vals[0] < 0.05
 
@@ -68,8 +70,7 @@ def test_dissipation_shrinking_circle(standard_potential, profile):
     # sharp-interface rate: line tension x int H^2 = 2 * 2 pi R / R^2
     cfg = make_circle_config(standard_potential, profile, eps=0.04,
                              half_width=1.4, h_over_eps=16)
-    u0 = pl.initial_data(cfg)
-    val = dg.dissipation(u0, cfg.epsilon, standard_potential, cfg.grid)
+    val = row(pl.initial_data(cfg), cfg).dissipation
     assert abs(val - 4.0 * math.pi) / (4.0 * math.pi) < 0.10
 
 
@@ -196,11 +197,9 @@ def test_interface_errors_exact_indicator(standard_potential, profile):
                              half_width=1.4)
     dist = cfg.trajectory.radius(0.0) - cfg.grid.axis
     u = np.where(dist >= 0.0, 1.0, -1.0)   # psi(u) = chi exactly
-    err_l1, err_w = dg.interface_errors(u, cfg.epsilon, standard_potential,
-                                        cfg.trajectory, cfg.grid, 0.0,
-                                        s0=cfg.cutoff.r_c / 4)
-    assert err_l1 == 0.0
-    assert err_w == 0.0
+    b = row(u, cfg, s0=cfg.cutoff.r_c / 4)
+    assert b.err_l1 == 0.0
+    assert b.err_weighted == 0.0
 
 
 def test_interface_errors_profile_oracle(standard_potential, profile):
@@ -208,10 +207,8 @@ def test_interface_errors_profile_oracle(standard_potential, profile):
     eps = 0.05
     cfg = make_plane_config(standard_potential, profile, eps=eps,
                             h_over_eps=64)
-    u0 = pl.initial_data(cfg)
-    err_l1, err_w = dg.interface_errors(u0, eps, standard_potential,
-                                        cfg.trajectory, cfg.grid, 0.0,
-                                        s0=cfg.cutoff.r_c / 4)
+    b = row(pl.initial_data(cfg), cfg, s0=cfg.cutoff.r_c / 4)
+    err_l1, err_w = b.err_l1, b.err_weighted
     half, _ = quad(lambda s: 1.0 - psi_exact(theta_exact(s)), 0.0, 30.0,
                    limit=400)
     oracle = 2.0 * eps * half

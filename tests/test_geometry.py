@@ -22,6 +22,25 @@ def cutoff():
     return pl.CutoffSpec(r_c=0.3)
 
 
+class PointsGrid:
+    """Duck-typed full grid whose coordinates are arbitrary points, so that
+    extended_fields can be evaluated pointwise."""
+
+    mode = "full"
+
+    def __init__(self, pts):
+        self.pts = np.atleast_2d(np.asarray(pts, dtype=float)).T
+        self.ncomp = self.pts.shape[0]
+
+    def coords(self):
+        return self.pts
+
+
+def fields_at(traj, cutoff, pts, t):
+    """extended_fields at the rows of pts; vector fields are (d, npts)."""
+    return extended_fields(traj, cutoff, PointsGrid(pts), t)
+
+
 def test_signed_distance_sphere(sphere):
     assert pl.signed_distance(sphere, [0.0, 0.0], 0.0) == pytest.approx(1.0)
     assert pl.signed_distance(sphere, [1.0, 0.0], 0.0) == pytest.approx(0.0)
@@ -50,17 +69,7 @@ def test_sphere_guards():
         pl.signed_distance(sph, [0.0, 0.0], 0.35)
 
 
-def test_projection_idempotent(sphere, plane2d):
-    rng = np.random.default_rng(7)
-    for traj in (sphere, plane2d):
-        pts = rng.uniform(-0.2, 0.2, size=(50, 2))
-        pts[:, 0] += 0.9   # inside the tube around both interfaces
-        proj = pl.geometry.project(traj, pts, 0.1)
-        again = pl.geometry.project(traj, proj, 0.1)
-        assert np.max(np.abs(proj - again)) < 1e-12
-
-
-def test_normal_is_distance_gradient(sphere):
+def test_normal_is_distance_gradient(sphere, cutoff):
     rng = np.random.default_rng(3)
     pts = rng.uniform(-0.15, 0.15, size=(40, 2))
     pts[:, 0] += 0.95
@@ -70,18 +79,18 @@ def test_normal_is_distance_gradient(sphere):
         (pl.signed_distance(sphere, pts + off, t)
          - pl.signed_distance(sphere, pts - off, t)) / (2 * d)
         for off in (np.array([d, 0.0]), np.array([0.0, d]))], axis=-1)
-    normals = pl.geometry.inner_normal(sphere, pts, t)
+    normals = -fields_at(sphere, cutoff, pts, t).e.T
     assert np.max(np.abs(grad - normals)) < 1e-6
 
 
-def test_distance_rate_matches_curvature(sphere):
+def test_distance_rate_matches_curvature(sphere, cutoff):
     # d/dt dist = -H . n in the tube
     pts = np.array([[0.9, 0.1], [0.7, -0.4], [1.05, 0.0]])
     t, dt = 0.1, 1e-6
     rate = (pl.signed_distance(sphere, pts, t + dt)
             - pl.signed_distance(sphere, pts, t - dt)) / (2 * dt)
     k = sphere.curvature_scale(t)
-    n = pl.geometry.inner_normal(sphere, pts, t)
+    n = -fields_at(sphere, cutoff, pts, t).e.T
     hvec = k * n
     assert np.max(np.abs(rate + np.sum(hvec * n, axis=-1))) < 1e-8
 
@@ -118,24 +127,22 @@ def test_cutoff_validation():
 
 
 def test_xi_values(sphere, cutoff):
-    t = 0.0
-    on_interface = pl.xi(sphere, cutoff, np.array([0.0, 1.0]), t)
+    pts = [[0.0, 1.0], [1.0 - cutoff.r_c / 2, 0.0],
+           [1.0 - cutoff.r_c / 4, 0.0], [0.0, 0.0]]
+    on_interface, at_half, at_quarter, center = fields_at(
+        sphere, cutoff, pts, 0.0).xi.T
     assert np.linalg.norm(on_interface) == pytest.approx(1.0, abs=1e-14)
     assert on_interface == pytest.approx([0.0, -1.0])
-    at_half = pl.xi(sphere, cutoff, np.array([1.0 - cutoff.r_c / 2, 0.0]), t)
     assert np.linalg.norm(at_half) == 0.0
-    at_quarter = pl.xi(sphere, cutoff,
-                       np.array([1.0 - cutoff.r_c / 4, 0.0]), t)
     assert np.linalg.norm(at_quarter) == pytest.approx(1.0 - 1.0 / 16.0,
                                                        abs=1e-12)
-    center = pl.xi(sphere, cutoff, np.array([0.0, 0.0]), t)
     assert np.linalg.norm(center) == 0.0
 
 
 def test_xi_length_bound(sphere, cutoff):
     rng = np.random.default_rng(11)
     pts = rng.uniform(-1.3, 1.3, size=(500, 2))
-    vals = pl.xi(sphere, cutoff, pts, 0.1)
+    vals = fields_at(sphere, cutoff, pts, 0.1).xi.T
     dist = pl.signed_distance(sphere, pts, 0.1)
     bound = np.maximum(1.0 - cutoff.c_quad * (dist / cutoff.r_c) ** 2, 0.0)
     assert np.all(np.linalg.norm(vals, axis=-1) <= bound + 1e-12)
@@ -144,48 +151,36 @@ def test_xi_length_bound(sphere, cutoff):
 def test_extended_curvature(sphere, plane2d, cutoff):
     rng = np.random.default_rng(5)
     pts = rng.uniform(-1.0, 1.0, size=(20, 2))
-    assert np.max(np.abs(pl.extended_curvature(plane2d, cutoff, pts, 0.0))) == 0.0
+    assert np.max(np.abs(fields_at(plane2d, cutoff, pts, 0.0).hvec)) == 0.0
 
     # R(t) = 0.5 at t = 0.375: magnitude (d-1)/R = 2, direction -x/|x|
     t = 0.375
-    x = np.array([0.5, 0.0])
-    h = pl.extended_curvature(sphere, cutoff, x, t)
+    h, far = fields_at(sphere, cutoff,
+                       [[0.5, 0.0], [0.5 - cutoff.r_c / 2, 0.0]], t).hvec.T
     assert h == pytest.approx([-2.0, 0.0], abs=1e-12)
-
-    far = np.array([0.5 - cutoff.r_c / 2, 0.0])
-    assert np.linalg.norm(pl.extended_curvature(sphere, cutoff, far, t)) == 0.0
+    assert np.linalg.norm(far) == 0.0
 
 
 def test_extended_curvature_against_divergence_oracle(sphere, cutoff):
     # H = -(div n) n on the interface, div n by finite differences
     t, d = 0.1, 1e-5
     x = np.array([sphere.radius(t), 0.0])
-    div = 0.0
-    for ax in range(2):
-        off = np.zeros(2)
-        off[ax] = d
-        div += (pl.geometry.inner_normal(sphere, x + off, t)[ax]
-                - pl.geometry.inner_normal(sphere, x - off, t)[ax]) / (2 * d)
-    n = pl.geometry.inner_normal(sphere, x, t)
-    oracle = -div * n
-    assert pl.extended_curvature(sphere, cutoff, x, t) == pytest.approx(
-        oracle, abs=1e-6)
+    offs = d * np.eye(2)
+    f = fields_at(sphere, cutoff, np.vstack([x, x + offs, x - offs]), t)
+    normals = -f.e.T
+    div = sum((normals[1 + ax, ax] - normals[3 + ax, ax]) / (2 * d)
+              for ax in range(2))
+    oracle = -div * normals[0]
+    assert f.hvec[:, 0] == pytest.approx(oracle, abs=1e-6)
 
 
 def test_extended_fields_radial_matches_full(sphere, cutoff):
     t = 0.1
     grid_r = pl.radial_grid(2, 1.4, 281)
     fr = extended_fields(sphere, cutoff, grid_r, t)
-    pts = np.stack([grid_r.axis, np.zeros_like(grid_r.axis)], axis=0)
-
-    class _PtsGrid:
-        mode = "full"
-        ncomp = 2
-
-        def coords(self):
-            return pts
-
-    ff = pl.geometry._extended_fields_full(sphere, cutoff, _PtsGrid(), t)
+    ff = fields_at(sphere, cutoff,
+                   np.stack([grid_r.axis, np.zeros_like(grid_r.axis)],
+                            axis=-1), t)
     assert np.allclose(fr.dist, ff.dist, atol=1e-12)
     assert np.allclose(fr.xi[0], ff.xi[0], atol=1e-12)
     assert np.allclose(fr.div_xi[1:], ff.div_xi[1:], atol=1e-10)

@@ -73,14 +73,6 @@ def test_laplacian_second_order_interior_2d():
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.2)
 
 
-def test_radial_divergence_linear_field():
-    for d in (2, 3):
-        g = pl.radial_grid(d, 1.0, 101)
-        v = g.axis[np.newaxis, :].copy()
-        div = g.divergence(v)
-        assert np.max(np.abs(div[:-1] - d)) < 1e-10
-
-
 def test_grid_validation():
     with pytest.raises(ValueError):
         pl.Grid(mode="weird", dim=1, half_width=1.0, npts=32)

@@ -97,11 +97,17 @@ def test_explicit_scheme_energy_decays(standard_potential, profile):
                             h_over_eps=8)
     cfg.dt = min(cfg.dt, cfg.grid.h ** 2 / 4.0)
     step = pl.make_stepper(cfg)
+
+    def energy(u):
+        return dg.relative_entropy(u, cfg.epsilon, standard_potential,
+                                   cfg.trajectory, cfg.cutoff, cfg.grid,
+                                   0.0).gl_energy
+
     u = pl.initial_data(cfg)
-    prev = dg.gl_energy(u, cfg.epsilon, standard_potential, cfg.grid)
+    prev = energy(u)
     for _ in range(50):
         u = step(u)
-        e = dg.gl_energy(u, cfg.epsilon, standard_potential, cfg.grid)
+        e = energy(u)
         assert e <= prev + 100.0 * cfg.dt ** 2
         prev = e
 
@@ -192,6 +198,14 @@ def test_validation_boundary_flatness(standard_potential, profile):
                             half_width=0.15)
     issues = pl.validate(cfg)
     assert any("flat at the boundary" in m for m in issues)
+
+
+def test_blowup_guard_catches_nan(standard_potential, profile, monkeypatch):
+    cfg = make_plane_config(standard_potential, profile, t_end=0.001)
+    monkeypatch.setattr(pl.solver, "make_stepper",
+                        lambda cfg: lambda u: np.full_like(u, np.nan))
+    with pytest.raises(BlowUpError, match="not finite"):
+        pl.run(cfg)
 
 
 def test_blowup_reported_with_time(standard_potential, profile):
