@@ -15,8 +15,7 @@ import time
 from pathlib import Path
 
 from . import __version__, config, diagnostics, experiments, snapshots, solver
-from .potentials import (normalization_integral, potential_by_name,
-                         solve_profile)
+from .potentials import ProfileError, normalization_integral
 from .solver import BlowUpError, ConfigError
 
 EXIT_OK = 0
@@ -63,17 +62,8 @@ def _write_manifest(out_dir: Path, command: str, config_path, materialized,
 
 
 def cmd_profile(args) -> int:
-    try:
-        pot = potential_by_name(args.name, coeffs=args.coeffs)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        table = solve_profile(pot, s_max=args.s_max, n_samples=args.n)
-    except (ValueError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-
+    pot, table = config.build_profile(args.name, args.coeffs, args.s_max,
+                                      args.n)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"profile_{pot.name}.csv"
@@ -250,7 +240,7 @@ def main(argv=None) -> int:
         for msg in exc.messages:
             print(f"  - {msg}", file=sys.stderr)
         return EXIT_CONFIG
-    except BlowUpError as exc:
+    except (BlowUpError, ProfileError) as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

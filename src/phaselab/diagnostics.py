@@ -83,21 +83,21 @@ class DerivedFields:
     density: np.ndarray
 
 
-def derived_fields(u: np.ndarray, eps: float, pot: PotentialSpec, grid: Grid,
-                   fallback_axis: int = 0) -> DerivedFields:
+def derived_fields(u: np.ndarray, eps: float, pot: PotentialSpec,
+                   grid: Grid) -> DerivedFields:
     """Gradient, unit normal, phase map and curvature proxy of a snapshot.
 
     Where |grad u| falls below a relative floor the unit normal is replaced
-    by the fixed coordinate direction fallback_axis; every integrand that
-    touches n carries a |grad psi| or |grad u|^2 weight, so the choice does
-    not affect any reported value.
+    by the first coordinate direction; every integrand that touches n
+    carries a |grad psi| or |grad u|^2 weight, so the choice does not
+    affect any reported value.
     """
     g = grid.gradient(u)
     gmag = np.sqrt(np.sum(g * g, axis=0))
     floor = GRAD_FLOOR_SCALE * (float(np.max(gmag)) + 1.0)
     safe = np.where(gmag >= floor, gmag, 1.0)
     n = np.where(gmag >= floor, g / safe, 0.0)
-    n[fallback_axis] = np.where(gmag >= floor, n[fallback_axis], 1.0)
+    n[0] = np.where(gmag >= floor, n[0], 1.0)
 
     uc = np.clip(u, -1.0, 1.0)
     w = pot.w(uc)
@@ -116,8 +116,7 @@ def derived_fields(u: np.ndarray, eps: float, pot: PotentialSpec, grid: Grid,
 def relative_entropy(u: np.ndarray, eps: float, pot: PotentialSpec,
                      traj: InterfaceTrajectory, cutoff: CutoffSpec,
                      grid: Grid, t: float, s0: Optional[float] = None,
-                     with_identity: bool = False,
-                     fallback_axis: int = 0) -> EntropyBreakdown:
+                     with_identity: bool = False) -> EntropyBreakdown:
     """Evaluate the full breakdown of one snapshot.
 
     The core value is int density - xi . grad psi; the call also fills the
@@ -127,7 +126,7 @@ def relative_entropy(u: np.ndarray, eps: float, pot: PotentialSpec,
     """
     if s0 is None:
         s0 = cutoff.r_c / 4.0
-    d = derived_fields(u, eps, pot, grid, fallback_axis=fallback_axis)
+    d = derived_fields(u, eps, pot, grid)
     ef = extended_fields(traj, cutoff, grid, t)
     quad = grid.integrate
 

@@ -10,7 +10,7 @@ Everything here is deterministic: fixed iteration order, no randomness.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -94,6 +94,7 @@ class SweepPlan:
     Members share everything except eps and the coupled resolution:
     h = eps / h_over_eps and dt = eps^2 / dt_over_eps2 (initial-entropy
     studies may use the finer initial_h_over_eps since they never step).
+    Bands not given take their defaults, so bands always holds every band.
     """
 
     base: SimulationConfig
@@ -101,9 +102,13 @@ class SweepPlan:
     h_over_eps: float = DEFAULT_H_OVER_EPS
     dt_over_eps2: float = DEFAULT_DT_OVER_EPS2
     initial_h_over_eps: float = DEFAULT_INITIAL_H_OVER_EPS
-    bands: dict = field(default_factory=lambda: dict(DEFAULT_BANDS))
+    bands: dict = field(default_factory=dict)
 
-    def validate(self) -> list:
+    def __post_init__(self):
+        self.bands = {**DEFAULT_BANDS, **self.bands}
+
+    def validate(self, h_over_eps: Optional[float] = None) -> list:
+        """Sweep issues and member issues at the resolution evaluated."""
         issues = []
         eps = list(self.epsilons)
         if len(eps) < 3:
@@ -115,7 +120,7 @@ class SweepPlan:
         if any(a <= b for a, b in zip(eps, eps[1:])):
             issues.append("sweep.epsilons: must be strictly descending")
         for e in eps:
-            member_issues = solver.validate(self.member(e))
+            member_issues = solver.validate(self.member(e, h_over_eps))
             issues.extend(f"member eps={e}: {m}" for m in member_issues)
         return issues
 
@@ -137,15 +142,7 @@ class RateReport:
     pass_flags: dict
 
     def to_json_dict(self) -> dict:
-        return {
-            "epsilons": self.epsilons,
-            "quantities": self.quantities,
-            "slopes": {k: {"slope": v.slope, "intercept": v.intercept,
-                           "residual_norm": v.residual_norm}
-                       for k, v in self.slopes.items()},
-            "gronwall_constants": self.gronwall_constants,
-            "pass_flags": self.pass_flags,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -164,7 +161,7 @@ def _in_band(value, band) -> bool:
 def initial_entropy_study(plan: SweepPlan) -> RateReport:
     """Relative entropy of the profile initial data per eps, with the
     fitted decay slope (no time stepping involved)."""
-    issues = plan.validate()
+    issues = plan.validate(plan.initial_h_over_eps)
     if issues:
         raise ConfigError(issues)
     values = []
@@ -176,13 +173,13 @@ def initial_entropy_study(plan: SweepPlan) -> RateReport:
             0.0, s0=cfg.s0)
         values.append(b.rel_entropy)
     fit = fit_rate(list(zip(plan.epsilons, values)))
-    band = plan.bands.get("initial_entropy", DEFAULT_BANDS["initial_entropy"])
     return RateReport(
         epsilons=list(plan.epsilons),
         quantities={"initial_entropy": values},
         slopes={"initial_entropy": fit},
         gronwall_constants=[],
-        pass_flags={"initial_entropy": _in_band(fit.slope, band)})
+        pass_flags={"initial_entropy": _in_band(
+            fit.slope, plan.bands["initial_entropy"])})
 
 
 def run_sweep(plan: SweepPlan) -> SweepResult:
@@ -195,7 +192,8 @@ def run_sweep(plan: SweepPlan) -> SweepResult:
     results = []
     for eps in plan.epsilons:
         try:
-            results.append(solver.run(plan.member(eps)))
+            results.append(solver.run(plan.member(eps),
+                                      _skip_validation=True))
         except BlowUpError as exc:
             raise BlowUpError(f"sweep member eps={eps:g}: {exc}") from exc
 
@@ -212,8 +210,7 @@ def run_sweep(plan: SweepPlan) -> SweepResult:
         "rel_entropy": fit_rate(list(zip(plan.epsilons, sup_ent))),
     }
     cs = [g.c_hat for g in gronwall]
-    factor_band = plan.bands.get("gronwall_factor",
-                                 DEFAULT_BANDS["gronwall_factor"])
+    factor_band = plan.bands["gronwall_factor"]
     if any(g.degenerate for g in gronwall):
         gron_ok = False
     elif max(cs) <= 0.0:
@@ -221,14 +218,9 @@ def run_sweep(plan: SweepPlan) -> SweepResult:
     else:
         gron_ok = min(cs) > 0.0 and max(cs) / min(cs) <= factor_band
 
-    pass_flags = {
-        "err_l1": _in_band(slopes["err_l1"].slope,
-                           plan.bands.get("err_l1", DEFAULT_BANDS["err_l1"])),
-        "rel_entropy": _in_band(
-            slopes["rel_entropy"].slope,
-            plan.bands.get("rel_entropy", DEFAULT_BANDS["rel_entropy"])),
-        "gronwall_factor": gron_ok,
-    }
+    pass_flags = {name: _in_band(fit.slope, plan.bands[name])
+                  for name, fit in slopes.items()}
+    pass_flags["gronwall_factor"] = gron_ok
     report = RateReport(
         epsilons=list(plan.epsilons),
         quantities={"sup_err_l1": sup_err, "sup_rel_entropy": sup_ent,
@@ -262,15 +254,7 @@ class IdentityReport:
         return min(orders) if orders else math.nan
 
     def to_json_dict(self) -> dict:
-        return {
-            "levels": [{"h": lv.h, "dt": lv.dt,
-                        "identity_residual": lv.identity_residual,
-                        "dissipation_residual": lv.dissipation_residual,
-                        "max_dissipation_residual": lv.max_dissipation_residual}
-                       for lv in self.levels],
-            "identity_orders": self.identity_orders,
-            "dissipation_orders": self.dissipation_orders,
-        }
+        return asdict(self)
 
 
 def _refined(cfg: SimulationConfig, factor: int) -> SimulationConfig:
@@ -287,23 +271,24 @@ def check_identities(cfg: SimulationConfig, levels: int = 3) -> IdentityReport:
     against the dissipation, at the diagnostic times shared by every level."""
     if levels < 2:
         raise ValueError("need at least 2 refinement levels")
-    base_dt = replace(cfg, compute_identity=True)
-    runs = [solver.run(_refined(base_dt, 2 ** lv)) for lv in range(levels)]
+    cfgs = [_refined(cfg, 2 ** lv) for lv in range(levels)]
+    runs = [solver.run(c) for c in cfgs]
 
     # nested levels step through bit-identical times, so exact matching holds
     common = set.intersection(*({b.t for b in r.breakdowns[1:-1]}
                                 for r in runs))
     if not common:
-        raise RuntimeError("no common interior diagnostic times across levels")
+        raise ConfigError([f"diagnostics.cadence: no diagnostic time before "
+                           f"stepper.t_end is shared by all {levels} levels"])
 
     out_levels = []
-    for lv, r in enumerate(runs):
+    for c, r in zip(cfgs, runs):
         ident = [b.identity_residual for b in r.breakdowns
                  if b.t in common and not math.isnan(b.identity_residual)]
         all_diss = diagnostics.dissipation_residuals(r.breakdowns)
         diss = [v for t, v in all_diss if t in common]
         out_levels.append(IdentityLevel(
-            h=_refined(base_dt, 2 ** lv).grid.h, dt=r.dt,
+            h=c.grid.h, dt=r.dt,
             identity_residual=max(ident),
             dissipation_residual=max(diss),
             max_dissipation_residual=max(v for _, v in all_diss)))

@@ -32,7 +32,7 @@ class PlaneInterface:
 
     def __post_init__(self):
         n = np.asarray(self.normal, dtype=float)
-        if abs(np.linalg.norm(n) - 1.0) > 1e-12:
+        if not abs(np.linalg.norm(n) - 1.0) <= 1e-12:   # NaN fails too
             raise ValueError("plane normal must be a unit vector")
 
     @property
@@ -55,11 +55,11 @@ class SphereInterface:
     def __post_init__(self):
         if len(self.center) != self.dim:
             raise ValueError("center length must match dim")
-        if self.radius0 <= 0.0:
+        if not self.radius0 > 0.0:
             raise ValueError("radius0 must be positive")
         if self.dim < 2:
             raise ValueError("sphere needs dim >= 2")
-        if self.t_max >= self.extinction_time:
+        if not self.t_max < self.extinction_time:
             raise ValueError(
                 f"t_max={self.t_max} reaches extinction at "
                 f"{self.extinction_time:.6f}")
@@ -124,7 +124,7 @@ class CutoffSpec:
     c_quad: float = 1.0
 
     def __post_init__(self):
-        if self.r_c <= 0.0:
+        if not self.r_c > 0.0:
             raise ValueError("r_c must be positive")
         if not 0.0 < self.c_quad < 4.0:
             raise ValueError("c_quad must lie in (0, 4)")

@@ -30,9 +30,9 @@ class Grid:
     def __post_init__(self):
         if self.mode not in (FULL, RADIAL):
             raise ValueError(f"unknown grid mode {self.mode!r}")
-        if self.npts < 8:
+        if not self.npts >= 8:   # NaN fails every comparison
             raise ValueError("need at least 8 points per axis")
-        if self.half_width <= 0.0:
+        if not self.half_width > 0.0:
             raise ValueError("half_width must be positive")
         if self.mode == RADIAL and self.dim < 2:
             raise ValueError("radial mode needs dim >= 2")

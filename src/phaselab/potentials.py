@@ -89,7 +89,7 @@ def _validate(name, w, dw, ddw) -> None:
     if np.max(np.abs(w(s) - w(-s))) > 1e-12:
         issues.append("W must be symmetric around the origin")
     norm = normalization_integral(w)
-    if abs(norm - 2.0) > NORMALIZATION_TOL:
+    if not abs(norm - 2.0) <= NORMALIZATION_TOL:   # NaN fails too
         issues.append(f"integral of sqrt(2W) over [-1,1] is {norm:.10f}, "
                       "expected 2 (rescale the coefficients)")
     if issues:
@@ -124,20 +124,17 @@ def make_standard_potential() -> PotentialSpec:
                          _psi=psi)
 
 
-def make_polynomial_potential(coeffs, name: str = "poly",
-                              normalize: bool = True) -> PotentialSpec:
-    """Build a potential from polynomial coefficients (low to high degree).
-
-    With normalize=True the coefficients are rescaled (W -> lam^2 W) so the
-    sqrt(2 W) integral over [-1, 1] equals 2.  psi is evaluated from a
-    precomputed 1024-interval quadrature table with linear interpolation.
+def make_polynomial_potential(coeffs) -> PotentialSpec:
+    """Build the potential 'poly' from polynomial coefficients (low to high
+    degree), rescaled (W -> lam^2 W) so the sqrt(2 W) integral over [-1, 1]
+    equals 2.  psi is evaluated from a precomputed 1024-interval quadrature
+    table with linear interpolation.
     """
     p = np.polynomial.Polynomial(np.asarray(coeffs, dtype=float))
-    if normalize:
-        raw = normalization_integral(lambda s: np.maximum(p(s), 0.0))
-        if raw <= 0.0:
-            raise PotentialError(f"potential '{name}': sqrt(2W) integrates to zero")
-        p = p * (2.0 / raw) ** 2
+    raw = normalization_integral(lambda s: np.maximum(p(s), 0.0))
+    if not raw > 0.0:
+        raise PotentialError("potential 'poly': sqrt(2W) must integrate to > 0")
+    p = p * (2.0 / raw) ** 2
     dp = p.deriv()
     ddp = p.deriv(2)
 
@@ -150,7 +147,7 @@ def make_polynomial_potential(coeffs, name: str = "poly",
     def ddw(s):
         return ddp(np.asarray(s, dtype=float))
 
-    _validate(name, w, dw, ddw)
+    _validate("poly", w, dw, ddw)
 
     nodes = np.linspace(-1.0, 1.0, _PSI_TABLE_INTERVALS + 1)
     integrand = np.sqrt(np.maximum(2.0 * w(nodes), 0.0))
@@ -162,7 +159,7 @@ def make_polynomial_potential(coeffs, name: str = "poly",
         return np.interp(u, nodes, table)
 
     s_grid = np.linspace(-1.0, 1.0, 2001)
-    return PotentialSpec(name=name, w=w, dw=dw, ddw=ddw,
+    return PotentialSpec(name="poly", w=w, dw=dw, ddw=ddw,
                          max_ddw=float(np.max(ddw(s_grid))),
                          well_constant=_well_constant(w), _psi=psi)
 
@@ -198,10 +195,6 @@ class ProfileTable:
         inside = self._interp(np.clip(s, -self.s_max, self.s_max))
         return np.where(np.abs(s) > self.s_max, np.sign(s), inside)
 
-    def derivative(self, s):
-        """theta'(s) evaluated through the defining ODE theta' = sqrt(2W(theta))."""
-        return self.potential.sqrt2w(self(s))
-
 
 def _integrate_profile(p: PotentialSpec, s_max: float, n: int) -> np.ndarray:
     """Classical RK4 for theta' = sqrt(2 W(theta)) from theta(0) = 0."""
@@ -231,9 +224,9 @@ def solve_profile(p: PotentialSpec, s_max: float = 8.0,
     Requires s_max >= 5 and n_samples >= 64.  A step-halved integration is
     compared against the result; disagreement signals a malformed potential.
     """
-    if s_max < 5.0:
+    if not s_max >= 5.0:
         raise ValueError(f"s_max must be >= 5, got {s_max}")
-    if n_samples < 64:
+    if not n_samples >= 64:
         raise ValueError(f"n_samples must be >= 64, got {n_samples}")
 
     theta = _integrate_profile(p, s_max, n_samples)

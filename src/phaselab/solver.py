@@ -75,14 +75,14 @@ def validate(cfg: SimulationConfig) -> list:
     """Collect every violated invariant; empty means the config is runnable."""
     issues = []
     eps, grid = cfg.epsilon, cfg.grid
-    if eps <= 0.0:
+    if not eps > 0.0:   # NaN fails every comparison, so test what must hold
         issues.append("epsilon: must be positive")
         return issues
     if cfg.scheme not in (SEMI_IMPLICIT, EXPLICIT):
         issues.append(f"stepper.scheme: unknown scheme {cfg.scheme!r}")
     if cfg.cadence < 1:
         issues.append("diagnostics.cadence: must be >= 1")
-    if cfg.dt <= 0.0:
+    if not cfg.dt > 0.0:
         issues.append("stepper.dt: must be positive")
 
     h = grid.h
@@ -104,7 +104,7 @@ def validate(cfg: SimulationConfig) -> list:
                 f"= {dt_cfl:.3e} (dt = {cfg.dt:.3e})")
 
     traj = cfg.trajectory
-    if cfg.t_end > traj.t_max + 1e-12:
+    if not cfg.t_end <= traj.t_max + 1e-12:
         issues.append(f"stepper.t_end: exceeds trajectory t_max = {traj.t_max}")
 
     if isinstance(traj, SphereInterface):
@@ -142,7 +142,7 @@ def _boundary_flatness_issue(cfg) -> Optional[str]:
     """Initial data must sit in the exponentially flat region on boundary
     cells facing the phase direction (faces parallel to a plane are exempt:
     the interface legitimately crosses them)."""
-    u0 = initial_data(cfg, _validated=True)
+    u0 = initial_data(cfg)
     grid = cfg.grid
     if grid.mode == RADIAL:
         worst = abs(float(u0[-1]))
@@ -163,12 +163,11 @@ def _boundary_flatness_issue(cfg) -> Optional[str]:
     return None
 
 
-def initial_data(cfg: SimulationConfig, _validated: bool = False) -> np.ndarray:
-    """Profile initial data u = theta(dist / eps), values in [-1, 1]."""
-    if not _validated:
-        issues = validate(cfg)
-        if issues:
-            raise ConfigError(issues)
+def initial_data(cfg: SimulationConfig) -> np.ndarray:
+    """Profile initial data u = theta(dist / eps), values in [-1, 1].
+
+    cfg is not validated here; callers run validate first.
+    """
     grid = cfg.grid
     if grid.mode == RADIAL:
         dist = cfg.trajectory.radius(0.0) - grid.axis
@@ -261,7 +260,7 @@ def run(cfg: SimulationConfig, keep_snapshots: bool = False,
             u, cfg.epsilon, cfg.potential, cfg.trajectory, cfg.cutoff,
             cfg.grid, t, s0=cfg.s0, with_identity=cfg.compute_identity)
 
-    u = initial_data(cfg, _validated=True)
+    u = initial_data(cfg)
     rows = [measure(u, 0.0)]
     snapshots = [(0.0, u.copy())] if keep_snapshots else []
     step = make_stepper(cfg)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import phaselab as pl
+from phaselab.grids import FULL, npts_for_spacing
 
 
 @pytest.fixture(scope="session")
@@ -18,8 +19,8 @@ def make_plane_config(pot, profile, eps=0.05, half_width=0.5, h_over_eps=8,
                       r_c=0.5, t_end=0.0, cadence=10, dim=1, **kw):
     traj = pl.PlaneInterface(normal=(1.0,) + (0.0,) * (dim - 1), offset=0.0,
                              t_max=10.0)
-    npts = int(round(2 * half_width / (eps / h_over_eps)))
-    grid = pl.full_grid(dim, half_width, npts)
+    grid = pl.full_grid(dim, half_width,
+                        npts_for_spacing(FULL, half_width, eps / h_over_eps))
     return pl.SimulationConfig(
         epsilon=eps, potential=pot, profile=profile, trajectory=traj,
         cutoff=pl.CutoffSpec(r_c=r_c), grid=grid, dt=eps ** 2 / 20,
@@ -35,11 +36,8 @@ def make_circle_config(pot, profile, eps=0.08, radius0=1.0, half_width=None,
         r_c = 0.45 * traj.min_radius()
     if half_width is None:
         half_width = radius0 + 0.8
-    h = eps / h_over_eps
-    if mode == "radial":
-        grid = pl.radial_grid(2, half_width, int(round(half_width / h)) + 1)
-    else:
-        grid = pl.full_grid(2, half_width, int(round(2 * half_width / h)))
+    npts = npts_for_spacing(mode, half_width, eps / h_over_eps)
+    grid = pl.Grid(mode=mode, dim=2, half_width=half_width, npts=npts)
     return pl.SimulationConfig(
         epsilon=eps, potential=pot, profile=profile, trajectory=traj,
         cutoff=pl.CutoffSpec(r_c=r_c), grid=grid,

@@ -2,10 +2,12 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import phaselab.cli as cli
 import phaselab.solver
 from phaselab import config
+from phaselab.potentials import ProfileError
 from phaselab.snapshots import read_snapshot
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -54,6 +56,28 @@ def test_profile_unknown_potential(tmp_path, capsys):
     rc = cli.main(["profile", "nosuch", "--out", str(tmp_path)])
     assert rc == 2
     assert "unknown potential" in capsys.readouterr().err
+
+
+def test_profile_rejects_small_s_max(tmp_path, capsys):
+    rc = cli.main(["profile", "standard", "--s-max", "3", "--out",
+                   str(tmp_path / "out")])
+    assert rc == 2
+    assert "s_max must be >= 5, got 3.0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_profile_failure_is_runtime_failure(tmp_path, monkeypatch, capsys):
+    def fail(*a, **k):
+        raise ProfileError("profile integration did not converge")
+
+    monkeypatch.setattr(config, "solve_profile", fail)
+    out = tmp_path / "out"
+    for argv in (["profile", "standard"],
+                 ["simulate", "--config", str(CONFIGS / "plane1d.json")]):
+        assert cli.main(argv + ["--out", str(out)]) == 1
+        assert "runtime failure: profile integration did not converge" \
+            in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_simulate_plane_smoke(tmp_path):
@@ -256,3 +280,70 @@ def test_shipped_configs_load():
         else:
             config.build_simulation(doc)
             config.build_identities(doc)
+
+
+BAD_VALUES = [   # (config, key path, value, key named in the error)
+    ("plane1d.json", ("epsilon",), "abc", "epsilon"),
+    ("plane1d.json", ("cutoff", "r_c"), float("nan"), "cutoff.r_c"),
+    ("plane1d.json", ("diagnostics", "cadence"), 2.7, "diagnostics.cadence"),
+    ("plane1d.json", ("diagnostics", "compute_identity"), "no",
+     "diagnostics.compute_identity"),
+    ("plane1d.json", ("grid", "half_width"), [1], "grid.half_width"),
+    ("plane1d.json", ("trajectory", "normal"), 5, "trajectory.normal"),
+    ("sweep_circle.json", ("epsilons",), 0.1, "plan.epsilons"),
+    ("sweep_circle.json", ("h_over_eps",), "x", "plan.h_over_eps"),
+    ("plane1d.json", ("potential", "s_max"), 3, "s_max"),
+]
+
+
+@pytest.mark.parametrize("name, path, value, key", BAD_VALUES,
+                         ids=[case[3] for case in BAD_VALUES])
+def test_bad_value_is_config_error(tmp_path, capsys, name, path, value, key):
+    doc = json.loads((CONFIGS / name).read_text())
+    section = doc
+    for part in path[:-1]:
+        section = section[part]
+    section[path[-1]] = value
+    command, flag = ("sweep", "--plan") if "base" in doc \
+        else ("simulate", "--config")
+    out = tmp_path / "out"
+    rc = cli.main([command, flag, write_json(tmp_path / "c.json", doc),
+                   "--out", str(out)])
+    assert rc == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_identities_without_shared_time_rejected(tmp_path, capsys):
+    doc = json.loads((CONFIGS / "identities_plane.json").read_text())
+    doc["diagnostics"]["cadence"] = 1000
+    out = tmp_path / "out"
+    rc = cli.main(["check-identities", "--config",
+                   write_json(tmp_path / "c.json", doc), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "diagnostics.cadence" in err and "stepper.t_end" in err
+    assert not out.exists()
+
+
+def test_each_config_validated_once(tmp_path, monkeypatch):
+    calls = []
+    validate = phaselab.solver.validate
+
+    def counting(cfg):
+        calls.append(cfg.epsilon)
+        return validate(cfg)
+
+    monkeypatch.setattr(phaselab.solver, "validate", counting)
+    plan = json.loads((CONFIGS / "sweep_circle.json").read_text())
+    plan["base"]["stepper"]["t_end"] = 0.001
+    runs = [("sweep", "--plan", write_json(tmp_path / "p.json", plan), 4),
+            ("sweep", "--plan", str(CONFIGS / "initial_entropy_plane.json"),
+             4),
+            ("check-identities", "--config",
+             str(CONFIGS / "identities_plane.json"), 3)]
+    for i, (command, flag, path, expected) in enumerate(runs):
+        calls.clear()
+        rc = cli.main([command, flag, path, "--out", str(tmp_path / str(i))])
+        assert rc in (0, 3)
+        assert len(calls) == expected, (command, path)

@@ -168,21 +168,6 @@ def test_young_absorption_pointwise(standard_potential, profile):
     assert np.all(lhs <= rhs + 1e-10)
 
 
-def test_gradient_fallback_insensitive(standard_potential, profile):
-    cfg = make_circle_config(standard_potential, profile, eps=0.08,
-                             half_width=1.4, mode="full")
-    u0 = pl.initial_data(cfg)   # large flat plateaus with zero gradient
-    vals = []
-    for axis in (0, 1):
-        b = dg.relative_entropy(u0, cfg.epsilon, standard_potential,
-                                cfg.trajectory, cfg.cutoff, cfg.grid, 0.0,
-                                fallback_axis=axis)
-        vals.append(b)
-    for name in dg.CSV_COLUMNS[1:-1]:
-        assert getattr(vals[0], name) == pytest.approx(
-            getattr(vals[1], name), abs=1e-13)
-
-
 def test_psi_bounded_on_snapshots(standard_potential, profile):
     cfg = make_circle_config(standard_potential, profile, eps=0.08,
                              half_width=1.4, t_end=0.02)

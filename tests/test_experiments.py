@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 import phaselab as pl
-from phaselab.experiments import (SweepPlan, check_identities, fit_rate,
-                                  gronwall_fit, initial_entropy_study,
-                                  run_sweep)
+from phaselab.experiments import (DEFAULT_BANDS, SweepPlan, check_identities,
+                                  fit_rate, gronwall_fit,
+                                  initial_entropy_study, run_sweep)
 from phaselab.solver import ConfigError
 
 from conftest import make_circle_config, make_plane_config
@@ -93,6 +93,24 @@ def test_initial_entropy_needs_three_points(standard_potential, profile):
     plan = SweepPlan(base=base, epsilons=[0.05])
     with pytest.raises(ConfigError):
         initial_entropy_study(plan)
+
+
+def test_plan_bands_hold_every_band(standard_potential, profile):
+    base = make_plane_config(standard_potential, profile)
+    plan = SweepPlan(base=base, epsilons=[0.2, 0.1, 0.05],
+                     bands={"err_l1": (0.5, 1.5)})
+    assert plan.bands == {**DEFAULT_BANDS, "err_l1": (0.5, 1.5)}
+
+
+def test_initial_entropy_validates_only_initial_members(standard_potential,
+                                                        profile):
+    base = make_plane_config(standard_potential, profile, eps=0.16,
+                             half_width=2.0, r_c=1.0)
+    # too coarse to step (h = eps/2), but the study never steps
+    plan = SweepPlan(base=base, epsilons=[0.16, 0.08, 0.04], h_over_eps=2.0)
+    assert any("layer resolution" in m for m in plan.validate())
+    rep = initial_entropy_study(plan)
+    assert len(rep.quantities["initial_entropy"]) == 3
 
 
 def test_initial_entropy_slope_plane(standard_potential, profile):

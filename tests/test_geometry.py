@@ -119,6 +119,19 @@ def test_cutoff_derivative_bound():
     assert np.all(np.abs(cut.deta(s)) <= cap + 1e-12)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: pl.CutoffSpec(r_c=np.nan),
+    lambda: pl.SphereInterface(center=(0.0, 0.0), radius0=np.nan, dim=2,
+                               t_max=0.1),
+    lambda: pl.SphereInterface(center=(0.0, 0.0), radius0=1.0, dim=2,
+                               t_max=np.nan),
+    lambda: pl.PlaneInterface(normal=(np.nan,)),
+], ids=["cutoff_r_c", "sphere_radius0", "sphere_t_max", "plane_normal"])
+def test_nan_rejected(make):
+    with pytest.raises(ValueError):
+        make()
+
+
 def test_cutoff_validation():
     with pytest.raises(ValueError):
         pl.CutoffSpec(r_c=0.3, c_quad=4.5)

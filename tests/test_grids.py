@@ -73,6 +73,11 @@ def test_laplacian_second_order_interior_2d():
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.2)
 
 
+def test_grid_rejects_nan_half_width():
+    with pytest.raises(ValueError, match="half_width"):
+        pl.full_grid(1, np.nan, 32)
+
+
 def test_grid_validation():
     with pytest.raises(ValueError):
         pl.Grid(mode="weird", dim=1, half_width=1.0, npts=32)

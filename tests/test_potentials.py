@@ -99,7 +99,7 @@ def test_profile_oddness_monotonicity(profile):
     s = np.linspace(-9, 9, 2001)
     vals = profile(s)
     assert np.all(np.diff(vals) >= 0)
-    assert np.all(profile.derivative(s) >= 0)
+    assert np.all(profile.potential.sqrt2w(profile(s)) >= 0)
 
 
 def test_profile_ode_consistency(standard_potential, profile):
@@ -121,6 +121,11 @@ def test_profile_preconditions(standard_potential):
         pl.solve_profile(standard_potential, s_max=4.0)
     with pytest.raises(ValueError):
         pl.solve_profile(standard_potential, n_samples=32)
+
+
+def test_profile_rejects_nan_s_max(standard_potential):
+    with pytest.raises(ValueError, match="s_max"):
+        pl.solve_profile(standard_potential, s_max=np.nan)
 
 
 def test_profile_rejects_rough_potential(standard_potential):
@@ -162,6 +167,12 @@ def test_polynomial_potential_normalized():
 def test_polynomial_potential_rejects_asymmetric():
     with pytest.raises(PotentialError):
         pl.make_polynomial_potential([1.0, 0.5, -2.0, 0.0, 1.0])
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+def test_polynomial_potential_rejects_nan():
+    with pytest.raises(PotentialError):
+        pl.make_polynomial_potential([np.nan, 0.0, -2.0, 0.0, 1.0])
 
 
 def test_unknown_potential():

@@ -168,6 +168,13 @@ def test_validation_collects_everything(standard_potential, profile):
     assert "stability" in text
 
 
+@pytest.mark.parametrize("field", ["epsilon", "dt", "t_end"])
+def test_validation_rejects_nan(standard_potential, profile, field):
+    cfg = make_plane_config(standard_potential, profile, t_end=0.001)
+    setattr(cfg, field, np.nan)
+    assert any(f"{field}: " in m for m in pl.validate(cfg))
+
+
 def test_validation_extinction_guard(standard_potential, profile):
     traj = pl.SphereInterface(center=(0.0, 0.0), radius0=1.0, dim=2,
                               t_max=0.49)
