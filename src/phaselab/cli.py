@@ -41,7 +41,7 @@ set terminal pop
 """
 
 
-def _write_manifest(out_dir: Path, command: str, config_path, materialized,
+def _write_manifest(out_dir: Path, command: str, config_path, filled,
                     artifacts, timings, extra=None):
     manifest = {
         "schema_version": 1,
@@ -49,7 +49,7 @@ def _write_manifest(out_dir: Path, command: str, config_path, materialized,
         "version": __version__,
         "command": command,
         "config_path": str(config_path) if config_path else None,
-        "config": materialized,
+        "config": filled,
         "artifacts": sorted(str(a) for a in artifacts),
         "timings": timings,
     }
@@ -81,7 +81,7 @@ def cmd_profile(args) -> int:
 
 
 def _run_simulation(cfg, out_dir: Path, snapshot_every):
-    res = solver.run(cfg, keep_snapshots=snapshot_every is not None)
+    res = solver.run(cfg, snapshot_every=snapshot_every)
     out_dir.mkdir(parents=True, exist_ok=True)
     artifacts = []
 
@@ -94,33 +94,29 @@ def _run_simulation(cfg, out_dir: Path, snapshot_every):
     artifacts.append(plot_path.name)
 
     snap_dir = out_dir / "snapshots"
-    pairs = []
-    if snapshot_every is not None:
-        pairs = res.snapshots[::max(1, int(snapshot_every))]
-    elif res.final_field is not None:
-        pairs = [(res.times[-1], res.final_field)]
-    if pairs:
-        snap_dir.mkdir(exist_ok=True)
-        for idx, (t, field) in enumerate(pairs):
-            p = snap_dir / f"field_{idx:05d}.bin"
-            sidecar = snapshots.write_snapshot(
-                p, field, h=cfg.grid.h, half_width=cfg.grid.half_width,
-                epsilon=cfg.epsilon, t=float(t), grid_mode=cfg.grid.mode,
-                dim=cfg.grid.dim)
-            artifacts.append(f"snapshots/{p.name}")
-            artifacts.append(f"snapshots/{sidecar.name}")
+    snap_dir.mkdir(exist_ok=True)
+    pairs = res.snapshots if snapshot_every is not None \
+        else [(res.times[-1], res.final_field)]
+    for idx, (t, field) in enumerate(pairs):
+        p = snap_dir / f"field_{idx:05d}.bin"
+        sidecar = snapshots.write_snapshot(
+            p, field, h=cfg.grid.h, half_width=cfg.grid.half_width,
+            epsilon=cfg.epsilon, t=float(t), grid_mode=cfg.grid.mode,
+            dim=cfg.grid.dim)
+        artifacts.append(f"snapshots/{p.name}")
+        artifacts.append(f"snapshots/{sidecar.name}")
     return res, artifacts
 
 
 def cmd_simulate(args) -> int:
     doc = config.load_json(args.config)
-    cfg, materialized = config.build_simulation(doc)
+    cfg, filled = config.build_simulation(doc)
     out_dir = Path(args.out)
     started = time.perf_counter()
     res, artifacts = _run_simulation(
-        cfg, out_dir, materialized["diagnostics"]["snapshot_every"])
+        cfg, out_dir, filled["diagnostics"].get("snapshot_every"))
     wall = time.perf_counter() - started
-    _write_manifest(out_dir, "simulate", args.config, materialized,
+    _write_manifest(out_dir, "simulate", args.config, filled,
                     artifacts, {"wall_s": wall, "run_wall_s": res.wall_s},
                     extra={"clamp_count": res.clamp_count,
                            "n_steps": res.n_steps})
@@ -134,11 +130,11 @@ def cmd_simulate(args) -> int:
 
 def cmd_sweep(args) -> int:
     doc = config.load_json(args.plan)
-    plan, materialized = config.build_plan(doc)
+    plan, filled = config.build_plan(doc)
     out_dir = Path(args.out)
     started = time.perf_counter()
 
-    if materialized["mode"] == "initial-entropy":
+    if filled["mode"] == "initial-entropy":
         report, runs = experiments.initial_entropy_study(plan), []
     else:
         result = experiments.run_sweep(plan)
@@ -156,7 +152,7 @@ def cmd_sweep(args) -> int:
         json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n",
         encoding="utf-8")
     artifacts.append(summary.name)
-    _write_manifest(out_dir, "sweep", args.plan, materialized, artifacts,
+    _write_manifest(out_dir, "sweep", args.plan, filled, artifacts,
                     {"wall_s": time.perf_counter() - started})
 
     ok = all(report.pass_flags.values())
@@ -172,11 +168,13 @@ def cmd_sweep(args) -> int:
 
 def cmd_check_identities(args) -> int:
     doc = config.load_json(args.config)
-    cfg, materialized = config.build_simulation(doc)
-    levels, min_order = config.build_identities(doc)
+    cfg, filled = config.build_simulation(doc)
+    filled["identities"] = config.build_identities(doc)
+    min_order = float(filled["identities"]["min_order"])
     out_dir = Path(args.out)
     started = time.perf_counter()
-    report = experiments.check_identities(cfg, levels=levels)
+    report = experiments.check_identities(
+        cfg, levels=int(filled["identities"]["levels"]))
 
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "identities.json"
@@ -184,7 +182,7 @@ def cmd_check_identities(args) -> int:
     payload["min_order_required"] = min_order
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
                     encoding="utf-8")
-    _write_manifest(out_dir, "check-identities", args.config, materialized,
+    _write_manifest(out_dir, "check-identities", args.config, filled,
                     [path.name], {"wall_s": time.perf_counter() - started})
 
     for lv in report.levels:

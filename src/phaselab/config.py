@@ -4,8 +4,9 @@ A run configuration is a single document with sections {potential,
 trajectory, cutoff, grid, stepper, diagnostics, identities}; a sweep plan
 wraps one as its base.  The key tables give the kind of every key; unknown
 keys and values of the wrong kind (NaN and Infinity too) are all reported
-in one ConfigError, and null means the default.  Every default is
-materialized into the returned dict so that manifests are self-describing.
+in one ConfigError, and null means the default.  A builder fills every
+default into a copy of its document and builds from that copy alone, so the
+filled document that manifests record rebuilds the same run.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 import json
 import numbers
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +35,7 @@ IS_KIND = {   # keyed by the wording of the error message
                            and abs(v) <= sys.float_info.max),
     "a positive number": lambda v: IS_KIND[NUMBER](v) and v > 0,
     "an integer": lambda v: IS_KIND[NUMBER](v) and v == int(v),
+    "a positive integer": lambda v: IS_KIND[INTEGER](v) and v > 0,
     "true or false": lambda v: isinstance(v, bool),
     "a string": lambda v: isinstance(v, str),
     "a nonempty list of numbers": lambda v: (
@@ -44,7 +45,8 @@ IS_KIND = {   # keyed by the wording of the error message
                                      and v[0] <= v[1]),
     "an object": lambda v: isinstance(v, dict),
 }
-NUMBER, POSITIVE, INTEGER, FLAG, TEXT, NUMBERS, BAND, OBJECT = IS_KIND
+(NUMBER, POSITIVE, INTEGER, POSITIVE_INTEGER, FLAG, TEXT, NUMBERS, BAND,
+ OBJECT) = IS_KIND
 SECTION_KEYS = {
     "potential": {"name": TEXT, "coeffs": NUMBERS, "s_max": NUMBER,
                   "n_samples": INTEGER},
@@ -54,7 +56,8 @@ SECTION_KEYS = {
     "stepper": {"scheme": TEXT, "dt": NUMBER, "dt_over_eps2": POSITIVE,
                 "t_end": NUMBER},
     "diagnostics": {"cadence": INTEGER, "s0": NUMBER,
-                    "compute_identity": FLAG, "snapshot_every": INTEGER},
+                    "compute_identity": FLAG,
+                    "snapshot_every": POSITIVE_INTEGER},
     "identities": {"levels": INTEGER, "min_order": NUMBER},
 }
 TRAJECTORY_KEYS = {
@@ -74,11 +77,35 @@ REQUIRED = {"run": ("epsilon", "trajectory", "grid"), "grid": ("half_width",),
             "plane": ("normal",), "sphere": ("dim", "radius0", "t_max"),
             "plan": ("base", "epsilons")}
 SWEEP_MODES = ("full", "initial-entropy")
+DEFAULTS = {   # the value a run reads for a key that is not set
+    "potential": {"name": "standard", "s_max": 8.0, "n_samples": 4096},
+    "cutoff": {"c_quad": 1.0},
+    "grid": {"mode": FULL},
+    "stepper": {"scheme": SEMI_IMPLICIT, "t_end": 0.0},
+    "diagnostics": {"cadence": 10, "compute_identity": False},
+    "identities": {"levels": 3, "min_order": 1.0},
+    "plane": {"offset": 0.0, "t_max": 10.0},
+    "sphere": {},
+}
+# build_simulation computes the defaults of cutoff.r_c, grid.dim and .npts,
+# stepper.dt, diagnostics.s0 and a sphere's center.  A pair sets one value.
+EITHER_OR = (("grid.npts", "grid.h_over_eps"),
+             ("stepper.dt", "stepper.dt_over_eps2"))
+PLAN_OWNED = ("epsilon", "grid.npts", "grid.h_over_eps", "stepper.dt",
+              "stepper.dt_over_eps2")   # a plan sets these per member
 
 
 def _present(section) -> dict:
     """The keys of a section that are set; null means the default."""
     return {k: v for k, v in (section or {}).items() if v is not None}
+
+
+def _lookup(doc: dict, path: str):
+    """The value at a dotted key path, or None where it is not set."""
+    *sections, key = path.split(".")
+    for name in sections:
+        doc = doc.get(name) if isinstance(doc.get(name), dict) else {}
+    return doc.get(key)
 
 
 def _issues(section: dict, kinds: dict, where: str, required=()) -> list:
@@ -111,7 +138,9 @@ def _run_issues(doc: dict) -> list:
         else:
             issues.append(f"trajectory.type: expected 'plane' or 'sphere', "
                           f"got {kind!r}")
-    return issues
+    return issues + [f"{two}: set either {one} or {two}, not both"
+                     for one, two in EITHER_OR
+                     if None not in (_lookup(doc, one), _lookup(doc, two))]
 
 
 def _build_trajectory(sec: dict):
@@ -121,10 +150,10 @@ def _build_trajectory(sec: dict):
         if not nrm > 0.0:
             raise ConfigError(["trajectory.normal: must be nonzero"])
         return PlaneInterface(normal=tuple(normal / nrm),
-                              offset=float(sec.get("offset", 0.0)),
-                              t_max=float(sec.get("t_max", 10.0)))
+                              offset=float(sec["offset"]),
+                              t_max=float(sec["t_max"]))
     dim = int(sec["dim"])
-    center = tuple(float(c) for c in sec.get("center", [0.0] * dim))
+    center = tuple(float(c) for c in sec.setdefault("center", [0.0] * dim))
     try:
         return SphereInterface(center=center, radius0=float(sec["radius0"]),
                                dim=dim, t_max=float(sec["t_max"]))
@@ -143,92 +172,69 @@ def build_profile(name: str, coeffs, s_max: float, n_samples: int):
 
 
 def build_simulation(doc: dict):
-    """Materialize defaults and construct a SimulationConfig.
+    """Fill every default into a copy of a run document and construct a
+    SimulationConfig from that copy alone.
 
-    Returns (config, materialized dict).  Raises ConfigError listing every
+    Returns (config, filled document).  Raises ConfigError listing every
     problem that blocks construction; solver.validate covers the rest.
     """
     issues = _run_issues(doc)
     if issues:
         raise ConfigError(issues)
-    doc = _present(doc)
-    pot_sec = _present(doc.get("potential"))
-    s_max = float(pot_sec.get("s_max", 8.0))
-    n_samples = int(pot_sec.get("n_samples", 4096))
-    pot, profile = build_profile(pot_sec.get("name", "standard"),
-                                 pot_sec.get("coeffs"), s_max, n_samples)
-
-    traj = _build_trajectory(_present(doc["trajectory"]))
-
+    traj_sec = {**DEFAULTS[doc["trajectory"]["type"]],
+                **_present(doc["trajectory"])}
+    filled = {"epsilon": doc["epsilon"], "trajectory": traj_sec,
+              **{name: {**DEFAULTS[name], **_present(doc.get(name))}
+                 for name in ("potential", "cutoff", "grid", "stepper",
+                              "diagnostics")}}
+    pot_sec = filled["potential"]
+    pot, profile = build_profile(pot_sec["name"], pot_sec.get("coeffs"),
+                                 float(pot_sec["s_max"]),
+                                 int(pot_sec["n_samples"]))
+    traj = _build_trajectory(traj_sec)
     eps = float(doc["epsilon"])
 
-    cut_sec = _present(doc.get("cutoff"))
-    r_c = (R_C_RADIUS_FRACTION * traj.min_radius()
-           if isinstance(traj, SphereInterface) else R_C_PLANE_DEFAULT)
+    cut_sec = filled["cutoff"]
+    cut_sec.setdefault("r_c", R_C_RADIUS_FRACTION * traj.min_radius()
+                       if isinstance(traj, SphereInterface)
+                       else R_C_PLANE_DEFAULT)
     try:
-        cutoff = CutoffSpec(r_c=float(cut_sec.get("r_c", r_c)),
-                            c_quad=float(cut_sec.get("c_quad", 1.0)))
+        cutoff = CutoffSpec(r_c=float(cut_sec["r_c"]),
+                            c_quad=float(cut_sec["c_quad"]))
     except ValueError as exc:
         raise ConfigError([f"cutoff: {exc}"]) from exc
 
-    grid_sec = _present(doc["grid"])
-    mode = grid_sec.get("mode", FULL)
+    grid_sec = filled["grid"]
     half_width = float(grid_sec["half_width"])
-    dim = int(grid_sec.get("dim", traj.dim))
-    npts = grid_sec.get("npts")
-    h_over_eps = float(grid_sec.get("h_over_eps", DEFAULT_H_OVER_EPS))
-    if npts is None:
-        npts = npts_for_spacing(mode, half_width, eps / h_over_eps)
+    grid_sec.setdefault("dim", traj.dim)
+    if "npts" not in grid_sec:
+        h_over_eps = float(grid_sec.pop("h_over_eps", DEFAULT_H_OVER_EPS))
+        grid_sec["npts"] = npts_for_spacing(grid_sec["mode"], half_width,
+                                            eps / h_over_eps)
     try:
-        grid = Grid(mode=mode, dim=dim, half_width=half_width, npts=int(npts))
+        grid = Grid(mode=grid_sec["mode"], dim=int(grid_sec["dim"]),
+                    half_width=half_width, npts=int(grid_sec["npts"]))
     except ValueError as exc:
         raise ConfigError([f"grid: {exc}"]) from exc
 
-    step_sec = _present(doc.get("stepper"))
-    scheme = step_sec.get("scheme", SEMI_IMPLICIT)
-    dt = step_sec.get("dt")
-    if dt is None:
-        dt = eps ** 2 / float(step_sec.get("dt_over_eps2",
+    step_sec = filled["stepper"]
+    if "dt" not in step_sec:
+        dt = eps ** 2 / float(step_sec.pop("dt_over_eps2",
                                            DEFAULT_DT_OVER_EPS2))
-        if scheme == EXPLICIT:
+        if step_sec["scheme"] == EXPLICIT:
             dt = min(dt, 0.5 * grid.h ** 2 / (2.0 * grid.dim))
-    t_end = float(step_sec.get("t_end", 0.0))
+        step_sec["dt"] = dt
 
-    diag_sec = _present(doc.get("diagnostics"))
-    cadence = int(diag_sec.get("cadence", 10))
-    s0 = float(diag_sec.get("s0", cutoff.r_c / 4.0))
-    compute_identity = diag_sec.get("compute_identity", False)
+    diag_sec = filled["diagnostics"]
+    diag_sec.setdefault("s0", cutoff.r_c / 4.0)
 
     cfg = SimulationConfig(
         epsilon=eps, potential=pot, profile=profile, trajectory=traj,
-        cutoff=cutoff, grid=grid, scheme=scheme, dt=float(dt), t_end=t_end,
-        cadence=cadence, s0=s0, compute_identity=compute_identity)
-
-    materialized = {
-        "epsilon": eps,
-        "potential": {"name": pot.name, "s_max": s_max,
-                      "n_samples": n_samples, "max_ddw": pot.max_ddw,
-                      "well_constant": pot.well_constant},
-        "trajectory": _traj_dict(traj),
-        "cutoff": {"r_c": cutoff.r_c, "c_quad": cutoff.c_quad,
-                   "eta_deriv_bound": cutoff.deriv_bound},
-        "grid": {"mode": grid.mode, "dim": grid.dim,
-                 "half_width": grid.half_width, "npts": grid.npts,
-                 "h": grid.h},
-        "stepper": {"scheme": scheme, "dt": float(dt), "t_end": t_end,
-                    "dt_actual": cfg.dt_actual(), "n_steps": cfg.steps()},
-        "diagnostics": {"cadence": cadence, "s0": s0,
-                        "compute_identity": compute_identity,
-                        "snapshot_every": diag_sec.get("snapshot_every")},
-    }
-    return cfg, materialized
-
-
-def _traj_dict(traj) -> dict:
-    if isinstance(traj, PlaneInterface):
-        return {"type": "plane", **asdict(traj)}
-    return {"type": "sphere", **asdict(traj),
-            "extinction_time": traj.extinction_time}
+        cutoff=cutoff, grid=grid, scheme=step_sec["scheme"],
+        dt=float(step_sec["dt"]), t_end=float(step_sec["t_end"]),
+        cadence=int(diag_sec["cadence"]), s0=float(diag_sec["s0"]),
+        compute_identity=diag_sec["compute_identity"])
+    return cfg, filled
 
 
 def build_plan(doc: dict):
@@ -249,28 +255,32 @@ def build_plan(doc: dict):
     base, epsilons = doc.get("base"), doc.get("epsilons")
     if not (IS_KIND[OBJECT](base) and IS_KIND[NUMBERS](epsilons)):
         raise ConfigError(issues)   # no base config to check
-    base = dict(base, epsilon=_present(base).get("epsilon", epsilons[0]))
+    issues += [f"{path}: set per member by the plan" for path in PLAN_OWNED
+               if _lookup(base, path) is not None]
+    base = dict(base, epsilon=epsilons[0])
     if issues:
         raise ConfigError(issues + _run_issues(base))
-    base_cfg, materialized = build_simulation(base)
-    epsilons = [float(e) for e in epsilons]
+    base_cfg, filled_base = build_simulation(base)
+    del filled_base["epsilon"], filled_base["grid"]["npts"], \
+        filled_base["stepper"]["dt"]
     resolution = ("h_over_eps", "dt_over_eps2", "initial_h_over_eps")
-    plan = SweepPlan(base=base_cfg, epsilons=epsilons, bands=_present(bands),
+    plan = SweepPlan(base=base_cfg, epsilons=[float(e) for e in epsilons],
+                     bands=_present(bands),
                      **{key: float(doc[key]) for key in resolution
                         if key in doc})
-    return plan, {"base": materialized, "epsilons": epsilons, "mode": mode,
+    return plan, {**doc, "mode": mode, "base": filled_base,
                   "bands": dict(plan.bands),
                   **{key: getattr(plan, key) for key in resolution}}
 
 
-def build_identities(doc: dict):
-    """(levels, min_order) of a run document that build_simulation took."""
-    sec = _present(doc.get("identities"))
-    levels = int(sec.get("levels", 3))
-    if levels < 2:
+def build_identities(doc: dict) -> dict:
+    """The filled identities section of a run document that build_simulation
+    took: the refinement levels and the minimum observed order required."""
+    sec = {**DEFAULTS["identities"], **_present(doc.get("identities"))}
+    if sec["levels"] < 2:
         raise ConfigError([f"identities.levels: need >= 2 refinement "
-                           f"levels, got {levels}"])
-    return levels, float(sec.get("min_order", 1.0))
+                           f"levels, got {sec['levels']}"])
+    return sec
 
 
 def load_json(path):

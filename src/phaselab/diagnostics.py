@@ -243,20 +243,23 @@ def coercivity_check(b: EntropyBreakdown, cutoff: CutoffSpec,
     return CoercivityReport(passed=passed, entries=entries)
 
 
-def fill_identity_residuals(rows: list) -> None:
-    """Post-fill |centered dE/dt - rhs| on interior rows of a uniform series.
-
-    Rows whose neighbors are unevenly spaced (a final partial interval) and
-    the endpoints keep NaN.
-    """
+def _centered_rates(rows: list, name: str):
+    """(j, t_j, centered d(name)/dt) on interior rows whose two neighbors
+    are evenly spaced; a final partial interval and the endpoints are
+    skipped."""
     for j in range(1, len(rows) - 1):
         tl, tc, tr = rows[j - 1].t, rows[j].t, rows[j + 1].t
-        if abs((tr - tc) - (tc - tl)) > 1e-9 * max(tr - tl, 1e-300):
-            continue
-        if math.isnan(rows[j].identity_rhs):
-            continue
-        dedt = (rows[j + 1].rel_entropy - rows[j - 1].rel_entropy) / (tr - tl)
-        rows[j].identity_residual = abs(dedt - rows[j].identity_rhs)
+        if abs((tr - tc) - (tc - tl)) <= 1e-9 * max(tr - tl, 1e-300):
+            yield j, tc, (getattr(rows[j + 1], name)
+                          - getattr(rows[j - 1], name)) / (tr - tl)
+
+
+def fill_identity_residuals(rows: list) -> None:
+    """Post-fill |centered dE/dt - rhs| on interior rows of a uniform series;
+    the other rows keep NaN."""
+    for j, _, dedt in _centered_rates(rows, "rel_entropy"):
+        if not math.isnan(rows[j].identity_rhs):
+            rows[j].identity_residual = abs(dedt - rows[j].identity_rhs)
 
 
 def dissipation_residuals(rows: list) -> list:
@@ -265,15 +268,9 @@ def dissipation_residuals(rows: list) -> list:
     Returns (t_j, |centered dE_gl/dt + D_j| / max(D_j, 1)) pairs; the
     continuum balance is dE_gl/dt = -D.
     """
-    out = []
-    for j in range(1, len(rows) - 1):
-        tl, tc, tr = rows[j - 1].t, rows[j].t, rows[j + 1].t
-        if abs((tr - tc) - (tc - tl)) > 1e-9 * max(tr - tl, 1e-300):
-            continue
-        dedt = (rows[j + 1].gl_energy - rows[j - 1].gl_energy) / (tr - tl)
-        out.append((tc, abs(dedt + rows[j].dissipation)
-                    / max(rows[j].dissipation, 1.0)))
-    return out
+    return [(tc, abs(dedt + rows[j].dissipation)
+             / max(rows[j].dissipation, 1.0))
+            for j, tc, dedt in _centered_rates(rows, "gl_energy")]
 
 
 def rows_to_csv(rows: list) -> str:

@@ -238,10 +238,11 @@ class RunResult:
     wall_s: float = 0.0
 
 
-def run(cfg: SimulationConfig, keep_snapshots: bool = False,
+def run(cfg: SimulationConfig, snapshot_every: Optional[int] = None,
         _skip_validation: bool = False) -> RunResult:
     """Advance from profile initial data to t_end, recording diagnostics at
-    the configured cadence (the initial and final states are always rows).
+    the configured cadence (the initial and final states are always rows)
+    and, given snapshot_every = k, the field of every k-th row.
 
     Aborts with BlowUpError when max |u| exceeds 2 or is not finite.  The clamp counter
     totals grid values found outside [-1, 1] across all steps.
@@ -262,7 +263,7 @@ def run(cfg: SimulationConfig, keep_snapshots: bool = False,
 
     u = initial_data(cfg)
     rows = [measure(u, 0.0)]
-    snapshots = [(0.0, u.copy())] if keep_snapshots else []
+    snapshots = [(0.0, u.copy())] if snapshot_every else []
     step = make_stepper(cfg)
     clamps = 0
 
@@ -276,9 +277,9 @@ def run(cfg: SimulationConfig, keep_snapshots: bool = False,
         clamps += count_excursions(u)
         if k % cfg.cadence == 0 or k == n_steps:
             t = k * dt
-            rows.append(measure(u, t))
-            if keep_snapshots:
+            if snapshot_every and len(rows) % snapshot_every == 0:
                 snapshots.append((t, u.copy()))
+            rows.append(measure(u, t))
 
     if cfg.compute_identity:
         diagnostics.fill_identity_residuals(rows)

@@ -25,6 +25,7 @@ def small_plan(tmp_path, **extra):
         "epsilons": [0.16, 0.08, 0.04],
         **extra,
     }
+    del plan["base"]["epsilon"]   # the plan sets each member's epsilon
     plan["base"]["stepper"]["t_end"] = 0.01
     plan["base"]["grid"]["half_width"] = 1.8
     return write_json(tmp_path / "plan.json", plan)
@@ -94,7 +95,7 @@ def test_simulate_plane_smoke(tmp_path):
     assert manifest["schema_version"] == 1
     for artifact in manifest["artifacts"]:
         assert (out / artifact).exists()
-    assert manifest["config"]["stepper"]["dt_actual"] > 0
+    assert manifest["config"]["stepper"]["dt"] > 0
     assert manifest["clamp_count"] == 0
 
     snaps = sorted((out / "snapshots").glob("*.bin"))
@@ -347,3 +348,50 @@ def test_each_config_validated_once(tmp_path, monkeypatch):
         rc = cli.main([command, flag, path, "--out", str(tmp_path / str(i))])
         assert rc in (0, 3)
         assert len(calls) == expected, (command, path)
+
+
+def test_poly_manifest_records_coeffs(tmp_path):
+    doc = json.loads((CONFIGS / "plane1d.json").read_text())
+    doc["potential"] = {"name": "poly", "coeffs": [1, 0, -2, 0, 1]}
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config",
+                     write_json(tmp_path / "c.json", doc),
+                     "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["potential"]["coeffs"] == [1, 0, -2, 0, 1]
+
+
+REJECTED = [   # (config, values set, message); each value set is ignored
+    ("sweep_circle.json", {("base", "epsilon"): 0.1},
+     "epsilon: set per member by the plan"),
+    ("sweep_circle.json", {("base", "grid", "npts"): 141},
+     "grid.npts: set per member by the plan"),
+    ("sweep_circle.json", {("base", "stepper", "dt"): 0.00128},
+     "stepper.dt: set per member by the plan"),
+    ("plane1d.json", {("grid", "npts"): 160, ("grid", "h_over_eps"): 8},
+     "grid.h_over_eps: set either grid.npts or grid.h_over_eps, not both"),
+    ("plane1d.json", {("stepper", "dt"): 1.25e-4,
+                      ("stepper", "dt_over_eps2"): 20},
+     "stepper.dt_over_eps2: set either stepper.dt or stepper.dt_over_eps2"),
+    ("plane1d.json", {("diagnostics", "snapshot_every"): 0},
+     "diagnostics.snapshot_every: expected a positive integer, got 0"),
+]
+
+
+@pytest.mark.parametrize("name, values, message", REJECTED,
+                         ids=[case[2].split(":")[0] for case in REJECTED])
+def test_ignored_value_rejected(tmp_path, capsys, name, values, message):
+    doc = json.loads((CONFIGS / name).read_text())
+    for path, value in values.items():
+        section = doc
+        for part in path[:-1]:
+            section = section[part]
+        section[path[-1]] = value
+    command, flag = ("sweep", "--plan") if "base" in doc \
+        else ("simulate", "--config")
+    out = tmp_path / "out"
+    rc = cli.main([command, flag, write_json(tmp_path / "c.json", doc),
+                   "--out", str(out)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()

@@ -1,11 +1,14 @@
 """Config ingestion: every key has a kind, a value of another kind is a
-ConfigError that names the key, null means the default, and a required key
-that is missing or null is an error."""
+ConfigError that names the key, null means the default, a required key
+that is missing or null is an error, and the filled document a builder
+returns builds the same run again."""
 
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,6 +16,7 @@ from phaselab import config
 from phaselab.solver import ConfigError
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+WORKLOADS = CONFIGS.parent / "perfbench" / "workloads"
 
 
 def load(name):
@@ -53,6 +57,8 @@ WRONG = {   # values that are not of the kind
     config.POSITIVE: (TEXT | BOOLS | NONFINITE | NONPOSITIVE | LISTS
                       | OBJECTS),
     config.INTEGER: TEXT | BOOLS | NONFINITE | FRACTIONS | LISTS | OBJECTS,
+    config.POSITIVE_INTEGER: (TEXT | BOOLS | NONFINITE | FRACTIONS
+                              | st.integers(-10, 0) | LISTS | OBJECTS),
     config.FLAG: TEXT | FINITE | NONFINITE | LISTS | OBJECTS,
     config.TEXT: FINITE | BOOLS | NONFINITE | LISTS | OBJECTS,
     config.NUMBERS: TEXT | BOOLS | FINITE | NONFINITE | BAD_LISTS | OBJECTS,
@@ -122,3 +128,52 @@ def test_plan_and_base_problems_reported_together():
         "plan.bands.gronwall_factor: expected a number, got True",
         "diagnostics.cadence: expected an integer, got 2.7",
         "trajectory.radius0: expected a number, got inf"]
+
+
+def _plane1d_with(section, **values):
+    doc = load("plane1d.json")
+    doc[section].update(values)
+    return doc
+
+
+ROUND_TRIP = {   # every shipped config and three variants of plane1d
+    **{path.name: json.loads(path.read_text())
+       for path in sorted(CONFIGS.glob("*.json"))},
+    **{f"workload_{path.name}": json.loads(path.read_text())
+       for path in sorted(WORKLOADS.glob("*.json"))},
+    "poly": _plane1d_with("potential", name="poly", coeffs=[1, 0, -2, 0, 1]),
+    "explicit": _plane1d_with("stepper", scheme="explicit"),
+    "normal": _plane1d_with("trajectory", normal=[3.0, 4.0]),
+}
+
+
+def _run_parts(cfg):
+    """Everything a SimulationConfig holds, with the potential and the
+    profile table as comparable values."""
+    return (replace(cfg, potential=None, profile=None), cfg.potential.name,
+            cfg.profile.theta.tolist())
+
+
+@pytest.mark.parametrize("name", ROUND_TRIP)
+def test_filled_document_builds_the_same_run(name):
+    doc = ROUND_TRIP[name]
+    if "base" in doc:
+        plan, filled = config.build_plan(doc)
+        manifest = json.loads(json.dumps(filled))
+        again, refilled = config.build_plan(manifest)
+        assert refilled == manifest
+        assert again.epsilons == plan.epsilons
+        assert json.dumps(again.bands) == json.dumps(plan.bands)
+        for eps in plan.epsilons:
+            assert _run_parts(again.member(eps)) \
+                == _run_parts(plan.member(eps))
+        return
+    cfg, filled = config.build_simulation(doc)
+    filled["identities"] = config.build_identities(doc)
+    manifest = json.loads(json.dumps(filled))
+    again, refilled = config.build_simulation(manifest)
+    refilled["identities"] = config.build_identities(manifest)
+    assert refilled == manifest
+    assert _run_parts(again) == _run_parts(cfg)
+    for section, key in (("trajectory", "normal"), ("potential", "coeffs")):
+        assert filled[section].get(key) == doc[section].get(key)

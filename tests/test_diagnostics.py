@@ -1,7 +1,9 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 import phaselab as pl
@@ -151,6 +153,54 @@ def test_coercivity_on_rough_fields(standard_potential, profile):
         rep = dg.coercivity_check(b, cfg.cutoff, slack=1.0 + 1e-12)
         assert rep.passed, rep.violations()
         assert b.rel_entropy >= dg.ENTROPY_FLOOR
+
+
+def random_field_geometries(pot, profile):
+    """A radial and a full 2D circle, a 1D plane and a tilted 2D plane, on
+    grids coarse enough to evaluate hundreds of fields quickly."""
+    tilted = make_plane_config(pot, profile, eps=0.1, half_width=1.0,
+                               h_over_eps=4, dim=2)
+    return [
+        make_circle_config(pot, profile, eps=0.16, half_width=1.4,
+                           h_over_eps=4),
+        make_circle_config(pot, profile, eps=0.16, half_width=1.4,
+                           h_over_eps=4, mode="full"),
+        make_plane_config(pot, profile, h_over_eps=4),
+        replace(tilted, trajectory=pl.PlaneInterface(
+            normal=(0.6, 0.8), offset=0.1, t_max=10.0)),
+    ]
+
+
+RANDOM_FIELDS = {   # (rng, shape, scale) -> field
+    "uniform": lambda rng, shape, scale: rng.uniform(-1.3, 1.3, shape),
+    "tanh": lambda rng, shape, scale: np.tanh(scale * rng.normal(size=shape)),
+    "clipped": lambda rng, shape, scale: np.clip(
+        scale * rng.normal(size=shape), -1.3, 1.3),
+}
+
+
+@settings(max_examples=240, derandomize=True, deadline=None)
+@given(geometry=st.integers(0, 3), kind=st.sampled_from(sorted(RANDOM_FIELDS)),
+       scale=st.floats(0.1, 5.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_coercivity_algebra_on_random_fields(standard_potential, profile,
+                                             geometry, kind, scale, seed):
+    # the controls and the density split are pointwise algebra on the grid,
+    # so they hold for any field, however far from a profile
+    cfg = random_field_geometries(standard_potential, profile)[geometry]
+    u = RANDOM_FIELDS[kind](np.random.default_rng(seed), cfg.grid.shape,
+                            scale)
+    b = dg.relative_entropy(u, cfg.epsilon, standard_potential,
+                            cfg.trajectory, cfg.cutoff, cfg.grid, 0.05)
+    rep = dg.coercivity_check(b, cfg.cutoff, slack=1.0 + 1e-12)
+    assert rep.passed, rep.violations()
+    assert b.rel_entropy >= dg.ENTROPY_FLOOR
+
+    d = dg.derived_fields(u, cfg.epsilon, standard_potential, cfg.grid)
+    eps = cfg.epsilon
+    defect = np.sqrt(eps) * d.gmag - d.sqrt2w / np.sqrt(eps)
+    inside = np.abs(u) <= 1.0
+    np.testing.assert_allclose((d.grad_psi_mag + 0.5 * defect ** 2)[inside],
+                               d.density[inside], rtol=1e-14, atol=0.0)
 
 
 def test_young_absorption_pointwise(standard_potential, profile):

@@ -242,6 +242,11 @@ def test_snapshot_roundtrip(tmp_path, standard_potential, profile):
 def test_snapshots_kept_at_cadence(standard_potential, profile):
     cfg = make_plane_config(standard_potential, profile, cadence=2)
     cfg.t_end = 6 * cfg.dt
-    res = pl.run(cfg, keep_snapshots=True)
+    res = pl.run(cfg, snapshot_every=1)
     assert len(res.snapshots) == len(res.breakdowns) == 4
     assert res.snapshots[0][0] == 0.0
+    every_other = pl.run(cfg, snapshot_every=2)
+    assert [t for t, _ in every_other.snapshots] == [0.0, res.times[2]]
+    for (t, field), (t_all, field_all) in zip(every_other.snapshots,
+                                              res.snapshots[::2]):
+        assert t == t_all and np.array_equal(field, field_all)
