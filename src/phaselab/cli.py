@@ -110,7 +110,7 @@ def _run_simulation(cfg, out_dir: Path, snapshot_every):
 
 def cmd_simulate(args) -> int:
     doc = config.load_json(args.config)
-    cfg, filled = config.build_simulation(doc)
+    cfg, filled = config.build_simulation(doc, "simulate")
     out_dir = Path(args.out)
     started = time.perf_counter()
     res, artifacts = _run_simulation(
@@ -168,7 +168,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_check_identities(args) -> int:
     doc = config.load_json(args.config)
-    cfg, filled = config.build_simulation(doc)
+    cfg, filled = config.build_simulation(doc, "check-identities")
     filled["identities"] = config.build_identities(doc)
     min_order = float(filled["identities"]["min_order"])
     out_dir = Path(args.out)

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .diagnostics import default_s0
 from .experiments import (DEFAULT_DT_OVER_EPS2, DEFAULT_H_OVER_EPS,
                           SweepPlan)
 from .geometry import CutoffSpec, PlaneInterface, SphereInterface
@@ -93,6 +94,12 @@ EITHER_OR = (("grid.npts", "grid.h_over_eps"),
              ("stepper.dt", "stepper.dt_over_eps2"))
 PLAN_OWNED = ("epsilon", "grid.npts", "grid.h_over_eps", "stepper.dt",
               "stepper.dt_over_eps2")   # a plan sets these per member
+READ_BY = {   # keys that one command reads and the others would ignore
+    "identities": "check-identities",
+    "diagnostics.snapshot_every": "simulate",
+}
+MODE_SPACING = {"full": "h_over_eps",   # the member spacing a mode reads
+                "initial-entropy": "initial_h_over_eps"}
 
 
 def _present(section) -> dict:
@@ -122,9 +129,14 @@ def _issues(section: dict, kinds: dict, where: str, required=()) -> list:
     return issues
 
 
-def _run_issues(doc: dict) -> list:
-    """Every problem that the key tables show in a run document."""
+def _run_issues(doc: dict, command=None) -> list:
+    """Every problem that the key tables show in a run document, and the
+    keys that only a command other than `command` reads."""
     issues = _issues(doc, RUN_KEYS, "", REQUIRED["run"])
+    if command is not None:
+        issues += [f"{path}: read only by {reader}, not by {command}"
+                   for path, reader in READ_BY.items()
+                   if reader != command and _lookup(doc, path) is not None]
     for name, kinds in SECTION_KEYS.items():
         if isinstance(doc.get(name), dict):
             issues.extend(_issues(doc[name], kinds, f"{name}.",
@@ -164,6 +176,9 @@ def _build_trajectory(sec: dict):
 def build_profile(name: str, coeffs, s_max: float, n_samples: int):
     """(potential, profile table); a bad argument raises ConfigError, a
     profile that does not converge potentials.ProfileError."""
+    if coeffs is not None and name == "standard":
+        raise ConfigError(["potential.coeffs: read only by potential 'poly', "
+                           "not by 'standard'"])
     try:
         pot = potential_by_name(name, coeffs)
         return pot, solve_profile(pot, s_max=s_max, n_samples=n_samples)
@@ -171,14 +186,17 @@ def build_profile(name: str, coeffs, s_max: float, n_samples: int):
         raise ConfigError([f"potential: {exc}"]) from exc
 
 
-def build_simulation(doc: dict):
+def build_simulation(doc: dict, command=None):
     """Fill every default into a copy of a run document and construct a
     SimulationConfig from that copy alone.
 
     Returns (config, filled document).  Raises ConfigError listing every
     problem that blocks construction; solver.validate covers the rest.
+    Given the command that runs the document ("simulate", "sweep" or
+    "check-identities"), a key in READ_BY that only another command reads
+    is a problem too.
     """
-    issues = _run_issues(doc)
+    issues = _run_issues(doc, command)
     if issues:
         raise ConfigError(issues)
     traj_sec = {**DEFAULTS[doc["trajectory"]["type"]],
@@ -226,7 +244,7 @@ def build_simulation(doc: dict):
         step_sec["dt"] = dt
 
     diag_sec = filled["diagnostics"]
-    diag_sec.setdefault("s0", cutoff.r_c / 4.0)
+    diag_sec.setdefault("s0", default_s0(cutoff))
 
     cfg = SimulationConfig(
         epsilon=eps, potential=pot, profile=profile, trajectory=traj,
@@ -252,6 +270,9 @@ def build_plan(doc: dict):
     if mode not in SWEEP_MODES:
         issues.append(f"plan.mode: unknown mode {mode!r} (expected one of "
                       f"{', '.join(SWEEP_MODES)})")
+    issues += [f"plan.{key}: read only in mode {reader!r}"
+               for reader, key in MODE_SPACING.items()
+               if mode in SWEEP_MODES and reader != mode and key in doc]
     base, epsilons = doc.get("base"), doc.get("epsilons")
     if not (IS_KIND[OBJECT](base) and IS_KIND[NUMBERS](epsilons)):
         raise ConfigError(issues)   # no base config to check
@@ -259,11 +280,11 @@ def build_plan(doc: dict):
                if _lookup(base, path) is not None]
     base = dict(base, epsilon=epsilons[0])
     if issues:
-        raise ConfigError(issues + _run_issues(base))
-    base_cfg, filled_base = build_simulation(base)
+        raise ConfigError(issues + _run_issues(base, "sweep"))
+    base_cfg, filled_base = build_simulation(base, "sweep")
     del filled_base["epsilon"], filled_base["grid"]["npts"], \
         filled_base["stepper"]["dt"]
-    resolution = ("h_over_eps", "dt_over_eps2", "initial_h_over_eps")
+    resolution = (MODE_SPACING[mode], "dt_over_eps2")
     plan = SweepPlan(base=base_cfg, epsilons=[float(e) for e in epsilons],
                      bands=_present(bands),
                      **{key: float(doc[key]) for key in resolution

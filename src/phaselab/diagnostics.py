@@ -113,6 +113,11 @@ def derived_fields(u: np.ndarray, eps: float, pot: PotentialSpec,
                          curvature_scalar=curvature_scalar, density=density)
 
 
+def default_s0(cutoff: CutoffSpec) -> float:
+    """Distance scale of the weighted interface error when none is given."""
+    return cutoff.r_c / 4.0
+
+
 def relative_entropy(u: np.ndarray, eps: float, pot: PotentialSpec,
                      traj: InterfaceTrajectory, cutoff: CutoffSpec,
                      grid: Grid, t: float, s0: Optional[float] = None,
@@ -125,7 +130,7 @@ def relative_entropy(u: np.ndarray, eps: float, pot: PotentialSpec,
     entropy evolution identity.
     """
     if s0 is None:
-        s0 = cutoff.r_c / 4.0
+        s0 = default_s0(cutoff)
     d = derived_fields(u, eps, pot, grid)
     ef = extended_fields(traj, cutoff, grid, t)
     quad = grid.integrate

@@ -60,8 +60,15 @@ class PotentialSpec:
         return np.sqrt(np.maximum(2.0 * self.w(uc), 0.0))
 
 
-def count_excursions(u, tol: float = 1e-12) -> int:
-    """Number of samples strictly outside [-1, 1] (beyond roundoff slack)."""
+def count_excursions(u, tol: float = 1e-12, bounds=None) -> int:
+    """Number of samples strictly outside [-1, 1] (beyond roundoff slack).
+
+    bounds, when given, is (min u, max u): a field inside [-1 - tol, 1 + tol]
+    then counts 0 without another pass over u.
+    """
+    if bounds is not None and -1.0 - tol <= bounds[0] \
+            and bounds[1] <= 1.0 + tol:
+        return 0
     return int(np.count_nonzero(np.abs(np.asarray(u)) > 1.0 + tol))
 
 

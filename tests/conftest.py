@@ -29,15 +29,15 @@ def make_plane_config(pot, profile, eps=0.05, half_width=0.5, h_over_eps=8,
 
 def make_circle_config(pot, profile, eps=0.08, radius0=1.0, half_width=None,
                        h_over_eps=8, t_max=0.22, t_end=0.0, cadence=10,
-                       mode="radial", r_c=None, dt_over_eps2=20, **kw):
-    traj = pl.SphereInterface(center=(0.0, 0.0), radius0=radius0, dim=2,
+                       mode="radial", r_c=None, dt_over_eps2=20, dim=2, **kw):
+    traj = pl.SphereInterface(center=(0.0,) * dim, radius0=radius0, dim=dim,
                               t_max=t_max)
     if r_c is None:
         r_c = 0.45 * traj.min_radius()
     if half_width is None:
         half_width = radius0 + 0.8
     npts = npts_for_spacing(mode, half_width, eps / h_over_eps)
-    grid = pl.Grid(mode=mode, dim=2, half_width=half_width, npts=npts)
+    grid = pl.Grid(mode=mode, dim=dim, half_width=half_width, npts=npts)
     return pl.SimulationConfig(
         epsilon=eps, potential=pot, profile=profile, trajectory=traj,
         cutoff=pl.CutoffSpec(r_c=r_c), grid=grid,

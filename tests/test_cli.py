@@ -116,6 +116,37 @@ def test_simulate_rejects_unresolved_layer(tmp_path, capsys):
     assert "layer resolution" in capsys.readouterr().err
 
 
+def test_simulate_rejects_unflat_boundary(tmp_path, capsys):
+    doc = json.loads((CONFIGS / "plane1d.json").read_text())
+    doc["grid"]["half_width"] = 0.15   # the profile is not flat at +-3 eps
+    out = tmp_path / "out"
+    rc = cli.main(["simulate", "--config",
+                   write_json(tmp_path / "c.json", doc), "--out", str(out)])
+    assert rc == 2
+    assert "grid.half_width: initial profile not flat" \
+        in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_initial_data_built_once_per_run(tmp_path, monkeypatch):
+    calls = []
+    initial_data = phaselab.solver.initial_data
+
+    def counting(cfg):
+        calls.append(cfg.grid.npts)
+        return initial_data(cfg)
+
+    monkeypatch.setattr(phaselab.solver, "initial_data", counting)
+    assert cli.main(["simulate", "--config", str(CONFIGS / "plane1d.json"),
+                     "--out", str(tmp_path / "sim")]) == 0
+    assert len(calls) == 1
+    calls.clear()
+    assert cli.main(["check-identities", "--config",
+                     str(CONFIGS / "identities_plane.json"),
+                     "--out", str(tmp_path / "ident")]) == 0
+    assert len(calls) == 3   # one per refinement level
+
+
 def test_simulate_runtime_failure(tmp_path, monkeypatch, capsys):
     def boom(*a, **k):
         raise phaselab.solver.BlowUpError("max |u| = 2.5 at step 3 (t = 1)")
@@ -389,6 +420,47 @@ def test_ignored_value_rejected(tmp_path, capsys, name, values, message):
         section[path[-1]] = value
     command, flag = ("sweep", "--plan") if "base" in doc \
         else ("simulate", "--config")
+    out = tmp_path / "out"
+    rc = cli.main([command, flag, write_json(tmp_path / "c.json", doc),
+                   "--out", str(out)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+READ_ELSEWHERE = [   # (command, config, values set, message)
+    ("simulate", "plane1d.json", {("potential", "coeffs"): [5, 1]},
+     "potential.coeffs: read only by potential 'poly', not by 'standard'"),
+    ("simulate", "plane1d.json", {("identities",): {"levels": 1}},
+     "identities: read only by check-identities, not by simulate"),
+    ("sweep", "sweep_circle.json", {("base", "identities"): {"levels": 3}},
+     "identities: read only by check-identities, not by sweep"),
+    ("sweep", "sweep_circle.json",
+     {("base", "diagnostics", "snapshot_every"): 1},
+     "diagnostics.snapshot_every: read only by simulate, not by sweep"),
+    ("check-identities", "identities_plane.json",
+     {("diagnostics", "snapshot_every"): 1},
+     "diagnostics.snapshot_every: read only by simulate, "
+     "not by check-identities"),
+    ("sweep", "sweep_circle.json", {("initial_h_over_eps",): 16},
+     "plan.initial_h_over_eps: read only in mode 'initial-entropy'"),
+    ("sweep", "initial_entropy_plane.json", {("h_over_eps",): 8},
+     "plan.h_over_eps: read only in mode 'full'"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, name, values, message", READ_ELSEWHERE,
+    ids=[f"{case[0]}-{case[3].split(':')[0]}" for case in READ_ELSEWHERE])
+def test_value_another_reader_reads_rejected(tmp_path, capsys, command, name,
+                                             values, message):
+    doc = json.loads((CONFIGS / name).read_text())
+    for path, value in values.items():
+        section = doc
+        for part in path[:-1]:
+            section = section[part]
+        section[path[-1]] = value
+    flag = "--plan" if command == "sweep" else "--config"
     out = tmp_path / "out"
     rc = cli.main([command, flag, write_json(tmp_path / "c.json", doc),
                    "--out", str(out)])

@@ -183,3 +183,12 @@ def test_unknown_potential():
 def test_count_excursions():
     assert count_excursions(np.array([0.0, 1.0, -1.0])) == 0
     assert count_excursions(np.array([1.0 + 1e-6, -1.2, 0.5])) == 2
+
+
+@pytest.mark.parametrize("values, count", [
+    ([0.0, 1.0 + 1e-13, -1.0 - 1e-13], 0), ([1.0 + 1e-6, 0.5], 1),
+    ([-1.2, 0.5, -1.5], 2), ([np.nan, 0.5], 0)])
+def test_count_excursions_given_bounds(values, count):
+    u = np.array(values)
+    assert count_excursions(u, bounds=(np.min(u), np.max(u))) == count
+    assert count_excursions(u) == count

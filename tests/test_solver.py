@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 import phaselab as pl
-from phaselab.solver import BlowUpError, ConfigError
+from phaselab.solver import BlowUpError, ConfigError, _radial_diagonals
 
 from conftest import make_circle_config, make_plane_config
 
@@ -35,6 +36,32 @@ def test_uniform_states_are_fixed_points(standard_potential, profile, value):
         step = pl.make_stepper(cfg)
         u = np.full(cfg.grid.shape, value)
         assert np.max(np.abs(step(u) - value)) < 1e-12
+
+
+@pytest.mark.parametrize("dim, h_over_eps", [(2, 8), (2, 16), (3, 8)])
+def test_radial_step_matches_banded_oracle(standard_potential, profile, dim,
+                                           h_over_eps):
+    # the band is I - dt L for the stencil of Grid.laplacian, and the
+    # once-factored solve agrees bit for bit with solve_banded on that band
+    cfg = make_circle_config(standard_potential, profile, eps=0.08,
+                             half_width=1.4, h_over_eps=h_over_eps, dim=dim)
+    dt, eps2, dw = cfg.dt_actual(), cfg.epsilon ** 2, cfg.potential.dw
+    lower, diag, upper = _radial_diagonals(cfg.grid, dt)
+    n = cfg.grid.npts
+    band = np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
+    lap = np.column_stack([cfg.grid.laplacian(e) for e in np.eye(n)])
+    np.testing.assert_allclose(band, np.eye(n) - dt * lap, rtol=0.0,
+                               atol=1e-12 * np.max(np.abs(band)))
+    ab = np.zeros((3, n))
+    ab[0, 1:], ab[1], ab[2, :-1] = upper, diag, lower
+
+    step = pl.make_stepper(cfg)
+    u = v = pl.initial_data(cfg)
+    for _ in range(200):
+        u = step(u)
+        v = solve_banded((1, 1), ab, v - (dt / eps2) * dw(v))
+        assert np.array_equal(u, v)
+    assert np.max(np.abs(u - pl.initial_data(cfg))) > 1e-3   # it moved
 
 
 def test_explicit_stepper_fixed_point(standard_potential, profile):
@@ -205,6 +232,18 @@ def test_validation_boundary_flatness(standard_potential, profile):
                             half_width=0.15)
     issues = pl.validate(cfg)
     assert any("flat at the boundary" in m for m in issues)
+
+
+def test_clamp_counter_counts_excursions(standard_potential, profile,
+                                        monkeypatch):
+    cfg = make_plane_config(standard_potential, profile, cadence=1)
+    cfg.t_end = 3 * cfg.dt
+    n = cfg.grid.npts
+    excursion = np.where(np.arange(n) < n // 4, -1.5, 0.5)
+    excursion[-1] = 1.0 + 1e-6
+    monkeypatch.setattr(pl.solver, "make_stepper",
+                        lambda cfg: lambda u: excursion.copy())
+    assert pl.run(cfg).clamp_count == 3 * (n // 4 + 1)
 
 
 def test_blowup_guard_catches_nan(standard_potential, profile, monkeypatch):
