@@ -24,10 +24,11 @@ from .experiments import (DEFAULT_DT_OVER_EPS2, DEFAULT_H_OVER_EPS,
 from .geometry import CutoffSpec, PlaneInterface, SphereInterface
 from .grids import FULL, Grid, npts_for_spacing
 from .potentials import potential_by_name, solve_profile
-from .solver import EXPLICIT, ConfigError, SEMI_IMPLICIT, SimulationConfig
+from .solver import ConfigError, SimulationConfig
 
 R_C_RADIUS_FRACTION = 0.45   # default r_c for spheres: fraction of min R(t)
 R_C_PLANE_DEFAULT = 0.5
+SCHEME = "semi-implicit"     # the one time stepper, solver.make_stepper
 
 
 IS_KIND = {   # keyed by the wording of the error message
@@ -54,9 +55,9 @@ SECTION_KEYS = {
     "cutoff": {"r_c": NUMBER, "c_quad": NUMBER},
     "grid": {"mode": TEXT, "dim": INTEGER, "half_width": NUMBER,
              "npts": INTEGER, "h_over_eps": POSITIVE},
-    "stepper": {"scheme": TEXT, "dt": NUMBER, "dt_over_eps2": POSITIVE,
+    "stepper": {"scheme": TEXT, "dt": POSITIVE, "dt_over_eps2": POSITIVE,
                 "t_end": NUMBER},
-    "diagnostics": {"cadence": INTEGER, "s0": NUMBER,
+    "diagnostics": {"cadence": INTEGER, "s0": POSITIVE,
                     "compute_identity": FLAG,
                     "snapshot_every": POSITIVE_INTEGER},
     "identities": {"levels": INTEGER, "min_order": NUMBER},
@@ -82,7 +83,7 @@ DEFAULTS = {   # the value a run reads for a key that is not set
     "potential": {"name": "standard", "s_max": 8.0, "n_samples": 4096},
     "cutoff": {"c_quad": 1.0},
     "grid": {"mode": FULL},
-    "stepper": {"scheme": SEMI_IMPLICIT, "t_end": 0.0},
+    "stepper": {"scheme": SCHEME, "t_end": 0.0},
     "diagnostics": {"cadence": 10, "compute_identity": False},
     "identities": {"levels": 3, "min_order": 1.0},
     "plane": {"offset": 0.0, "t_max": 10.0},
@@ -98,8 +99,12 @@ READ_BY = {   # keys that one command reads and the others would ignore
     "identities": "check-identities",
     "diagnostics.snapshot_every": "simulate",
 }
-MODE_SPACING = {"full": "h_over_eps",   # the member spacing a mode reads
-                "initial-entropy": "initial_h_over_eps"}
+MODE_READS = {   # the plan keys that only one sweep mode reads
+    "full": ("h_over_eps", "dt_over_eps2"),
+    "initial-entropy": ("initial_h_over_eps",),
+}
+STEPPING = ("stepper.scheme", "stepper.t_end", "diagnostics.cadence",
+            "diagnostics.compute_identity")   # base keys only mode full reads
 
 
 def _present(section) -> dict:
@@ -141,6 +146,10 @@ def _run_issues(doc: dict, command=None) -> list:
         if isinstance(doc.get(name), dict):
             issues.extend(_issues(doc[name], kinds, f"{name}.",
                                   REQUIRED.get(name, ())))
+    scheme = _lookup(doc, "stepper.scheme")
+    if isinstance(scheme, str) and scheme != SCHEME:
+        issues.append(f"stepper.scheme: unknown scheme {scheme!r} (expected "
+                      f"{SCHEME!r})")
     traj = doc.get("trajectory")
     if isinstance(traj, dict):
         kind = traj.get("type")
@@ -237,19 +246,16 @@ def build_simulation(doc: dict, command=None):
 
     step_sec = filled["stepper"]
     if "dt" not in step_sec:
-        dt = eps ** 2 / float(step_sec.pop("dt_over_eps2",
-                                           DEFAULT_DT_OVER_EPS2))
-        if step_sec["scheme"] == EXPLICIT:
-            dt = min(dt, 0.5 * grid.h ** 2 / (2.0 * grid.dim))
-        step_sec["dt"] = dt
+        step_sec["dt"] = eps ** 2 / float(step_sec.pop("dt_over_eps2",
+                                                       DEFAULT_DT_OVER_EPS2))
 
     diag_sec = filled["diagnostics"]
     diag_sec.setdefault("s0", default_s0(cutoff))
 
     cfg = SimulationConfig(
         epsilon=eps, potential=pot, profile=profile, trajectory=traj,
-        cutoff=cutoff, grid=grid, scheme=step_sec["scheme"],
-        dt=float(step_sec["dt"]), t_end=float(step_sec["t_end"]),
+        cutoff=cutoff, grid=grid, dt=float(step_sec["dt"]),
+        t_end=float(step_sec["t_end"]),
         cadence=int(diag_sec["cadence"]), s0=float(diag_sec["s0"]),
         compute_identity=diag_sec["compute_identity"])
     return cfg, filled
@@ -271,27 +277,34 @@ def build_plan(doc: dict):
         issues.append(f"plan.mode: unknown mode {mode!r} (expected one of "
                       f"{', '.join(SWEEP_MODES)})")
     issues += [f"plan.{key}: read only in mode {reader!r}"
-               for reader, key in MODE_SPACING.items()
-               if mode in SWEEP_MODES and reader != mode and key in doc]
+               for reader, keys in MODE_READS.items()
+               if mode in SWEEP_MODES and reader != mode
+               for key in keys if key in doc]
     base, epsilons = doc.get("base"), doc.get("epsilons")
     if not (IS_KIND[OBJECT](base) and IS_KIND[NUMBERS](epsilons)):
         raise ConfigError(issues)   # no base config to check
     issues += [f"{path}: set per member by the plan" for path in PLAN_OWNED
                if _lookup(base, path) is not None]
+    if mode == "initial-entropy":   # the study evaluates t = 0 only
+        issues += [f"{path}: read only in mode 'full'" for path in STEPPING
+                   if _lookup(base, path) is not None]
     base = dict(base, epsilon=epsilons[0])
     if issues:
         raise ConfigError(issues + _run_issues(base, "sweep"))
     base_cfg, filled_base = build_simulation(base, "sweep")
     del filled_base["epsilon"], filled_base["grid"]["npts"], \
         filled_base["stepper"]["dt"]
-    resolution = (MODE_SPACING[mode], "dt_over_eps2")
+    if mode == "initial-entropy":
+        for path in STEPPING:
+            section, key = path.split(".")
+            del filled_base[section][key]
     plan = SweepPlan(base=base_cfg, epsilons=[float(e) for e in epsilons],
                      bands=_present(bands),
-                     **{key: float(doc[key]) for key in resolution
+                     **{key: float(doc[key]) for key in MODE_READS[mode]
                         if key in doc})
     return plan, {**doc, "mode": mode, "base": filled_base,
                   "bands": dict(plan.bands),
-                  **{key: getattr(plan, key) for key in resolution}}
+                  **{key: getattr(plan, key) for key in MODE_READS[mode]}}
 
 
 def build_identities(doc: dict) -> dict:

@@ -71,7 +71,6 @@ class EntropyBreakdown:
 class DerivedFields:
     """Pointwise fields shared by the functionals of one snapshot."""
 
-    grad: np.ndarray
     gmag: np.ndarray
     n: np.ndarray
     psi: np.ndarray
@@ -107,7 +106,7 @@ def derived_fields(u: np.ndarray, eps: float, pot: PotentialSpec,
     lap = grid.laplacian(u)
     curvature_scalar = -(eps * lap - pot.dw(u) / eps)
     density = 0.5 * eps * gmag ** 2 + w / eps
-    return DerivedFields(grad=g, gmag=gmag, n=n, psi=psi_field,
+    return DerivedFields(gmag=gmag, n=n, psi=psi_field,
                          grad_psi=grad_psi, grad_psi_mag=sqrt2w * gmag,
                          w=w, sqrt2w=sqrt2w,
                          curvature_scalar=curvature_scalar, density=density)

@@ -167,7 +167,6 @@ class ExtendedFields:
 
     dist: np.ndarray
     chi: np.ndarray
-    eta: np.ndarray
     xi: np.ndarray
     hvec: np.ndarray
     div_xi: np.ndarray
@@ -212,7 +211,7 @@ def _extended_fields_full(traj, cutoff, grid, t) -> ExtendedFields:
         eta = cutoff.eta(dist)
         n_field = n.reshape((-1,) + (1,) * len(shape)) * np.ones(shape)
         return ExtendedFields(
-            dist=dist, chi=np.where(dist >= 0.0, 1.0, -1.0), eta=eta,
+            dist=dist, chi=np.where(dist >= 0.0, 1.0, -1.0),
             xi=eta * n_field, hvec=zeros_v, div_xi=cutoff.deta(dist),
             div_h=zeros_s, dt_xi=zeros_v, adv_xi=zeros_v,
             grad_h_rad=zeros_s, grad_h_tan=zeros_s, e=zeros_v)
@@ -260,7 +259,6 @@ def _sphere_fields(d, cutoff, dist, e, safe_r, k) -> ExtendedFields:
     return ExtendedFields(
         dist=dist,
         chi=np.where(dist >= 0.0, 1.0, -1.0),
-        eta=eta,
         xi=-eta * e,
         hvec=-k * eta_t * e,
         div_xi=deta - (d - 1) * eta / safe_r,

@@ -38,8 +38,6 @@ class PotentialSpec:
         name: identifier used in run configurations.
         w, dw, ddw: vectorized W, W', W''.
         max_ddw: max of W'' on [-1, 1]; used for time-step stability bounds.
-        well_constant: empirical c > 0 with W(s) >= c*min((s-1)^2, (s+1)^2),
-            measured on a dense sample grid.
     """
 
     name: str
@@ -47,7 +45,6 @@ class PotentialSpec:
     dw: Callable
     ddw: Callable
     max_ddw: float
-    well_constant: float
     _psi: Callable = field(repr=False, default=None)
 
     def psi(self, u):
@@ -79,13 +76,7 @@ def normalization_integral(w: Callable) -> float:
     return val
 
 
-def _well_constant(w: Callable) -> float:
-    s = np.linspace(-1.0 + 1e-6, 1.0 - 1e-6, 4001)
-    ratio = w(s) / np.minimum((s - 1.0) ** 2, (s + 1.0) ** 2)
-    return float(np.min(ratio))
-
-
-def _validate(name, w, dw, ddw) -> None:
+def _validate(name, w) -> None:
     issues = []
     for s in (-1.0, 1.0):
         if abs(float(w(s))) > WELL_ENDPOINT_TOL:
@@ -125,10 +116,9 @@ def make_standard_potential() -> PotentialSpec:
         # 1.5*u - 0.5*u^3 hits +-1 exactly at u = +-1
         return 1.5 * u - 0.5 * u ** 3
 
-    _validate("standard", w, dw, ddw)
+    _validate("standard", w)
     return PotentialSpec(name="standard", w=w, dw=dw, ddw=ddw,
-                         max_ddw=9.0, well_constant=_well_constant(w),
-                         _psi=psi)
+                         max_ddw=9.0, _psi=psi)
 
 
 def make_polynomial_potential(coeffs) -> PotentialSpec:
@@ -154,7 +144,7 @@ def make_polynomial_potential(coeffs) -> PotentialSpec:
     def ddw(s):
         return ddp(np.asarray(s, dtype=float))
 
-    _validate("poly", w, dw, ddw)
+    _validate("poly", w)
 
     nodes = np.linspace(-1.0, 1.0, _PSI_TABLE_INTERVALS + 1)
     integrand = np.sqrt(np.maximum(2.0 * w(nodes), 0.0))
@@ -167,8 +157,7 @@ def make_polynomial_potential(coeffs) -> PotentialSpec:
 
     s_grid = np.linspace(-1.0, 1.0, 2001)
     return PotentialSpec(name="poly", w=w, dw=dw, ddw=ddw,
-                         max_ddw=float(np.max(ddw(s_grid))),
-                         well_constant=_well_constant(w), _psi=psi)
+                         max_ddw=float(np.max(ddw(s_grid))), _psi=psi)
 
 
 def potential_by_name(name: str, coeffs=None) -> PotentialSpec:

@@ -2,13 +2,13 @@
 on full grids (d = 1, 2) and on the radial line (d >= 2), from profile
 initial data u(x, 0) = theta(dist(x) / eps).
 
-The default stepper is semi-implicit: the Laplacian is treated implicitly
+The one stepper is semi-implicit: the Laplacian is treated implicitly
 (diagonalized by a cosine transform on full zero-flux grids, a tridiagonal
 solve on the radial line), the reaction term explicitly.  The radial
 operator I - dt L is LU-factored once per run (LAPACK dgttrf); each step
-then costs one dgttrs solve.  The explicit stepper is plain forward Euler
-with the same stencils.  Both steppers are first order in dt and second
-order in h.
+then costs one dgttrs solve.  The stepper is first order in dt and second
+order in h; its one step-size rule is the reaction limit
+dt <= eps^2/(2 max W''), whatever h.
 """
 
 from __future__ import annotations
@@ -26,9 +26,6 @@ from .geometry import (CutoffSpec, InterfaceTrajectory, PlaneInterface,
                        SphereInterface, signed_distance)
 from .grids import FULL, Grid, RADIAL
 from .potentials import PotentialSpec, ProfileTable, count_excursions
-
-SEMI_IMPLICIT = "semi-implicit"
-EXPLICIT = "explicit"
 
 LAYER_RESOLUTION = 4.0      # transition layer needs h <= eps / 4
 BOUNDARY_FLATNESS = 1e-6    # |u0| >= 1 - this on phase-side boundary cells
@@ -55,7 +52,6 @@ class SimulationConfig:
     trajectory: InterfaceTrajectory
     cutoff: CutoffSpec
     grid: Grid
-    scheme: str = SEMI_IMPLICIT
     dt: float = 0.0
     t_end: float = 0.0
     cadence: int = 10
@@ -80,12 +76,10 @@ def validate(cfg: SimulationConfig) -> list:
     if not eps > 0.0:   # NaN fails every comparison, so test what must hold
         issues.append("epsilon: must be positive")
         return issues
-    if cfg.scheme not in (SEMI_IMPLICIT, EXPLICIT):
-        issues.append(f"stepper.scheme: unknown scheme {cfg.scheme!r}")
     if cfg.cadence < 1:
         issues.append("diagnostics.cadence: must be >= 1")
-    if not cfg.dt > 0.0:
-        issues.append("stepper.dt: must be positive")
+    if not cfg.t_end >= 0.0:
+        issues.append("stepper.t_end: must be >= 0")
 
     h = grid.h
     if h > eps / LAYER_RESOLUTION + 1e-12:
@@ -93,17 +87,14 @@ def validate(cfg: SimulationConfig) -> list:
             f"grid.npts: layer resolution requires h <= eps/{LAYER_RESOLUTION:g} "
             f"(h = {h:.6g}, eps = {eps:.6g})")
 
-    dt_stiff = eps ** 2 / (2.0 * cfg.potential.max_ddw)
-    if cfg.dt > dt_stiff + 1e-15:
-        issues.append(
-            f"stepper.dt: reaction stability requires dt <= eps^2/(2 max W'') "
-            f"= {dt_stiff:.3e} (dt = {cfg.dt:.3e})")
-    if cfg.scheme == EXPLICIT:
-        dt_cfl = h ** 2 / (2.0 * grid.dim)
-        if cfg.dt > dt_cfl + 1e-15:
+    if cfg.t_end > 0.0:   # dt is read only by a run that steps
+        dt_stiff = eps ** 2 / (2.0 * cfg.potential.max_ddw)
+        if not cfg.dt > 0.0:
+            issues.append("stepper.dt: must be positive")
+        elif cfg.dt > dt_stiff + 1e-15:
             issues.append(
-                f"stepper.dt: explicit diffusion CFL requires dt <= h^2/(2d) "
-                f"= {dt_cfl:.3e} (dt = {cfg.dt:.3e})")
+                f"stepper.dt: reaction stability requires dt <= "
+                f"eps^2/(2 max W'') = {dt_stiff:.3e} (dt = {cfg.dt:.3e})")
 
     traj = cfg.trajectory
     if not cfg.t_end <= traj.t_max + 1e-12:
@@ -183,16 +174,11 @@ def initial_data(cfg: SimulationConfig) -> np.ndarray:
 
 
 def make_stepper(cfg: SimulationConfig) -> Callable:
-    """Build the one-step map u -> u_next for the configured scheme."""
+    """Build the one-step map u -> u_next of the semi-implicit scheme."""
     eps2 = cfg.epsilon ** 2
     dt = cfg.dt_actual()
     dw = cfg.potential.dw
     grid = cfg.grid
-
-    if cfg.scheme == EXPLICIT:
-        def step(u):
-            return u + dt * (grid.laplacian(u) - dw(u) / eps2)
-        return step
 
     if grid.mode == FULL:
         n, h = grid.npts, grid.h

@@ -1,24 +1,28 @@
 """Acceptance suite: one test per release criterion, each printing a
 PASS/FAIL line.  Heavy runs are shared through session fixtures; the sweep
-uses the shipped plan (shrinking circle of initial radius 2, eps from 0.16
-down to 0.02, resolution coupled as h = eps/16 and dt = eps^2/320 so the
-first-order splitting error stays below the interface-width signal).
+runs the shipped plan configs/sweep_circle.json (shrinking circle of initial
+radius 2, eps from 0.16 down to 0.02, resolution coupled as h = eps/16 and
+dt = eps^2/320 so the first-order splitting error stays below the
+interface-width signal).
 """
 
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import phaselab as pl
-from phaselab import diagnostics as dg
+from phaselab import config, diagnostics as dg
 from phaselab.experiments import (SweepPlan, check_identities,
                                   initial_entropy_study, run_sweep)
 
 from conftest import make_circle_config, make_plane_config
 
 EPSILONS = [0.16, 0.08, 0.04, 0.02]
+SWEEP_PLAN = Path(__file__).resolve().parent.parent / "configs" \
+    / "sweep_circle.json"
 
 
 def report(criterion, ok, detail=""):
@@ -27,12 +31,10 @@ def report(criterion, ok, detail=""):
 
 
 @pytest.fixture(scope="session")
-def sweep_plan(standard_potential, profile):
-    base = make_circle_config(standard_potential, profile, eps=0.16,
-                              radius0=2.0, half_width=2.8, t_end=0.2,
-                              cadence=160, dt_over_eps2=320, h_over_eps=16)
-    return SweepPlan(base=base, epsilons=EPSILONS, h_over_eps=16.0,
-                     dt_over_eps2=320.0)
+def sweep_plan():
+    plan, _ = config.build_plan(config.load_json(SWEEP_PLAN))
+    assert plan.epsilons == EPSILONS
+    return plan
 
 
 @pytest.fixture(scope="session")

@@ -325,6 +325,12 @@ BAD_VALUES = [   # (config, key path, value, key named in the error)
     ("sweep_circle.json", ("epsilons",), 0.1, "plan.epsilons"),
     ("sweep_circle.json", ("h_over_eps",), "x", "plan.h_over_eps"),
     ("plane1d.json", ("potential", "s_max"), 3, "s_max"),
+    ("plane1d.json", ("stepper", "scheme"), "explicit", "stepper.scheme"),
+    ("plane1d.json", ("stepper", "t_end"), -1, "stepper.t_end"),
+    ("circle_radial.json", ("diagnostics", "s0"), 0,
+     "diagnostics.s0: expected a positive number, got 0"),
+    ("circle_radial.json", ("diagnostics", "s0"), -0.05,
+     "diagnostics.s0: expected a positive number, got -0.05"),
 ]
 
 
@@ -446,6 +452,20 @@ READ_ELSEWHERE = [   # (command, config, values set, message)
      "plan.initial_h_over_eps: read only in mode 'initial-entropy'"),
     ("sweep", "initial_entropy_plane.json", {("h_over_eps",): 8},
      "plan.h_over_eps: read only in mode 'full'"),
+    ("sweep", "initial_entropy_plane.json", {("dt_over_eps2",): 20},
+     "plan.dt_over_eps2: read only in mode 'full'"),
+    ("sweep", "initial_entropy_plane.json",
+     {("base", "stepper"): {"scheme": "semi-implicit"}},
+     "stepper.scheme: read only in mode 'full'"),
+    ("sweep", "initial_entropy_plane.json",
+     {("base", "stepper"): {"t_end": 0.0}},
+     "stepper.t_end: read only in mode 'full'"),
+    ("sweep", "initial_entropy_plane.json",
+     {("base", "diagnostics"): {"cadence": 10}},
+     "diagnostics.cadence: read only in mode 'full'"),
+    ("sweep", "initial_entropy_plane.json",
+     {("base", "diagnostics"): {"compute_identity": False}},
+     "diagnostics.compute_identity: read only in mode 'full'"),
 ]
 
 
@@ -467,3 +487,20 @@ def test_value_another_reader_reads_rejected(tmp_path, capsys, command, name,
     assert rc == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_initial_entropy_reads_no_step_size(tmp_path):
+    # dt = eps^2/20 breaks this potential's reaction limit eps^2/(2 max W'')
+    # with max W'' ~ 15.1, but the study never takes a step
+    doc = json.loads((CONFIGS / "initial_entropy_plane.json").read_text())
+    doc["base"]["potential"] = {"name": "poly",
+                                "coeffs": [1, 0, -1, 0, -1, 0, 1]}
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--plan", write_json(tmp_path / "p.json", doc),
+                     "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert 1.8 <= summary["slopes"]["initial_entropy"]["slope"] <= 2.2
+    manifest = json.loads((out / "manifest.json").read_text())["config"]
+    assert "dt_over_eps2" not in manifest
+    assert manifest["base"]["stepper"] == {}
+    assert list(manifest["base"]["diagnostics"]) == ["s0"]

@@ -136,13 +136,12 @@ def _plane1d_with(section, **values):
     return doc
 
 
-ROUND_TRIP = {   # every shipped config and three variants of plane1d
+ROUND_TRIP = {   # every shipped config and two variants of plane1d
     **{path.name: json.loads(path.read_text())
        for path in sorted(CONFIGS.glob("*.json"))},
     **{f"workload_{path.name}": json.loads(path.read_text())
        for path in sorted(WORKLOADS.glob("*.json"))},
     "poly": _plane1d_with("potential", name="poly", coeffs=[1, 0, -2, 0, 1]),
-    "explicit": _plane1d_with("stepper", scheme="explicit"),
     "normal": _plane1d_with("trajectory", normal=[3.0, 4.0]),
 }
 

@@ -36,9 +36,9 @@ def test_symmetry_and_lower_bound(standard_potential):
     p = standard_potential
     s = np.linspace(-1, 1, 801)
     assert np.max(np.abs(p.w(s) - p.w(-s))) < 1e-14
-    assert p.well_constant > 0
+    # W = (9/8) (1 - s)^2 (1 + s)^2 and the larger factor is >= 1
     inner = s[1:-1]
-    bound = p.well_constant * np.minimum((inner - 1) ** 2, (inner + 1) ** 2)
+    bound = 1.125 * np.minimum((inner - 1) ** 2, (inner + 1) ** 2)
     assert np.all(p.w(inner) >= bound * (1 - 1e-12))
 
 
@@ -136,7 +136,7 @@ def test_profile_rejects_rough_potential(standard_potential):
         return base.w(s) * (1.0 + 0.4 * np.sin(200.0 * s) ** 2)
 
     rough = PotentialSpec(name="rough", w=rough_w, dw=base.dw, ddw=base.ddw,
-                          max_ddw=9.0, well_constant=1.0, _psi=base._psi)
+                          max_ddw=9.0, _psi=base._psi)
     with pytest.raises(ProfileError):
         pl.solve_profile(rough, s_max=8.0, n_samples=64)
 

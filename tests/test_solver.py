@@ -64,14 +64,6 @@ def test_radial_step_matches_banded_oracle(standard_potential, profile, dim,
     assert np.max(np.abs(u - pl.initial_data(cfg))) > 1e-3   # it moved
 
 
-def test_explicit_stepper_fixed_point(standard_potential, profile):
-    cfg = make_plane_config(standard_potential, profile, scheme="explicit")
-    cfg.dt = cfg.grid.h ** 2 / 4.0
-    step = pl.make_stepper(cfg)
-    u = np.ones(cfg.grid.shape)
-    assert np.max(np.abs(step(u) - 1.0)) < 1e-14
-
-
 def test_profile_single_step_residual_halves(standard_potential, profile):
     # theta is an exact continuum steady state; one step moves the sampled
     # profile only by discretization error, shrinking ~4x per h-halving
@@ -118,27 +110,6 @@ def test_stationary_plane_entropy_stays_bounded(standard_potential, profile):
         assert e0 / 2.0 <= b.rel_entropy <= 2.0 * e0
 
 
-def test_explicit_scheme_energy_decays(standard_potential, profile):
-    from phaselab import diagnostics as dg
-    cfg = make_plane_config(standard_potential, profile, scheme="explicit",
-                            h_over_eps=8)
-    cfg.dt = min(cfg.dt, cfg.grid.h ** 2 / 4.0)
-    step = pl.make_stepper(cfg)
-
-    def energy(u):
-        return dg.relative_entropy(u, cfg.epsilon, standard_potential,
-                                   cfg.trajectory, cfg.cutoff, cfg.grid,
-                                   0.0).gl_energy
-
-    u = pl.initial_data(cfg)
-    prev = energy(u)
-    for _ in range(50):
-        u = step(u)
-        e = energy(u)
-        assert e <= prev + 100.0 * cfg.dt ** 2
-        prev = e
-
-
 def test_run_bookkeeping(standard_potential, profile):
     cfg = make_plane_config(standard_potential, profile, t_end=0.0)
     res = pl.run(cfg)
@@ -168,10 +139,15 @@ def test_clamp_counter_zero_on_standard_run(standard_potential, profile):
     assert res.clamp_count == 0
 
 
+def unstable_plane_config(standard_potential, profile):
+    """dt = eps^2 is 18x the reaction limit eps^2/(2 max W'')."""
+    cfg = make_plane_config(standard_potential, profile, t_end=0.2)
+    cfg.dt = cfg.epsilon ** 2
+    return cfg
+
+
 def test_blowup_guard(standard_potential, profile):
-    cfg = make_plane_config(standard_potential, profile, scheme="explicit",
-                            t_end=0.01)
-    cfg.dt = 10.0 * cfg.grid.h ** 2   # far beyond the diffusion CFL
+    cfg = unstable_plane_config(standard_potential, profile)
     with pytest.raises(BlowUpError, match="step"):
         pl.run(cfg, _skip_validation=True)
 
@@ -221,12 +197,6 @@ def test_validation_radial_needs_origin_sphere(standard_potential, profile):
     assert any("radial mode requires a sphere" in m for m in issues)
 
 
-def test_validation_explicit_cfl(standard_potential, profile):
-    cfg = make_plane_config(standard_potential, profile, scheme="explicit")
-    issues = pl.validate(cfg)   # dt = eps^2/20 exceeds h^2/(2d) here
-    assert any("CFL" in m for m in issues)
-
-
 def test_validation_boundary_flatness(standard_potential, profile):
     cfg = make_plane_config(standard_potential, profile, eps=0.05,
                             half_width=0.15)
@@ -255,9 +225,7 @@ def test_blowup_guard_catches_nan(standard_potential, profile, monkeypatch):
 
 
 def test_blowup_reported_with_time(standard_potential, profile):
-    cfg = make_plane_config(standard_potential, profile, scheme="explicit",
-                            t_end=0.01)
-    cfg.dt = 10.0 * cfg.grid.h ** 2
+    cfg = unstable_plane_config(standard_potential, profile)
     with pytest.raises(BlowUpError, match="t ="):
         pl.run(cfg, _skip_validation=True)
 
