@@ -117,7 +117,8 @@ def cmd_simulate(args) -> int:
         cfg, out_dir, filled["diagnostics"].get("snapshot_every"))
     wall = time.perf_counter() - started
     _write_manifest(out_dir, "simulate", args.config, filled,
-                    artifacts, {"wall_s": wall, "run_wall_s": res.wall_s},
+                    artifacts, {"wall_s": wall, "run_wall_s": res.wall_s,
+                                "rows_s": res.rows_s},
                     extra={"clamp_count": res.clamp_count,
                            "n_steps": res.n_steps})
     last = res.breakdowns[-1]

@@ -103,8 +103,10 @@ MODE_READS = {   # the plan keys that only one sweep mode reads
     "full": ("h_over_eps", "dt_over_eps2"),
     "initial-entropy": ("initial_h_over_eps",),
 }
-STEPPING = ("stepper.scheme", "stepper.t_end", "diagnostics.cadence",
-            "diagnostics.compute_identity")   # base keys only mode full reads
+# base keys only mode full reads: an initial-entropy study neither steps nor
+# reads the weighted interface error that s0 scales
+FULL_MODE_BASE = ("stepper.scheme", "stepper.t_end", "diagnostics.cadence",
+                  "diagnostics.compute_identity", "diagnostics.s0")
 
 
 def _present(section) -> dict:
@@ -286,7 +288,8 @@ def build_plan(doc: dict):
     issues += [f"{path}: set per member by the plan" for path in PLAN_OWNED
                if _lookup(base, path) is not None]
     if mode == "initial-entropy":   # the study evaluates t = 0 only
-        issues += [f"{path}: read only in mode 'full'" for path in STEPPING
+        issues += [f"{path}: read only in mode 'full'"
+                   for path in FULL_MODE_BASE
                    if _lookup(base, path) is not None]
     base = dict(base, epsilon=epsilons[0])
     if issues:
@@ -295,7 +298,7 @@ def build_plan(doc: dict):
     del filled_base["epsilon"], filled_base["grid"]["npts"], \
         filled_base["stepper"]["dt"]
     if mode == "initial-entropy":
-        for path in STEPPING:
+        for path in FULL_MODE_BASE:
             section, key = path.split(".")
             del filled_base[section][key]
     plan = SweepPlan(base=base_cfg, epsilons=[float(e) for e in epsilons],

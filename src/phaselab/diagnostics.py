@@ -27,7 +27,7 @@ import numpy as np
 from .geometry import (CutoffSpec, InterfaceTrajectory, extended_fields,
                        tau_truncation)
 from .grids import Grid
-from .potentials import PotentialSpec
+from .potentials import PotentialSpec, root_2w
 
 GRAD_FLOOR_SCALE = 1e-12
 ENTROPY_FLOOR = -1e-10
@@ -98,9 +98,8 @@ def derived_fields(u: np.ndarray, eps: float, pot: PotentialSpec,
     n = np.where(gmag >= floor, g / safe, 0.0)
     n[0] = np.where(gmag >= floor, n[0], 1.0)
 
-    uc = np.clip(u, -1.0, 1.0)
-    w = pot.w(uc)
-    sqrt2w = pot.sqrt2w(u)
+    w = pot.w(np.clip(u, -1.0, 1.0))
+    sqrt2w = root_2w(w)
     psi_field = pot.psi(u)
     grad_psi = sqrt2w * g
     lap = grid.laplacian(u)
@@ -127,29 +126,40 @@ def relative_entropy(u: np.ndarray, eps: float, pot: PotentialSpec,
     coercivity integrals, the two dissipation defect squares, the interface
     errors, and (with_identity) the assembled right-hand side of the
     entropy evolution identity.
+
+    The interface fields vanish off the cutoff's tube, so every term that
+    carries one is evaluated at the tube cells and scattered into the
+    whole-grid integrand, whose other cells hold the value the term takes
+    where the field is zero.  For finite u each integrand is the array a
+    whole-grid evaluation gives (up to the sign of zeros), so each
+    quadrature sum is too.
     """
     if s0 is None:
         s0 = default_s0(cutoff)
     d = derived_fields(u, eps, pot, grid)
     ef = extended_fields(traj, cutoff, grid, t)
     quad = grid.integrate
+    dtube = _on_tube(d, ef)
 
-    xi_dot_gpsi = np.sum(ef.xi * d.grad_psi, axis=0)
+    xi_dot_gpsi = np.sum(ef.xi * dtube.grad_psi, axis=0)
     energy = quad(d.density)
-    entropy = quad(d.density - xi_dot_gpsi)
+    entropy = quad(ef.scatter(dtube.density - xi_dot_gpsi, d.density.copy()))
     diss = quad(d.curvature_scalar ** 2 / eps)
 
     defect = np.sqrt(eps) * d.gmag - d.sqrt2w / np.sqrt(eps)
-    nmxi = d.n - ef.xi
-    nmxi2 = np.sum(nmxi * nmxi, axis=0)
+    nmxi = dtube.n - ef.xi
+    nmxi2 = ef.scatter(np.sum(nmxi * nmxi, axis=0), np.sum(d.n * d.n, axis=0))
 
-    hvec_diff = d.curvature_scalar * d.n - eps * d.gmag * ef.hvec
-    dsq_curv = quad(np.sum(hvec_diff ** 2, axis=0) / (4.0 * eps))
-    dsq_vel = quad((d.curvature_scalar - (-ef.div_xi) * d.sqrt2w) ** 2
-                   / (4.0 * eps))
+    hvec_diff = dtube.curvature_scalar * dtube.n - eps * dtube.gmag * ef.hvec
+    curv_sq = np.sum((d.curvature_scalar * d.n) ** 2, axis=0)
+    dsq_curv = quad(ef.scatter(np.sum(hvec_diff ** 2, axis=0), curv_sq)
+                    / (4.0 * eps))
+    vel_diff = ef.scatter(dtube.curvature_scalar - (-ef.div_xi) * dtube.sqrt2w,
+                          d.curvature_scalar.copy())
+    dsq_vel = quad(vel_diff ** 2 / (4.0 * eps))
 
     err_l1 = quad(np.abs(d.psi - ef.chi))
-    err_w = quad((ef.chi - d.psi) * tau_truncation(ef.dist / s0))
+    err_w = quad((ef.chi - d.psi) * _tau_of_distance(ef.dist, s0))
 
     b = EntropyBreakdown(
         t=t,
@@ -166,8 +176,24 @@ def relative_entropy(u: np.ndarray, eps: float, pot: PotentialSpec,
         err_weighted=err_w)
 
     if with_identity:
-        b.identity_rhs = _identity_rhs(eps, d, ef, quad, dsq_curv, dsq_vel)
+        b.identity_rhs = _identity_rhs(eps, dtube, ef, quad, dsq_curv, dsq_vel)
     return b
+
+
+def _on_tube(d: DerivedFields, ef) -> DerivedFields:
+    """The derived fields at the cells of the cutoff's tube."""
+    return DerivedFields(**{name: ef.restrict(f)
+                            for name, f in vars(d).items()})
+
+
+def _tau_of_distance(dist, s0):
+    """tau_truncation(dist / s0), whose blend is evaluated only where
+    |dist / s0| < 1; beyond, tau is sign(dist / s0) exactly."""
+    s = dist / s0
+    tau = np.sign(s)
+    near = np.abs(s) < 1.0
+    tau[near] = tau_truncation(s[near])
+    return tau
 
 
 def _identity_rhs(eps, d: DerivedFields, ef, quad, dsq_curv, dsq_vel):
@@ -175,32 +201,38 @@ def _identity_rhs(eps, d: DerivedFields, ef, quad, dsq_curv, dsq_vel):
 
     For an exact solution the time derivative of the relative entropy
     equals this sum; the first group carries the two defect squares with
-    twice their stored 1/(4 eps) weight.
+    twice their stored 1/(4 eps) weight.  The integrands of g2-g8 vanish
+    off the tube: d holds the derived fields at the tube cells, and each
+    group's integrand is scattered onto a whole grid of zeros.
     """
     g1 = -2.0 * (dsq_curv + dsq_vel)
 
+    def integral(values):
+        return quad(ef.scatter(values))
+
     h2 = np.sum(ef.hvec ** 2, axis=0)
     h_dot_gpsi = np.sum(ef.hvec * d.grad_psi, axis=0)
-    g2 = quad(h2 * 0.5 * eps * d.gmag ** 2
-              + ef.div_xi ** 2 * d.w / eps
-              + h_dot_gpsi * ef.div_xi)
+    g2 = integral(h2 * 0.5 * eps * d.gmag ** 2
+                  + ef.div_xi ** 2 * d.w / eps
+                  + h_dot_gpsi * ef.div_xi)
 
-    g3 = quad(ef.div_h * (d.density - d.grad_psi_mag))
+    g3 = integral(ef.div_h * (d.density - d.grad_psi_mag))
 
     quad_nn = ef.grad_h_quad(d.n)
-    g4 = -quad(quad_nn * (eps * d.gmag ** 2 - d.grad_psi_mag))
+    g4 = -integral(quad_nn * (eps * d.gmag ** 2 - d.grad_psi_mag))
 
     nmxi = d.n - ef.xi
-    g5 = -quad(ef.grad_h_quad(nmxi) * d.grad_psi_mag)
+    g5 = -integral(ef.grad_h_quad(nmxi) * d.grad_psi_mag)
 
     xi_dot_gpsi = np.sum(ef.xi * d.grad_psi, axis=0)
-    g6 = quad(ef.div_h * (d.grad_psi_mag - xi_dot_gpsi))
+    g6 = integral(ef.div_h * (d.grad_psi_mag - xi_dot_gpsi))
 
     t7 = ef.dt_xi + ef.adv_xi + ef.grad_h_vec(ef.xi)
-    g7 = -quad(np.sum((d.grad_psi - d.grad_psi_mag * ef.xi) * t7, axis=0))
+    g7 = -integral(np.sum((d.grad_psi - d.grad_psi_mag * ef.xi) * t7,
+                          axis=0))
 
     t8 = ef.dt_xi + ef.adv_xi
-    g8 = -quad(d.grad_psi_mag * np.sum(ef.xi * t8, axis=0))
+    g8 = -integral(d.grad_psi_mag * np.sum(ef.xi * t8, axis=0))
 
     return g1 + g2 + g3 + g4 + g5 + g6 + g7 + g8
 

@@ -14,6 +14,7 @@ checks are validated against.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Union
 
 import numpy as np
@@ -129,25 +130,38 @@ class CutoffSpec:
         if not 0.0 < self.c_quad < 4.0:
             raise ValueError("c_quad must lie in (0, 4)")
 
-    def eta_tilde(self, s):
+    def _ramp(self, s):
+        """The smoothstep argument of eta_tilde: 0 at |s| = r_c/4, 1 at
+        |s| = r_c/2."""
         a = np.abs(np.asarray(s, dtype=float))
-        return 1.0 - smoothstep((a - 0.25 * self.r_c) / (0.25 * self.r_c))
+        return (a - 0.25 * self.r_c) / (0.25 * self.r_c)
 
-    def deta_tilde(self, s):
+    def in_tube(self, s):
+        """Where eta_tilde(s) can be nonzero: |s| < r_c/2, decided by the
+        very ramp value eta_tilde clips.  Elsewhere the ramp clips to 1, so
+        eta_tilde, eta and both derivatives are exact zeros, and so is every
+        field built from them."""
+        return self._ramp(s) < 1.0
+
+    def profile(self, s) -> tuple:
+        """(eta, eta', eta_tilde, eta_tilde') at s, from one ramp value."""
         s = np.asarray(s, dtype=float)
-        a = np.abs(s)
-        return -np.sign(s) * _smoothstep_deriv(
-            (a - 0.25 * self.r_c) / (0.25 * self.r_c)) / (0.25 * self.r_c)
+        x = self._ramp(s)
+        eta_t = 1.0 - smoothstep(x)
+        deta_t = -np.sign(s) * _smoothstep_deriv(x) / (0.25 * self.r_c)
+        quad = 1.0 - self.c_quad * (s / self.r_c) ** 2
+        deta = (-2.0 * self.c_quad * s / self.r_c ** 2) * eta_t \
+            + quad * deta_t
+        return quad * eta_t, deta, eta_t, deta_t
 
     def eta(self, s):
-        s = np.asarray(s, dtype=float)
-        return (1.0 - self.c_quad * (s / self.r_c) ** 2) * self.eta_tilde(s)
+        return self.profile(s)[0]
 
     def deta(self, s):
-        s = np.asarray(s, dtype=float)
-        quad = 1.0 - self.c_quad * (s / self.r_c) ** 2
-        return (-2.0 * self.c_quad * s / self.r_c ** 2) * self.eta_tilde(s) \
-            + quad * self.deta_tilde(s)
+        return self.profile(s)[1]
+
+    def eta_tilde(self, s):
+        return self.profile(s)[2]
 
     @property
     def deriv_bound(self) -> float:
@@ -159,14 +173,19 @@ class CutoffSpec:
 class ExtendedFields:
     """Closed-form interface fields evaluated on a grid at one time.
 
-    Vector fields carry the grid's component axis first.  grad H has the
-    radially symmetric form A e(x)e(x) + B (I - e(x)e(x)) with e the unit
-    radial direction (A = B = 0 for planes), which the two helpers contract
-    without materializing the matrix.
+    dist and chi cover the whole grid.  Every other field vanishes off the
+    tube of the cutoff (CutoffSpec.in_tube), so it is stored at the tube's
+    cells only: tube holds their flat grid indices, and the last axis of
+    each field runs over them.  Vector fields carry the grid's component
+    axis first.  grad H has the radially symmetric form
+    A e(x)e(x) + B (I - e(x)e(x)) with e the unit radial direction
+    (A = B = 0 for planes), which the two helpers contract without
+    materializing the matrix.
     """
 
     dist: np.ndarray
     chi: np.ndarray
+    tube: np.ndarray
     xi: np.ndarray
     hvec: np.ndarray
     div_xi: np.ndarray
@@ -176,6 +195,19 @@ class ExtendedFields:
     grad_h_rad: np.ndarray   # A
     grad_h_tan: np.ndarray   # B
     e: np.ndarray
+
+    def restrict(self, f: np.ndarray) -> np.ndarray:
+        """A whole-grid field, scalar or vector, at the tube cells."""
+        return _at_cells(f, self.tube, self.dist.ndim)
+
+    def scatter(self, values: np.ndarray, base=None) -> np.ndarray:
+        """The whole-grid field equal to values on the tube and to base
+        elsewhere.  base (zero when None) is written in place, so it must
+        be a C-contiguous array the caller owns."""
+        lead = values.shape[:-1]
+        out = np.zeros(lead + self.dist.shape) if base is None else base
+        out.reshape(lead + (-1,))[..., self.tube] = values
+        return out
 
     def grad_h_quad(self, v: np.ndarray) -> np.ndarray:
         """grad H : v (x) v."""
@@ -192,56 +224,75 @@ class ExtendedFields:
 
 def extended_fields(traj: InterfaceTrajectory, cutoff: CutoffSpec,
                     grid: Grid, t: float) -> ExtendedFields:
-    """Evaluate every interface field the diagnostics need on the grid."""
+    """Evaluate every interface field the diagnostics need on the grid.
+
+    dist and chi are evaluated on every cell, the other fields on the
+    cutoff's tube only; off the tube each of them is an exact zero.
+    """
     _check_time(traj, t)
     if grid.mode == RADIAL:
-        return _extended_fields_radial(traj, cutoff, grid, t)
-    return _extended_fields_full(traj, cutoff, grid, t)
-
-
-def _extended_fields_full(traj, cutoff, grid, t) -> ExtendedFields:
-    X = grid.coords()                      # (d,) + shape
-    shape = X.shape[1:]
-    zeros_s = np.zeros(shape)
-    zeros_v = np.zeros(X.shape)
+        if not isinstance(traj, SphereInterface):
+            raise ValueError("radial grids require a sphere trajectory")
+        if np.linalg.norm(traj.center) > 1e-12:
+            raise ValueError(
+                "radial grids require the sphere centered at origin")
 
     if isinstance(traj, PlaneInterface):
         n = np.asarray(traj.normal, dtype=float)
-        dist = np.tensordot(n, X, axes=(0, 0)) - traj.offset
-        eta = cutoff.eta(dist)
-        n_field = n.reshape((-1,) + (1,) * len(shape)) * np.ones(shape)
-        return ExtendedFields(
-            dist=dist, chi=np.where(dist >= 0.0, 1.0, -1.0),
-            xi=eta * n_field, hvec=zeros_v, div_xi=cutoff.deta(dist),
-            div_h=zeros_s, dt_xi=zeros_v, adv_xi=zeros_v,
-            grad_h_rad=zeros_s, grad_h_tan=zeros_s, e=zeros_v)
-
-    center = np.asarray(traj.center, dtype=float)
-    rel = X - center.reshape((-1,) + (1,) * len(shape))
-    r = np.sqrt(np.sum(rel ** 2, axis=0))
-    safe_r = np.where(r > 0.0, r, 1.0)
-    e = np.where(r > 0.0, rel / safe_r, 0.0)
-    R = traj.radius(t)
-    k = traj.curvature_scale(t)
-    dist = R - r
-    return _sphere_fields(traj.dim, cutoff, dist, e, safe_r, k)
-
-
-def _extended_fields_radial(traj, cutoff, grid, t) -> ExtendedFields:
-    if not isinstance(traj, SphereInterface):
-        raise ValueError("radial grids require a sphere trajectory")
-    if np.linalg.norm(traj.center) > 1e-12:
-        raise ValueError("radial grids require the sphere centered at origin")
-    r = grid.axis
-    safe_r = np.where(r > 0.0, r, 1.0)
-    e = np.where(r > 0.0, 1.0, 0.0)[np.newaxis, :]
-    dist = traj.radius(t) - r
-    return _sphere_fields(traj.dim, cutoff, dist, e, safe_r,
-                          traj.curvature_scale(t))
+        dist = np.tensordot(n, grid.coords, axes=(0, 0)) - traj.offset
+        tube = np.flatnonzero(cutoff.in_tube(dist))
+        s = _at_cells(dist, tube, dist.ndim)
+        zeros_s = np.zeros(s.shape)
+        zeros_v = np.zeros((len(n),) + s.shape)
+        eta, deta, _, _ = cutoff.profile(s)
+        fields = dict(xi=eta * n[:, np.newaxis], hvec=zeros_v,
+                      div_xi=deta, div_h=zeros_s, dt_xi=zeros_v,
+                      adv_xi=zeros_v, grad_h_rad=zeros_s, grad_h_tan=zeros_s,
+                      e=zeros_v)
+    else:
+        r, safe_r, e = radial_frame(grid, traj.center)
+        dist = traj.radius(t) - r
+        tube = np.flatnonzero(cutoff.in_tube(dist))
+        fields = _sphere_fields(
+            traj.dim, cutoff, *(_at_cells(f, tube, r.ndim)
+                                for f in (dist, e, safe_r)),
+            traj.curvature_scale(t))
+    return ExtendedFields(dist=dist, chi=np.where(dist >= 0.0, 1.0, -1.0),
+                          tube=tube, **fields)
 
 
-def _sphere_fields(d, cutoff, dist, e, safe_r, k) -> ExtendedFields:
-    """Shared sphere formulas; e is the unit outward radial direction.
+def _at_cells(f, cells, ndim):
+    """A scalar or vector field over an ndim-dimensional grid at the cells
+    with the given flat indices."""
+    return f.reshape(f.shape[:f.ndim - ndim] + (-1,)).take(cells, axis=-1)
+
+
+@lru_cache(maxsize=2)
+def radial_frame(grid: Grid, center: tuple) -> tuple:
+    """(r, safe_r, e) on the grid: the distance to center, the same with its
+    zeros replaced by 1, and the unit direction away from center (zero at
+    center).  None of them changes in time, so they are computed once per
+    grid and center; the arrays are shared, hence read-only.  On the radial
+    line center is the origin and r the axis."""
+    if grid.mode == RADIAL:
+        r = grid.coords[0]
+        safe_r = np.where(r > 0.0, r, 1.0)
+        e = np.where(r > 0.0, 1.0, 0.0)[np.newaxis, :]
+    else:
+        X = grid.coords
+        rel = X - np.asarray(center, dtype=float).reshape(
+            (-1,) + (1,) * (X.ndim - 1))
+        r = np.sqrt(np.sum(rel ** 2, axis=0))
+        safe_r = np.where(r > 0.0, r, 1.0)
+        e = np.where(r > 0.0, rel / safe_r, 0.0)
+    for a in (r, safe_r, e):
+        a.flags.writeable = False
+    return r, safe_r, e
+
+
+def _sphere_fields(d, cutoff, dist, e, safe_r, k) -> dict:
+    """Shared sphere formulas at the tube cells; e is the unit outward
+    radial direction.
 
     With dist = R - r the closed forms are
         xi        = -eta(dist) e
@@ -252,13 +303,8 @@ def _sphere_fields(d, cutoff, dist, e, safe_r, k) -> ExtendedFields:
         (H.g) xi  = -k eta_t(dist) eta'(dist) e
         grad H    = k eta_t'(dist) e e - (k eta_t / r)(I - e e).
     """
-    eta = cutoff.eta(dist)
-    deta = cutoff.deta(dist)
-    eta_t = cutoff.eta_tilde(dist)
-    deta_t = cutoff.deta_tilde(dist)
-    return ExtendedFields(
-        dist=dist,
-        chi=np.where(dist >= 0.0, 1.0, -1.0),
+    eta, deta, eta_t, deta_t = cutoff.profile(dist)
+    return dict(
         xi=-eta * e,
         hvec=-k * eta_t * e,
         div_xi=deta - (d - 1) * eta / safe_r,
@@ -322,19 +368,22 @@ def xi_pde_residuals(traj: InterfaceTrajectory, cutoff: CutoffSpec,
     fm = extended_fields(traj, cutoff, grid, t - dt_fd if t >= dt_fd else 0.0)
     span = (t + dt_fd) - (t - dt_fd if t >= dt_fd else 0.0)
 
-    dts_xi = (fp.xi - fm.xi) / span
-    dts_xi2 = (np.sum(fp.xi ** 2, axis=0) - np.sum(fm.xi ** 2, axis=0)) / span
+    # the stencils need xi on the whole grid; the three tubes differ
+    xi, xi_p, xi_m = (f.scatter(f.xi) for f in (f0, fp, fm))
+    hvec = f0.scatter(f0.hvec)
+    dts_xi = (xi_p - xi_m) / span
+    dts_xi2 = (np.sum(xi_p ** 2, axis=0) - np.sum(xi_m ** 2, axis=0)) / span
 
-    grads = [grid.gradient(f0.xi[i]) for i in range(grid.ncomp)]
-    adv = np.stack([np.sum(f0.hvec * grads[i], axis=0)
+    grads = [grid.gradient(xi[i]) for i in range(grid.ncomp)]
+    adv = np.stack([np.sum(hvec * grads[i], axis=0)
                     for i in range(grid.ncomp)])
-    r1 = dts_xi + adv + f0.grad_h_vec(f0.xi)
+    r1 = dts_xi + adv + f0.scatter(f0.grad_h_vec(f0.xi))
 
-    grad_xi2 = grid.gradient(np.sum(f0.xi ** 2, axis=0))
-    r2 = dts_xi2 + np.sum(f0.hvec * grad_xi2, axis=0)
+    grad_xi2 = grid.gradient(np.sum(xi ** 2, axis=0))
+    r2 = dts_xi2 + np.sum(hvec * grad_xi2, axis=0)
 
     div_fd = sum(grads[i][i] for i in range(grid.ncomp))
-    r3 = -div_fd - np.sum(f0.hvec * f0.xi, axis=0)
+    r3 = -div_fd - np.sum(hvec * xi, axis=0)
 
     floor = 2.0 * grid.h
     adist = np.abs(f0.dist)

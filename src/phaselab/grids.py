@@ -60,12 +60,20 @@ class Grid:
             return -self.half_width + (np.arange(self.npts) + 0.5) * self.h
         return np.arange(self.npts) * self.h
 
+    @cached_property
     def coords(self) -> np.ndarray:
-        """Coordinate arrays stacked on a leading axis, shape (ncomp,) + shape."""
+        """Coordinate arrays stacked on a leading axis, shape (ncomp,) + shape.
+
+        Built once per grid and shared by validation, the initial data and
+        every diagnostic row, so the array is read-only.
+        """
         if self.mode == RADIAL:
-            return self.axis[np.newaxis, :]
-        mesh = np.meshgrid(*([self.axis] * self.dim), indexing="ij")
-        return np.stack(mesh, axis=0)
+            out = self.axis[np.newaxis, :]
+        else:
+            out = np.stack(np.meshgrid(*([self.axis] * self.dim),
+                                       indexing="ij"), axis=0)
+        out.flags.writeable = False
+        return out
 
     @cached_property
     def quad_weights(self) -> np.ndarray:
@@ -84,7 +92,9 @@ class Grid:
         return w
 
     def integrate(self, f) -> float:
-        return float(np.sum(self.quad_weights * f))
+        # the ndarray method: np.sum's dispatch costs more than the sum on
+        # the radial line
+        return float((self.quad_weights * f).sum())
 
     def gradient(self, u: np.ndarray) -> np.ndarray:
         """Central differences with mirror ghosts, shape (ncomp,) + shape.

@@ -53,8 +53,12 @@ class PotentialSpec:
 
     def sqrt2w(self, u):
         """sqrt(2 W(u)) on clamped input, floored at zero against roundoff."""
-        uc = np.clip(u, -1.0, 1.0)
-        return np.sqrt(np.maximum(2.0 * self.w(uc), 0.0))
+        return root_2w(self.w(np.clip(u, -1.0, 1.0)))
+
+
+def root_2w(w):
+    """sqrt(2 w) from values w of W, floored at zero against roundoff."""
+    return np.sqrt(np.maximum(2.0 * w, 0.0))
 
 
 def count_excursions(u, tol: float = 1e-12, bounds=None) -> int:

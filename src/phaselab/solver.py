@@ -137,7 +137,7 @@ def _boundary_flatness_issue(cfg) -> Optional[str]:
     the interface legitimately crosses them).  Only those cells are
     evaluated; the run builds the whole field once."""
     grid = cfg.grid
-    pts = np.moveaxis(grid.coords(), 0, -1)
+    pts = np.moveaxis(grid.coords, 0, -1)
     if grid.mode == RADIAL:
         faces = [pts[-1:]]
     else:
@@ -170,7 +170,7 @@ def initial_data(cfg: SimulationConfig) -> np.ndarray:
 
     cfg is not validated here; callers run validate first.
     """
-    return _profile_at(cfg, np.moveaxis(cfg.grid.coords(), 0, -1))
+    return _profile_at(cfg, np.moveaxis(cfg.grid.coords, 0, -1))
 
 
 def make_stepper(cfg: SimulationConfig) -> Callable:
@@ -235,6 +235,7 @@ class RunResult:
     snapshots: list = field(default_factory=list)   # (t, field) pairs
     final_field: Optional[np.ndarray] = None
     wall_s: float = 0.0
+    rows_s: float = 0.0   # wall time inside the diagnostic rows
 
 
 def run(cfg: SimulationConfig, snapshot_every: Optional[int] = None,
@@ -254,11 +255,16 @@ def run(cfg: SimulationConfig, snapshot_every: Optional[int] = None,
     start = time.perf_counter()
     dt = cfg.dt_actual()
     n_steps = cfg.steps()
+    rows_s = 0.0
 
     def measure(u, t):
-        return diagnostics.relative_entropy(
+        nonlocal rows_s
+        row_start = time.perf_counter()
+        row = diagnostics.relative_entropy(
             u, cfg.epsilon, cfg.potential, cfg.trajectory, cfg.cutoff,
             cfg.grid, t, s0=cfg.s0, with_identity=cfg.compute_identity)
+        rows_s += time.perf_counter() - row_start
+        return row
 
     u = initial_data(cfg)
     rows = [measure(u, 0.0)]
@@ -286,4 +292,4 @@ def run(cfg: SimulationConfig, snapshot_every: Optional[int] = None,
     return RunResult(times=np.array([b.t for b in rows]), breakdowns=rows,
                      dt=dt, n_steps=n_steps, clamp_count=clamps,
                      snapshots=snapshots, final_field=u,
-                     wall_s=time.perf_counter() - start)
+                     wall_s=time.perf_counter() - start, rows_s=rows_s)

@@ -105,6 +105,15 @@ def test_simulate_plane_smoke(tmp_path):
     assert np.max(np.abs(values)) <= 1.0
 
 
+def test_simulate_manifest_records_row_time(tmp_path):
+    out = tmp_path / "run"
+    assert cli.main(["simulate", "--config", str(CONFIGS / "plane1d.json"),
+                     "--out", str(out)]) == 0
+    timings = json.loads((out / "manifest.json").read_text())["timings"]
+    assert set(timings) == {"wall_s", "run_wall_s", "rows_s"}
+    assert 0.0 < timings["rows_s"] < timings["run_wall_s"] < timings["wall_s"]
+
+
 def test_simulate_rejects_unresolved_layer(tmp_path, capsys):
     doc = json.loads((CONFIGS / "plane1d.json").read_text())
     doc["grid"]["npts"] = 20   # h = eps/1
@@ -466,6 +475,9 @@ READ_ELSEWHERE = [   # (command, config, values set, message)
     ("sweep", "initial_entropy_plane.json",
      {("base", "diagnostics"): {"compute_identity": False}},
      "diagnostics.compute_identity: read only in mode 'full'"),
+    ("sweep", "initial_entropy_plane.json",
+     {("base", "diagnostics"): {"s0": 0.1}},
+     "diagnostics.s0: read only in mode 'full'"),
 ]
 
 
@@ -503,4 +515,4 @@ def test_initial_entropy_reads_no_step_size(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())["config"]
     assert "dt_over_eps2" not in manifest
     assert manifest["base"]["stepper"] == {}
-    assert list(manifest["base"]["diagnostics"]) == ["s0"]
+    assert manifest["base"]["diagnostics"] == {}

@@ -8,6 +8,7 @@ from scipy.integrate import quad
 
 import phaselab as pl
 from phaselab import diagnostics as dg
+from phaselab.geometry import ExtendedFields
 
 from conftest import make_circle_config, make_plane_config
 
@@ -292,3 +293,157 @@ def test_csv_rendering_fixed_columns():
     assert body.split(",")[0] == "0.1"
     assert body.split(",")[-1] == "nan"
     assert dg.rows_to_csv([row]) == text   # deterministic
+
+
+# --- whole-grid oracle --------------------------------------------------
+# The diagnostics evaluate the interface fields on the cutoff's tube only
+# and scatter each integrand onto the whole grid.  The oracle below is the
+# earlier whole-grid evaluation: every interface field on every cell, and
+# every integrand built from whole-grid arrays.  The two must agree to the
+# last bit, because each quadrature sums the same array.
+
+def oracle_fields(traj, cutoff, grid, t):
+    """Every interface field on every cell of the grid (the tube is the
+    whole grid)."""
+    X = grid.coords
+    shape = X.shape[1:]
+    zeros_s, zeros_v = np.zeros(shape), np.zeros(X.shape)
+    if isinstance(traj, pl.PlaneInterface):
+        n = np.asarray(traj.normal, dtype=float)
+        dist = np.tensordot(n, X, axes=(0, 0)) - traj.offset
+        n_field = n.reshape((-1,) + (1,) * len(shape)) * np.ones(shape)
+        fields = dict(xi=cutoff.eta(dist) * n_field, hvec=zeros_v,
+                      div_xi=cutoff.deta(dist), div_h=zeros_s, dt_xi=zeros_v,
+                      adv_xi=zeros_v, grad_h_rad=zeros_s,
+                      grad_h_tan=zeros_s, e=zeros_v)
+    else:
+        if grid.mode == "radial":
+            r = grid.axis
+            e = np.where(r > 0.0, 1.0, 0.0)[np.newaxis, :]
+        else:
+            rel = X - np.asarray(traj.center).reshape(
+                (-1,) + (1,) * len(shape))
+            r = np.sqrt(np.sum(rel ** 2, axis=0))
+        safe_r = np.where(r > 0.0, r, 1.0)
+        if grid.mode != "radial":
+            e = np.where(r > 0.0, rel / safe_r, 0.0)
+        dist = traj.radius(t) - r
+        d, k = traj.dim, traj.curvature_scale(t)
+        eta, deta = cutoff.eta(dist), cutoff.deta(dist)
+        eta_t = cutoff.eta_tilde(dist)
+        deta_t = cutoff.profile(dist)[3]
+        fields = dict(xi=-eta * e, hvec=-k * eta_t * e,
+                      div_xi=deta - (d - 1) * eta / safe_r,
+                      div_h=k * deta_t - (d - 1) * k * eta_t / safe_r,
+                      dt_xi=k * deta * e, adv_xi=-k * eta_t * deta * e,
+                      grad_h_rad=k * deta_t, grad_h_tan=-k * eta_t / safe_r,
+                      e=e)
+    return ExtendedFields(dist=dist, chi=np.where(dist >= 0.0, 1.0, -1.0),
+                          tube=np.arange(dist.size), **fields)
+
+
+def oracle_relative_entropy(u, eps, pot, traj, cutoff, grid, t, s0):
+    """relative_entropy (with the identity) from whole-grid integrands."""
+    d = dg.derived_fields(u, eps, pot, grid)
+    ef = oracle_fields(traj, cutoff, grid, t)
+    quad = grid.integrate
+
+    xi_dot_gpsi = np.sum(ef.xi * d.grad_psi, axis=0)
+    energy = quad(d.density)
+    entropy = quad(d.density - xi_dot_gpsi)
+    diss = quad(d.curvature_scalar ** 2 / eps)
+
+    defect = np.sqrt(eps) * d.gmag - d.sqrt2w / np.sqrt(eps)
+    nmxi = d.n - ef.xi
+    nmxi2 = np.sum(nmxi * nmxi, axis=0)
+
+    hvec_diff = d.curvature_scalar * d.n - eps * d.gmag * ef.hvec
+    dsq_curv = quad(np.sum(hvec_diff ** 2, axis=0) / (4.0 * eps))
+    dsq_vel = quad((d.curvature_scalar - (-ef.div_xi) * d.sqrt2w) ** 2
+                   / (4.0 * eps))
+
+    b = dg.EntropyBreakdown(
+        t=t, gl_energy=energy, dissipation=diss, rel_entropy=entropy,
+        equipartition_defect=quad(defect ** 2),
+        misalignment=quad(nmxi2 * d.grad_psi_mag),
+        tilt_excess=quad(nmxi2 * eps * d.gmag ** 2),
+        dist_weighted_energy=quad(np.minimum(ef.dist ** 2, 1.0) * d.density),
+        defect_sq_curvature=dsq_curv, defect_sq_velocity=dsq_vel,
+        err_l1=quad(np.abs(d.psi - ef.chi)),
+        err_weighted=quad((ef.chi - d.psi)
+                          * pl.tau_truncation(ef.dist / s0)))
+
+    g1 = -2.0 * (dsq_curv + dsq_vel)
+    h2 = np.sum(ef.hvec ** 2, axis=0)
+    h_dot_gpsi = np.sum(ef.hvec * d.grad_psi, axis=0)
+    g2 = quad(h2 * 0.5 * eps * d.gmag ** 2 + ef.div_xi ** 2 * d.w / eps
+              + h_dot_gpsi * ef.div_xi)
+    g3 = quad(ef.div_h * (d.density - d.grad_psi_mag))
+    g4 = -quad(ef.grad_h_quad(d.n) * (eps * d.gmag ** 2 - d.grad_psi_mag))
+    g5 = -quad(ef.grad_h_quad(nmxi) * d.grad_psi_mag)
+    g6 = quad(ef.div_h * (d.grad_psi_mag - xi_dot_gpsi))
+    t7 = ef.dt_xi + ef.adv_xi + ef.grad_h_vec(ef.xi)
+    g7 = -quad(np.sum((d.grad_psi - d.grad_psi_mag * ef.xi) * t7, axis=0))
+    t8 = ef.dt_xi + ef.adv_xi
+    g8 = -quad(d.grad_psi_mag * np.sum(ef.xi * t8, axis=0))
+    b.identity_rhs = g1 + g2 + g3 + g4 + g5 + g6 + g7 + g8
+    return b
+
+
+def plane_with_cell_on_tube_edge(pot, profile):
+    """A 1D plane whose cutoff puts one cell at |dist| = r_c/2 exactly: the
+    ramp of the cutoff reads exactly 1 there."""
+    cfg = make_plane_config(pot, profile, eps=0.05, h_over_eps=4)
+    x = float(cfg.grid.axis[3 * cfg.grid.npts // 4])
+    return replace(cfg, cutoff=pl.CutoffSpec(r_c=2.0 * x))
+
+
+ORACLE_GEOMETRIES = {
+    "full2d_circle": lambda pot, prof: make_circle_config(
+        pot, prof, eps=0.1, half_width=1.4, h_over_eps=4, mode="full"),
+    "radial_circle_d2": lambda pot, prof: make_circle_config(
+        pot, prof, eps=0.08, half_width=1.4),
+    "radial_sphere_d3": lambda pot, prof: make_circle_config(
+        pot, prof, eps=0.08, half_width=1.4, dim=3),
+    "plane1d": lambda pot, prof: make_plane_config(pot, prof),
+    "tilted_plane2d": lambda pot, prof: replace(
+        make_plane_config(pot, prof, eps=0.1, half_width=1.0, h_over_eps=4,
+                          dim=2),
+        trajectory=pl.PlaneInterface(normal=(0.6, 0.8), offset=0.1,
+                                     t_max=10.0)),
+    "plane1d_cell_on_tube_edge": plane_with_cell_on_tube_edge,
+}
+
+
+@pytest.mark.parametrize("geometry", sorted(ORACLE_GEOMETRIES))
+def test_tube_evaluation_matches_whole_grid_oracle(standard_potential,
+                                                   profile, geometry):
+    cfg = ORACLE_GEOMETRIES[geometry](standard_potential, profile)
+    s0 = dg.default_s0(cfg.cutoff)
+    ef = pl.extended_fields(cfg.trajectory, cfg.cutoff, cfg.grid, 0.0)
+    assert 0 < ef.tube.size < ef.dist.size   # the tube is a proper subset
+    if geometry == "plane1d_cell_on_tube_edge":
+        assert np.count_nonzero(
+            np.abs(ef.dist) == cfg.cutoff.r_c / 2.0) == 1
+
+    u = pl.initial_data(cfg)
+    step = pl.make_stepper(cfg)
+    for k in range(31):   # the profile data, then a stepped field
+        if k in (0, 30):
+            t = k * cfg.dt_actual()
+            got = dg.relative_entropy(u, cfg.epsilon, cfg.potential,
+                                      cfg.trajectory, cfg.cutoff, cfg.grid,
+                                      t, s0=s0, with_identity=True)
+            want = oracle_relative_entropy(u, cfg.epsilon, cfg.potential,
+                                           cfg.trajectory, cfg.cutoff,
+                                           cfg.grid, t, s0)
+            assert dg.rows_to_csv([got]) == dg.rows_to_csv([want])
+            assert got.identity_rhs == want.identity_rhs
+        u = step(u)
+
+
+def test_sqrt2w_of_derived_fields_is_the_potentials(standard_potential):
+    u = np.random.default_rng(7).uniform(-1.3, 1.3, 400)
+    grid = pl.radial_grid(2, 1.0, 400)
+    d = dg.derived_fields(u, 0.1, standard_potential, grid)
+    assert np.array_equal(d.sqrt2w, standard_potential.sqrt2w(u))

@@ -1,9 +1,11 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
 import phaselab as pl
-from phaselab.geometry import extended_fields, tau_truncation
+from phaselab.geometry import extended_fields, radial_frame, tau_truncation
 
 
 @pytest.fixture(scope="module")
@@ -29,16 +31,30 @@ class PointsGrid:
     mode = "full"
 
     def __init__(self, pts):
-        self.pts = np.atleast_2d(np.asarray(pts, dtype=float)).T
-        self.ncomp = self.pts.shape[0]
+        self.coords = np.atleast_2d(np.asarray(pts, dtype=float)).T
+        self.ncomp = self.coords.shape[0]
 
-    def coords(self):
-        return self.pts
+
+TUBE_FIELDS = ("xi", "hvec", "div_xi", "div_h", "dt_xi", "adv_xi",
+               "grad_h_rad", "grad_h_tan", "e")
+
+
+def on_grid(f):
+    """The fields of f on every cell: the tube fields scattered onto the
+    whole grid, zero off the tube."""
+    return SimpleNamespace(dist=f.dist, chi=f.chi,
+                           **{name: f.scatter(getattr(f, name))
+                              for name in TUBE_FIELDS})
 
 
 def fields_at(traj, cutoff, pts, t):
     """extended_fields at the rows of pts; vector fields are (d, npts)."""
-    return extended_fields(traj, cutoff, PointsGrid(pts), t)
+    return on_grid(extended_fields(traj, cutoff, PointsGrid(pts), t))
+
+
+def normals_at(sphere, pts):
+    """The unit normal -e at the rows of pts, off the tube too."""
+    return -radial_frame(PointsGrid(pts), sphere.center)[2].T
 
 
 def test_signed_distance_sphere(sphere):
@@ -69,7 +85,7 @@ def test_sphere_guards():
         pl.signed_distance(sph, [0.0, 0.0], 0.35)
 
 
-def test_normal_is_distance_gradient(sphere, cutoff):
+def test_normal_is_distance_gradient(sphere):
     rng = np.random.default_rng(3)
     pts = rng.uniform(-0.15, 0.15, size=(40, 2))
     pts[:, 0] += 0.95
@@ -79,18 +95,18 @@ def test_normal_is_distance_gradient(sphere, cutoff):
         (pl.signed_distance(sphere, pts + off, t)
          - pl.signed_distance(sphere, pts - off, t)) / (2 * d)
         for off in (np.array([d, 0.0]), np.array([0.0, d]))], axis=-1)
-    normals = -fields_at(sphere, cutoff, pts, t).e.T
+    normals = normals_at(sphere, pts)
     assert np.max(np.abs(grad - normals)) < 1e-6
 
 
-def test_distance_rate_matches_curvature(sphere, cutoff):
+def test_distance_rate_matches_curvature(sphere):
     # d/dt dist = -H . n in the tube
     pts = np.array([[0.9, 0.1], [0.7, -0.4], [1.05, 0.0]])
     t, dt = 0.1, 1e-6
     rate = (pl.signed_distance(sphere, pts, t + dt)
             - pl.signed_distance(sphere, pts, t - dt)) / (2 * dt)
     k = sphere.curvature_scale(t)
-    n = -fields_at(sphere, cutoff, pts, t).e.T
+    n = normals_at(sphere, pts)
     hvec = k * n
     assert np.max(np.abs(rate + np.sum(hvec * n, axis=-1))) < 1e-8
 
@@ -190,7 +206,7 @@ def test_extended_curvature_against_divergence_oracle(sphere, cutoff):
 def test_extended_fields_radial_matches_full(sphere, cutoff):
     t = 0.1
     grid_r = pl.radial_grid(2, 1.4, 281)
-    fr = extended_fields(sphere, cutoff, grid_r, t)
+    fr = on_grid(extended_fields(sphere, cutoff, grid_r, t))
     ff = fields_at(sphere, cutoff,
                    np.stack([grid_r.axis, np.zeros_like(grid_r.axis)],
                             axis=-1), t)
@@ -208,7 +224,7 @@ def test_analytic_divergence_against_stencil(sphere, cutoff):
     errs = []
     for n in (200, 400):
         grid = pl.full_grid(2, 1.4, n)
-        f = extended_fields(sphere, cutoff, grid, t)
+        f = on_grid(extended_fields(sphere, cutoff, grid, t))
         div_fd = sum(grid.gradient(f.xi[i])[i] for i in range(2))
         mask = np.abs(f.dist) <= cutoff.r_c / 2
         err = np.abs(div_fd - f.div_xi)[mask]

@@ -65,7 +65,7 @@ def test_laplacian_second_order_interior_2d():
     errs = []
     for n in (32, 64):
         g = pl.full_grid(2, 1.0, n)
-        x = g.coords()
+        x = g.coords
         u = np.sin(x[0]) * np.cos(x[1])
         exact = -2.0 * u
         err = np.abs(g.laplacian(u) - exact)[4:-4, 4:-4]

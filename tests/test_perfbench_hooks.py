@@ -1,8 +1,8 @@
 """The benchmark child (perfbench/child.py) wraps module attributes of the
-program by name and counts the work of a traced run.  This runs it once on
-the small plane config, so that renaming a wrapped attribute or changing the
-quadrature calls per diagnostic row fails here rather than in the
-benchmark."""
+program by name and counts the work of a traced run.  This runs it on the
+small plane config and on a small full-grid circle with identity rows, so
+that renaming a wrapped attribute or changing the quadrature calls per
+diagnostic row fails here rather than in the benchmark."""
 
 import json
 import subprocess
@@ -12,19 +12,41 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_traced_child_counts_plane_simulation(tmp_path):
+def traced_counts(tmp_path, config) -> dict:
+    """The work counts of one traced `simulate` run of the child."""
     result = tmp_path / "r.json"
     proc = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "child.py"), "trace",
-         str(result), "simulate", "--config",
-         str(ROOT / "configs" / "plane1d.json"), "--out", str(tmp_path / "o")],
+         str(result), "simulate", "--config", str(config),
+         "--out", str(tmp_path / "o")],
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(result.read_text())
     assert doc["exit"] == 0
-    assert doc["trace"]["counts"] == {
+    return doc["trace"]["counts"]
+
+
+def test_traced_child_counts_plane_simulation(tmp_path):
+    assert traced_counts(tmp_path, ROOT / "configs" / "plane1d.json") == {
         "solver.steps": 160,
         "diagnostics.rows": 17,
         "grids.integrate_calls": 187,   # 11 per row
+        "potentials.clamp_count": 0,
+    }
+
+
+def test_traced_child_counts_full_grid_identity_rows(tmp_path):
+    config = tmp_path / "circle_full2d.json"
+    config.write_text(json.dumps({
+        "epsilon": 0.16,
+        "trajectory": {"type": "sphere", "dim": 2, "radius0": 1.0,
+                       "t_max": 0.1},
+        "grid": {"mode": "full", "half_width": 2.0},
+        "stepper": {"t_end": 0.02},
+        "diagnostics": {"cadence": 4, "compute_identity": True}}))
+    assert traced_counts(tmp_path, config) == {
+        "solver.steps": 16,
+        "diagnostics.rows": 5,
+        "grids.integrate_calls": 90,   # 18 per row: 11 plus 7 identity groups
         "potentials.clamp_count": 0,
     }
