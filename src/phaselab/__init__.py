@@ -15,7 +15,7 @@ from .experiments import (GronwallFit, RateFit, RateReport, SweepPlan,
                           check_identities, fit_rate, gronwall_fit,
                           initial_entropy_study, run_sweep)
 from .geometry import (CutoffSpec, PlaneInterface, SphereInterface,
-                       extended_fields, signed_distance, tau_truncation,
+                       extended_fields, interface_distance, tau_truncation,
                        xi_pde_residuals)
 from .grids import Grid, full_grid, radial_grid
 from .potentials import (PotentialSpec, ProfileTable, make_polynomial_potential,

@@ -176,7 +176,8 @@ def relative_entropy(u: np.ndarray, eps: float, pot: PotentialSpec,
         err_weighted=err_w)
 
     if with_identity:
-        b.identity_rhs = _identity_rhs(eps, dtube, ef, quad, dsq_curv, dsq_vel)
+        b.identity_rhs = _identity_rhs(eps, dtube, ef, quad, dsq_curv,
+                                       dsq_vel, xi_dot_gpsi, nmxi)
     return b
 
 
@@ -196,19 +197,22 @@ def _tau_of_distance(dist, s0):
     return tau
 
 
-def _identity_rhs(eps, d: DerivedFields, ef, quad, dsq_curv, dsq_vel):
+def _identity_rhs(eps, d: DerivedFields, ef, quad, dsq_curv, dsq_vel,
+                  xi_dot_gpsi, nmxi):
     """Assemble the eight integral groups of the entropy evolution identity.
 
     For an exact solution the time derivative of the relative entropy
     equals this sum; the first group carries the two defect squares with
     twice their stored 1/(4 eps) weight.  The integrands of g2-g8 vanish
-    off the tube: d holds the derived fields at the tube cells, and each
-    group's integrand is scattered onto a whole grid of zeros.
+    off the tube: d, xi . grad psi and n - xi are taken at the tube cells,
+    and each group's integrand is scattered onto one whole grid of zeros,
+    whose cells off the tube no group writes.
     """
     g1 = -2.0 * (dsq_curv + dsq_vel)
+    zeros = np.zeros(ef.dist.shape)
 
     def integral(values):
-        return quad(ef.scatter(values))
+        return quad(ef.scatter(values, zeros))
 
     h2 = np.sum(ef.hvec ** 2, axis=0)
     h_dot_gpsi = np.sum(ef.hvec * d.grad_psi, axis=0)
@@ -221,10 +225,8 @@ def _identity_rhs(eps, d: DerivedFields, ef, quad, dsq_curv, dsq_vel):
     quad_nn = ef.grad_h_quad(d.n)
     g4 = -integral(quad_nn * (eps * d.gmag ** 2 - d.grad_psi_mag))
 
-    nmxi = d.n - ef.xi
     g5 = -integral(ef.grad_h_quad(nmxi) * d.grad_psi_mag)
 
-    xi_dot_gpsi = np.sum(ef.xi * d.grad_psi, axis=0)
     g6 = integral(ef.div_h * (d.grad_psi_mag - xi_dot_gpsi))
 
     t7 = ef.dt_xi + ef.adv_xi + ef.grad_h_vec(ef.xi)

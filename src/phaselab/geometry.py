@@ -3,12 +3,14 @@ vector fields built from them.
 
 Two closed-form trajectories are supported: a stationary flat plane and a
 shrinking sphere with radius law R(t)^2 = R0^2 - 2 (d-1) t.  The signed
-distance is positive inside the enclosed phase.  The extended unit normal
-is damped by a cutoff eta supported on a tube of width r_c around the
-interface; the extended curvature vector uses the plateau part eta_tilde of
-the cutoff.  All fields have closed-form space and time derivatives here,
-which the diagnostics use directly and the finite-difference residual
-checks are validated against.
+distance is positive inside the enclosed phase; interface_distance is the
+one function that computes it, on a whole grid, and the initial data, the
+boundary-flatness rule and the interface fields all read it.  The extended
+unit normal is damped by a cutoff eta supported on a tube of width r_c
+around the interface; the extended curvature vector uses the plateau part
+eta_tilde of the cutoff.  All fields have closed-form space and time
+derivatives here, which the diagnostics use directly and the
+finite-difference residual checks are validated against.
 """
 
 from __future__ import annotations
@@ -86,19 +88,6 @@ InterfaceTrajectory = Union[PlaneInterface, SphereInterface]
 def _check_time(traj: InterfaceTrajectory, t: float) -> None:
     if t < -1e-12 or t > traj.t_max + 1e-12:
         raise ValueError(f"t={t} outside [0, t_max={traj.t_max}]")
-
-
-def signed_distance(traj: InterfaceTrajectory, x, t: float):
-    """Exact signed distance to the interface at time t, positive inside.
-
-    x has the coordinate axis last: shape (..., d).
-    """
-    _check_time(traj, t)
-    x = np.asarray(x, dtype=float)
-    if isinstance(traj, PlaneInterface):
-        return x @ np.asarray(traj.normal) - traj.offset
-    rel = x - np.asarray(traj.center)
-    return traj.radius(t) - np.linalg.norm(rel, axis=-1)
 
 
 def smoothstep(x):
@@ -222,6 +211,20 @@ class ExtendedFields:
             + self.grad_h_tan * (w - ew * self.e)
 
 
+def interface_distance(traj: InterfaceTrajectory, grid: Grid,
+                       t: float) -> np.ndarray:
+    """Exact signed distance to the interface at time t on every cell of
+    the grid, positive inside.  The one place the distance is computed: the
+    initial data, the boundary-flatness rule and the interface fields all
+    read it.  A radial grid takes a sphere centered at the origin
+    (solver.validate enforces it)."""
+    _check_time(traj, t)
+    if isinstance(traj, PlaneInterface):
+        n = np.asarray(traj.normal, dtype=float)
+        return np.tensordot(n, grid.coords, axes=(0, 0)) - traj.offset
+    return traj.radius(t) - radial_frame(grid, traj.center)[0]
+
+
 def extended_fields(traj: InterfaceTrajectory, cutoff: CutoffSpec,
                     grid: Grid, t: float) -> ExtendedFields:
     """Evaluate every interface field the diagnostics need on the grid.
@@ -229,18 +232,10 @@ def extended_fields(traj: InterfaceTrajectory, cutoff: CutoffSpec,
     dist and chi are evaluated on every cell, the other fields on the
     cutoff's tube only; off the tube each of them is an exact zero.
     """
-    _check_time(traj, t)
-    if grid.mode == RADIAL:
-        if not isinstance(traj, SphereInterface):
-            raise ValueError("radial grids require a sphere trajectory")
-        if np.linalg.norm(traj.center) > 1e-12:
-            raise ValueError(
-                "radial grids require the sphere centered at origin")
-
+    dist = interface_distance(traj, grid, t)
+    tube = np.flatnonzero(cutoff.in_tube(dist))
     if isinstance(traj, PlaneInterface):
         n = np.asarray(traj.normal, dtype=float)
-        dist = np.tensordot(n, grid.coords, axes=(0, 0)) - traj.offset
-        tube = np.flatnonzero(cutoff.in_tube(dist))
         s = _at_cells(dist, tube, dist.ndim)
         zeros_s = np.zeros(s.shape)
         zeros_v = np.zeros((len(n),) + s.shape)
@@ -250,11 +245,9 @@ def extended_fields(traj: InterfaceTrajectory, cutoff: CutoffSpec,
                       adv_xi=zeros_v, grad_h_rad=zeros_s, grad_h_tan=zeros_s,
                       e=zeros_v)
     else:
-        r, safe_r, e = radial_frame(grid, traj.center)
-        dist = traj.radius(t) - r
-        tube = np.flatnonzero(cutoff.in_tube(dist))
+        _, safe_r, e = radial_frame(grid, traj.center)
         fields = _sphere_fields(
-            traj.dim, cutoff, *(_at_cells(f, tube, r.ndim)
+            traj.dim, cutoff, *(_at_cells(f, tube, dist.ndim)
                                 for f in (dist, e, safe_r)),
             traj.curvature_scale(t))
     return ExtendedFields(dist=dist, chi=np.where(dist >= 0.0, 1.0, -1.0),

@@ -1,6 +1,9 @@
 """Time integration of the phase-field equation du/dt = lap u - W'(u)/eps^2
 on full grids (d = 1, 2) and on the radial line (d >= 2), from profile
-initial data u(x, 0) = theta(dist(x) / eps).
+initial data u(x, 0) = theta(dist(x) / eps), where dist is the signed
+distance geometry.interface_distance gives the diagnostics too.  The
+boundary-flatness rule of validate reads the same distance on the boundary
+cells, so a run builds its initial data once.
 
 The one stepper is semi-implicit: the Laplacian is treated implicitly
 (diagonalized by a cosine transform on full zero-flux grids, a tridiagonal
@@ -23,7 +26,7 @@ from scipy.linalg.lapack import dgttrf, dgttrs
 
 from . import diagnostics
 from .geometry import (CutoffSpec, InterfaceTrajectory, PlaneInterface,
-                       SphereInterface, signed_distance)
+                       SphereInterface, interface_distance)
 from .grids import FULL, Grid, RADIAL
 from .potentials import PotentialSpec, ProfileTable, count_excursions
 
@@ -134,20 +137,20 @@ def validate(cfg: SimulationConfig) -> list:
 def _boundary_flatness_issue(cfg) -> Optional[str]:
     """Initial data must sit in the exponentially flat region on boundary
     cells facing the phase direction (faces parallel to a plane are exempt:
-    the interface legitimately crosses them).  Only those cells are
-    evaluated; the run builds the whole field once."""
+    the interface legitimately crosses them).  The profile is evaluated on
+    those cells only; the run builds the whole field once."""
     grid = cfg.grid
-    pts = np.moveaxis(grid.coords, 0, -1)
+    dist = interface_distance(cfg.trajectory, grid, 0.0)
     if grid.mode == RADIAL:
-        faces = [pts[-1:]]
+        faces = [dist[-1:]]
     else:
         normal = None
         if isinstance(cfg.trajectory, PlaneInterface):
             normal = np.asarray(cfg.trajectory.normal)
-        faces = [np.take(pts, side, axis=ax) for ax in range(grid.dim)
+        faces = [np.take(dist, side, axis=ax) for ax in range(grid.dim)
                  if normal is None or abs(normal[ax]) >= 1e-9
                  for side in (0, -1)]
-    worst = min(float(np.min(np.abs(_profile_at(cfg, face))))
+    worst = min(float(np.min(np.abs(cfg.profile(face / cfg.epsilon))))
                 for face in faces)
     if worst < 1.0 - BOUNDARY_FLATNESS:
         return (f"grid.half_width: initial profile not flat at the boundary "
@@ -155,22 +158,13 @@ def _boundary_flatness_issue(cfg) -> Optional[str]:
     return None
 
 
-def _profile_at(cfg: SimulationConfig, pts) -> np.ndarray:
-    """theta(dist / eps) at t = 0 on points with the coordinate axis last
-    (the radius alone on the radial line)."""
-    if cfg.grid.mode == RADIAL:
-        dist = cfg.trajectory.radius(0.0) - pts[..., 0]
-    else:
-        dist = signed_distance(cfg.trajectory, pts, 0.0)
-    return np.asarray(cfg.profile(dist / cfg.epsilon), dtype=float)
-
-
 def initial_data(cfg: SimulationConfig) -> np.ndarray:
     """Profile initial data u = theta(dist / eps), values in [-1, 1].
 
     cfg is not validated here; callers run validate first.
     """
-    return _profile_at(cfg, np.moveaxis(cfg.grid.coords, 0, -1))
+    return cfg.profile(
+        interface_distance(cfg.trajectory, cfg.grid, 0.0) / cfg.epsilon)
 
 
 def make_stepper(cfg: SimulationConfig) -> Callable:

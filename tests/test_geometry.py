@@ -5,7 +5,8 @@ import pytest
 from scipy.integrate import solve_ivp
 
 import phaselab as pl
-from phaselab.geometry import extended_fields, radial_frame, tau_truncation
+from phaselab.geometry import (extended_fields, interface_distance,
+                               radial_frame, tau_truncation)
 
 
 @pytest.fixture(scope="module")
@@ -26,7 +27,7 @@ def cutoff():
 
 class PointsGrid:
     """Duck-typed full grid whose coordinates are arbitrary points, so that
-    extended_fields can be evaluated pointwise."""
+    interface_distance and extended_fields can be evaluated pointwise."""
 
     mode = "full"
 
@@ -47,6 +48,11 @@ def on_grid(f):
                               for name in TUBE_FIELDS})
 
 
+def distance_at(traj, pts, t):
+    """interface_distance at the rows of pts."""
+    return interface_distance(traj, PointsGrid(pts), t)
+
+
 def fields_at(traj, cutoff, pts, t):
     """extended_fields at the rows of pts; vector fields are (d, npts)."""
     return on_grid(extended_fields(traj, cutoff, PointsGrid(pts), t))
@@ -58,9 +64,9 @@ def normals_at(sphere, pts):
 
 
 def test_signed_distance_sphere(sphere):
-    assert pl.signed_distance(sphere, [0.0, 0.0], 0.0) == pytest.approx(1.0)
-    assert pl.signed_distance(sphere, [1.0, 0.0], 0.0) == pytest.approx(0.0)
-    val = pl.signed_distance(sphere, [2.0, 0.0], 0.25)
+    assert distance_at(sphere, [0.0, 0.0], 0.0) == pytest.approx(1.0)
+    assert distance_at(sphere, [1.0, 0.0], 0.0) == pytest.approx(0.0)
+    val = distance_at(sphere, [2.0, 0.0], 0.25)
     assert val == pytest.approx(np.sqrt(0.5) - 2.0, abs=1e-12)
 
 
@@ -82,7 +88,7 @@ def test_sphere_guards():
         pl.SphereInterface(center=(0.0, 0.0), radius0=1.0, dim=2, t_max=0.5)
     sph = pl.SphereInterface(center=(0.0, 0.0), radius0=1.0, dim=2, t_max=0.3)
     with pytest.raises(ValueError):
-        pl.signed_distance(sph, [0.0, 0.0], 0.35)
+        distance_at(sph, [0.0, 0.0], 0.35)
 
 
 def test_normal_is_distance_gradient(sphere):
@@ -92,8 +98,8 @@ def test_normal_is_distance_gradient(sphere):
     d = 1e-6
     t = 0.1
     grad = np.stack([
-        (pl.signed_distance(sphere, pts + off, t)
-         - pl.signed_distance(sphere, pts - off, t)) / (2 * d)
+        (distance_at(sphere, pts + off, t)
+         - distance_at(sphere, pts - off, t)) / (2 * d)
         for off in (np.array([d, 0.0]), np.array([0.0, d]))], axis=-1)
     normals = normals_at(sphere, pts)
     assert np.max(np.abs(grad - normals)) < 1e-6
@@ -103,8 +109,8 @@ def test_distance_rate_matches_curvature(sphere):
     # d/dt dist = -H . n in the tube
     pts = np.array([[0.9, 0.1], [0.7, -0.4], [1.05, 0.0]])
     t, dt = 0.1, 1e-6
-    rate = (pl.signed_distance(sphere, pts, t + dt)
-            - pl.signed_distance(sphere, pts, t - dt)) / (2 * dt)
+    rate = (distance_at(sphere, pts, t + dt)
+            - distance_at(sphere, pts, t - dt)) / (2 * dt)
     k = sphere.curvature_scale(t)
     n = normals_at(sphere, pts)
     hvec = k * n
@@ -172,7 +178,7 @@ def test_xi_length_bound(sphere, cutoff):
     rng = np.random.default_rng(11)
     pts = rng.uniform(-1.3, 1.3, size=(500, 2))
     vals = fields_at(sphere, cutoff, pts, 0.1).xi.T
-    dist = pl.signed_distance(sphere, pts, 0.1)
+    dist = distance_at(sphere, pts, 0.1)
     bound = np.maximum(1.0 - cutoff.c_quad * (dist / cutoff.r_c) ** 2, 0.0)
     assert np.all(np.linalg.norm(vals, axis=-1) <= bound + 1e-12)
 

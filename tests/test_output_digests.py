@@ -1,0 +1,68 @@
+"""Byte lock on the numerical outputs.
+
+Each case runs one command through `cli.main` and compares the sha256 of
+its numerical output with the digest recorded when the lock was set.  The
+digests hold for the numpy and scipy the project is tested with (numpy
+2.4.6, scipy 1.17.1 on x86-64): another build may move the last bit of a
+sum.  A change that moves bits on purpose updates the digest here and says
+so in CHANGES.md; any other change must leave them as they are.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+import scipy
+
+import phaselab.cli as cli
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def full2d_short(tmp_path):
+    """The full-grid circle workload with identity rows, cut to t = 0.01."""
+    doc = json.loads((ROOT / "perfbench" / "workloads"
+                      / "circle_full2d_identity.json").read_text())
+    doc["stepper"]["t_end"] = 0.01
+    path = tmp_path / "circle_full2d_short.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+CASES = {
+    "simulate-plane1d": (
+        "simulate", lambda tmp: ROOT / "configs" / "plane1d.json",
+        "diagnostics.csv",
+        "8c07706cda785c785b0a10769cf414d2bed64ade4631dfeb0c0abbe11bed1196"),
+    "simulate-circle_radial": (
+        "simulate", lambda tmp: ROOT / "configs" / "circle_radial.json",
+        "diagnostics.csv",
+        "231e727de0c1bc38f8500df2f6fc9a402c6714cd08b90b943e5ef8eaeed33106"),
+    "check-identities-plane": (
+        "check-identities",
+        lambda tmp: ROOT / "configs" / "identities_plane.json",
+        "identities.json",
+        "1c629b6e9266c5f18af1087b0e43d926f389d800bcefb7f260133ed07228d135"),
+    "simulate-circle_full2d_short": (
+        "simulate", full2d_short, "diagnostics.csv",
+        "6eeb21fe838dc325201b436fdb9f35a225fcf1bb6b93070f58af68510044fa81"),
+}
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_output_digest(tmp_path, capsys, case):
+    command, config, output, digest = CASES[case]
+    out = tmp_path / "out"
+    rc = cli.main([command, "--config", str(config(tmp_path)),
+                   "--out", str(out)])
+    capsys.readouterr()
+    assert rc == 0
+    got = hashlib.sha256((out / output).read_bytes()).hexdigest()
+    assert got == digest, (
+        f"{case}: {output} has sha256 {got}, the lock records {digest}. "
+        f"The recorded digests belong to numpy 2.4.6 and scipy 1.17.1 "
+        f"(running numpy {np.__version__}, scipy {scipy.__version__}). A "
+        f"change that moves these bits on purpose updates the digest and "
+        f"says so in CHANGES.md.")

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
@@ -197,11 +199,62 @@ def test_validation_radial_needs_origin_sphere(standard_potential, profile):
     assert any("radial mode requires a sphere" in m for m in issues)
 
 
-def test_validation_boundary_flatness(standard_potential, profile):
-    cfg = make_plane_config(standard_potential, profile, eps=0.05,
-                            half_width=0.15)
-    issues = pl.validate(cfg)
-    assert any("flat at the boundary" in m for m in issues)
+FLATNESS_CASES = {
+    "plane1d_narrow": (lambda pot, prof: make_plane_config(
+        pot, prof, eps=0.05, half_width=0.15), True),
+    # a circle shifted to leave 2 eps beyond the interface on one face only
+    "full2d_circle_narrow": (lambda pot, prof: replace(
+        make_circle_config(pot, prof, eps=0.1, half_width=1.6, h_over_eps=4,
+                           mode="full"),
+        trajectory=pl.SphereInterface(center=(0.4, 0.0), radius0=1.0, dim=2,
+                                      t_max=0.22)), True),
+    "radial_circle_narrow": (lambda pot, prof: make_circle_config(
+        pot, prof, eps=0.08, half_width=1.2), True),
+    # the faces y = +-L cross the interface x = 0 and are exempt
+    "plane2d_parallel_faces": (lambda pot, prof: make_plane_config(
+        pot, prof, dim=2), False),
+}
+
+
+@pytest.mark.parametrize("case", list(FLATNESS_CASES))
+def test_validation_boundary_flatness(standard_potential, profile, case):
+    make, flagged = FLATNESS_CASES[case]
+    issues = pl.validate(make(standard_potential, profile))
+    assert any("flat at the boundary" in m for m in issues) == flagged
+    if not flagged:
+        assert issues == []
+
+
+INITIAL_DATA_CASES = {
+    "full2d_circle": lambda pot, prof: make_circle_config(
+        pot, prof, eps=0.1, half_width=1.4, h_over_eps=4, mode="full"),
+    "full2d_circle_off_centre": lambda pot, prof: replace(
+        make_circle_config(pot, prof, eps=0.1, half_width=1.6, h_over_eps=4,
+                           mode="full"),
+        trajectory=pl.SphereInterface(center=(0.13, -0.21), radius0=1.0,
+                                      dim=2, t_max=0.22)),
+    "radial_circle_d2": lambda pot, prof: make_circle_config(
+        pot, prof, eps=0.08, half_width=1.4),
+    "radial_sphere_d3": lambda pot, prof: make_circle_config(
+        pot, prof, eps=0.08, half_width=1.4, dim=3),
+    "plane1d": lambda pot, prof: make_plane_config(pot, prof),
+    "tilted_plane2d": lambda pot, prof: replace(
+        make_plane_config(pot, prof, eps=0.1, half_width=1.0, h_over_eps=4,
+                          dim=2),
+        trajectory=pl.PlaneInterface(normal=(0.6, 0.8), offset=0.1,
+                                     t_max=10.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INITIAL_DATA_CASES))
+def test_initial_data_reads_the_diagnostics_distance(standard_potential,
+                                                     profile, case):
+    # the initial data and the diagnostics' interface fields read one
+    # signed distance, so theta(dist / eps) agrees bit for bit
+    cfg = INITIAL_DATA_CASES[case](standard_potential, profile)
+    ef = pl.extended_fields(cfg.trajectory, cfg.cutoff, cfg.grid, 0.0)
+    assert np.array_equal(pl.initial_data(cfg),
+                          cfg.profile(ef.dist / cfg.epsilon))
 
 
 def test_clamp_counter_counts_excursions(standard_potential, profile,
