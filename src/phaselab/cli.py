@@ -110,6 +110,7 @@ def _run_simulation(cfg, out_dir: Path, snapshot_every):
 
 def cmd_simulate(args) -> int:
     doc = config.load_json(args.config)
+    build_start = time.perf_counter()
     cfg, filled = config.build_simulation(doc, "simulate")
     out_dir = Path(args.out)
     started = time.perf_counter()
@@ -117,7 +118,8 @@ def cmd_simulate(args) -> int:
         cfg, out_dir, filled["diagnostics"].get("snapshot_every"))
     wall = time.perf_counter() - started
     _write_manifest(out_dir, "simulate", args.config, filled,
-                    artifacts, {"wall_s": wall, "run_wall_s": res.wall_s,
+                    artifacts, {"build_s": started - build_start,
+                                "wall_s": wall, "run_wall_s": res.wall_s,
                                 "rows_s": res.rows_s},
                     extra={"clamp_count": res.clamp_count,
                            "n_steps": res.n_steps})
@@ -131,6 +133,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_sweep(args) -> int:
     doc = config.load_json(args.plan)
+    build_start = time.perf_counter()
     plan, filled = config.build_plan(doc)
     out_dir = Path(args.out)
     started = time.perf_counter()
@@ -154,7 +157,8 @@ def cmd_sweep(args) -> int:
         encoding="utf-8")
     artifacts.append(summary.name)
     _write_manifest(out_dir, "sweep", args.plan, filled, artifacts,
-                    {"wall_s": time.perf_counter() - started})
+                    {"build_s": started - build_start,
+                     "wall_s": time.perf_counter() - started})
 
     ok = all(report.pass_flags.values())
     for name, fit in report.slopes.items():
@@ -169,6 +173,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_check_identities(args) -> int:
     doc = config.load_json(args.config)
+    build_start = time.perf_counter()
     cfg, filled = config.build_simulation(doc, "check-identities")
     filled["identities"] = config.build_identities(doc)
     min_order = float(filled["identities"]["min_order"])
@@ -184,7 +189,8 @@ def cmd_check_identities(args) -> int:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
                     encoding="utf-8")
     _write_manifest(out_dir, "check-identities", args.config, filled,
-                    [path.name], {"wall_s": time.perf_counter() - started})
+                    [path.name], {"build_s": started - build_start,
+                                  "wall_s": time.perf_counter() - started})
 
     for lv in report.levels:
         print(f"h = {lv.h:.5g}, dt = {lv.dt:.5g}: identity residual "

@@ -9,17 +9,26 @@ map psi(u) = int_0^u sqrt(2 W) turns fields into near-indicators.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid, quad
-from scipy.interpolate import PchipInterpolator
 
 NORMALIZATION_TOL = 1e-8
 WELL_ENDPOINT_TOL = 1e-12
 _PSI_TABLE_INTERVALS = 1024
 _PROFILE_CONVERGENCE_TOL = 1e-7
+
+# tanh-sinh rule on [-1, 1]: nodes tanh(pi/2 sinh t) and weights
+# h pi/2 cosh t / cosh^2(pi/2 sinh t) at t = k h, |k| <= 50, h = 1/16.  The
+# double-exponential decay towards +-1 absorbs the sqrt(1 - s) endpoint
+# behaviour of sqrt(2 W) at a simple root, where Gauss-Legendre loses digits.
+_TS_STEP = 1.0 / 16.0
+_TS_T = _TS_STEP * np.arange(-50, 51)
+_TS_NODES = np.tanh(0.5 * np.pi * np.sinh(_TS_T))
+_TS_WEIGHTS = (_TS_STEP * 0.5 * np.pi * np.cosh(_TS_T)
+               / np.cosh(0.5 * np.pi * np.sinh(_TS_T)) ** 2)
 
 
 class PotentialError(ValueError):
@@ -74,10 +83,11 @@ def count_excursions(u, tol: float = 1e-12, bounds=None) -> int:
 
 
 def normalization_integral(w: Callable) -> float:
-    """Quadrature of sqrt(2 W) over [-1, 1]; equals 2 for admissible W."""
-    val, _ = quad(lambda s: np.sqrt(max(2.0 * float(w(s)), 0.0)), -1.0, 1.0,
-                  limit=200, epsabs=1e-12, epsrel=1e-12)
-    return val
+    """Quadrature of sqrt(2 W) over [-1, 1]; equals 2 for admissible W.
+
+    One vectorized call of w on the 101 tanh-sinh nodes.
+    """
+    return float(np.dot(_TS_WEIGHTS, root_2w(w(_TS_NODES))))
 
 
 def _validate(name, w) -> None:
@@ -104,8 +114,7 @@ def make_standard_potential() -> PotentialSpec:
     Closed forms: W'(s) = (9/2) s (s^2 - 1), W''(s) = (9/2)(3 s^2 - 1),
     psi(u) = (3/2)(u - u^3/3).  max W'' on [-1, 1] is 9.
     """
-    def w(s):
-        s = np.asarray(s, dtype=float)
+    def w(s):   # a float stays a float: the profile RK4 calls it per stage
         return 1.125 * (1.0 - s * s) ** 2
 
     def dw(s):
@@ -152,7 +161,8 @@ def make_polynomial_potential(coeffs) -> PotentialSpec:
 
     nodes = np.linspace(-1.0, 1.0, _PSI_TABLE_INTERVALS + 1)
     integrand = np.sqrt(np.maximum(2.0 * w(nodes), 0.0))
-    table = cumulative_trapezoid(integrand, nodes, initial=0.0)
+    table = np.concatenate([[0.0], np.cumsum(
+        np.diff(nodes) * (integrand[1:] + integrand[:-1]) / 2.0)])
     table -= table[_PSI_TABLE_INTERVALS // 2]   # psi(0) = 0 exactly
     table *= 1.0 / table[-1]                    # pin psi(+-1) = +-1
 
@@ -174,6 +184,37 @@ def potential_by_name(name: str, coeffs=None) -> PotentialSpec:
     raise PotentialError(f"unknown potential '{name}'")
 
 
+def _pchip_edge_slope(h0, h1, m0, m1):
+    """One-sided three-point end slope, limited to keep the data's shape."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def _pchip_coefficients(x: np.ndarray, y: np.ndarray) -> tuple:
+    """Power-series coefficients (c0, c1, c2, c3) of the monotone cubic
+    (Fritsch-Butland PCHIP) interpolant: on [x_i, x_i+1] it is
+    c0 z^3 + c1 z^2 + c2 z + c3 with z = x - x_i.  The slopes and the
+    coefficients follow scipy.interpolate.PchipInterpolator operation by
+    operation, so both give the same bits."""
+    h = np.diff(x)
+    m = np.diff(y) / h
+    sm = np.sign(m)
+    mean = ~((sm[1:] != sm[:-1]) | (m[1:] == 0) | (m[:-1] == 0))
+    w1 = (2 * h[1:] + h[:-1])[mean]
+    w2 = (h[1:] + 2 * h[:-1])[mean]
+    d = np.zeros_like(y)   # zero slope at a flat piece or a sign change
+    d[1:-1][mean] = 1.0 / ((w1 / m[:-1][mean] + w2 / m[1:][mean])
+                           / (w1 + w2))
+    d[0] = _pchip_edge_slope(h[0], h[1], m[0], m[1])
+    d[-1] = _pchip_edge_slope(h[-1], h[-2], m[-1], m[-2])
+    t = (d[:-1] + d[1:] - 2 * m) / h
+    return t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]
+
+
 @dataclass(frozen=True)
 class ProfileTable:
     """Sampled equilibrium profile with monotone-cubic interpolation.
@@ -188,33 +229,43 @@ class ProfileTable:
     s_max: float
     tail_bound: float
     potential: PotentialSpec
-    _interp: PchipInterpolator = field(repr=False, default=None)
+    _coef: tuple = field(repr=False, default=None)   # _pchip_coefficients
 
     def __call__(self, s):
         s = np.asarray(s, dtype=float)
-        inside = self._interp(np.clip(s, -self.s_max, self.s_max))
+        x = np.clip(s, -self.s_max, self.s_max)
+        i = np.clip(np.searchsorted(self.s, x, side="right") - 1,
+                    0, len(self.s) - 2)
+        c0, c1, c2, c3 = (c[i] for c in self._coef)
+        dx = x - self.s[i]
+        # the order of scipy's PPoly evaluation, for the same bits
+        inside = c3 + c2 * dx
+        z = dx * dx
+        inside += c1 * z
+        z *= dx
+        inside += c0 * z
         return np.where(np.abs(s) > self.s_max, np.sign(s), inside)
 
 
 def _integrate_profile(p: PotentialSpec, s_max: float, n: int) -> np.ndarray:
-    """Classical RK4 for theta' = sqrt(2 W(theta)) from theta(0) = 0."""
+    """Classical RK4 for theta' = sqrt(2 W(theta)) from theta(0) = 0, on
+    Python floats (numpy scalars would cost more than the arithmetic)."""
     h = s_max / n
+    w = p.w
 
     def f(v):
-        return np.sqrt(max(2.0 * float(p.w(min(v, 1.0))), 0.0))
+        return math.sqrt(max(2.0 * w(min(v, 1.0)), 0.0))
 
-    theta = np.empty(n + 1)
-    theta[0] = 0.0
+    theta = [0.0]
     v = 0.0
-    for i in range(n):
+    for _ in range(n):
         k1 = f(v)
         k2 = f(v + 0.5 * h * k1)
         k3 = f(v + 0.5 * h * k2)
         k4 = f(v + h * k3)
-        v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        theta[i + 1] = min(v, 1.0)
-        v = theta[i + 1]
-    return theta
+        v = min(v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), 1.0)
+        theta.append(v)
+    return np.array(theta)
 
 
 def solve_profile(p: PotentialSpec, s_max: float = 8.0,
@@ -243,7 +294,7 @@ def solve_profile(p: PotentialSpec, s_max: float = 8.0,
     s_full = np.concatenate([-s_half[:0:-1], s_half])
     theta_full = np.concatenate([-theta[:0:-1], theta])
     dtheta_full = p.sqrt2w(theta_full)
-    interp = PchipInterpolator(s_full, theta_full, extrapolate=False)
     return ProfileTable(s=s_full, theta=theta_full, dtheta=dtheta_full,
                         s_max=float(s_max), tail_bound=float(1.0 - theta[-1]),
-                        potential=p, _interp=interp)
+                        potential=p,
+                        _coef=_pchip_coefficients(s_full, theta_full))

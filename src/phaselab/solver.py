@@ -21,8 +21,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.fft import dctn, idctn
-from scipy.linalg.lapack import dgttrf, dgttrs
 
 from . import diagnostics
 from .geometry import (CutoffSpec, InterfaceTrajectory, PlaneInterface,
@@ -168,13 +166,19 @@ def initial_data(cfg: SimulationConfig) -> np.ndarray:
 
 
 def make_stepper(cfg: SimulationConfig) -> Callable:
-    """Build the one-step map u -> u_next of the semi-implicit scheme."""
+    """Build the one-step map u -> u_next of the semi-implicit scheme.
+
+    Each grid kind imports the one scipy module it steps with, so a run
+    loads scipy.fft or scipy.linalg, never both.
+    """
     eps2 = cfg.epsilon ** 2
     dt = cfg.dt_actual()
     dw = cfg.potential.dw
     grid = cfg.grid
 
     if grid.mode == FULL:
+        from scipy.fft import dctn, idctn
+
         n, h = grid.npts, grid.h
         lam = (4.0 / h ** 2) * np.sin(np.pi * np.arange(n) / (2.0 * n)) ** 2
         if grid.dim == 1:
@@ -190,6 +194,8 @@ def make_stepper(cfg: SimulationConfig) -> Callable:
 
     # radial semi-implicit: factor (I - dt L) once, then each step is one
     # pair of triangular solves
+    from scipy.linalg.lapack import dgttrf, dgttrs
+
     *lu, info = dgttrf(*_radial_diagonals(grid, dt))
     if info != 0:
         raise np.linalg.LinAlgError(

@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import numpy as np
@@ -110,8 +111,34 @@ def test_simulate_manifest_records_row_time(tmp_path):
     assert cli.main(["simulate", "--config", str(CONFIGS / "plane1d.json"),
                      "--out", str(out)]) == 0
     timings = json.loads((out / "manifest.json").read_text())["timings"]
-    assert set(timings) == {"wall_s", "run_wall_s", "rows_s"}
+    assert set(timings) == {"build_s", "wall_s", "run_wall_s", "rows_s"}
     assert 0.0 < timings["rows_s"] < timings["run_wall_s"] < timings["wall_s"]
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep", "check-identities"])
+def test_manifest_records_build_time(tmp_path, monkeypatch, command):
+    """build_s is the time in the config builders (build_plan builds its base
+    through build_simulation), and wall_s starts after it."""
+    build = config.build_simulation
+
+    def slow_build(*args, **kwargs):
+        time.sleep(0.2)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(config, "build_simulation", slow_build)
+    argv = {"simulate": ["--config", str(CONFIGS / "plane1d.json")],
+            "sweep": ["--plan", small_plan(tmp_path, bands={
+                "err_l1": [0.0, 10.0], "rel_entropy": [0.0, 10.0]})],
+            "check-identities": ["--config",
+                                 str(CONFIGS / "identities_plane.json")]}
+    out = tmp_path / "out"
+    assert cli.main([command] + argv[command] + ["--out", str(out)]) == 0
+    timings = json.loads((out / "manifest.json").read_text())["timings"]
+    assert timings["build_s"] >= 0.2
+    results = {"sweep": "summary.json", "check-identities": "identities.json"}
+    if command in results:
+        assert set(timings) == {"build_s", "wall_s"}
+        assert "build_s" not in (out / results[command]).read_text()
 
 
 def test_simulate_rejects_unresolved_layer(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 Each case runs one command through `cli.main` and compares the sha256 of
 its numerical output with the digest recorded when the lock was set.  The
+profile table is locked as well: every other output starts from it.  The
 digests hold for the numpy and scipy the project is tested with (numpy
 2.4.6, scipy 1.17.1 on x86-64): another build may move the last bit of a
 sum.  A change that moves bits on purpose updates the digest here and says
@@ -21,42 +22,48 @@ import phaselab.cli as cli
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def shipped(command, name):
+    """The argv of `command` on the shipped config `name`."""
+    return lambda tmp: [command, "--config", str(ROOT / "configs" / name)]
+
+
 def full2d_short(tmp_path):
-    """The full-grid circle workload with identity rows, cut to t = 0.01."""
+    """simulate on the full-grid circle workload with identity rows, cut
+    to t = 0.01."""
     doc = json.loads((ROOT / "perfbench" / "workloads"
                       / "circle_full2d_identity.json").read_text())
     doc["stepper"]["t_end"] = 0.01
     path = tmp_path / "circle_full2d_short.json"
     path.write_text(json.dumps(doc))
-    return path
+    return ["simulate", "--config", str(path)]
 
 
+# case: (argv without --out, output file, sha256)
 CASES = {
     "simulate-plane1d": (
-        "simulate", lambda tmp: ROOT / "configs" / "plane1d.json",
-        "diagnostics.csv",
+        shipped("simulate", "plane1d.json"), "diagnostics.csv",
         "8c07706cda785c785b0a10769cf414d2bed64ade4631dfeb0c0abbe11bed1196"),
     "simulate-circle_radial": (
-        "simulate", lambda tmp: ROOT / "configs" / "circle_radial.json",
-        "diagnostics.csv",
+        shipped("simulate", "circle_radial.json"), "diagnostics.csv",
         "231e727de0c1bc38f8500df2f6fc9a402c6714cd08b90b943e5ef8eaeed33106"),
     "check-identities-plane": (
-        "check-identities",
-        lambda tmp: ROOT / "configs" / "identities_plane.json",
+        shipped("check-identities", "identities_plane.json"),
         "identities.json",
         "1c629b6e9266c5f18af1087b0e43d926f389d800bcefb7f260133ed07228d135"),
     "simulate-circle_full2d_short": (
-        "simulate", full2d_short, "diagnostics.csv",
+        full2d_short, "diagnostics.csv",
         "6eeb21fe838dc325201b436fdb9f35a225fcf1bb6b93070f58af68510044fa81"),
+    "profile-standard": (
+        lambda tmp: ["profile", "standard"], "profile_standard.csv",
+        "f1dcb8258d3ffae39cdd9d7f28f3924496fcca72f9954d1d209fec007c6cb708"),
 }
 
 
 @pytest.mark.parametrize("case", list(CASES))
 def test_output_digest(tmp_path, capsys, case):
-    command, config, output, digest = CASES[case]
+    argv, output, digest = CASES[case]
     out = tmp_path / "out"
-    rc = cli.main([command, "--config", str(config(tmp_path)),
-                   "--out", str(out)])
+    rc = cli.main(argv(tmp_path) + ["--out", str(out)])
     capsys.readouterr()
     assert rc == 0
     got = hashlib.sha256((out / output).read_bytes()).hexdigest()

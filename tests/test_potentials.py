@@ -1,10 +1,18 @@
 import numpy as np
 import pytest
-from scipy.integrate import quad, solve_ivp
+from scipy.integrate import cumulative_trapezoid, quad, solve_ivp
+from scipy.interpolate import PchipInterpolator
 
 import phaselab as pl
-from phaselab.potentials import (PotentialError, PotentialSpec, ProfileError,
+from phaselab.potentials import (_PSI_TABLE_INTERVALS, PotentialError,
+                                 PotentialSpec, ProfileError,
                                  count_excursions, normalization_integral)
+
+# polynomial wells (low to high degree): the quartic unnormalized, a simple
+# root at +-1 (sqrt(2 W) ~ sqrt(1 - s)), a parabola and a triple root
+ORACLE_POTENTIALS = [
+    [1.0, 0.0, -2.0, 0.0, 1.0], [1.0, 0.0, -1.5, 0.0, 0.25, 0.0, 0.25],
+    [1.0, 0.0, -1.0], [1.0, 0.0, -3.0, 0.0, 3.0, 0.0, -1.0]]
 
 
 def test_standard_values(standard_potential):
@@ -169,7 +177,6 @@ def test_polynomial_potential_rejects_asymmetric():
         pl.make_polynomial_potential([1.0, 0.5, -2.0, 0.0, 1.0])
 
 
-@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 def test_polynomial_potential_rejects_nan():
     with pytest.raises(PotentialError):
         pl.make_polynomial_potential([np.nan, 0.0, -2.0, 0.0, 1.0])
@@ -192,3 +199,41 @@ def test_count_excursions_given_bounds(values, count):
     u = np.array(values)
     assert count_excursions(u, bounds=(np.min(u), np.max(u))) == count
     assert count_excursions(u) == count
+
+
+@pytest.mark.parametrize("coeffs", [None, [1.0, 0.0, -2.0, 0.0, 1.0]])
+def test_profile_table_is_scipy_pchip(coeffs):
+    pot = pl.potential_by_name("poly" if coeffs else "standard", coeffs)
+    table = pl.solve_profile(pot)
+    oracle = PchipInterpolator(table.s, table.theta, extrapolate=False)
+    s_max = table.s_max
+    x = np.concatenate([
+        table.s, [-s_max, s_max, 0.0],
+        np.random.default_rng(7).uniform(-s_max, s_max, 100_000)])
+    assert np.array_equal(table(x), oracle(x))
+    assert np.array_equal(table(x[:, None]), oracle(x)[:, None])
+    far = np.array([-1e3, -s_max - 1e-9, s_max + 1e-9, 40.0])
+    assert np.array_equal(table(far), np.sign(far))
+
+
+def test_poly_psi_table_is_cumulative_trapezoid():
+    pot = pl.make_polynomial_potential([1.0, 0.0, -1.5, 0.0, 0.25, 0.0, 0.25])
+    nodes = np.linspace(-1.0, 1.0, _PSI_TABLE_INTERVALS + 1)
+    table = cumulative_trapezoid(pot.sqrt2w(nodes), nodes, initial=0.0)
+    table -= table[_PSI_TABLE_INTERVALS // 2]
+    table *= 1.0 / table[-1]
+    assert np.array_equal(pot.psi(nodes), table)
+
+
+@pytest.mark.parametrize("coeffs", [None] + ORACLE_POTENTIALS)
+def test_normalization_integral_matches_adaptive_quadrature(coeffs):
+    """None is the shipped standard potential."""
+    if coeffs is None:
+        w = pl.make_standard_potential().w
+    else:
+        w = np.polynomial.Polynomial(coeffs)
+
+    oracle, _ = quad(lambda s: np.sqrt(max(2.0 * float(w(s)), 0.0)),
+                     -1.0, 1.0, limit=200, epsabs=1e-12, epsrel=1e-12)
+    assert normalization_integral(w) == pytest.approx(oracle, rel=1e-12,
+                                                      abs=0.0)
