@@ -26,8 +26,8 @@ from .grids import FULL, Grid, npts_for_spacing
 from .potentials import potential_by_name, solve_profile
 from .solver import ConfigError, SimulationConfig
 
-R_C_RADIUS_FRACTION = 0.45   # default r_c for spheres: fraction of min R(t)
-R_C_PLANE_DEFAULT = 0.5
+R_C_RADIUS_FRACTION = 0.45   # default r_c: this fraction of min_radius(),
+R_C_PLANE_DEFAULT = 0.5      # or this where it is inf (a plane)
 SCHEME = "semi-implicit"     # the one time stepper, solver.make_stepper
 
 
@@ -154,13 +154,13 @@ def _run_issues(doc: dict, command=None) -> list:
                       f"{SCHEME!r})")
     traj = doc.get("trajectory")
     if isinstance(traj, dict):
-        kind = traj.get("type")
-        if kind in ("plane", "sphere"):
+        kind, kinds = traj.get("type"), tuple(TRAJECTORY_KEYS)
+        if kind in kinds:   # a tuple, as a list-valued type is unhashable
             issues.extend(_issues(traj, TRAJECTORY_KEYS[kind], "trajectory.",
                                   REQUIRED[kind]))
         else:
-            issues.append(f"trajectory.type: expected 'plane' or 'sphere', "
-                          f"got {kind!r}")
+            issues.append(f"trajectory.type: expected "
+                          f"{' or '.join(map(repr, kinds))}, got {kind!r}")
     return issues + [f"{two}: set either {one} or {two}, not both"
                      for one, two in EITHER_OR
                      if None not in (_lookup(doc, one), _lookup(doc, two))]
@@ -225,8 +225,7 @@ def build_simulation(doc: dict, command=None):
 
     cut_sec = filled["cutoff"]
     cut_sec.setdefault("r_c", R_C_RADIUS_FRACTION * traj.min_radius()
-                       if isinstance(traj, SphereInterface)
-                       else R_C_PLANE_DEFAULT)
+                       if traj.min_radius() < np.inf else R_C_PLANE_DEFAULT)
     try:
         cutoff = CutoffSpec(r_c=float(cut_sec["r_c"]),
                             c_quad=float(cut_sec["c_quad"]))

@@ -1,16 +1,13 @@
 """Exact interface trajectories under mean curvature flow and the extended
 vector fields built from them.
 
-Two closed-form trajectories are supported: a stationary flat plane and a
-shrinking sphere with radius law R(t)^2 = R0^2 - 2 (d-1) t.  The signed
-distance is positive inside the enclosed phase; interface_distance is the
-one function that computes it, on a whole grid, and the initial data, the
-boundary-flatness rule and the interface fields all read it.  The extended
-unit normal is damped by a cutoff eta supported on a tube of width r_c
-around the interface; the extended curvature vector uses the plateau part
-eta_tilde of the cutoff.  All fields have closed-form space and time
-derivatives here, which the diagnostics use directly and the
-finite-difference residual checks are validated against.
+A trajectory class (a stationary plane; a sphere with R(t)^2 = R0^2 -
+2 (d-1) t) owns its formulas and rules, so no other code branches on its
+type: distance (signed, positive inside; read through interface_distance),
+tube_fields, issues (its validation rules) and exempt_axes (the boundary
+faces the interface crosses).  The extended normal is damped by a cutoff
+eta on a tube of width r_c, the curvature vector by its plateau eta_tilde;
+the fields' closed-form derivatives are checked by finite differences.
 """
 
 from __future__ import annotations
@@ -22,6 +19,8 @@ from typing import Union
 import numpy as np
 
 from .grids import FULL, Grid, RADIAL
+
+EXTINCTION_EPS_FACTOR = 4.0  # sphere must keep R(t_max) >= 4 eps
 
 
 @dataclass(frozen=True)
@@ -44,6 +43,35 @@ class PlaneInterface:
 
     def min_radius(self) -> float:
         return np.inf
+
+    def distance(self, grid: Grid, t: float) -> np.ndarray:
+        n = np.asarray(self.normal, dtype=float)
+        return np.tensordot(n, grid.coords, axes=(0, 0)) - self.offset
+
+    def tube_fields(self, cutoff: CutoffSpec, grid: Grid, t: float,
+                    dist: np.ndarray, tube: np.ndarray) -> dict:
+        """The ExtendedFields tube fields: xi = eta(dist) n, div xi =
+        eta'(dist), and zero curvature, time derivative and grad H."""
+        n = np.asarray(self.normal, dtype=float)
+        s = _at_cells(dist, tube, dist.ndim)
+        zeros_s = np.zeros(s.shape)
+        zeros_v = np.zeros((len(n),) + s.shape)
+        eta, deta, _, _ = cutoff.profile(s)
+        return dict(xi=eta * n[:, np.newaxis], hvec=zeros_v,
+                    div_xi=deta, div_h=zeros_s, dt_xi=zeros_v,
+                    adv_xi=zeros_v, grad_h_rad=zeros_s, grad_h_tan=zeros_s,
+                    e=zeros_v)
+
+    def issues(self, grid: Grid, r_c: float, eps: float) -> list:
+        """The validation rules of a plane on this grid."""
+        if grid.mode == RADIAL:
+            return ["grid.mode: radial mode requires a sphere trajectory"]
+        return (["trajectory.normal: length must match grid dim"]
+                if self.dim != grid.dim else [])
+
+    def exempt_axes(self) -> tuple:
+        """The axes of the boundary faces parallel to the plane."""
+        return tuple(ax for ax, n in enumerate(self.normal) if abs(n) < 1e-9)
 
 
 @dataclass(frozen=True)
@@ -80,6 +108,61 @@ class SphereInterface:
 
     def min_radius(self) -> float:
         return self.radius(self.t_max)
+
+    def distance(self, grid: Grid, t: float) -> np.ndarray:
+        return self.radius(t) - radial_frame(grid, self.center)[0]
+
+    def tube_fields(self, cutoff: CutoffSpec, grid: Grid, t: float,
+                    dist: np.ndarray, tube: np.ndarray) -> dict:
+        """The ExtendedFields tube fields.  With dist = R - r and e the unit
+        outward radial direction, the closed forms are
+            xi        = -eta(dist) e
+            H         = -k eta_t(dist) e,            k = (d-1)/R
+            div xi    = eta'(dist) - (d-1) eta / r
+            div H     = k eta_t'(dist) - (d-1) k eta_t / r
+            dt xi     = k eta'(dist) e
+            (H.g) xi  = -k eta_t(dist) eta'(dist) e
+            grad H    = k eta_t'(dist) e e - (k eta_t / r)(I - e e).
+        """
+        _, safe_r, e = radial_frame(grid, self.center)
+        dist, e, safe_r = (_at_cells(f, tube, dist.ndim)
+                           for f in (dist, e, safe_r))
+        d, k = self.dim, self.curvature_scale(t)
+        eta, deta, eta_t, deta_t = cutoff.profile(dist)
+        return dict(
+            xi=-eta * e,
+            hvec=-k * eta_t * e,
+            div_xi=deta - (d - 1) * eta / safe_r,
+            div_h=k * deta_t - (d - 1) * k * eta_t / safe_r,
+            dt_xi=k * deta * e,
+            adv_xi=-k * eta_t * deta * e,
+            grad_h_rad=k * deta_t,
+            grad_h_tan=-k * eta_t / safe_r,
+            e=e)
+
+    def issues(self, grid: Grid, r_c: float, eps: float) -> list:
+        """The validation rules of a sphere on this grid."""
+        issues = []
+        min_r = self.min_radius()
+        if r_c >= min_r:
+            issues.append(
+                f"cutoff.r_c: must stay below the minimal sphere radius "
+                f"{min_r:.6g} (r_c = {r_c:.6g})")
+        guard = max(2.0 * r_c, EXTINCTION_EPS_FACTOR * eps)
+        if min_r < guard - 1e-12:
+            issues.append(
+                f"trajectory.t_max: extinction guard requires R(t_max) >= "
+                f"max(2 r_c, {EXTINCTION_EPS_FACTOR:g} eps) = {guard:.6g} "
+                f"(R(t_max) = {min_r:.6g})")
+        if self.dim != grid.dim:
+            issues.append("trajectory.dim: must match grid dim")
+        if grid.mode == RADIAL and np.linalg.norm(self.center) > 1e-12:
+            issues.append("grid.mode: radial mode requires the sphere "
+                          "centered at the origin")
+        return issues
+
+    def exempt_axes(self) -> tuple:
+        return ()
 
 
 InterfaceTrajectory = Union[PlaneInterface, SphereInterface]
@@ -216,42 +299,22 @@ def interface_distance(traj: InterfaceTrajectory, grid: Grid,
     """Exact signed distance to the interface at time t on every cell of
     the grid, positive inside.  The one place the distance is computed: the
     initial data, the boundary-flatness rule and the interface fields all
-    read it.  A radial grid takes a sphere centered at the origin
-    (solver.validate enforces it)."""
+    read it.  A radial grid takes a sphere centered at the origin (the
+    sphere's issues enforce it)."""
     _check_time(traj, t)
-    if isinstance(traj, PlaneInterface):
-        n = np.asarray(traj.normal, dtype=float)
-        return np.tensordot(n, grid.coords, axes=(0, 0)) - traj.offset
-    return traj.radius(t) - radial_frame(grid, traj.center)[0]
+    return traj.distance(grid, t)
 
 
 def extended_fields(traj: InterfaceTrajectory, cutoff: CutoffSpec,
                     grid: Grid, t: float) -> ExtendedFields:
-    """Evaluate every interface field the diagnostics need on the grid.
-
-    dist and chi are evaluated on every cell, the other fields on the
-    cutoff's tube only; off the tube each of them is an exact zero.
-    """
+    """Every interface field the diagnostics need on the grid: dist and chi
+    on every cell, the trajectory's tube_fields on the cutoff's tube only
+    (off the tube each of them is an exact zero)."""
     dist = interface_distance(traj, grid, t)
     tube = np.flatnonzero(cutoff.in_tube(dist))
-    if isinstance(traj, PlaneInterface):
-        n = np.asarray(traj.normal, dtype=float)
-        s = _at_cells(dist, tube, dist.ndim)
-        zeros_s = np.zeros(s.shape)
-        zeros_v = np.zeros((len(n),) + s.shape)
-        eta, deta, _, _ = cutoff.profile(s)
-        fields = dict(xi=eta * n[:, np.newaxis], hvec=zeros_v,
-                      div_xi=deta, div_h=zeros_s, dt_xi=zeros_v,
-                      adv_xi=zeros_v, grad_h_rad=zeros_s, grad_h_tan=zeros_s,
-                      e=zeros_v)
-    else:
-        _, safe_r, e = radial_frame(grid, traj.center)
-        fields = _sphere_fields(
-            traj.dim, cutoff, *(_at_cells(f, tube, dist.ndim)
-                                for f in (dist, e, safe_r)),
-            traj.curvature_scale(t))
     return ExtendedFields(dist=dist, chi=np.where(dist >= 0.0, 1.0, -1.0),
-                          tube=tube, **fields)
+                          tube=tube,
+                          **traj.tube_fields(cutoff, grid, t, dist, tube))
 
 
 def _at_cells(f, cells, ndim):
@@ -281,32 +344,6 @@ def radial_frame(grid: Grid, center: tuple) -> tuple:
     for a in (r, safe_r, e):
         a.flags.writeable = False
     return r, safe_r, e
-
-
-def _sphere_fields(d, cutoff, dist, e, safe_r, k) -> dict:
-    """Shared sphere formulas at the tube cells; e is the unit outward
-    radial direction.
-
-    With dist = R - r the closed forms are
-        xi        = -eta(dist) e
-        H         = -k eta_t(dist) e,            k = (d-1)/R
-        div xi    = eta'(dist) - (d-1) eta / r
-        div H     = k eta_t'(dist) - (d-1) k eta_t / r
-        dt xi     = k eta'(dist) e
-        (H.g) xi  = -k eta_t(dist) eta'(dist) e
-        grad H    = k eta_t'(dist) e e - (k eta_t / r)(I - e e).
-    """
-    eta, deta, eta_t, deta_t = cutoff.profile(dist)
-    return dict(
-        xi=-eta * e,
-        hvec=-k * eta_t * e,
-        div_xi=deta - (d - 1) * eta / safe_r,
-        div_h=k * deta_t - (d - 1) * k * eta_t / safe_r,
-        dt_xi=k * deta * e,
-        adv_xi=-k * eta_t * deta * e,
-        grad_h_rad=k * deta_t,
-        grad_h_tan=-k * eta_t / safe_r,
-        e=e)
 
 
 def tau_truncation(s):

@@ -1,9 +1,10 @@
 """Time integration of the phase-field equation du/dt = lap u - W'(u)/eps^2
 on full grids (d = 1, 2) and on the radial line (d >= 2), from profile
 initial data u(x, 0) = theta(dist(x) / eps), where dist is the signed
-distance geometry.interface_distance gives the diagnostics too.  The
-boundary-flatness rule of validate reads the same distance on the boundary
-cells, so a run builds its initial data once.
+distance geometry.interface_distance gives the diagnostics too.  validate
+checks the run's rules and adds the trajectory's own (its issues, and the
+faces its exempt_axes leave to the boundary-flatness rule, which reads the
+same distance on the boundary cells); it names no trajectory type.
 
 The one stepper is semi-implicit: the Laplacian is treated implicitly
 (diagonalized by a cosine transform on full zero-flux grids, a tridiagonal
@@ -23,14 +24,12 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import diagnostics
-from .geometry import (CutoffSpec, InterfaceTrajectory, PlaneInterface,
-                       SphereInterface, interface_distance)
+from .geometry import CutoffSpec, InterfaceTrajectory, interface_distance
 from .grids import FULL, Grid, RADIAL
 from .potentials import PotentialSpec, ProfileTable, count_excursions
 
 LAYER_RESOLUTION = 4.0      # transition layer needs h <= eps / 4
 BOUNDARY_FLATNESS = 1e-6    # |u0| >= 1 - this on phase-side boundary cells
-EXTINCTION_EPS_FACTOR = 4.0  # sphere must keep R(t_max) >= 4 eps
 
 
 class BlowUpError(RuntimeError):
@@ -101,29 +100,7 @@ def validate(cfg: SimulationConfig) -> list:
     if not cfg.t_end <= traj.t_max + 1e-12:
         issues.append(f"stepper.t_end: exceeds trajectory t_max = {traj.t_max}")
 
-    if isinstance(traj, SphereInterface):
-        min_r = traj.min_radius()
-        if cfg.cutoff.r_c >= min_r:
-            issues.append(
-                f"cutoff.r_c: must stay below the minimal sphere radius "
-                f"{min_r:.6g} (r_c = {cfg.cutoff.r_c:.6g})")
-        guard = max(2.0 * cfg.cutoff.r_c, EXTINCTION_EPS_FACTOR * eps)
-        if min_r < guard - 1e-12:
-            issues.append(
-                f"trajectory.t_max: extinction guard requires R(t_max) >= "
-                f"max(2 r_c, {EXTINCTION_EPS_FACTOR:g} eps) = {guard:.6g} "
-                f"(R(t_max) = {min_r:.6g})")
-        if traj.dim != grid.dim:
-            issues.append("trajectory.dim: must match grid dim")
-
-    if grid.mode == RADIAL:
-        if not isinstance(traj, SphereInterface):
-            issues.append("grid.mode: radial mode requires a sphere trajectory")
-        elif np.linalg.norm(traj.center) > 1e-12:
-            issues.append("grid.mode: radial mode requires the sphere "
-                          "centered at the origin")
-    elif isinstance(traj, PlaneInterface) and traj.dim != grid.dim:
-        issues.append("trajectory.normal: length must match grid dim")
+    issues += traj.issues(grid, cfg.cutoff.r_c, eps)
 
     if not issues:
         msg = _boundary_flatness_issue(cfg)
@@ -134,20 +111,17 @@ def validate(cfg: SimulationConfig) -> list:
 
 def _boundary_flatness_issue(cfg) -> Optional[str]:
     """Initial data must sit in the exponentially flat region on boundary
-    cells facing the phase direction (faces parallel to a plane are exempt:
-    the interface legitimately crosses them).  The profile is evaluated on
-    those cells only; the run builds the whole field once."""
+    cells facing the phase direction (the faces of the trajectory's
+    exempt_axes are skipped: the interface crosses them).  The profile is
+    evaluated on those cells only; the run builds the whole field once."""
     grid = cfg.grid
     dist = interface_distance(cfg.trajectory, grid, 0.0)
     if grid.mode == RADIAL:
         faces = [dist[-1:]]
     else:
-        normal = None
-        if isinstance(cfg.trajectory, PlaneInterface):
-            normal = np.asarray(cfg.trajectory.normal)
+        exempt = cfg.trajectory.exempt_axes()
         faces = [np.take(dist, side, axis=ax) for ax in range(grid.dim)
-                 if normal is None or abs(normal[ax]) >= 1e-9
-                 for side in (0, -1)]
+                 if ax not in exempt for side in (0, -1)]
     worst = min(float(np.min(np.abs(cfg.profile(face / cfg.epsilon))))
                 for face in faces)
     if worst < 1.0 - BOUNDARY_FLATNESS:

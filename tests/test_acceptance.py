@@ -6,6 +6,7 @@ dt = eps^2/320 so the first-order splitting error stays below the
 interface-width signal).
 """
 
+import json
 import math
 import time
 from pathlib import Path
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 import phaselab as pl
-from phaselab import config, diagnostics as dg
+from phaselab import cli, config, diagnostics as dg
 from phaselab.experiments import (SweepPlan, check_identities,
                                   initial_entropy_study, run_sweep)
 
@@ -252,3 +253,35 @@ def test_c12_determinism(sweep_plan, circle_sweep):
     ok = identical and same_report
     report("C12 determinism", ok,
            f"CSV bodies identical={identical}, reports identical={same_report}")
+
+
+def wrong_speed_sphere(factor):
+    """A reference sphere whose radius law runs factor times too fast:
+    R(t)^2 = R0^2 - 2 (d-1) factor t."""
+    class WrongSpeedSphere(pl.SphereInterface):
+        def radius(self, t):
+            return super().radius(factor * t)
+    return WrongSpeedSphere
+
+
+@pytest.mark.parametrize("factor, exit_code, flags", [
+    (1.0, 0, {"err_l1": True, "rel_entropy": True, "gronwall_factor": True}),
+    (1.05, 3, {"err_l1": True, "rel_entropy": True, "gronwall_factor": False}),
+    (1.2, 3, {"err_l1": False, "rel_entropy": False,
+              "gronwall_factor": False}),
+])
+def test_sweep_rejects_wrong_speed_reference(tmp_path, monkeypatch, factor,
+                                             exit_code, flags):
+    # the shipped plan on its three coarsest members (a 4x range of eps)
+    # against a reference interface that moves at the wrong speed
+    plan = json.loads(SWEEP_PLAN.read_text())
+    plan["epsilons"] = [0.16, 0.08, 0.04]
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps(plan))
+    monkeypatch.setattr(config, "SphereInterface", wrong_speed_sphere(factor))
+    rc = cli.main(["sweep", "--plan", str(plan_path),
+                   "--out", str(tmp_path / "out")])
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    report(f"wrong-speed reference x{factor}",
+           rc == exit_code and summary["pass_flags"] == flags,
+           f"exit {rc}, pass flags {summary['pass_flags']}")

@@ -86,6 +86,16 @@ def test_wrong_kind_names_the_key(data):
             err.value.messages
 
 
+@pytest.mark.parametrize("kind", ["oval", ["plane"], {"plane": 1}, 3, None])
+def test_unknown_trajectory_type_message(kind):
+    doc = load("plane1d.json")
+    doc["trajectory"]["type"] = kind
+    with pytest.raises(ConfigError) as err:
+        config.build_simulation(doc)
+    assert err.value.messages == [
+        f"trajectory.type: expected 'plane' or 'sphere', got {kind!r}"]
+
+
 def test_null_means_default_and_required_null_is_missing():
     doc = load("plane1d.json")
     _, expected = config.build_simulation(doc)

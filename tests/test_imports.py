@@ -1,9 +1,11 @@
-"""Import hygiene: what a command loads before its first time step.
+"""Import hygiene: what a command loads before its first time step, and
+which modules know the trajectory classes.
 
-Each case runs in a fresh interpreter, so the module sets are those of a
-command started from the shell, not of this test session.
+Each loading case runs in a fresh interpreter, so the module sets are those
+of a command started from the shell, not of this test session.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -13,6 +15,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "phaselab"
+TRAJECTORY_CLASSES = {"PlaneInterface", "SphereInterface"}
 
 PROBE = """
 import json, sys
@@ -49,3 +53,31 @@ def test_scipy_loaded_per_grid_kind(config_path, needed, absent):
     assert loaded["cli"] == []   # the potentials and the profile are numpy
     assert needed in loaded["stepper"]
     assert absent not in loaded["stepper"]
+
+
+def names_in(node):
+    """Every identifier a node refers to: names, attributes and imports."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.alias):
+            yield sub.name
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.stem)
+def test_trajectory_classes_own_their_rules(path):
+    # each trajectory class carries its own formulas and rules, so no module
+    # branches on which one it holds, and only the defining module, the
+    # config builder and the package namespace name them
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    dispatch = [node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2
+                and TRAJECTORY_CLASSES & set(names_in(node.args[1]))]
+    assert dispatch == [], f"isinstance on a trajectory class at {dispatch}"
+    if path.stem not in ("geometry", "config", "__init__"):
+        assert TRAJECTORY_CLASSES.isdisjoint(names_in(tree))

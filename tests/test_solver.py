@@ -180,23 +180,51 @@ def test_validation_rejects_nan(standard_potential, profile, field):
     assert any(f"{field}: " in m for m in pl.validate(cfg))
 
 
-def test_validation_extinction_guard(standard_potential, profile):
-    traj = pl.SphereInterface(center=(0.0, 0.0), radius0=1.0, dim=2,
-                              t_max=0.49)
-    cfg = make_circle_config(standard_potential, profile, eps=0.08,
-                             half_width=1.4, t_end=0.1)
-    cfg.trajectory = traj
-    issues = pl.validate(cfg)
-    assert any("extinction guard" in m for m in issues)
+def sphere(center=(0.0, 0.0), t_max=0.22):
+    return pl.SphereInterface(center=center, radius0=1.0, dim=len(center),
+                              t_max=t_max)
 
 
-def test_validation_radial_needs_origin_sphere(standard_potential, profile):
-    cfg = make_circle_config(standard_potential, profile, eps=0.08,
-                             half_width=1.4)
-    cfg.trajectory = pl.PlaneInterface(normal=(1.0, 0.0), offset=0.0,
-                                       t_max=10.0)
-    issues = pl.validate(cfg)
-    assert any("radial mode requires a sphere" in m for m in issues)
+# each trajectory rule of validate: (config, position in the issue list,
+# exact message)
+TRAJECTORY_RULES = {
+    "r_c_below_min_radius": (lambda pot, prof: make_circle_config(
+        pot, prof, eps=0.08, half_width=1.4, r_c=0.8), 0,
+        "cutoff.r_c: must stay below the minimal sphere radius 0.748331 "
+        "(r_c = 0.8)"),
+    "extinction_guard_after_r_c": (lambda pot, prof: make_circle_config(
+        pot, prof, eps=0.08, half_width=1.4, r_c=0.8), 1,
+        "trajectory.t_max: extinction guard requires R(t_max) >= "
+        "max(2 r_c, 4 eps) = 1.6 (R(t_max) = 0.748331)"),
+    "extinction_guard": (lambda pot, prof: replace(make_circle_config(
+        pot, prof, eps=0.08, half_width=1.4, t_end=0.1, r_c=0.05),
+        trajectory=sphere(t_max=0.49)), 0,
+        "trajectory.t_max: extinction guard requires R(t_max) >= "
+        "max(2 r_c, 4 eps) = 0.32 (R(t_max) = 0.141421)"),
+    "sphere_dim_mismatch": (lambda pot, prof: replace(make_circle_config(
+        pot, prof, eps=0.08, half_width=1.4),
+        trajectory=sphere(center=(0.0,) * 3, t_max=0.1)), 0,
+        "trajectory.dim: must match grid dim"),
+    "plane_normal_length": (lambda pot, prof: replace(make_plane_config(
+        pot, prof), trajectory=pl.PlaneInterface(normal=(1.0, 0.0))), 0,
+        "trajectory.normal: length must match grid dim"),
+    "radial_needs_sphere": (lambda pot, prof: replace(make_circle_config(
+        pot, prof, eps=0.08, half_width=1.4),
+        trajectory=pl.PlaneInterface(normal=(1.0, 0.0))), 0,
+        "grid.mode: radial mode requires a sphere trajectory"),
+    # after the grid rules of validate itself
+    "radial_needs_origin_sphere": (lambda pot, prof: replace(
+        make_circle_config(pot, prof, eps=0.08, half_width=1.4, h_over_eps=2),
+        trajectory=sphere(center=(0.1, 0.0))), 1,
+        "grid.mode: radial mode requires the sphere centered at the origin"),
+}
+
+
+@pytest.mark.parametrize("case", list(TRAJECTORY_RULES))
+def test_validation_trajectory_rules(standard_potential, profile, case):
+    make, position, message = TRAJECTORY_RULES[case]
+    issues = pl.validate(make(standard_potential, profile))
+    assert issues[position] == message, issues
 
 
 FLATNESS_CASES = {
