@@ -8,6 +8,7 @@ Subcommands: profile, simulate, sweep, check-identities.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import os
 import sys
@@ -22,6 +23,10 @@ EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
 EXIT_BANDS = 3
+
+# (glibc mallopt parameter from malloc.h, value) pairs set by main
+_HEAP_OPTIONS = ((-3, 32 << 20),    # M_MMAP_THRESHOLD
+                 (-1, 64 << 20))    # M_TRIM_THRESHOLD
 
 PLOT_SCRIPT = """\
 # gnuplot script over the diagnostics CSV emitted next to this file
@@ -39,6 +44,26 @@ plot 'diagnostics.csv' using 1:11 with lines title 'interface L1 error'
 pause -1 'interface error; press enter'
 set terminal pop
 """
+
+
+def _keep_freed_heap() -> bool:
+    """Have the C library's malloc serve arrays below 32 MB from its heap
+    and keep up to 64 MB of freed heap for reuse; True if both took.
+
+    A full-grid diagnostic row allocates and frees whole-grid temporaries.
+    By default glibc maps each of them afresh or hands the freed heap back
+    once the row ends, and the next row faults the memory in again page by
+    page, zero-filled: on the 280² circle about 3,300 minor faults and a
+    third of the row's time.  Without mallopt nothing changes.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    took = [mallopt(param, value) == 1 for param, value in _HEAP_OPTIONS]
+    return all(took)
 
 
 def _write_manifest(out_dir: Path, command: str, config_path, filled,
@@ -59,6 +84,14 @@ def _write_manifest(out_dir: Path, command: str, config_path, filled,
     tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
                    encoding="utf-8")
     os.replace(tmp, out_dir / "manifest.json")
+
+
+def _run_record(res) -> dict:
+    """Step and clamp counts and wall times of one `solver.run`: a sweep
+    member's or an identity level's manifest entry, and the run part of a
+    `simulate` manifest."""
+    return {"n_steps": res.n_steps, "clamp_count": res.clamp_count,
+            "run_wall_s": res.wall_s, "rows_s": res.rows_s}
 
 
 def cmd_profile(args) -> int:
@@ -117,12 +150,13 @@ def cmd_simulate(args) -> int:
     res, artifacts = _run_simulation(
         cfg, out_dir, filled["diagnostics"].get("snapshot_every"))
     wall = time.perf_counter() - started
+    record = _run_record(res)
     _write_manifest(out_dir, "simulate", args.config, filled,
                     artifacts, {"build_s": started - build_start,
-                                "wall_s": wall, "run_wall_s": res.wall_s,
-                                "rows_s": res.rows_s},
-                    extra={"clamp_count": res.clamp_count,
-                           "n_steps": res.n_steps})
+                                "wall_s": wall,
+                                "run_wall_s": record.pop("run_wall_s"),
+                                "rows_s": record.pop("rows_s")},
+                    extra=record)
     last = res.breakdowns[-1]
     print(f"completed {res.n_steps} steps to t = {res.times[-1]:.6g}; "
           f"final relative entropy {last.rel_entropy:.6e}, "
@@ -156,9 +190,12 @@ def cmd_sweep(args) -> int:
         json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n",
         encoding="utf-8")
     artifacts.append(summary.name)
+    members = [{"epsilon": eps, **_run_record(run_res)}
+               for eps, run_res in zip(plan.epsilons, runs)]
     _write_manifest(out_dir, "sweep", args.plan, filled, artifacts,
                     {"build_s": started - build_start,
-                     "wall_s": time.perf_counter() - started})
+                     "wall_s": time.perf_counter() - started},
+                    extra={"members": members})
 
     ok = all(report.pass_flags.values())
     for name, fit in report.slopes.items():
@@ -188,9 +225,12 @@ def cmd_check_identities(args) -> int:
     payload["min_order_required"] = min_order
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
                     encoding="utf-8")
+    levels = [{"h": lv.h, **_run_record(run_res)}
+              for lv, run_res in zip(report.levels, report.runs)]
     _write_manifest(out_dir, "check-identities", args.config, filled,
                     [path.name], {"build_s": started - build_start,
-                                  "wall_s": time.perf_counter() - started})
+                                  "wall_s": time.perf_counter() - started},
+                    extra={"levels": levels})
 
     for lv in report.levels:
         print(f"h = {lv.h:.5g}, dt = {lv.dt:.5g}: identity residual "
@@ -238,6 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    _keep_freed_heap()
     try:
         return args.func(args)
     except ConfigError as exc:

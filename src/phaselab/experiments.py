@@ -248,13 +248,17 @@ class IdentityReport:
     levels: list
     identity_orders: list
     dissipation_orders: list
+    runs: list = field(default_factory=list, repr=False)   # RunResult per level
 
     def min_order(self) -> float:
         orders = self.identity_orders + self.dissipation_orders
         return min(orders) if orders else math.nan
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        """The levels and orders; the runs stay out."""
+        return {"levels": [asdict(lv) for lv in self.levels],
+                "identity_orders": self.identity_orders,
+                "dissipation_orders": self.dissipation_orders}
 
 
 def _refined(cfg: SimulationConfig, factor: int) -> SimulationConfig:
@@ -298,4 +302,4 @@ def check_identities(cfg: SimulationConfig, levels: int = 3) -> IdentityReport:
     diss_orders = [math.log2(a.dissipation_residual / b.dissipation_residual)
                    for a, b in zip(out_levels, out_levels[1:])]
     return IdentityReport(levels=out_levels, identity_orders=id_orders,
-                          dissipation_orders=diss_orders)
+                          dissipation_orders=diss_orders, runs=runs)

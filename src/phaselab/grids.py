@@ -76,14 +76,16 @@ class Grid:
         return out
 
     @cached_property
-    def quad_weights(self) -> np.ndarray:
-        """Cell volumes: h^d on full grids, spherical-shell volumes radially.
+    def quad_weights(self) -> float | np.ndarray:
+        """Cell volumes: the scalar h^d on full grids, spherical-shell
+        volumes radially.
 
         The axis node owns the half-cell ball of radius h/2; the outer node
-        owns a half-width shell.
+        owns a half-width shell.  A scalar multiplies each cell by the same
+        value an array of h^d would, without reading that array.
         """
         if self.mode == FULL:
-            return np.full(self.shape, self.h ** self.dim)
+            return self.h ** self.dim
         d, h, r = self.dim, self.h, self.axis
         omega = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
         w = omega * r ** (d - 1) * h
@@ -101,21 +103,21 @@ class Grid:
 
         Mirror ghosts make the boundary entries one-sided averages; radial
         symmetry forces a zero derivative at the axis and the outer node.
+        On full grids each axis is differenced by slices of u, the ghost
+        being the face value itself, so no padded copy is built.
         """
         h = self.h
         if self.mode == RADIAL:
             g = np.zeros((1,) + u.shape)
             g[0, 1:-1] = (u[2:] - u[:-2]) / (2.0 * h)
             return g
+        width = 2.0 * h
         out = np.empty((self.dim,) + u.shape)
         for ax in range(self.dim):
-            pad = [(1, 1) if k == ax else (0, 0) for k in range(self.dim)]
-            ue = np.pad(u, pad, mode="edge")
-            hi = ue[tuple(slice(2, None) if k == ax else slice(None)
-                          for k in range(self.dim))]
-            lo = ue[tuple(slice(None, -2) if k == ax else slice(None)
-                          for k in range(self.dim))]
-            out[ax] = (hi - lo) / (2.0 * h)
+            o, v = np.moveaxis(out[ax], ax, 0), np.moveaxis(u, ax, 0)
+            o[1:-1] = (v[2:] - v[:-2]) / width
+            o[0] = (v[1] - v[0]) / width
+            o[-1] = (v[-1] - v[-2]) / width
         return out
 
     def laplacian(self, u: np.ndarray) -> np.ndarray:
@@ -131,13 +133,12 @@ class Grid:
             return out
         out = np.zeros_like(u)
         for ax in range(self.dim):
-            pad = [(1, 1) if k == ax else (0, 0) for k in range(self.dim)]
-            ue = np.pad(u, pad, mode="edge")
-            hi = ue[tuple(slice(2, None) if k == ax else slice(None)
-                          for k in range(self.dim))]
-            lo = ue[tuple(slice(None, -2) if k == ax else slice(None)
-                          for k in range(self.dim))]
-            out += (hi - 2.0 * u + lo) / h2
+            o, v = np.moveaxis(out, ax, 0), np.moveaxis(u, ax, 0)
+            o[1:-1] += (v[2:] - 2.0 * v[1:-1] + v[:-2]) / h2
+            # the mirror ghost repeats the face value: hi - 2 u + lo with
+            # lo = u on the first face and hi = u on the last
+            o[0] += (v[1] - 2.0 * v[0] + v[0]) / h2
+            o[-1] += (v[-1] - 2.0 * v[-1] + v[-2]) / h2
         return out
 
 

@@ -126,8 +126,9 @@ def make_standard_potential() -> PotentialSpec:
         return 4.5 * (3.0 * s * s - 1.0)
 
     def psi(u):
-        # 1.5*u - 0.5*u^3 hits +-1 exactly at u = +-1
-        return 1.5 * u - 0.5 * u ** 3
+        # products only: numpy's float64 power takes a slow path for negative
+        # bases and is not exactly odd; this form is, and hits +-1 at u = +-1
+        return u * (1.5 - 0.5 * (u * u))
 
     _validate("standard", w)
     return PotentialSpec(name="standard", w=w, dw=dw, ddw=ddw,

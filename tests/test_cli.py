@@ -1,4 +1,6 @@
 import json
+import platform
+import resource
 import time
 from pathlib import Path
 
@@ -139,6 +141,64 @@ def test_manifest_records_build_time(tmp_path, monkeypatch, command):
     if command in results:
         assert set(timings) == {"build_s", "wall_s"}
         assert "build_s" not in (out / results[command]).read_text()
+
+
+def test_manifest_records_each_member_and_level(tmp_path):
+    """A sweep manifest records one run per epsilon and a check-identities
+    manifest one per level; the result files stay free of wall times."""
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", "--plan", small_plan(tmp_path, bands={
+        "err_l1": [0.0, 10.0], "rel_entropy": [0.0, 10.0]}),
+        "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    members = manifest["members"]
+    assert [m["epsilon"] for m in members] == [0.16, 0.08, 0.04]
+    for m in members:
+        assert set(m) == {"epsilon", "n_steps", "clamp_count", "run_wall_s",
+                          "rows_s"}
+        assert m["n_steps"] > 0 and m["clamp_count"] == 0
+        assert 0.0 < m["rows_s"] < m["run_wall_s"]
+    assert sum(m["run_wall_s"] for m in members) \
+        < manifest["timings"]["wall_s"]
+    summary = (out / "summary.json").read_text()
+    assert "run_wall_s" not in summary and "rows_s" not in summary
+
+    out = tmp_path / "ident"
+    assert cli.main(["check-identities", "--config",
+                     str(CONFIGS / "identities_plane.json"),
+                     "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    payload = json.loads((out / "identities.json").read_text())
+    levels = manifest["levels"]
+    assert [lv["h"] for lv in levels] == [lv["h"] for lv in payload["levels"]]
+    for coarse, fine in zip(levels, levels[1:]):
+        assert fine["n_steps"] == 2 * coarse["n_steps"]
+    for lv in levels:
+        assert lv["clamp_count"] == 0
+        assert 0.0 < lv["rows_s"] < lv["run_wall_s"]
+    assert sum(lv["run_wall_s"] for lv in levels) \
+        < manifest["timings"]["wall_s"]
+    result = (out / "identities.json").read_text()
+    assert "run_wall_s" not in result and "rows_s" not in result
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the malloc settings are glibc's")
+def test_freed_heap_is_reused():
+    """With main's malloc settings, whole-grid temporaries allocated and
+    freed again reuse the heap instead of faulting fresh pages in (about
+    3,000 minor faults per round without them)."""
+    assert cli._keep_freed_heap()
+
+    def churn():
+        arrays = [np.ones((280, 280)) for _ in range(20)]
+        return sum(float(a[0, 0]) for a in arrays)
+
+    churn()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(3):
+        churn()
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 100
 
 
 def test_simulate_rejects_unresolved_layer(tmp_path, capsys):

@@ -87,3 +87,44 @@ def test_grid_validation():
         pl.full_grid(3, 1.0, 32)
     with pytest.raises(ValueError):
         pl.full_grid(1, 1.0, 4)
+
+
+def _padded_neighbours(g, u, ax):
+    """The upper and lower neighbours of every cell along ax, taken from an
+    np.pad copy of u with mirror (edge) ghosts."""
+    pad = [(1, 1) if k == ax else (0, 0) for k in range(g.dim)]
+    ue = np.pad(u, pad, mode="edge")
+    hi = ue[tuple(slice(2, None) if k == ax else slice(None)
+                  for k in range(g.dim))]
+    lo = ue[tuple(slice(None, -2) if k == ax else slice(None)
+                  for k in range(g.dim))]
+    return hi, lo
+
+
+def _padded_gradient(g, u):
+    out = np.empty((g.dim,) + u.shape)
+    for ax in range(g.dim):
+        hi, lo = _padded_neighbours(g, u, ax)
+        out[ax] = (hi - lo) / (2.0 * g.h)
+    return out
+
+
+def _padded_laplacian(g, u):
+    out = np.zeros_like(u)
+    for ax in range(g.dim):
+        hi, lo = _padded_neighbours(g, u, ax)
+        out += (hi - 2.0 * u + lo) / g.h ** 2
+    return out
+
+
+@pytest.mark.parametrize("dim,npts", [(1, 64), (1, 65), (2, 40), (2, 41)])
+def test_full_stencils_and_quadrature_match_oracles(dim, npts):
+    """Slice stencils and the scalar cell volume give the bits of padded
+    stencils and of a constant weight array."""
+    g = pl.full_grid(dim, 1.3, npts)
+    u = np.random.default_rng(npts).uniform(-1.0, 1.0, g.shape)
+    assert np.array_equal(g.gradient(u), _padded_gradient(g, u))
+    assert np.array_equal(g.laplacian(u), _padded_laplacian(g, u))
+    weights = np.full(g.shape, g.h ** dim)
+    assert g.integrate(u) == float((weights * u).sum())
+    assert g.integrate(u * u) == float((weights * (u * u)).sum())

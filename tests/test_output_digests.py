@@ -42,17 +42,17 @@ def full2d_short(tmp_path):
 CASES = {
     "simulate-plane1d": (
         shipped("simulate", "plane1d.json"), "diagnostics.csv",
-        "8c07706cda785c785b0a10769cf414d2bed64ade4631dfeb0c0abbe11bed1196"),
+        "aa8105030e304892ddbf3fe6366eb6341746fa7afbe6b50c741a997b3fc52430"),
     "simulate-circle_radial": (
         shipped("simulate", "circle_radial.json"), "diagnostics.csv",
-        "231e727de0c1bc38f8500df2f6fc9a402c6714cd08b90b943e5ef8eaeed33106"),
+        "986cb4202ce51a25d82fd56672899af9a302b27e70b570a14b45e784f88abb1e"),
     "check-identities-plane": (
         shipped("check-identities", "identities_plane.json"),
         "identities.json",
         "1c629b6e9266c5f18af1087b0e43d926f389d800bcefb7f260133ed07228d135"),
     "simulate-circle_full2d_short": (
         full2d_short, "diagnostics.csv",
-        "6eeb21fe838dc325201b436fdb9f35a225fcf1bb6b93070f58af68510044fa81"),
+        "d78678ff44b5ca3e85cfa125a722d824e1d2f3f28c37a267d1ffbb73756ed100"),
     "profile-standard": (
         lambda tmp: ["profile", "standard"], "profile_standard.csv",
         "f1dcb8258d3ffae39cdd9d7f28f3924496fcca72f9954d1d209fec007c6cb708"),
