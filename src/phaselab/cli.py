@@ -87,11 +87,13 @@ def _write_manifest(out_dir: Path, command: str, config_path, filled,
 
 
 def _run_record(res) -> dict:
-    """Step and clamp counts and wall times of one `solver.run`: a sweep
-    member's or an identity level's manifest entry, and the run part of a
-    `simulate` manifest."""
+    """Step and clamp counts, max |u| and wall times of one `solver.run`: a
+    sweep member's or an identity level's manifest entry, and the run part
+    of a `simulate` manifest."""
     return {"n_steps": res.n_steps, "clamp_count": res.clamp_count,
-            "run_wall_s": res.wall_s, "rows_s": res.rows_s}
+            "max_abs_u": res.max_abs_u, "run_wall_s": res.wall_s,
+            "rows_s": res.rows_s, "step_s": res.step_s,
+            "steps_per_s": res.n_steps / res.step_s if res.step_s > 0 else 0.0}
 
 
 def cmd_profile(args) -> int:
@@ -155,7 +157,8 @@ def cmd_simulate(args) -> int:
                     artifacts, {"build_s": started - build_start,
                                 "wall_s": wall,
                                 "run_wall_s": record.pop("run_wall_s"),
-                                "rows_s": record.pop("rows_s")},
+                                "rows_s": record.pop("rows_s"),
+                                "step_s": record.pop("step_s")},
                     extra=record)
     last = res.breakdowns[-1]
     print(f"completed {res.n_steps} steps to t = {res.times[-1]:.6g}; "

@@ -9,10 +9,11 @@ same distance on the boundary cells); it names no trajectory type.
 The one stepper is semi-implicit: the Laplacian is treated implicitly
 (diagonalized by a cosine transform on full zero-flux grids, a tridiagonal
 solve on the radial line), the reaction term explicitly.  The radial
-operator I - dt L is LU-factored once per run (LAPACK dgttrf); each step
-then costs one dgttrs solve.  The stepper is first order in dt and second
-order in h; its one step-size rule is the reaction limit
-dt <= eps^2/(2 max W''), whatever h.
+operator I - dt L is factored once per run without pivoting: its axis rows
+by scalar Thomas elimination, the rest, symmetrized by positive row
+weights, as LDL^T (LAPACK dpttrf); each step then costs one dpttrs solve.
+The stepper is first order in dt and second order in h; its one step-size
+rule is the reaction limit dt <= eps^2/(2 max W''), whatever h.
 """
 
 from __future__ import annotations
@@ -166,19 +167,75 @@ def make_stepper(cfg: SimulationConfig) -> Callable:
             return idctn(coef / denom, type=2, norm="ortho")
         return step
 
-    # radial semi-implicit: factor (I - dt L) once, then each step is one
-    # pair of triangular solves
-    from scipy.linalg.lapack import dgttrf, dgttrs
+    # radial semi-implicit: I - dt L factored once, no pivoting
+    from scipy.linalg.lapack import dpttrs
 
-    *lu, info = dgttrf(*_radial_diagonals(grid, dt))
-    if info != 0:
-        raise np.linalg.LinAlgError(
-            f"singular radial operator: dgttrf info = {info}")
+    head, d_fac, e_fac, w = _radial_factors(grid, dt)
+    c = dt / eps2
 
     def step(u):
-        rhs = u - (dt / eps2) * dw(u)
-        return dgttrs(*lu, rhs, overwrite_b=True)[0]
+        b = u - c * dw(u)
+        for i, (mult, _, _) in enumerate(head, 1):
+            b[i] -= mult * b[i - 1]
+        b *= w
+        x = dpttrs(d_fac, e_fac, b, overwrite_b=True)[0]
+        for i in range(len(head) - 1, -1, -1):
+            _, pivot, upper = head[i]
+            x[i] = (x[i] - upper * x[i + 1]) / pivot
+        return x
     return step
+
+
+def _radial_factors(grid: Grid, dt: float) -> tuple:
+    """Factor the radial I - dt L = A once, without pivoting.
+
+    Every coupling i with lower[i] * upper[i] > 0 is symmetrized by a
+    positive row weight, w[i + 1] = w[i] upper[i] / lower[i]; W A is then
+    symmetric positive definite, as it is congruent to the symmetric matrix
+    similar to A.  The axis rows break this (lower[0] is 0 for d = 3 and
+    positive for d = 4, and more leading couplings change sign for d >= 5),
+    so the first m nodes, m = 1 + the last coupling with
+    lower * upper <= 0 (node 0 always), are Thomas-eliminated into row m.
+
+    Returns (head, d_fac, e_fac, w): head holds (multiplier of row i + 1,
+    pivot of row i, upper[i]) for each axis node i < m as Python floats;
+    (d_fac, e_fac) is dpttrf's LDL^T of W A with its first m rows replaced
+    by identity rows and row m's diagonal by the last head pivot; w is 1 on
+    nodes 0..m.  A step solves A x = b as: eliminate b[1..m], weight by w,
+    one dpttrs, back-substitute x[m-1..0].  A non-positive pivot, a
+    non-finite weight or a dpttrf failure raises LinAlgError.
+    """
+    from scipy.linalg.lapack import dpttrf
+
+    lower, diag, upper = _radial_diagonals(grid, dt)
+    unsymmetric = np.flatnonzero(lower * upper <= 0.0)
+    m = int(unsymmetric[-1]) + 1 if unsymmetric.size else 1
+    head, pivot = [], float(diag[0])
+    for i in range(m):
+        if not pivot > 0.0:
+            raise np.linalg.LinAlgError(
+                f"radial operator: non-positive axis pivot {pivot!r} at "
+                f"node {i}")
+        mult = float(lower[i]) / pivot
+        head.append((mult, pivot, float(upper[i])))
+        pivot = float(diag[i + 1]) - mult * float(upper[i])
+
+    w = np.ones(grid.npts)
+    with np.errstate(over="ignore"):   # w grows like r^(d-1); checked below
+        w[m + 1:] = np.cumprod(upper[m:] / lower[m:])
+    if not np.all(np.isfinite(w)):
+        raise np.linalg.LinAlgError(
+            "radial operator: symmetrizing weights are not finite")
+    sym_diag = w * diag
+    sym_diag[:m], sym_diag[m] = 1.0, pivot
+    sym_off = w[:-1] * upper
+    sym_off[:m] = 0.0
+    d_fac, e_fac, info = dpttrf(sym_diag, sym_off)
+    if info != 0:
+        raise np.linalg.LinAlgError(
+            f"radial operator not positive definite after symmetrizing: "
+            f"dpttrf info = {info}")
+    return head, d_fac, e_fac, w
 
 
 def _radial_diagonals(grid: Grid, dt: float) -> tuple:
@@ -210,6 +267,8 @@ class RunResult:
     final_field: Optional[np.ndarray] = None
     wall_s: float = 0.0
     rows_s: float = 0.0   # wall time inside the diagnostic rows
+    step_s: float = 0.0   # wall time in the step loop outside the rows
+    max_abs_u: float = 0.0   # over the initial and every stepped field
 
 
 def run(cfg: SimulationConfig, snapshot_every: Optional[int] = None,
@@ -218,8 +277,9 @@ def run(cfg: SimulationConfig, snapshot_every: Optional[int] = None,
     the configured cadence (the initial and final states are always rows)
     and, given snapshot_every = k, the field of every k-th row.
 
-    Aborts with BlowUpError when max |u| exceeds 2 or is not finite.  The clamp counter
-    totals grid values found outside [-1, 1] across all steps.
+    Aborts with BlowUpError when max |u| exceeds 2 or is not finite.  The
+    clamp counter totals grid values found outside [-1, 1] across all steps;
+    max_abs_u is read off the same per-step min/max as the guard.
     """
     if not _skip_validation:
         issues = validate(cfg)
@@ -245,6 +305,8 @@ def run(cfg: SimulationConfig, snapshot_every: Optional[int] = None,
     snapshots = [(0.0, u.copy())] if snapshot_every else []
     step = make_stepper(cfg)
     clamps = 0
+    max_abs_u = float(np.max(np.abs(u)))
+    loop_start, rows_before = time.perf_counter(), rows_s
 
     for k in range(1, n_steps + 1):
         u = step(u)
@@ -253,12 +315,14 @@ def run(cfg: SimulationConfig, snapshot_every: Optional[int] = None,
             raise BlowUpError(
                 f"max |u| = {max(hi, -lo):.3f} at step {k} (t = "
                 f"{k * dt:.6g}): the field left [-2, 2] or is not finite")
+        max_abs_u = max(max_abs_u, hi, -lo)
         clamps += count_excursions(u, bounds=(lo, hi))
         if k % cfg.cadence == 0 or k == n_steps:
             t = k * dt
             if snapshot_every and len(rows) % snapshot_every == 0:
                 snapshots.append((t, u.copy()))
             rows.append(measure(u, t))
+    step_s = time.perf_counter() - loop_start - (rows_s - rows_before)
 
     if cfg.compute_identity:
         diagnostics.fill_identity_residuals(rows)
@@ -266,4 +330,5 @@ def run(cfg: SimulationConfig, snapshot_every: Optional[int] = None,
     return RunResult(times=np.array([b.t for b in rows]), breakdowns=rows,
                      dt=dt, n_steps=n_steps, clamp_count=clamps,
                      snapshots=snapshots, final_field=u,
-                     wall_s=time.perf_counter() - start, rows_s=rows_s)
+                     wall_s=time.perf_counter() - start, rows_s=rows_s,
+                     step_s=step_s, max_abs_u=max_abs_u)

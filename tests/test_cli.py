@@ -112,9 +112,15 @@ def test_simulate_manifest_records_row_time(tmp_path):
     out = tmp_path / "run"
     assert cli.main(["simulate", "--config", str(CONFIGS / "plane1d.json"),
                      "--out", str(out)]) == 0
-    timings = json.loads((out / "manifest.json").read_text())["timings"]
-    assert set(timings) == {"build_s", "wall_s", "run_wall_s", "rows_s"}
+    manifest = json.loads((out / "manifest.json").read_text())
+    timings = manifest["timings"]
+    assert set(timings) == {"build_s", "wall_s", "run_wall_s", "rows_s",
+                            "step_s"}
     assert 0.0 < timings["rows_s"] < timings["run_wall_s"] < timings["wall_s"]
+    assert 0.0 < timings["step_s"] < timings["run_wall_s"] - timings["rows_s"]
+    assert manifest["steps_per_s"] == pytest.approx(
+        manifest["n_steps"] / timings["step_s"])
+    assert 0.99 < manifest["max_abs_u"] <= 1.0 + 1e-12
 
 
 @pytest.mark.parametrize("command", ["simulate", "sweep", "check-identities"])
@@ -143,6 +149,11 @@ def test_manifest_records_build_time(tmp_path, monkeypatch, command):
         assert "build_s" not in (out / results[command]).read_text()
 
 
+# run-record fields that stay out of summary.json and identities.json
+RUN_RECORD_ONLY = ("run_wall_s", "rows_s", "step_s", "steps_per_s",
+                   "max_abs_u")
+
+
 def test_manifest_records_each_member_and_level(tmp_path):
     """A sweep manifest records one run per epsilon and a check-identities
     manifest one per level; the result files stay free of wall times."""
@@ -155,13 +166,17 @@ def test_manifest_records_each_member_and_level(tmp_path):
     assert [m["epsilon"] for m in members] == [0.16, 0.08, 0.04]
     for m in members:
         assert set(m) == {"epsilon", "n_steps", "clamp_count", "run_wall_s",
-                          "rows_s"}
+                          "rows_s", "step_s", "steps_per_s", "max_abs_u"}
         assert m["n_steps"] > 0 and m["clamp_count"] == 0
         assert 0.0 < m["rows_s"] < m["run_wall_s"]
+        assert 0.0 < m["step_s"] < m["run_wall_s"] - m["rows_s"]
+        assert m["steps_per_s"] == pytest.approx(m["n_steps"] / m["step_s"])
+        assert 0.99 < m["max_abs_u"] <= 1.0 + 1e-12
     assert sum(m["run_wall_s"] for m in members) \
         < manifest["timings"]["wall_s"]
     summary = (out / "summary.json").read_text()
-    assert "run_wall_s" not in summary and "rows_s" not in summary
+    for key in RUN_RECORD_ONLY:
+        assert key not in summary
 
     out = tmp_path / "ident"
     assert cli.main(["check-identities", "--config",
@@ -176,10 +191,14 @@ def test_manifest_records_each_member_and_level(tmp_path):
     for lv in levels:
         assert lv["clamp_count"] == 0
         assert 0.0 < lv["rows_s"] < lv["run_wall_s"]
+        assert 0.0 < lv["step_s"] < lv["run_wall_s"] - lv["rows_s"]
+        assert lv["steps_per_s"] == pytest.approx(lv["n_steps"] / lv["step_s"])
+        assert 0.99 < lv["max_abs_u"] <= 1.0 + 1e-12
     assert sum(lv["run_wall_s"] for lv in levels) \
         < manifest["timings"]["wall_s"]
     result = (out / "identities.json").read_text()
-    assert "run_wall_s" not in result and "rows_s" not in result
+    for key in RUN_RECORD_ONLY:
+        assert key not in result
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",

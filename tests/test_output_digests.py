@@ -45,7 +45,7 @@ CASES = {
         "aa8105030e304892ddbf3fe6366eb6341746fa7afbe6b50c741a997b3fc52430"),
     "simulate-circle_radial": (
         shipped("simulate", "circle_radial.json"), "diagnostics.csv",
-        "986cb4202ce51a25d82fd56672899af9a302b27e70b570a14b45e784f88abb1e"),
+        "7021c7f274675abaf050f9c804a7d7538e57039e3c2bb41d6fe47b1c3b8eba74"),
     "check-identities-plane": (
         shipped("check-identities", "identities_plane.json"),
         "identities.json",

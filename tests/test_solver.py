@@ -5,7 +5,8 @@ import pytest
 from scipy.linalg import solve_banded
 
 import phaselab as pl
-from phaselab.solver import BlowUpError, ConfigError, _radial_diagonals
+from phaselab.solver import (BlowUpError, ConfigError, _radial_diagonals,
+                             _radial_factors)
 
 from conftest import make_circle_config, make_plane_config
 
@@ -30,23 +31,44 @@ def test_initial_data_zero_on_interface(standard_potential, profile):
     assert u0[node] == pytest.approx(0.0, abs=1e-12)
 
 
+def stepper_configs(pot, prof):
+    """Full grids d = 1, 2 and the radial line d = 2..6, whose axis blocks
+    have one node (d <= 4) or two (d = 5, 6).  Spheres with d >= 4 need
+    t_max = 0.05 to pass the extinction guard."""
+    return [make_plane_config(pot, prof), make_plane_config(pot, prof, dim=2)
+            ] + [make_circle_config(pot, prof, half_width=1.4, dim=dim,
+                                    t_max=0.22 if dim <= 3 else 0.05)
+                 for dim in range(2, 7)]
+
+
 @pytest.mark.parametrize("value", [1.0, -1.0])
 def test_uniform_states_are_fixed_points(standard_potential, profile, value):
-    for maker, kw in ((make_plane_config, {}), (make_plane_config, {"dim": 2}),
-                      (make_circle_config, {"half_width": 1.4})):
-        cfg = maker(standard_potential, profile, **kw)
+    for cfg in stepper_configs(standard_potential, profile):
         step = pl.make_stepper(cfg)
         u = np.full(cfg.grid.shape, value)
         assert np.max(np.abs(step(u) - value)) < 1e-12
 
 
-@pytest.mark.parametrize("dim, h_over_eps", [(2, 8), (2, 16), (3, 8)])
+def test_step_leaves_its_input_unchanged(standard_potential, profile):
+    # the run loop and the snapshots keep references to earlier fields
+    for cfg in stepper_configs(standard_potential, profile):
+        u = pl.initial_data(cfg)
+        before = u.copy()
+        u_next = pl.make_stepper(cfg)(u)
+        assert np.array_equal(u, before)
+        assert not np.shares_memory(u_next, u)
+        assert u_next.shape == u.shape
+
+
+@pytest.mark.parametrize("dim, h_over_eps", [(2, 8), (2, 16), (3, 8),
+                                             (4, 8), (5, 8), (6, 8)])
 def test_radial_step_matches_banded_oracle(standard_potential, profile, dim,
                                            h_over_eps):
-    # the band is I - dt L for the stencil of Grid.laplacian, and the
-    # once-factored solve agrees bit for bit with solve_banded on that band
+    # the band is I - dt L for the stencil of Grid.laplacian; each step
+    # solves it to roundoff, and 200 steps track solve_banded on that band
     cfg = make_circle_config(standard_potential, profile, eps=0.08,
-                             half_width=1.4, h_over_eps=h_over_eps, dim=dim)
+                             half_width=1.4, h_over_eps=h_over_eps, dim=dim,
+                             t_max=0.22 if dim <= 3 else 0.05)
     dt, eps2, dw = cfg.dt_actual(), cfg.epsilon ** 2, cfg.potential.dw
     lower, diag, upper = _radial_diagonals(cfg.grid, dt)
     n = cfg.grid.npts
@@ -56,14 +78,30 @@ def test_radial_step_matches_banded_oracle(standard_potential, profile, dim,
                                atol=1e-12 * np.max(np.abs(band)))
     ab = np.zeros((3, n))
     ab[0, 1:], ab[1], ab[2, :-1] = upper, diag, lower
+    # the axis block: node 0 alone for d <= 4, nodes 0 and 1 for d = 5, 6
+    assert len(_radial_factors(cfg.grid, dt)[0]) == (1 if dim <= 4 else 2)
 
     step = pl.make_stepper(cfg)
     u = v = pl.initial_data(cfg)
     for _ in range(200):
+        rhs = u - (dt / eps2) * dw(u)
         u = step(u)
+        assert np.max(np.abs(band @ u - rhs)) <= 1e-13 * np.max(np.abs(rhs))
         v = solve_banded((1, 1), ab, v - (dt / eps2) * dw(v))
-        assert np.array_equal(u, v)
+    assert np.max(np.abs(u - v)) <= 1e-12
     assert np.max(np.abs(u - pl.initial_data(cfg))) > 1e-3   # it moved
+
+
+@pytest.mark.parametrize("dim, npts, dt, cause", [
+    (2, 141, -1e-3, "non-positive axis pivot"),
+    (2, 141, -2.3e-5, "not positive definite"),
+    (400, 2001, 1e-5, "weights are not finite")])
+def test_radial_factorization_failure_is_loud(dim, npts, dt, cause):
+    # I - dt L with dt < 0 is indefinite, and the weights grow like
+    # r^(d-1): each failure of the factorization names its cause
+    grid = pl.Grid(mode="radial", dim=dim, half_width=1.4, npts=npts)
+    with pytest.raises(np.linalg.LinAlgError, match=cause):
+        _radial_factors(grid, dt)
 
 
 def test_profile_single_step_residual_halves(standard_potential, profile):
@@ -295,6 +333,25 @@ def test_clamp_counter_counts_excursions(standard_potential, profile,
     monkeypatch.setattr(pl.solver, "make_stepper",
                         lambda cfg: lambda u: excursion.copy())
     assert pl.run(cfg).clamp_count == 3 * (n // 4 + 1)
+
+
+def test_run_records_step_time_and_max_abs_u(standard_potential, profile,
+                                            monkeypatch):
+    cfg = make_circle_config(standard_potential, profile, eps=0.08,
+                             half_width=1.4, t_end=0.02)
+    res = pl.run(cfg)
+    assert 0.0 < res.step_s and res.rows_s + res.step_s < res.wall_s
+    seen = max(float(np.max(np.abs(u)))
+               for u in (pl.initial_data(cfg), res.final_field))
+    assert seen <= res.max_abs_u <= 1.0 + 1e-12
+
+    # max_abs_u comes from the guard's min and max of every step
+    cfg = make_plane_config(standard_potential, profile, cadence=1)
+    cfg.t_end = 3 * cfg.dt
+    excursion = np.where(np.arange(cfg.grid.npts) < 5, -1.5, 0.5)
+    monkeypatch.setattr(pl.solver, "make_stepper",
+                        lambda cfg: lambda u: excursion.copy())
+    assert pl.run(cfg).max_abs_u == 1.5
 
 
 def test_blowup_guard_catches_nan(standard_potential, profile, monkeypatch):
