@@ -16,7 +16,6 @@ from typing import Optional
 import numpy as np
 
 from . import diagnostics, solver
-from .grids import npts_for_spacing
 from .solver import BlowUpError, ConfigError, SimulationConfig
 
 DEFAULT_H_OVER_EPS = 8.0
@@ -126,10 +125,8 @@ class SweepPlan:
 
     def member(self, eps: float, h_over_eps: Optional[float] = None) -> SimulationConfig:
         rel = h_over_eps if h_over_eps is not None else self.h_over_eps
-        grid = self.base.grid
-        new_grid = replace(grid, npts=npts_for_spacing(
-            grid.mode, grid.half_width, eps / rel))
-        return replace(self.base, epsilon=eps, grid=new_grid,
+        return replace(self.base, epsilon=eps,
+                       grid=self.base.grid.respaced(eps / rel),
                        dt=eps ** 2 / self.dt_over_eps2)
 
 
@@ -192,8 +189,7 @@ def run_sweep(plan: SweepPlan) -> SweepResult:
     results = []
     for eps in plan.epsilons:
         try:
-            results.append(solver.run(plan.member(eps),
-                                      _skip_validation=True))
+            results.append(solver.run(plan.member(eps)))
         except BlowUpError as exc:
             raise BlowUpError(f"sweep member eps={eps:g}: {exc}") from exc
 
@@ -262,11 +258,8 @@ class IdentityReport:
 
 
 def _refined(cfg: SimulationConfig, factor: int) -> SimulationConfig:
-    grid = cfg.grid
-    new_grid = replace(grid, npts=npts_for_spacing(
-        grid.mode, grid.half_width, grid.h / factor))
-    return replace(cfg, grid=new_grid, dt=cfg.dt / factor,
-                   compute_identity=True)
+    return replace(cfg, grid=cfg.grid.respaced(cfg.grid.h / factor),
+                   dt=cfg.dt / factor, compute_identity=True)
 
 
 def check_identities(cfg: SimulationConfig, levels: int = 3) -> IdentityReport:
@@ -291,6 +284,10 @@ def check_identities(cfg: SimulationConfig, levels: int = 3) -> IdentityReport:
                  if b.t in common and not math.isnan(b.identity_residual)]
         all_diss = diagnostics.dissipation_residuals(r.breakdowns)
         diss = [v for t, v in all_diss if t in common]
+        if not (ident and diss):
+            raise ConfigError([f"diagnostics.cadence: at h = {c.grid.h:g} "
+                               f"no shared diagnostic time has evenly spaced "
+                               f"neighbors for a centered rate"])
         out_levels.append(IdentityLevel(
             h=c.grid.h, dt=r.dt,
             identity_residual=max(ident),

@@ -6,13 +6,20 @@ boundaries; the radial line is node-centered over [0, L] with the axis
 handled by the symmetric limit of the Laplacian.  Vector fields are arrays
 with a leading component axis: d components on full grids, one (the radial
 component) on the radial line.
+
+Every rule that depends on the grid kind lives here.  Grid.implicit_solver
+inverts I - dt L for the stencil of Grid.laplacian: by the type-II cosine
+transform on full grids, on the radial line by the factorization that
+_radial_factors makes once.  Each kind imports only the scipy module it
+solves with, so a run loads scipy.fft or scipy.linalg, never both.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -121,7 +128,7 @@ class Grid:
         return out
 
     def laplacian(self, u: np.ndarray) -> np.ndarray:
-        """Second-order Laplacian matching the solver's zero-flux stencil."""
+        """Second-order zero-flux Laplacian, as implicit_solver inverts."""
         h2 = self.h ** 2
         if self.mode == RADIAL:
             d, r = self.dim, self.axis
@@ -140,6 +147,123 @@ class Grid:
             o[0] += (v[1] - 2.0 * v[0] + v[0]) / h2
             o[-1] += (v[-1] - 2.0 * v[-1] + v[-2]) / h2
         return out
+
+    def implicit_solver(self, dt: float) -> Callable:
+        """The map b -> (I - dt L)^-1 b, L the stencil of laplacian, with
+        I - dt L factored once; the radial solve overwrites b."""
+        if self.mode == FULL:
+            from scipy.fft import dctn, idctn
+
+            n, h = self.npts, self.h
+            lam = (4.0 / h ** 2) * np.sin(np.pi * np.arange(n) / (2.0 * n)) ** 2
+            if self.dim == 1:
+                denom = 1.0 + dt * lam
+            else:
+                denom = 1.0 + dt * (lam[:, None] + lam[None, :])
+
+            def solve(b):
+                coef = dctn(b, type=2, norm="ortho")
+                return idctn(coef / denom, type=2, norm="ortho")
+            return solve
+
+        from scipy.linalg.lapack import dpttrs
+
+        head, d_fac, e_fac, w = _radial_factors(self, dt)
+
+        def solve(b):
+            for i, (mult, _, _) in enumerate(head, 1):
+                b[i] -= mult * b[i - 1]
+            b *= w
+            x = dpttrs(d_fac, e_fac, b, overwrite_b=True)[0]
+            for i in range(len(head) - 1, -1, -1):
+                _, pivot, upper = head[i]
+                x[i] = (x[i] - upper * x[i + 1]) / pivot
+            return x
+        return solve
+
+    def boundary_faces(self, f: np.ndarray, exempt_axes=()) -> list:
+        """The values of f on the boundary, one array per face: the outer
+        node of the radial line (the axis is no boundary), both faces of
+        every full-grid axis not in exempt_axes."""
+        if self.mode == RADIAL:
+            return [f[-1:]]
+        return [np.take(f, side, axis=ax) for ax in range(self.dim)
+                if ax not in exempt_axes for side in (0, -1)]
+
+    def respaced(self, h: float) -> Grid:
+        """This grid over the same domain with the spacing closest to h."""
+        return replace(self, npts=npts_for_spacing(self.mode, self.half_width,
+                                                   h))
+
+
+def _radial_factors(grid: Grid, dt: float) -> tuple:
+    """Factor the radial I - dt L = A once, without pivoting.
+
+    Every coupling i with lower[i] * upper[i] > 0 is symmetrized by a
+    positive row weight, w[i + 1] = w[i] upper[i] / lower[i]; W A is then
+    symmetric positive definite, as it is congruent to the symmetric matrix
+    similar to A.  The axis rows break this (lower[0] is 0 for d = 3 and
+    positive for d = 4, and more leading couplings change sign for d >= 5),
+    so the first m nodes, m = 1 + the last coupling with
+    lower * upper <= 0 (node 0 always), are Thomas-eliminated into row m.
+
+    Returns (head, d_fac, e_fac, w): head holds (multiplier of row i + 1,
+    pivot of row i, upper[i]) for each axis node i < m as Python floats;
+    (d_fac, e_fac) is dpttrf's LDL^T of W A with its first m rows replaced
+    by identity rows and row m's diagonal by the last head pivot; w is 1 on
+    nodes 0..m.  A step solves A x = b as: eliminate b[1..m], weight by w,
+    one dpttrs, back-substitute x[m-1..0].  A non-positive pivot, a
+    non-finite weight or a dpttrf failure raises LinAlgError.
+    """
+    from scipy.linalg.lapack import dpttrf
+
+    lower, diag, upper = _radial_diagonals(grid, dt)
+    unsymmetric = np.flatnonzero(lower * upper <= 0.0)
+    m = int(unsymmetric[-1]) + 1 if unsymmetric.size else 1
+    head, pivot = [], float(diag[0])
+    for i in range(m):
+        if not pivot > 0.0:
+            raise np.linalg.LinAlgError(
+                f"radial operator: non-positive axis pivot {pivot!r} at "
+                f"node {i}")
+        mult = float(lower[i]) / pivot
+        head.append((mult, pivot, float(upper[i])))
+        pivot = float(diag[i + 1]) - mult * float(upper[i])
+
+    w = np.ones(grid.npts)
+    with np.errstate(over="ignore"):   # w grows like r^(d-1); checked below
+        w[m + 1:] = np.cumprod(upper[m:] / lower[m:])
+    if not np.all(np.isfinite(w)):
+        raise np.linalg.LinAlgError(
+            "radial operator: symmetrizing weights are not finite")
+    sym_diag = w * diag
+    sym_diag[:m], sym_diag[m] = 1.0, pivot
+    sym_off = w[:-1] * upper
+    sym_off[:m] = 0.0
+    d_fac, e_fac, info = dpttrf(sym_diag, sym_off)
+    if info != 0:
+        raise np.linalg.LinAlgError(
+            f"radial operator not positive definite after symmetrizing: "
+            f"dpttrf info = {info}")
+    return head, d_fac, e_fac, w
+
+
+def _radial_diagonals(grid: Grid, dt: float) -> tuple:
+    """(lower, diag, upper) of the tridiagonal I - dt L on the radial line,
+    L the stencil of Grid.laplacian with its axis limit: lower[i] and
+    upper[i] are the entries (i + 1, i) and (i, i + 1)."""
+    n, h, d = grid.npts, grid.h, grid.dim
+    ri = grid.axis[1:-1]
+    h2 = h ** 2
+    lower = np.empty(n - 1)
+    diag = np.full(n, 1.0 + dt * 2.0 / h2)
+    upper = np.empty(n - 1)
+    diag[0] = 1.0 + dt * 2.0 * d / h2
+    upper[0] = -dt * 2.0 * d / h2
+    lower[:-1] = -dt * (1.0 / h2 - (d - 1) / (2.0 * h * ri))
+    upper[1:] = -dt * (1.0 / h2 + (d - 1) / (2.0 * h * ri))
+    lower[-1] = -dt * 2.0 / h2
+    return lower, diag, upper
 
 
 def npts_for_spacing(mode: str, half_width: float, h: float) -> int:

@@ -479,6 +479,21 @@ def test_identities_without_shared_time_rejected(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_identities_without_centered_rate_rejected(tmp_path, capsys):
+    # all levels share step 30 of the coarsest, but there its neighbors are
+    # the rows at steps 0 and 40, so no centered rate exists
+    doc = json.loads((CONFIGS / "identities_plane.json").read_text())
+    doc["diagnostics"]["cadence"] = 30
+    out = tmp_path / "out"
+    rc = cli.main(["check-identities", "--config",
+                   write_json(tmp_path / "c.json", doc), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "diagnostics.cadence" in err and "centered rate" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_each_config_validated_once(tmp_path, monkeypatch):
     calls = []
     validate = phaselab.solver.validate
@@ -490,7 +505,10 @@ def test_each_config_validated_once(tmp_path, monkeypatch):
     monkeypatch.setattr(phaselab.solver, "validate", counting)
     plan = json.loads((CONFIGS / "sweep_circle.json").read_text())
     plan["base"]["stepper"]["t_end"] = 0.001
-    runs = [("sweep", "--plan", write_json(tmp_path / "p.json", plan), 4),
+    # a stepping sweep checks all four members before the first one runs,
+    # so every member's issues are reported together; then each run checks
+    # its own config, as every solver.run does
+    runs = [("sweep", "--plan", write_json(tmp_path / "p.json", plan), 8),
             ("sweep", "--plan", str(CONFIGS / "initial_entropy_plane.json"),
              4),
             ("check-identities", "--config",

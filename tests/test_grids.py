@@ -117,6 +117,22 @@ def _padded_laplacian(g, u):
     return out
 
 
+def test_boundary_faces():
+    # the radial line's one boundary is its outer node, not the axis
+    r = pl.radial_grid(3, 1.4, 141)
+    assert [f.tolist() for f in r.boundary_faces(r.axis)] == [[r.axis[-1]]]
+    g = pl.full_grid(2, 1.0, 10)
+    x = g.coords[0]
+    assert [np.unique(f).tolist() for f in g.boundary_faces(x, (1,))] == [
+        [g.axis[0]], [g.axis[-1]]]
+    assert [f.shape for f in g.boundary_faces(x)] == [(10,)] * 4
+
+
+def test_respaced_takes_the_closest_spacing():
+    assert pl.radial_grid(2, 1.4, 141).respaced(0.005).npts == 281
+    assert pl.full_grid(2, 1.3, 40).respaced(1.3 / 40).npts == 80
+
+
 @pytest.mark.parametrize("dim,npts", [(1, 64), (1, 65), (2, 40), (2, 41)])
 def test_full_stencils_and_quadrature_match_oracles(dim, npts):
     """Slice stencils and the scalar cell volume give the bits of padded
@@ -128,3 +144,17 @@ def test_full_stencils_and_quadrature_match_oracles(dim, npts):
     weights = np.full(g.shape, g.h ** dim)
     assert g.integrate(u) == float((weights * u).sum())
     assert g.integrate(u * u) == float((weights * (u * u)).sum())
+
+
+@pytest.mark.parametrize("grid", [
+    pl.full_grid(1, 1.3, 64), pl.full_grid(1, 1.3, 65),
+    pl.full_grid(2, 1.3, 40), pl.full_grid(2, 1.3, 41)]
+    + [pl.radial_grid(d, 1.4, 141) for d in range(2, 7)],
+    ids=lambda g: f"{g.mode}-d{g.dim}-n{g.npts}")
+def test_implicit_solver_inverts_the_laplacian(grid):
+    # the solve must invert I - dt L for the very stencil the diagnostics
+    # read, the cosine spectrum on full grids included; ||dt L|| is 1 to 40
+    dt = 1e-3
+    x = np.random.default_rng(grid.npts).uniform(-1.0, 1.0, grid.shape)
+    y = grid.implicit_solver(dt)(x - dt * grid.laplacian(x))
+    assert np.max(np.abs(y - x)) <= 1e-12 * np.max(np.abs(x))

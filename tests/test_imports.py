@@ -1,5 +1,5 @@
 """Import hygiene: what a command loads before its first time step, and
-which modules know the trajectory classes.
+which modules know the trajectory classes and the grid kinds.
 
 Each loading case runs in a fresh interpreter, so the module sets are those
 of a command started from the shell, not of this test session.
@@ -17,6 +17,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "phaselab"
 TRAJECTORY_CLASSES = {"PlaneInterface", "SphereInterface"}
+GRID_KIND_NAMES = {"FULL", "RADIAL", "mode", "npts_for_spacing", "scipy"}
 
 PROBE = """
 import json, sys
@@ -81,3 +82,16 @@ def test_trajectory_classes_own_their_rules(path):
     assert dispatch == [], f"isinstance on a trajectory class at {dispatch}"
     if path.stem not in ("geometry", "config", "__init__"):
         assert TRAJECTORY_CLASSES.isdisjoint(names_in(tree))
+
+
+@pytest.mark.parametrize("stem", ["solver", "experiments"])
+def test_grids_own_the_grid_kind_rules(stem):
+    # the implicit solve, the boundary faces and the respacing rule are Grid
+    # methods, so the stepper and the studies neither branch on the grid
+    # kind nor import the scipy module that solves on it
+    tree = ast.parse((PACKAGE / f"{stem}.py").read_text(encoding="utf-8"))
+    modules = [node.module for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module]
+    parts = {part for name in [*names_in(tree), *modules]
+             for part in name.split(".")}
+    assert GRID_KIND_NAMES.isdisjoint(parts)

@@ -5,8 +5,8 @@ import pytest
 from scipy.linalg import solve_banded
 
 import phaselab as pl
-from phaselab.solver import (BlowUpError, ConfigError, _radial_diagonals,
-                             _radial_factors)
+from phaselab.grids import _radial_diagonals, _radial_factors
+from phaselab.solver import BlowUpError, ConfigError
 
 from conftest import make_circle_config, make_plane_config
 
@@ -186,10 +186,11 @@ def unstable_plane_config(standard_potential, profile):
     return cfg
 
 
-def test_blowup_guard(standard_potential, profile):
+def test_blowup_guard(standard_potential, profile, monkeypatch):
     cfg = unstable_plane_config(standard_potential, profile)
+    monkeypatch.setattr(pl.solver, "validate", lambda cfg: [])
     with pytest.raises(BlowUpError, match="step"):
-        pl.run(cfg, _skip_validation=True)
+        pl.run(cfg)
 
 
 def test_validation_layer_resolution(standard_potential, profile):
@@ -362,10 +363,12 @@ def test_blowup_guard_catches_nan(standard_potential, profile, monkeypatch):
         pl.run(cfg)
 
 
-def test_blowup_reported_with_time(standard_potential, profile):
+def test_blowup_reported_with_time(standard_potential, profile,
+                                   monkeypatch):
     cfg = unstable_plane_config(standard_potential, profile)
+    monkeypatch.setattr(pl.solver, "validate", lambda cfg: [])
     with pytest.raises(BlowUpError, match="t ="):
-        pl.run(cfg, _skip_validation=True)
+        pl.run(cfg)
 
 
 def test_snapshot_roundtrip(tmp_path, standard_potential, profile):
