@@ -92,7 +92,8 @@ def _run_record(res) -> dict:
     of a `simulate` manifest."""
     return {"n_steps": res.n_steps, "clamp_count": res.clamp_count,
             "max_abs_u": res.max_abs_u, "run_wall_s": res.wall_s,
-            "rows_s": res.rows_s, "step_s": res.step_s,
+            "setup_s": res.setup_s, "rows_s": res.rows_s,
+            "step_s": res.step_s, "identity_s": res.identity_s,
             "steps_per_s": res.n_steps / res.step_s if res.step_s > 0 else 0.0}
 
 
@@ -153,13 +154,11 @@ def cmd_simulate(args) -> int:
         cfg, out_dir, filled["diagnostics"].get("snapshot_every"))
     wall = time.perf_counter() - started
     record = _run_record(res)
+    timings = {"build_s": started - build_start, "wall_s": wall}
+    for key in ("run_wall_s", "setup_s", "rows_s", "step_s", "identity_s"):
+        timings[key] = record.pop(key)
     _write_manifest(out_dir, "simulate", args.config, filled,
-                    artifacts, {"build_s": started - build_start,
-                                "wall_s": wall,
-                                "run_wall_s": record.pop("run_wall_s"),
-                                "rows_s": record.pop("rows_s"),
-                                "step_s": record.pop("step_s")},
-                    extra=record)
+                    artifacts, timings, extra=record)
     last = res.breakdowns[-1]
     print(f"completed {res.n_steps} steps to t = {res.times[-1]:.6g}; "
           f"final relative entropy {last.rel_entropy:.6e}, "

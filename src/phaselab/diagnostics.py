@@ -281,15 +281,19 @@ def coercivity_check(b: EntropyBreakdown, cutoff: CutoffSpec,
     return CoercivityReport(passed=passed, entries=entries)
 
 
+def centered_rows(times) -> list:
+    """Indices j of the interior times whose two neighbors are evenly spaced,
+    the rows with a centered rate: not the endpoints or a partial interval."""
+    return [j for j in range(1, len(times) - 1)
+            if abs((times[j + 1] - times[j]) - (times[j] - times[j - 1]))
+            <= 1e-9 * max(times[j + 1] - times[j - 1], 1e-300)]
+
+
 def _centered_rates(rows: list, name: str):
-    """(j, t_j, centered d(name)/dt) on interior rows whose two neighbors
-    are evenly spaced; a final partial interval and the endpoints are
-    skipped."""
-    for j in range(1, len(rows) - 1):
-        tl, tc, tr = rows[j - 1].t, rows[j].t, rows[j + 1].t
-        if abs((tr - tc) - (tc - tl)) <= 1e-9 * max(tr - tl, 1e-300):
-            yield j, tc, (getattr(rows[j + 1], name)
-                          - getattr(rows[j - 1], name)) / (tr - tl)
+    """(j, t_j, centered d(name)/dt) on the centered_rows."""
+    for j in centered_rows([r.t for r in rows]):
+        a, b = rows[j - 1], rows[j + 1]
+        yield j, rows[j].t, (getattr(b, name) - getattr(a, name)) / (b.t - a.t)
 
 
 def fill_identity_residuals(rows: list) -> None:

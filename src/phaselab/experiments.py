@@ -262,6 +262,23 @@ def _refined(cfg: SimulationConfig, factor: int) -> SimulationConfig:
                    dt=cfg.dt / factor, compute_identity=True)
 
 
+def _shared_row_times(cfgs) -> set:
+    """Interior row times all levels share, a centered one in each level."""
+    times = [c.row_times() for c in cfgs]
+    # nested levels step through bit-identical times, so exact matching holds
+    common = set.intersection(*(set(ts[1:-1]) for ts in times))
+    if not common:
+        raise ConfigError([f"diagnostics.cadence: no diagnostic time before "
+                           f"stepper.t_end is shared by all {len(cfgs)} "
+                           f"levels"])
+    for c, ts in zip(cfgs, times):
+        if not any(ts[j] in common for j in diagnostics.centered_rows(ts)):
+            raise ConfigError([f"diagnostics.cadence: at h = {c.grid.h:g} "
+                               f"no shared diagnostic time has evenly spaced "
+                               f"neighbors for a centered rate"])
+    return common
+
+
 def check_identities(cfg: SimulationConfig, levels: int = 3) -> IdentityReport:
     """Short runs at (h, dt), (h/2, dt/2), ... comparing the centered dE/dt
     against the assembled identity right-hand side, and the energy decay
@@ -269,14 +286,11 @@ def check_identities(cfg: SimulationConfig, levels: int = 3) -> IdentityReport:
     if levels < 2:
         raise ValueError("need at least 2 refinement levels")
     cfgs = [_refined(cfg, 2 ** lv) for lv in range(levels)]
+    # before any level steps; row times exist for all values validate accepts
+    defined = cfg.cadence >= 1 and (
+        cfg.t_end == 0.0 or (cfg.t_end > 0.0 and cfg.dt > 0.0))
+    common = _shared_row_times(cfgs) if defined else set()
     runs = [solver.run(c) for c in cfgs]
-
-    # nested levels step through bit-identical times, so exact matching holds
-    common = set.intersection(*({b.t for b in r.breakdowns[1:-1]}
-                                for r in runs))
-    if not common:
-        raise ConfigError([f"diagnostics.cadence: no diagnostic time before "
-                           f"stepper.t_end is shared by all {levels} levels"])
 
     out_levels = []
     for c, r in zip(cfgs, runs):
@@ -284,10 +298,6 @@ def check_identities(cfg: SimulationConfig, levels: int = 3) -> IdentityReport:
                  if b.t in common and not math.isnan(b.identity_residual)]
         all_diss = diagnostics.dissipation_residuals(r.breakdowns)
         diss = [v for t, v in all_diss if t in common]
-        if not (ident and diss):
-            raise ConfigError([f"diagnostics.cadence: at h = {c.grid.h:g} "
-                               f"no shared diagnostic time has evenly spaced "
-                               f"neighbors for a centered rate"])
         out_levels.append(IdentityLevel(
             h=c.grid.h, dt=r.dt,
             identity_residual=max(ident),

@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
@@ -148,23 +147,23 @@ class Grid:
             o[-1] += (v[-1] - 2.0 * v[-1] + v[-2]) / h2
         return out
 
-    def implicit_solver(self, dt: float) -> Callable:
-        """The map b -> (I - dt L)^-1 b, L the stencil of laplacian, with
-        I - dt L factored once; the radial solve overwrites b."""
+    def implicit_solver(self, dt: float) -> tuple:
+        """(weight, solve): solve(weight * b) = (I - dt L)^-1 b for the
+        stencil of laplacian, I - dt L factored once, and solve may overwrite
+        its argument; weight is 1.0 on full grids, the row weights radially."""
         if self.mode == FULL:
             from scipy.fft import dctn, idctn
 
             n, h = self.npts, self.h
             lam = (4.0 / h ** 2) * np.sin(np.pi * np.arange(n) / (2.0 * n)) ** 2
-            if self.dim == 1:
-                denom = 1.0 + dt * lam
-            else:
-                denom = 1.0 + dt * (lam[:, None] + lam[None, :])
+            denom = 1.0 + dt * (lam if self.dim == 1
+                                else lam[:, None] + lam[None, :])
 
             def solve(b):
-                coef = dctn(b, type=2, norm="ortho")
-                return idctn(coef / denom, type=2, norm="ortho")
-            return solve
+                coef = dctn(b, type=2, norm="ortho", overwrite_x=True)
+                coef /= denom
+                return idctn(coef, type=2, norm="ortho", overwrite_x=True)
+            return 1.0, solve
 
         from scipy.linalg.lapack import dpttrs
 
@@ -173,13 +172,12 @@ class Grid:
         def solve(b):
             for i, (mult, _, _) in enumerate(head, 1):
                 b[i] -= mult * b[i - 1]
-            b *= w
             x = dpttrs(d_fac, e_fac, b, overwrite_b=True)[0]
             for i in range(len(head) - 1, -1, -1):
                 _, pivot, upper = head[i]
                 x[i] = (x[i] - upper * x[i + 1]) / pivot
             return x
-        return solve
+        return w, solve
 
     def boundary_faces(self, f: np.ndarray, exempt_axes=()) -> list:
         """The values of f on the boundary, one array per face: the outer
@@ -211,9 +209,9 @@ def _radial_factors(grid: Grid, dt: float) -> tuple:
     pivot of row i, upper[i]) for each axis node i < m as Python floats;
     (d_fac, e_fac) is dpttrf's LDL^T of W A with its first m rows replaced
     by identity rows and row m's diagonal by the last head pivot; w is 1 on
-    nodes 0..m.  A step solves A x = b as: eliminate b[1..m], weight by w,
-    one dpttrs, back-substitute x[m-1..0].  A non-positive pivot, a
-    non-finite weight or a dpttrf failure raises LinAlgError.
+    nodes 0..m.  A step weights b by w, eliminates b[1..m] (in either order),
+    solves by one dpttrs and back-substitutes x[m-1..0].  A non-positive
+    pivot, a non-finite weight or a dpttrf failure raises LinAlgError.
     """
     from scipy.linalg.lapack import dpttrf
 

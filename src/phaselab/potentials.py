@@ -47,6 +47,7 @@ class PotentialSpec:
         name: identifier used in run configurations.
         w, dw, ddw: vectorized W, W', W''.
         max_ddw: max of W'' on [-1, 1]; used for time-step stability bounds.
+        dw_coef: W' as power-series coefficients, low to high degree.
     """
 
     name: str
@@ -54,6 +55,7 @@ class PotentialSpec:
     dw: Callable
     ddw: Callable
     max_ddw: float
+    dw_coef: tuple
     _psi: Callable = field(repr=False, default=None)
 
     def psi(self, u):
@@ -132,7 +134,7 @@ def make_standard_potential() -> PotentialSpec:
 
     _validate("standard", w)
     return PotentialSpec(name="standard", w=w, dw=dw, ddw=ddw,
-                         max_ddw=9.0, _psi=psi)
+                         max_ddw=9.0, dw_coef=(0.0, -4.5, 0.0, 4.5), _psi=psi)
 
 
 def make_polynomial_potential(coeffs) -> PotentialSpec:
@@ -170,9 +172,9 @@ def make_polynomial_potential(coeffs) -> PotentialSpec:
     def psi(u):
         return np.interp(u, nodes, table)
 
-    s_grid = np.linspace(-1.0, 1.0, 2001)
     return PotentialSpec(name="poly", w=w, dw=dw, ddw=ddw,
-                         max_ddw=float(np.max(ddw(s_grid))), _psi=psi)
+                         max_ddw=float(np.max(ddw(np.linspace(-1, 1, 2001)))),
+                         dw_coef=tuple(dp.coef), _psi=psi)
 
 
 def potential_by_name(name: str, coeffs=None) -> PotentialSpec:

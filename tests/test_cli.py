@@ -114,10 +114,13 @@ def test_simulate_manifest_records_row_time(tmp_path):
                      "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     timings = manifest["timings"]
-    assert set(timings) == {"build_s", "wall_s", "run_wall_s", "rows_s",
-                            "step_s"}
+    assert set(timings) == {"build_s", "wall_s", "run_wall_s", "setup_s",
+                            "rows_s", "step_s", "identity_s"}
     assert 0.0 < timings["rows_s"] < timings["run_wall_s"] < timings["wall_s"]
     assert 0.0 < timings["step_s"] < timings["run_wall_s"] - timings["rows_s"]
+    assert 0.0 < timings["setup_s"] and 0.0 <= timings["identity_s"]
+    assert sum(timings[k] for k in ("setup_s", "rows_s", "step_s",
+                                    "identity_s")) <= timings["run_wall_s"]
     assert manifest["steps_per_s"] == pytest.approx(
         manifest["n_steps"] / timings["step_s"])
     assert 0.99 < manifest["max_abs_u"] <= 1.0 + 1e-12
@@ -150,8 +153,15 @@ def test_manifest_records_build_time(tmp_path, monkeypatch, command):
 
 
 # run-record fields that stay out of summary.json and identities.json
-RUN_RECORD_ONLY = ("run_wall_s", "rows_s", "step_s", "steps_per_s",
-                   "max_abs_u")
+RUN_RECORD_ONLY = ("run_wall_s", "setup_s", "rows_s", "step_s", "identity_s",
+                   "steps_per_s", "max_abs_u")
+
+
+def phases_within_run(record):
+    """setup, rows, steps and the identity fill are disjoint parts of the
+    run's wall time."""
+    parts = [record[k] for k in ("setup_s", "rows_s", "step_s", "identity_s")]
+    return min(parts) >= 0.0 and sum(parts) <= record["run_wall_s"]
 
 
 def test_manifest_records_each_member_and_level(tmp_path):
@@ -166,7 +176,10 @@ def test_manifest_records_each_member_and_level(tmp_path):
     assert [m["epsilon"] for m in members] == [0.16, 0.08, 0.04]
     for m in members:
         assert set(m) == {"epsilon", "n_steps", "clamp_count", "run_wall_s",
-                          "rows_s", "step_s", "steps_per_s", "max_abs_u"}
+                          "setup_s", "rows_s", "step_s", "identity_s",
+                          "steps_per_s", "max_abs_u"}
+        assert m["setup_s"] > 0.0   # no identity rows: identity_s is ~0
+        assert phases_within_run(m)
         assert m["n_steps"] > 0 and m["clamp_count"] == 0
         assert 0.0 < m["rows_s"] < m["run_wall_s"]
         assert 0.0 < m["step_s"] < m["run_wall_s"] - m["rows_s"]
@@ -194,6 +207,8 @@ def test_manifest_records_each_member_and_level(tmp_path):
         assert 0.0 < lv["step_s"] < lv["run_wall_s"] - lv["rows_s"]
         assert lv["steps_per_s"] == pytest.approx(lv["n_steps"] / lv["step_s"])
         assert 0.99 < lv["max_abs_u"] <= 1.0 + 1e-12
+        assert lv["setup_s"] > 0.0 and lv["identity_s"] > 0.0
+        assert phases_within_run(lv)
     assert sum(lv["run_wall_s"] for lv in levels) \
         < manifest["timings"]["wall_s"]
     result = (out / "identities.json").read_text()
@@ -491,6 +506,29 @@ def test_identities_without_centered_rate_rejected(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "diagnostics.cadence" in err and "centered rate" in err
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name, cadence, message", [
+    ("identities_circle.json", 100000, "stepper.t_end"),
+    ("identities_plane.json", 30, "centered rate")])
+def test_identities_cadence_rejected_before_any_run(tmp_path, monkeypatch,
+                                                   capsys, name, cadence,
+                                                   message):
+    # the shared times and centered rates follow from each level's step
+    # count, dt and cadence, so no level steps before the rejection
+    def no_run(*args, **kwargs):
+        raise AssertionError("solver.run called")
+
+    monkeypatch.setattr(phaselab.solver, "run", no_run)
+    doc = json.loads((CONFIGS / name).read_text())
+    doc["diagnostics"]["cadence"] = cadence
+    out = tmp_path / "out"
+    rc = cli.main(["check-identities", "--config",
+                   write_json(tmp_path / "c.json", doc), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "diagnostics.cadence" in err and message in err
     assert not out.exists()
 
 

@@ -175,3 +175,19 @@ def test_check_identities_needs_two_levels(standard_potential, profile):
                             t_end=0.001)
     with pytest.raises(ValueError):
         check_identities(cfg, levels=1)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("cadence", 0, "diagnostics.cadence: must be >= 1"),
+    ("t_end", float("nan"), "stepper.t_end: must be >= 0"),
+    ("t_end", -1.0, "stepper.t_end: must be >= 0"),
+    ("dt", 0.0, "stepper.dt: must be positive")])
+def test_check_identities_reports_invalid_values(standard_potential, profile,
+                                                 field, value, message):
+    # the shared-time check reads only the row times of valid values and
+    # leaves the others to the validation of the first run
+    cfg = make_plane_config(standard_potential, profile, cadence=1,
+                            t_end=0.001)
+    setattr(cfg, field, value)
+    with pytest.raises(ConfigError, match=message):
+        check_identities(cfg)

@@ -154,7 +154,9 @@ def test_full_stencils_and_quadrature_match_oracles(dim, npts):
 def test_implicit_solver_inverts_the_laplacian(grid):
     # the solve must invert I - dt L for the very stencil the diagnostics
     # read, the cosine spectrum on full grids included; ||dt L|| is 1 to 40
+    # once its argument carries the weight
     dt = 1e-3
     x = np.random.default_rng(grid.npts).uniform(-1.0, 1.0, grid.shape)
-    y = grid.implicit_solver(dt)(x - dt * grid.laplacian(x))
+    weight, solve = grid.implicit_solver(dt)
+    y = solve(weight * (x - dt * grid.laplacian(x)))
     assert np.max(np.abs(y - x)) <= 1e-12 * np.max(np.abs(x))

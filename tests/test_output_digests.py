@@ -42,17 +42,17 @@ def full2d_short(tmp_path):
 CASES = {
     "simulate-plane1d": (
         shipped("simulate", "plane1d.json"), "diagnostics.csv",
-        "aa8105030e304892ddbf3fe6366eb6341746fa7afbe6b50c741a997b3fc52430"),
+        "f1fecfe7bffdf94d30f6cd995db024e9f4007b5387831d6bcd496274196816dd"),
     "simulate-circle_radial": (
         shipped("simulate", "circle_radial.json"), "diagnostics.csv",
-        "7021c7f274675abaf050f9c804a7d7538e57039e3c2bb41d6fe47b1c3b8eba74"),
+        "6b9d0e0b6fc62223874e4e8a5e9abfeeedc6623506abb9d363b69d8a9a932765"),
     "check-identities-plane": (
         shipped("check-identities", "identities_plane.json"),
         "identities.json",
-        "1c629b6e9266c5f18af1087b0e43d926f389d800bcefb7f260133ed07228d135"),
+        "eaf819fe3cd0635c432f235730a9f6cb5763dbe83b7e6a06274c32bf3a8102b8"),
     "simulate-circle_full2d_short": (
         full2d_short, "diagnostics.csv",
-        "d78678ff44b5ca3e85cfa125a722d824e1d2f3f28c37a267d1ffbb73756ed100"),
+        "985c67240bd314e89ab278cacd9b5eccb0dfa4a311dd09c7bf751e9c250ad49f"),
     "profile-standard": (
         lambda tmp: ["profile", "standard"], "profile_standard.csv",
         "f1dcb8258d3ffae39cdd9d7f28f3924496fcca72f9954d1d209fec007c6cb708"),

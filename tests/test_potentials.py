@@ -35,6 +35,19 @@ def test_standard_derivatives_consistent(standard_potential):
     assert np.max(np.abs(fd2 - p.ddw(s))) < 1e-6
 
 
+@pytest.mark.parametrize("make", [
+    pl.make_standard_potential,
+    lambda: pl.make_polynomial_potential([1.0, 0.0, -2.0, 0.0, 1.0])],
+    ids=["standard", "poly"])
+def test_dw_coef_is_dw(make):
+    # the stepper evaluates W' from dw_coef, the diagnostics call dw
+    p = make()
+    s = np.linspace(-2.0, 2.0, 4001)
+    scale = np.max(np.abs(p.dw(s)))
+    got = np.polynomial.polynomial.polyval(s, p.dw_coef)
+    assert np.max(np.abs(got - p.dw(s))) <= 1e-15 * scale
+
+
 def test_normalization_quadrature(standard_potential):
     norm = normalization_integral(standard_potential.w)
     assert abs(norm - 2.0) < 1e-10
@@ -146,7 +159,7 @@ def test_profile_rejects_rough_potential(standard_potential):
         return base.w(s) * (1.0 + 0.4 * np.sin(200.0 * s) ** 2)
 
     rough = PotentialSpec(name="rough", w=rough_w, dw=base.dw, ddw=base.ddw,
-                          max_ddw=9.0, _psi=base._psi)
+                          max_ddw=9.0, dw_coef=base.dw_coef, _psi=base._psi)
     with pytest.raises(ProfileError):
         pl.solve_profile(rough, s_max=8.0, n_samples=64)
 

@@ -60,6 +60,24 @@ def test_step_leaves_its_input_unchanged(standard_potential, profile):
         assert u_next.shape == u.shape
 
 
+@pytest.mark.parametrize("coeffs", [None, [1.0, 0.0, -2.0, 0.0, 1.0]],
+                         ids=["standard", "poly"])
+def test_step_is_the_solve_of_the_reaction_right_side(standard_potential,
+                                                      profile, coeffs):
+    # the Horner right side with the weight folded in is u - c W'(u) as the
+    # diagnostics evaluate it, up to roundoff
+    pot = standard_potential if coeffs is None \
+        else pl.make_polynomial_potential(coeffs)
+    rng = np.random.default_rng(7)
+    for cfg in stepper_configs(pot, profile):
+        u = pl.initial_data(cfg) + rng.uniform(-0.05, 0.05, cfg.grid.shape)
+        dt = cfg.dt_actual()
+        weight, solve = cfg.grid.implicit_solver(dt)
+        want = solve(weight * (u - dt / cfg.epsilon ** 2 * pot.dw(u)))
+        got = pl.make_stepper(cfg)(u)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 @pytest.mark.parametrize("dim, h_over_eps", [(2, 8), (2, 16), (3, 8),
                                              (4, 8), (5, 8), (6, 8)])
 def test_radial_step_matches_banded_oracle(standard_potential, profile, dim,
@@ -361,6 +379,35 @@ def test_blowup_guard_catches_nan(standard_potential, profile, monkeypatch):
                         lambda cfg: lambda u: np.full_like(u, np.nan))
     with pytest.raises(BlowUpError, match="not finite"):
         pl.run(cfg)
+
+
+@pytest.mark.parametrize("value, outcome", [
+    (np.nan, "not finite"), (-3.0, "left"), (1.5, 2), (-1.0 - 1e-6, 2)])
+def test_guard_reads_the_whole_2d_field(standard_potential, profile,
+                                        monkeypatch, value, outcome):
+    # one bad cell in the last row, away from column 0: a reduce over axis 0
+    # alone would not see it as the field's min or max
+    cfg = make_plane_config(standard_potential, profile, dim=2, cadence=1)
+    cfg.t_end = 2 * cfg.dt
+    field = np.zeros(cfg.grid.shape)
+    field[-1, 5] = value
+    monkeypatch.setattr(pl.solver, "make_stepper",
+                        lambda cfg: lambda u: field.copy())
+    if isinstance(outcome, str):
+        with pytest.raises(BlowUpError, match=outcome):
+            pl.run(cfg)
+    else:
+        res = pl.run(cfg)
+        assert res.clamp_count == outcome
+        assert res.max_abs_u == abs(value)
+
+
+def test_row_times_are_the_run_rows(standard_potential, profile):
+    # check-identities reads the shared times off row_times before any run
+    for cadence, t_end in [(10, 0.0), (1, 0.0005), (7, 0.004), (10, 0.004)]:
+        cfg = make_plane_config(standard_potential, profile, cadence=cadence,
+                                t_end=t_end)
+        assert cfg.row_times() == [b.t for b in pl.run(cfg).breakdowns]
 
 
 def test_blowup_reported_with_time(standard_potential, profile,
