@@ -149,8 +149,10 @@ class Grid:
 
     def implicit_solver(self, dt: float) -> tuple:
         """(weight, solve): solve(weight * b) = (I - dt L)^-1 b for the
-        stencil of laplacian, I - dt L factored once, and solve may overwrite
-        its argument; weight is 1.0 on full grids, the row weights radially."""
+        stencil of laplacian, I - dt L factored once; weight is 1.0 on full
+        grids, the row weights radially.  solve works in place: given a
+        contiguous float64 b it overwrites b with the solution and returns
+        b itself, so a step allocates no field."""
         if self.mode == FULL:
             from scipy.fft import dctn, idctn
 
@@ -160,9 +162,11 @@ class Grid:
                                 else lam[:, None] + lam[None, :])
 
             def solve(b):
-                coef = dctn(b, type=2, norm="ortho", overwrite_x=True)
-                coef /= denom
-                return idctn(coef, type=2, norm="ortho", overwrite_x=True)
+                # with overwrite_x both transforms write into b's memory
+                dctn(b, type=2, norm="ortho", overwrite_x=True)
+                b /= denom
+                idctn(b, type=2, norm="ortho", overwrite_x=True)
+                return b
             return 1.0, solve
 
         from scipy.linalg.lapack import dpttrs

@@ -27,6 +27,7 @@ from .potentials import PotentialSpec, ProfileTable, count_excursions
 
 LAYER_RESOLUTION = 4.0      # transition layer needs h <= eps / 4
 BOUNDARY_FLATNESS = 1e-6    # |u0| >= 1 - this on phase-side boundary cells
+BLOCK_BYTES = 256 * 1024    # fields one block of steps holds (one at least)
 
 
 class BlowUpError(RuntimeError):
@@ -130,22 +131,30 @@ def initial_data(cfg: SimulationConfig) -> np.ndarray:
 
 
 def make_stepper(cfg: SimulationConfig) -> Callable:
-    """One step u -> u_next, u unchanged: Horner builds weight * (u - c W'(u)),
-    c = dt/eps^2, in a fresh array from weighted coefficients; then solve."""
+    """One step step(u, out): writes u_next into out and returns out, u
+    unchanged.  Horner builds weight * (u - c W'(u)), c = dt/eps^2, in out
+    from weighted coefficients by out= ufuncs; then the grid's solve runs in
+    place, so a step allocates no field.  out must be a contiguous float64
+    array of u's shape that does not overlap u."""
     dt = cfg.dt_actual()
     weight, solve = cfg.grid.implicit_solver(dt)
     gamma = [-dt / cfg.epsilon ** 2 * a for a in cfg.potential.dw_coef]
     gamma[1] += 1.0   # u - c W'(u), low to high degree
-    beta = [weight * g if g else None for g in gamma]   # None: exact zero
+    # the plan, built once: the top coefficient, then per lower degree the
+    # coefficient to add (none for an exact zero) before the next * u
+    top = weight * gamma[-1]
+    adds = [(weight * g,) if g else () for g in gamma[-2::-1]]
+    below, constant = adds[:-1], adds[-1]
 
-    def step(u):
-        b = beta[-1] * u
-        for k in range(len(beta) - 2, -1, -1):
-            if beta[k] is not None:
-                b += beta[k]
-            if k:
-                b *= u
-        return solve(b)
+    def step(u, out):
+        np.multiply(top, u, out=out)
+        for coef in below:
+            for a in coef:
+                np.add(out, a, out=out)
+            np.multiply(out, u, out=out)
+        for a in constant:
+            np.add(out, a, out=out)
+        return solve(out)
     return step
 
 
@@ -172,9 +181,18 @@ def run(cfg: SimulationConfig,
     the configured cadence (the initial and final states are always rows)
     and, given snapshot_every = k, the field of every k-th row.
 
-    Aborts with BlowUpError when max |u| exceeds 2 or is not finite.  The
-    clamp counter totals grid values found outside [-1, 1] across all steps;
-    max_abs_u is read off the same per-step min/max as the guard.
+    Steps run in blocks that end at every row and hold at most BLOCK_BYTES
+    of fields (one field at least), written into two buffers in turn, so a
+    block's first step never reads the row it writes.  After each block two
+    reductions give its min and max.  A block whose max |u| exceeds 2 or is
+    not finite aborts with BlowUpError naming its first such step, as a
+    check after every step would.  The steps between two rows run with
+    numpy's overflow and invalid warnings off, as a field that blows up
+    mid-block is only caught at the block's end; rows and snapshots run
+    outside that, on fields that passed the guard.  The clamp counter
+    totals grid values found outside [-1, 1] across all steps; max_abs_u,
+    the largest |u| of the initial and every stepped field, is read off
+    the same min and max as the guard.
     """
     start = time.perf_counter()
     issues = validate(cfg)
@@ -198,23 +216,31 @@ def run(cfg: SimulationConfig,
     step = make_stepper(cfg)
     clamps = 0
     max_abs_u = float(np.max(np.abs(u)))
+    block_rows = max(1, min(BLOCK_BYTES // u.nbytes, cfg.cadence, n_steps))
+    buffers = [np.empty((block_rows,) + u.shape) for _ in range(2)]
     loop_start, rows_before = time.perf_counter(), rows_s
 
-    for k in range(1, n_steps + 1):
-        u = step(u)
-        lo = float(np.minimum.reduce(u, axis=None))   # the default reduces
-        hi = float(np.maximum.reduce(u, axis=None))   # axis 0 of a 2-D u
-        if not (-2.0 <= lo and hi <= 2.0):   # NaN propagates to both
-            raise BlowUpError(
-                f"max |u| = {max(hi, -lo):.3f} at step {k} (t = "
-                f"{k * dt:.6g}): the field left [-2, 2] or is not finite")
-        max_abs_u = max(max_abs_u, hi, -lo)
-        clamps += count_excursions(u, bounds=(lo, hi))
-        if k % cfg.cadence == 0 or k == n_steps:
-            t = k * dt
-            if snapshot_every and len(rows) % snapshot_every == 0:
-                snapshots.append((t, u.copy()))
-            rows.append(measure(u, t))
+    k = 0
+    while k < n_steps:
+        row_k = min(k + cfg.cadence, n_steps)   # the next row
+        with np.errstate(over="ignore", invalid="ignore"):
+            while k < row_k:
+                block = buffers[0][:min(block_rows, row_k - k)]
+                buffers.reverse()
+                for out in block:
+                    u = step(u, out)
+                # axis=None: a ufunc's reduce defaults to axis 0
+                lo = float(np.minimum.reduce(block, axis=None))
+                hi = float(np.maximum.reduce(block, axis=None))
+                if not (-2.0 <= lo and hi <= 2.0):   # NaN propagates to both
+                    raise _blowup(block, k, dt)
+                k += len(block)
+                max_abs_u = max(max_abs_u, hi, -lo)
+                clamps += count_excursions(block, bounds=(lo, hi))
+        t = k * dt
+        if snapshot_every and len(rows) % snapshot_every == 0:
+            snapshots.append((t, u.copy()))
+        rows.append(measure(u, t))
     loop_end = time.perf_counter()
     step_s = loop_end - loop_start - (rows_s - rows_before)
 
@@ -224,7 +250,22 @@ def run(cfg: SimulationConfig,
 
     return RunResult(times=np.array([b.t for b in rows]), breakdowns=rows,
                      dt=dt, n_steps=n_steps, clamp_count=clamps,
-                     snapshots=snapshots, final_field=u,
+                     snapshots=snapshots, final_field=u.copy(),
                      wall_s=end - start, rows_s=rows_s, step_s=step_s,
                      setup_s=loop_start - start - rows_before,
                      identity_s=end - loop_end, max_abs_u=max_abs_u)
+
+
+def _blowup(block: np.ndarray, k: int, dt: float) -> BlowUpError:
+    """The error for the first of block's steps k + 1, k + 2, ... whose
+    field leaves [-2, 2] or is not finite, read off each step's min and
+    max."""
+    flat = block.reshape(len(block), -1)
+    los = np.minimum.reduce(flat, axis=1)
+    his = np.maximum.reduce(flat, axis=1)
+    i = next(i for i in range(len(block))
+             if not (-2.0 <= los[i] and his[i] <= 2.0))
+    lo, hi, k = float(los[i]), float(his[i]), k + i + 1
+    return BlowUpError(
+        f"max |u| = {max(hi, -lo):.3f} at step {k} (t = {k * dt:.6g}): "
+        f"the field left [-2, 2] or is not finite")

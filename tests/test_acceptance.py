@@ -157,6 +157,19 @@ def test_c05_initial_entropy_rate(standard_potential, profile, sweep_plan):
            f"{elapsed:.1f}s")
 
 
+def test_c05_initial_entropy_rate_sphere3d(tmp_path):
+    # the shipped d = 3 plan: a radial sphere of radius 2, no step taken
+    out = tmp_path / "out"
+    rc = cli.main(["sweep", "--plan", str(SWEEP_PLAN.parent
+                                          / "initial_entropy_sphere3d.json"),
+                   "--out", str(out)])
+    summary = json.loads((out / "summary.json").read_text())
+    slope = summary["slopes"]["initial_entropy"]["slope"]
+    report("C5 initial entropy rate, d = 3 sphere",
+           rc == 0 and summary["pass_flags"]["initial_entropy"]
+           and 1.8 <= slope <= 2.2, f"slope={slope:.4f} (target [1.8,2.2])")
+
+
 def test_c06_relative_entropy_rate(circle_sweep):
     slope = circle_sweep.report.slopes["rel_entropy"].slope
     ok = 1.7 <= slope <= 2.3
@@ -169,6 +182,26 @@ def test_c07_interface_error_rate(circle_sweep):
     ok = 0.8 <= slope <= 1.2
     report("C7 interface-error rate", ok,
            f"slope={slope:.3f} (target [0.8,1.2])")
+
+
+# kappa0 = int |psi(theta(s)) - sign s| ds for the standard well's profile
+# theta = tanh(3 s / 2): the L1 error of well-prepared data is
+# eps kappa0 |Sigma_t| + o(eps), |Sigma_t| = 2 pi R(t) for the circle
+KAPPA0 = (2.0 / 3.0) * (2.0 * math.log(2.0) - 0.5)
+
+
+def test_c07_interface_error_constant(circle_sweep, sweep_plan):
+    # the leading-order constant of the L1 error on every row of every
+    # member: a reference radius law 5% too fast reads 1.34 at eps = 0.02
+    ratios = []
+    for run_res, eps in zip(circle_sweep.runs, EPSILONS):
+        radius = sweep_plan.member(eps).trajectory.radius
+        ratios += [b.err_l1 / (eps * KAPPA0 * 2.0 * math.pi * radius(b.t))
+                   for b in run_res.breakdowns]
+    worst = max(abs(r - 1.0) for r in ratios)
+    report("C7 interface-error constant", worst <= 0.03,
+           f"err_l1 / (eps kappa0 2 pi R) in [{min(ratios):.4f}, "
+           f"{max(ratios):.4f}] over {len(ratios)} rows (target 1 +- 0.03)")
 
 
 def test_c08_gronwall_stability(circle_sweep):

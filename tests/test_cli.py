@@ -434,7 +434,7 @@ def test_shipped_configs_load():
     root = CONFIGS.parent
     paths = sorted(CONFIGS.glob("*.json")) \
         + sorted((root / "perfbench" / "workloads").glob("*.json"))
-    assert len(paths) == 9
+    assert len(paths) == 10
     for path in paths:
         doc = config.load_json(path)
         if "base" in doc:

@@ -439,7 +439,7 @@ def test_tube_evaluation_matches_whole_grid_oracle(standard_potential,
                                            cfg.grid, t, s0)
             assert dg.rows_to_csv([got]) == dg.rows_to_csv([want])
             assert got.identity_rhs == want.identity_rhs
-        u = step(u)
+        u = step(u, np.empty_like(u))
 
 
 def test_sqrt2w_of_derived_fields_is_the_potentials(standard_potential):

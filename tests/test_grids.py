@@ -160,3 +160,49 @@ def test_implicit_solver_inverts_the_laplacian(grid):
     weight, solve = grid.implicit_solver(dt)
     y = solve(weight * (x - dt * grid.laplacian(x)))
     assert np.max(np.abs(y - x)) <= 1e-12 * np.max(np.abs(x))
+
+
+def copying_solve(grid, dt, b):
+    """grid.implicit_solver's solve of b written with copies: dctn and
+    idctn returning new arrays, and the radial solve with a dpttrs that
+    leaves b alone."""
+    if grid.mode == "full":
+        from scipy.fft import dctn, idctn
+        n, h = grid.npts, grid.h
+        lam = (4.0 / h ** 2) * np.sin(np.pi * np.arange(n) / (2.0 * n)) ** 2
+        denom = 1.0 + dt * (lam if grid.dim == 1
+                            else lam[:, None] + lam[None, :])
+        return idctn(dctn(b, type=2, norm="ortho") / denom, type=2,
+                     norm="ortho")
+    from scipy.linalg.lapack import dpttrs
+    from phaselab.grids import _radial_factors
+    head, d_fac, e_fac, _ = _radial_factors(grid, dt)
+    b = b.copy()
+    for i, (mult, _, _) in enumerate(head, 1):
+        b[i] -= mult * b[i - 1]
+    x = dpttrs(d_fac, e_fac, b)[0]
+    for i in range(len(head) - 1, -1, -1):
+        _, pivot, upper = head[i]
+        x[i] = (x[i] - upper * x[i + 1]) / pivot
+    return x
+
+
+@pytest.mark.parametrize("grid", [
+    pl.full_grid(1, 1.3, 64), pl.full_grid(2, 1.3, 41),
+    pl.full_grid(2, 1.4, 280)]
+    + [pl.radial_grid(d, 1.4, 141) for d in range(2, 7)]
+    + [pl.radial_grid(2, 2.8, 2241)],
+    ids=lambda g: f"{g.mode}-d{g.dim}-n{g.npts}")
+def test_implicit_solve_works_in_place(grid):
+    # the stepper hands the solve one row of a block buffer and reads the
+    # solution from that row: solve(b) is b, bit for bit the copying solve
+    dt = 1e-3
+    b = np.random.default_rng(grid.npts).uniform(-1.0, 1.0, grid.shape)
+    want = copying_solve(grid, dt, b)
+    rows = np.stack([b, b, b])
+    _, solve = grid.implicit_solver(dt)
+    for x in (rows[1], b):
+        assert solve(x) is x
+        assert np.array_equal(x, want)
+    assert np.array_equal(rows[0], rows[2])   # the neighbours are untouched
+    assert not np.array_equal(rows[0], want)

@@ -1,11 +1,15 @@
+import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import solve_banded
 
 import phaselab as pl
 from phaselab.grids import _radial_diagonals, _radial_factors
+from phaselab.potentials import count_excursions
 from phaselab.solver import BlowUpError, ConfigError
 
 from conftest import make_circle_config, make_plane_config
@@ -46,18 +50,19 @@ def test_uniform_states_are_fixed_points(standard_potential, profile, value):
     for cfg in stepper_configs(standard_potential, profile):
         step = pl.make_stepper(cfg)
         u = np.full(cfg.grid.shape, value)
-        assert np.max(np.abs(step(u) - value)) < 1e-12
+        assert np.max(np.abs(step(u, np.empty_like(u)) - value)) < 1e-12
 
 
 def test_step_leaves_its_input_unchanged(standard_potential, profile):
-    # the run loop and the snapshots keep references to earlier fields
+    # a block's steps read the previous row while they write the next
     for cfg in stepper_configs(standard_potential, profile):
         u = pl.initial_data(cfg)
         before = u.copy()
-        u_next = pl.make_stepper(cfg)(u)
+        out = np.empty_like(u)
+        u_next = pl.make_stepper(cfg)(u, out)
         assert np.array_equal(u, before)
+        assert u_next is out
         assert not np.shares_memory(u_next, u)
-        assert u_next.shape == u.shape
 
 
 @pytest.mark.parametrize("coeffs", [None, [1.0, 0.0, -2.0, 0.0, 1.0]],
@@ -74,7 +79,7 @@ def test_step_is_the_solve_of_the_reaction_right_side(standard_potential,
         dt = cfg.dt_actual()
         weight, solve = cfg.grid.implicit_solver(dt)
         want = solve(weight * (u - dt / cfg.epsilon ** 2 * pot.dw(u)))
-        got = pl.make_stepper(cfg)(u)
+        got = pl.make_stepper(cfg)(u, np.empty_like(u))
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
@@ -103,7 +108,7 @@ def test_radial_step_matches_banded_oracle(standard_potential, profile, dim,
     u = v = pl.initial_data(cfg)
     for _ in range(200):
         rhs = u - (dt / eps2) * dw(u)
-        u = step(u)
+        u = step(u, np.empty_like(u))
         assert np.max(np.abs(band @ u - rhs)) <= 1e-13 * np.max(np.abs(rhs))
         v = solve_banded((1, 1), ab, v - (dt / eps2) * dw(v))
     assert np.max(np.abs(u - v)) <= 1e-12
@@ -131,7 +136,8 @@ def test_profile_single_step_residual_halves(standard_potential, profile):
                                 h_over_eps=h_over_eps)
         step = pl.make_stepper(cfg)
         u0 = pl.initial_data(cfg)
-        changes.append(float(np.max(np.abs(step(u0) - u0))))
+        changes.append(float(np.max(np.abs(step(u0, np.empty_like(u0))
+                                           - u0))))
     assert 3.0 <= changes[0] / changes[1] <= 5.0
 
 
@@ -342,6 +348,14 @@ def test_initial_data_reads_the_diagnostics_distance(standard_potential,
                           cfg.profile(ef.dist / cfg.epsilon))
 
 
+def stepper_writing(field):
+    """A make_stepper stand-in whose step writes field into out."""
+    def step(u, out):
+        out[...] = field
+        return out
+    return lambda cfg: step
+
+
 def test_clamp_counter_counts_excursions(standard_potential, profile,
                                         monkeypatch):
     cfg = make_plane_config(standard_potential, profile, cadence=1)
@@ -349,8 +363,7 @@ def test_clamp_counter_counts_excursions(standard_potential, profile,
     n = cfg.grid.npts
     excursion = np.where(np.arange(n) < n // 4, -1.5, 0.5)
     excursion[-1] = 1.0 + 1e-6
-    monkeypatch.setattr(pl.solver, "make_stepper",
-                        lambda cfg: lambda u: excursion.copy())
+    monkeypatch.setattr(pl.solver, "make_stepper", stepper_writing(excursion))
     assert pl.run(cfg).clamp_count == 3 * (n // 4 + 1)
 
 
@@ -360,6 +373,7 @@ def test_run_records_step_time_and_max_abs_u(standard_potential, profile,
                              half_width=1.4, t_end=0.02)
     res = pl.run(cfg)
     assert 0.0 < res.step_s and res.rows_s + res.step_s < res.wall_s
+    assert res.final_field.flags.owndata   # not a view into a step buffer
     seen = max(float(np.max(np.abs(u)))
                for u in (pl.initial_data(cfg), res.final_field))
     assert seen <= res.max_abs_u <= 1.0 + 1e-12
@@ -368,15 +382,13 @@ def test_run_records_step_time_and_max_abs_u(standard_potential, profile,
     cfg = make_plane_config(standard_potential, profile, cadence=1)
     cfg.t_end = 3 * cfg.dt
     excursion = np.where(np.arange(cfg.grid.npts) < 5, -1.5, 0.5)
-    monkeypatch.setattr(pl.solver, "make_stepper",
-                        lambda cfg: lambda u: excursion.copy())
+    monkeypatch.setattr(pl.solver, "make_stepper", stepper_writing(excursion))
     assert pl.run(cfg).max_abs_u == 1.5
 
 
 def test_blowup_guard_catches_nan(standard_potential, profile, monkeypatch):
     cfg = make_plane_config(standard_potential, profile, t_end=0.001)
-    monkeypatch.setattr(pl.solver, "make_stepper",
-                        lambda cfg: lambda u: np.full_like(u, np.nan))
+    monkeypatch.setattr(pl.solver, "make_stepper", stepper_writing(np.nan))
     with pytest.raises(BlowUpError, match="not finite"):
         pl.run(cfg)
 
@@ -391,8 +403,7 @@ def test_guard_reads_the_whole_2d_field(standard_potential, profile,
     cfg.t_end = 2 * cfg.dt
     field = np.zeros(cfg.grid.shape)
     field[-1, 5] = value
-    monkeypatch.setattr(pl.solver, "make_stepper",
-                        lambda cfg: lambda u: field.copy())
+    monkeypatch.setattr(pl.solver, "make_stepper", stepper_writing(field))
     if isinstance(outcome, str):
         with pytest.raises(BlowUpError, match=outcome):
             pl.run(cfg)
@@ -400,6 +411,127 @@ def test_guard_reads_the_whole_2d_field(standard_potential, profile,
         res = pl.run(cfg)
         assert res.clamp_count == outcome
         assert res.max_abs_u == abs(value)
+
+
+def per_step_guard(cfg, fields):
+    """The guard as a loop over single steps: (clamp_count, max_abs_u, row
+    times) of a run whose steps give fields, or its BlowUpError message."""
+    n, dt = cfg.steps(), cfg.dt_actual()
+    u = pl.initial_data(cfg)
+    clamps, max_abs_u, times = 0, float(np.max(np.abs(u))), [0.0]
+    for k in range(1, n + 1):
+        u = fields[k - 1]
+        lo, hi = float(np.min(u)), float(np.max(u))
+        if not (-2.0 <= lo and hi <= 2.0):
+            return (f"max |u| = {max(hi, -lo):.3f} at step {k} (t = "
+                    f"{k * dt:.6g}): the field left [-2, 2] or is not finite")
+        max_abs_u = max(max_abs_u, hi, -lo)
+        clamps += count_excursions(u)
+        if k % cfg.cadence == 0 or k == n:
+            times.append(k * dt)
+    return clamps, max_abs_u, times
+
+
+def replayed_steps(fields):
+    """A make_stepper stand-in whose k-th step writes fields[k - 1] into
+    out, after checking that it reads the field the step before wrote."""
+    def make(cfg):
+        calls = iter(range(len(fields)))
+        prev = [pl.initial_data(cfg)]
+
+        def step(u, out):
+            assert np.array_equal(u, prev[0], equal_nan=True)
+            assert not np.shares_memory(u, out)
+            out[...] = fields[next(calls)]
+            prev[0] = out.copy()
+            return out
+        return step
+    return make
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(cadence=st.integers(1, 7), n_steps=st.integers(0, 40),
+       block_rows=st.integers(1, 5), spare_bytes=st.integers(0, 1279),
+       events=st.lists(st.tuples(
+           st.integers(1, 40), st.integers(0, 159),
+           st.sampled_from([1.5, -1.5, 3.0, -3.0, np.nan])), max_size=6))
+def test_block_guard_matches_the_per_step_guard(standard_potential, profile,
+                                                cadence, n_steps, block_rows,
+                                                spare_bytes, events):
+    # blocks of 1-5 steps that end at every row report what a guard after
+    # every single step reports: clamps, max |u|, rows, the first bad step
+    cfg = make_plane_config(standard_potential, profile, cadence=cadence)
+    cfg.t_end = n_steps * cfg.dt
+    assert cfg.steps() == n_steps and cfg.grid.shape == (160,)
+    fields = [np.full(cfg.grid.shape, 0.25) for _ in range(n_steps)]
+    for k, cell, value in events:
+        if k <= n_steps:
+            fields[k - 1][cell] = value
+    want = per_step_guard(cfg, fields)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pl.solver, "BLOCK_BYTES",
+                   block_rows * fields[0].nbytes + spare_bytes
+                   if fields else 1)
+        mp.setattr(pl.solver, "make_stepper", replayed_steps(fields))
+        try:
+            res = pl.run(cfg)
+            got = (res.clamp_count, res.max_abs_u, list(res.times))
+        except BlowUpError as err:
+            got = str(err)
+    assert got == want
+
+
+def test_blowup_mid_block_overflow_names_the_first_step(standard_potential,
+                                                        profile, monkeypatch):
+    # step 4 leaves [-2, 2]; steps 5 and 6 of the same block scale the field
+    # by 1e200, so step 6 overflows to inf before the block is checked
+    cfg = make_plane_config(standard_potential, profile, cadence=100)
+    cfg.t_end = 10 * cfg.dt
+    calls = []
+
+    def step(u, out):
+        calls.append(None)
+        k = len(calls)
+        if k < 4:
+            out[...] = 0.25
+        elif k == 4:
+            out[...] = 3.0
+        else:
+            np.multiply(u, 1e200, out=out)
+        return out
+    monkeypatch.setattr(pl.solver, "make_stepper", lambda cfg: step)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(BlowUpError) as err:
+            pl.run(cfg)
+    assert str(err.value) == (
+        f"max |u| = 3.000 at step 4 (t = {4 * cfg.dt_actual():.6g}): the "
+        f"field left [-2, 2] or is not finite")
+    assert len(calls) == 10   # the block ran to its end before the check
+
+
+@pytest.mark.parametrize("mode, steps", [("radial", 200), ("full", 5)])
+def test_steps_allocate_no_field(standard_potential, profile, mode, steps):
+    # 2,241 radial nodes (the finest sweep member) and the 280^2 full grid:
+    # into a preallocated out, a step allocates far less than one field
+    if mode == "radial":
+        cfg = make_circle_config(standard_potential, profile, eps=0.02,
+                                 radius0=2.0, half_width=2.8, h_over_eps=16)
+    else:
+        cfg = make_circle_config(standard_potential, profile, eps=0.08,
+                                 half_width=1.4, mode="full")
+    assert cfg.grid.npts == (2241 if mode == "radial" else 280)
+    step = pl.make_stepper(cfg)
+    u = pl.initial_data(cfg)
+    out = step(u, np.empty_like(u))   # the first call may build caches
+    tracemalloc.start()
+    try:
+        for _ in range(steps):
+            u, out = step(out, u), out
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < u.nbytes / 10, peak
 
 
 def test_row_times_are_the_run_rows(standard_potential, profile):
