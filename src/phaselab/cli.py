@@ -15,6 +15,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__, config, diagnostics, experiments, snapshots, solver
 from .potentials import ProfileError, normalization_integral
 from .solver import BlowUpError, ConfigError
@@ -288,7 +290,10 @@ def main(argv=None) -> int:
         for msg in exc.messages:
             print(f"  - {msg}", file=sys.stderr)
         return EXIT_CONFIG
-    except (BlowUpError, ProfileError) as exc:
+    except (BlowUpError, ProfileError, ImportError,
+            np.linalg.LinAlgError) as exc:
+        # ImportError: a scipy build without the compiled kernel the grid
+        # solves with; LinAlgError: a radial operator that fails to factor
         print(f"runtime failure: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

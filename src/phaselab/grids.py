@@ -10,15 +10,21 @@ component) on the radial line.
 Every rule that depends on the grid kind lives here.  Grid.implicit_solver
 inverts I - dt L for the stencil of Grid.laplacian: by the type-II cosine
 transform on full grids, on the radial line by the factorization that
-_radial_factors makes once.  Each kind imports only the scipy module it
-solves with, so a run loads scipy.fft or scipy.linalg, never both.
+_radial_factors makes once.  Each kind loads only the compiled scipy
+module it solves with, pocketfft's on full grids and LAPACK's on the radial
+line, and no scipy package initializer between scipy and it (_kernel).
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass, replace
 from functools import cached_property
+from importlib.machinery import (EXTENSION_SUFFIXES, ExtensionFileLoader,
+                                 FileFinder)
 
 import numpy as np
 
@@ -154,23 +160,22 @@ class Grid:
         contiguous float64 b it overwrites b with the solution and returns
         b itself, so a step allocates no field."""
         if self.mode == FULL:
-            from scipy.fft import dctn, idctn
-
+            dct = _kernel("scipy.fft", "_pocketfft.pypocketfft").dct
             n, h = self.npts, self.h
             lam = (4.0 / h ** 2) * np.sin(np.pi * np.arange(n) / (2.0 * n)) ** 2
             denom = 1.0 + dt * (lam if self.dim == 1
                                 else lam[:, None] + lam[None, :])
 
             def solve(b):
-                # with overwrite_x both transforms write into b's memory
-                dctn(b, type=2, norm="ortho", overwrite_x=True)
+                # scipy.fft's dctn and idctn with norm="ortho" and
+                # overwrite_x=True over every axis, writing into b
+                dct(b, type=2, inorm=1, out=b, nthreads=1)
                 b /= denom
-                idctn(b, type=2, norm="ortho", overwrite_x=True)
+                dct(b, type=3, inorm=1, out=b, nthreads=1)
                 return b
             return 1.0, solve
 
-        from scipy.linalg.lapack import dpttrs
-
+        dpttrs = _kernel("scipy.linalg", "_flapack").dpttrs
         head, d_fac, e_fac, w = _radial_factors(self, dt)
 
         def solve(b):
@@ -198,6 +203,37 @@ class Grid:
                                                    h))
 
 
+def _kernel(package: str, path: str):
+    """The compiled module package.path (path may name a subpackage, as in
+    "_pocketfft.pypocketfft"), loaded from its extension file without
+    running the initializers of package or of the subpackages in between.
+
+    scipy itself is imported as usual.  The module is registered in
+    sys.modules under its own name, so a later import of package, say by
+    scipy.linalg.lapack, reuses this very module.  Raises ImportError
+    naming the module and the scipy version when no file matches.
+    """
+    name = f"{package}.{path}"
+    if name in sys.modules:
+        return sys.modules[name]
+    import scipy
+
+    spec = importlib.util.find_spec(package)
+    found = None
+    if spec is not None and spec.submodule_search_locations:
+        folder = os.path.join(spec.submodule_search_locations[0],
+                              *path.split(".")[:-1])
+        finder = FileFinder(folder, (ExtensionFileLoader, EXTENSION_SUFFIXES))
+        found = finder.find_spec(name)
+    if found is None:
+        raise ImportError(f"scipy {scipy.__version__} has no compiled "
+                          f"module {name}", name=name)
+    module = importlib.util.module_from_spec(found)
+    found.loader.exec_module(module)
+    sys.modules[name] = module
+    return module
+
+
 def _radial_factors(grid: Grid, dt: float) -> tuple:
     """Factor the radial I - dt L = A once, without pivoting.
 
@@ -217,8 +253,7 @@ def _radial_factors(grid: Grid, dt: float) -> tuple:
     solves by one dpttrs and back-substitutes x[m-1..0].  A non-positive
     pivot, a non-finite weight or a dpttrf failure raises LinAlgError.
     """
-    from scipy.linalg.lapack import dpttrf
-
+    dpttrf = _kernel("scipy.linalg", "_flapack").dpttrf
     lower, diag, upper = _radial_diagonals(grid, dt)
     unsymmetric = np.flatnonzero(lower * upper <= 0.0)
     m = int(unsymmetric[-1]) + 1 if unsymmetric.size else 1

@@ -26,12 +26,12 @@ def write_snapshot(path, u: np.ndarray, *, h: float, half_width: float,
                    epsilon: float, t: float, grid_mode: str,
                    dim: int) -> Path:
     path = Path(path)
-    u = np.ascontiguousarray(u, dtype=float)
+    u = np.asarray(u)
     with open(path, "wb") as fh:
         np.array([u.ndim], dtype=_I8).tofile(fh)
         np.array(u.shape, dtype=_I8).tofile(fh)
         np.array([h, half_width, epsilon, t], dtype=_F8).tofile(fh)
-        u.astype(_F8).tofile(fh)
+        u.astype(_F8, copy=False).tofile(fh)   # tofile writes C order
     meta = {"file": path.name, "shape": list(u.shape), "h": h,
             "half_width": half_width, "epsilon": epsilon, "t": t,
             "grid_mode": grid_mode, "dim": dim}

@@ -1,13 +1,16 @@
 import json
 import platform
 import resource
+import sys
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 import phaselab.cli as cli
+import phaselab.grids
 import phaselab.solver
 from phaselab import config
 from phaselab.potentials import ProfileError
@@ -286,6 +289,40 @@ def test_simulate_runtime_failure(tmp_path, monkeypatch, capsys):
                    "--out", str(tmp_path / "out")])
     assert rc == 1
     assert "step 3" in capsys.readouterr().err
+
+
+def test_missing_scipy_kernel_is_runtime_failure(tmp_path, monkeypatch,
+                                                 capsys):
+    # a scipy build whose LAPACK module has another file name: no extension
+    # file matches, so the radial solve cannot load dpttrs
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack", raising=False)
+    monkeypatch.setattr(phaselab.grids, "EXTENSION_SUFFIXES", [".missing"])
+    out = tmp_path / "out"
+    rc = cli.main(["simulate", "--config", str(CONFIGS / "circle_radial.json"),
+                   "--out", str(out)])
+    assert rc == 1
+    assert (f"runtime failure: scipy {scipy.__version__} has no compiled "
+            f"module scipy.linalg._flapack") in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unfactorable_radial_operator_is_runtime_failure(tmp_path,
+                                                         monkeypatch, capsys):
+    diagonals = phaselab.grids._radial_diagonals
+
+    def negative_axis(grid, dt):
+        lower, diag, upper = diagonals(grid, dt)
+        diag[0] = -1.0
+        return lower, diag, upper
+
+    monkeypatch.setattr(phaselab.grids, "_radial_diagonals", negative_axis)
+    out = tmp_path / "out"
+    rc = cli.main(["simulate", "--config", str(CONFIGS / "circle_radial.json"),
+                   "--out", str(out)])
+    assert rc == 1
+    assert "runtime failure: radial operator: non-positive axis pivot" \
+        in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_simulate_circle_sample(tmp_path):

@@ -1,9 +1,18 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 import phaselab as pl
+from phaselab.grids import _kernel
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_full_grid_geometry():
@@ -188,14 +197,16 @@ def copying_solve(grid, dt, b):
 
 
 @pytest.mark.parametrize("grid", [
-    pl.full_grid(1, 1.3, 64), pl.full_grid(2, 1.3, 41),
+    pl.full_grid(1, 1.3, 64), pl.full_grid(1, 1.3, 65),
+    pl.full_grid(2, 1.3, 40), pl.full_grid(2, 1.3, 41),
     pl.full_grid(2, 1.4, 280)]
     + [pl.radial_grid(d, 1.4, 141) for d in range(2, 7)]
     + [pl.radial_grid(2, 2.8, 2241)],
     ids=lambda g: f"{g.mode}-d{g.dim}-n{g.npts}")
 def test_implicit_solve_works_in_place(grid):
     # the stepper hands the solve one row of a block buffer and reads the
-    # solution from that row: solve(b) is b, bit for bit the copying solve
+    # solution from that row: solve(b) is b, bit for bit the copying solve,
+    # which runs scipy.fft's dctn and idctn and scipy.linalg.lapack's dpttrs
     dt = 1e-3
     b = np.random.default_rng(grid.npts).uniform(-1.0, 1.0, grid.shape)
     want = copying_solve(grid, dt, b)
@@ -206,3 +217,70 @@ def test_implicit_solve_works_in_place(grid):
         assert np.array_equal(x, want)
     assert np.array_equal(rows[0], rows[2])   # the neighbours are untouched
     assert not np.array_equal(rows[0], want)
+
+
+def test_kernel_is_the_module_scipy_exports():
+    from scipy.linalg import lapack
+    flapack = _kernel("scipy.linalg", "_flapack")
+    assert flapack.dpttrs is lapack.dpttrs
+    assert flapack.dpttrf is lapack.dpttrf
+    assert _kernel("scipy.linalg", "_flapack") is flapack
+    name = "scipy.fft._pocketfft.pypocketfft"
+    assert _kernel("scipy.fft", "_pocketfft.pypocketfft") is sys.modules[name]
+
+
+def test_missing_kernel_names_module_and_scipy_version():
+    with pytest.raises(ImportError) as info:
+        _kernel("scipy.linalg", "_no_such_kernel")
+    assert info.value.name == "scipy.linalg._no_such_kernel"
+    assert str(info.value) == (f"scipy {scipy.__version__} has no compiled "
+                               f"module scipy.linalg._no_such_kernel")
+    assert "scipy.linalg._no_such_kernel" not in sys.modules
+
+
+KERNELS_THEN_PACKAGES = """
+import json, sys
+import numpy as np
+import phaselab as pl
+
+for grid in (pl.full_grid(2, 1.0, 16), pl.radial_grid(2, 1.0, 16)):
+    _, solve = grid.implicit_solver(1e-3)
+    solve(np.ones(grid.shape))
+names = ["scipy.linalg._flapack", "scipy.fft._pocketfft.pypocketfft"]
+kernels = [sys.modules[name] for name in names]
+loaded_before = sorted(m for m in sys.modules
+                       if m.startswith(("scipy.linalg", "scipy.fft")))
+
+import scipy.fft, scipy.linalg
+from scipy.fft._pocketfft import basic
+from scipy.linalg import lapack
+
+ab = np.array([[0.0, -1.0, -1.0], [2.0, 2.0, 2.0], [-1.0, -1.0, 0.0]])
+x = scipy.linalg.solve_banded((1, 1), ab, np.array([1.0, 0.0, 1.0]))
+y = np.arange(6.0).reshape(2, 3)
+print(json.dumps({
+    "loaded_before": loaded_before,
+    "same": [sys.modules[name] is k for name, k in zip(names, kernels)]
+            + [lapack._flapack is kernels[0], basic.pfft is kernels[1]],
+    "solve_banded": x.tolist(),
+    "dctn": bool(np.allclose(scipy.fft.idctn(scipy.fft.dctn(y, norm="ortho"),
+                                             norm="ortho"), y)),
+}))
+"""
+
+
+def test_packages_imported_after_the_kernels_reuse_them():
+    # a command loads its kernel alone; scipy.linalg or scipy.fft imported
+    # later in the same process (by a test oracle, say) must pick up the
+    # very module objects and still work
+    path = filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run([sys.executable, "-c", KERNELS_THEN_PACKAGES],
+                          capture_output=True, text=True, env=env,
+                          check=True)
+    out = json.loads(proc.stdout)
+    assert out["loaded_before"] == ["scipy.fft._pocketfft.pypocketfft",
+                                    "scipy.linalg._flapack"]
+    assert out["same"] == [True] * 4
+    assert out["solve_banded"] == pytest.approx([1.0, 1.0, 1.0])
+    assert out["dctn"]
