@@ -11,7 +11,10 @@ import argparse
 import ctypes
 import json
 import os
+import resource
+import shutil
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -79,6 +82,7 @@ def _write_manifest(out_dir: Path, command: str, config_path, filled,
         "config": filled,
         "artifacts": sorted(str(a) for a in artifacts),
         "timings": timings,
+        "peak_rss_mb": _peak_rss_mb(),
     }
     if extra:
         manifest.update(extra)
@@ -86,6 +90,12 @@ def _write_manifest(out_dir: Path, command: str, config_path, filled,
     tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
                    encoding="utf-8")
     os.replace(tmp, out_dir / "manifest.json")
+
+
+def _peak_rss_mb() -> float:
+    """The peak resident set of this process so far, in MB (ru_maxrss
+    counts KiB on Linux)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
 def _run_record(res) -> dict:
@@ -119,31 +129,53 @@ def cmd_profile(args) -> int:
 
 
 def _run_simulation(cfg, out_dir: Path, snapshot_every):
-    res = solver.run(cfg, snapshot_every=snapshot_every)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    artifacts = []
+    """Run cfg and write its outputs into out_dir.
+
+    The snapshots, the field of every snapshot_every-th row or else of the
+    last row, are written as the run reaches their rows, into a staging
+    directory made in out_dir or in its nearest existing ancestor.  They
+    move under out_dir/snapshots only once the run has succeeded, and the
+    staging directory is removed whatever happens, so a rejected or failed
+    run leaves the file system as it found it.
+    """
+    last_row = len(cfg.row_times()) - 1
+    stage = Path(tempfile.mkdtemp(prefix=".phaselab-snapshots-",
+                                  dir=_nearest_dir(out_dir)))
+    names = []
+
+    def sink(row, t, field):
+        if row % snapshot_every if snapshot_every else row != last_row:
+            return
+        path = stage / f"field_{len(names) // 2:05d}.bin"   # 2 files each
+        sidecar = snapshots.write_snapshot(
+            path, field, h=cfg.grid.h, half_width=cfg.grid.half_width,
+            epsilon=cfg.epsilon, t=float(t), grid_mode=cfg.grid.mode,
+            dim=cfg.grid.dim)
+        names.extend((path.name, sidecar.name))
+
+    try:
+        res = solver.run(cfg, sink=sink)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        snap_dir = out_dir / "snapshots"
+        snap_dir.mkdir(exist_ok=True)
+        for name in names:
+            os.replace(stage / name, snap_dir / name)
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
 
     csv_path = out_dir / "diagnostics.csv"
     diagnostics.write_csv(csv_path, res.breakdowns)
-    artifacts.append(csv_path.name)
-
     plot_path = out_dir / "plots.gp"
     plot_path.write_text(PLOT_SCRIPT, encoding="utf-8")
-    artifacts.append(plot_path.name)
-
-    snap_dir = out_dir / "snapshots"
-    snap_dir.mkdir(exist_ok=True)
-    pairs = res.snapshots if snapshot_every is not None \
-        else [(res.times[-1], res.final_field)]
-    for idx, (t, field) in enumerate(pairs):
-        p = snap_dir / f"field_{idx:05d}.bin"
-        sidecar = snapshots.write_snapshot(
-            p, field, h=cfg.grid.h, half_width=cfg.grid.half_width,
-            epsilon=cfg.epsilon, t=float(t), grid_mode=cfg.grid.mode,
-            dim=cfg.grid.dim)
-        artifacts.append(f"snapshots/{p.name}")
-        artifacts.append(f"snapshots/{sidecar.name}")
+    artifacts = [csv_path.name, plot_path.name]
+    artifacts += [f"snapshots/{name}" for name in names]
     return res, artifacts
+
+
+def _nearest_dir(path: Path) -> Path:
+    """path itself if it is a directory, else its nearest ancestor that
+    is."""
+    return next(p for p in (path, *path.parents) if p.is_dir())
 
 
 def cmd_simulate(args) -> int:

@@ -24,8 +24,8 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import (CutoffSpec, InterfaceTrajectory, extended_fields,
-                       tau_truncation)
+from .geometry import (CutoffSpec, ExtendedFields, InterfaceTrajectory,
+                       extended_fields, tau_truncation)
 from .grids import Grid
 from .potentials import PotentialSpec, root_2w
 
@@ -68,47 +68,96 @@ class EntropyBreakdown:
 
 
 @dataclass
-class DerivedFields:
-    """Pointwise fields shared by the functionals of one snapshot."""
+class TubeFields:
+    """The pointwise fields of one snapshot at the cells of the cutoff's
+    tube, the last axis running over them (ExtendedFields.restrict)."""
 
     gmag: np.ndarray
     n: np.ndarray
-    psi: np.ndarray
     grad_psi: np.ndarray
     grad_psi_mag: np.ndarray
     w: np.ndarray
     sqrt2w: np.ndarray
-    curvature_scalar: np.ndarray   # -(eps lap u - W'(u)/eps); H_eps = this * n
+    curvature_scalar: np.ndarray
     density: np.ndarray
 
 
+@dataclass
+class DerivedFields:
+    """Whole-grid fields of one snapshot that a row integrates, and (tube)
+    the fields its tube terms read.  The unit normal n enters the whole-grid
+    integrands only through |n|^2 and |curvature_scalar n|^2."""
+
+    gmag: np.ndarray
+    psi: np.ndarray
+    grad_psi_mag: np.ndarray
+    sqrt2w: np.ndarray
+    curvature_scalar: np.ndarray   # -(eps lap u - W'(u)/eps); H_eps = this * n
+    density: np.ndarray
+    n_sq: np.ndarray
+    curv_n_sq: np.ndarray
+    tube: TubeFields
+
+
 def derived_fields(u: np.ndarray, eps: float, pot: PotentialSpec,
-                   grid: Grid) -> DerivedFields:
-    """Gradient, unit normal, phase map and curvature proxy of a snapshot.
+                   grid: Grid, ef: ExtendedFields) -> DerivedFields:
+    """Gradient, unit normal, phase map and curvature proxy of a snapshot,
+    on the whole grid and at the tube cells of ef.
 
     Where |grad u| falls below a relative floor the unit normal is replaced
     by the first coordinate direction; every integrand that touches n
     carries a |grad psi| or |grad u|^2 weight, so the choice does not
     affect any reported value.
+
+    Each field's tube values are taken as soon as it is formed, and the
+    whole-grid gradient, n and W(u) are dropped once the fields built from
+    them exist (grad psi is formed at the tube cells only), so the call
+    holds few fields at once.  Every value has the operations, in the same
+    order, of the plain expressions in the comments.
     """
+    on = ef.restrict
+    psi = pot.psi(u)
     g = grid.gradient(u)
-    gmag = np.sqrt(np.sum(g * g, axis=0))
-    floor = GRAD_FLOOR_SCALE * (float(np.max(gmag)) + 1.0)
-    safe = np.where(gmag >= floor, gmag, 1.0)
-    n = np.where(gmag >= floor, g / safe, 0.0)
-    n[0] = np.where(gmag >= floor, n[0], 1.0)
+    # gmag = sqrt(sum(g * g))
+    gmag = np.sum(g * g, axis=0)
+    np.sqrt(gmag, out=gmag)
+    steep = gmag >= GRAD_FLOOR_SCALE * (float(np.max(gmag)) + 1.0)
+    # curv = -(eps lap - W'(u) / eps)
+    curv = grid.laplacian(u)
+    np.multiply(eps, curv, out=curv)
+    dw = pot.dw(u)
+    np.divide(dw, eps, out=dw)
+    np.subtract(curv, dw, out=curv)
+    np.negative(curv, out=curv)
+    del dw
+
+    # n = g / gmag where steep, else the first coordinate direction
+    n = np.divide(g, gmag, out=np.zeros_like(g), where=steep)
+    n[0][~steep] = 1.0
+    g_tube, n_tube = on(g), on(n)
+    # n_sq = sum(n * n), curv_n_sq = sum((curv n)^2), in g's and n's place
+    n_sq = np.sum(np.multiply(n, n, out=g), axis=0)
+    del g
+    curv_n_sq = np.sum(np.square(np.multiply(curv, n, out=n), out=n), axis=0)
+    del n
 
     w = pot.w(np.clip(u, -1.0, 1.0))
     sqrt2w = root_2w(w)
-    psi_field = pot.psi(u)
-    grad_psi = sqrt2w * g
-    lap = grid.laplacian(u)
-    curvature_scalar = -(eps * lap - pot.dw(u) / eps)
-    density = 0.5 * eps * gmag ** 2 + w / eps
-    return DerivedFields(gmag=gmag, n=n, psi=psi_field,
-                         grad_psi=grad_psi, grad_psi_mag=sqrt2w * gmag,
-                         w=w, sqrt2w=sqrt2w,
-                         curvature_scalar=curvature_scalar, density=density)
+    w_tube, sqrt2w_tube = on(w), on(sqrt2w)
+    # density = 0.5 eps gmag^2 + w / eps
+    density = np.square(gmag)
+    np.multiply(0.5 * eps, density, out=density)
+    np.add(density, np.divide(w, eps, out=w), out=density)
+    del w
+    grad_psi_mag = sqrt2w * gmag
+    tube = TubeFields(gmag=on(gmag), n=n_tube, grad_psi=sqrt2w_tube * g_tube,
+                      grad_psi_mag=on(grad_psi_mag), w=w_tube,
+                      sqrt2w=sqrt2w_tube, curvature_scalar=on(curv),
+                      density=on(density))
+    return DerivedFields(gmag=gmag, psi=psi, grad_psi_mag=grad_psi_mag,
+                         sqrt2w=sqrt2w, curvature_scalar=curv,
+                         density=density, n_sq=n_sq, curv_n_sq=curv_n_sq,
+                         tube=tube)
 
 
 def default_s0(cutoff: CutoffSpec) -> float:
@@ -133,58 +182,90 @@ def relative_entropy(u: np.ndarray, eps: float, pot: PotentialSpec,
     where the field is zero.  For finite u each integrand is the array a
     whole-grid evaluation gives (up to the sign of zeros), so each
     quadrature sum is too.
+
+    Memory: the integrals run in an order that lets each whole-grid field
+    be overwritten by its last integrand and freed after that integral;
+    the other integrands are built in one scratch field, which then holds
+    the zeros the identity groups are scattered onto.  The plain expression
+    of each integrand is in the comments; the out= calls repeat its
+    operations in its order, so every sum keeps its bits.
     """
     if s0 is None:
         s0 = default_s0(cutoff)
-    d = derived_fields(u, eps, pot, grid)
     ef = extended_fields(traj, cutoff, grid, t)
+    d = derived_fields(u, eps, pot, grid, ef)
+    on = d.tube
+    gmag, sqrt2w, psi, curv = d.gmag, d.sqrt2w, d.psi, d.curvature_scalar
+    density, gpm = d.density, d.grad_psi_mag
+    nmxi2, curv_sq = d.n_sq, d.curv_n_sq
+    del d   # the names above now hold each whole-grid field alone
     quad = grid.integrate
-    dtube = _on_tube(d, ef)
 
-    xi_dot_gpsi = np.sum(ef.xi * dtube.grad_psi, axis=0)
-    energy = quad(d.density)
-    entropy = quad(ef.scatter(dtube.density - xi_dot_gpsi, d.density.copy()))
-    diss = quad(d.curvature_scalar ** 2 / eps)
+    energy = quad(density)
+    nmxi = on.n - ef.xi
+    # nmxi2 = scatter(|n - xi|^2, |n|^2); misalignment = nmxi2 gpm
+    ef.scatter(np.sum(nmxi * nmxi, axis=0), nmxi2)
+    misalignment = quad(np.multiply(nmxi2, gpm, out=gpm))
+    del gpm
+    scratch = np.empty(grid.shape)
+    # defect = sqrt(eps) gmag - sqrt2w / sqrt(eps)
+    np.multiply(np.sqrt(eps), gmag, out=scratch)
+    np.subtract(scratch, np.divide(sqrt2w, np.sqrt(eps), out=sqrt2w),
+                out=scratch)
+    del sqrt2w
+    equipartition = quad(np.square(scratch, out=scratch))
+    # tilt = nmxi2 eps gmag^2
+    np.multiply(nmxi2, eps, out=nmxi2)
+    tilt = quad(np.multiply(nmxi2, np.square(gmag, out=gmag), out=nmxi2))
+    del gmag, nmxi2
+    # dissipation = curv^2 / eps
+    diss = quad(np.divide(np.square(curv, out=scratch), eps, out=scratch))
 
-    defect = np.sqrt(eps) * d.gmag - d.sqrt2w / np.sqrt(eps)
-    nmxi = dtube.n - ef.xi
-    nmxi2 = ef.scatter(np.sum(nmxi * nmxi, axis=0), np.sum(d.n * d.n, axis=0))
+    # dsq_curv = scatter(|curv n - eps gmag H|^2, |curv n|^2) / (4 eps)
+    hvec_diff = on.curvature_scalar * on.n - eps * on.gmag * ef.hvec
+    ef.scatter(np.sum(hvec_diff ** 2, axis=0), curv_sq)
+    del hvec_diff
+    dsq_curv = quad(np.divide(curv_sq, 4.0 * eps, out=curv_sq))
+    del curv_sq
+    # dsq_vel = scatter(curv + div xi sqrt2w, curv)^2 / (4 eps)
+    ef.scatter(on.curvature_scalar - (-ef.div_xi) * on.sqrt2w, curv)
+    np.square(curv, out=curv)
+    dsq_vel = quad(np.divide(curv, 4.0 * eps, out=curv))
+    del curv
 
-    hvec_diff = dtube.curvature_scalar * dtube.n - eps * dtube.gmag * ef.hvec
-    curv_sq = np.sum((d.curvature_scalar * d.n) ** 2, axis=0)
-    dsq_curv = quad(ef.scatter(np.sum(hvec_diff ** 2, axis=0), curv_sq)
-                    / (4.0 * eps))
-    vel_diff = ef.scatter(dtube.curvature_scalar - (-ef.div_xi) * dtube.sqrt2w,
-                          d.curvature_scalar.copy())
-    dsq_vel = quad(vel_diff ** 2 / (4.0 * eps))
-
-    err_l1 = quad(np.abs(d.psi - ef.chi))
-    err_w = quad((ef.chi - d.psi) * _tau_of_distance(ef.dist, s0))
+    # min(dist^2, 1) density
+    np.minimum(np.square(ef.dist, out=scratch), 1.0, out=scratch)
+    dist_weighted = quad(np.multiply(scratch, density, out=scratch))
+    # entropy = scatter(density - xi . grad psi, density)
+    xi_dot_gpsi = np.sum(ef.xi * on.grad_psi, axis=0)
+    ef.scatter(on.density - xi_dot_gpsi, density)
+    entropy = quad(density)
+    del density
+    # err_l1 = |psi - chi|, err_weighted = (chi - psi) tau(dist / s0)
+    err_l1 = quad(np.abs(np.subtract(psi, ef.chi, out=scratch), out=scratch))
+    np.subtract(ef.chi, psi, out=psi)
+    err_w = quad(np.multiply(psi, _tau_of_distance(ef.dist, s0), out=psi))
+    del psi
 
     b = EntropyBreakdown(
         t=t,
         gl_energy=energy,
         dissipation=diss,
         rel_entropy=entropy,
-        equipartition_defect=quad(defect ** 2),
-        misalignment=quad(nmxi2 * d.grad_psi_mag),
-        tilt_excess=quad(nmxi2 * eps * d.gmag ** 2),
-        dist_weighted_energy=quad(np.minimum(ef.dist ** 2, 1.0) * d.density),
+        equipartition_defect=equipartition,
+        misalignment=misalignment,
+        tilt_excess=tilt,
+        dist_weighted_energy=dist_weighted,
         defect_sq_curvature=dsq_curv,
         defect_sq_velocity=dsq_vel,
         err_l1=err_l1,
         err_weighted=err_w)
 
     if with_identity:
-        b.identity_rhs = _identity_rhs(eps, dtube, ef, quad, dsq_curv,
-                                       dsq_vel, xi_dot_gpsi, nmxi)
+        scratch.fill(0.0)
+        b.identity_rhs = _identity_rhs(eps, on, ef, quad, dsq_curv, dsq_vel,
+                                       xi_dot_gpsi, nmxi, scratch)
     return b
-
-
-def _on_tube(d: DerivedFields, ef) -> DerivedFields:
-    """The derived fields at the cells of the cutoff's tube."""
-    return DerivedFields(**{name: ef.restrict(f)
-                            for name, f in vars(d).items()})
 
 
 def _tau_of_distance(dist, s0):
@@ -197,19 +278,18 @@ def _tau_of_distance(dist, s0):
     return tau
 
 
-def _identity_rhs(eps, d: DerivedFields, ef, quad, dsq_curv, dsq_vel,
-                  xi_dot_gpsi, nmxi):
+def _identity_rhs(eps, d: TubeFields, ef, quad, dsq_curv, dsq_vel,
+                  xi_dot_gpsi, nmxi, zeros):
     """Assemble the eight integral groups of the entropy evolution identity.
 
     For an exact solution the time derivative of the relative entropy
     equals this sum; the first group carries the two defect squares with
     twice their stored 1/(4 eps) weight.  The integrands of g2-g8 vanish
     off the tube: d, xi . grad psi and n - xi are taken at the tube cells,
-    and each group's integrand is scattered onto one whole grid of zeros,
-    whose cells off the tube no group writes.
+    and each group's integrand is scattered onto zeros, a whole grid of
+    zeros whose cells off the tube no group writes.
     """
     g1 = -2.0 * (dsq_curv + dsq_vel)
-    zeros = np.zeros(ef.dist.shape)
 
     def integral(values):
         return quad(ef.scatter(values, zeros))

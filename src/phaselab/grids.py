@@ -116,24 +116,30 @@ class Grid:
         Mirror ghosts make the boundary entries one-sided averages; radial
         symmetry forces a zero derivative at the axis and the outer node.
         On full grids each axis is differenced by slices of u, the ghost
-        being the face value itself, so no padded copy is built.
+        being the face value itself, written straight into the output: no
+        padded copy or temporary is built.
         """
         h = self.h
         if self.mode == RADIAL:
             g = np.zeros((1,) + u.shape)
             g[0, 1:-1] = (u[2:] - u[:-2]) / (2.0 * h)
             return g
-        width = 2.0 * h
         out = np.empty((self.dim,) + u.shape)
         for ax in range(self.dim):
             o, v = np.moveaxis(out[ax], ax, 0), np.moveaxis(u, ax, 0)
-            o[1:-1] = (v[2:] - v[:-2]) / width
-            o[0] = (v[1] - v[0]) / width
-            o[-1] = (v[-1] - v[-2]) / width
+            # (hi, lo, out) for the interior, then the first and last faces
+            for hi, lo, r in ((v[2:], v[:-2], o[1:-1]), (v[1:2], v[:1], o[:1]),
+                              (v[-1:], v[-2:-1], o[-1:])):
+                np.subtract(hi, lo, out=r)
+            o /= 2.0 * h
         return out
 
     def laplacian(self, u: np.ndarray) -> np.ndarray:
-        """Second-order zero-flux Laplacian, as implicit_solver inverts."""
+        """Second-order zero-flux Laplacian, as implicit_solver inverts.
+
+        On full grids each axis's second difference is written into one
+        scratch field and added to the output, so the call holds two fields.
+        """
         h2 = self.h ** 2
         if self.mode == RADIAL:
             d, r = self.dim, self.axis
@@ -143,14 +149,19 @@ class Grid:
             out[0] = 2.0 * d * (u[1] - u[0]) / h2
             out[-1] = 2.0 * (u[-2] - u[-1]) / h2
             return out
-        out = np.zeros_like(u)
+        out, tmp = np.zeros_like(u), np.empty_like(u)
         for ax in range(self.dim):
-            o, v = np.moveaxis(out, ax, 0), np.moveaxis(u, ax, 0)
-            o[1:-1] += (v[2:] - 2.0 * v[1:-1] + v[:-2]) / h2
-            # the mirror ghost repeats the face value: hi - 2 u + lo with
-            # lo = u on the first face and hi = u on the last
-            o[0] += (v[1] - 2.0 * v[0] + v[0]) / h2
-            o[-1] += (v[-1] - 2.0 * v[-1] + v[-2]) / h2
+            o, v, s = (np.moveaxis(a, ax, 0) for a in (out, u, tmp))
+            # hi - 2 c + lo into s; the mirror ghost repeats the face value:
+            # lo = c on the first face and hi = c on the last
+            for hi, c, lo, r in ((v[2:], v[1:-1], v[:-2], s[1:-1]),
+                                 (v[1:2], v[:1], v[:1], s[:1]),
+                                 (v[-1:], v[-1:], v[-2:-1], s[-1:])):
+                np.multiply(2.0, c, out=r)
+                np.subtract(hi, r, out=r)
+                np.add(r, lo, out=r)
+            s /= h2
+            o += s
         return out
 
     def implicit_solver(self, dt: float) -> tuple:

@@ -249,6 +249,15 @@ class ProfileTable:
         inside += c0 * z
         return np.where(np.abs(s) > self.s_max, np.sign(s), inside)
 
+    def kappa0(self) -> float:
+        """The L1 constant int |psi(theta(s)) - sign s| ds of the profile,
+        psi the potential's phase map: 2 int_0^s_max (1 - psi(theta(s))) ds
+        by the trapezoid rule on the table's samples s >= 0.  The tail
+        beyond s_max, where 1 - theta < tail_bound, is left out."""
+        half = self.s >= 0.0
+        gap = 1.0 - self.potential.psi(self.theta[half])
+        return 2.0 * float(np.trapezoid(gap, self.s[half]))
+
 
 def _integrate_profile(p: PotentialSpec, s_max: float, n: int) -> np.ndarray:
     """Classical RK4 for theta' = sqrt(2 W(theta)) from theta(0) = 0, on

@@ -15,7 +15,7 @@ limit dt <= eps^2/(2 max W''), whatever h.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -165,21 +165,28 @@ class RunResult:
     dt: float
     n_steps: int
     clamp_count: int
-    snapshots: list = field(default_factory=list)   # (t, field) pairs
     final_field: Optional[np.ndarray] = None
     wall_s: float = 0.0
     rows_s: float = 0.0   # wall time inside the diagnostic rows
-    step_s: float = 0.0   # wall time in the step loop outside the rows
+    step_s: float = 0.0   # in the step loop outside the rows, sink included
     setup_s: float = 0.0  # validation, initial data, make_stepper; no rows
     identity_s: float = 0.0   # in fill_identity_residuals
     max_abs_u: float = 0.0   # over the initial and every stepped field
 
 
 def run(cfg: SimulationConfig,
-        snapshot_every: Optional[int] = None) -> RunResult:
+        sink: Optional[Callable[[int, float, np.ndarray], None]] = None
+        ) -> RunResult:
     """Advance from profile initial data to t_end, recording diagnostics at
-    the configured cadence (the initial and final states are always rows)
-    and, given snapshot_every = k, the field of every k-th row.
+    the configured cadence (the initial and final states are always rows).
+
+    Given a sink, each row also calls sink(row, t, u) once the row is
+    reached: row counts the rows from 0, and u is the field at time t.  u
+    may be a view into a step buffer that later steps overwrite, so a sink
+    that keeps it must copy it; the run itself keeps no field but
+    final_field.  A sink writing u to disk as it comes gives a run whose
+    memory does not grow with the rows it keeps.  The sink calls run in
+    the step loop, after make_stepper, so they count in step_s.
 
     Steps run in blocks that end at every row and hold at most BLOCK_BYTES
     of fields (one field at least), written into two buffers in turn, so a
@@ -188,7 +195,7 @@ def run(cfg: SimulationConfig,
     not finite aborts with BlowUpError naming its first such step, as a
     check after every step would.  The steps between two rows run with
     numpy's overflow and invalid warnings off, as a field that blows up
-    mid-block is only caught at the block's end; rows and snapshots run
+    mid-block is only caught at the block's end; rows and sink calls run
     outside that, on fields that passed the guard.  The clamp counter
     totals grid values found outside [-1, 1] across all steps; max_abs_u,
     the largest |u| of the initial and every stepped field, is read off
@@ -212,13 +219,14 @@ def run(cfg: SimulationConfig,
 
     u = initial_data(cfg)
     rows = [measure(u, 0.0)]
-    snapshots = [(0.0, u.copy())] if snapshot_every else []
     step = make_stepper(cfg)
     clamps = 0
     max_abs_u = float(np.max(np.abs(u)))
     block_rows = max(1, min(BLOCK_BYTES // u.nbytes, cfg.cadence, n_steps))
     buffers = [np.empty((block_rows,) + u.shape) for _ in range(2)]
     loop_start, rows_before = time.perf_counter(), rows_s
+    if sink is not None:
+        sink(0, 0.0, u)
 
     k = 0
     while k < n_steps:
@@ -238,9 +246,9 @@ def run(cfg: SimulationConfig,
                 max_abs_u = max(max_abs_u, hi, -lo)
                 clamps += count_excursions(block, bounds=(lo, hi))
         t = k * dt
-        if snapshot_every and len(rows) % snapshot_every == 0:
-            snapshots.append((t, u.copy()))
         rows.append(measure(u, t))
+        if sink is not None:
+            sink(len(rows) - 1, t, u)
     loop_end = time.perf_counter()
     step_s = loop_end - loop_start - (rows_s - rows_before)
 
@@ -250,7 +258,7 @@ def run(cfg: SimulationConfig,
 
     return RunResult(times=np.array([b.t for b in rows]), breakdowns=rows,
                      dt=dt, n_steps=n_steps, clamp_count=clamps,
-                     snapshots=snapshots, final_field=u.copy(),
+                     final_field=u.copy(),
                      wall_s=end - start, rows_s=rows_s, step_s=step_s,
                      setup_s=loop_start - start - rows_before,
                      identity_s=end - loop_end, max_abs_u=max_abs_u)

@@ -184,24 +184,32 @@ def test_c07_interface_error_rate(circle_sweep):
            f"slope={slope:.3f} (target [0.8,1.2])")
 
 
-# kappa0 = int |psi(theta(s)) - sign s| ds for the standard well's profile
-# theta = tanh(3 s / 2): the L1 error of well-prepared data is
-# eps kappa0 |Sigma_t| + o(eps), |Sigma_t| = 2 pi R(t) for the circle
-KAPPA0 = (2.0 / 3.0) * (2.0 * math.log(2.0) - 0.5)
-
-
 def test_c07_interface_error_constant(circle_sweep, sweep_plan):
     # the leading-order constant of the L1 error on every row of every
-    # member: a reference radius law 5% too fast reads 1.34 at eps = 0.02
+    # member: err_l1 = eps kappa0 |Sigma_t| + o(eps), |Sigma_t| = 2 pi R(t)
+    # for the circle, kappa0 = int |psi(theta(s)) - sign s| ds from the
+    # profile table; a reference radius law 5% too fast reads 1.34 at
+    # eps = 0.02
     ratios = []
     for run_res, eps in zip(circle_sweep.runs, EPSILONS):
-        radius = sweep_plan.member(eps).trajectory.radius
-        ratios += [b.err_l1 / (eps * KAPPA0 * 2.0 * math.pi * radius(b.t))
+        member = sweep_plan.member(eps)
+        kappa0, radius = member.profile.kappa0(), member.trajectory.radius
+        ratios += [b.err_l1 / (eps * kappa0 * 2.0 * math.pi * radius(b.t))
                    for b in run_res.breakdowns]
     worst = max(abs(r - 1.0) for r in ratios)
     report("C7 interface-error constant", worst <= 0.03,
            f"err_l1 / (eps kappa0 2 pi R) in [{min(ratios):.4f}, "
            f"{max(ratios):.4f}] over {len(ratios)} rows (target 1 +- 0.03)")
+
+
+def test_c07_weighted_volume_error_rate(circle_sweep):
+    # the distance-weighted volume error that the theorem bounds together
+    # with the entropy: its sup over each member's rows is O(eps^2)
+    fit = pl.fit_rate(
+        (eps, max(b.err_weighted for b in run_res.breakdowns))
+        for run_res, eps in zip(circle_sweep.runs, EPSILONS))
+    report("C7 weighted volume-error rate", 1.7 <= fit.slope <= 2.3,
+           f"slope={fit.slope:.4f} (target [1.7,2.3])")
 
 
 def test_c08_gronwall_stability(circle_sweep):

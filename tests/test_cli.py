@@ -3,6 +3,8 @@ import platform
 import resource
 import sys
 import time
+import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,9 +14,11 @@ import scipy
 import phaselab.cli as cli
 import phaselab.grids
 import phaselab.solver
-from phaselab import config
+from phaselab import config, snapshots
 from phaselab.potentials import ProfileError
 from phaselab.snapshots import read_snapshot
+
+from conftest import make_circle_config
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -147,8 +151,12 @@ def test_manifest_records_build_time(tmp_path, monkeypatch, command):
                                  str(CONFIGS / "identities_plane.json")]}
     out = tmp_path / "out"
     assert cli.main([command] + argv[command] + ["--out", str(out)]) == 0
-    timings = json.loads((out / "manifest.json").read_text())["timings"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    timings = manifest["timings"]
     assert timings["build_s"] >= 0.2
+    # the process's peak RSS so far, beside the timings, not among them
+    assert 1.0 < manifest["peak_rss_mb"] < 1e5
+    assert "peak_rss_mb" not in timings
     results = {"sweep": "summary.json", "check-identities": "identities.json"}
     if command in results:
         assert set(timings) == {"build_s", "wall_s"}
@@ -289,6 +297,67 @@ def test_simulate_runtime_failure(tmp_path, monkeypatch, capsys):
                    "--out", str(tmp_path / "out")])
     assert rc == 1
     assert "step 3" in capsys.readouterr().err
+
+
+def test_blowup_after_snapshots_leaves_nothing(tmp_path, monkeypatch,
+                                              capsys):
+    # snapshots are written as their rows are reached, so two exist when the
+    # field goes non-finite in the first step after row 1
+    written = []
+    write = snapshots.write_snapshot
+
+    def recording(path, *args, **kwargs):
+        written.append(path)
+        return write(path, *args, **kwargs)
+
+    make_stepper = phaselab.solver.make_stepper
+
+    def blowing_up(cfg):
+        step, calls = make_stepper(cfg), []
+
+        def bad(u, out):
+            calls.append(1)
+            step(u, out)
+            if len(calls) > cfg.cadence:
+                out[0] = np.nan
+            return out
+        return bad
+
+    monkeypatch.setattr(snapshots, "write_snapshot", recording)
+    monkeypatch.setattr(phaselab.solver, "make_stepper", blowing_up)
+    doc = json.loads((CONFIGS / "plane1d.json").read_text())
+    doc["diagnostics"]["snapshot_every"] = 1
+    path = write_json(tmp_path / "c.json", doc)
+    out = tmp_path / "out"
+    rc = cli.main(["simulate", "--config", path, "--out", str(out)])
+    assert rc == 1
+    assert "runtime failure: max |u| = nan at step 11" \
+        in capsys.readouterr().err
+    assert len(written) == 2 and not any(p.exists() for p in written)
+    assert not out.exists()
+    assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+
+
+def test_snapshot_writes_hold_no_fields(tmp_path, standard_potential,
+                                        profile):
+    # the full-grid circle workload cut to t = 0.01 (5 rows): writing every
+    # row's field as it is reached holds no more than writing the last one
+    cfg = replace(make_circle_config(standard_potential, profile, eps=0.08,
+                                     half_width=1.4, t_end=0.01,
+                                     mode="full"), compute_identity=True)
+    field = np.empty(cfg.grid.shape).nbytes
+    cli._run_simulation(cfg, tmp_path / "warm", None)   # builds caches
+    peaks = {}
+    for every in (1, None):
+        tracemalloc.start()
+        try:
+            cli._run_simulation(cfg, tmp_path / str(every), every)
+            peaks[every] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert len(list((tmp_path / "1" / "snapshots").glob("*.bin"))) == 5
+    assert abs(peaks[1] - peaks[None]) <= field, \
+        (peaks[1] - peaks[None]) / field
 
 
 def test_missing_scipy_kernel_is_runtime_failure(tmp_path, monkeypatch,

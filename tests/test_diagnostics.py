@@ -1,5 +1,7 @@
 import math
+import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,6 +31,13 @@ def row(u, cfg, **kw):
     """The relative_entropy breakdown of u on cfg's geometry at t = 0."""
     return dg.relative_entropy(u, cfg.epsilon, cfg.potential, cfg.trajectory,
                                cfg.cutoff, cfg.grid, 0.0, **kw)
+
+
+def derived(u, cfg, pot):
+    """derived_fields of u on cfg's grid, with the tube of cfg's geometry
+    at t = 0."""
+    ef = pl.extended_fields(cfg.trajectory, cfg.cutoff, cfg.grid, 0.0)
+    return dg.derived_fields(u, cfg.epsilon, pot, cfg.grid, ef)
 
 
 def test_gl_energy_minimizer(standard_potential, profile):
@@ -196,7 +205,7 @@ def test_coercivity_algebra_on_random_fields(standard_potential, profile,
     assert rep.passed, rep.violations()
     assert b.rel_entropy >= dg.ENTROPY_FLOOR
 
-    d = dg.derived_fields(u, cfg.epsilon, standard_potential, cfg.grid)
+    d = derived(u, cfg, standard_potential)
     eps = cfg.epsilon
     defect = np.sqrt(eps) * d.gmag - d.sqrt2w / np.sqrt(eps)
     inside = np.abs(u) <= 1.0
@@ -211,7 +220,7 @@ def test_young_absorption_pointwise(standard_potential, profile):
     u = np.tanh(rng.normal(size=3) @ np.stack([
         np.sin(2 * cfg.grid.axis), np.cos(5 * cfg.grid.axis),
         cfg.grid.axis]))
-    d = dg.derived_fields(u, cfg.epsilon, standard_potential, cfg.grid)
+    d = derived(u, cfg, standard_potential)
     eps = cfg.epsilon
     defect2 = (np.sqrt(eps) * d.gmag - d.sqrt2w / np.sqrt(eps)) ** 2
     lhs = eps * d.gmag ** 2
@@ -223,8 +232,7 @@ def test_psi_bounded_on_snapshots(standard_potential, profile):
     cfg = make_circle_config(standard_potential, profile, eps=0.08,
                              half_width=1.4, t_end=0.02)
     res = pl.run(cfg)
-    d = dg.derived_fields(res.final_field, cfg.epsilon, standard_potential,
-                          cfg.grid)
+    d = derived(res.final_field, cfg, standard_potential)
     assert np.max(np.abs(d.psi)) <= 1.0
 
 
@@ -299,8 +307,28 @@ def test_csv_rendering_fixed_columns():
 # The diagnostics evaluate the interface fields on the cutoff's tube only
 # and scatter each integrand onto the whole grid.  The oracle below is the
 # earlier whole-grid evaluation: every interface field on every cell, and
-# every integrand built from whole-grid arrays.  The two must agree to the
-# last bit, because each quadrature sums the same array.
+# every integrand built from whole-grid arrays, with the derived fields of
+# oracle_derived_fields rather than the shipped ones.  The two must agree
+# to the last bit, because each quadrature sums the same array.
+
+def oracle_derived_fields(u, eps, pot, grid):
+    """Every derived field, n and grad psi among them, on every cell, by
+    plain whole-grid expressions."""
+    g = grid.gradient(u)
+    gmag = np.sqrt(np.sum(g * g, axis=0))
+    floor = dg.GRAD_FLOOR_SCALE * (float(np.max(gmag)) + 1.0)
+    safe = np.where(gmag >= floor, gmag, 1.0)
+    n = np.where(gmag >= floor, g / safe, 0.0)
+    n[0] = np.where(gmag >= floor, n[0], 1.0)
+    w = pot.w(np.clip(u, -1.0, 1.0))
+    sqrt2w = np.sqrt(np.maximum(2.0 * w, 0.0))
+    curvature_scalar = -(eps * grid.laplacian(u) - pot.dw(u) / eps)
+    return SimpleNamespace(
+        gmag=gmag, n=n, psi=pot.psi(u), grad_psi=sqrt2w * g,
+        grad_psi_mag=sqrt2w * gmag, w=w, sqrt2w=sqrt2w,
+        curvature_scalar=curvature_scalar,
+        density=0.5 * eps * gmag ** 2 + w / eps)
+
 
 def oracle_fields(traj, cutoff, grid, t):
     """Every interface field on every cell of the grid (the tube is the
@@ -344,7 +372,7 @@ def oracle_fields(traj, cutoff, grid, t):
 
 def oracle_relative_entropy(u, eps, pot, traj, cutoff, grid, t, s0):
     """relative_entropy (with the identity) from whole-grid integrands."""
-    d = dg.derived_fields(u, eps, pot, grid)
+    d = oracle_derived_fields(u, eps, pot, grid)
     ef = oracle_fields(traj, cutoff, grid, t)
     quad = grid.integrate
 
@@ -445,5 +473,31 @@ def test_tube_evaluation_matches_whole_grid_oracle(standard_potential,
 def test_sqrt2w_of_derived_fields_is_the_potentials(standard_potential):
     u = np.random.default_rng(7).uniform(-1.3, 1.3, 400)
     grid = pl.radial_grid(2, 1.0, 400)
-    d = dg.derived_fields(u, 0.1, standard_potential, grid)
+    traj = pl.SphereInterface(center=(0.0, 0.0), radius0=0.5, dim=2,
+                              t_max=0.1)
+    ef = pl.extended_fields(traj, pl.CutoffSpec(r_c=0.2), grid, 0.0)
+    d = dg.derived_fields(u, 0.1, standard_potential, grid, ef)
     assert np.array_equal(d.sqrt2w, standard_potential.sqrt2w(u))
+
+
+def test_identity_row_memory_bound(standard_potential, profile):
+    # the C11 280^2 circle: each whole-grid field is freed after its last
+    # integral, so a row holds at most 20 fields at once (29.6 when every
+    # derived field lived to the end of the row)
+    cfg = make_circle_config(standard_potential, profile, eps=0.08,
+                             half_width=1.4, mode="full")
+    assert cfg.grid.shape == (280, 280)
+    u = pl.initial_data(cfg)
+
+    def one_row():
+        return row(u, cfg, with_identity=True)
+
+    want = one_row()   # the first row may build caches
+    tracemalloc.start()
+    try:
+        got = one_row()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dg.rows_to_csv([got]) == dg.rows_to_csv([want])
+    assert peak <= 20 * u.nbytes, peak / u.nbytes

@@ -172,6 +172,18 @@ def test_psi_profile_composition(standard_potential, profile):
     assert np.max(np.abs(vals)) <= 1.0
 
 
+@pytest.mark.parametrize("pot", [
+    pl.make_standard_potential(),
+    pl.make_polynomial_potential([1.0, 0.0, -2.0, 0.0, 1.0])])
+def test_kappa0_from_profile_table(pot):
+    # both wells normalize to theta = tanh(3s/2), whose L1 constant
+    # int |psi(theta) - sign s| ds is (2/3)(2 ln 2 - 1/2) in closed form;
+    # the table's trapezoid rule is off by 1.4e-6 (standard) and 6.5e-6
+    # (poly, whose psi is interpolated)
+    exact = (2.0 / 3.0) * (2.0 * np.log(2.0) - 0.5)
+    assert pl.solve_profile(pot).kappa0() == pytest.approx(exact, abs=1e-5)
+
+
 def test_polynomial_potential_normalized():
     # quartic well shape with a symmetric quadratic modulation
     pot = pl.make_polynomial_potential([1.0, 0.0, -1.5, 0.0, 0.25, 0.0, 0.25])

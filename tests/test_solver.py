@@ -566,14 +566,26 @@ def test_snapshot_roundtrip(tmp_path, standard_potential, profile):
     assert (tmp_path / "field.bin.json").exists()
 
 
-def test_snapshots_kept_at_cadence(standard_potential, profile):
+def test_snapshots_kept_at_cadence(tmp_path, standard_potential, profile):
+    # run passes every row's field to its sink; simulate writes the field of
+    # every k-th row (of the last row when snapshot_every is unset)
+    from phaselab import cli
+    from phaselab.snapshots import read_snapshot
     cfg = make_plane_config(standard_potential, profile, cadence=2)
     cfg.t_end = 6 * cfg.dt
-    res = pl.run(cfg, snapshot_every=1)
-    assert len(res.snapshots) == len(res.breakdowns) == 4
-    assert res.snapshots[0][0] == 0.0
-    every_other = pl.run(cfg, snapshot_every=2)
-    assert [t for t, _ in every_other.snapshots] == [0.0, res.times[2]]
-    for (t, field), (t_all, field_all) in zip(every_other.snapshots,
-                                              res.snapshots[::2]):
-        assert t == t_all and np.array_equal(field, field_all)
+    seen = []
+    res = pl.run(cfg, sink=lambda row, t, u: seen.append((row, t, u.copy())))
+    assert [row for row, _, _ in seen] == [0, 1, 2, 3]
+    assert [t for _, t, _ in seen] == list(res.times)
+    assert np.array_equal(seen[0][2], pl.initial_data(cfg))
+    assert np.array_equal(seen[-1][2], res.final_field)
+    for every, kept in ((1, seen), (2, seen[::2]), (None, seen[-1:])):
+        out = tmp_path / str(every)
+        cli._run_simulation(cfg, out, every)
+        files = sorted((out / "snapshots").glob("*.bin"))
+        assert len(files) == len(kept)
+        for path, (_, t, u) in zip(files, kept):
+            values, meta = read_snapshot(path)
+            assert meta["t"] == t and np.array_equal(values, u)
+    # the staging directories are gone
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["1", "2", "None"]
