@@ -99,14 +99,15 @@ def _peak_rss_mb() -> float:
 
 
 def _run_record(res) -> dict:
-    """Step and clamp counts, max |u| and wall times of one `solver.run`: a
-    sweep member's or an identity level's manifest entry, and the run part
-    of a `simulate` manifest."""
+    """Step and clamp counts, max |u|, the widest step band and wall times
+    of one `solver.run`: a sweep member's or an identity level's manifest
+    entry, and the run part of a `simulate` manifest."""
     return {"n_steps": res.n_steps, "clamp_count": res.clamp_count,
             "max_abs_u": res.max_abs_u, "run_wall_s": res.wall_s,
             "setup_s": res.setup_s, "rows_s": res.rows_s,
             "step_s": res.step_s, "identity_s": res.identity_s,
-            "steps_per_s": res.n_steps / res.step_s if res.step_s > 0 else 0.0}
+            "steps_per_s": res.n_steps / res.step_s if res.step_s > 0 else 0.0,
+            "band_nodes_max": res.band_nodes_max}
 
 
 def cmd_profile(args) -> int:

@@ -17,6 +17,9 @@ import numpy as np
 
 NORMALIZATION_TOL = 1e-8
 WELL_ENDPOINT_TOL = 1e-12
+# |1 - |u|| within this counts as sitting on a well +-1: the roundoff a
+# stepped field keeps there (count_excursions, the radial step band)
+WELL_ROUNDOFF = 1e-12
 _PSI_TABLE_INTERVALS = 1024
 _PROFILE_CONVERGENCE_TOL = 1e-7
 
@@ -72,7 +75,7 @@ def root_2w(w):
     return np.sqrt(np.maximum(2.0 * w, 0.0))
 
 
-def count_excursions(u, tol: float = 1e-12, bounds=None) -> int:
+def count_excursions(u, tol: float = WELL_ROUNDOFF, bounds=None) -> int:
     """Number of samples strictly outside [-1, 1] (beyond roundoff slack).
 
     bounds, when given, is (min u, max u): a field inside [-1 - tol, 1 + tol]

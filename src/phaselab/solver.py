@@ -7,9 +7,12 @@ faces its exempt_axes leave to the boundary-flatness rule, which reads the
 same distance on the boundary cells); it names no trajectory type.
 
 The one stepper is semi-implicit: the reaction term explicit, the Laplacian
-implicit by the grid's own solve of I - dt L (see grids).  It is first
-order in dt and second order in h; its one step-size rule is the reaction
-limit dt <= eps^2/(2 max W''), whatever h.
+implicit by the grid's own solve of I - dt L (see grids).  Each step solves
+only the band of nodes the grid's band solver marks for it, the whole grid
+on full grids and the nodes off the wells with a halo on the radial line;
+the others keep their values.  It is first order in dt and second order in
+h; its one step-size rule is the reaction limit dt <= eps^2/(2 max W''),
+whatever h.  A run records the widest band its rows' fields give.
 """
 
 from __future__ import annotations
@@ -133,29 +136,45 @@ def initial_data(cfg: SimulationConfig) -> np.ndarray:
 def make_stepper(cfg: SimulationConfig) -> Callable:
     """One step step(u, out): writes u_next into out and returns out, u
     unchanged.  Horner builds weight * (u - c W'(u)), c = dt/eps^2, in out
-    from weighted coefficients by out= ufuncs; then the grid's solve runs in
-    place, so a step allocates no field.  out must be a contiguous float64
-    array of u's shape that does not overlap u."""
+    from weighted coefficients by out= ufuncs, on the nodes the grid's band
+    solver marks for this step; then its solve runs in place and gives the
+    other nodes their values in u, so a step allocates no field.  out must
+    be a contiguous float64 array of u's shape that does not overlap u."""
     dt = cfg.dt_actual()
-    weight, solve = cfg.grid.implicit_solver(dt)
+    weight, band, solve = cfg.grid.band_solver(dt)
     gamma = [-dt / cfg.epsilon ** 2 * a for a in cfg.potential.dw_coef]
     gamma[1] += 1.0   # u - c W'(u), low to high degree
     # the plan, built once: the top coefficient, then per lower degree the
     # coefficient to add (none for an exact zero) before the next * u
-    top = weight * gamma[-1]
-    adds = [(weight * g,) if g else () for g in gamma[-2::-1]]
-    below, constant = adds[:-1], adds[-1]
+    plan_top = weight * gamma[-1]
+    plan_adds = [(weight * g,) if g else () for g in gamma[-2::-1]]
+    rows = top = below = constant = None
 
     def step(u, out):
-        np.multiply(top, u, out=out)
+        nonlocal rows, top, below, constant
+        new_rows = band(u)
+        if new_rows is not rows:   # the plan on a new band, sliced once
+            rows = new_rows
+            top = _on_rows(plan_top, rows)
+            adds = [tuple(_on_rows(a, rows) for a in coef)
+                    for coef in plan_adds]
+            below, constant = adds[:-1], adds[-1]
+        ur, outr = u[rows], out[rows]
+        np.multiply(top, ur, out=outr)
         for coef in below:
             for a in coef:
-                np.add(out, a, out=out)
-            np.multiply(out, u, out=out)
+                np.add(outr, a, out=outr)
+            np.multiply(outr, ur, out=outr)
         for a in constant:
-            np.add(out, a, out=out)
-        return solve(out)
+            np.add(outr, a, out=outr)
+        return solve(out, u)
     return step
+
+
+def _on_rows(a, rows):
+    """A plan coefficient on the band's rows: an array sliced, a scalar
+    as it is."""
+    return a[rows] if isinstance(a, np.ndarray) else a
 
 
 @dataclass
@@ -172,6 +191,7 @@ class RunResult:
     setup_s: float = 0.0  # validation, initial data, make_stepper; no rows
     identity_s: float = 0.0   # in fill_identity_residuals
     max_abs_u: float = 0.0   # over the initial and every stepped field
+    band_nodes_max: int = 0   # the widest step band at the rows
 
 
 def run(cfg: SimulationConfig,
@@ -199,18 +219,21 @@ def run(cfg: SimulationConfig,
     outside that, on fields that passed the guard.  The clamp counter
     totals grid values found outside [-1, 1] across all steps; max_abs_u,
     the largest |u| of the initial and every stepped field, is read off
-    the same min and max as the guard.
+    the same min and max as the guard.  band_nodes_max is the most nodes
+    Grid.step_band gives a step from any row's field.
     """
     start = time.perf_counter()
     issues = validate(cfg)
     if issues:
         raise ConfigError(issues)
 
-    dt, n_steps, rows_s = cfg.dt_actual(), cfg.steps(), 0.0
+    dt, n_steps = cfg.dt_actual(), cfg.steps()
+    rows_s, band_of, band_nodes_max = 0.0, cfg.grid.step_band(dt), 0
 
     def measure(u, t):
-        nonlocal rows_s
+        nonlocal rows_s, band_nodes_max
         row_start = time.perf_counter()
+        band_nodes_max = max(band_nodes_max, u[band_of(u)].size)
         row = diagnostics.relative_entropy(
             u, cfg.epsilon, cfg.potential, cfg.trajectory, cfg.cutoff,
             cfg.grid, t, s0=cfg.s0, with_identity=cfg.compute_identity)
@@ -261,7 +284,8 @@ def run(cfg: SimulationConfig,
                      final_field=u.copy(),
                      wall_s=end - start, rows_s=rows_s, step_s=step_s,
                      setup_s=loop_start - start - rows_before,
-                     identity_s=end - loop_end, max_abs_u=max_abs_u)
+                     identity_s=end - loop_end, max_abs_u=max_abs_u,
+                     band_nodes_max=band_nodes_max)
 
 
 def _blowup(block: np.ndarray, k: int, dt: float) -> BlowUpError:

@@ -131,6 +131,8 @@ def test_simulate_manifest_records_row_time(tmp_path):
     assert manifest["steps_per_s"] == pytest.approx(
         manifest["n_steps"] / timings["step_s"])
     assert 0.99 < manifest["max_abs_u"] <= 1.0 + 1e-12
+    # a full grid's step solves every cell
+    assert manifest["band_nodes_max"] == manifest["config"]["grid"]["npts"]
 
 
 @pytest.mark.parametrize("command", ["simulate", "sweep", "check-identities"])
@@ -165,7 +167,7 @@ def test_manifest_records_build_time(tmp_path, monkeypatch, command):
 
 # run-record fields that stay out of summary.json and identities.json
 RUN_RECORD_ONLY = ("run_wall_s", "setup_s", "rows_s", "step_s", "identity_s",
-                   "steps_per_s", "max_abs_u")
+                   "steps_per_s", "max_abs_u", "band_nodes_max")
 
 
 def phases_within_run(record):
@@ -188,7 +190,7 @@ def test_manifest_records_each_member_and_level(tmp_path):
     for m in members:
         assert set(m) == {"epsilon", "n_steps", "clamp_count", "run_wall_s",
                           "setup_s", "rows_s", "step_s", "identity_s",
-                          "steps_per_s", "max_abs_u"}
+                          "steps_per_s", "max_abs_u", "band_nodes_max"}
         assert m["setup_s"] > 0.0   # no identity rows: identity_s is ~0
         assert phases_within_run(m)
         assert m["n_steps"] > 0 and m["clamp_count"] == 0
@@ -196,6 +198,7 @@ def test_manifest_records_each_member_and_level(tmp_path):
         assert 0.0 < m["step_s"] < m["run_wall_s"] - m["rows_s"]
         assert m["steps_per_s"] == pytest.approx(m["n_steps"] / m["step_s"])
         assert 0.99 < m["max_abs_u"] <= 1.0 + 1e-12
+        assert m["band_nodes_max"] > 0
     assert sum(m["run_wall_s"] for m in members) \
         < manifest["timings"]["wall_s"]
     summary = (out / "summary.json").read_text()
@@ -218,6 +221,7 @@ def test_manifest_records_each_member_and_level(tmp_path):
         assert 0.0 < lv["step_s"] < lv["run_wall_s"] - lv["rows_s"]
         assert lv["steps_per_s"] == pytest.approx(lv["n_steps"] / lv["step_s"])
         assert 0.99 < lv["max_abs_u"] <= 1.0 + 1e-12
+        assert lv["band_nodes_max"] > 0
         assert lv["setup_s"] > 0.0 and lv["identity_s"] > 0.0
         assert phases_within_run(lv)
     assert sum(lv["run_wall_s"] for lv in levels) \

@@ -127,6 +127,130 @@ def test_radial_factorization_failure_is_loud(dim, npts, dt, cause):
         _radial_factors(grid, dt)
 
 
+def full_line_stepper(cfg):
+    """The step on every node: the weighted Horner right side solved by
+    the grid's whole implicit_solver, the oracle of the band step."""
+    dt = cfg.dt_actual()
+    weight, solve = cfg.grid.implicit_solver(dt)
+    gamma = [-dt / cfg.epsilon ** 2 * a for a in cfg.potential.dw_coef]
+    gamma[1] += 1.0
+    top = weight * gamma[-1]
+    adds = [(weight * g,) if g else () for g in gamma[-2::-1]]
+
+    def step(u, out):
+        np.multiply(top, u, out=out)
+        for coef in adds[:-1]:
+            for a in coef:
+                np.add(out, a, out=out)
+            np.multiply(out, u, out=out)
+        for a in adds[-1]:
+            np.add(out, a, out=out)
+        return solve(out)
+    return step
+
+
+def finest_member_config(pot, prof):
+    """The shipped circle sweep's eps = 0.02 member: 2,241 nodes."""
+    return make_circle_config(pot, prof, eps=0.02, radius0=2.0,
+                              half_width=2.8, h_over_eps=16,
+                              dt_over_eps2=320)
+
+
+def stepped(step, u, steps):
+    """u after steps steps, written into two buffers in turn."""
+    buffers = [np.empty_like(u), np.empty_like(u)]
+    for k in range(steps):
+        u = step(u, buffers[k % 2])
+    return u
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5])
+def test_band_over_the_whole_line_is_the_full_step(standard_potential,
+                                                   profile, dim):
+    # a field that is nowhere flat makes the band the whole line, whose
+    # step is the full-line step bit for bit
+    cfg = make_circle_config(standard_potential, profile, half_width=1.4,
+                             dim=dim, t_max=0.22 if dim <= 3 else 0.05)
+    u = np.random.default_rng(dim).uniform(-0.5, 0.5, cfg.grid.shape)
+    assert cfg.grid.step_band(cfg.dt_actual())(u) == slice(0, cfg.grid.npts)
+    want = stepped(full_line_stepper(cfg), u, 20)
+    assert np.array_equal(stepped(pl.make_stepper(cfg), u, 20), want)
+
+
+@pytest.mark.parametrize("value", [1.0, -1.0])
+def test_radial_wells_step_to_themselves(standard_potential, profile, value):
+    # every node flat: the band is empty and nothing moves, not even by
+    # roundoff
+    for cfg in stepper_configs(standard_potential, profile)[2:]:
+        u = np.full(cfg.grid.shape, value)
+        assert cfg.grid.step_band(cfg.dt_actual())(u) == slice(0, 0)
+        assert np.array_equal(stepped(pl.make_stepper(cfg), u, 3), u)
+
+
+def test_band_tracks_the_full_line_on_the_finest_member(standard_potential,
+                                                        profile):
+    # the eps = 0.02 member's layer is a few hundred of 2,241 nodes; its
+    # band steps stay at roundoff from the full line's
+    cfg = finest_member_config(standard_potential, profile)
+    u = pl.initial_data(cfg)
+    n, band_of = cfg.grid.npts, cfg.grid.step_band(cfg.dt_actual())
+    assert band_of(u).stop - band_of(u).start < n / 2
+    got = stepped(pl.make_stepper(cfg), u, 2000)
+    want = stepped(full_line_stepper(cfg), u, 2000)
+    assert np.max(np.abs(got - want)) <= 1e-12
+    assert np.max(np.abs(got - u)) > 1e-4   # it moved
+    assert 0 < band_of(got).start and band_of(got).stop < n
+
+
+@pytest.mark.parametrize("radius0", [0.5, 0.75])
+def test_band_near_the_axis_matches_the_full_line(standard_potential,
+                                                  profile, radius0):
+    # d = 5 has a two-node axis block: a sphere of radius 0.5 has a band
+    # from node 0 that keeps the block's Thomas steps, one of radius 0.75 a
+    # band from node 20 whose frozen inner neighbour sits where the radial
+    # drift is strongest; both end before the outer node
+    cfg = make_circle_config(standard_potential, profile, eps=0.04,
+                             radius0=radius0, half_width=2.0, dim=5,
+                             t_max=0.01)
+    u = pl.initial_data(cfg)
+    band = cfg.grid.step_band(cfg.dt_actual())(u)
+    assert band.start == (0 if radius0 == 0.5 else 20)
+    assert band.stop < cfg.grid.npts
+    got = stepped(pl.make_stepper(cfg), u, 200)
+    want = stepped(full_line_stepper(cfg), u, 200)
+    assert np.max(np.abs(got - want)) <= 1e-12
+    assert np.max(np.abs(got - u)) > 1e-3
+
+
+def test_band_rebuilds_allocate_no_field(standard_potential, profile):
+    # fields whose layers lie 0.1 apart make every step rebuild and
+    # re-factor its band: into preallocated scratch, so what one such step
+    # allocates (its new band's slices and views, on top of the old band's)
+    # is far less than one field, and no line-sized mask is among it
+    cfg = finest_member_config(standard_potential, profile)
+    near = pl.initial_data(cfg)
+    far = pl.initial_data(replace(cfg, trajectory=pl.SphereInterface(
+        center=(0.0, 0.0), radius0=1.9, dim=2, t_max=0.22)))
+    band_of = cfg.grid.step_band(cfg.dt_actual())
+    assert band_of(near) != band_of(far)
+    step, out = pl.make_stepper(cfg), np.empty_like(near)
+    step(near, out)
+    worst = 0
+    tracemalloc.start()
+    try:
+        for _ in range(20):
+            for u in (far, near):
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                step(u, out)
+                worst = max(worst, tracemalloc.get_traced_memory()[1] - before)
+    finally:
+        tracemalloc.stop()
+    assert worst < near.nbytes / 10, worst
+    want = full_line_stepper(cfg)(near, np.empty_like(near))
+    assert np.max(np.abs(step(near, out) - want)) <= 1e-12
+
+
 def test_profile_single_step_residual_halves(standard_potential, profile):
     # theta is an exact continuum steady state; one step moves the sampled
     # profile only by discretization error, shrinking ~4x per h-halving
