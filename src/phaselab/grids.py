@@ -7,16 +7,15 @@ handled by the symmetric limit of the Laplacian.  Vector fields are arrays
 with a leading component axis: d components on full grids, one (the radial
 component) on the radial line.
 
-Every rule that depends on the grid kind lives here.  Grid.implicit_solver
-inverts I - dt L for the stencil of Grid.laplacian: by the type-II cosine
-transform on full grids, on the radial line by the factorization that
-_radial_factors makes once.  Grid.band_solver restricts that solve to the
-nodes a step changes: all of a full grid; on the radial line the band of
-Grid.step_band, the nodes off the wells widened by the halo past which the
-inverse is below one ulp, the bulk outside it frozen.  Each kind loads only
-the compiled scipy module it solves with, pocketfft's on full grids and
-LAPACK's on the radial line, and no scipy package initializer between scipy
-and it (_kernel).
+Every rule that depends on the grid kind lives here.  Grid.band_solver
+inverts I - dt L for the stencil of Grid.laplacian on the nodes a step
+changes: all of a full grid, by the type-II cosine transform; on the radial
+line the band of Grid.step_band, the nodes off the wells widened by the
+halo past which the inverse is below one ulp, the bulk outside it frozen,
+by an LDL^T of the band's slice of the once-symmetrized operator.  Each
+kind loads only the compiled scipy module it solves with, pocketfft's on
+full grids and LAPACK's on the radial line, and no scipy package
+initializer between scipy and it (_kernel).
 """
 
 from __future__ import annotations
@@ -141,7 +140,7 @@ class Grid:
         return out
 
     def laplacian(self, u: np.ndarray) -> np.ndarray:
-        """Second-order zero-flux Laplacian, as implicit_solver inverts.
+        """Second-order zero-flux Laplacian, as band_solver inverts.
 
         On full grids each axis's second difference is written into one
         scratch field and added to the output, so the call holds two fields.
@@ -170,51 +169,30 @@ class Grid:
             o += s
         return out
 
-    def implicit_solver(self, dt: float) -> tuple:
-        """(weight, solve): solve(weight * b) = (I - dt L)^-1 b for the
-        stencil of laplacian, I - dt L factored once; weight is 1.0 on full
-        grids, the row weights radially.  solve works in place: given a
-        contiguous float64 b it overwrites b with the solution and returns
-        b itself, so a step allocates no field."""
-        if self.mode == FULL:
-            dct = _kernel("scipy.fft", "_pocketfft.pypocketfft").dct
-            n, h = self.npts, self.h
-            lam = (4.0 / h ** 2) * np.sin(np.pi * np.arange(n) / (2.0 * n)) ** 2
-            denom = 1.0 + dt * (lam if self.dim == 1
-                                else lam[:, None] + lam[None, :])
+    def band_solver(self, dt: float):
+        """The solve of I - dt L for the stencil of laplacian, on the band
+        of nodes a step changes; the nodes outside it, the bulk, keep their
+        values.  A band object b has
 
-            def solve(b):
-                # scipy.fft's dctn and idctn with norm="ortho" and
-                # overwrite_x=True over every axis, writing into b
-                dct(b, type=2, inorm=1, out=b, nthreads=1)
-                b /= denom
-                dct(b, type=3, inorm=1, out=b, nthreads=1)
-                return b
-            return 1.0, solve
+        b.weight    the row weights of the whole grid: 1.0 on full grids,
+                    an array radially;
+        b.place(u)  puts the band on the whole field u and returns b.rows,
+                    the slice of the nodes it holds;
+        b.moved(v)  whether a step from v, the values on b.rows, needs the
+                    band placed anew on the whole field;
+        b.solve(x)  given x = weight * (right side) on b.rows, contiguous
+                    float64, overwrites x with the step's values there and
+                    returns x, so a step allocates no field; on the radial
+                    line place sets it, so it solves the band placed last.
 
-        dpttrs = _kernel("scipy.linalg", "_flapack").dpttrs
-        head, d_fac, e_fac, w = _radial_factors(self, dt)
-        return w, lambda b: _factored_solve(dpttrs, head, d_fac, e_fac, b)
-
-    def band_solver(self, dt: float) -> tuple:
-        """(weight, band, solve) for a step that solves only the rows of
-        I - dt L whose nodes are not flat.
-
-        band(u) is the slice of nodes a step from field u solves; solve(b,
-        u), given b holding weight * (right side) on those rows, writes the
-        step's solution into all of b and returns b.  On full grids band is
-        the whole grid and solve is implicit_solver's, bit for bit.  On the
-        radial line band is the rule of step_band, kept until the node a
-        quarter halo inside either edge leaves flatness; nodes outside it
-        keep their values in u, and its rows are solved by an LDL^T of the
-        band's slice of the symmetrized operator, the couplings to its two
-        frozen neighbours moved to the right side (_radial_band_solver).
+        On full grids the band is the whole grid, it never moves, and its
+        solve is the type-II cosine transform (_CosineBand).  On the radial
+        line it is the rule of step_band, kept until the node a quarter halo
+        inside either edge leaves flatness (_RadialBand).
         """
         if self.mode == FULL:
-            weight, whole = self.implicit_solver(dt)
-            rows = slice(None)
-            return weight, lambda u: rows, lambda b, u: whole(b)
-        return _radial_band_solver(self, dt)
+            return _CosineBand(self, dt)
+        return _RadialBand(self, dt)
 
     def step_band(self, dt: float):
         """band_of(u), the slice of nodes a step of size dt from field u
@@ -275,20 +253,6 @@ def _kernel(package: str, path: str):
     found.loader.exec_module(module)
     sys.modules[name] = module
     return module
-
-
-def _radial_factors(grid: Grid, dt: float) -> tuple:
-    """Factor the radial I - dt L = A once, without pivoting.
-
-    Returns (head, d_fac, e_fac, w): head and w as _radial_system gives
-    them, (d_fac, e_fac) dpttrf's LDL^T of its symmetrized W A.  A step
-    weights b by w, eliminates b[1..m] (in either order), solves by one
-    dpttrs and back-substitutes x[m-1..0].  A non-positive pivot, a
-    non-finite weight or a dpttrf failure raises LinAlgError.
-    """
-    head, sym_diag, sym_off, w = _radial_system(grid, dt)
-    d_fac, e_fac = _ldl(sym_diag, sym_off)
-    return head, d_fac, e_fac, w
 
 
 def _radial_system(grid: Grid, dt: float) -> tuple:
@@ -385,75 +349,107 @@ def _band_span(u: np.ndarray, halo: int, m: int, dev: np.ndarray,
     return slice(0 if lo <= m else lo, min(last + 1 + halo, len(u)))
 
 
-def _off_well(u: np.ndarray, i: int) -> bool:
-    """Whether node i >= 0 of u is off the wells (i = -1 is no node)."""
-    return i >= 0 and abs(1.0 - abs(u[i])) > WELL_ROUNDOFF
+class _CosineBand:
+    """Grid.band_solver on full grids: the whole grid, solved by scipy.fft's
+    dctn and idctn with norm="ortho" and overwrite_x=True over every axis,
+    writing into x."""
+
+    def __init__(self, grid: Grid, dt: float):
+        dct = _kernel("scipy.fft", "_pocketfft.pypocketfft").dct
+        n, h = grid.npts, grid.h
+        lam = (4.0 / h ** 2) * np.sin(np.pi * np.arange(n) / (2.0 * n)) ** 2
+        denom = 1.0 + dt * (lam if grid.dim == 1
+                            else lam[:, None] + lam[None, :])
+
+        def solve(x):
+            dct(x, type=2, inorm=1, out=x, nthreads=1)
+            x /= denom
+            dct(x, type=3, inorm=1, out=x, nthreads=1)
+            return x
+        self.weight, self.rows, self.solve = 1.0, slice(None), solve
+
+    def place(self, u: np.ndarray) -> slice:
+        return self.rows
+
+    def moved(self, v: np.ndarray) -> bool:
+        return False
 
 
-def _radial_band_solver(grid: Grid, dt: float) -> tuple:
+class _RadialBand:
     """Grid.band_solver on the radial line.
 
     I - dt L is symmetrized (_radial_system) and factored whole once, so a
-    failure is raised here.  A band is rebuilt, and its slice of W A
-    re-factored into preallocated buffers, on the first step and whenever
-    the node halo // 4 inside one of its edges is off the wells (an edge at
-    an end of the line is not watched).  Its rows lo..hi-1 see the frozen
-    neighbours u[lo - 1] and u[hi] through sym_off[lo - 1] and
-    sym_off[hi - 1] on the right side; a band from node 0 keeps the Thomas
-    steps of the axis rows.  A band over the whole line factors the whole
-    W A, so its step is implicit_solver's, bit for bit.  The band comes from
-    Grid.step_band, whose scratch keeps a rebuild free of line-sized
-    allocations.
+    failure is raised here.  place(u) takes its rows lo..hi-1 from
+    Grid.step_band, whose scratch keeps it free of line-sized allocations,
+    and re-factors their slice of W A into preallocated buffers.  The rows
+    see the frozen neighbours u[lo - 1] and u[hi] through sym_off[lo - 1]
+    and sym_off[hi - 1] on the right side: their products are taken once
+    there and subtracted from the first and last right side of every step
+    (0.0 at an end of the line, which leaves the bits as they are).  A band
+    from node 0 keeps the Thomas steps of the axis rows.  moved(v) watches
+    the node halo // 4 inside each edge that is not an end of the line.  A
+    band over the whole line factors the whole W A.
     """
-    dpttrs = _kernel("scipy.linalg", "_flapack").dpttrs
-    head, sym_diag, sym_off, w = _radial_system(grid, dt)
-    _ldl(sym_diag, sym_off)
-    n = grid.npts
-    band_of = grid.step_band(dt)
-    quarter = _band_halo(grid.h, dt) // 4
-    d_buf, e_buf = np.empty(n), np.empty(n - 1)
-    rows, lo, hi = None, 0, 0
-    band_head, d_fac, e_fac = (), None, None
-    watch_lo = watch_hi = -1   # the watched nodes, -1 for none
 
-    def rebuild(u):
-        nonlocal rows, lo, hi, band_head, d_fac, e_fac, watch_lo, watch_hi
-        rows = band_of(u)
-        lo, hi = rows.start, rows.stop
-        band_head = head if lo == 0 else ()
-        watch_lo = lo + quarter if lo > 0 else -1
-        watch_hi = hi - 1 - quarter if 0 < hi < n else -1
-        if hi > lo:
-            k = hi - lo
-            np.copyto(d_buf[:k], sym_diag[lo:hi])
-            np.copyto(e_buf[:k - 1], sym_off[lo:hi - 1])
-            d_fac, e_fac = _ldl(d_buf[:k], e_buf[:k - 1], overwrite=True)
+    def __init__(self, grid: Grid, dt: float):
+        self._dpttrs = _kernel("scipy.linalg", "_flapack").dpttrs
+        self._head, self._sym_diag, self._sym_off, self.weight = \
+            _radial_system(grid, dt)
+        _ldl(self._sym_diag, self._sym_off)
+        self._band_of = grid.step_band(dt)
+        self._quarter = _band_halo(grid.h, dt) // 4
+        self._d_buf, self._e_buf = np.empty(grid.npts), np.empty(grid.npts - 1)
+        self.rows, self._watched = None, ()
 
-    def band(u):
-        if rows is None or _off_well(u, watch_lo) or _off_well(u, watch_hi):
-            rebuild(u)
+    def place(self, u: np.ndarray) -> slice:
+        rows = self._band_of(u)
+        lo, hi, n = rows.start, rows.stop, len(u)
+        k, quarter = hi - lo, self._quarter
+        # the watched nodes, counted from the band's first node; an edge at
+        # an end of the line has none
+        self._watched = ((quarter,) if lo > 0 else ()) \
+            + ((k - 1 - quarter,) if 0 < hi < n else ())
+        if k == 0:   # every node flat: nothing moves
+            self.solve = _unchanged
+        else:
+            sym_off, d, e = self._sym_off, self._d_buf[:k], self._e_buf[:k - 1]
+            np.copyto(d, self._sym_diag[lo:hi])
+            np.copyto(e, sym_off[lo:hi - 1])
+            d_fac, e_fac = _ldl(d, e, overwrite=True)
+            c_hi = sym_off[hi - 1] * u[hi] if hi < n else 0.0
+            if lo > 0:
+                self.solve = partial(_band_solve, self._dpttrs, d_fac, e_fac,
+                                     sym_off[lo - 1] * u[lo - 1], c_hi)
+            else:
+                self.solve = partial(_axis_band_solve, self._dpttrs,
+                                     self._head, d_fac, e_fac, c_hi)
+        self.rows = rows
         return rows
 
-    def solve(b, u):
-        if lo == hi:   # every node flat: nothing moves
-            np.copyto(b, u)
-            return b
-        if lo > 0:
-            b[:lo] = u[:lo]
-            b[lo] -= sym_off[lo - 1] * u[lo - 1]
-        if hi < n:
-            b[hi:] = u[hi:]
-            b[hi - 1] -= sym_off[hi - 1] * u[hi]
-        _factored_solve(dpttrs, band_head, d_fac, e_fac, b[rows])
-        return b
-    return w, band, solve
+    def moved(self, v: np.ndarray) -> bool:
+        for i in self._watched:
+            if abs(1.0 - abs(v.item(i))) > WELL_ROUNDOFF:
+                return True
+        return False
 
 
-def _factored_solve(dpttrs, head, d_fac, e_fac, x: np.ndarray):
-    """Solve the factored system in place on x, a contiguous slice of rows
-    from node 0 (head as _radial_system gives it) or from past the axis
-    block (head empty): eliminate the axis rows, one dpttrs, back-substitute
-    the axis nodes.  Returns x."""
+def _unchanged(x: np.ndarray) -> np.ndarray:
+    return x
+
+
+def _band_solve(dpttrs, d_fac, e_fac, c_lo, c_hi, x: np.ndarray):
+    """Solve the factored band in place on x, its rows past the axis block:
+    subtract the frozen couplings c_lo and c_hi, one dpttrs.  Returns x."""
+    x[0] -= c_lo
+    x[-1] -= c_hi
+    return dpttrs(d_fac, e_fac, x, overwrite_b=True)[0]
+
+
+def _axis_band_solve(dpttrs, head, d_fac, e_fac, c_hi, x: np.ndarray):
+    """Solve the factored band in place on x, its rows from node 0 (head as
+    _radial_system gives it): subtract the frozen coupling c_hi, eliminate
+    the axis rows, one dpttrs, back-substitute the axis nodes.  Returns x."""
+    x[-1] -= c_hi
     for i, (mult, _, _) in enumerate(head, 1):
         x[i] -= mult * x[i - 1]
     x = dpttrs(d_fac, e_fac, x, overwrite_b=True)[0]

@@ -8,11 +8,12 @@ same distance on the boundary cells); it names no trajectory type.
 
 The one stepper is semi-implicit: the reaction term explicit, the Laplacian
 implicit by the grid's own solve of I - dt L (see grids).  Each step solves
-only the band of nodes the grid's band solver marks for it, the whole grid
-on full grids and the nodes off the wells with a halo on the radial line;
-the others keep their values.  It is first order in dt and second order in
-h; its one step-size rule is the reaction limit dt <= eps^2/(2 max W''),
-whatever h.  A run records the widest band its rows' fields give.
+only the band of nodes the grid's band solver holds, the whole grid on full
+grids and the nodes off the wells with a halo on the radial line; the
+others keep their values, and between rows a run carries the band's values
+alone.  It is first order in dt and second order in h; its one step-size
+rule is the reaction limit dt <= eps^2/(2 max W''), whatever h.  A run
+records the widest band its rows' fields give.
 """
 
 from __future__ import annotations
@@ -134,40 +135,42 @@ def initial_data(cfg: SimulationConfig) -> np.ndarray:
 
 
 def make_stepper(cfg: SimulationConfig) -> Callable:
-    """One step step(u, out): writes u_next into out and returns out, u
-    unchanged.  Horner builds weight * (u - c W'(u)), c = dt/eps^2, in out
-    from weighted coefficients by out= ufuncs, on the nodes the grid's band
-    solver marks for this step; then its solve runs in place and gives the
-    other nodes their values in u, so a step allocates no field.  out must
-    be a contiguous float64 array of u's shape that does not overlap u."""
+    """One step step(v, out, band): v holds the field on band.rows, band a
+    Grid.band_solver(dt) placed on the field; writes the field one step
+    later on those rows into out and returns out, v unchanged.  Horner
+    builds weight * (v - c W'(v)), c = dt/eps^2, in out from weighted
+    coefficients by out= ufuncs, and band.solve runs in place on it, so a
+    step allocates no field.  out must be a contiguous float64 array of v's
+    shape that does not overlap v.  The nodes off band.rows keep their
+    values."""
     dt = cfg.dt_actual()
-    weight, band, solve = cfg.grid.band_solver(dt)
     gamma = [-dt / cfg.epsilon ** 2 * a for a in cfg.potential.dw_coef]
     gamma[1] += 1.0   # u - c W'(u), low to high degree
-    # the plan, built once: the top coefficient, then per lower degree the
-    # coefficient to add (none for an exact zero) before the next * u
-    plan_top = weight * gamma[-1]
-    plan_adds = [(weight * g,) if g else () for g in gamma[-2::-1]]
+    plan_top = plan_adds = None
     rows = top = below = constant = None
 
-    def step(u, out):
-        nonlocal rows, top, below, constant
-        new_rows = band(u)
-        if new_rows is not rows:   # the plan on a new band, sliced once
-            rows = new_rows
+    def step(v, out, band):
+        nonlocal plan_top, plan_adds, rows, top, below, constant
+        if band.rows is not rows:   # the plan on a new band, sliced once
+            if plan_top is None:
+                # the plan on the whole grid, built once: the top
+                # coefficient, then per lower degree the coefficient to add
+                # (none for an exact zero) before the next * v
+                plan_top = band.weight * gamma[-1]
+                plan_adds = [(band.weight * g,) if g else ()
+                             for g in gamma[-2::-1]]
+            rows = band.rows
             top = _on_rows(plan_top, rows)
-            adds = [tuple(_on_rows(a, rows) for a in coef)
-                    for coef in plan_adds]
+            adds = [[_on_rows(a, rows) for a in coef] for coef in plan_adds]
             below, constant = adds[:-1], adds[-1]
-        ur, outr = u[rows], out[rows]
-        np.multiply(top, ur, out=outr)
+        np.multiply(top, v, out=out)
         for coef in below:
             for a in coef:
-                np.add(outr, a, out=outr)
-            np.multiply(outr, ur, out=outr)
+                np.add(out, a, out=out)
+            np.multiply(out, v, out=out)
         for a in constant:
-            np.add(outr, a, out=outr)
-        return solve(out, u)
+            np.add(out, a, out=out)
+        return band.solve(out)
     return step
 
 
@@ -188,7 +191,7 @@ class RunResult:
     wall_s: float = 0.0
     rows_s: float = 0.0   # wall time inside the diagnostic rows
     step_s: float = 0.0   # in the step loop outside the rows, sink included
-    setup_s: float = 0.0  # validation, initial data, make_stepper; no rows
+    setup_s: float = 0.0  # validation, initial data, band, stepper; no rows
     identity_s: float = 0.0   # in fill_identity_residuals
     max_abs_u: float = 0.0   # over the initial and every stepped field
     band_nodes_max: int = 0   # the widest step band at the rows
@@ -202,25 +205,33 @@ def run(cfg: SimulationConfig,
 
     Given a sink, each row also calls sink(row, t, u) once the row is
     reached: row counts the rows from 0, and u is the field at time t.  u
-    may be a view into a step buffer that later steps overwrite, so a sink
-    that keeps it must copy it; the run itself keeps no field but
+    may be a view into a step buffer that later steps overwrite, or the
+    run's whole field, whose band later rows overwrite, so a sink that keeps
+    it must copy it; the run itself keeps no field of a row but
     final_field.  A sink writing u to disk as it comes gives a run whose
     memory does not grow with the rows it keeps.  The sink calls run in
     the step loop, after make_stepper, so they count in step_s.
 
-    Steps run in blocks that end at every row and hold at most BLOCK_BYTES
-    of fields (one field at least), written into two buffers in turn, so a
-    block's first step never reads the row it writes.  After each block two
-    reductions give its min and max.  A block whose max |u| exceeds 2 or is
-    not finite aborts with BlowUpError naming its first such step, as a
-    check after every step would.  The steps between two rows run with
-    numpy's overflow and invalid warnings off, as a field that blows up
-    mid-block is only caught at the block's end; rows and sink calls run
-    outside that, on fields that passed the guard.  The clamp counter
-    totals grid values found outside [-1, 1] across all steps; max_abs_u,
-    the largest |u| of the initial and every stepped field, is read off
-    the same min and max as the guard.  band_nodes_max is the most nodes
-    Grid.step_band gives a step from any row's field.
+    Between rows the run carries only the band of Grid.band_solver: the
+    steps write the band's values, the nodes outside it staying frozen, and
+    the whole field is written from them only at rows, when the band is
+    placed anew and at the end.  Steps run in blocks that end at every row
+    and at every new band and hold at most BLOCK_BYTES of band values (one
+    step at least), written into two buffers in turn, so a block's first
+    step never reads the row it writes.  After each block two reductions
+    give its min and max.  A block whose max |u| exceeds 2 or is not finite
+    aborts with BlowUpError naming its first such step, as a check of the
+    whole field after every step would: the frozen nodes lie within
+    WELL_ROUNDOFF of +-1, so they can neither trip the guard nor count a
+    clamp.  The steps between two rows run with numpy's overflow and
+    invalid warnings off, as a field that blows up mid-block is only caught
+    at the block's end; rows and sink calls run outside that, on fields
+    that passed the guard.  The clamp counter totals grid values found
+    outside [-1, 1] across all steps; max_abs_u, the largest |u| of the
+    initial and every stepped field, is read off the same min and max as
+    the guard, and off the whole field each time the band is placed anew.
+    band_nodes_max is the most nodes Grid.step_band gives a step from any
+    row's field.
     """
     start = time.perf_counter()
     issues = validate(cfg)
@@ -242,33 +253,55 @@ def run(cfg: SimulationConfig,
 
     u = initial_data(cfg)
     rows = [measure(u, 0.0)]
+    band = cfg.grid.band_solver(dt)
     step = make_stepper(cfg)
     clamps = 0
     max_abs_u = float(np.max(np.abs(u)))
-    block_rows = max(1, min(BLOCK_BYTES // u.nbytes, cfg.cadence, n_steps))
-    buffers = [np.empty((block_rows,) + u.shape) for _ in range(2)]
+    # two flat buffers, each the most values a block of band rows holds
+    size = min(max(BLOCK_BYTES // u.itemsize, u.size),
+               max(1, min(cfg.cadence, n_steps)) * u.size)
+    buffers = [np.empty(size) for _ in range(2)]
     loop_start, rows_before = time.perf_counter(), rows_s
     if sink is not None:
         sink(0, 0.0, u)
 
+    # u is the whole field, its band's rows written from v at rows, at new
+    # bands and at the end
+    v, moved = u[band.place(u)], False
     k = 0
     while k < n_steps:
         row_k = min(k + cfg.cadence, n_steps)   # the next row
         with np.errstate(over="ignore", invalid="ignore"):
             while k < row_k:
-                block = buffers[0][:min(block_rows, row_k - k)]
+                if moved:   # the band placed anew on the whole field
+                    u[band.rows] = v
+                    v, moved = u[band.place(u)], False
+                    max_abs_u = max(max_abs_u, float(u.max()),
+                                    -float(u.min()))
+                steps = max(1, min(BLOCK_BYTES // max(v.nbytes, 1), row_k - k))
+                block = buffers[0][:steps * v.size].reshape((steps,) + v.shape)
                 buffers.reverse()
-                for out in block:
-                    u = step(u, out)
-                # axis=None: a ufunc's reduce defaults to axis 0
-                lo = float(np.minimum.reduce(block, axis=None))
-                hi = float(np.maximum.reduce(block, axis=None))
+                for i, out in enumerate(block):
+                    v = step(v, out, band)
+                    if band.moved(v):
+                        block, moved = block[:i + 1], True
+                        break
+                # axis=None: a ufunc's reduce defaults to axis 0; initial:
+                # an empty band reduces to no bound
+                lo = float(np.minimum.reduce(block, axis=None,
+                                             initial=np.inf))
+                hi = float(np.maximum.reduce(block, axis=None,
+                                             initial=-np.inf))
                 if not (-2.0 <= lo and hi <= 2.0):   # NaN propagates to both
                     raise _blowup(block, k, dt)
                 k += len(block)
                 max_abs_u = max(max_abs_u, hi, -lo)
                 clamps += count_excursions(block, bounds=(lo, hi))
         t = k * dt
+        if v.shape == u.shape:   # a band over the whole grid, never moved
+            u = v
+        else:
+            u[band.rows] = v
         rows.append(measure(u, t))
         if sink is not None:
             sink(len(rows) - 1, t, u)

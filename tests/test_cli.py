@@ -319,9 +319,9 @@ def test_blowup_after_snapshots_leaves_nothing(tmp_path, monkeypatch,
     def blowing_up(cfg):
         step, calls = make_stepper(cfg), []
 
-        def bad(u, out):
+        def bad(v, out, band):
             calls.append(1)
-            step(u, out)
+            step(v, out, band)
             if len(calls) > cfg.cadence:
                 out[0] = np.nan
             return out

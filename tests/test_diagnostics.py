@@ -12,7 +12,7 @@ import phaselab as pl
 from phaselab import diagnostics as dg
 from phaselab.geometry import ExtendedFields
 
-from conftest import make_circle_config, make_plane_config
+from conftest import make_circle_config, make_plane_config, stepped
 
 
 def theta_exact(s):
@@ -455,7 +455,6 @@ def test_tube_evaluation_matches_whole_grid_oracle(standard_potential,
             np.abs(ef.dist) == cfg.cutoff.r_c / 2.0) == 1
 
     u = pl.initial_data(cfg)
-    step = pl.make_stepper(cfg)
     for k in range(31):   # the profile data, then a stepped field
         if k in (0, 30):
             t = k * cfg.dt_actual()
@@ -467,7 +466,7 @@ def test_tube_evaluation_matches_whole_grid_oracle(standard_potential,
                                            cfg.grid, t, s0)
             assert dg.rows_to_csv([got]) == dg.rows_to_csv([want])
             assert got.identity_rhs == want.identity_rhs
-        u = step(u, np.empty_like(u))
+        u = stepped(cfg, u)
 
 
 def test_sqrt2w_of_derived_fields_is_the_potentials(standard_potential):

@@ -12,6 +12,8 @@ import scipy
 import phaselab as pl
 from phaselab.grids import _kernel
 
+from conftest import whole_solver
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
@@ -163,37 +165,14 @@ def test_full_stencils_and_quadrature_match_oracles(dim, npts):
 def test_implicit_solver_inverts_the_laplacian(grid):
     # the solve must invert I - dt L for the very stencil the diagnostics
     # read, the cosine spectrum on full grids included; ||dt L|| is 1 to 40
-    # once its argument carries the weight
+    # once its argument carries the weight.  A field that is nowhere flat
+    # puts the band on every node
     dt = 1e-3
     x = np.random.default_rng(grid.npts).uniform(-1.0, 1.0, grid.shape)
-    weight, solve = grid.implicit_solver(dt)
-    y = solve(weight * (x - dt * grid.laplacian(x)))
+    band = grid.band_solver(dt)
+    assert x[band.place(x)].shape == grid.shape
+    y = band.solve(band.weight * (x - dt * grid.laplacian(x)))
     assert np.max(np.abs(y - x)) <= 1e-12 * np.max(np.abs(x))
-
-
-def copying_solve(grid, dt, b):
-    """grid.implicit_solver's solve of b written with copies: dctn and
-    idctn returning new arrays, and the radial solve with a dpttrs that
-    leaves b alone."""
-    if grid.mode == "full":
-        from scipy.fft import dctn, idctn
-        n, h = grid.npts, grid.h
-        lam = (4.0 / h ** 2) * np.sin(np.pi * np.arange(n) / (2.0 * n)) ** 2
-        denom = 1.0 + dt * (lam if grid.dim == 1
-                            else lam[:, None] + lam[None, :])
-        return idctn(dctn(b, type=2, norm="ortho") / denom, type=2,
-                     norm="ortho")
-    from scipy.linalg.lapack import dpttrs
-    from phaselab.grids import _radial_factors
-    head, d_fac, e_fac, _ = _radial_factors(grid, dt)
-    b = b.copy()
-    for i, (mult, _, _) in enumerate(head, 1):
-        b[i] -= mult * b[i - 1]
-    x = dpttrs(d_fac, e_fac, b)[0]
-    for i in range(len(head) - 1, -1, -1):
-        _, pivot, upper = head[i]
-        x[i] = (x[i] - upper * x[i + 1]) / pivot
-    return x
 
 
 @pytest.mark.parametrize("grid", [
@@ -206,14 +185,16 @@ def copying_solve(grid, dt, b):
 def test_implicit_solve_works_in_place(grid):
     # the stepper hands the solve one row of a block buffer and reads the
     # solution from that row: solve(b) is b, bit for bit the copying solve,
-    # which runs scipy.fft's dctn and idctn and scipy.linalg.lapack's dpttrs
+    # which runs scipy.fft's dctn and idctn and scipy.linalg.lapack's dpttrs;
+    # a field that is nowhere flat puts the band on every node
     dt = 1e-3
     b = np.random.default_rng(grid.npts).uniform(-1.0, 1.0, grid.shape)
-    want = copying_solve(grid, dt, b)
+    want = whole_solver(grid, dt)[1](b)
     rows = np.stack([b, b, b])
-    _, solve = grid.implicit_solver(dt)
+    band = grid.band_solver(dt)
+    assert b[band.place(b)].shape == grid.shape
     for x in (rows[1], b):
-        assert solve(x) is x
+        assert band.solve(x) is x
         assert np.array_equal(x, want)
     assert np.array_equal(rows[0], rows[2])   # the neighbours are untouched
     assert not np.array_equal(rows[0], want)
@@ -244,8 +225,10 @@ import numpy as np
 import phaselab as pl
 
 for grid in (pl.full_grid(2, 1.0, 16), pl.radial_grid(2, 1.0, 16)):
-    _, solve = grid.implicit_solver(1e-3)
-    solve(np.ones(grid.shape))
+    band = grid.band_solver(1e-3)
+    u = np.zeros(grid.shape)
+    v = u[band.place(u)]
+    band.solve(v)
 names = ["scipy.linalg._flapack", "scipy.fft._pocketfft.pypocketfft"]
 kernels = [sys.modules[name] for name in names]
 loaded_before = sorted(m for m in sys.modules

@@ -31,6 +31,7 @@ import phaselab.cli
 loaded = {"cli": scipy_modules()}
 from phaselab import config, solver
 cfg, _ = config.build_simulation(config.load_json(sys.argv[1]))
+cfg.grid.band_solver(cfg.dt_actual())
 solver.make_stepper(cfg)
 loaded["stepper"] = scipy_modules()
 print(json.dumps(loaded))

@@ -38,6 +38,23 @@ def full2d_short(tmp_path):
     return ["simulate", "--config", str(path)]
 
 
+def sweep_member_short(tmp_path):
+    """simulate on the circle sweep's eps = 0.04 member cut to t = 0.02: a
+    radial run whose step band is narrower than its line."""
+    plan = json.loads((ROOT / "configs" / "sweep_circle.json").read_text())
+    doc = plan["base"]
+    doc["epsilon"] = 0.04
+    doc["grid"]["h_over_eps"] = plan["h_over_eps"]
+    doc["stepper"]["dt_over_eps2"] = plan["dt_over_eps2"]
+    doc["stepper"]["t_end"] = 0.02
+    path = tmp_path / "sweep_member_short.json"
+    path.write_text(json.dumps(doc))
+    return ["simulate", "--config", str(path)]
+
+
+# cases whose run must step a band narrower than the grid
+NARROW_BAND = {"simulate-sweep_member_short"}
+
 # case: (argv without --out, output file, sha256)
 CASES = {
     "simulate-plane1d": (
@@ -53,6 +70,9 @@ CASES = {
     "simulate-circle_full2d_short": (
         full2d_short, "diagnostics.csv",
         "985c67240bd314e89ab278cacd9b5eccb0dfa4a311dd09c7bf751e9c250ad49f"),
+    "simulate-sweep_member_short": (
+        sweep_member_short, "diagnostics.csv",
+        "e3a54e8489dcfeea1642f69038251114e698501fc29e0e03eab59a4157972a98"),
     "profile-standard": (
         lambda tmp: ["profile", "standard"], "profile_standard.csv",
         "f1dcb8258d3ffae39cdd9d7f28f3924496fcca72f9954d1d209fec007c6cb708"),
@@ -66,6 +86,9 @@ def test_output_digest(tmp_path, capsys, case):
     rc = cli.main(argv(tmp_path) + ["--out", str(out)])
     capsys.readouterr()
     assert rc == 0
+    if case in NARROW_BAND:
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["band_nodes_max"] < manifest["config"]["grid"]["npts"]
     got = hashlib.sha256((out / output).read_bytes()).hexdigest()
     assert got == digest, (
         f"{case}: {output} has sha256 {got}, the lock records {digest}. "

@@ -1,13 +1,17 @@
 """The benchmark child (perfbench/child.py) wraps module attributes of the
 program by name and counts the work of a traced run.  This runs it on the
-small plane config and on a small full-grid circle with identity rows, so
-that renaming a wrapped attribute or changing the quadrature calls per
-diagnostic row fails here rather than in the benchmark."""
+small plane config, on a small full-grid circle with identity rows and on a
+short radial run whose step band is narrower than its line, so that
+renaming a wrapped attribute, changing the quadrature calls per diagnostic
+row or calling the step other than once per time step fails here rather
+than in the benchmark."""
 
 import json
 import subprocess
 import sys
 from pathlib import Path
+
+from phaselab import config
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -48,5 +52,27 @@ def test_traced_child_counts_full_grid_identity_rows(tmp_path):
         "solver.steps": 16,
         "diagnostics.rows": 5,
         "grids.integrate_calls": 90,   # 18 per row: 11 plus 7 identity groups
+        "potentials.clamp_count": 0,
+    }
+
+
+def test_traced_child_counts_banded_radial_simulation(tmp_path):
+    # the circle sweep's eps = 0.04 member cut to t = 0.01: one traced step
+    # per time step, however the run carries the band between rows
+    plan = json.loads((ROOT / "configs" / "sweep_circle.json").read_text())
+    doc = plan["base"]
+    doc["epsilon"] = 0.04
+    doc["grid"]["h_over_eps"] = plan["h_over_eps"]
+    doc["stepper"]["dt_over_eps2"] = plan["dt_over_eps2"]
+    doc["stepper"]["t_end"] = 0.01
+    path = tmp_path / "sweep_member_short.json"
+    path.write_text(json.dumps(doc))
+    cfg, _ = config.build_simulation(json.loads(path.read_text()))
+    n_rows = len(cfg.row_times())
+    assert cfg.steps() == 2000 and n_rows == 14
+    assert traced_counts(tmp_path, path) == {
+        "solver.steps": cfg.steps(),
+        "diagnostics.rows": n_rows,
+        "grids.integrate_calls": 11 * n_rows,
         "potentials.clamp_count": 0,
     }
