@@ -20,12 +20,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
 from .geometry import (CutoffSpec, ExtendedFields, InterfaceTrajectory,
-                       extended_fields, tau_truncation)
+                       extended_fields, interface_distance, tau_truncation)
 from .grids import Grid
 from .potentials import PotentialSpec, root_2w
 
@@ -70,94 +71,64 @@ class EntropyBreakdown:
 @dataclass
 class TubeFields:
     """The pointwise fields of one snapshot at the cells of the cutoff's
-    tube, the last axis running over them (ExtendedFields.restrict)."""
+    tube, the last axis running over them: each value is the one the
+    whole-grid field has there (ExtendedFields.restrict)."""
 
     gmag: np.ndarray
     n: np.ndarray
     grad_psi: np.ndarray
     grad_psi_mag: np.ndarray
     w: np.ndarray
-    sqrt2w: np.ndarray
-    curvature_scalar: np.ndarray
     density: np.ndarray
 
 
 @dataclass
 class DerivedFields:
-    """Whole-grid fields of one snapshot that a row integrates, and (tube)
-    the fields its tube terms read.  The unit normal n enters the whole-grid
-    integrands only through |n|^2 and |curvature_scalar n|^2."""
+    """The curvature proxy -(eps lap u - W'(u)/eps) of one snapshot on the
+    whole grid (H_eps = this * n), and at the tube cells of the extended
+    fields its values and those of W(u) and sqrt(2 W(u))."""
 
-    gmag: np.ndarray
-    psi: np.ndarray
-    grad_psi_mag: np.ndarray
-    sqrt2w: np.ndarray
-    curvature_scalar: np.ndarray   # -(eps lap u - W'(u)/eps); H_eps = this * n
-    density: np.ndarray
-    n_sq: np.ndarray
-    curv_n_sq: np.ndarray
-    tube: TubeFields
+    curvature_scalar: np.ndarray
+    tube_curvature: np.ndarray
+    tube_w: np.ndarray
+    tube_sqrt2w: np.ndarray
+
+
+# cells per block of an elementwise pass over a whole grid
+_BLOCK_CELLS = 8192
+
+
+@lru_cache(maxsize=8)
+def _blocks(shape: tuple) -> tuple:
+    """Slices of the leading axis of a grid of this shape, each holding
+    about _BLOCK_CELLS cells (one row at least).  An elementwise pass made
+    block by block gives every value the bits of the whole-array pass,
+    with block-sized temporaries."""
+    rows = max(1, _BLOCK_CELLS // math.prod(shape[1:]))
+    return tuple(slice(i, i + rows) for i in range(0, shape[0], rows))
 
 
 def derived_fields(u: np.ndarray, eps: float, pot: PotentialSpec,
                    grid: Grid, ef: ExtendedFields) -> DerivedFields:
-    """Gradient, unit normal, phase map and curvature proxy of a snapshot,
-    on the whole grid and at the tube cells of ef.
+    """The curvature proxy of a snapshot, on the whole grid and at the tube
+    cells of ef, and W(u) and sqrt(2 W(u)) at the tube cells.
 
-    Where |grad u| falls below a relative floor the unit normal is replaced
-    by the first coordinate direction; every integrand that touches n
-    carries a |grad psi| or |grad u|^2 weight, so the choice does not
-    affect any reported value.
-
-    Each field's tube values are taken as soon as it is formed, and the
-    whole-grid gradient, n and W(u) are dropped once the fields built from
-    them exist (grad psi is formed at the tube cells only), so the call
-    holds few fields at once.  Every value has the operations, in the same
-    order, of the plain expressions in the comments.
+    The Laplacian is the one field the call holds besides its result; W'
+    is evaluated block by block, and W and sqrt(2 W) at the tube cells
+    only, so each value has the operations of the plain whole-grid
+    expressions in the comments.
     """
-    on = ef.restrict
-    psi = pot.psi(u)
-    g = grid.gradient(u)
-    # gmag = sqrt(sum(g * g))
-    gmag = np.sum(g * g, axis=0)
-    np.sqrt(gmag, out=gmag)
-    steep = gmag >= GRAD_FLOOR_SCALE * (float(np.max(gmag)) + 1.0)
     # curv = -(eps lap - W'(u) / eps)
     curv = grid.laplacian(u)
-    np.multiply(eps, curv, out=curv)
-    dw = pot.dw(u)
-    np.divide(dw, eps, out=dw)
-    np.subtract(curv, dw, out=curv)
-    np.negative(curv, out=curv)
-    del dw
-
-    # n = g / gmag where steep, else the first coordinate direction
-    n = np.divide(g, gmag, out=np.zeros_like(g), where=steep)
-    n[0][~steep] = 1.0
-    g_tube, n_tube = on(g), on(n)
-    # n_sq = sum(n * n), curv_n_sq = sum((curv n)^2), in g's and n's place
-    n_sq = np.sum(np.multiply(n, n, out=g), axis=0)
-    del g
-    curv_n_sq = np.sum(np.square(np.multiply(curv, n, out=n), out=n), axis=0)
-    del n
-
-    w = pot.w(np.clip(u, -1.0, 1.0))
-    sqrt2w = root_2w(w)
-    w_tube, sqrt2w_tube = on(w), on(sqrt2w)
-    # density = 0.5 eps gmag^2 + w / eps
-    density = np.square(gmag)
-    np.multiply(0.5 * eps, density, out=density)
-    np.add(density, np.divide(w, eps, out=w), out=density)
-    del w
-    grad_psi_mag = sqrt2w * gmag
-    tube = TubeFields(gmag=on(gmag), n=n_tube, grad_psi=sqrt2w_tube * g_tube,
-                      grad_psi_mag=on(grad_psi_mag), w=w_tube,
-                      sqrt2w=sqrt2w_tube, curvature_scalar=on(curv),
-                      density=on(density))
-    return DerivedFields(gmag=gmag, psi=psi, grad_psi_mag=grad_psi_mag,
-                         sqrt2w=sqrt2w, curvature_scalar=curv,
-                         density=density, n_sq=n_sq, curv_n_sq=curv_n_sq,
-                         tube=tube)
+    for rows in _blocks(curv.shape):
+        c = np.multiply(eps, curv[rows], out=curv[rows])
+        dw = pot.dw(u[rows])
+        np.subtract(c, np.divide(dw, eps, out=dw), out=c)
+        np.negative(c, out=c)
+    w = pot.w(ef.restrict(u).clip(-1.0, 1.0))
+    return DerivedFields(curvature_scalar=curv,
+                         tube_curvature=ef.restrict(curv), tube_w=w,
+                         tube_sqrt2w=root_2w(w))
 
 
 def default_s0(cutoff: CutoffSpec) -> float:
@@ -183,69 +154,82 @@ def relative_entropy(u: np.ndarray, eps: float, pot: PotentialSpec,
     whole-grid evaluation gives (up to the sign of zeros), so each
     quadrature sum is too.
 
-    Memory: the integrals run in an order that lets each whole-grid field
-    be overwritten by its last integrand and freed after that integral;
-    the other integrands are built in one scratch field, which then holds
-    the zeros the identity groups are scattered onto.  The plain expression
-    of each integrand is in the comments; the out= calls repeat its
-    operations in its order, so every sum keeps its bits.
+    Memory: the row runs in stages that each hold a few whole-grid fields:
+    the interface errors before any other field exists, then the curvature
+    terms, then the gradient terms, then the potential's terms, then the
+    identity groups.  Whole-grid values are formed by out= ufuncs, block by
+    block (_blocks) where a pass needs temporaries, each into a field whose
+    last use has passed, and each quadrature writes its weighted product
+    over its integrand.  The plain expression of each integrand is in the
+    comments; the out= calls repeat its operations in its order, so every
+    sum keeps its bits.
     """
     if s0 is None:
         s0 = default_s0(cutoff)
+    quad = grid.integrate
+    err_l1, err_w = _interface_errors(u, pot, traj, grid, t, s0, quad)
+
     ef = extended_fields(traj, cutoff, grid, t)
     d = derived_fields(u, eps, pot, grid, ef)
-    on = d.tube
-    gmag, sqrt2w, psi, curv = d.gmag, d.sqrt2w, d.psi, d.curvature_scalar
-    density, gpm = d.density, d.grad_psi_mag
-    nmxi2, curv_sq = d.n_sq, d.curv_n_sq
-    del d   # the names above now hold each whole-grid field alone
-    quad = grid.integrate
-
-    energy = quad(density)
-    nmxi = on.n - ef.xi
-    # nmxi2 = scatter(|n - xi|^2, |n|^2); misalignment = nmxi2 gpm
-    ef.scatter(np.sum(nmxi * nmxi, axis=0), nmxi2)
-    misalignment = quad(np.multiply(nmxi2, gpm, out=gpm))
-    del gpm
-    scratch = np.empty(grid.shape)
-    # defect = sqrt(eps) gmag - sqrt2w / sqrt(eps)
-    np.multiply(np.sqrt(eps), gmag, out=scratch)
-    np.subtract(scratch, np.divide(sqrt2w, np.sqrt(eps), out=sqrt2w),
-                out=scratch)
-    del sqrt2w
-    equipartition = quad(np.square(scratch, out=scratch))
-    # tilt = nmxi2 eps gmag^2
-    np.multiply(nmxi2, eps, out=nmxi2)
-    tilt = quad(np.multiply(nmxi2, np.square(gmag, out=gmag), out=nmxi2))
-    del gmag, nmxi2
+    curv, curv_t = d.curvature_scalar, d.tube_curvature
+    w_t, sqrt2w_t = d.tube_w, d.tube_sqrt2w
     # dissipation = curv^2 / eps
-    diss = quad(np.divide(np.square(curv, out=scratch), eps, out=scratch))
+    scratch = np.square(curv)
+    diss = quad(np.divide(scratch, eps, out=scratch), out=scratch)
+    # dsq_vel = scatter(curv + div xi sqrt2w, curv)^2 / (4 eps)
+    np.copyto(scratch, curv)
+    ef.scatter(curv_t - (-ef.div_xi) * sqrt2w_t, scratch)
+    np.square(scratch, out=scratch)
+    dsq_vel = quad(np.divide(scratch, 4.0 * eps, out=scratch), out=scratch)
+    del d, scratch
+
+    gmag, n, g_t, gmag_t, steep_t = _gradient_fields(u, grid, ef)
+    pair = _normal_squares(n, curv)   # (|curv n|^2, |n|^2)
+    del curv, n
+    # n at the tube cells, as the whole-grid n has it
+    n_t = np.divide(g_t, gmag_t, out=np.zeros_like(g_t), where=steep_t)
+    n_t[0][~steep_t] = 1.0
+    del steep_t
 
     # dsq_curv = scatter(|curv n - eps gmag H|^2, |curv n|^2) / (4 eps)
-    hvec_diff = on.curvature_scalar * on.n - eps * on.gmag * ef.hvec
-    ef.scatter(np.sum(hvec_diff ** 2, axis=0), curv_sq)
+    scale = np.multiply(eps, gmag_t)
+    hvec_diff = np.multiply(curv_t, n_t)
+    for k, h in enumerate(ef.hvec):
+        hvec_diff[k] -= np.multiply(scale, h, out=curv_t)
+    del scale, curv_t
+    ef.scatter(np.square(hvec_diff, out=hvec_diff).sum(axis=0), pair[0])
     del hvec_diff
-    dsq_curv = quad(np.divide(curv_sq, 4.0 * eps, out=curv_sq))
-    del curv_sq
-    # dsq_vel = scatter(curv + div xi sqrt2w, curv)^2 / (4 eps)
-    ef.scatter(on.curvature_scalar - (-ef.div_xi) * on.sqrt2w, curv)
-    np.square(curv, out=curv)
-    dsq_vel = quad(np.divide(curv, 4.0 * eps, out=curv))
-    del curv
+    dsq_curv = quad(np.divide(pair[0], 4.0 * eps, out=pair[0]), out=pair[0])
 
+    # grad psi = sqrt2w grad u and |grad psi| = sqrt2w gmag at the tube
+    # cells
+    gpsi_t = np.multiply(sqrt2w_t, g_t, out=g_t)
+    gpm_t = np.multiply(sqrt2w_t, gmag_t, out=sqrt2w_t)
+    del g_t, sqrt2w_t
+    # nmxi2 = scatter(|n - xi|^2, |n|^2), over |n|^2
+    nmxi = n_t - ef.xi
+    nmxi2 = ef.scatter(np.square(nmxi, out=nmxi).sum(axis=0), pair[1])
+    del nmxi
+    # tilt = nmxi2 eps gmag^2, over |curv n|^2
+    tilt = quad(_tilt(nmxi2, gmag, eps, out=pair[0]), out=pair[0])
+    # density over |curv n|^2, misalignment over nmxi2, equipartition over
+    # gmag
+    density = _potential_terms(u, eps, pot, gmag, nmxi2, out=pair[0])
+    misalignment = quad(nmxi2, out=nmxi2)
+    equipartition = quad(gmag, out=gmag)
+    density_t = ef.restrict(density)
+    energy = quad(density, out=gmag)
+    del nmxi2, gmag
     # min(dist^2, 1) density
-    np.minimum(np.square(ef.dist, out=scratch), 1.0, out=scratch)
-    dist_weighted = quad(np.multiply(scratch, density, out=scratch))
+    dist = interface_distance(traj, grid, t)
+    np.minimum(np.square(dist, out=dist), 1.0, out=dist)
+    dist_weighted = quad(np.multiply(dist, density, out=dist), out=dist)
+    del dist
     # entropy = scatter(density - xi . grad psi, density)
-    xi_dot_gpsi = np.sum(ef.xi * on.grad_psi, axis=0)
-    ef.scatter(on.density - xi_dot_gpsi, density)
-    entropy = quad(density)
-    del density
-    # err_l1 = |psi - chi|, err_weighted = (chi - psi) tau(dist / s0)
-    err_l1 = quad(np.abs(np.subtract(psi, ef.chi, out=scratch), out=scratch))
-    np.subtract(ef.chi, psi, out=psi)
-    err_w = quad(np.multiply(psi, _tau_of_distance(ef.dist, s0), out=psi))
-    del psi
+    xi_dot_gpsi = (ef.xi * gpsi_t).sum(axis=0)
+    ef.scatter(density_t - xi_dot_gpsi, density)
+    entropy = quad(density, out=density)
+    del density, pair
 
     b = EntropyBreakdown(
         t=t,
@@ -262,24 +246,110 @@ def relative_entropy(u: np.ndarray, eps: float, pot: PotentialSpec,
         err_weighted=err_w)
 
     if with_identity:
-        scratch.fill(0.0)
-        b.identity_rhs = _identity_rhs(eps, on, ef, quad, dsq_curv, dsq_vel,
-                                       xi_dot_gpsi, nmxi, scratch)
+        tube = TubeFields(gmag=gmag_t, n=n_t, grad_psi=gpsi_t,
+                          grad_psi_mag=gpm_t, w=w_t, density=density_t)
+        b.identity_rhs = _identity_rhs(eps, tube, ef, quad, dsq_curv,
+                                       dsq_vel, xi_dot_gpsi,
+                                       np.zeros(grid.shape))
     return b
 
 
-def _tau_of_distance(dist, s0):
-    """tau_truncation(dist / s0), whose blend is evaluated only where
-    |dist / s0| < 1; beyond, tau is sign(dist / s0) exactly."""
-    s = dist / s0
-    tau = np.sign(s)
+def _gradient_fields(u, grid, ef) -> tuple:
+    """(gmag, n, g_t, gmag_t, steep_t): |grad u| and the unit normal n on
+    the whole grid, n written over grad u, and at the tube cells of ef
+    grad u, gmag and steep.  n = grad u / gmag where steep, i.e. where gmag
+    reaches a floor relative to its max, else the first coordinate
+    direction; every integrand that touches n carries a |grad psi| or
+    |grad u|^2 weight, so the choice does not affect any reported value."""
+    n = grid.gradient(u)
+    g_t = ef.restrict(n)
+    # gmag = sqrt(sum(g * g)), the later components added block by block
+    gmag = np.square(n[0])
+    for comp in n[1:]:
+        for rows in _blocks(gmag.shape):
+            gmag[rows] += np.square(comp[rows])
+    np.sqrt(gmag, out=gmag)
+    steep = gmag >= GRAD_FLOOR_SCALE * (float(np.max(gmag)) + 1.0)
+    gmag_t, steep_t = ef.restrict(gmag), ef.restrict(steep)
+    np.divide(n, gmag, out=n, where=steep)
+    flat = np.logical_not(steep, out=steep)
+    n[0][flat] = 1.0
+    for comp in n[1:]:
+        comp[flat] = 0.0
+    return gmag, n, g_t, gmag_t, steep_t
+
+
+def _normal_squares(n: np.ndarray, curv: np.ndarray) -> np.ndarray:
+    """pair[0] = sum((curv n)^2) and pair[1] = sum(n * n), block by block,
+    written over n when it has two components at least (n is lost)."""
+    pair = n if len(n) >= 2 else np.empty((2,) + curv.shape)
+    for rows in _blocks(curv.shape):
+        nb = n[:, rows]
+        cn = np.multiply(curv[rows], nb)
+        np.square(cn, out=cn)
+        np.square(nb, out=nb).sum(axis=0, out=pair[1][rows])
+        cn.sum(axis=0, out=pair[0][rows])
+    return pair
+
+
+def _tilt(nmxi2, gmag, eps, out):
+    """nmxi2 eps gmag^2 into out, block by block."""
+    for rows in _blocks(gmag.shape):
+        np.multiply(np.multiply(nmxi2[rows], eps, out=out[rows]),
+                    np.square(gmag[rows]), out=out[rows])
+    return out
+
+
+def _potential_terms(u, eps, pot, gmag, nmxi2, out):
+    """The terms that read W(u), block by block: density = 0.5 eps gmag^2
+    + w / eps into out (returned), misalignment = nmxi2 gpm (gpm = sqrt2w
+    gmag) over nmxi2, and equipartition = (sqrt(eps) gmag - sqrt2w /
+    sqrt(eps))^2 over gmag; w = W(clip(u)), sqrt2w = sqrt(2 w)."""
+    root_eps = np.sqrt(eps)
+    for rows in _blocks(gmag.shape):
+        m, density = gmag[rows], out[rows]
+        w = pot.w(u[rows].clip(-1.0, 1.0))
+        sqrt2w = root_2w(w)
+        np.multiply(0.5 * eps, np.square(m, out=density), out=density)
+        np.add(density, np.divide(w, eps, out=w), out=density)
+        np.multiply(nmxi2[rows], np.multiply(sqrt2w, m, out=w),
+                    out=nmxi2[rows])
+        np.multiply(root_eps, m, out=m)
+        np.subtract(m, np.divide(sqrt2w, root_eps, out=sqrt2w), out=m)
+        np.square(m, out=m)
+    return out
+
+
+def _interface_errors(u, pot, traj, grid, t, s0, quad) -> tuple:
+    """(err_l1, err_weighted): the integrals of |psi - chi| and of
+    (chi - psi) tau(dist / s0), chi = 1 where dist >= 0 and -1 elsewhere.
+    The row calls it before it holds any other field, so it can afford
+    the plain whole-grid expressions."""
+    dist = interface_distance(traj, grid, t)
+    psi = pot.psi(u)
+    chi = np.where(dist >= 0.0, 1.0, -1.0)
+    scratch = np.abs(np.subtract(psi, chi))
+    err_l1 = quad(scratch, out=scratch)
+    np.subtract(chi, psi, out=psi)
+    del chi
+    tau = _tau_of_distance(dist, s0, out=scratch)
+    return err_l1, quad(np.multiply(psi, tau, out=psi), out=psi)
+
+
+def _tau_of_distance(dist, s0, out):
+    """tau_truncation(dist / s0), written into out, whose blend is
+    evaluated only where |dist / s0| < 1; beyond, tau is sign(dist / s0)
+    exactly."""
+    s = np.divide(dist, s0, out=out)
     near = np.abs(s) < 1.0
-    tau[near] = tau_truncation(s[near])
+    blend = tau_truncation(s[near])
+    tau = np.sign(s, out=s)
+    tau[near] = blend
     return tau
 
 
 def _identity_rhs(eps, d: TubeFields, ef, quad, dsq_curv, dsq_vel,
-                  xi_dot_gpsi, nmxi, zeros):
+                  xi_dot_gpsi, zeros):
     """Assemble the eight integral groups of the entropy evolution identity.
 
     For an exact solution the time derivative of the relative entropy
@@ -287,34 +357,40 @@ def _identity_rhs(eps, d: TubeFields, ef, quad, dsq_curv, dsq_vel,
     twice their stored 1/(4 eps) weight.  The integrands of g2-g8 vanish
     off the tube: d, xi . grad psi and n - xi are taken at the tube cells,
     and each group's integrand is scattered onto zeros, a whole grid of
-    zeros whose cells off the tube no group writes.
+    zeros whose cells off the tube no group writes; each quadrature's
+    product goes over it, and its cells off the tube stay zero.
     """
     g1 = -2.0 * (dsq_curv + dsq_vel)
 
     def integral(values):
-        return quad(ef.scatter(values, zeros))
+        return quad(ef.scatter(values, zeros), out=zeros)
 
-    h2 = np.sum(ef.hvec ** 2, axis=0)
-    h_dot_gpsi = np.sum(ef.hvec * d.grad_psi, axis=0)
+    h2 = (ef.hvec ** 2).sum(axis=0)
+    h_dot_gpsi = (ef.hvec * d.grad_psi).sum(axis=0)
     g2 = integral(h2 * 0.5 * eps * d.gmag ** 2
                   + ef.div_xi ** 2 * d.w / eps
                   + h_dot_gpsi * ef.div_xi)
+    del h2, h_dot_gpsi
 
     g3 = integral(ef.div_h * (d.density - d.grad_psi_mag))
 
     quad_nn = ef.grad_h_quad(d.n)
     g4 = -integral(quad_nn * (eps * d.gmag ** 2 - d.grad_psi_mag))
+    del quad_nn
 
-    g5 = -integral(ef.grad_h_quad(nmxi) * d.grad_psi_mag)
+    g5 = -integral(ef.grad_h_quad(d.n - ef.xi) * d.grad_psi_mag)
 
     g6 = integral(ef.div_h * (d.grad_psi_mag - xi_dot_gpsi))
 
-    t7 = ef.dt_xi + ef.adv_xi + ef.grad_h_vec(ef.xi)
-    g7 = -integral(np.sum((d.grad_psi - d.grad_psi_mag * ef.xi) * t7,
-                          axis=0))
+    t8 = ef.xi_rate()
+    g8 = -integral(d.grad_psi_mag * (ef.xi * t8).sum(axis=0))
 
-    t8 = ef.dt_xi + ef.adv_xi
-    g8 = -integral(d.grad_psi_mag * np.sum(ef.xi * t8, axis=0))
+    # t7 = t8 + grad H^T xi, over t8; g7 reads (grad psi - |grad psi| xi)
+    # t7
+    t7 = np.add(t8, ef.grad_h_vec(ef.xi), out=t8)
+    flux = np.multiply(d.grad_psi_mag, ef.xi)
+    np.subtract(d.grad_psi, flux, out=flux)
+    g7 = -integral(np.multiply(flux, t7, out=flux).sum(axis=0))
 
     return g1 + g2 + g3 + g4 + g5 + g6 + g7 + g8
 

@@ -8,6 +8,9 @@ tube_fields, issues (its validation rules) and exempt_axes (the boundary
 faces the interface crosses).  The extended normal is damped by a cutoff
 eta on a tube of width r_c, the curvature vector by its plateau eta_tilde;
 the fields' closed-form derivatives are checked by finite differences.
+A sphere keeps one whole-grid array per grid and center, the distance r
+to its center (radial_frame); its tube fields read the direction e and r
+at the tube's cells only (radial_frame_at).
 """
 
 from __future__ import annotations
@@ -58,9 +61,9 @@ class PlaneInterface:
         zeros_v = np.zeros((len(n),) + s.shape)
         eta, deta, _, _ = cutoff.profile(s)
         return dict(xi=eta * n[:, np.newaxis], hvec=zeros_v,
-                    div_xi=deta, div_h=zeros_s, dt_xi=zeros_v,
-                    adv_xi=zeros_v, grad_h_rad=zeros_s, grad_h_tan=zeros_s,
-                    e=zeros_v)
+                    div_xi=deta, div_h=zeros_s, dt_xi_rad=zeros_s,
+                    adv_xi_rad=zeros_s, grad_h_rad=zeros_s,
+                    grad_h_tan=zeros_s, e=zeros_v)
 
     def issues(self, grid: Grid, r_c: float, eps: float) -> list:
         """The validation rules of a plane on this grid."""
@@ -110,7 +113,7 @@ class SphereInterface:
         return self.radius(self.t_max)
 
     def distance(self, grid: Grid, t: float) -> np.ndarray:
-        return self.radius(t) - radial_frame(grid, self.center)[0]
+        return self.radius(t) - radial_frame(grid, self.center)
 
     def tube_fields(self, cutoff: CutoffSpec, grid: Grid, t: float,
                     dist: np.ndarray, tube: np.ndarray) -> dict:
@@ -124,9 +127,8 @@ class SphereInterface:
             (H.g) xi  = -k eta_t(dist) eta'(dist) e
             grad H    = k eta_t'(dist) e e - (k eta_t / r)(I - e e).
         """
-        _, safe_r, e = radial_frame(grid, self.center)
-        dist, e, safe_r = (_at_cells(f, tube, dist.ndim)
-                           for f in (dist, e, safe_r))
+        safe_r, e = radial_frame_at(grid, self.center, tube)
+        dist = _at_cells(dist, tube, dist.ndim)
         d, k = self.dim, self.curvature_scale(t)
         eta, deta, eta_t, deta_t = cutoff.profile(dist)
         return dict(
@@ -134,8 +136,8 @@ class SphereInterface:
             hvec=-k * eta_t * e,
             div_xi=deta - (d - 1) * eta / safe_r,
             div_h=k * deta_t - (d - 1) * k * eta_t / safe_r,
-            dt_xi=k * deta * e,
-            adv_xi=-k * eta_t * deta * e,
+            dt_xi_rad=k * deta,
+            adv_xi_rad=-k * eta_t * deta,
             grad_h_rad=k * deta_t,
             grad_h_tan=-k * eta_t / safe_r,
             e=e)
@@ -169,18 +171,21 @@ InterfaceTrajectory = Union[PlaneInterface, SphereInterface]
 
 
 def _check_time(traj: InterfaceTrajectory, t: float) -> None:
-    if t < -1e-12 or t > traj.t_max + 1e-12:
+    if not -1e-12 <= t <= traj.t_max + 1e-12:   # NaN fails too
         raise ValueError(f"t={t} outside [0, t_max={traj.t_max}]")
 
 
+# The clips below call the ndarray method: np.clip's dispatch costs as much
+# as the clip on a tube's few hundred cells.
+
 def smoothstep(x):
     """Quintic smoothstep: 0 below 0, 1 above 1, C^2 across the joints."""
-    x = np.clip(x, 0.0, 1.0)
+    x = np.asarray(x).clip(0.0, 1.0)
     return x ** 3 * (10.0 + x * (-15.0 + 6.0 * x))
 
 
 def _smoothstep_deriv(x):
-    x = np.clip(x, 0.0, 1.0)
+    x = np.asarray(x).clip(0.0, 1.0)
     return 30.0 * (x * (1.0 - x)) ** 2
 
 
@@ -245,75 +250,81 @@ class CutoffSpec:
 class ExtendedFields:
     """Closed-form interface fields evaluated on a grid at one time.
 
-    dist and chi cover the whole grid.  Every other field vanishes off the
-    tube of the cutoff (CutoffSpec.in_tube), so it is stored at the tube's
-    cells only: tube holds their flat grid indices, and the last axis of
-    each field runs over them.  Vector fields carry the grid's component
-    axis first.  grad H has the radially symmetric form
-    A e(x)e(x) + B (I - e(x)e(x)) with e the unit radial direction
-    (A = B = 0 for planes), which the two helpers contract without
-    materializing the matrix.
+    Every field vanishes off the tube of the cutoff (CutoffSpec.in_tube),
+    so it is stored at the tube's cells only: tube holds their flat indices
+    in a grid of the given shape, and the last axis of each field runs over
+    the cells.  Vector fields carry the grid's component axis first.  grad
+    H has the radially symmetric form A e(x)e(x) + B (I - e(x)e(x)) with e
+    the unit radial direction (A = B = 0 for planes), which the two helpers
+    contract without materializing the matrix; dt xi and (H . grad) xi are
+    C e and D e, which xi_rate forms where it is read.
     """
 
-    dist: np.ndarray
-    chi: np.ndarray
+    shape: tuple
     tube: np.ndarray
     xi: np.ndarray
     hvec: np.ndarray
     div_xi: np.ndarray
     div_h: np.ndarray
-    dt_xi: np.ndarray
-    adv_xi: np.ndarray       # (H . grad) xi
+    dt_xi_rad: np.ndarray    # C
+    adv_xi_rad: np.ndarray   # D
     grad_h_rad: np.ndarray   # A
     grad_h_tan: np.ndarray   # B
     e: np.ndarray
 
     def restrict(self, f: np.ndarray) -> np.ndarray:
         """A whole-grid field, scalar or vector, at the tube cells."""
-        return _at_cells(f, self.tube, self.dist.ndim)
+        return _at_cells(f, self.tube, len(self.shape))
 
     def scatter(self, values: np.ndarray, base=None) -> np.ndarray:
         """The whole-grid field equal to values on the tube and to base
         elsewhere.  base (zero when None) is written in place, so it must
         be a C-contiguous array the caller owns."""
         lead = values.shape[:-1]
-        out = np.zeros(lead + self.dist.shape) if base is None else base
+        out = np.zeros(lead + self.shape) if base is None else base
         out.reshape(lead + (-1,))[..., self.tube] = values
         return out
 
+    def xi_rate(self) -> np.ndarray:
+        """dt xi + (H . grad) xi."""
+        return self.dt_xi_rad * self.e + self.adv_xi_rad * self.e
+
     def grad_h_quad(self, v: np.ndarray) -> np.ndarray:
-        """grad H : v (x) v."""
-        ev = np.sum(self.e * v, axis=0)
-        vv = np.sum(v * v, axis=0)
-        return self.grad_h_rad * ev ** 2 + self.grad_h_tan * (vv - ev ** 2)
+        """grad H : v (x) v = A (e.v)^2 + B (v.v - (e.v)^2)."""
+        ev2 = np.square((self.e * v).sum(axis=0))
+        vv = (v * v).sum(axis=0)
+        return self.grad_h_rad * ev2 + self.grad_h_tan * (vv - ev2)
 
     def grad_h_vec(self, w: np.ndarray) -> np.ndarray:
-        """(grad H)^T w; grad H is symmetric for these trajectories."""
-        ew = np.sum(self.e * w, axis=0)
-        return self.grad_h_rad * ew * self.e \
-            + self.grad_h_tan * (w - ew * self.e)
+        """(grad H)^T w = A (e.w) e + B (w - (e.w) e); grad H is symmetric
+        for these trajectories."""
+        ew = (self.e * w).sum(axis=0)
+        out = np.multiply(self.grad_h_rad * ew, self.e)
+        tan = np.multiply(ew, self.e)
+        np.multiply(self.grad_h_tan, np.subtract(w, tan, out=tan), out=tan)
+        return np.add(out, tan, out=out)
 
 
 def interface_distance(traj: InterfaceTrajectory, grid: Grid,
                        t: float) -> np.ndarray:
     """Exact signed distance to the interface at time t on every cell of
-    the grid, positive inside.  The one place the distance is computed: the
-    initial data, the boundary-flatness rule and the interface fields all
-    read it.  A radial grid takes a sphere centered at the origin (the
-    sphere's issues enforce it)."""
+    the grid, positive inside, as a new array the caller owns.  The one
+    place the distance is computed: the initial data, the boundary-flatness
+    rule, the interface fields and the diagnostics' distance terms all read
+    it.  A radial grid takes a sphere centered at the origin (the sphere's
+    issues enforce it)."""
     _check_time(traj, t)
     return traj.distance(grid, t)
 
 
 def extended_fields(traj: InterfaceTrajectory, cutoff: CutoffSpec,
                     grid: Grid, t: float) -> ExtendedFields:
-    """Every interface field the diagnostics need on the grid: dist and chi
-    on every cell, the trajectory's tube_fields on the cutoff's tube only
-    (off the tube each of them is an exact zero)."""
+    """Every interface field the diagnostics need on the grid: the
+    trajectory's tube_fields on the cutoff's tube (off the tube each of them
+    is an exact zero).  The distance that picks the tube is not kept."""
     dist = interface_distance(traj, grid, t)
     tube = np.flatnonzero(cutoff.in_tube(dist))
-    return ExtendedFields(dist=dist, chi=np.where(dist >= 0.0, 1.0, -1.0),
-                          tube=tube,
+    return ExtendedFields(shape=dist.shape, tube=tube,
                           **traj.tube_fields(cutoff, grid, t, dist, tube))
 
 
@@ -324,26 +335,37 @@ def _at_cells(f, cells, ndim):
 
 
 @lru_cache(maxsize=2)
-def radial_frame(grid: Grid, center: tuple) -> tuple:
-    """(r, safe_r, e) on the grid: the distance to center, the same with its
-    zeros replaced by 1, and the unit direction away from center (zero at
-    center).  None of them changes in time, so they are computed once per
-    grid and center; the arrays are shared, hence read-only.  On the radial
+def radial_frame(grid: Grid, center: tuple) -> np.ndarray:
+    """r, the distance to center on every cell of the grid.  It does not
+    change in time, so it is computed once per grid and center, from the
+    grid's open coordinates, and shared, hence read-only.  On the radial
     line center is the origin and r the axis."""
     if grid.mode == RADIAL:
-        r = grid.coords[0]
-        safe_r = np.where(r > 0.0, r, 1.0)
-        e = np.where(r > 0.0, 1.0, 0.0)[np.newaxis, :]
+        r = grid.axis.view()
     else:
-        X = grid.coords
-        rel = X - np.asarray(center, dtype=float).reshape(
-            (-1,) + (1,) * (X.ndim - 1))
-        r = np.sqrt(np.sum(rel ** 2, axis=0))
-        safe_r = np.where(r > 0.0, r, 1.0)
-        e = np.where(r > 0.0, rel / safe_r, 0.0)
-    for a in (r, safe_r, e):
-        a.flags.writeable = False
-    return r, safe_r, e
+        # sqrt(sum_k (x_k - c_k)^2), summed over k in order into r
+        r = np.zeros(grid.shape)
+        for x, c in zip(grid.open_coords, center):
+            rel = x - c
+            np.add(r, np.square(rel, out=rel), out=r)
+        np.sqrt(r, out=r)
+    r.flags.writeable = False
+    return r
+
+
+def radial_frame_at(grid: Grid, center: tuple, cells: np.ndarray) -> tuple:
+    """(safe_r, e) at the cells with the given flat indices: r with its
+    zeros replaced by 1, and the unit direction away from center (zero at
+    center).  Each value has the operations of the whole-grid expressions
+    where(r > 0, r, 1) and where(r > 0, (x - center) / safe_r, 0)."""
+    whole = radial_frame(grid, center)
+    r = _at_cells(whole, cells, whole.ndim)
+    away = r > 0.0
+    safe_r = np.where(away, r, 1.0)
+    if grid.mode == RADIAL:
+        return safe_r, np.where(away, 1.0, 0.0)[np.newaxis, :]
+    rel = grid.coords_at(cells) - np.asarray(center, dtype=float)[:, None]
+    return safe_r, np.where(away, rel / safe_r, 0.0)
 
 
 def tau_truncation(s):
@@ -352,7 +374,7 @@ def tau_truncation(s):
     s > 0)."""
     s = np.asarray(s, dtype=float)
     a = np.abs(s)
-    x = np.clip(2.0 * a - 1.0, 0.0, 1.0)
+    x = (2.0 * a - 1.0).clip(0.0, 1.0)
     blend = 0.5 + 0.5 * x + x ** 3 * (2.0 + x * (-3.5 + 1.5 * x))
     mag = np.where(a <= 0.5, a, np.where(a >= 1.0, 1.0, blend))
     return np.sign(s) * mag
@@ -416,7 +438,7 @@ def xi_pde_residuals(traj: InterfaceTrajectory, cutoff: CutoffSpec,
     r3 = -div_fd - np.sum(hvec * xi, axis=0)
 
     floor = 2.0 * grid.h
-    adist = np.abs(f0.dist)
+    adist = np.abs(interface_distance(traj, grid, t))
     denom1 = np.maximum(adist, floor)
     denom2 = denom1 ** 2
     r1n = np.sqrt(np.sum(r1 ** 2, axis=0))

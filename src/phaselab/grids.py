@@ -81,8 +81,9 @@ class Grid:
     def coords(self) -> np.ndarray:
         """Coordinate arrays stacked on a leading axis, shape (ncomp,) + shape.
 
-        Built once per grid and shared by validation, the initial data and
-        every diagnostic row, so the array is read-only.
+        Built on first use and kept, so the array is read-only.  Only a
+        plane's distance reads it; open_coords and coords_at give the
+        coordinates without building ncomp whole-grid arrays.
         """
         if self.mode == RADIAL:
             out = self.axis[np.newaxis, :]
@@ -91,6 +92,23 @@ class Grid:
                                        indexing="ij"), axis=0)
         out.flags.writeable = False
         return out
+
+    @property
+    def open_coords(self) -> tuple:
+        """The coordinates as ncomp arrays, each broadcasting to shape:
+        coords[k] is open_coords[k] broadcast.  They are views of axis."""
+        if self.mode == RADIAL:
+            return (self.axis,)
+        return tuple(self.axis.reshape((-1,) + (1,) * (self.dim - 1 - k))
+                     for k in range(self.dim))
+
+    def coords_at(self, cells: np.ndarray) -> np.ndarray:
+        """coords at the cells with the given flat indices, shape
+        (ncomp, len(cells)), read off axis."""
+        if self.mode == RADIAL:
+            return self.axis.take(cells)[np.newaxis, :]
+        return np.stack([self.axis.take(i)
+                         for i in np.unravel_index(cells, self.shape)])
 
     @cached_property
     def quad_weights(self) -> float | np.ndarray:
@@ -110,10 +128,13 @@ class Grid:
         w[-1] = omega * r[-1] ** (d - 1) * (h / 2.0)
         return w
 
-    def integrate(self, f) -> float:
+    def integrate(self, f, out=None) -> float:
+        """The quadrature sum of f: the weighted product's sum.  Given out,
+        a float64 array of f's shape (f itself allowed), the product is
+        written there rather than into a new array."""
         # the ndarray method: np.sum's dispatch costs more than the sum on
         # the radial line
-        return float((self.quad_weights * f).sum())
+        return float(np.multiply(self.quad_weights, f, out=out).sum())
 
     def gradient(self, u: np.ndarray) -> np.ndarray:
         """Central differences with mirror ghosts, shape (ncomp,) + shape.

@@ -63,7 +63,9 @@ class PotentialSpec:
 
     def psi(self, u):
         """Phase map int_0^u sqrt(2 W); inputs are clamped into [-1, 1]."""
-        return self._psi(np.clip(u, -1.0, 1.0))
+        # the ndarray method: np.clip's dispatch costs more than the clip
+        # on the radial line
+        return self._psi(np.asarray(u).clip(-1.0, 1.0))
 
     def sqrt2w(self, u):
         """sqrt(2 W(u)) on clamped input, floored at zero against roundoff."""
@@ -238,19 +240,36 @@ class ProfileTable:
     _coef: tuple = field(repr=False, default=None)   # _pchip_coefficients
 
     def __call__(self, s):
+        """theta at s, a new array of s's shape.  Evaluated by out= ufuncs
+        into five arrays of s's size, gathering one coefficient at a time;
+        every value has the operations of the plain expressions in the
+        comments."""
         s = np.asarray(s, dtype=float)
-        x = np.clip(s, -self.s_max, self.s_max)
-        i = np.clip(np.searchsorted(self.s, x, side="right") - 1,
-                    0, len(self.s) - 2)
-        c0, c1, c2, c3 = (c[i] for c in self._coef)
-        dx = x - self.s[i]
-        # the order of scipy's PPoly evaluation, for the same bits
-        inside = c3 + c2 * dx
-        z = dx * dx
-        inside += c1 * z
+        flat = s.reshape(-1)
+        x = np.clip(flat, -self.s_max, self.s_max)
+        i = np.searchsorted(self.s, x, side="right")
+        np.clip(np.subtract(i, 1, out=i), 0, len(self.s) - 2, out=i)
+        c0, c1, c2, c3 = self._coef
+        # the indices are in range, and mode="clip" takes without a buffer
+
+        def gather(c, out):
+            return np.take(c, i, out=out, mode="clip")
+
+        buf = gather(self.s, np.empty_like(x))
+        dx = np.subtract(x, buf, out=x)   # x - s[i]
+        # the order of scipy's PPoly evaluation, for the same bits:
+        # inside = c3 + c2 dx; z = dx dx; inside += c1 z; z *= dx;
+        # inside += c0 z
+        inside = np.multiply(gather(c2, np.empty_like(x)), dx)
+        inside += gather(c3, buf)
+        z = np.multiply(dx, dx)
+        inside += np.multiply(gather(c1, buf), z, out=buf)
         z *= dx
-        inside += c0 * z
-        return np.where(np.abs(s) > self.s_max, np.sign(s), inside)
+        inside += np.multiply(gather(c0, buf), z, out=buf)
+        # where |s| > s_max, sign(s)
+        beyond = np.greater(np.abs(flat, out=buf), self.s_max)
+        np.copyto(inside, np.sign(flat, out=buf), where=beyond)
+        return inside.reshape(s.shape)
 
     def kappa0(self) -> float:
         """The L1 constant int |psi(theta(s)) - sign s| ds of the profile,

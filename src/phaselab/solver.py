@@ -130,8 +130,8 @@ def initial_data(cfg: SimulationConfig) -> np.ndarray:
 
     cfg is not validated here; callers run validate first.
     """
-    return cfg.profile(
-        interface_distance(cfg.trajectory, cfg.grid, 0.0) / cfg.epsilon)
+    s = interface_distance(cfg.trajectory, cfg.grid, 0.0)
+    return cfg.profile(np.divide(s, cfg.epsilon, out=s))   # dist / eps
 
 
 def make_stepper(cfg: SimulationConfig) -> Callable:

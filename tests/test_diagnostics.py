@@ -10,7 +10,7 @@ from scipy.integrate import quad
 
 import phaselab as pl
 from phaselab import diagnostics as dg
-from phaselab.geometry import ExtendedFields
+from phaselab.geometry import ExtendedFields, radial_frame
 
 from conftest import make_circle_config, make_plane_config, stepped
 
@@ -34,10 +34,10 @@ def row(u, cfg, **kw):
 
 
 def derived(u, cfg, pot):
-    """derived_fields of u on cfg's grid, with the tube of cfg's geometry
-    at t = 0."""
-    ef = pl.extended_fields(cfg.trajectory, cfg.cutoff, cfg.grid, 0.0)
-    return dg.derived_fields(u, cfg.epsilon, pot, cfg.grid, ef)
+    """The whole-grid derived fields of u on cfg's grid: those of the
+    whole-grid oracle below, whose integrands the diagnostics sum to the
+    last bit."""
+    return oracle_derived_fields(u, cfg.epsilon, pot, cfg.grid)
 
 
 def test_gl_energy_minimizer(standard_potential, profile):
@@ -332,7 +332,8 @@ def oracle_derived_fields(u, eps, pot, grid):
 
 def oracle_fields(traj, cutoff, grid, t):
     """Every interface field on every cell of the grid (the tube is the
-    whole grid)."""
+    whole grid), with dist, chi, dt xi and (H . grad) xi, and the grad H
+    contractions of ExtendedFields."""
     X = grid.coords
     shape = X.shape[1:]
     zeros_s, zeros_v = np.zeros(shape), np.zeros(X.shape)
@@ -366,8 +367,13 @@ def oracle_fields(traj, cutoff, grid, t):
                       dt_xi=k * deta * e, adv_xi=-k * eta_t * deta * e,
                       grad_h_rad=k * deta_t, grad_h_tan=-k * eta_t / safe_r,
                       e=e)
-    return ExtendedFields(dist=dist, chi=np.where(dist >= 0.0, 1.0, -1.0),
-                          tube=np.arange(dist.size), **fields)
+    dt_xi, adv_xi = fields.pop("dt_xi"), fields.pop("adv_xi")
+    ef = ExtendedFields(shape=shape, tube=np.arange(dist.size),
+                        dt_xi_rad=zeros_s, adv_xi_rad=zeros_s, **fields)
+    return SimpleNamespace(dist=dist, chi=np.where(dist >= 0.0, 1.0, -1.0),
+                           dt_xi=dt_xi, adv_xi=adv_xi,
+                           grad_h_quad=ef.grad_h_quad,
+                           grad_h_vec=ef.grad_h_vec, **fields)
 
 
 def oracle_relative_entropy(u, eps, pot, traj, cutoff, grid, t, s0):
@@ -449,10 +455,10 @@ def test_tube_evaluation_matches_whole_grid_oracle(standard_potential,
     cfg = ORACLE_GEOMETRIES[geometry](standard_potential, profile)
     s0 = dg.default_s0(cfg.cutoff)
     ef = pl.extended_fields(cfg.trajectory, cfg.cutoff, cfg.grid, 0.0)
-    assert 0 < ef.tube.size < ef.dist.size   # the tube is a proper subset
+    assert 0 < ef.tube.size < math.prod(ef.shape)   # a proper subset
     if geometry == "plane1d_cell_on_tube_edge":
-        assert np.count_nonzero(
-            np.abs(ef.dist) == cfg.cutoff.r_c / 2.0) == 1
+        dist = pl.interface_distance(cfg.trajectory, cfg.grid, 0.0)
+        assert np.count_nonzero(np.abs(dist) == cfg.cutoff.r_c / 2.0) == 1
 
     u = pl.initial_data(cfg)
     for k in range(31):   # the profile data, then a stepped field
@@ -476,13 +482,18 @@ def test_sqrt2w_of_derived_fields_is_the_potentials(standard_potential):
                               t_max=0.1)
     ef = pl.extended_fields(traj, pl.CutoffSpec(r_c=0.2), grid, 0.0)
     d = dg.derived_fields(u, 0.1, standard_potential, grid, ef)
-    assert np.array_equal(d.sqrt2w, standard_potential.sqrt2w(u))
+    assert 0 < ef.tube.size < u.size
+    assert np.array_equal(d.tube_sqrt2w,
+                          standard_potential.sqrt2w(u)[ef.tube])
 
 
 def test_identity_row_memory_bound(standard_potential, profile):
-    # the C11 280^2 circle: each whole-grid field is freed after its last
-    # integral, so a row holds at most 20 fields at once (29.6 when every
-    # derived field lived to the end of the row)
+    # the C11 280^2 circle: the row runs in stages, forms its whole-grid
+    # values block by block into fields past their last use and writes each
+    # quadrature's product over its integrand, so a row holds at most 10
+    # fields at once (9.6 measured; 18.4 when derived_fields returned eight
+    # whole-grid fields, 29.6 when every derived field lived to the end of
+    # the row)
     cfg = make_circle_config(standard_potential, profile, eps=0.08,
                              half_width=1.4, mode="full")
     assert cfg.grid.shape == (280, 280)
@@ -499,4 +510,30 @@ def test_identity_row_memory_bound(standard_potential, profile):
     finally:
         tracemalloc.stop()
     assert dg.rows_to_csv([got]) == dg.rows_to_csv([want])
-    assert peak <= 20 * u.nbytes, peak / u.nbytes
+    assert peak <= 10 * u.nbytes, peak / u.nbytes
+
+
+def test_cold_full_grid_run_memory_bound(standard_potential, profile):
+    # the C11 circle with identity rows cut to t = 0.01 (5 rows), from a
+    # fresh grid and an empty radial-frame cache: validation, the initial
+    # data, the rows and the steps between them hold at most 14 fields at
+    # once (13.6 measured, 27.3 when the frame cached r, safe_r, e and the
+    # grid's coordinates), and a sphere never builds grid.coords
+    def config():
+        return replace(make_circle_config(
+            standard_potential, profile, eps=0.08, half_width=1.4,
+            t_end=0.01, mode="full"), compute_identity=True)
+
+    pl.run(config())   # imports and kernels
+    radial_frame.cache_clear()
+    cfg = config()
+    field = np.empty(cfg.grid.shape).nbytes
+    tracemalloc.start()
+    try:
+        res = pl.run(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(res.breakdowns) == 5
+    assert peak <= 14 * field, peak / field
+    assert "coords" not in cfg.grid.__dict__

@@ -6,7 +6,7 @@ from scipy.integrate import solve_ivp
 
 import phaselab as pl
 from phaselab.geometry import (extended_fields, interface_distance,
-                               radial_frame, tau_truncation)
+                               radial_frame, radial_frame_at, tau_truncation)
 
 
 @pytest.fixture(scope="module")
@@ -34,16 +34,25 @@ class PointsGrid:
     def __init__(self, pts):
         self.coords = np.atleast_2d(np.asarray(pts, dtype=float)).T
         self.ncomp = self.coords.shape[0]
+        self.shape = self.coords.shape[1:]
+        self.open_coords = tuple(self.coords)
+
+    def coords_at(self, cells):
+        return self.coords[:, cells]
 
 
-TUBE_FIELDS = ("xi", "hvec", "div_xi", "div_h", "dt_xi", "adv_xi",
-               "grad_h_rad", "grad_h_tan", "e")
+TUBE_FIELDS = ("xi", "hvec", "div_xi", "div_h", "grad_h_rad", "grad_h_tan",
+               "e")
 
 
-def on_grid(f):
-    """The fields of f on every cell: the tube fields scattered onto the
-    whole grid, zero off the tube."""
-    return SimpleNamespace(dist=f.dist, chi=f.chi,
+def on_grid(traj, cutoff, grid, t):
+    """extended_fields on every cell: the tube fields scattered onto the
+    whole grid, zero off the tube, dt xi and (H . grad) xi formed from
+    their radial factors, and the distance."""
+    f = extended_fields(traj, cutoff, grid, t)
+    return SimpleNamespace(dist=interface_distance(traj, grid, t),
+                           dt_xi=f.scatter(f.dt_xi_rad * f.e),
+                           adv_xi=f.scatter(f.adv_xi_rad * f.e),
                            **{name: f.scatter(getattr(f, name))
                               for name in TUBE_FIELDS})
 
@@ -55,12 +64,13 @@ def distance_at(traj, pts, t):
 
 def fields_at(traj, cutoff, pts, t):
     """extended_fields at the rows of pts; vector fields are (d, npts)."""
-    return on_grid(extended_fields(traj, cutoff, PointsGrid(pts), t))
+    return on_grid(traj, cutoff, PointsGrid(pts), t)
 
 
 def normals_at(sphere, pts):
     """The unit normal -e at the rows of pts, off the tube too."""
-    return -radial_frame(PointsGrid(pts), sphere.center)[2].T
+    cells = np.arange(len(pts))
+    return -radial_frame_at(PointsGrid(pts), sphere.center, cells)[1].T
 
 
 def test_signed_distance_sphere(sphere):
@@ -212,7 +222,7 @@ def test_extended_curvature_against_divergence_oracle(sphere, cutoff):
 def test_extended_fields_radial_matches_full(sphere, cutoff):
     t = 0.1
     grid_r = pl.radial_grid(2, 1.4, 281)
-    fr = on_grid(extended_fields(sphere, cutoff, grid_r, t))
+    fr = on_grid(sphere, cutoff, grid_r, t)
     ff = fields_at(sphere, cutoff,
                    np.stack([grid_r.axis, np.zeros_like(grid_r.axis)],
                             axis=-1), t)
@@ -224,13 +234,64 @@ def test_extended_fields_radial_matches_full(sphere, cutoff):
     assert np.allclose(fr.adv_xi[0], ff.adv_xi[0], atol=1e-12)
 
 
+@pytest.mark.parametrize("traj", [
+    pl.SphereInterface(center=(0.0, 0.0), radius0=1.0, dim=2, t_max=0.4),
+    pl.PlaneInterface(normal=(1.0, 0.0), offset=0.0, t_max=10.0),
+], ids=["sphere", "plane"])
+def test_nan_time_rejected(traj):
+    with pytest.raises(ValueError, match="outside"):
+        interface_distance(traj, pl.full_grid(2, 1.4, 40), np.nan)
+
+
+def whole_grid_frame(grid, center):
+    """(r, safe_r, e) on every cell by the whole-grid expressions the
+    sphere's frame once cached: r = |x - center| from grid.coords (the
+    axis radially), safe_r = where(r > 0, r, 1) and e = where(r > 0,
+    (x - center) / safe_r, 0)."""
+    if grid.mode == "radial":
+        r = grid.axis
+        safe_r = np.where(r > 0.0, r, 1.0)
+        return r, safe_r, np.where(r > 0.0, 1.0, 0.0)[np.newaxis, :]
+    rel = grid.coords - np.asarray(center).reshape((-1,) + (1,) * grid.dim)
+    r = np.sqrt(np.sum(rel ** 2, axis=0))
+    safe_r = np.where(r > 0.0, r, 1.0)
+    return r, safe_r, np.where(r > 0.0, rel / safe_r, 0.0)
+
+
+@pytest.mark.parametrize("grid,center", [
+    (pl.full_grid(2, 1.4, 140), (0.0, 0.0)),
+    (pl.full_grid(2, 1.4, 141), (0.13, -0.07)),   # a cell at the center
+    (pl.radial_grid(2, 1.4, 281), (0.0, 0.0)),
+    (pl.radial_grid(3, 1.4, 141), (0.0, 0.0, 0.0)),
+], ids=["full_even", "full_odd_off_center", "radial_d2", "radial_d3"])
+def test_tube_frame_matches_whole_grid_oracle(cutoff, grid, center):
+    # the cached r, and safe_r and e at the tube cells, are the bits of the
+    # whole-grid frame; a sphere's fields never build grid.coords
+    dim = len(center)
+    sphere = pl.SphereInterface(center=center, radius0=1.0, dim=dim,
+                                t_max=0.1)
+    ef = extended_fields(sphere, cutoff, grid, 0.05)
+    assert "coords" not in grid.__dict__
+    r, safe_r, e = whole_grid_frame(grid, center)
+    assert np.array_equal(radial_frame(grid, center), r)
+    tube = ef.tube
+    assert 0 < tube.size < r.size
+    got_safe_r, got_e = radial_frame_at(grid, center, tube)
+    assert np.array_equal(got_safe_r, safe_r.reshape(-1)[tube])
+    assert np.array_equal(got_e, e.reshape(len(e), -1)[:, tube])
+    assert np.array_equal(ef.e, got_e)
+    cells = np.arange(r.size)   # the center cell too, where e is zero
+    assert np.array_equal(radial_frame_at(grid, center, cells)[1],
+                          e.reshape(len(e), -1))
+
+
 def test_analytic_divergence_against_stencil(sphere, cutoff):
     # the sup sits at the C^2 joints of the cutoff, so compare medians
     t = 0.1
     errs = []
     for n in (200, 400):
         grid = pl.full_grid(2, 1.4, n)
-        f = on_grid(extended_fields(sphere, cutoff, grid, t))
+        f = on_grid(sphere, cutoff, grid, t)
         div_fd = sum(grid.gradient(f.xi[i])[i] for i in range(2))
         mask = np.abs(f.dist) <= cutoff.r_c / 2
         err = np.abs(div_fd - f.div_xi)[mask]

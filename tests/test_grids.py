@@ -155,6 +155,11 @@ def test_full_stencils_and_quadrature_match_oracles(dim, npts):
     weights = np.full(g.shape, g.h ** dim)
     assert g.integrate(u) == float((weights * u).sum())
     assert g.integrate(u * u) == float((weights * (u * u)).sum())
+    # the product written over the integrand: the same sum, and the
+    # integrand now holds the product
+    v = u * u
+    assert g.integrate(v, out=v) == float((weights * (u * u)).sum())
+    assert np.array_equal(v, weights * (u * u))
 
 
 @pytest.mark.parametrize("grid", [

@@ -70,6 +70,9 @@ CASES = {
     "simulate-circle_full2d_short": (
         full2d_short, "diagnostics.csv",
         "985c67240bd314e89ab278cacd9b5eccb0dfa4a311dd09c7bf751e9c250ad49f"),
+    "simulate-circle_full2d_short-field0": (
+        full2d_short, "snapshots/field_00000.bin",
+        "087070a3150a55297208d6133db13d3bd667fda428ffc728bba9e7f1aae5a5c2"),
     "simulate-sweep_member_short": (
         sweep_member_short, "diagnostics.csv",
         "e3a54e8489dcfeea1642f69038251114e698501fc29e0e03eab59a4157972a98"),

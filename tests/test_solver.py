@@ -474,11 +474,14 @@ INITIAL_DATA_CASES = {
 def test_initial_data_reads_the_diagnostics_distance(standard_potential,
                                                      profile, case):
     # the initial data and the diagnostics' interface fields read one
-    # signed distance, so theta(dist / eps) agrees bit for bit
+    # signed distance: theta(dist / eps) agrees bit for bit, and the tube
+    # of the interface fields is the cutoff's on that distance
     cfg = INITIAL_DATA_CASES[case](standard_potential, profile)
+    dist = pl.interface_distance(cfg.trajectory, cfg.grid, 0.0)
     ef = pl.extended_fields(cfg.trajectory, cfg.cutoff, cfg.grid, 0.0)
+    assert np.array_equal(ef.tube, np.flatnonzero(cfg.cutoff.in_tube(dist)))
     assert np.array_equal(pl.initial_data(cfg),
-                          cfg.profile(ef.dist / cfg.epsilon))
+                          cfg.profile(dist / cfg.epsilon))
 
 
 def stepper_writing(field):
