@@ -15,7 +15,7 @@ halo past which the inverse is below one ulp, the bulk outside it frozen,
 by an LDL^T of the band's slice of the once-symmetrized operator.  Each
 kind loads only the compiled scipy module it solves with, pocketfft's on
 full grids and LAPACK's on the radial line, and no scipy package
-initializer between scipy and it (_kernel).
+initializer, not even scipy's own (_kernel).
 """
 
 from __future__ import annotations
@@ -248,26 +248,27 @@ class Grid:
 def _kernel(package: str, path: str):
     """The compiled module package.path (path may name a subpackage, as in
     "_pocketfft.pypocketfft"), loaded from its extension file without
-    running the initializers of package or of the subpackages in between.
+    running any package initializer, scipy's own among them.
 
-    scipy itself is imported as usual.  The module is registered in
-    sys.modules under its own name, so a later import of package, say by
-    scipy.linalg.lapack, reuses this very module.  Raises ImportError
-    naming the module and the scipy version when no file matches.
+    The folder comes from importlib.util.find_spec of the top-level
+    package, which locates it without executing it.  The module is
+    registered in sys.modules under its own name, so a later import of
+    package, say by scipy.linalg.lapack, reuses this very module.  Raises
+    ImportError naming the module and the scipy version when no file
+    matches; only that path imports scipy.
     """
     name = f"{package}.{path}"
     if name in sys.modules:
         return sys.modules[name]
-    import scipy
-
-    spec = importlib.util.find_spec(package)
+    top, *inner = name.split(".")
+    spec = importlib.util.find_spec(top)
     found = None
     if spec is not None and spec.submodule_search_locations:
-        folder = os.path.join(spec.submodule_search_locations[0],
-                              *path.split(".")[:-1])
+        folder = os.path.join(spec.submodule_search_locations[0], *inner[:-1])
         finder = FileFinder(folder, (ExtensionFileLoader, EXTENSION_SUFFIXES))
         found = finder.find_spec(name)
     if found is None:
+        import scipy
         raise ImportError(f"scipy {scipy.__version__} has no compiled "
                           f"module {name}", name=name)
     module = importlib.util.module_from_spec(found)

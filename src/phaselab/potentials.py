@@ -5,13 +5,18 @@ normalized so that the surface-tension integral of sqrt(2 W) over [-1, 1]
 equals 2.  The equilibrium profile theta solves theta' = sqrt(2 W(theta))
 with theta(0) = 0 and connects -1 to +1 with exponential tails; the phase
 map psi(u) = int_0^u sqrt(2 W) turns fields into near-indicators.
+
+The profile is always tabulated by RK4.  A potential whose profile has a
+closed form (the standard quartic well: theta(s) = tanh(3 s / 2)) has the
+table checked against it; any other is checked by a step-halved
+re-integration.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -51,6 +56,8 @@ class PotentialSpec:
         w, dw, ddw: vectorized W, W', W''.
         max_ddw: max of W'' on [-1, 1]; used for time-step stability bounds.
         dw_coef: W' as power-series coefficients, low to high degree.
+        exact_profile: the closed-form profile theta(s), vectorized, or None
+            where there is none; solve_profile checks its table against it.
     """
 
     name: str
@@ -60,6 +67,7 @@ class PotentialSpec:
     max_ddw: float
     dw_coef: tuple
     _psi: Callable = field(repr=False, default=None)
+    exact_profile: Optional[Callable] = field(repr=False, default=None)
 
     def psi(self, u):
         """Phase map int_0^u sqrt(2 W); inputs are clamped into [-1, 1]."""
@@ -119,7 +127,8 @@ def make_standard_potential() -> PotentialSpec:
     """The normalized quartic well W(s) = (9/8)(1 - s^2)^2.
 
     Closed forms: W'(s) = (9/2) s (s^2 - 1), W''(s) = (9/2)(3 s^2 - 1),
-    psi(u) = (3/2)(u - u^3/3).  max W'' on [-1, 1] is 9.
+    psi(u) = (3/2)(u - u^3/3), profile theta(s) = tanh(3 s / 2).  max W''
+    on [-1, 1] is 9.
     """
     def w(s):   # a float stays a float: the profile RK4 calls it per stage
         return 1.125 * (1.0 - s * s) ** 2
@@ -137,9 +146,13 @@ def make_standard_potential() -> PotentialSpec:
         # bases and is not exactly odd; this form is, and hits +-1 at u = +-1
         return u * (1.5 - 0.5 * (u * u))
 
+    def profile(s):
+        return np.tanh(1.5 * s)
+
     _validate("standard", w)
     return PotentialSpec(name="standard", w=w, dw=dw, ddw=ddw,
-                         max_ddw=9.0, dw_coef=(0.0, -4.5, 0.0, 4.5), _psi=psi)
+                         max_ddw=9.0, dw_coef=(0.0, -4.5, 0.0, 4.5), _psi=psi,
+                         exact_profile=profile)
 
 
 def make_polynomial_potential(coeffs) -> PotentialSpec:
@@ -306,8 +319,10 @@ def solve_profile(p: PotentialSpec, s_max: float = 8.0,
                   n_samples: int = 4096) -> ProfileTable:
     """Integrate the profile ODE and tabulate it on [-s_max, s_max].
 
-    Requires s_max >= 5 and n_samples >= 64.  A step-halved integration is
-    compared against the result; disagreement signals a malformed potential.
+    Requires s_max >= 5 and n_samples >= 64.  The RK4 table is compared
+    against the potential's exact_profile where it has one, else against a
+    step-halved integration; disagreement beyond 1e-7 signals a malformed
+    potential (or closed form) and raises ProfileError.
     """
     if not s_max >= 5.0:
         raise ValueError(f"s_max must be >= 5, got {s_max}")
@@ -315,16 +330,21 @@ def solve_profile(p: PotentialSpec, s_max: float = 8.0,
         raise ValueError(f"n_samples must be >= 64, got {n_samples}")
 
     theta = _integrate_profile(p, s_max, n_samples)
-    theta_fine = _integrate_profile(p, s_max, 2 * n_samples)[::2]
-    err = float(np.max(np.abs(theta - theta_fine)))
-    if err > _PROFILE_CONVERGENCE_TOL:
+    s_half = np.linspace(0.0, s_max, n_samples + 1)
+    if p.exact_profile is not None:
+        reference = p.exact_profile(s_half)
+        against = "the potential's closed-form profile"
+    else:
+        reference = _integrate_profile(p, s_max, 2 * n_samples)[::2]
+        against = "a step-halved integration"
+    err = float(np.max(np.abs(theta - reference)))
+    if not err <= _PROFILE_CONVERGENCE_TOL:   # NaN fails too
         raise ProfileError(
-            f"profile integration did not converge (step-halving changes the "
-            f"solution by {err:.2e}); the potential may be malformed")
+            f"profile integration did not converge ({against} differs by "
+            f"{err:.2e}); the potential may be malformed")
     if np.any(np.diff(theta) < -1e-14):
         raise ProfileError("profile lost monotonicity during integration")
 
-    s_half = np.linspace(0.0, s_max, n_samples + 1)
     s_full = np.concatenate([-s_half[:0:-1], s_half])
     theta_full = np.concatenate([-theta[:0:-1], theta])
     dtheta_full = p.sqrt2w(theta_full)

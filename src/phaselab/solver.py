@@ -218,12 +218,14 @@ def run(cfg: SimulationConfig,
     placed anew and at the end.  Steps run in blocks that end at every row
     and at every new band and hold at most BLOCK_BYTES of band values (one
     step at least), written into two buffers in turn, so a block's first
-    step never reads the row it writes.  After each block two reductions
-    give its min and max.  A block whose max |u| exceeds 2 or is not finite
-    aborts with BlowUpError naming its first such step, as a check of the
-    whole field after every step would: the frozen nodes lie within
-    WELL_ROUNDOFF of +-1, so they can neither trip the guard nor count a
-    clamp.  The steps between two rows run with numpy's overflow and
+    step never reads the row it writes.  When the band is the whole grid, a
+    row reads the field in place in one buffer and the other is dropped
+    until the next block, so the row's own fields can reuse its memory.
+    After each block two reductions give its min and max.  A block whose
+    max |u| exceeds 2 or is not finite aborts with BlowUpError naming its
+    first such step, as a check of the whole field after every step would:
+    the frozen nodes lie within WELL_ROUNDOFF of +-1, so they can neither
+    trip the guard nor count a clamp.  The steps between two rows run with numpy's overflow and
     invalid warnings off, as a field that blows up mid-block is only caught
     at the block's end; rows and sink calls run outside that, on fields
     that passed the guard.  The clamp counter totals grid values found
@@ -271,6 +273,8 @@ def run(cfg: SimulationConfig,
     k = 0
     while k < n_steps:
         row_k = min(k + cfg.cadence, n_steps)   # the next row
+        if buffers[0] is None:   # dropped for a full-grid row
+            buffers[0] = np.empty(size)
         with np.errstate(over="ignore", invalid="ignore"):
             while k < row_k:
                 if moved:   # the band placed anew on the whole field
@@ -299,7 +303,9 @@ def run(cfg: SimulationConfig,
                 clamps += count_excursions(block, bounds=(lo, hi))
         t = k * dt
         if v.shape == u.shape:   # a band over the whole grid, never moved
-            u = v
+            # u is then a view into buffers[1]; the idle buffers[0] is
+            # dropped so that the row's own fields can take its memory
+            u, buffers[0] = v, None
         else:
             u[band.rows] = v
         rows.append(measure(u, t))

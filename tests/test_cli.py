@@ -1,6 +1,7 @@
 import json
+import os
 import platform
-import resource
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -20,7 +21,8 @@ from phaselab.snapshots import read_snapshot
 
 from conftest import make_circle_config
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 
 
 def write_json(path, doc):
@@ -231,23 +233,39 @@ def test_manifest_records_each_member_and_level(tmp_path):
         assert key not in result
 
 
+FREED_HEAP_PROBE = """
+import resource
+import numpy as np
+import phaselab.cli as cli
+
+def churn():
+    arrays = [np.ones((280, 280)) for _ in range(20)]
+    return sum(float(a[0, 0]) for a in arrays)
+
+took = cli._keep_freed_heap()
+churn()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(3):
+    churn()
+print(took, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
                     reason="the malloc settings are glibc's")
 def test_freed_heap_is_reused():
     """With main's malloc settings, whole-grid temporaries allocated and
     freed again reuse the heap instead of faulting fresh pages in (about
-    3,000 minor faults per round without them)."""
-    assert cli._keep_freed_heap()
-
-    def churn():
-        arrays = [np.ones((280, 280)) for _ in range(20)]
-        return sum(float(a[0, 0]) for a in arrays)
-
-    churn()
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    for _ in range(3):
-        churn()
-    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 100
+    3,000 minor faults per round without them).  The count runs in a fresh
+    interpreter: ru_minflt counts the whole process, and the test session's
+    own allocations could add faults."""
+    path = filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run([sys.executable, "-c", FREED_HEAP_PROBE],
+                          capture_output=True, text=True, env=env, check=True)
+    took, faults = proc.stdout.split()
+    assert took == "True"
+    assert int(faults) < 100, faults
 
 
 def test_simulate_rejects_unresolved_layer(tmp_path, capsys):

@@ -31,20 +31,44 @@ import phaselab.cli
 loaded = {"cli": scipy_modules()}
 from phaselab import config, solver
 cfg, _ = config.build_simulation(config.load_json(sys.argv[1]))
-cfg.grid.band_solver(cfg.dt_actual())
-solver.make_stepper(cfg)
+band = cfg.grid.band_solver(cfg.dt_actual())
+u = solver.initial_data(cfg)
+v = u[band.place(u)]
+solver.make_stepper(cfg)(v, v.copy(), band)
 loaded["stepper"] = scipy_modules()
+
+kernel = sys.modules[sys.argv[2]]
+import scipy.fft, scipy.linalg
+from scipy.fft._pocketfft import basic
+from scipy.linalg import lapack
+loaded["reused"] = (sys.modules[sys.argv[2]] is kernel
+                    and kernel in (lapack._flapack, basic.pfft))
 print(json.dumps(loaded))
 """
 
+MISSING_KERNEL = """
+import json, sys
+import phaselab.cli as cli
+import phaselab.grids as grids
 
-def loaded_modules(config_path):
+try:
+    grids._kernel("scipy.linalg", "_no_such_kernel")
+except ImportError as exc:
+    message = str(exc)
+grids.EXTENSION_SUFFIXES = [".missing"]   # no LAPACK file for the solve
+rc = cli.main(["simulate", "--config", sys.argv[1], "--out", sys.argv[2]])
+import scipy
+print(json.dumps({"message": message, "rc": rc,
+                  "version": scipy.__version__}))
+"""
+
+
+def run_probe(probe, *args):
     path = filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    proc = subprocess.run([sys.executable, "-c", PROBE, str(config_path)],
+    return subprocess.run([sys.executable, "-c", probe, *map(str, args)],
                           capture_output=True, text=True, env=env,
                           check=True)
-    return json.loads(proc.stdout)
 
 
 @pytest.mark.parametrize("config_path, package, other", [
@@ -53,13 +77,29 @@ def loaded_modules(config_path):
      "scipy.fft", "scipy.linalg"),
 ])
 def test_scipy_loaded_per_grid_kind(config_path, package, other):
-    # each grid kind loads the one compiled module it solves with and no
-    # package initializer on its way (not scipy.linalg, scipy.fft or
-    # scipy.fft._pocketfft), and nothing of the other kind's package
-    loaded = loaded_modules(config_path)
+    # after the first step, each grid kind has loaded the one compiled
+    # module it solves with and no package initializer (not scipy itself,
+    # scipy.linalg, scipy.fft or scipy.fft._pocketfft), and nothing of the
+    # other kind's package; scipy.linalg and scipy.fft imported later reuse
+    # that module object
+    loaded = json.loads(run_probe(PROBE, config_path, KERNELS[package]).stdout)
     assert loaded["cli"] == []   # the potentials and the profile are numpy
-    assert [m for m in loaded["stepper"]
-            if m.startswith((package, other))] == [KERNELS[package]]
+    assert loaded["stepper"] == [KERNELS[package]]
+    assert loaded["reused"]
+
+
+def test_missing_kernel_in_a_fresh_process(tmp_path):
+    # with no scipy imported before it, a missing kernel still names the
+    # scipy version, and a command still exits 1 as a runtime failure
+    proc = run_probe(MISSING_KERNEL, ROOT / "configs" / "circle_radial.json",
+                     tmp_path / "out")
+    out = json.loads(proc.stdout)
+    assert out["message"] == (f"scipy {out['version']} has no compiled "
+                              "module scipy.linalg._no_such_kernel")
+    assert out["rc"] == 1
+    assert (f"runtime failure: scipy {out['version']} has no compiled module "
+            "scipy.linalg._flapack") in proc.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def names_in(node):

@@ -1,9 +1,13 @@
+from contextlib import nullcontext
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid, quad, solve_ivp
 from scipy.interpolate import PchipInterpolator
 
 import phaselab as pl
+import phaselab.potentials
 from phaselab.potentials import (_PSI_TABLE_INTERVALS, PotentialError,
                                  PotentialSpec, ProfileError,
                                  count_excursions, normalization_integral)
@@ -162,6 +166,50 @@ def test_profile_rejects_rough_potential(standard_potential):
                           max_ddw=9.0, dw_coef=base.dw_coef, _psi=base._psi)
     with pytest.raises(ProfileError):
         pl.solve_profile(rough, s_max=8.0, n_samples=64)
+
+
+def test_standard_table_is_closed_form(profile):
+    # the RK4 table itself, on its samples, against tanh(3 s / 2)
+    exact = np.tanh(1.5 * profile.s)
+    assert np.max(np.abs(profile.theta - exact)) <= 2e-12
+
+
+def rough_potential(base):
+    def rough_w(s):
+        s = np.asarray(s, dtype=float)
+        return base.w(s) * (1.0 + 0.4 * np.sin(200.0 * s) ** 2)
+
+    return replace(base, name="rough", w=rough_w, exact_profile=None)
+
+
+@pytest.mark.parametrize("make, n_samples, integrations", [
+    (pl.make_standard_potential, 4096, 1),
+    (lambda: pl.make_polynomial_potential([1.0, 0.0, -2.0, 0.0, 1.0]),
+     4096, 2),
+    (lambda: rough_potential(pl.make_standard_potential()), 64, 2),
+], ids=["standard", "poly", "rough"])
+def test_profile_check_integrates_once_with_closed_form(
+        monkeypatch, make, n_samples, integrations):
+    # a closed-form profile replaces the step-halved re-integration
+    calls = []
+    integrate = phaselab.potentials._integrate_profile
+
+    def spy(p, s_max, n):
+        calls.append(n)
+        return integrate(p, s_max, n)
+
+    pot = make()
+    monkeypatch.setattr(phaselab.potentials, "_integrate_profile", spy)
+    rough = pot.name == "rough"
+    with pytest.raises(ProfileError) if rough else nullcontext():
+        pl.solve_profile(pot, n_samples=n_samples)
+    assert calls == [n_samples, 2 * n_samples][:integrations]
+
+
+def test_profile_rejects_wrong_closed_form(standard_potential):
+    wrong = replace(standard_potential, exact_profile=np.tanh)
+    with pytest.raises(ProfileError, match="closed-form profile differs"):
+        pl.solve_profile(wrong)
 
 
 def test_psi_profile_composition(standard_potential, profile):
