@@ -471,18 +471,24 @@ def dissipation_residuals(rows: list) -> list:
             for j, tc, dedt in _centered_rates(rows, "gl_energy")]
 
 
-def rows_to_csv(rows: list) -> str:
-    """Render breakdown rows in the fixed column order, one line per time.
+def csv_lines(rows):
+    """The CSV of breakdown rows line by line, each line ending in a
+    newline: the header, then one line per time in the fixed column order.
 
     Floats are written with repr (shortest round-trip form) so repeated
     runs produce byte-identical bodies.
     """
-    lines = [",".join(CSV_HEADER)]
+    yield ",".join(CSV_HEADER) + "\n"
     for row in rows:
-        lines.append(",".join(repr(float(v)) for v in row.csv_row()))
-    return "\n".join(lines) + "\n"
+        yield ",".join(repr(float(v)) for v in row.csv_row()) + "\n"
+
+
+def rows_to_csv(rows: list) -> str:
+    """The whole CSV of `rows` as one string."""
+    return "".join(csv_lines(rows))
 
 
 def write_csv(path, rows: list) -> None:
+    """Write the CSV of `rows` to `path` a line at a time."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(rows_to_csv(rows))
+        fh.writelines(csv_lines(rows))

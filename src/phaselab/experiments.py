@@ -41,8 +41,12 @@ class RateFit:
 def fit_rate(points) -> RateFit:
     """Least-squares slope of log q against log eps.
 
-    Needs at least three points with positive q; the intercept and the
-    residual norm of the fit are reported alongside the slope.
+    Needs at least three points with positive q and at least two distinct
+    eps values; the intercept and the residual norm of the fit are reported
+    alongside the slope.  The line is the closed form from centred sums of
+    x = log eps and y = log q: slope = sum(xc * yc) / sum(xc * xc), with xc
+    and yc the logs minus their means, and intercept = mean(y) - slope *
+    mean(x).
     """
     points = list(points)
     if len(points) < 3:
@@ -53,11 +57,16 @@ def fit_rate(points) -> RateFit:
         raise ValueError("rate fit requires positive quantities")
     if np.any(eps <= 0.0):
         raise ValueError("rate fit requires positive eps values")
-    coeff, stats = np.polynomial.polynomial.polyfit(
-        np.log(eps), np.log(q), 1, full=True)
-    resid = float(np.sqrt(stats[0][0])) if len(stats[0]) else 0.0
-    return RateFit(slope=float(coeff[1]), intercept=float(coeff[0]),
-                   residual_norm=resid)
+    x, y = np.log(eps), np.log(q)
+    if np.all(x == x[0]):
+        raise ValueError("rate fit requires at least two distinct eps values")
+    x_mean, y_mean = x.mean(), y.mean()
+    xc = x - x_mean
+    slope = np.sum(xc * (y - y_mean)) / np.sum(xc * xc)
+    intercept = y_mean - slope * x_mean
+    resid = y - (intercept + slope * x)
+    return RateFit(slope=float(slope), intercept=float(intercept),
+                   residual_norm=float(np.sqrt(np.sum(resid * resid))))
 
 
 @dataclass

@@ -286,7 +286,7 @@ def test_identity_residual_fill():
         assert row.identity_residual == pytest.approx(0.0, abs=1e-12)
 
 
-def test_csv_rendering_fixed_columns():
+def test_csv_rendering_fixed_columns(tmp_path):
     row = dg.EntropyBreakdown(t=0.1, gl_energy=1.0, dissipation=2.0,
                               rel_entropy=0.5, equipartition_defect=0.1,
                               misalignment=0.2, tilt_excess=0.3,
@@ -301,6 +301,12 @@ def test_csv_rendering_fixed_columns():
     assert body.split(",")[0] == "0.1"
     assert body.split(",")[-1] == "nan"
     assert dg.rows_to_csv([row]) == text   # deterministic
+    # the file holds the same bytes, a NaN identity_residual included
+    rows = [row, replace(row, t=0.2, identity_residual=1e-3),
+            replace(row, t=0.3)]
+    dg.write_csv(tmp_path / "rows.csv", rows)
+    assert ((tmp_path / "rows.csv").read_bytes()
+            == dg.rows_to_csv(rows).encode("utf-8"))
 
 
 # --- whole-grid oracle --------------------------------------------------

@@ -12,25 +12,34 @@ from phaselab.solver import ConfigError
 from conftest import make_circle_config, make_plane_config
 
 
-def closed_form_slope(points):
-    """Independent least-squares slope via the normal equations."""
-    x = np.log([p[0] for p in points])
-    y = np.log([p[1] for p in points])
-    xc = x - x.mean()
-    return float(np.sum(xc * (y - y.mean())) / np.sum(xc ** 2))
+def fit_against_polyfit(points):
+    """fit_rate(points), checked against numpy's least-squares line
+    (LAPACK through numpy.polynomial), which shares nothing with the
+    closed form."""
+    fit = fit_rate(points)
+    coeff, stats = np.polynomial.polynomial.polyfit(
+        np.log([p[0] for p in points]), np.log([p[1] for p in points]), 1,
+        full=True)
+    assert fit.slope == pytest.approx(coeff[1], abs=1e-12)
+    assert fit.intercept == pytest.approx(coeff[0], abs=1e-12)
+    residual_norm = math.sqrt(stats[0][0])
+    if residual_norm > 1e-12:
+        assert fit.residual_norm == pytest.approx(residual_norm, rel=1e-9)
+    else:   # an exact power law: both residuals are roundoff
+        assert fit.residual_norm <= 1e-12
+    return fit
 
 
 def test_fit_rate_exact_scalings():
     lin = [(0.1, 0.02), (0.05, 0.01), (0.025, 0.005)]
-    assert fit_rate(lin).slope == pytest.approx(1.0, abs=1e-12)
+    assert fit_against_polyfit(lin).slope == pytest.approx(1.0, abs=1e-12)
     quadr = [(0.1, 0.01), (0.05, 0.0025), (0.025, 0.000625)]
-    assert fit_rate(quadr).slope == pytest.approx(2.0, abs=1e-12)
+    assert fit_against_polyfit(quadr).slope == pytest.approx(2.0, abs=1e-12)
 
 
 def test_fit_rate_noisy_points():
     pts = [(0.1, 0.0213), (0.05, 0.0104), (0.025, 0.0051)]
-    fit = fit_rate(pts)
-    assert fit.slope == pytest.approx(closed_form_slope(pts), abs=1e-12)
+    fit = fit_against_polyfit(pts)
     assert fit.slope == pytest.approx(1.03, abs=0.02)
     assert fit.residual_norm > 0.0
 
@@ -40,6 +49,8 @@ def test_fit_rate_preconditions():
         fit_rate([(0.1, 1.0), (0.05, 0.5)])
     with pytest.raises(ValueError, match="positive"):
         fit_rate([(0.1, 1.0), (0.05, 0.5), (0.025, 0.0)])
+    with pytest.raises(ValueError, match="distinct eps"):
+        fit_rate([(0.1, 1.0), (0.1, 2.0), (0.1, 3.0)])
 
 
 def test_gronwall_exact_exponential():

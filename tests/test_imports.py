@@ -62,6 +62,19 @@ print(json.dumps({"message": message, "rc": rc,
                   "version": scipy.__version__}))
 """
 
+FIT_WITHOUT_LSTSQ = """
+import json, sys
+import numpy as np
+
+def lstsq(*args, **kwargs):
+    raise AssertionError("numpy.linalg.lstsq called")
+
+np.linalg.lstsq = lstsq
+import phaselab.cli as cli
+rc = cli.main(["sweep", "--plan", sys.argv[1], "--out", sys.argv[2]])
+print(json.dumps({"rc": rc, "polynomial": "numpy.polynomial" in sys.modules}))
+"""
+
 
 def run_probe(probe, *args):
     path = filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
@@ -100,6 +113,18 @@ def test_missing_kernel_in_a_fresh_process(tmp_path):
     assert (f"runtime failure: scipy {out['version']} has no compiled module "
             "scipy.linalg._flapack") in proc.stderr
     assert not (tmp_path / "out").exists()
+
+
+def test_sweep_fits_rates_without_least_squares_solver(tmp_path):
+    # the rate fits are closed-form lines: a sweep neither calls LAPACK's
+    # least squares nor loads numpy.polynomial
+    plan = json.loads((ROOT / "configs" / "sweep_circle.json").read_text())
+    plan["base"]["stepper"]["t_end"] = 0.002
+    path = tmp_path / "sweep_circle_short.json"
+    path.write_text(json.dumps(plan))
+    proc = run_probe(FIT_WITHOUT_LSTSQ, path, tmp_path / "out")
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert out == {"rc": 0, "polynomial": False}
 
 
 def names_in(node):

@@ -62,14 +62,14 @@ CASES = {
         "f1fecfe7bffdf94d30f6cd995db024e9f4007b5387831d6bcd496274196816dd"),
     "simulate-circle_radial": (
         shipped("simulate", "circle_radial.json"), "diagnostics.csv",
-        "6b9d0e0b6fc62223874e4e8a5e9abfeeedc6623506abb9d363b69d8a9a932765"),
+        "b996bdbd2baf6debc19b1750776f3d500eaa3dff8ccdb65ea63c98a881cfeef6"),
     "check-identities-plane": (
         shipped("check-identities", "identities_plane.json"),
         "identities.json",
         "eaf819fe3cd0635c432f235730a9f6cb5763dbe83b7e6a06274c32bf3a8102b8"),
     "simulate-circle_full2d_short": (
         full2d_short, "diagnostics.csv",
-        "985c67240bd314e89ab278cacd9b5eccb0dfa4a311dd09c7bf751e9c250ad49f"),
+        "53b10d0cf9b580b38ffe7243b3f7b2f403e1344e9f79b0bffd1ccb6fae6cbe21"),
     "simulate-circle_full2d_short-field0": (
         full2d_short, "snapshots/field_00000.bin",
         "087070a3150a55297208d6133db13d3bd667fda428ffc728bba9e7f1aae5a5c2"),
