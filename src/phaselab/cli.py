@@ -139,12 +139,14 @@ def _run_simulation(cfg, out_dir: Path, snapshot_every):
     staging directory is removed whatever happens, so a rejected or failed
     run leaves the file system as it found it.
     """
-    last_row = len(cfg.row_times()) - 1
     stage = Path(tempfile.mkdtemp(prefix=".phaselab-snapshots-",
                                   dir=_nearest_dir(out_dir)))
-    names = []
+    names, last_row = [], None
 
     def sink(row, t, field):
+        nonlocal last_row
+        if row == 0:   # the run calls its sink once cfg is validated
+            last_row = len(cfg.row_steps()) - 1
         if row % snapshot_every if snapshot_every else row != last_row:
             return
         path = stage / f"field_{len(names) // 2:05d}.bin"   # 2 files each

@@ -19,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .diagnostics import default_s0
-from .experiments import (DEFAULT_DT_OVER_EPS2, DEFAULT_H_OVER_EPS,
-                          SweepPlan)
+from .experiments import (DEFAULT_BANDS, DEFAULT_DT_OVER_EPS2,
+                          DEFAULT_H_OVER_EPS, SweepPlan)
 from .geometry import CutoffSpec, PlaneInterface, SphereInterface
 from .grids import FULL, Grid, npts_for_spacing
 from .potentials import potential_by_name, solve_profile
@@ -73,8 +73,9 @@ RUN_KEYS = {"epsilon": POSITIVE, "trajectory": OBJECT,
 PLAN_KEYS = {"mode": TEXT, "base": OBJECT, "epsilons": NUMBERS,
              "h_over_eps": POSITIVE, "dt_over_eps2": POSITIVE,
              "initial_h_over_eps": POSITIVE, "bands": OBJECT}
-BAND_KEYS = {"err_l1": BAND, "rel_entropy": BAND, "initial_entropy": BAND,
-             "gronwall_factor": NUMBER}
+BAND_KEYS = {name: BAND if isinstance(default, tuple) else NUMBER
+             for bands in DEFAULT_BANDS.values()
+             for name, default in bands.items()}
 REQUIRED = {"run": ("epsilon", "trajectory", "grid"), "grid": ("half_width",),
             "plane": ("normal",), "sphere": ("dim", "radius0", "t_max"),
             "plan": ("base", "epsilons")}
@@ -99,8 +100,8 @@ READ_BY = {   # keys that one command reads and the others would ignore
     "identities": "check-identities",
     "diagnostics.snapshot_every": "simulate",
 }
-MODE_READS = {   # the plan keys that only one sweep mode reads
-    "full": ("h_over_eps", "dt_over_eps2"),
+MODE_READS = {   # the plan keys that only one sweep mode reads; its bands
+    "full": ("h_over_eps", "dt_over_eps2"),   # are its DEFAULT_BANDS
     "initial-entropy": ("initial_h_over_eps",),
 }
 # base keys only mode full reads: an initial-entropy study neither steps nor
@@ -280,7 +281,9 @@ def build_plan(doc: dict):
     issues += [f"plan.{key}: read only in mode {reader!r}"
                for reader, keys in MODE_READS.items()
                if mode in SWEEP_MODES and reader != mode
-               for key in keys if key in doc]
+               for key in (*keys, *(f"bands.{band}"
+                                    for band in DEFAULT_BANDS[reader]))
+               if _lookup(doc, key) is not None]
     base, epsilons = doc.get("base"), doc.get("epsilons")
     if not (IS_KIND[OBJECT](base) and IS_KIND[NUMBERS](epsilons)):
         raise ConfigError(issues)   # no base config to check
@@ -305,7 +308,8 @@ def build_plan(doc: dict):
                      **{key: float(doc[key]) for key in MODE_READS[mode]
                         if key in doc})
     return plan, {**doc, "mode": mode, "base": filled_base,
-                  "bands": dict(plan.bands),
+                  "bands": {band: plan.bands[band]
+                            for band in DEFAULT_BANDS[mode]},
                   **{key: getattr(plan, key) for key in MODE_READS[mode]}}
 
 

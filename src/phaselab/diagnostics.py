@@ -82,18 +82,6 @@ class TubeFields:
     density: np.ndarray
 
 
-@dataclass
-class DerivedFields:
-    """The curvature proxy -(eps lap u - W'(u)/eps) of one snapshot on the
-    whole grid (H_eps = this * n), and at the tube cells of the extended
-    fields its values and those of W(u) and sqrt(2 W(u))."""
-
-    curvature_scalar: np.ndarray
-    tube_curvature: np.ndarray
-    tube_w: np.ndarray
-    tube_sqrt2w: np.ndarray
-
-
 # cells per block of an elementwise pass over a whole grid
 _BLOCK_CELLS = 8192
 
@@ -109,9 +97,10 @@ def _blocks(shape: tuple) -> tuple:
 
 
 def derived_fields(u: np.ndarray, eps: float, pot: PotentialSpec,
-                   grid: Grid, ef: ExtendedFields) -> DerivedFields:
-    """The curvature proxy of a snapshot, on the whole grid and at the tube
-    cells of ef, and W(u) and sqrt(2 W(u)) at the tube cells.
+                   grid: Grid, ef: ExtendedFields) -> tuple:
+    """(curv, curv_t, w_t, sqrt2w_t): the curvature proxy curv = -(eps
+    lap u - W'(u)/eps) of a snapshot on the whole grid (H_eps = curv n),
+    and at the tube cells of ef curv, W(u) and sqrt(2 W(u)).
 
     The Laplacian is the one field the call holds besides its result; W'
     is evaluated block by block, and W and sqrt(2 W) at the tube cells
@@ -126,9 +115,7 @@ def derived_fields(u: np.ndarray, eps: float, pot: PotentialSpec,
         np.subtract(c, np.divide(dw, eps, out=dw), out=c)
         np.negative(c, out=c)
     w = pot.w(ef.restrict(u).clip(-1.0, 1.0))
-    return DerivedFields(curvature_scalar=curv,
-                         tube_curvature=ef.restrict(curv), tube_w=w,
-                         tube_sqrt2w=root_2w(w))
+    return curv, ef.restrict(curv), w, root_2w(w)
 
 
 def default_s0(cutoff: CutoffSpec) -> float:
@@ -170,9 +157,7 @@ def relative_entropy(u: np.ndarray, eps: float, pot: PotentialSpec,
     err_l1, err_w = _interface_errors(u, pot, traj, grid, t, s0, quad)
 
     ef = extended_fields(traj, cutoff, grid, t)
-    d = derived_fields(u, eps, pot, grid, ef)
-    curv, curv_t = d.curvature_scalar, d.tube_curvature
-    w_t, sqrt2w_t = d.tube_w, d.tube_sqrt2w
+    curv, curv_t, w_t, sqrt2w_t = derived_fields(u, eps, pot, grid, ef)
     # dissipation = curv^2 / eps
     scratch = np.square(curv)
     diss = quad(np.divide(scratch, eps, out=scratch), out=scratch)
@@ -181,7 +166,7 @@ def relative_entropy(u: np.ndarray, eps: float, pot: PotentialSpec,
     ef.scatter(curv_t - (-ef.div_xi) * sqrt2w_t, scratch)
     np.square(scratch, out=scratch)
     dsq_vel = quad(np.divide(scratch, 4.0 * eps, out=scratch), out=scratch)
-    del d, scratch
+    del scratch
 
     gmag, n, g_t, gmag_t, steep_t = _gradient_fields(u, grid, ef)
     pair = _normal_squares(n, curv)   # (|curv n|^2, |n|^2)
@@ -481,11 +466,6 @@ def csv_lines(rows):
     yield ",".join(CSV_HEADER) + "\n"
     for row in rows:
         yield ",".join(repr(float(v)) for v in row.csv_row()) + "\n"
-
-
-def rows_to_csv(rows: list) -> str:
-    """The whole CSV of `rows` as one string."""
-    return "".join(csv_lines(rows))
 
 
 def write_csv(path, rows: list) -> None:

@@ -22,11 +22,10 @@ DEFAULT_H_OVER_EPS = 8.0
 DEFAULT_DT_OVER_EPS2 = 20.0
 DEFAULT_INITIAL_H_OVER_EPS = 16.0
 
-DEFAULT_BANDS = {
-    "err_l1": (0.8, 1.2),
-    "rel_entropy": (1.7, 2.3),
-    "initial_entropy": (1.8, 2.2),
-    "gronwall_factor": 2.0,
+DEFAULT_BANDS = {   # per sweep mode, the bands its report reads
+    "full": {"err_l1": (0.8, 1.2), "rel_entropy": (1.7, 2.3),
+             "gronwall_factor": 2.0},
+    "initial-entropy": {"initial_entropy": (1.8, 2.2)},
 }
 GRONWALL_FLOOR = 1e-10
 
@@ -41,9 +40,9 @@ class RateFit:
 def fit_rate(points) -> RateFit:
     """Least-squares slope of log q against log eps.
 
-    Needs at least three points with positive q and at least two distinct
-    eps values; the intercept and the residual norm of the fit are reported
-    alongside the slope.  The line is the closed form from centred sums of
+    Needs at least three points with finite positive q and eps, and at
+    least two distinct eps values; the intercept and the residual norm of
+    the fit are reported alongside the slope.  The line is the closed form from centred sums of
     x = log eps and y = log q: slope = sum(xc * yc) / sum(xc * xc), with xc
     and yc the logs minus their means, and intercept = mean(y) - slope *
     mean(x).
@@ -53,10 +52,12 @@ def fit_rate(points) -> RateFit:
         raise ValueError(f"rate fit needs >= 3 points, got {len(points)}")
     eps = np.array([p[0] for p in points], dtype=float)
     q = np.array([p[1] for p in points], dtype=float)
-    if np.any(q <= 0.0):
-        raise ValueError("rate fit requires positive quantities")
-    if np.any(eps <= 0.0):
-        raise ValueError("rate fit requires positive eps values")
+    for name, values in (("quantities", q), ("eps values", eps)):
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"rate fit requires finite {name}, got "
+                             f"{values.tolist()}")
+        if np.any(values <= 0.0):
+            raise ValueError(f"rate fit requires positive {name}")
     x, y = np.log(eps), np.log(q)
     if np.all(x == x[0]):
         raise ValueError("rate fit requires at least two distinct eps values")
@@ -102,7 +103,7 @@ class SweepPlan:
     Members share everything except eps and the coupled resolution:
     h = eps / h_over_eps and dt = eps^2 / dt_over_eps2 (initial-entropy
     studies may use the finer initial_h_over_eps since they never step).
-    Bands not given take their defaults, so bands always holds every band.
+    Bands not given take their defaults, so bands holds every mode's bands.
     """
 
     base: SimulationConfig
@@ -113,7 +114,8 @@ class SweepPlan:
     bands: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.bands = {**DEFAULT_BANDS, **self.bands}
+        self.bands = {**DEFAULT_BANDS["full"],
+                      **DEFAULT_BANDS["initial-entropy"], **self.bands}
 
     def validate(self, h_over_eps: Optional[float] = None) -> list:
         """Sweep issues and member issues at the resolution evaluated."""
@@ -155,9 +157,6 @@ class RateReport:
 class SweepResult:
     report: RateReport
     runs: list = field(default_factory=list)    # RunResult per eps
-
-    def member_csv(self, idx: int) -> str:
-        return diagnostics.rows_to_csv(self.runs[idx].breakdowns)
 
 
 def _in_band(value, band) -> bool:

@@ -232,15 +232,6 @@ class CutoffSpec:
             + quad * deta_t
         return quad * eta_t, deta, eta_t, deta_t
 
-    def eta(self, s):
-        return self.profile(s)[0]
-
-    def deta(self, s):
-        return self.profile(s)[1]
-
-    def eta_tilde(self, s):
-        return self.profile(s)[2]
-
     @property
     def deriv_bound(self) -> float:
         """C with |eta'(s)| <= C * min(1/r_c, |s|/r_c^2) for all s."""

@@ -10,9 +10,9 @@ component) on the radial line.
 Every rule that depends on the grid kind lives here.  Grid.band_solver
 inverts I - dt L for the stencil of Grid.laplacian on the nodes a step
 changes: all of a full grid, by the type-II cosine transform; on the radial
-line the band of Grid.step_band, the nodes off the wells widened by the
-halo past which the inverse is below one ulp, the bulk outside it frozen,
-by an LDL^T of the band's slice of the once-symmetrized operator.  Each
+line the band of _band_span, the nodes off the wells widened by the halo
+past which the inverse is below one ulp, the bulk outside it frozen, by an
+LDL^T of the band's slice of the once-symmetrized operator.  Each
 kind loads only the compiled scipy module it solves with, pocketfft's on
 full grids and LAPACK's on the radial line, and no scipy package
 initializer, not even scipy's own (_kernel).
@@ -208,27 +208,12 @@ class Grid:
 
         On full grids the band is the whole grid, it never moves, and its
         solve is the type-II cosine transform (_CosineBand).  On the radial
-        line it is the rule of step_band, kept until the node a quarter halo
-        inside either edge leaves flatness (_RadialBand).
+        line it is the rule of _band_span, kept until the node a quarter
+        halo inside either edge leaves flatness (_RadialBand).
         """
         if self.mode == FULL:
             return _CosineBand(self, dt)
         return _RadialBand(self, dt)
-
-    def step_band(self, dt: float):
-        """band_of(u), the slice of nodes a step of size dt from field u
-        solves: the whole grid on full grids; on the radial line the hull
-        of the nodes off the wells by more than WELL_ROUNDOFF, widened by
-        _band_halo on each side and taken from node 0 when it comes within
-        the axis block, empty when every node is flat.  band_of keeps its
-        own scratch, so a call allocates no field."""
-        if self.mode == FULL:
-            whole = slice(None)
-            return lambda u: whole
-        lower, _, upper = _radial_diagonals(self, dt)
-        return partial(_band_span, halo=_band_halo(self.h, dt),
-                       m=_axis_nodes(lower, upper), dev=np.empty(self.npts),
-                       off_well=np.empty(self.npts, bool))
 
     def boundary_faces(self, f: np.ndarray, exempt_axes=()) -> list:
         """The values of f on the boundary, one array per face: the outer
@@ -285,7 +270,9 @@ def _radial_system(grid: Grid, dt: float) -> tuple:
     symmetric positive definite, as it is congruent to the symmetric matrix
     similar to A.  The axis rows break this (lower[0] is 0 for d = 3 and
     positive for d = 4, and more leading couplings change sign for d >= 5),
-    so the first m nodes (_axis_nodes) are Thomas-eliminated into row m.
+    so the first m nodes are Thomas-eliminated into row m: m is 1 + the
+    last coupling with lower * upper <= 0, node 0 always (m = 1 for d <= 4,
+    2 for d = 5, 6).
 
     Returns (head, sym_diag, sym_off, w): head holds (multiplier of row
     i + 1, pivot of row i, upper[i]) for each axis node i < m as Python
@@ -295,7 +282,8 @@ def _radial_system(grid: Grid, dt: float) -> tuple:
     non-finite weight raises LinAlgError.
     """
     lower, diag, upper = _radial_diagonals(grid, dt)
-    m = _axis_nodes(lower, upper)
+    unsymmetric = np.flatnonzero(lower * upper <= 0.0)
+    m = int(unsymmetric[-1]) + 1 if unsymmetric.size else 1
     head, pivot = [], float(diag[0])
     for i in range(m):
         if not pivot > 0.0:
@@ -317,13 +305,6 @@ def _radial_system(grid: Grid, dt: float) -> tuple:
     sym_off = w[:-1] * upper
     sym_off[:m] = 0.0
     return head, sym_diag, sym_off, w
-
-
-def _axis_nodes(lower: np.ndarray, upper: np.ndarray) -> int:
-    """m, the nodes of the axis block: 1 + the last coupling with
-    lower * upper <= 0, node 0 always (m = 1 for d <= 4, 2 for d = 5, 6)."""
-    unsymmetric = np.flatnonzero(lower * upper <= 0.0)
-    return int(unsymmetric[-1]) + 1 if unsymmetric.size else 1
 
 
 def _ldl(d: np.ndarray, e: np.ndarray, overwrite: bool = False) -> tuple:
@@ -353,10 +334,12 @@ def _band_halo(h: float, dt: float) -> int:
 
 def _band_span(u: np.ndarray, halo: int, m: int, dev: np.ndarray,
                off_well: np.ndarray) -> slice:
-    """The radial Grid.step_band: the hull of the nodes with
-    |1 - |u|| > WELL_ROUNDOFF widened by halo on each side, from node 0
-    when it comes within the m axis nodes, slice(0, 0) when every node is
-    flat.  dev (float) and off_well (bool) are scratch of u's length."""
+    """The radial step band of field u, the slice of nodes a step from u
+    solves: the hull of the nodes with |1 - |u|| > WELL_ROUNDOFF widened by
+    halo (_band_halo) on each side, from node 0 when it comes within the m
+    axis nodes, slice(0, 0) when every node is flat.  dev (float) and
+    off_well (bool) are scratch of u's length, so a call allocates no
+    field."""
     np.abs(u, out=dev)
     np.subtract(1.0, dev, out=dev)
     np.abs(dev, out=dev)
@@ -402,12 +385,13 @@ class _RadialBand:
 
     I - dt L is symmetrized (_radial_system) and factored whole once, so a
     failure is raised here.  place(u) takes its rows lo..hi-1 from
-    Grid.step_band, whose scratch keeps it free of line-sized allocations,
-    and re-factors their slice of W A into preallocated buffers.  The rows
-    see the frozen neighbours u[lo - 1] and u[hi] through sym_off[lo - 1]
-    and sym_off[hi - 1] on the right side: their products are taken once
-    there and subtracted from the first and last right side of every step
-    (0.0 at an end of the line, which leaves the bits as they are).  A band
+    _band_span, with scratch kept here so that it allocates nothing
+    line-sized, and re-factors their slice of W A into preallocated
+    buffers.  The rows see the frozen neighbours u[lo - 1] and u[hi]
+    through sym_off[lo - 1] and sym_off[hi - 1] on the right side: their
+    products are taken once there and subtracted from the first and last
+    right side of every step (0.0 at an end of the line, which leaves the
+    bits as they are).  A band
     from node 0 keeps the Thomas steps of the axis rows.  moved(v) watches
     the node halo // 4 inside each edge that is not an end of the line.  A
     band over the whole line factors the whole W A.
@@ -418,15 +402,15 @@ class _RadialBand:
         self._head, self._sym_diag, self._sym_off, self.weight = \
             _radial_system(grid, dt)
         _ldl(self._sym_diag, self._sym_off)
-        self._band_of = grid.step_band(dt)
-        self._quarter = _band_halo(grid.h, dt) // 4
+        self._halo = _band_halo(grid.h, dt)
+        self._scratch = np.empty(grid.npts), np.empty(grid.npts, bool)
         self._d_buf, self._e_buf = np.empty(grid.npts), np.empty(grid.npts - 1)
         self.rows, self._watched = None, ()
 
     def place(self, u: np.ndarray) -> slice:
-        rows = self._band_of(u)
+        rows = _band_span(u, self._halo, len(self._head), *self._scratch)
         lo, hi, n = rows.start, rows.stop, len(u)
-        k, quarter = hi - lo, self._quarter
+        k, quarter = hi - lo, self._halo // 4
         # the watched nodes, counted from the band's first node; an edge at
         # an end of the line has none
         self._watched = ((quarter,) if lo > 0 else ()) \

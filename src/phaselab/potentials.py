@@ -53,7 +53,7 @@ class PotentialSpec:
 
     Attributes:
         name: identifier used in run configurations.
-        w, dw, ddw: vectorized W, W', W''.
+        w, dw: vectorized W, W'.
         max_ddw: max of W'' on [-1, 1]; used for time-step stability bounds.
         dw_coef: W' as power-series coefficients, low to high degree.
         exact_profile: the closed-form profile theta(s), vectorized, or None
@@ -63,7 +63,6 @@ class PotentialSpec:
     name: str
     w: Callable
     dw: Callable
-    ddw: Callable
     max_ddw: float
     dw_coef: tuple
     _psi: Callable = field(repr=False, default=None)
@@ -74,10 +73,6 @@ class PotentialSpec:
         # the ndarray method: np.clip's dispatch costs more than the clip
         # on the radial line
         return self._psi(np.asarray(u).clip(-1.0, 1.0))
-
-    def sqrt2w(self, u):
-        """sqrt(2 W(u)) on clamped input, floored at zero against roundoff."""
-        return root_2w(self.w(np.clip(u, -1.0, 1.0)))
 
 
 def root_2w(w):
@@ -137,10 +132,6 @@ def make_standard_potential() -> PotentialSpec:
         s = np.asarray(s, dtype=float)
         return 4.5 * s * (s * s - 1.0)
 
-    def ddw(s):
-        s = np.asarray(s, dtype=float)
-        return 4.5 * (3.0 * s * s - 1.0)
-
     def psi(u):
         # products only: numpy's float64 power takes a slow path for negative
         # bases and is not exactly odd; this form is, and hits +-1 at u = +-1
@@ -150,8 +141,8 @@ def make_standard_potential() -> PotentialSpec:
         return np.tanh(1.5 * s)
 
     _validate("standard", w)
-    return PotentialSpec(name="standard", w=w, dw=dw, ddw=ddw,
-                         max_ddw=9.0, dw_coef=(0.0, -4.5, 0.0, 4.5), _psi=psi,
+    return PotentialSpec(name="standard", w=w, dw=dw, max_ddw=9.0,
+                         dw_coef=(0.0, -4.5, 0.0, 4.5), _psi=psi,
                          exact_profile=profile)
 
 
@@ -167,16 +158,12 @@ def make_polynomial_potential(coeffs) -> PotentialSpec:
         raise PotentialError("potential 'poly': sqrt(2W) must integrate to > 0")
     p = p * (2.0 / raw) ** 2
     dp = p.deriv()
-    ddp = p.deriv(2)
 
     def w(s):
         return p(np.asarray(s, dtype=float))
 
     def dw(s):
         return dp(np.asarray(s, dtype=float))
-
-    def ddw(s):
-        return ddp(np.asarray(s, dtype=float))
 
     _validate("poly", w)
 
@@ -190,8 +177,9 @@ def make_polynomial_potential(coeffs) -> PotentialSpec:
     def psi(u):
         return np.interp(u, nodes, table)
 
-    return PotentialSpec(name="poly", w=w, dw=dw, ddw=ddw,
-                         max_ddw=float(np.max(ddw(np.linspace(-1, 1, 2001)))),
+    return PotentialSpec(name="poly", w=w, dw=dw,
+                         max_ddw=float(np.max(p.deriv(2)(
+                             np.linspace(-1, 1, 2001)))),
                          dw_coef=tuple(dp.coef), _psi=psi)
 
 
@@ -347,7 +335,7 @@ def solve_profile(p: PotentialSpec, s_max: float = 8.0,
 
     s_full = np.concatenate([-s_half[:0:-1], s_half])
     theta_full = np.concatenate([-theta[:0:-1], theta])
-    dtheta_full = p.sqrt2w(theta_full)
+    dtheta_full = root_2w(p.w(theta_full))   # theta lies in [-1, 1]
     return ProfileTable(s=s_full, theta=theta_full, dtheta=dtheta_full,
                         s_max=float(s_max), tail_bound=float(1.0 - theta[-1]),
                         potential=p,

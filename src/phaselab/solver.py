@@ -13,7 +13,7 @@ grids and the nodes off the wells with a halo on the radial line; the
 others keep their values, and between rows a run carries the band's values
 alone.  It is first order in dt and second order in h; its one step-size
 rule is the reaction limit dt <= eps^2/(2 max W''), whatever h.  A run
-records the widest band its rows' fields give.
+records the widest band it placed.
 """
 
 from __future__ import annotations
@@ -70,10 +70,14 @@ class SimulationConfig:
         n = self.steps()
         return self.t_end / n if n else self.dt
 
+    def row_steps(self) -> list:
+        """The steps of run's rows: 0, every cadence-th and the last."""
+        return [*range(0, self.steps(), self.cadence), self.steps()]
+
     def row_times(self) -> list:
-        """The times of run's rows: step 0, every cadence-th and the last."""
-        n, dt = self.steps(), self.dt_actual()
-        return [k * dt for k in range(0, n, self.cadence)] + [n * dt]
+        """The times of run's rows, those of row_steps."""
+        dt = self.dt_actual()
+        return [k * dt for k in self.row_steps()]
 
 
 def validate(cfg: SimulationConfig) -> list:
@@ -194,14 +198,14 @@ class RunResult:
     setup_s: float = 0.0  # validation, initial data, band, stepper; no rows
     identity_s: float = 0.0   # in fill_identity_residuals
     max_abs_u: float = 0.0   # over the initial and every stepped field
-    band_nodes_max: int = 0   # the widest step band at the rows
+    band_nodes_max: int = 0   # the most nodes a step solved
 
 
 def run(cfg: SimulationConfig,
         sink: Optional[Callable[[int, float, np.ndarray], None]] = None
         ) -> RunResult:
-    """Advance from profile initial data to t_end, recording diagnostics at
-    the configured cadence (the initial and final states are always rows).
+    """Advance from profile initial data to t_end, recording diagnostics
+    after the steps of cfg.row_steps(): 0, every cadence-th and the last.
 
     Given a sink, each row also calls sink(row, t, u) once the row is
     reached: row counts the rows from 0, and u is the field at time t.  u
@@ -225,15 +229,15 @@ def run(cfg: SimulationConfig,
     max |u| exceeds 2 or is not finite aborts with BlowUpError naming its
     first such step, as a check of the whole field after every step would:
     the frozen nodes lie within WELL_ROUNDOFF of +-1, so they can neither
-    trip the guard nor count a clamp.  The steps between two rows run with numpy's overflow and
-    invalid warnings off, as a field that blows up mid-block is only caught
-    at the block's end; rows and sink calls run outside that, on fields
-    that passed the guard.  The clamp counter totals grid values found
-    outside [-1, 1] across all steps; max_abs_u, the largest |u| of the
-    initial and every stepped field, is read off the same min and max as
-    the guard, and off the whole field each time the band is placed anew.
-    band_nodes_max is the most nodes Grid.step_band gives a step from any
-    row's field.
+    trip the guard nor count a clamp.  The steps between two rows run with
+    numpy's overflow and invalid warnings off, as a field that blows up
+    mid-block is only caught at the block's end; rows and sink calls run
+    outside that, on fields that passed the guard.  The clamp counter
+    totals grid values found outside [-1, 1] across all steps; max_abs_u,
+    the largest |u| of the initial and every stepped field, is read off
+    the initial field and the guard's min and max, which see every value
+    the whole field takes.  band_nodes_max is the widest band placed, the
+    most nodes a step solved.
     """
     start = time.perf_counter()
     issues = validate(cfg)
@@ -241,12 +245,11 @@ def run(cfg: SimulationConfig,
         raise ConfigError(issues)
 
     dt, n_steps = cfg.dt_actual(), cfg.steps()
-    rows_s, band_of, band_nodes_max = 0.0, cfg.grid.step_band(dt), 0
+    rows_s = 0.0
 
     def measure(u, t):
-        nonlocal rows_s, band_nodes_max
+        nonlocal rows_s
         row_start = time.perf_counter()
-        band_nodes_max = max(band_nodes_max, u[band_of(u)].size)
         row = diagnostics.relative_entropy(
             u, cfg.epsilon, cfg.potential, cfg.trajectory, cfg.cutoff,
             cfg.grid, t, s0=cfg.s0, with_identity=cfg.compute_identity)
@@ -270,9 +273,8 @@ def run(cfg: SimulationConfig,
     # u is the whole field, its band's rows written from v at rows, at new
     # bands and at the end
     v, moved = u[band.place(u)], False
-    k = 0
-    while k < n_steps:
-        row_k = min(k + cfg.cadence, n_steps)   # the next row
+    band_nodes_max, k = v.size, 0
+    for row_k in cfg.row_steps()[1:]:
         if buffers[0] is None:   # dropped for a full-grid row
             buffers[0] = np.empty(size)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -280,8 +282,7 @@ def run(cfg: SimulationConfig,
                 if moved:   # the band placed anew on the whole field
                     u[band.rows] = v
                     v, moved = u[band.place(u)], False
-                    max_abs_u = max(max_abs_u, float(u.max()),
-                                    -float(u.min()))
+                    band_nodes_max = max(band_nodes_max, v.size)
                 steps = max(1, min(BLOCK_BYTES // max(v.nbytes, 1), row_k - k))
                 block = buffers[0][:steps * v.size].reshape((steps,) + v.shape)
                 buffers.reverse()
@@ -301,7 +302,7 @@ def run(cfg: SimulationConfig,
                 k += len(block)
                 max_abs_u = max(max_abs_u, hi, -lo)
                 clamps += count_excursions(block, bounds=(lo, hi))
-        t = k * dt
+        t = row_k * dt
         if v.shape == u.shape:   # a band over the whole grid, never moved
             # u is then a view into buffers[1]; the idle buffers[0] is
             # dropped so that the row's own fields can take its memory

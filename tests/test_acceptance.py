@@ -287,7 +287,8 @@ def test_c11_radial_vs_full_grid(crosscheck_runs):
 def test_c12_determinism(sweep_plan, circle_sweep):
     again = run_sweep(sweep_plan)
     identical = all(
-        circle_sweep.member_csv(i) == again.member_csv(i)
+        list(dg.csv_lines(circle_sweep.runs[i].breakdowns))
+        == list(dg.csv_lines(again.runs[i].breakdowns))
         for i in range(len(EPSILONS)))
     same_report = (circle_sweep.report.to_json_dict()
                    == again.report.to_json_dict())

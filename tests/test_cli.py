@@ -187,6 +187,10 @@ def test_manifest_records_each_member_and_level(tmp_path):
         "err_l1": [0.0, 10.0], "rel_entropy": [0.0, 10.0]}),
         "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
+    # the bands that mode full reads, the defaults filled in
+    assert manifest["config"]["bands"] == {
+        "err_l1": [0.0, 10.0], "rel_entropy": [0.0, 10.0],
+        "gronwall_factor": 2.0}
     members = manifest["members"]
     assert [m["epsilon"] for m in members] == [0.16, 0.08, 0.04]
     for m in members:
@@ -576,6 +580,8 @@ BAD_VALUES = [   # (config, key path, value, key named in the error)
     ("plane1d.json", ("epsilon",), "abc", "epsilon"),
     ("plane1d.json", ("cutoff", "r_c"), float("nan"), "cutoff.r_c"),
     ("plane1d.json", ("diagnostics", "cadence"), 2.7, "diagnostics.cadence"),
+    ("plane1d.json", ("diagnostics", "cadence"), 0,
+     "diagnostics.cadence: must be >= 1"),
     ("plane1d.json", ("diagnostics", "compute_identity"), "no",
      "diagnostics.compute_identity"),
     ("plane1d.json", ("grid", "half_width"), [1], "grid.half_width"),
@@ -768,6 +774,16 @@ READ_ELSEWHERE = [   # (command, config, values set, message)
     ("sweep", "initial_entropy_plane.json",
      {("base", "diagnostics"): {"s0": 0.1}},
      "diagnostics.s0: read only in mode 'full'"),
+    ("sweep", "sweep_circle.json", {("bands", "initial_entropy"): [100, 200]},
+     "plan.bands.initial_entropy: read only in mode 'initial-entropy'"),
+    ("sweep", "initial_entropy_plane.json", {("bands", "err_l1"): [0.8, 1.2]},
+     "plan.bands.err_l1: read only in mode 'full'"),
+    ("sweep", "initial_entropy_plane.json",
+     {("bands", "rel_entropy"): [1.7, 2.3]},
+     "plan.bands.rel_entropy: read only in mode 'full'"),
+    ("sweep", "initial_entropy_plane.json",
+     {("bands", "gronwall_factor"): 0.5},
+     "plan.bands.gronwall_factor: read only in mode 'full'"),
 ]
 
 
@@ -806,3 +822,4 @@ def test_initial_entropy_reads_no_step_size(tmp_path):
     assert "dt_over_eps2" not in manifest
     assert manifest["base"]["stepper"] == {}
     assert manifest["base"]["diagnostics"] == {}
+    assert manifest["bands"] == {"initial_entropy": [1.8, 2.2]}

@@ -11,6 +11,7 @@ from scipy.integrate import quad
 import phaselab as pl
 from phaselab import diagnostics as dg
 from phaselab.geometry import ExtendedFields, radial_frame
+from phaselab.potentials import root_2w
 
 from conftest import make_circle_config, make_plane_config, stepped
 
@@ -124,7 +125,7 @@ def test_initial_entropy_against_quadrature_oracle(standard_potential,
         b = dg.relative_entropy(u0, eps, standard_potential, cfg.trajectory,
                                 cfg.cutoff, cfg.grid, 0.0)
         oracle, _ = quad(
-            lambda x: (1.0 - cut.eta(x)) * dtheta_exact(x / eps) ** 2 / eps,
+            lambda x: (1.0 - cut.profile(x)[0]) * dtheta_exact(x / eps) ** 2 / eps,
             -0.5, 0.5, limit=400)
         assert b.rel_entropy == pytest.approx(oracle, rel=0.05)
         ks.append(b.rel_entropy / eps ** 2)
@@ -294,19 +295,19 @@ def test_csv_rendering_fixed_columns(tmp_path):
                               defect_sq_curvature=0.05,
                               defect_sq_velocity=0.06, err_l1=0.07,
                               err_weighted=0.08)
-    text = dg.rows_to_csv([row])
+    text = "".join(dg.csv_lines([row]))
     header, body = text.strip().split("\n")
     assert header == ",".join(dg.CSV_HEADER)
     assert "err_L1" in header
     assert body.split(",")[0] == "0.1"
     assert body.split(",")[-1] == "nan"
-    assert dg.rows_to_csv([row]) == text   # deterministic
+    assert "".join(dg.csv_lines([row])) == text   # deterministic
     # the file holds the same bytes, a NaN identity_residual included
     rows = [row, replace(row, t=0.2, identity_residual=1e-3),
             replace(row, t=0.3)]
     dg.write_csv(tmp_path / "rows.csv", rows)
     assert ((tmp_path / "rows.csv").read_bytes()
-            == dg.rows_to_csv(rows).encode("utf-8"))
+            == "".join(dg.csv_lines(rows)).encode("utf-8"))
 
 
 # --- whole-grid oracle --------------------------------------------------
@@ -347,8 +348,9 @@ def oracle_fields(traj, cutoff, grid, t):
         n = np.asarray(traj.normal, dtype=float)
         dist = np.tensordot(n, X, axes=(0, 0)) - traj.offset
         n_field = n.reshape((-1,) + (1,) * len(shape)) * np.ones(shape)
-        fields = dict(xi=cutoff.eta(dist) * n_field, hvec=zeros_v,
-                      div_xi=cutoff.deta(dist), div_h=zeros_s, dt_xi=zeros_v,
+        eta, deta = cutoff.profile(dist)[:2]
+        fields = dict(xi=eta * n_field, hvec=zeros_v,
+                      div_xi=deta, div_h=zeros_s, dt_xi=zeros_v,
                       adv_xi=zeros_v, grad_h_rad=zeros_s,
                       grad_h_tan=zeros_s, e=zeros_v)
     else:
@@ -364,9 +366,7 @@ def oracle_fields(traj, cutoff, grid, t):
             e = np.where(r > 0.0, rel / safe_r, 0.0)
         dist = traj.radius(t) - r
         d, k = traj.dim, traj.curvature_scale(t)
-        eta, deta = cutoff.eta(dist), cutoff.deta(dist)
-        eta_t = cutoff.eta_tilde(dist)
-        deta_t = cutoff.profile(dist)[3]
+        eta, deta, eta_t, deta_t = cutoff.profile(dist)
         fields = dict(xi=-eta * e, hvec=-k * eta_t * e,
                       div_xi=deta - (d - 1) * eta / safe_r,
                       div_h=k * deta_t - (d - 1) * k * eta_t / safe_r,
@@ -476,7 +476,7 @@ def test_tube_evaluation_matches_whole_grid_oracle(standard_potential,
             want = oracle_relative_entropy(u, cfg.epsilon, cfg.potential,
                                            cfg.trajectory, cfg.cutoff,
                                            cfg.grid, t, s0)
-            assert dg.rows_to_csv([got]) == dg.rows_to_csv([want])
+            assert list(dg.csv_lines([got])) == list(dg.csv_lines([want]))
             assert got.identity_rhs == want.identity_rhs
         u = stepped(cfg, u)
 
@@ -487,10 +487,10 @@ def test_sqrt2w_of_derived_fields_is_the_potentials(standard_potential):
     traj = pl.SphereInterface(center=(0.0, 0.0), radius0=0.5, dim=2,
                               t_max=0.1)
     ef = pl.extended_fields(traj, pl.CutoffSpec(r_c=0.2), grid, 0.0)
-    d = dg.derived_fields(u, 0.1, standard_potential, grid, ef)
+    sqrt2w_t = dg.derived_fields(u, 0.1, standard_potential, grid, ef)[3]
     assert 0 < ef.tube.size < u.size
-    assert np.array_equal(d.tube_sqrt2w,
-                          standard_potential.sqrt2w(u)[ef.tube])
+    assert np.array_equal(sqrt2w_t, root_2w(
+        standard_potential.w(u.clip(-1, 1)))[ef.tube])
 
 
 def test_identity_row_memory_bound(standard_potential, profile):
@@ -515,7 +515,7 @@ def test_identity_row_memory_bound(standard_potential, profile):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert dg.rows_to_csv([got]) == dg.rows_to_csv([want])
+    assert list(dg.csv_lines([got])) == list(dg.csv_lines([want]))
     assert peak <= 10 * u.nbytes, peak / u.nbytes
 
 

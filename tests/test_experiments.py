@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import phaselab as pl
+from phaselab.diagnostics import csv_lines
 from phaselab.experiments import (DEFAULT_BANDS, SweepPlan, check_identities,
                                   fit_rate, gronwall_fit,
                                   initial_entropy_study, run_sweep)
@@ -51,6 +52,12 @@ def test_fit_rate_preconditions():
         fit_rate([(0.1, 1.0), (0.05, 0.5), (0.025, 0.0)])
     with pytest.raises(ValueError, match="distinct eps"):
         fit_rate([(0.1, 1.0), (0.1, 2.0), (0.1, 3.0)])
+    # non-finite values fail every comparison with 0 and would fit NaN
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite quantities"):
+            fit_rate([(0.1, bad), (0.05, 1.0), (0.025, 2.0)])
+        with pytest.raises(ValueError, match="finite eps values"):
+            fit_rate([(bad, 1.0), (0.05, 1.0), (0.025, 2.0)])
 
 
 def test_gronwall_exact_exponential():
@@ -110,7 +117,9 @@ def test_plan_bands_hold_every_band(standard_potential, profile):
     base = make_plane_config(standard_potential, profile)
     plan = SweepPlan(base=base, epsilons=[0.2, 0.1, 0.05],
                      bands={"err_l1": (0.5, 1.5)})
-    assert plan.bands == {**DEFAULT_BANDS, "err_l1": (0.5, 1.5)}
+    assert plan.bands == {**DEFAULT_BANDS["full"],
+                          **DEFAULT_BANDS["initial-entropy"],
+                          "err_l1": (0.5, 1.5)}
 
 
 def test_initial_entropy_validates_only_initial_members(standard_potential,
@@ -151,7 +160,8 @@ def test_sweep_deterministic(standard_potential, profile):
     first = run_sweep(plan)
     again = run_sweep(plan)
     for i in range(3):
-        assert first.member_csv(i) == again.member_csv(i)
+        assert (list(csv_lines(first.runs[i].breakdowns))
+                == list(csv_lines(again.runs[i].breakdowns)))
     assert first.report.to_json_dict() == again.report.to_json_dict()
 
 

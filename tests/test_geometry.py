@@ -129,26 +129,27 @@ def test_distance_rate_matches_curvature(sphere):
 
 def test_cutoff_shape():
     cut = pl.CutoffSpec(r_c=0.4, c_quad=1.0)
-    assert cut.eta(0.0) == 1.0
-    assert cut.eta(0.2) == 0.0
-    assert cut.eta(-0.5) == 0.0
+    assert cut.profile(0.0)[0] == 1.0
+    assert cut.profile(0.2)[0] == 0.0
+    assert cut.profile(-0.5)[0] == 0.0
     s = np.linspace(-0.6, 0.6, 2001)
     bound = np.maximum(1.0 - (s / 0.4) ** 2, 0.0)
-    vals = cut.eta(s)
+    vals = cut.profile(s)[0]
     assert np.all(vals >= -1e-15)
     assert np.all(vals <= bound + 1e-12)
     # plateau of the plain cutoff
-    assert np.all(cut.eta_tilde(np.linspace(-0.1, 0.1, 11)) == 1.0)
+    assert np.all(cut.profile(np.linspace(-0.1, 0.1, 11))[2] == 1.0)
 
 
 def test_cutoff_derivative_bound():
     cut = pl.CutoffSpec(r_c=0.4, c_quad=1.0)
     s = np.linspace(-0.6, 0.6, 4001)
     d = 1e-7
-    fd = (cut.eta(s + d) - cut.eta(s - d)) / (2 * d)
-    assert np.max(np.abs(fd - cut.deta(s))) < 1e-5
+    fd = (cut.profile(s + d)[0] - cut.profile(s - d)[0]) / (2 * d)
+    deta = cut.profile(s)[1]
+    assert np.max(np.abs(fd - deta)) < 1e-5
     cap = cut.deriv_bound * np.minimum(1.0 / 0.4, np.abs(s) / 0.4 ** 2)
-    assert np.all(np.abs(cut.deta(s)) <= cap + 1e-12)
+    assert np.all(np.abs(deta) <= cap + 1e-12)
 
 
 @pytest.mark.parametrize("make", [

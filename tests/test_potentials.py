@@ -10,7 +10,8 @@ import phaselab as pl
 import phaselab.potentials
 from phaselab.potentials import (_PSI_TABLE_INTERVALS, PotentialError,
                                  PotentialSpec, ProfileError,
-                                 count_excursions, normalization_integral)
+                                 count_excursions, normalization_integral,
+                                 root_2w)
 
 # polynomial wells (low to high degree): the quartic unnormalized, a simple
 # root at +-1 (sqrt(2 W) ~ sqrt(1 - s)), a parabola and a triple root
@@ -34,9 +35,11 @@ def test_standard_derivatives_consistent(standard_potential):
     s = np.linspace(-1.2, 1.2, 41)
     d = 1e-6
     fd1 = (p.w(s + d) - p.w(s - d)) / (2 * d)
-    fd2 = (p.dw(s + d) - p.dw(s - d)) / (2 * d)
     assert np.max(np.abs(fd1 - p.dw(s))) < 1e-7
-    assert np.max(np.abs(fd2 - p.ddw(s))) < 1e-6
+    # max W'' on [-1, 1], the reaction limit's constant, from W'
+    s = np.linspace(-1.0, 1.0, 41)
+    fd2 = (p.dw(s + d) - p.dw(s - d)) / (2 * d)
+    assert abs(np.max(fd2) - p.max_ddw) < 1e-6
 
 
 @pytest.mark.parametrize("make", [
@@ -126,12 +129,12 @@ def test_profile_oddness_monotonicity(profile):
     s = np.linspace(-9, 9, 2001)
     vals = profile(s)
     assert np.all(np.diff(vals) >= 0)
-    assert np.all(profile.potential.sqrt2w(profile(s)) >= 0)
+    assert np.all(root_2w(profile.potential.w(vals.clip(-1, 1))) >= 0)
 
 
 def test_profile_ode_consistency(standard_potential, profile):
-    residual = np.abs(profile.dtheta
-                      - standard_potential.sqrt2w(profile.theta))
+    residual = np.abs(profile.dtheta - root_2w(
+        standard_potential.w(profile.theta.clip(-1, 1))))
     assert np.max(residual) <= 1e-8
 
 
@@ -162,8 +165,8 @@ def test_profile_rejects_rough_potential(standard_potential):
         s = np.asarray(s, dtype=float)
         return base.w(s) * (1.0 + 0.4 * np.sin(200.0 * s) ** 2)
 
-    rough = PotentialSpec(name="rough", w=rough_w, dw=base.dw, ddw=base.ddw,
-                          max_ddw=9.0, dw_coef=base.dw_coef, _psi=base._psi)
+    rough = PotentialSpec(name="rough", w=rough_w, dw=base.dw, max_ddw=9.0,
+                          dw_coef=base.dw_coef, _psi=base._psi)
     with pytest.raises(ProfileError):
         pl.solve_profile(rough, s_max=8.0, n_samples=64)
 
@@ -294,7 +297,8 @@ def test_profile_table_is_scipy_pchip(coeffs):
 def test_poly_psi_table_is_cumulative_trapezoid():
     pot = pl.make_polynomial_potential([1.0, 0.0, -1.5, 0.0, 0.25, 0.0, 0.25])
     nodes = np.linspace(-1.0, 1.0, _PSI_TABLE_INTERVALS + 1)
-    table = cumulative_trapezoid(pot.sqrt2w(nodes), nodes, initial=0.0)
+    table = cumulative_trapezoid(root_2w(pot.w(nodes.clip(-1, 1))), nodes,
+                                 initial=0.0)
     table -= table[_PSI_TABLE_INTERVALS // 2]
     table *= 1.0 / table[-1]
     assert np.array_equal(pot.psi(nodes), table)

@@ -176,7 +176,8 @@ def test_band_over_the_whole_line_is_the_full_step(standard_potential,
     cfg = make_circle_config(standard_potential, profile, half_width=1.4,
                              dim=dim, t_max=0.22 if dim <= 3 else 0.05)
     u = np.random.default_rng(dim).uniform(-0.5, 0.5, cfg.grid.shape)
-    assert cfg.grid.step_band(cfg.dt_actual())(u) == slice(0, cfg.grid.npts)
+    assert cfg.grid.band_solver(cfg.dt_actual()).place(u) \
+        == slice(0, cfg.grid.npts)
     want = full_line_stepped(full_line_stepper(cfg), u, 20)
     assert np.array_equal(stepped(cfg, u, 20), want)
 
@@ -187,7 +188,7 @@ def test_radial_wells_step_to_themselves(standard_potential, profile, value):
     # roundoff
     for cfg in stepper_configs(standard_potential, profile)[2:]:
         u = np.full(cfg.grid.shape, value)
-        assert cfg.grid.step_band(cfg.dt_actual())(u) == slice(0, 0)
+        assert cfg.grid.band_solver(cfg.dt_actual()).place(u) == slice(0, 0)
         assert np.array_equal(stepped(cfg, u, 3), u)
 
 
@@ -197,7 +198,7 @@ def test_band_tracks_the_full_line_on_the_finest_member(standard_potential,
     # band steps stay at roundoff from the full line's
     cfg = finest_member_config(standard_potential, profile)
     u = pl.initial_data(cfg)
-    n, band_of = cfg.grid.npts, cfg.grid.step_band(cfg.dt_actual())
+    n, band_of = cfg.grid.npts, cfg.grid.band_solver(cfg.dt_actual()).place
     assert band_of(u).stop - band_of(u).start < n / 2
     got = stepped(cfg, u, 2000)
     want = full_line_stepped(full_line_stepper(cfg), u, 2000)
@@ -217,7 +218,7 @@ def test_band_near_the_axis_matches_the_full_line(standard_potential,
                              radius0=radius0, half_width=2.0, dim=5,
                              t_max=0.01)
     u = pl.initial_data(cfg)
-    band = cfg.grid.step_band(cfg.dt_actual())(u)
+    band = cfg.grid.band_solver(cfg.dt_actual()).place(u)
     assert band.start == (0 if radius0 == 0.5 else 20)
     assert band.stop < cfg.grid.npts
     got = stepped(cfg, u, 200)
@@ -235,7 +236,7 @@ def test_band_rebuilds_allocate_no_field(standard_potential, profile):
     near = pl.initial_data(cfg)
     far = pl.initial_data(replace(cfg, trajectory=pl.SphereInterface(
         center=(0.0, 0.0), radius0=1.9, dim=2, t_max=0.22)))
-    band_of = cfg.grid.step_band(cfg.dt_actual())
+    band_of = cfg.grid.band_solver(cfg.dt_actual()).place
     assert band_of(near) != band_of(far)
     band = cfg.grid.band_solver(cfg.dt_actual())
     step, out = pl.make_stepper(cfg), np.empty_like(near)
@@ -710,7 +711,7 @@ def test_frozen_bulk_sets_max_abs_u(standard_potential, profile,
     u0 = pl.initial_data(cfg)
     u0[-1] = np.copysign(1.0 + 5e-13, u0[-1])
     monkeypatch.setattr(pl.solver, "initial_data", lambda cfg: u0.copy())
-    band = cfg.grid.step_band(cfg.dt_actual())(u0)
+    band = cfg.grid.band_solver(cfg.dt_actual()).place(u0)
     assert band.stop < cfg.grid.npts and band.stop - band.start < 400
     res = pl.run(cfg)
     assert res.final_field[-1] == u0[-1]
@@ -730,13 +731,20 @@ def test_run_steps_as_the_band_contract(standard_potential, profile,
     place = pl.grids._RadialBand.place
 
     def counted(band, u):
-        places.append(None)
-        return place(band, u)
+        places.append(place(band, u))
+        return places[-1]
     monkeypatch.setattr(pl.grids._RadialBand, "place", counted)
     res = pl.run(cfg)
-    assert len(places) >= 2 and res.band_nodes_max < cfg.grid.npts
+    # band_nodes_max counts the nodes a step solved: the widest band placed
+    widest = max(rows.stop - rows.start for rows in places)
+    assert len(places) >= 2 and res.band_nodes_max == widest < cfg.grid.npts
     want = stepped(cfg, pl.initial_data(cfg), cfg.steps())
     assert np.array_equal(res.final_field, want)
+    # on a full grid every step solves every cell
+    full = make_circle_config(standard_potential, profile, eps=0.16,
+                              mode="full")
+    full.t_end = 2 * full.dt
+    assert pl.run(full).band_nodes_max == full.grid.npts ** 2
 
 
 def test_blowup_mid_block_overflow_names_the_first_step(standard_potential,
@@ -797,9 +805,14 @@ def test_steps_allocate_no_field(standard_potential, profile, mode, steps):
 
 def test_row_times_are_the_run_rows(standard_potential, profile):
     # check-identities reads the shared times off row_times before any run
-    for cadence, t_end in [(10, 0.0), (1, 0.0005), (7, 0.004), (10, 0.004)]:
+    # and matches them exactly: t_end = 0, every step a row, a last interval
+    # shorter than the cadence, and a cadence beyond the last step
+    for cadence, t_end, n_steps, n_rows in [
+            (10, 0.0, 0, 1), (1, 0.0005, 4, 5), (7, 0.004, 32, 6),
+            (10, 0.004, 32, 5), (100, 0.004, 32, 2)]:
         cfg = make_plane_config(standard_potential, profile, cadence=cadence,
                                 t_end=t_end)
+        assert (cfg.steps(), len(cfg.row_times())) == (n_steps, n_rows)
         assert cfg.row_times() == [b.t for b in pl.run(cfg).breakdowns]
 
 
