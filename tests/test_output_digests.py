@@ -23,8 +23,9 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def shipped(command, name):
-    """The argv of `command` on the shipped config `name`."""
-    return lambda tmp: [command, "--config", str(ROOT / "configs" / name)]
+    """The argv of `command` on the shipped config or plan `name`."""
+    flag = "--plan" if command == "sweep" else "--config"
+    return lambda tmp: [command, flag, str(ROOT / "configs" / name)]
 
 
 def full2d_short(tmp_path):
@@ -76,6 +77,9 @@ CASES = {
     "simulate-sweep_member_short": (
         sweep_member_short, "diagnostics.csv",
         "e3a54e8489dcfeea1642f69038251114e698501fc29e0e03eab59a4157972a98"),
+    "sweep-initial_entropy_plane": (
+        shipped("sweep", "initial_entropy_plane.json"), "summary.json",
+        "5e06d7486983f39c6d1c54aad4a229147fb3ea178720ab9da797968b6961eac4"),
     "profile-standard": (
         lambda tmp: ["profile", "standard"], "profile_standard.csv",
         "f1dcb8258d3ffae39cdd9d7f28f3924496fcca72f9954d1d209fec007c6cb708"),
