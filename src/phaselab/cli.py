@@ -210,12 +210,8 @@ def cmd_sweep(args) -> int:
     plan, filled = config.build_plan(doc)
     out_dir = Path(args.out)
     started = time.perf_counter()
-
-    if filled["mode"] == "initial-entropy":
-        report, runs = experiments.initial_entropy_study(plan), []
-    else:
-        result = experiments.run_sweep(plan)
-        report, runs = result.report, result.runs
+    result = plan.run()
+    report, runs = result.report, result.runs
 
     out_dir.mkdir(parents=True, exist_ok=True)
     artifacts = []
@@ -251,7 +247,6 @@ def cmd_check_identities(args) -> int:
     doc = config.load_json(args.config)
     build_start = time.perf_counter()
     cfg, filled = config.build_simulation(doc, "check-identities")
-    filled["identities"] = config.build_identities(doc)
     min_order = float(filled["identities"]["min_order"])
     out_dir = Path(args.out)
     started = time.perf_counter()

@@ -19,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .diagnostics import default_s0
-from .experiments import (DEFAULT_BANDS, DEFAULT_DT_OVER_EPS2,
-                          DEFAULT_H_OVER_EPS, SweepPlan)
+from .experiments import (DEFAULT_DT_OVER_EPS2, DEFAULT_H_OVER_EPS,
+                          SWEEP_MODES, SweepPlan)
 from .geometry import CutoffSpec, PlaneInterface, SphereInterface
 from .grids import FULL, Grid, npts_for_spacing
 from .potentials import potential_by_name, solve_profile
@@ -71,15 +71,14 @@ TRAJECTORY_KEYS = {
 RUN_KEYS = {"epsilon": POSITIVE, "trajectory": OBJECT,
             **{name: OBJECT for name in SECTION_KEYS}}
 PLAN_KEYS = {"mode": TEXT, "base": OBJECT, "epsilons": NUMBERS,
-             "h_over_eps": POSITIVE, "dt_over_eps2": POSITIVE,
-             "initial_h_over_eps": POSITIVE, "bands": OBJECT}
+             **{key: POSITIVE for spec in SWEEP_MODES.values()
+                for key in spec["reads"]}, "bands": OBJECT}
 BAND_KEYS = {name: BAND if isinstance(default, tuple) else NUMBER
-             for bands in DEFAULT_BANDS.values()
-             for name, default in bands.items()}
+             for spec in SWEEP_MODES.values()
+             for name, default in spec["bands"].items()}
 REQUIRED = {"run": ("epsilon", "trajectory", "grid"), "grid": ("half_width",),
             "plane": ("normal",), "sphere": ("dim", "radius0", "t_max"),
             "plan": ("base", "epsilons")}
-SWEEP_MODES = ("full", "initial-entropy")
 DEFAULTS = {   # the value a run reads for a key that is not set
     "potential": {"name": "standard", "s_max": 8.0, "n_samples": 4096},
     "cutoff": {"c_quad": 1.0},
@@ -99,10 +98,6 @@ PLAN_OWNED = ("epsilon", "grid.npts", "grid.h_over_eps", "stepper.dt",
 READ_BY = {   # keys that one command reads and the others would ignore
     "identities": "check-identities",
     "diagnostics.snapshot_every": "simulate",
-}
-MODE_READS = {   # the plan keys that only one sweep mode reads; its bands
-    "full": ("h_over_eps", "dt_over_eps2"),   # are its DEFAULT_BANDS
-    "initial-entropy": ("initial_h_over_eps",),
 }
 # base keys only mode full reads: an initial-entropy study neither steps nor
 # reads the weighted interface error that s0 scales
@@ -206,7 +201,7 @@ def build_simulation(doc: dict, command=None):
     problem that blocks construction; solver.validate covers the rest.
     Given the command that runs the document ("simulate", "sweep" or
     "check-identities"), a key in READ_BY that only another command reads
-    is a problem too.
+    is a problem too.  A section in READ_BY is filled for its reader only.
     """
     issues = _run_issues(doc, command)
     if issues:
@@ -215,8 +210,8 @@ def build_simulation(doc: dict, command=None):
                 **_present(doc["trajectory"])}
     filled = {"epsilon": doc["epsilon"], "trajectory": traj_sec,
               **{name: {**DEFAULTS[name], **_present(doc.get(name))}
-                 for name in ("potential", "cutoff", "grid", "stepper",
-                              "diagnostics")}}
+                 for name in SECTION_KEYS
+                 if READ_BY.get(name, command) == command}}
     pot_sec = filled["potential"]
     pot, profile = build_profile(pot_sec["name"], pot_sec.get("coeffs"),
                                  float(pot_sec["s_max"]),
@@ -266,8 +261,9 @@ def build_simulation(doc: dict, command=None):
 def build_plan(doc: dict):
     """Construct a SweepPlan from a plan document {base, epsilons, ...}.
 
-    The returned dict carries the sweep mode, one of SWEEP_MODES.  Problems
-    of the plan are reported together with the key problems of its base.
+    Its modes, the plan keys and bands each reads and their defaults are
+    those of experiments.SWEEP_MODES.  Problems of the plan are reported
+    together with the key problems of its base.
     """
     bands = doc.get("bands") or {}
     issues = (_issues(doc, PLAN_KEYS, "plan.", REQUIRED["plan"])
@@ -275,52 +271,40 @@ def build_plan(doc: dict):
                         "plan.bands."))
     doc = _present(doc)
     mode = doc.get("mode", "full")
-    if mode not in SWEEP_MODES:
+    known = mode in tuple(SWEEP_MODES)   # a list-valued mode is unhashable
+    if not known:
         issues.append(f"plan.mode: unknown mode {mode!r} (expected one of "
                       f"{', '.join(SWEEP_MODES)})")
     issues += [f"plan.{key}: read only in mode {reader!r}"
-               for reader, keys in MODE_READS.items()
-               if mode in SWEEP_MODES and reader != mode
-               for key in (*keys, *(f"bands.{band}"
-                                    for band in DEFAULT_BANDS[reader]))
+               for reader, spec in SWEEP_MODES.items()
+               if known and reader != mode
+               for key in (*spec["reads"],
+                           *(f"bands.{band}" for band in spec["bands"]))
                if _lookup(doc, key) is not None]
     base, epsilons = doc.get("base"), doc.get("epsilons")
     if not (IS_KIND[OBJECT](base) and IS_KIND[NUMBERS](epsilons)):
         raise ConfigError(issues)   # no base config to check
-    issues += [f"{path}: set per member by the plan" for path in PLAN_OWNED
-               if _lookup(base, path) is not None]
+    unread = dict.fromkeys(PLAN_OWNED, "set per member by the plan")
     if mode == "initial-entropy":   # the study evaluates t = 0 only
-        issues += [f"{path}: read only in mode 'full'"
-                   for path in FULL_MODE_BASE
-                   if _lookup(base, path) is not None]
+        unread.update(dict.fromkeys(FULL_MODE_BASE,
+                                    "read only in mode 'full'"))
+    issues += [f"{path}: {why}" for path, why in unread.items()
+               if _lookup(base, path) is not None]
     base = dict(base, epsilon=epsilons[0])
     if issues:
         raise ConfigError(issues + _run_issues(base, "sweep"))
     base_cfg, filled_base = build_simulation(base, "sweep")
-    del filled_base["epsilon"], filled_base["grid"]["npts"], \
-        filled_base["stepper"]["dt"]
-    if mode == "initial-entropy":
-        for path in FULL_MODE_BASE:
-            section, key = path.split(".")
-            del filled_base[section][key]
+    for path in unread:   # nor does the manifest record them
+        section, _, key = path.rpartition(".")
+        (filled_base[section] if section else filled_base).pop(key, None)
+    spacing, *others = SWEEP_MODES[mode]["reads"]   # sets plan.h_over_eps
     plan = SweepPlan(base=base_cfg, epsilons=[float(e) for e in epsilons],
-                     bands=_present(bands),
-                     **{key: float(doc[key]) for key in MODE_READS[mode]
-                        if key in doc})
+                     mode=mode, bands=_present(bands),
+                     h_over_eps=float(doc[spacing]) if spacing in doc else None,
+                     **{key: float(doc[key]) for key in others if key in doc})
     return plan, {**doc, "mode": mode, "base": filled_base,
-                  "bands": {band: plan.bands[band]
-                            for band in DEFAULT_BANDS[mode]},
-                  **{key: getattr(plan, key) for key in MODE_READS[mode]}}
-
-
-def build_identities(doc: dict) -> dict:
-    """The filled identities section of a run document that build_simulation
-    took: the refinement levels and the minimum observed order required."""
-    sec = {**DEFAULTS["identities"], **_present(doc.get("identities"))}
-    if sec["levels"] < 2:
-        raise ConfigError([f"identities.levels: need >= 2 refinement "
-                           f"levels, got {sec['levels']}"])
-    return sec
+                  "bands": dict(plan.bands), spacing: plan.h_over_eps,
+                  **{key: getattr(plan, key) for key in others}}
 
 
 def load_json(path):

@@ -1,5 +1,5 @@
-"""Sweep and refinement studies: rate fits, growth-constant fits, and the
-identity refinement harness behind the check-identities command.
+"""Sweep and refinement studies: the sweep modes, rate and growth-constant
+fits, and the identity refinement harness behind check-identities.
 
 Sweep members couple the resolution to the interface width (h = eps/8 and
 dt = eps^2/20 by default) so that every member resolves its own transition
@@ -20,12 +20,18 @@ from .solver import BlowUpError, ConfigError, SimulationConfig
 
 DEFAULT_H_OVER_EPS = 8.0
 DEFAULT_DT_OVER_EPS2 = 20.0
-DEFAULT_INITIAL_H_OVER_EPS = 16.0
 
-DEFAULT_BANDS = {   # per sweep mode, the bands its report reads
-    "full": {"err_l1": (0.8, 1.2), "rel_entropy": (1.7, 2.3),
-             "gronwall_factor": 2.0},
-    "initial-entropy": {"initial_entropy": (1.8, 2.2)},
+# per sweep mode: the plan keys it reads with their defaults, the member
+# spacing first; its bands; its study, found by name when a plan runs
+SWEEP_MODES = {
+    "full": {"reads": {"h_over_eps": DEFAULT_H_OVER_EPS,
+                       "dt_over_eps2": DEFAULT_DT_OVER_EPS2},
+             "bands": {"err_l1": (0.8, 1.2), "rel_entropy": (1.7, 2.3),
+                       "gronwall_factor": 2.0},
+             "study": "run_sweep"},
+    "initial-entropy": {"reads": {"initial_h_over_eps": 16.0},   # no step
+                        "bands": {"initial_entropy": (1.8, 2.2)},
+                        "study": "initial_entropy_study"},
 }
 GRONWALL_FLOOR = 1e-10
 
@@ -98,47 +104,65 @@ def gronwall_fit(series) -> GronwallFit:
 
 @dataclass
 class SweepPlan:
-    """An eps sweep over one base configuration.
+    """An eps sweep over one base configuration in a mode of SWEEP_MODES.
 
     Members share everything except eps and the coupled resolution:
-    h = eps / h_over_eps and dt = eps^2 / dt_over_eps2 (initial-entropy
-    studies may use the finer initial_h_over_eps since they never step).
-    Bands not given take their defaults, so bands holds every mode's bands.
+    h = eps / h_over_eps and dt = eps^2 / dt_over_eps2, h_over_eps by
+    default the mode's member spacing.  bands holds exactly the mode's
+    bands, defaults filled in; a band the mode does not read is an error.
     """
 
     base: SimulationConfig
     epsilons: list
-    h_over_eps: float = DEFAULT_H_OVER_EPS
+    mode: str = "full"
+    h_over_eps: Optional[float] = None
     dt_over_eps2: float = DEFAULT_DT_OVER_EPS2
-    initial_h_over_eps: float = DEFAULT_INITIAL_H_OVER_EPS
     bands: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.bands = {**DEFAULT_BANDS["full"],
-                      **DEFAULT_BANDS["initial-entropy"], **self.bands}
+        spec = SWEEP_MODES[self.mode]
+        issues = [f"plan.bands.{name}: " + next(
+                      (f"read only in mode {other!r}"
+                       for other, read in SWEEP_MODES.items()
+                       if name in read["bands"]), "unknown key")
+                  for name in self.bands if name not in spec["bands"]]
+        if issues:
+            raise ConfigError(issues)
+        self.bands = {**spec["bands"], **self.bands}
+        if self.h_over_eps is None:
+            self.h_over_eps = next(iter(spec["reads"].values()))
 
-    def validate(self, h_over_eps: Optional[float] = None) -> list:
-        """Sweep issues and member issues at the resolution evaluated."""
+    def validate(self) -> list:
+        """Sweep issues, then member issues unless an eps is not positive."""
         issues = []
         eps = list(self.epsilons)
+        positive = all(e > 0.0 for e in eps)   # NaN is not
         if len(eps) < 3:
             issues.append(f"sweep.epsilons: need >= 3 entries, got {len(eps)}")
-        if eps and (min(eps) <= 0.0):
+        if not positive:
             issues.append("sweep.epsilons: must be positive")
         if eps and max(eps) < 4.0 * min(eps) - 1e-12:
             issues.append("sweep.epsilons: must span at least a 4x range")
         if any(a <= b for a, b in zip(eps, eps[1:])):
             issues.append("sweep.epsilons: must be strictly descending")
-        for e in eps:
-            member_issues = solver.validate(self.member(e, h_over_eps))
-            issues.extend(f"member eps={e}: {m}" for m in member_issues)
+        for e in eps if positive else ():
+            try:
+                member = self.member(e)
+            except ValueError as exc:   # too few grid points at this spacing
+                issues.append(f"member eps={e}: grid: {exc}")
+            else:
+                issues += [f"member eps={e}: {m}"
+                           for m in solver.validate(member)]
         return issues
 
-    def member(self, eps: float, h_over_eps: Optional[float] = None) -> SimulationConfig:
-        rel = h_over_eps if h_over_eps is not None else self.h_over_eps
+    def member(self, eps: float) -> SimulationConfig:
         return replace(self.base, epsilon=eps,
-                       grid=self.base.grid.respaced(eps / rel),
+                       grid=self.base.grid.respaced(eps / self.h_over_eps),
                        dt=eps ** 2 / self.dt_over_eps2)
+
+    def run(self) -> SweepResult:
+        """Run its mode's study, found by name now so a wrapper runs too."""
+        return globals()[SWEEP_MODES[self.mode]["study"]](self)
 
 
 @dataclass
@@ -156,35 +180,35 @@ class RateReport:
 @dataclass
 class SweepResult:
     report: RateReport
-    runs: list = field(default_factory=list)    # RunResult per eps
+    runs: list = field(default_factory=list)    # RunResult per eps stepped
 
 
 def _in_band(value, band) -> bool:
     return band[0] <= value <= band[1]
 
 
-def initial_entropy_study(plan: SweepPlan) -> RateReport:
+def initial_entropy_study(plan: SweepPlan) -> SweepResult:
     """Relative entropy of the profile initial data per eps, with the
-    fitted decay slope (no time stepping involved)."""
-    issues = plan.validate(plan.initial_h_over_eps)
+    fitted decay slope (no time stepping involved, so no runs)."""
+    issues = plan.validate()
     if issues:
         raise ConfigError(issues)
     values = []
     for eps in plan.epsilons:
-        cfg = plan.member(eps, h_over_eps=plan.initial_h_over_eps)
+        cfg = plan.member(eps)
         u0 = solver.initial_data(cfg)
         b = diagnostics.relative_entropy(
             u0, eps, cfg.potential, cfg.trajectory, cfg.cutoff, cfg.grid,
             0.0, s0=cfg.s0)
         values.append(b.rel_entropy)
     fit = fit_rate(list(zip(plan.epsilons, values)))
-    return RateReport(
+    return SweepResult(report=RateReport(
         epsilons=list(plan.epsilons),
         quantities={"initial_entropy": values},
         slopes={"initial_entropy": fit},
         gronwall_constants=[],
         pass_flags={"initial_entropy": _in_band(
-            fit.slope, plan.bands["initial_entropy"])})
+            fit.slope, plan.bands["initial_entropy"])}))
 
 
 def run_sweep(plan: SweepPlan) -> SweepResult:
@@ -292,7 +316,8 @@ def check_identities(cfg: SimulationConfig, levels: int = 3) -> IdentityReport:
     against the assembled identity right-hand side, and the energy decay
     against the dissipation, at the diagnostic times shared by every level."""
     if levels < 2:
-        raise ValueError("need at least 2 refinement levels")
+        raise ConfigError([f"identities.levels: need >= 2 refinement "
+                           f"levels, got {levels}"])
     cfgs = [_refined(cfg, 2 ** lv) for lv in range(levels)]
     # before any level steps; row times exist for all values validate accepts
     defined = cfg.cadence >= 1 and (

@@ -143,11 +143,13 @@ def test_c04_coercivity_suite(circle_sweep, dissipation_run, crosscheck_runs,
 
 def test_c05_initial_entropy_rate(standard_potential, profile, sweep_plan):
     start = time.perf_counter()
-    circle_rep = initial_entropy_study(sweep_plan)
+    circle_rep = initial_entropy_study(SweepPlan(
+        base=sweep_plan.base, epsilons=EPSILONS,
+        mode="initial-entropy")).report
     plane_base = make_plane_config(standard_potential, profile, eps=0.16,
                                    half_width=2.0, r_c=1.0)
-    plane_rep = initial_entropy_study(
-        SweepPlan(base=plane_base, epsilons=EPSILONS))
+    plane_rep = initial_entropy_study(SweepPlan(
+        base=plane_base, epsilons=EPSILONS, mode="initial-entropy")).report
     s_c = circle_rep.slopes["initial_entropy"].slope
     s_p = plane_rep.slopes["initial_entropy"].slope
     elapsed = time.perf_counter() - start

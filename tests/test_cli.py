@@ -551,14 +551,19 @@ def test_unknown_keys_all_listed(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_identity_levels_below_two_rejected(tmp_path, capsys):
+def test_identity_levels_below_two_rejected(tmp_path, monkeypatch, capsys):
+    def no_run(*args, **kwargs):
+        raise AssertionError("solver.run called")
+
+    monkeypatch.setattr(phaselab.solver, "run", no_run)
     doc = json.loads((CONFIGS / "identities_plane.json").read_text())
     doc["identities"]["levels"] = 1
     out = tmp_path / "out"
     rc = cli.main(["check-identities", "--config",
                    write_json(tmp_path / "c.json", doc), "--out", str(out)])
     assert rc == 2
-    assert "identities.levels" in capsys.readouterr().err
+    assert "identities.levels: need >= 2 refinement levels, got 1" \
+        in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -573,7 +578,6 @@ def test_shipped_configs_load():
             config.build_plan(doc)
         else:
             config.build_simulation(doc)
-            config.build_identities(doc)
 
 
 BAD_VALUES = [   # (config, key path, value, key named in the error)
@@ -598,8 +602,22 @@ BAD_VALUES = [   # (config, key path, value, key named in the error)
 ]
 
 
-@pytest.mark.parametrize("name, path, value, key", BAD_VALUES,
-                         ids=[case[3] for case in BAD_VALUES])
+BAD_PLANS = [   # (plan, key path, value, message); each crashed once
+    ("sweep_circle.json", ("epsilons",), [0.16, 0.08, 0.0],
+     "sweep.epsilons: must be positive"),
+    ("sweep_circle.json", ("epsilons",), [0.16, 0.08, -0.04],
+     "sweep.epsilons: must be positive"),
+    ("sweep_circle.json", ("h_over_eps",), 0.1,
+     "member eps=0.16: grid: need at least 8 points per axis"),
+    ("initial_entropy_plane.json", ("initial_h_over_eps",), 0.05,
+     "member eps=0.16: grid: need at least 8 points per axis"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, path, value, key", BAD_VALUES + BAD_PLANS,
+    ids=[case[3] for case in BAD_VALUES]
+    + [f"{case[1][0]}={case[2]}" for case in BAD_PLANS])
 def test_bad_value_is_config_error(tmp_path, capsys, name, path, value, key):
     doc = json.loads((CONFIGS / name).read_text())
     section = doc

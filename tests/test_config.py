@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from phaselab import config
+from phaselab import config, experiments
 from phaselab.solver import ConfigError
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -177,12 +177,18 @@ def test_filled_document_builds_the_same_run(name):
             assert _run_parts(again.member(eps)) \
                 == _run_parts(plan.member(eps))
         return
-    cfg, filled = config.build_simulation(doc)
-    filled["identities"] = config.build_identities(doc)
+    command = "check-identities" if "identities" in doc else None
+    cfg, filled = config.build_simulation(doc, command)
     manifest = json.loads(json.dumps(filled))
-    again, refilled = config.build_simulation(manifest)
-    refilled["identities"] = config.build_identities(manifest)
+    again, refilled = config.build_simulation(manifest, command)
     assert refilled == manifest
     assert _run_parts(again) == _run_parts(cfg)
     for section, key in (("trajectory", "normal"), ("potential", "coeffs")):
         assert filled[section].get(key) == doc[section].get(key)
+
+
+def test_every_sweep_mode_has_a_shipped_plan():
+    # a mode lands with a plan in configs/ that runs it
+    docs = [load(path.name) for path in sorted(CONFIGS.glob("*.json"))]
+    modes = {doc.get("mode", "full") for doc in docs if "base" in doc}
+    assert modes == set(experiments.SWEEP_MODES), modes

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import phaselab as pl
+from phaselab import experiments
 from phaselab.diagnostics import csv_lines
-from phaselab.experiments import (DEFAULT_BANDS, SweepPlan, check_identities,
+from phaselab.experiments import (SWEEP_MODES, SweepPlan, check_identities,
                                   fit_rate, gronwall_fit,
                                   initial_entropy_study, run_sweep)
 from phaselab.solver import ConfigError
@@ -95,6 +96,16 @@ def test_plan_validation(standard_potential, profile):
     with pytest.raises(ConfigError):
         run_sweep(SweepPlan(base=base, epsilons=[]))
 
+    # no member is built while an eps is not positive
+    for eps in ([0.16, 0.08, 0.0], [0.16, 0.08, -0.04],
+                [0.16, 0.04, math.nan]):
+        plan = SweepPlan(base=base, epsilons=eps)
+        assert plan.validate() == ["sweep.epsilons: must be positive"]
+    # a member spacing too coarse for a grid is an issue of that member
+    plan = SweepPlan(base=base, epsilons=[0.16, 0.08, 0.04], h_over_eps=0.1)
+    assert "member eps=0.16: grid: need at least 8 points per axis" \
+        in plan.validate()
+
 
 def test_member_coupling_monotone(standard_potential, profile):
     base = make_circle_config(standard_potential, profile, eps=0.16,
@@ -108,36 +119,82 @@ def test_member_coupling_monotone(standard_potential, profile):
 
 def test_initial_entropy_needs_three_points(standard_potential, profile):
     base = make_plane_config(standard_potential, profile, half_width=1.0)
-    plan = SweepPlan(base=base, epsilons=[0.05])
+    plan = SweepPlan(base=base, epsilons=[0.05], mode="initial-entropy")
     with pytest.raises(ConfigError):
         initial_entropy_study(plan)
 
 
-def test_plan_bands_hold_every_band(standard_potential, profile):
+def test_plan_takes_its_mode_bands_and_spacing(standard_potential, profile):
     base = make_plane_config(standard_potential, profile)
-    plan = SweepPlan(base=base, epsilons=[0.2, 0.1, 0.05],
-                     bands={"err_l1": (0.5, 1.5)})
-    assert plan.bands == {**DEFAULT_BANDS["full"],
-                          **DEFAULT_BANDS["initial-entropy"],
-                          "err_l1": (0.5, 1.5)}
+    eps = [0.2, 0.1, 0.05]
+    for mode, spec in SWEEP_MODES.items():
+        assert SweepPlan(base=base, epsilons=eps, mode=mode).bands \
+            == spec["bands"]
+        name = next(iter(spec["bands"]))
+        plan = SweepPlan(base=base, epsilons=eps, mode=mode,
+                         bands={name: (0.5, 1.5)})
+        assert plan.bands == {**spec["bands"], name: (0.5, 1.5)}
+        assert plan.h_over_eps == next(iter(spec["reads"].values()))
+    assert SweepPlan(base=base, epsilons=eps).mode == "full"
+    assert SweepPlan(base=base, epsilons=eps).h_over_eps == 8.0
+    assert SweepPlan(base=base, epsilons=eps,
+                     mode="initial-entropy").h_over_eps == 16.0
+
+
+@pytest.mark.parametrize("mode, bands, message", [
+    ("full", {"err_L1": (0, 1)}, "plan.bands.err_L1: unknown key"),
+    ("full", {"initial_entropy": (1.8, 2.2)},
+     "plan.bands.initial_entropy: read only in mode 'initial-entropy'"),
+    ("initial-entropy", {"err_l1": (0.8, 1.2), "gronwall_factor": 2.0},
+     "plan.bands.err_l1: read only in mode 'full'"),
+])
+def test_plan_rejects_bands_its_mode_does_not_read(standard_potential,
+                                                   profile, mode, bands,
+                                                   message):
+    base = make_plane_config(standard_potential, profile)
+    with pytest.raises(ConfigError) as err:
+        SweepPlan(base=base, epsilons=[0.16, 0.08, 0.04], mode=mode,
+                  bands=bands)
+    assert err.value.messages[0] == message
+    assert len(err.value.messages) == len(bands)
+
+
+def test_plan_runs_its_mode_study_found_by_name(standard_potential, profile,
+                                                monkeypatch):
+    # looked up when the plan runs, so a wrapper set on the module runs
+    calls = []
+    for spec in SWEEP_MODES.values():
+        monkeypatch.setattr(experiments, spec["study"],
+                            lambda plan, name=spec["study"]:
+                            calls.append((name, plan.mode)))
+    base = make_plane_config(standard_potential, profile)
+    for mode in SWEEP_MODES:
+        SweepPlan(base=base, epsilons=[0.16, 0.08, 0.04], mode=mode).run()
+    assert calls == [(spec["study"], mode)
+                     for mode, spec in SWEEP_MODES.items()]
 
 
 def test_initial_entropy_validates_only_initial_members(standard_potential,
                                                         profile):
     base = make_plane_config(standard_potential, profile, eps=0.16,
                              half_width=2.0, r_c=1.0)
-    # too coarse to step (h = eps/2), but the study never steps
+    # too coarse to step (h = eps/2), but the study never steps and its
+    # members take the mode's finer spacing
     plan = SweepPlan(base=base, epsilons=[0.16, 0.08, 0.04], h_over_eps=2.0)
     assert any("layer resolution" in m for m in plan.validate())
-    rep = initial_entropy_study(plan)
+    plan = SweepPlan(base=base, epsilons=[0.16, 0.08, 0.04],
+                     mode="initial-entropy")
+    rep = initial_entropy_study(plan).report
     assert len(rep.quantities["initial_entropy"]) == 3
+    assert initial_entropy_study(plan).runs == []
 
 
 def test_initial_entropy_slope_plane(standard_potential, profile):
     base = make_plane_config(standard_potential, profile, eps=0.16,
                              half_width=2.0, r_c=1.0)
-    plan = SweepPlan(base=base, epsilons=[0.16, 0.08, 0.04, 0.02])
-    rep = initial_entropy_study(plan)
+    plan = SweepPlan(base=base, epsilons=[0.16, 0.08, 0.04, 0.02],
+                     mode="initial-entropy")
+    rep = initial_entropy_study(plan).report
     assert 1.8 <= rep.slopes["initial_entropy"].slope <= 2.2
     assert rep.pass_flags["initial_entropy"]
     assert len(rep.quantities["initial_entropy"]) == 4

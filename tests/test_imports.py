@@ -17,7 +17,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "phaselab"
 TRAJECTORY_CLASSES = {"PlaneInterface", "SphereInterface"}
-GRID_KIND_NAMES = {"FULL", "RADIAL", "mode", "npts_for_spacing", "scipy"}
+GRID_KIND_NAMES = {"FULL", "RADIAL", "npts_for_spacing", "scipy"}
 KERNELS = {"scipy.linalg": "scipy.linalg._flapack",
            "scipy.fft": "scipy.fft._pocketfft.pypocketfft"}
 
@@ -159,10 +159,15 @@ def test_trajectory_classes_own_their_rules(path):
 def test_grids_own_the_grid_kind_rules(stem):
     # the implicit solve, the boundary faces and the respacing rule are Grid
     # methods, so the stepper and the studies neither branch on the grid
-    # kind nor import the scipy module that solves on it
+    # kind nor import the scipy module that solves on it; a grid's kind is
+    # its mode, a word a sweep plan's mode shares
     tree = ast.parse((PACKAGE / f"{stem}.py").read_text(encoding="utf-8"))
     modules = [node.module for node in ast.walk(tree)
                if isinstance(node, ast.ImportFrom) and node.module]
     parts = {part for name in [*names_in(tree), *modules]
              for part in name.split(".")}
     assert GRID_KIND_NAMES.isdisjoint(parts)
+    grid_kinds = [node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "mode"
+                  and "grid" in names_in(node.value)]
+    assert grid_kinds == [], f"a grid's mode read at {grid_kinds}"
