@@ -297,7 +297,7 @@ def build_plan(doc: dict):
     for path in unread:   # nor does the manifest record them
         section, _, key = path.rpartition(".")
         (filled_base[section] if section else filled_base).pop(key, None)
-    spacing, *others = SWEEP_MODES[mode]["reads"]   # sets plan.h_over_eps
+    spacing, *others = SWEEP_MODES[mode]["reads"]   # member spacing first
     plan = SweepPlan(base=base_cfg, epsilons=[float(e) for e in epsilons],
                      mode=mode, bands=_present(bands),
                      h_over_eps=float(doc[spacing]) if spacing in doc else None,

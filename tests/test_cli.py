@@ -602,7 +602,7 @@ BAD_VALUES = [   # (config, key path, value, key named in the error)
 ]
 
 
-BAD_PLANS = [   # (plan, key path, value, message); each crashed once
+BAD_PLANS = [   # (plan, key path, value, message in the error)
     ("sweep_circle.json", ("epsilons",), [0.16, 0.08, 0.0],
      "sweep.epsilons: must be positive"),
     ("sweep_circle.json", ("epsilons",), [0.16, 0.08, -0.04],

@@ -184,9 +184,9 @@ def test_initial_entropy_validates_only_initial_members(standard_potential,
     assert any("layer resolution" in m for m in plan.validate())
     plan = SweepPlan(base=base, epsilons=[0.16, 0.08, 0.04],
                      mode="initial-entropy")
-    rep = initial_entropy_study(plan).report
-    assert len(rep.quantities["initial_entropy"]) == 3
-    assert initial_entropy_study(plan).runs == []
+    result = initial_entropy_study(plan)
+    assert len(result.report.quantities["initial_entropy"]) == 3
+    assert result.runs == []
 
 
 def test_initial_entropy_slope_plane(standard_potential, profile):
