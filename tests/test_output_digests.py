@@ -28,15 +28,24 @@ def shipped(command, name):
     return lambda tmp: [command, flag, str(ROOT / "configs" / name)]
 
 
-def full2d_short(tmp_path):
-    """simulate on the full-grid circle workload with identity rows, cut
-    to t = 0.01."""
-    doc = json.loads((ROOT / "perfbench" / "workloads"
-                      / "circle_full2d_identity.json").read_text())
-    doc["stepper"]["t_end"] = 0.01
-    path = tmp_path / "circle_full2d_short.json"
-    path.write_text(json.dumps(doc))
-    return ["simulate", "--config", str(path)]
+def cut(command, source, t_end):
+    """The argv of `command` on the JSON input `source` (relative to the
+    repository root) with its stepper.t_end cut to `t_end`."""
+    flag = "--plan" if command == "sweep" else "--config"
+
+    def argv(tmp_path):
+        doc = json.loads((ROOT / source).read_text())
+        run_doc = doc["base"] if command == "sweep" else doc
+        run_doc["stepper"]["t_end"] = t_end
+        path = tmp_path / Path(source).name
+        path.write_text(json.dumps(doc))
+        return [command, flag, str(path)]
+    return argv
+
+
+# simulate on the full-grid circle workload with identity rows
+full2d_short = cut("simulate",
+                   "perfbench/workloads/circle_full2d_identity.json", 0.01)
 
 
 def sweep_member_short(tmp_path):
@@ -77,6 +86,14 @@ CASES = {
     "simulate-sweep_member_short": (
         sweep_member_short, "diagnostics.csv",
         "e3a54e8489dcfeea1642f69038251114e698501fc29e0e03eab59a4157972a98"),
+    "sweep-circle_short": (
+        cut("sweep", "configs/sweep_circle.json", 0.01), "summary.json",
+        "3a19baca062b3cfc34d34a65417c2ec3bf052b67bde77bce1d7f05e137c37528"),
+    "check-identities-circle_short": (
+        cut("check-identities", "perfbench/workloads/identities_circle.json",
+            0.01),
+        "identities.json",
+        "d60f205886e152136651c18899c0b8426726d0573b542bc932cdd4758172fd09"),
     "sweep-initial_entropy_plane": (
         shipped("sweep", "initial_entropy_plane.json"), "summary.json",
         "5e06d7486983f39c6d1c54aad4a229147fb3ea178720ab9da797968b6961eac4"),
