@@ -167,7 +167,7 @@ def _run_simulation(cfg, out_dir: Path, snapshot_every):
         shutil.rmtree(stage, ignore_errors=True)
 
     csv_path = out_dir / "diagnostics.csv"
-    diagnostics.write_csv(csv_path, res.breakdowns)
+    diagnostics.write_csv(csv_path, res.rows)
     plot_path = out_dir / "plots.gp"
     plot_path.write_text(PLOT_SCRIPT, encoding="utf-8")
     artifacts = [csv_path.name, plot_path.name]
@@ -196,10 +196,10 @@ def cmd_simulate(args) -> int:
         timings[key] = record.pop(key)
     _write_manifest(out_dir, "simulate", args.config, filled,
                     artifacts, timings, extra=record)
-    last = res.breakdowns[-1]
-    print(f"completed {res.n_steps} steps to t = {res.times[-1]:.6g}; "
-          f"final relative entropy {last.rel_entropy:.6e}, "
-          f"interface L1 error {last.err_l1:.6e}")
+    last = res.rows[-1]
+    print(f"completed {res.n_steps} steps to t = {last['t']:.6g}; "
+          f"final relative entropy {last['rel_entropy']:.6e}, "
+          f"interface L1 error {last['err_l1']:.6e}")
     print(f"outputs in {out_dir}")
     return EXIT_OK
 
@@ -217,7 +217,7 @@ def cmd_sweep(args) -> int:
     artifacts = []
     for eps, run_res in zip(plan.epsilons, runs):
         name = f"diagnostics_eps_{eps:g}.csv"
-        diagnostics.write_csv(out_dir / name, run_res.breakdowns)
+        diagnostics.write_csv(out_dir / name, run_res.rows)
         artifacts.append(name)
 
     summary = out_dir / "summary.json"

@@ -20,7 +20,7 @@ import numpy as np
 
 from .diagnostics import default_s0
 from .experiments import (DEFAULT_DT_OVER_EPS2, DEFAULT_H_OVER_EPS,
-                          SWEEP_MODES, SweepPlan)
+                          SWEEP_MODES, SweepPlan, unknown_mode)
 from .geometry import CutoffSpec, PlaneInterface, SphereInterface
 from .grids import FULL, Grid, npts_for_spacing
 from .potentials import potential_by_name, solve_profile
@@ -271,10 +271,9 @@ def build_plan(doc: dict):
                         "plan.bands."))
     doc = _present(doc)
     mode = doc.get("mode", "full")
-    known = mode in tuple(SWEEP_MODES)   # a list-valued mode is unhashable
-    if not known:
-        issues.append(f"plan.mode: unknown mode {mode!r} (expected one of "
-                      f"{', '.join(SWEEP_MODES)})")
+    mode_issues = unknown_mode(mode)
+    known = not mode_issues
+    issues += mode_issues
     issues += [f"plan.{key}: read only in mode {reader!r}"
                for reader, spec in SWEEP_MODES.items()
                if known and reader != mode

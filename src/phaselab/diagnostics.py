@@ -19,6 +19,7 @@ discrete steady states exactly dissipation-free.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -43,11 +44,22 @@ CSV_COLUMNS = (
 )
 # wire header: identical to the attribute names except the L1 spelling
 CSV_HEADER = tuple("err_L1" if c == "err_l1" else c for c in CSV_COLUMNS)
+# a run's rows: one float64 field per CSV column, then the assembled
+# right-hand side of the entropy identity
+ROW_DTYPE = np.dtype([(name, np.float64)
+                      for name in (*CSV_COLUMNS, "identity_rhs")])
+_row_values = operator.attrgetter(*ROW_DTYPE.names)
+
+
+def row_table(n: int) -> np.ndarray:
+    """A table of n rows of ROW_DTYPE, every value NaN until written."""
+    return np.full(n, np.nan, dtype=ROW_DTYPE)
 
 
 @dataclass
 class EntropyBreakdown:
-    """Every tracked functional at one time stamp."""
+    """Every tracked functional at one time stamp, read by field name
+    (b.rel_entropy or b["rel_entropy"]) like a row of a run's table."""
 
     t: float
     gl_energy: float
@@ -64,8 +76,14 @@ class EntropyBreakdown:
     identity_residual: float = math.nan
     identity_rhs: float = math.nan   # assembled right-hand side, not in CSV
 
-    def csv_row(self) -> list:
-        return [getattr(self, name) for name in CSV_COLUMNS]
+    def __getitem__(self, name: str) -> float:
+        return getattr(self, name)
+
+    def values(self) -> tuple:
+        """The values in the field order of ROW_DTYPE, one tuple of their
+        exact length: a tuple grown from a generator would leave a freed
+        tuple of each row on the interpreter's free list."""
+        return _row_values(self)
 
 
 @dataclass
@@ -399,76 +417,80 @@ class CoercivityReport:
                 for name, (lhs, bound) in self.entries.items() if lhs > bound]
 
 
-def coercivity_check(b: EntropyBreakdown, cutoff: CutoffSpec,
+def coercivity_check(b, cutoff: CutoffSpec,
                      slack: float = COERCIVITY_SLACK) -> CoercivityReport:
-    """Verify the four entropy coercivity inequalities on one breakdown.
+    """Verify the four entropy coercivity inequalities on one row, an
+    EntropyBreakdown or a row of a run's table.
 
     equipartition <= 2E, misalignment <= 2E, tilt <= 12E, and the
     distance-weighted energy <= C(cutoff) E, each with the given slack
     factor plus a tiny absolute tolerance for the all-zero case.
     """
-    e = max(b.rel_entropy, 0.0)
+    entropy = float(b["rel_entropy"])
+    e = max(entropy, 0.0)
     c_i = coercivity_bound_constant(cutoff)
-    entries = {
-        "equipartition_defect": (b.equipartition_defect,
-                                 2.0 * slack * e + _ABS_TOL),
-        "misalignment": (b.misalignment, 2.0 * slack * e + _ABS_TOL),
-        "tilt_excess": (b.tilt_excess, 12.0 * slack * e + _ABS_TOL),
-        "dist_weighted_energy": (b.dist_weighted_energy,
-                                 c_i * slack * e + _ABS_TOL),
-    }
+    factors = {"equipartition_defect": 2.0, "misalignment": 2.0,
+               "tilt_excess": 12.0, "dist_weighted_energy": c_i}
+    entries = {name: (float(b[name]), factor * slack * e + _ABS_TOL)
+               for name, factor in factors.items()}
     passed = all(lhs <= bound for lhs, bound in entries.values()) \
-        and b.rel_entropy >= ENTROPY_FLOOR
+        and entropy >= ENTROPY_FLOOR
     return CoercivityReport(passed=passed, entries=entries)
 
 
-def centered_rows(times) -> list:
+def centered_rows(times) -> np.ndarray:
     """Indices j of the interior times whose two neighbors are evenly spaced,
-    the rows with a centered rate: not the endpoints or a partial interval."""
-    return [j for j in range(1, len(times) - 1)
-            if abs((times[j + 1] - times[j]) - (times[j] - times[j - 1]))
-            <= 1e-9 * max(times[j + 1] - times[j - 1], 1e-300)]
+    the rows with a centered rate: not the endpoints or a partial interval.
+    Each test is |(t[j+1] - t[j]) - (t[j] - t[j-1])| <= 1e-9 max(t[j+1] -
+    t[j-1], 1e-300), taken on all j at once."""
+    t = np.asarray(times, dtype=float)
+    steps = np.diff(t)
+    span = t[2:] - t[:-2]
+    even = np.abs(steps[1:] - steps[:-1]) <= 1e-9 * np.maximum(span, 1e-300)
+    return np.flatnonzero(even) + 1
 
 
-def _centered_rates(rows: list, name: str):
-    """(j, t_j, centered d(name)/dt) on the centered_rows."""
-    for j in centered_rows([r.t for r in rows]):
-        a, b = rows[j - 1], rows[j + 1]
-        yield j, rows[j].t, (getattr(b, name) - getattr(a, name)) / (b.t - a.t)
+def _centered_rates(rows: np.ndarray, name: str) -> tuple:
+    """(j, centered d(name)/dt at j) on the centered_rows of a row table,
+    each rate (x[j+1] - x[j-1]) / (t[j+1] - t[j-1])."""
+    t, x = rows["t"], rows[name]
+    j = centered_rows(t)
+    return j, (x[j + 1] - x[j - 1]) / (t[j + 1] - t[j - 1])
 
 
-def fill_identity_residuals(rows: list) -> None:
-    """Post-fill |centered dE/dt - rhs| on interior rows of a uniform series;
-    the other rows keep NaN."""
-    for j, _, dedt in _centered_rates(rows, "rel_entropy"):
-        if not math.isnan(rows[j].identity_rhs):
-            rows[j].identity_residual = abs(dedt - rows[j].identity_rhs)
+def fill_identity_residuals(rows: np.ndarray) -> None:
+    """Post-fill |centered dE/dt - rhs| on the interior rows of a row table
+    with a centered rate and an assembled rhs; the other rows keep NaN."""
+    j, dedt = _centered_rates(rows, "rel_entropy")
+    rhs = rows["identity_rhs"][j]
+    assembled = ~np.isnan(rhs)
+    rows["identity_residual"][j[assembled]] = np.abs(dedt - rhs)[assembled]
 
 
-def dissipation_residuals(rows: list) -> list:
-    """Relative energy-balance residual per interior row.
+def dissipation_residuals(rows: np.ndarray) -> tuple:
+    """Relative energy-balance residual per interior row of a row table.
 
-    Returns (t_j, |centered dE_gl/dt + D_j| / max(D_j, 1)) pairs; the
-    continuum balance is dE_gl/dt = -D.
+    Returns (t_j, |centered dE_gl/dt + D_j| / max(D_j, 1)), two arrays
+    over the centered rows; the continuum balance is dE_gl/dt = -D.
     """
-    return [(tc, abs(dedt + rows[j].dissipation)
-             / max(rows[j].dissipation, 1.0))
-            for j, tc, dedt in _centered_rates(rows, "gl_energy")]
+    j, dedt = _centered_rates(rows, "gl_energy")
+    diss = rows["dissipation"][j]
+    return rows["t"][j], np.abs(dedt + diss) / np.maximum(diss, 1.0)
 
 
-def csv_lines(rows):
-    """The CSV of breakdown rows line by line, each line ending in a
-    newline: the header, then one line per time in the fixed column order.
+def csv_lines(rows: np.ndarray):
+    """The CSV of a row table line by line, each line ending in a newline:
+    the header, then one line per row in the fixed column order.
 
     Floats are written with repr (shortest round-trip form) so repeated
     runs produce byte-identical bodies.
     """
     yield ",".join(CSV_HEADER) + "\n"
-    for row in rows:
-        yield ",".join(repr(float(v)) for v in row.csv_row()) + "\n"
+    for row in rows[list(CSV_COLUMNS)]:
+        yield ",".join(repr(float(v)) for v in row.item()) + "\n"
 
 
-def write_csv(path, rows: list) -> None:
-    """Write the CSV of `rows` to `path` a line at a time."""
+def write_csv(path, rows: np.ndarray) -> None:
+    """Write the CSV of a row table to `path` a line at a time."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(csv_lines(rows))

@@ -36,6 +36,14 @@ SWEEP_MODES = {
 GRONWALL_FLOOR = 1e-10
 
 
+def unknown_mode(mode) -> list:
+    """The issue of a sweep mode SWEEP_MODES does not hold, if it is one."""
+    if mode in tuple(SWEEP_MODES):   # a list-valued mode is unhashable
+        return []
+    return [f"plan.mode: unknown mode {mode!r} (expected one of "
+            f"{', '.join(SWEEP_MODES)})"]
+
+
 @dataclass
 class RateFit:
     slope: float
@@ -120,17 +128,25 @@ class SweepPlan:
     bands: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if issues := unknown_mode(self.mode):
+            raise ConfigError(issues)
         spec = SWEEP_MODES[self.mode]
         issues = [f"plan.bands.{name}: " + next(
                       (f"read only in mode {other!r}"
                        for other, read in SWEEP_MODES.items()
                        if name in read["bands"]), "unknown key")
                   for name in self.bands if name not in spec["bands"]]
+        spacing, default = next(iter(spec["reads"].items()))
+        if self.h_over_eps is None:
+            self.h_over_eps = default
+        # member divides by both, whatever the mode; NaN is not positive
+        issues += [f"plan.{key}: expected a positive number, got {value!r}"
+                   for key, value in ((spacing, self.h_over_eps),
+                                      ("dt_over_eps2", self.dt_over_eps2))
+                   if not value > 0.0]
         if issues:
             raise ConfigError(issues)
         self.bands = {**spec["bands"], **self.bands}
-        if self.h_over_eps is None:
-            self.h_over_eps = next(iter(spec["reads"].values()))
 
     def validate(self) -> list:
         """Sweep issues, then member issues unless an eps is not positive."""
@@ -227,11 +243,12 @@ def run_sweep(plan: SweepPlan) -> SweepResult:
 
     sup_err, sup_ent, e0s, gronwall = [], [], [], []
     for res in results:
-        rows = res.breakdowns
-        sup_err.append(max(b.err_l1 for b in rows))
-        sup_ent.append(max(b.rel_entropy for b in rows))
-        e0s.append(rows[0].rel_entropy)
-        gronwall.append(gronwall_fit([(b.t, b.rel_entropy) for b in rows]))
+        t, entropy = res.rows["t"], res.rows["rel_entropy"]
+        sup_err.append(float(res.rows["err_l1"].max()))
+        sup_ent.append(float(entropy.max()))
+        e0s.append(float(entropy[0]))
+        # Python floats, so the fit's logs are math.log's
+        gronwall.append(gronwall_fit(zip(t.tolist(), entropy.tolist())))
 
     slopes = {
         "err_l1": fit_rate(list(zip(plan.epsilons, sup_err))),
@@ -319,23 +336,26 @@ def check_identities(cfg: SimulationConfig, levels: int = 3) -> IdentityReport:
         raise ConfigError([f"identities.levels: need >= 2 refinement "
                            f"levels, got {levels}"])
     cfgs = [_refined(cfg, 2 ** lv) for lv in range(levels)]
-    # before any level steps; row times exist for all values validate accepts
-    defined = cfg.cadence >= 1 and (
-        cfg.t_end == 0.0 or (cfg.t_end > 0.0 and cfg.dt > 0.0))
-    common = _shared_row_times(cfgs) if defined else set()
+    # before any level steps: the coarsest level's rules, which make its
+    # row times defined, then the times all levels share
+    issues = solver.validate(cfgs[0])
+    if issues:
+        raise ConfigError(issues)
+    common = np.array(sorted(_shared_row_times(cfgs)))
     runs = [solver.run(c) for c in cfgs]
+
+    def shared(times):   # the mask of the times in common
+        return (times[:, None] == common).any(axis=1)
 
     out_levels = []
     for c, r in zip(cfgs, runs):
-        ident = [b.identity_residual for b in r.breakdowns
-                 if b.t in common and not math.isnan(b.identity_residual)]
-        all_diss = diagnostics.dissipation_residuals(r.breakdowns)
-        diss = [v for t, v in all_diss if t in common]
+        ident = r.rows["identity_residual"][shared(r.rows["t"])]
+        diss_t, diss = diagnostics.dissipation_residuals(r.rows)
         out_levels.append(IdentityLevel(
             h=c.grid.h, dt=r.dt,
-            identity_residual=max(ident),
-            dissipation_residual=max(diss),
-            max_dissipation_residual=max(v for _, v in all_diss)))
+            identity_residual=float(np.nanmax(ident)),
+            dissipation_residual=float(diss[shared(diss_t)].max()),
+            max_dissipation_residual=float(diss.max())))
 
     id_orders = [math.log2(a.identity_residual / b.identity_residual)
                  for a, b in zip(out_levels, out_levels[1:])]

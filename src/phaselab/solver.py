@@ -186,8 +186,7 @@ def _on_rows(a, rows):
 
 @dataclass
 class RunResult:
-    times: np.ndarray
-    breakdowns: list
+    rows: np.ndarray   # one diagnostics.ROW_DTYPE row per row step
     dt: float
     n_steps: int
     clamp_count: int
@@ -206,6 +205,9 @@ def run(cfg: SimulationConfig,
         ) -> RunResult:
     """Advance from profile initial data to t_end, recording diagnostics
     after the steps of cfg.row_steps(): 0, every cadence-th and the last.
+    The rows go into one float64 table (diagnostics.row_table), preallocated
+    with a row per row step; each row's relative_entropy is copied into it
+    as soon as it is measured, so a row costs its table row only.
 
     Given a sink, each row also calls sink(row, t, u) once the row is
     reached: row counts the rows from 0, and u is the field at time t.  u
@@ -245,19 +247,21 @@ def run(cfg: SimulationConfig,
         raise ConfigError(issues)
 
     dt, n_steps = cfg.dt_actual(), cfg.steps()
+    row_steps = cfg.row_steps()
+    rows = diagnostics.row_table(len(row_steps))
     rows_s = 0.0
 
-    def measure(u, t):
+    def measure(row, u, t):
         nonlocal rows_s
         row_start = time.perf_counter()
-        row = diagnostics.relative_entropy(
+        rows[row] = diagnostics.relative_entropy(
             u, cfg.epsilon, cfg.potential, cfg.trajectory, cfg.cutoff,
-            cfg.grid, t, s0=cfg.s0, with_identity=cfg.compute_identity)
+            cfg.grid, t, s0=cfg.s0,
+            with_identity=cfg.compute_identity).values()
         rows_s += time.perf_counter() - row_start
-        return row
 
     u = initial_data(cfg)
-    rows = [measure(u, 0.0)]
+    measure(0, u, 0.0)
     band = cfg.grid.band_solver(dt)
     step = make_stepper(cfg)
     clamps = 0
@@ -274,7 +278,7 @@ def run(cfg: SimulationConfig,
     # bands and at the end
     v, moved = u[band.place(u)], False
     band_nodes_max, k = v.size, 0
-    for row_k in cfg.row_steps()[1:]:
+    for row, row_k in enumerate(row_steps[1:], start=1):
         if buffers[0] is None:   # dropped for a full-grid row
             buffers[0] = np.empty(size)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -309,9 +313,9 @@ def run(cfg: SimulationConfig,
             u, buffers[0] = v, None
         else:
             u[band.rows] = v
-        rows.append(measure(u, t))
+        measure(row, u, t)
         if sink is not None:
-            sink(len(rows) - 1, t, u)
+            sink(row, t, u)
     loop_end = time.perf_counter()
     step_s = loop_end - loop_start - (rows_s - rows_before)
 
@@ -319,8 +323,7 @@ def run(cfg: SimulationConfig,
         diagnostics.fill_identity_residuals(rows)
     end = time.perf_counter()
 
-    return RunResult(times=np.array([b.t for b in rows]), breakdowns=rows,
-                     dt=dt, n_steps=n_steps, clamp_count=clamps,
+    return RunResult(rows=rows, dt=dt, n_steps=n_steps, clamp_count=clamps,
                      final_field=u.copy(),
                      wall_s=end - start, rows_s=rows_s, step_s=step_s,
                      setup_s=loop_start - start - rows_before,

@@ -107,8 +107,8 @@ def test_c02_steady_profile_fidelity(standard_potential, profile):
 def test_c03_energy_dissipation_identity(dissipation_run,
                                          circle_identity_study):
     _, res = dissipation_run
-    residuals = [v for _, v in dg.dissipation_residuals(res.breakdowns)]
-    worst = max(residuals)
+    _, residuals = dg.dissipation_residuals(res.rows)
+    worst = float(residuals.max())
     orders = circle_identity_study.dissipation_orders
     ok = worst <= 0.05 and min(orders) >= 1.0
     report("C3 energy dissipation identity", ok,
@@ -129,13 +129,13 @@ def test_c04_coercivity_suite(circle_sweep, dissipation_run, crosscheck_runs,
     checked = 0
     violations = []
     for run_res, cutoff in sources:
-        for b in run_res.breakdowns:
+        for b in run_res.rows:
             rep = dg.coercivity_check(b, cutoff)
             checked += 1
             if not rep.passed:
                 violations.extend(rep.violations())
-            if b.rel_entropy < dg.ENTROPY_FLOOR:
-                violations.append(f"entropy below floor: {b.rel_entropy}")
+            if b["rel_entropy"] < dg.ENTROPY_FLOOR:
+                violations.append(f"entropy below floor: {b['rel_entropy']}")
     ok = checked > 100 and not violations
     report("C4 coercivity suite", ok,
            f"{checked} snapshots checked, {len(violations)} violations")
@@ -196,8 +196,9 @@ def test_c07_interface_error_constant(circle_sweep, sweep_plan):
     for run_res, eps in zip(circle_sweep.runs, EPSILONS):
         member = sweep_plan.member(eps)
         kappa0, radius = member.profile.kappa0(), member.trajectory.radius
-        ratios += [b.err_l1 / (eps * kappa0 * 2.0 * math.pi * radius(b.t))
-                   for b in run_res.breakdowns]
+        ratios += [b["err_l1"]
+                   / (eps * kappa0 * 2.0 * math.pi * radius(b["t"]))
+                   for b in run_res.rows]
     worst = max(abs(r - 1.0) for r in ratios)
     report("C7 interface-error constant", worst <= 0.03,
            f"err_l1 / (eps kappa0 2 pi R) in [{min(ratios):.4f}, "
@@ -208,7 +209,7 @@ def test_c07_weighted_volume_error_rate(circle_sweep):
     # the distance-weighted volume error that the theorem bounds together
     # with the entropy: its sup over each member's rows is O(eps^2)
     fit = pl.fit_rate(
-        (eps, max(b.err_weighted for b in run_res.breakdowns))
+        (eps, run_res.rows["err_weighted"].max())
         for run_res, eps in zip(circle_sweep.runs, EPSILONS))
     report("C7 weighted volume-error rate", 1.7 <= fit.slope <= 2.3,
            f"slope={fit.slope:.4f} (target [1.7,2.3])")
@@ -228,10 +229,10 @@ def test_c08_gronwall_stability(circle_sweep):
 
     pointwise_ok = True
     for run_res, c in zip(circle_sweep.runs, cs):
-        rows = run_res.breakdowns
-        e0 = rows[0].rel_entropy
+        rows = run_res.rows
+        e0 = rows[0]["rel_entropy"]
         for b in rows:
-            if b.rel_entropy > e0 * math.exp(c * b.t) * 1.05 + 1e-14:
+            if b["rel_entropy"] > e0 * math.exp(c * b["t"]) * 1.05 + 1e-14:
                 pointwise_ok = False
     ok = factor_ok and pointwise_ok
     report("C8 growth-constant stability", ok,
@@ -275,10 +276,10 @@ def test_c10_xi_pde_residuals(standard_potential):
 
 def test_c11_radial_vs_full_grid(crosscheck_runs):
     res_r, res_f = crosscheck_runs
-    sup_err_r = max(b.err_l1 for b in res_r.breakdowns)
-    sup_err_f = max(b.err_l1 for b in res_f.breakdowns)
-    sup_e_r = max(b.rel_entropy for b in res_r.breakdowns)
-    sup_e_f = max(b.rel_entropy for b in res_f.breakdowns)
+    sup_err_r = res_r.rows["err_l1"].max()
+    sup_err_f = res_f.rows["err_l1"].max()
+    sup_e_r = res_r.rows["rel_entropy"].max()
+    sup_e_f = res_f.rows["rel_entropy"].max()
     d_err = abs(sup_err_r - sup_err_f) / sup_err_r
     d_e = abs(sup_e_r - sup_e_f) / sup_e_r
     ok = d_err <= 0.05 and d_e <= 0.05
@@ -289,8 +290,8 @@ def test_c11_radial_vs_full_grid(crosscheck_runs):
 def test_c12_determinism(sweep_plan, circle_sweep):
     again = run_sweep(sweep_plan)
     identical = all(
-        list(dg.csv_lines(circle_sweep.runs[i].breakdowns))
-        == list(dg.csv_lines(again.runs[i].breakdowns))
+        list(dg.csv_lines(circle_sweep.runs[i].rows))
+        == list(dg.csv_lines(again.runs[i].rows))
         for i in range(len(EPSILONS)))
     same_report = (circle_sweep.report.to_json_dict()
                    == again.report.to_json_dict())

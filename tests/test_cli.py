@@ -696,13 +696,14 @@ def test_each_config_validated_once(tmp_path, monkeypatch):
     plan = json.loads((CONFIGS / "sweep_circle.json").read_text())
     plan["base"]["stepper"]["t_end"] = 0.001
     # a stepping sweep checks all four members before the first one runs,
-    # so every member's issues are reported together; then each run checks
-    # its own config, as every solver.run does
+    # so every member's issues are reported together, and check-identities
+    # checks its coarsest level before it reads the levels' row times; then
+    # each run checks its own config, as every solver.run does
     runs = [("sweep", "--plan", write_json(tmp_path / "p.json", plan), 8),
             ("sweep", "--plan", str(CONFIGS / "initial_entropy_plane.json"),
              4),
             ("check-identities", "--config",
-             str(CONFIGS / "identities_plane.json"), 3)]
+             str(CONFIGS / "identities_plane.json"), 4)]
     for i, (command, flag, path, expected) in enumerate(runs):
         calls.clear()
         rc = cli.main([command, flag, path, "--out", str(tmp_path / str(i))])

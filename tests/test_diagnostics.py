@@ -270,21 +270,26 @@ def test_identity_rhs_zero_on_uniform(standard_potential, profile):
     assert b.identity_rhs == pytest.approx(0.0, abs=1e-20)
 
 
+def table(*breakdowns):
+    """A row table holding the breakdowns, one row each, as a run stores
+    them."""
+    rows = dg.row_table(len(breakdowns))
+    for i, b in enumerate(breakdowns):
+        rows[i] = b.values()
+    return rows
+
+
 def test_identity_residual_fill():
-    rows = [dg.EntropyBreakdown(t=float(j), gl_energy=0.0, dissipation=0.0,
-                                rel_entropy=float(j) ** 2,
-                                equipartition_defect=0.0, misalignment=0.0,
-                                tilt_excess=0.0, dist_weighted_energy=0.0,
-                                defect_sq_curvature=0.0,
-                                defect_sq_velocity=0.0, err_l1=0.0,
-                                err_weighted=0.0, identity_rhs=2.0 * j)
-            for j in range(5)]
+    rows = dg.row_table(6)
+    rows["t"] = np.arange(6.0)
+    rows["rel_entropy"] = rows["t"] ** 2
+    rows["identity_rhs"] = 2.0 * rows["t"]
+    rows["identity_rhs"][3] = math.nan   # a row without an assembled rhs
     dg.fill_identity_residuals(rows)
-    assert math.isnan(rows[0].identity_residual)
-    assert math.isnan(rows[-1].identity_residual)
+    residual = rows["identity_residual"]
+    assert np.isnan(residual[[0, 3, 5]]).all()
     # centered difference of t^2 equals 2t exactly: residual 0
-    for row in rows[1:-1]:
-        assert row.identity_residual == pytest.approx(0.0, abs=1e-12)
+    assert np.array_equal(residual[[1, 2, 4]], np.zeros(3))
 
 
 def test_csv_rendering_fixed_columns(tmp_path):
@@ -295,16 +300,16 @@ def test_csv_rendering_fixed_columns(tmp_path):
                               defect_sq_curvature=0.05,
                               defect_sq_velocity=0.06, err_l1=0.07,
                               err_weighted=0.08)
-    text = "".join(dg.csv_lines([row]))
+    text = "".join(dg.csv_lines(table(row)))
     header, body = text.strip().split("\n")
     assert header == ",".join(dg.CSV_HEADER)
     assert "err_L1" in header
     assert body.split(",")[0] == "0.1"
     assert body.split(",")[-1] == "nan"
-    assert "".join(dg.csv_lines([row])) == text   # deterministic
+    assert "".join(dg.csv_lines(table(row))) == text   # deterministic
     # the file holds the same bytes, a NaN identity_residual included
-    rows = [row, replace(row, t=0.2, identity_residual=1e-3),
-            replace(row, t=0.3)]
+    rows = table(row, replace(row, t=0.2, identity_residual=1e-3),
+                 replace(row, t=0.3))
     dg.write_csv(tmp_path / "rows.csv", rows)
     assert ((tmp_path / "rows.csv").read_bytes()
             == "".join(dg.csv_lines(rows)).encode("utf-8"))
@@ -476,7 +481,8 @@ def test_tube_evaluation_matches_whole_grid_oracle(standard_potential,
             want = oracle_relative_entropy(u, cfg.epsilon, cfg.potential,
                                            cfg.trajectory, cfg.cutoff,
                                            cfg.grid, t, s0)
-            assert list(dg.csv_lines([got])) == list(dg.csv_lines([want]))
+            assert (list(dg.csv_lines(table(got)))
+                    == list(dg.csv_lines(table(want))))
             assert got.identity_rhs == want.identity_rhs
         u = stepped(cfg, u)
 
@@ -515,7 +521,7 @@ def test_identity_row_memory_bound(standard_potential, profile):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert list(dg.csv_lines([got])) == list(dg.csv_lines([want]))
+    assert list(dg.csv_lines(table(got))) == list(dg.csv_lines(table(want)))
     assert peak <= 10 * u.nbytes, peak / u.nbytes
 
 
@@ -541,6 +547,6 @@ def test_cold_full_grid_run_memory_bound(standard_potential, profile):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(res.breakdowns) == 5
+    assert len(res.rows) == 5
     assert peak <= 13 * field, peak / field
     assert "coords" not in cfg.grid.__dict__

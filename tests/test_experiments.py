@@ -159,6 +159,33 @@ def test_plan_rejects_bands_its_mode_does_not_read(standard_potential,
     assert len(err.value.messages) == len(bands)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"mode": "shifted"}, "plan.mode: unknown mode 'shifted' (expected one "
+                          "of full, initial-entropy)"),
+    ({"h_over_eps": 0}, "plan.h_over_eps: expected a positive number, got 0"),
+    ({"h_over_eps": -8.0},
+     "plan.h_over_eps: expected a positive number, got -8.0"),
+    ({"h_over_eps": math.nan},
+     "plan.h_over_eps: expected a positive number, got nan"),
+    ({"dt_over_eps2": 0},
+     "plan.dt_over_eps2: expected a positive number, got 0"),
+    ({"dt_over_eps2": -20.0},
+     "plan.dt_over_eps2: expected a positive number, got -20.0"),
+    ({"mode": "initial-entropy", "h_over_eps": 0},
+     "plan.initial_h_over_eps: expected a positive number, got 0"),
+])
+def test_plan_built_in_code_rejects_what_build_plan_does(standard_potential,
+                                                         profile, kwargs,
+                                                         message):
+    # an unknown mode raised KeyError, and a spacing or step coupling of 0
+    # made validate() raise ZeroDivisionError in member; build_plan
+    # rejects the same values with the same words
+    base = make_circle_config(standard_potential, profile)
+    with pytest.raises(ConfigError) as err:
+        SweepPlan(base=base, epsilons=[0.16, 0.08, 0.04], **kwargs)
+    assert err.value.messages == [message]
+
+
 def test_plan_runs_its_mode_study_found_by_name(standard_potential, profile,
                                                 monkeypatch):
     # looked up when the plan runs, so a wrapper set on the module runs
@@ -217,8 +244,8 @@ def test_sweep_deterministic(standard_potential, profile):
     first = run_sweep(plan)
     again = run_sweep(plan)
     for i in range(3):
-        assert (list(csv_lines(first.runs[i].breakdowns))
-                == list(csv_lines(again.runs[i].breakdowns)))
+        assert (list(csv_lines(first.runs[i].rows))
+                == list(csv_lines(again.runs[i].rows)))
     assert first.report.to_json_dict() == again.report.to_json_dict()
 
 

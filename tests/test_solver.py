@@ -303,23 +303,23 @@ def test_shrinking_circle_radius(standard_potential, profile):
 def test_stationary_plane_entropy_stays_bounded(standard_potential, profile):
     cfg = make_plane_config(standard_potential, profile, t_end=0.1)
     res = pl.run(cfg)
-    e0 = res.breakdowns[0].rel_entropy
-    for b in res.breakdowns:
-        assert e0 / 2.0 <= b.rel_entropy <= 2.0 * e0
+    entropy = res.rows["rel_entropy"]
+    e0 = entropy[0]
+    assert np.all((e0 / 2.0 <= entropy) & (entropy <= 2.0 * e0))
 
 
 def test_run_bookkeeping(standard_potential, profile):
     cfg = make_plane_config(standard_potential, profile, t_end=0.0)
     res = pl.run(cfg)
-    assert len(res.breakdowns) == 1
+    assert len(res.rows) == 1
     assert res.n_steps == 0
 
     cfg = make_plane_config(standard_potential, profile, cadence=1)
     cfg.t_end = 7 * cfg.dt
     res = pl.run(cfg)
-    assert len(res.breakdowns) == 8
-    assert res.times[0] == 0.0
-    assert res.times[-1] == pytest.approx(cfg.t_end)
+    assert len(res.rows) == 8
+    assert res.rows["t"][0] == 0.0
+    assert res.rows["t"][-1] == pytest.approx(cfg.t_end)
 
 
 def test_dt_adjusts_to_land_on_t_end(standard_potential, profile):
@@ -613,7 +613,7 @@ def test_block_guard_matches_the_per_step_guard(standard_potential, profile,
         mp.setattr(pl.solver, "make_stepper", replayed_steps(fields))
         try:
             res = pl.run(cfg)
-            got = (res.clamp_count, res.max_abs_u, list(res.times))
+            got = (res.clamp_count, res.max_abs_u, res.rows["t"].tolist())
         except BlowUpError as err:
             got = str(err)
     assert got == want
@@ -693,7 +693,7 @@ def test_band_guard_matches_the_whole_line_guard(standard_potential, profile,
                    replayed_band_steps(events, seen))
         try:
             res = pl.run(cfg)
-            got = (res.clamp_count, res.max_abs_u, list(res.times))
+            got = (res.clamp_count, res.max_abs_u, res.rows["t"].tolist())
             assert np.array_equal(res.final_field,
                                   seen[-1] if seen else pl.initial_data(cfg))
         except BlowUpError as err:
@@ -803,6 +803,27 @@ def test_steps_allocate_no_field(standard_potential, profile, mode, steps):
     assert peak < u.nbytes / 10, peak
 
 
+def test_run_rows_cost_their_table_row(standard_potential, profile):
+    # each row is copied into the run's float64 table as it is measured, so
+    # a run retains about 112 B a row (14 float64s) besides its final field;
+    # about 480 B a row when every row kept its own object of Python floats
+    cfg = make_circle_config(standard_potential, profile, eps=0.08,
+                             half_width=1.4, cadence=1, dt_over_eps2=80)
+    cfg.t_end = 1000 * cfg.dt
+    pl.run(replace(cfg, t_end=10 * cfg.dt))   # the first run builds caches
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        res = pl.run(cfg)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    n_rows = len(cfg.row_steps())
+    assert n_rows == 1001
+    per_row = (retained - res.final_field.nbytes) / n_rows
+    assert per_row <= 200, per_row
+
+
 def test_row_times_are_the_run_rows(standard_potential, profile):
     # check-identities reads the shared times off row_times before any run
     # and matches them exactly: t_end = 0, every step a row, a last interval
@@ -813,7 +834,7 @@ def test_row_times_are_the_run_rows(standard_potential, profile):
         cfg = make_plane_config(standard_potential, profile, cadence=cadence,
                                 t_end=t_end)
         assert (cfg.steps(), len(cfg.row_times())) == (n_steps, n_rows)
-        assert cfg.row_times() == [b.t for b in pl.run(cfg).breakdowns]
+        assert cfg.row_times() == pl.run(cfg).rows["t"].tolist()
 
 
 def test_blowup_reported_with_time(standard_potential, profile,
@@ -850,7 +871,7 @@ def test_snapshots_kept_at_cadence(tmp_path, standard_potential, profile):
     seen = []
     res = pl.run(cfg, sink=lambda row, t, u: seen.append((row, t, u.copy())))
     assert [row for row, _, _ in seen] == [0, 1, 2, 3]
-    assert [t for _, t, _ in seen] == list(res.times)
+    assert [t for _, t, _ in seen] == res.rows["t"].tolist()
     assert np.array_equal(seen[0][2], pl.initial_data(cfg))
     assert np.array_equal(seen[-1][2], res.final_field)
     for every, kept in ((1, seen), (2, seen[::2]), (None, seen[-1:])):
