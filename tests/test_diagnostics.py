@@ -292,6 +292,45 @@ def test_identity_residual_fill():
     assert np.array_equal(residual[[1, 2, 4]], np.zeros(3))
 
 
+def row_loop_rates(rows, name):
+    """(j, t_j, centered rate) row by row on Python floats: the per-row
+    loop the column readers replace, kept as their reference."""
+    t, x = rows["t"].tolist(), rows[name].tolist()
+    for j in range(1, len(t) - 1):
+        if (abs((t[j + 1] - t[j]) - (t[j] - t[j - 1]))
+                <= 1e-9 * max(t[j + 1] - t[j - 1], 1e-300)):
+            yield j, t[j], (x[j + 1] - x[j - 1]) / (t[j + 1] - t[j - 1])
+
+
+def test_column_readers_match_the_row_loop(standard_potential, profile):
+    # the same IEEE operations in the same order as the row loop, so the
+    # same bits: random rows on the row times of a run whose last interval
+    # is shorter than the cadence, one rhs not assembled
+    cfg = make_plane_config(standard_potential, profile, cadence=7,
+                            t_end=0.004)
+    times = cfg.row_times()
+    rng = np.random.default_rng(11)
+    rows = dg.row_table(len(times))
+    rows["t"] = times
+    for name in ("gl_energy", "dissipation", "rel_entropy", "identity_rhs"):
+        rows[name] = rng.uniform(0.0, 3.0, len(times))
+    rows["identity_rhs"][2] = math.nan
+    want = [math.nan] * len(times)
+    for j, _, dedt in row_loop_rates(rows, "rel_entropy"):
+        rhs = rows["identity_rhs"][j].item()
+        if not math.isnan(rhs):
+            want[j] = abs(dedt - rhs)
+    dg.fill_identity_residuals(rows)
+    got = rows["identity_residual"].tolist()
+    assert [repr(v) for v in got] == [repr(v) for v in want]
+    assert math.isnan(got[-2])   # the partial interval has no centered rate
+    diss = rows["dissipation"].tolist()
+    want = [(tc, abs(dedt + diss[j]) / max(diss[j], 1.0))
+            for j, tc, dedt in row_loop_rates(rows, "gl_energy")]
+    got_t, got_v = dg.dissipation_residuals(rows)
+    assert list(zip(got_t.tolist(), got_v.tolist())) == want
+
+
 def test_csv_rendering_fixed_columns(tmp_path):
     row = dg.EntropyBreakdown(t=0.1, gl_energy=1.0, dissipation=2.0,
                               rel_entropy=0.5, equipartition_defect=0.1,
