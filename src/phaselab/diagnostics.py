@@ -486,8 +486,9 @@ def csv_lines(rows: np.ndarray):
     runs produce byte-identical bodies.
     """
     yield ",".join(CSV_HEADER) + "\n"
+    line = ",".join(["%r"] * len(CSV_COLUMNS)) + "\n"
     for row in rows[list(CSV_COLUMNS)]:
-        yield ",".join(repr(float(v)) for v in row.item()) + "\n"
+        yield line % row.item()   # item(): a tuple of Python floats
 
 
 def write_csv(path, rows: np.ndarray) -> None:

@@ -94,20 +94,29 @@ def gronwall_fit(series) -> GronwallFit:
     """Smallest C >= 0 with E(t) <= E(0) exp(C t) on all samples.
 
     C = max over t > 0 of log(E(t)/E(0)) / t, clipped at zero.  The fit is
-    flagged degenerate when E(0) sits at the quadrature floor or any sample
-    is nonpositive.
+    flagged degenerate when E(0) sits at the quadrature floor, any sample
+    is nonpositive or no sample has t > 0.  The (t, E) pairs are read once,
+    one at a time, so a run's columns stream in without a copy.
     """
-    series = list(series)
-    if not series:
+    pairs = iter(series)
+    first = next(pairs, None)
+    if first is None:
         raise ValueError("empty series")
-    e0 = series[0][1]
-    values = np.array([e for _, e in series])
-    if e0 <= GRONWALL_FLOOR or np.any(values <= 0.0):
-        return GronwallFit(c_hat=0.0, degenerate=True)
-    rates = [math.log(e / e0) / t for t, e in series[1:] if t > 0.0]
-    if not rates:
-        return GronwallFit(c_hat=0.0, degenerate=True)
-    return GronwallFit(c_hat=max(0.0, max(rates)))
+    e0 = first[1]
+    degenerate = GronwallFit(c_hat=0.0, degenerate=True)
+    if e0 <= GRONWALL_FLOOR:
+        return degenerate
+    c_hat = None   # the largest rate so far, compared as max() compares
+    for t, e in pairs:
+        if e <= 0.0:
+            return degenerate
+        if t > 0.0:
+            rate = math.log(e / e0) / t
+            if c_hat is None or rate > c_hat:
+                c_hat = rate
+    if c_hat is None:
+        return degenerate
+    return GronwallFit(c_hat=max(0.0, c_hat))
 
 
 @dataclass
@@ -248,7 +257,8 @@ def run_sweep(plan: SweepPlan) -> SweepResult:
         sup_ent.append(float(entropy.max()))
         e0s.append(float(entropy[0]))
         # Python floats, so the fit's logs are math.log's
-        gronwall.append(gronwall_fit(zip(t.tolist(), entropy.tolist())))
+        gronwall.append(gronwall_fit(zip(map(float, t),
+                                         map(float, entropy))))
 
     slopes = {
         "err_l1": fit_rate(list(zip(plan.epsilons, sup_err))),

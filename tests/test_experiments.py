@@ -66,6 +66,9 @@ def test_gronwall_exact_exponential():
     fit = gronwall_fit([(t, 0.3 * math.exp(3.0 * t)) for t in ts])
     assert not fit.degenerate
     assert fit.c_hat == pytest.approx(3.0, abs=1e-12)
+    # the pairs are read once, so a one-shot iterator gives the same fit
+    again = gronwall_fit((t, 0.3 * math.exp(3.0 * t)) for t in ts)
+    assert again == fit
 
 
 def test_gronwall_nonincreasing_clips_to_zero():
@@ -78,6 +81,11 @@ def test_gronwall_nonincreasing_clips_to_zero():
 def test_gronwall_degenerate():
     assert gronwall_fit([(0.0, 0.0), (0.1, 1.0)]).degenerate
     assert gronwall_fit([(0.0, 1.0), (0.1, -0.5)]).degenerate
+    # a nonpositive sample after the largest rate, and no sample at t > 0
+    assert gronwall_fit([(0.0, 1.0), (0.1, 2.0), (0.2, 0.0)]).degenerate
+    assert gronwall_fit([(0.0, 1.0), (0.0, 2.0)]).degenerate
+    with pytest.raises(ValueError, match="empty series"):
+        gronwall_fit([])
 
 
 def test_plan_validation(standard_potential, profile):
