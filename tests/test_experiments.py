@@ -185,9 +185,8 @@ def test_plan_rejects_bands_its_mode_does_not_read(standard_potential,
 def test_plan_built_in_code_rejects_what_build_plan_does(standard_potential,
                                                          profile, kwargs,
                                                          message):
-    # an unknown mode raised KeyError, and a spacing or step coupling of 0
-    # made validate() raise ZeroDivisionError in member; build_plan
-    # rejects the same values with the same words
+    # a ConfigError in build_plan's words, not a KeyError on the mode or a
+    # ZeroDivisionError in member, which divides by both couplings
     base = make_circle_config(standard_potential, profile)
     with pytest.raises(ConfigError) as err:
         SweepPlan(base=base, epsilons=[0.16, 0.08, 0.04], **kwargs)
