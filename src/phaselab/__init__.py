@@ -9,8 +9,7 @@ convergence rates.
 
 __version__ = "0.1.0"
 
-from .diagnostics import (CSV_COLUMNS, EntropyBreakdown, coercivity_check,
-                          relative_entropy)
+from .diagnostics import CSV_COLUMNS, coercivity_check, relative_entropy
 from .experiments import (GronwallFit, RateFit, RateReport, SweepPlan,
                           check_identities, fit_rate, gronwall_fit,
                           initial_entropy_study, run_sweep)

@@ -289,9 +289,14 @@ def build_plan(doc: dict):
                                     "read only in mode 'full'"))
     issues += [f"{path}: {why}" for path, why in unread.items()
                if _lookup(base, path) is not None]
-    base = dict(base, epsilon=epsilons[0])
+    # the base builds at the first eps, which is the list's to report: the
+    # base's own keys are checked with a stand-in epsilon
+    if not IS_KIND[POSITIVE](epsilons[0]):
+        issues.append("sweep.epsilons: must be positive")
     if issues:
-        raise ConfigError(issues + _run_issues(base, "sweep"))
+        raise ConfigError(issues + _run_issues(dict(base, epsilon=1.0),
+                                               "sweep"))
+    base = dict(base, epsilon=epsilons[0])
     base_cfg, filled_base = build_simulation(base, "sweep")
     for path in unread:   # nor does the manifest record them
         section, _, key = path.rpartition(".")

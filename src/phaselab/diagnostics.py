@@ -19,7 +19,6 @@ discrete steady states exactly dissipation-free.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -42,48 +41,17 @@ CSV_COLUMNS = (
     "defect_sq_curvature", "defect_sq_velocity", "err_l1", "err_weighted",
     "identity_residual",
 )
-# wire header: identical to the attribute names except the L1 spelling
+# wire header: identical to the field names except the L1 spelling
 CSV_HEADER = tuple("err_L1" if c == "err_l1" else c for c in CSV_COLUMNS)
 # a run's rows: one float64 field per CSV column, then the assembled
 # right-hand side of the entropy identity
 ROW_DTYPE = np.dtype([(name, np.float64)
                       for name in (*CSV_COLUMNS, "identity_rhs")])
-_row_values = operator.attrgetter(*ROW_DTYPE.names)
 
 
 def row_table(n: int) -> np.ndarray:
     """A table of n rows of ROW_DTYPE, every value NaN until written."""
     return np.full(n, np.nan, dtype=ROW_DTYPE)
-
-
-@dataclass
-class EntropyBreakdown:
-    """Every tracked functional at one time stamp, read by field name
-    (b.rel_entropy or b["rel_entropy"]) like a row of a run's table."""
-
-    t: float
-    gl_energy: float
-    dissipation: float
-    rel_entropy: float
-    equipartition_defect: float
-    misalignment: float
-    tilt_excess: float
-    dist_weighted_energy: float
-    defect_sq_curvature: float
-    defect_sq_velocity: float
-    err_l1: float
-    err_weighted: float
-    identity_residual: float = math.nan
-    identity_rhs: float = math.nan   # assembled right-hand side, not in CSV
-
-    def __getitem__(self, name: str) -> float:
-        return getattr(self, name)
-
-    def values(self) -> tuple:
-        """The values in the field order of ROW_DTYPE, one tuple of their
-        exact length: a tuple grown from a generator would leave a freed
-        tuple of each row on the interpreter's free list."""
-        return _row_values(self)
 
 
 @dataclass
@@ -144,13 +112,15 @@ def default_s0(cutoff: CutoffSpec) -> float:
 def relative_entropy(u: np.ndarray, eps: float, pot: PotentialSpec,
                      traj: InterfaceTrajectory, cutoff: CutoffSpec,
                      grid: Grid, t: float, s0: Optional[float] = None,
-                     with_identity: bool = False) -> EntropyBreakdown:
-    """Evaluate the full breakdown of one snapshot.
+                     with_identity: bool = False) -> np.void:
+    """Evaluate every tracked functional of one snapshot, returned as one
+    record of ROW_DTYPE, the kind of row a run's table holds.
 
     The core value is int density - xi . grad psi; the call also fills the
     coercivity integrals, the two dissipation defect squares, the interface
     errors, and (with_identity) the assembled right-hand side of the
-    entropy evolution identity.
+    entropy evolution identity.  identity_residual, a rate across rows, is
+    NaN, and so is identity_rhs without with_identity.
 
     The interface fields vanish off the cutoff's tube, so every term that
     carries one is evaluated at the tube cells and scattered into the
@@ -234,27 +204,16 @@ def relative_entropy(u: np.ndarray, eps: float, pot: PotentialSpec,
     entropy = quad(density, out=density)
     del density, pair
 
-    b = EntropyBreakdown(
-        t=t,
-        gl_energy=energy,
-        dissipation=diss,
-        rel_entropy=entropy,
-        equipartition_defect=equipartition,
-        misalignment=misalignment,
-        tilt_excess=tilt,
-        dist_weighted_energy=dist_weighted,
-        defect_sq_curvature=dsq_curv,
-        defect_sq_velocity=dsq_vel,
-        err_l1=err_l1,
-        err_weighted=err_w)
-
+    identity_rhs = math.nan
     if with_identity:
         tube = TubeFields(gmag=gmag_t, n=n_t, grad_psi=gpsi_t,
                           grad_psi_mag=gpm_t, w=w_t, density=density_t)
-        b.identity_rhs = _identity_rhs(eps, tube, ef, quad, dsq_curv,
-                                       dsq_vel, xi_dot_gpsi,
-                                       np.zeros(grid.shape))
-    return b
+        identity_rhs = _identity_rhs(eps, tube, ef, quad, dsq_curv, dsq_vel,
+                                     xi_dot_gpsi, np.zeros(grid.shape))
+    # one call, the values in the field order of ROW_DTYPE
+    return np.void((t, energy, diss, entropy, equipartition, misalignment,
+                    tilt, dist_weighted, dsq_curv, dsq_vel, err_l1, err_w,
+                    math.nan, identity_rhs), dtype=ROW_DTYPE)
 
 
 def _gradient_fields(u, grid, ef) -> tuple:
@@ -419,8 +378,8 @@ class CoercivityReport:
 
 def coercivity_check(b, cutoff: CutoffSpec,
                      slack: float = COERCIVITY_SLACK) -> CoercivityReport:
-    """Verify the four entropy coercivity inequalities on one row, an
-    EntropyBreakdown or a row of a run's table.
+    """Verify the four entropy coercivity inequalities on one row of
+    ROW_DTYPE.
 
     equipartition <= 2E, misalignment <= 2E, tilt <= 12E, and the
     distance-weighted energy <= C(cutoff) E, each with the given slack

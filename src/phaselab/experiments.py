@@ -56,10 +56,10 @@ def fit_rate(points) -> RateFit:
 
     Needs at least three points with finite positive q and eps, and at
     least two distinct eps values; the intercept and the residual norm of
-    the fit are reported alongside the slope.  The line is the closed form from centred sums of
-    x = log eps and y = log q: slope = sum(xc * yc) / sum(xc * xc), with xc
-    and yc the logs minus their means, and intercept = mean(y) - slope *
-    mean(x).
+    the fit are reported alongside the slope.  The line is the closed form
+    from centred sums of x = log eps and y = log q: slope = sum(xc * yc) /
+    sum(xc * xc), with xc and yc the logs minus their means, and intercept
+    = mean(y) - slope * mean(x).
     """
     points = list(points)
     if len(points) < 3:
@@ -94,9 +94,10 @@ def gronwall_fit(series) -> GronwallFit:
     """Smallest C >= 0 with E(t) <= E(0) exp(C t) on all samples.
 
     C = max over t > 0 of log(E(t)/E(0)) / t, clipped at zero.  The fit is
-    flagged degenerate when E(0) sits at the quadrature floor, any sample
-    is nonpositive or no sample has t > 0.  The (t, E) pairs are read once,
-    one at a time, so a run's columns stream in without a copy.
+    flagged degenerate when E(0) sits at the quadrature floor, E(0) or any
+    sample is not a finite number, any sample is nonpositive or no sample
+    has t > 0.  The (t, E) pairs are read once, one at a time, so a run's
+    columns stream in without a copy.
     """
     pairs = iter(series)
     first = next(pairs, None)
@@ -104,11 +105,11 @@ def gronwall_fit(series) -> GronwallFit:
         raise ValueError("empty series")
     e0 = first[1]
     degenerate = GronwallFit(c_hat=0.0, degenerate=True)
-    if e0 <= GRONWALL_FLOOR:
+    if not GRONWALL_FLOOR < e0 < math.inf:   # NaN fails both comparisons
         return degenerate
     c_hat = None   # the largest rate so far, compared as max() compares
     for t, e in pairs:
-        if e <= 0.0:
+        if not 0.0 < e < math.inf:
             return degenerate
         if t > 0.0:
             rate = math.log(e / e0) / t
@@ -225,7 +226,7 @@ def initial_entropy_study(plan: SweepPlan) -> SweepResult:
         b = diagnostics.relative_entropy(
             u0, eps, cfg.potential, cfg.trajectory, cfg.cutoff, cfg.grid,
             0.0, s0=cfg.s0)
-        values.append(b.rel_entropy)
+        values.append(float(b["rel_entropy"]))
     fit = fit_rate(list(zip(plan.epsilons, values)))
     return SweepResult(report=RateReport(
         epsilons=list(plan.epsilons),

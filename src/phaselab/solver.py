@@ -257,7 +257,7 @@ def run(cfg: SimulationConfig,
         rows[row] = diagnostics.relative_entropy(
             u, cfg.epsilon, cfg.potential, cfg.trajectory, cfg.cutoff,
             cfg.grid, t, s0=cfg.s0,
-            with_identity=cfg.compute_identity).values()
+            with_identity=cfg.compute_identity)
         rows_s += time.perf_counter() - row_start
 
     u = initial_data(cfg)

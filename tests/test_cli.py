@@ -607,6 +607,8 @@ BAD_PLANS = [   # (plan, key path, value, message in the error)
      "sweep.epsilons: must be positive"),
     ("sweep_circle.json", ("epsilons",), [0.16, 0.08, -0.04],
      "sweep.epsilons: must be positive"),
+    ("sweep_circle.json", ("epsilons",), [-0.04, 0.02, 0.01],
+     "sweep.epsilons: must be positive"),
     ("sweep_circle.json", ("h_over_eps",), 0.1,
      "member eps=0.16: grid: need at least 8 points per axis"),
     ("initial_entropy_plane.json", ("initial_h_over_eps",), 0.05,

@@ -139,6 +139,16 @@ def test_plan_and_base_problems_reported_together():
         "diagnostics.cadence: expected an integer, got 2.7",
         "trajectory.radius0: expected a number, got inf"]
 
+    # the base takes the first eps, but a bad one is the list's problem
+    plan["bands"]["gronwall_factor"] = 2.0
+    plan["epsilons"] = [-0.04, 0.02, 0.01]
+    with pytest.raises(ConfigError) as err:
+        config.build_plan(plan)
+    assert err.value.messages == [
+        "sweep.epsilons: must be positive",
+        "diagnostics.cadence: expected an integer, got 2.7",
+        "trajectory.radius0: expected a number, got inf"]
+
 
 def _plane1d_with(section, **values):
     doc = load("plane1d.json")

@@ -29,7 +29,7 @@ def psi_exact(u):
 
 
 def row(u, cfg, **kw):
-    """The relative_entropy breakdown of u on cfg's geometry at t = 0."""
+    """The relative_entropy record of u on cfg's geometry at t = 0."""
     return dg.relative_entropy(u, cfg.epsilon, cfg.potential, cfg.trajectory,
                                cfg.cutoff, cfg.grid, 0.0, **kw)
 
@@ -44,14 +44,14 @@ def derived(u, cfg, pot):
 def test_gl_energy_minimizer(standard_potential, profile):
     cfg = make_plane_config(standard_potential, profile, h_over_eps=3.2)
     assert cfg.grid.npts == 64
-    assert row(np.ones(cfg.grid.shape), cfg).gl_energy == 0.0
+    assert row(np.ones(cfg.grid.shape), cfg)["gl_energy"] == 0.0
 
 
 def test_gl_energy_profile_line_tension(standard_potential, profile):
     # co-area oracle: int theta'(x/eps)^2 / eps dx = int sqrt(2W) = 2;
     # the discrete gradient under-reads by ~0.6 (h/eps)^2, so resolve well
     cfg = make_plane_config(standard_potential, profile, h_over_eps=128)
-    val = row(pl.initial_data(cfg), cfg).gl_energy
+    val = row(pl.initial_data(cfg), cfg)["gl_energy"]
     assert val == pytest.approx(2.0, abs=1e-4)
 
 
@@ -59,14 +59,14 @@ def test_gl_energy_circle_perimeter(standard_potential, profile):
     # line tension 2 times perimeter 2 pi R
     cfg = make_circle_config(standard_potential, profile, eps=0.05,
                              half_width=1.4, mode="full")
-    val = row(pl.initial_data(cfg), cfg).gl_energy
+    val = row(pl.initial_data(cfg), cfg)["gl_energy"]
     assert abs(val - 4.0 * math.pi) / (4.0 * math.pi) < 0.02
 
 
 def test_dissipation_minimizer(standard_potential, profile):
     cfg = make_plane_config(standard_potential, profile, h_over_eps=3.2)
     assert cfg.grid.npts == 64
-    assert row(-np.ones(cfg.grid.shape), cfg).dissipation < 1e-24
+    assert row(-np.ones(cfg.grid.shape), cfg)["dissipation"] < 1e-24
 
 
 def test_dissipation_profile_refines_to_zero(standard_potential, profile):
@@ -74,7 +74,7 @@ def test_dissipation_profile_refines_to_zero(standard_potential, profile):
     for h_over_eps in (16, 32):
         cfg = make_plane_config(standard_potential, profile,
                                 h_over_eps=h_over_eps)
-        vals.append(row(pl.initial_data(cfg), cfg).dissipation)
+        vals.append(row(pl.initial_data(cfg), cfg)["dissipation"])
     assert vals[1] < vals[0] / 8.0   # h^4 scaling of the squared residual
     assert vals[0] < 0.05
 
@@ -83,7 +83,7 @@ def test_dissipation_shrinking_circle(standard_potential, profile):
     # sharp-interface rate: line tension x int H^2 = 2 * 2 pi R / R^2
     cfg = make_circle_config(standard_potential, profile, eps=0.04,
                              half_width=1.4, h_over_eps=16)
-    val = row(pl.initial_data(cfg), cfg).dissipation
+    val = row(pl.initial_data(cfg), cfg)["dissipation"]
     assert abs(val - 4.0 * math.pi) / (4.0 * math.pi) < 0.10
 
 
@@ -96,7 +96,7 @@ def test_relative_entropy_uniform(standard_potential, profile):
     for name in ("gl_energy", "rel_entropy", "equipartition_defect",
                  "misalignment", "tilt_excess", "dist_weighted_energy",
                  "defect_sq_curvature", "defect_sq_velocity"):
-        assert getattr(b, name) == pytest.approx(0.0, abs=1e-20)
+        assert b[name] == pytest.approx(0.0, abs=1e-20)
 
 
 def test_relative_entropy_far_interface_equals_energy(standard_potential,
@@ -107,8 +107,8 @@ def test_relative_entropy_far_interface_equals_energy(standard_potential,
     u0 = pl.initial_data(cfg)
     b = dg.relative_entropy(u0, cfg.epsilon, standard_potential, traj,
                             cfg.cutoff, cfg.grid, 0.0)
-    assert b.rel_entropy == pytest.approx(b.gl_energy, abs=1e-12)
-    assert b.gl_energy == pytest.approx(2.0, abs=1e-2)
+    assert b["rel_entropy"] == pytest.approx(b["gl_energy"], abs=1e-12)
+    assert b["gl_energy"] == pytest.approx(2.0, abs=1e-2)
 
 
 def test_initial_entropy_against_quadrature_oracle(standard_potential,
@@ -127,8 +127,8 @@ def test_initial_entropy_against_quadrature_oracle(standard_potential,
         oracle, _ = quad(
             lambda x: (1.0 - cut.profile(x)[0]) * dtheta_exact(x / eps) ** 2 / eps,
             -0.5, 0.5, limit=400)
-        assert b.rel_entropy == pytest.approx(oracle, rel=0.05)
-        ks.append(b.rel_entropy / eps ** 2)
+        assert b["rel_entropy"] == pytest.approx(oracle, rel=0.05)
+        ks.append(b["rel_entropy"] / eps ** 2)
     assert abs(ks[0] - ks[1]) / ks[0] < 0.05
 
 
@@ -145,7 +145,7 @@ def test_coercivity_trivial_and_profile(standard_potential, profile):
                             cfg.trajectory, cfg.cutoff, cfg.grid, 0.0)
     rep = dg.coercivity_check(b, cfg.cutoff)
     assert rep.passed, rep.violations()
-    assert b.equipartition_defect <= 2.0 * b.rel_entropy
+    assert b["equipartition_defect"] <= 2.0 * b["rel_entropy"]
 
 
 def test_coercivity_on_rough_fields(standard_potential, profile):
@@ -163,7 +163,7 @@ def test_coercivity_on_rough_fields(standard_potential, profile):
                                 cfg.trajectory, cfg.cutoff, cfg.grid, 0.1)
         rep = dg.coercivity_check(b, cfg.cutoff, slack=1.0 + 1e-12)
         assert rep.passed, rep.violations()
-        assert b.rel_entropy >= dg.ENTROPY_FLOOR
+        assert b["rel_entropy"] >= dg.ENTROPY_FLOOR
 
 
 def random_field_geometries(pot, profile):
@@ -204,7 +204,7 @@ def test_coercivity_algebra_on_random_fields(standard_potential, profile,
                             cfg.trajectory, cfg.cutoff, cfg.grid, 0.05)
     rep = dg.coercivity_check(b, cfg.cutoff, slack=1.0 + 1e-12)
     assert rep.passed, rep.violations()
-    assert b.rel_entropy >= dg.ENTROPY_FLOOR
+    assert b["rel_entropy"] >= dg.ENTROPY_FLOOR
 
     d = derived(u, cfg, standard_potential)
     eps = cfg.epsilon
@@ -243,8 +243,8 @@ def test_interface_errors_exact_indicator(standard_potential, profile):
     dist = cfg.trajectory.radius(0.0) - cfg.grid.axis
     u = np.where(dist >= 0.0, 1.0, -1.0)   # psi(u) = chi exactly
     b = row(u, cfg, s0=cfg.cutoff.r_c / 4)
-    assert b.err_l1 == 0.0
-    assert b.err_weighted == 0.0
+    assert b["err_l1"] == 0.0
+    assert b["err_weighted"] == 0.0
 
 
 def test_interface_errors_profile_oracle(standard_potential, profile):
@@ -253,7 +253,7 @@ def test_interface_errors_profile_oracle(standard_potential, profile):
     cfg = make_plane_config(standard_potential, profile, eps=eps,
                             h_over_eps=64)
     b = row(pl.initial_data(cfg), cfg, s0=cfg.cutoff.r_c / 4)
-    err_l1, err_w = b.err_l1, b.err_weighted
+    err_l1, err_w = b["err_l1"], b["err_weighted"]
     half, _ = quad(lambda s: 1.0 - psi_exact(theta_exact(s)), 0.0, 30.0,
                    limit=400)
     oracle = 2.0 * eps * half
@@ -267,16 +267,32 @@ def test_identity_rhs_zero_on_uniform(standard_potential, profile):
     b = dg.relative_entropy(np.ones(cfg.grid.shape), cfg.epsilon,
                             standard_potential, cfg.trajectory, cfg.cutoff,
                             cfg.grid, 0.0, with_identity=True)
-    assert b.identity_rhs == pytest.approx(0.0, abs=1e-20)
+    assert b["identity_rhs"] == pytest.approx(0.0, abs=1e-20)
+    # a record of a run's row table: the residual, a rate across rows,
+    # stays NaN, and so does an rhs not assembled
+    plain = row(np.ones(cfg.grid.shape), cfg)
+    assert b.dtype == plain.dtype == dg.ROW_DTYPE
+    assert np.isnan([b["identity_residual"], plain["identity_residual"],
+                     plain["identity_rhs"]]).all()
+    assert plain.item()[:-2] == b.item()[:-2]
 
 
-def table(*breakdowns):
-    """A row table holding the breakdowns, one row each, as a run stores
+def table(*records):
+    """A row table holding the records, one row each, as a run stores
     them."""
-    rows = dg.row_table(len(breakdowns))
-    for i, b in enumerate(breakdowns):
-        rows[i] = b.values()
+    rows = dg.row_table(len(records))
+    for i, b in enumerate(records):
+        rows[i] = b
     return rows
+
+
+def record(**values):
+    """One ROW_DTYPE record with the given values, NaN in every other
+    field."""
+    b = dg.row_table(1)[0]
+    for name, value in values.items():
+        b[name] = value
+    return b
 
 
 def test_identity_residual_fill():
@@ -332,13 +348,10 @@ def test_column_readers_match_the_row_loop(standard_potential, profile):
 
 
 def test_csv_rendering_fixed_columns(tmp_path):
-    row = dg.EntropyBreakdown(t=0.1, gl_energy=1.0, dissipation=2.0,
-                              rel_entropy=0.5, equipartition_defect=0.1,
-                              misalignment=0.2, tilt_excess=0.3,
-                              dist_weighted_energy=0.4,
-                              defect_sq_curvature=0.05,
-                              defect_sq_velocity=0.06, err_l1=0.07,
-                              err_weighted=0.08)
+    row = record(t=0.1, gl_energy=1.0, dissipation=2.0, rel_entropy=0.5,
+                 equipartition_defect=0.1, misalignment=0.2, tilt_excess=0.3,
+                 dist_weighted_energy=0.4, defect_sq_curvature=0.05,
+                 defect_sq_velocity=0.06, err_l1=0.07, err_weighted=0.08)
     text = "".join(dg.csv_lines(table(row)))
     header, body = text.strip().split("\n")
     assert header == ",".join(dg.CSV_HEADER)
@@ -347,8 +360,9 @@ def test_csv_rendering_fixed_columns(tmp_path):
     assert body.split(",")[-1] == "nan"
     assert "".join(dg.csv_lines(table(row))) == text   # deterministic
     # the file holds the same bytes, a NaN identity_residual included
-    rows = table(row, replace(row, t=0.2, identity_residual=1e-3),
-                 replace(row, t=0.3))
+    rows = table(row, row, row)   # copies of row with a field set
+    rows["t"][1:] = 0.2, 0.3
+    rows["identity_residual"][1] = 1e-3
     dg.write_csv(tmp_path / "rows.csv", rows)
     assert ((tmp_path / "rows.csv").read_bytes()
             == "".join(dg.csv_lines(rows)).encode("utf-8"))
@@ -446,17 +460,6 @@ def oracle_relative_entropy(u, eps, pot, traj, cutoff, grid, t, s0):
     dsq_vel = quad((d.curvature_scalar - (-ef.div_xi) * d.sqrt2w) ** 2
                    / (4.0 * eps))
 
-    b = dg.EntropyBreakdown(
-        t=t, gl_energy=energy, dissipation=diss, rel_entropy=entropy,
-        equipartition_defect=quad(defect ** 2),
-        misalignment=quad(nmxi2 * d.grad_psi_mag),
-        tilt_excess=quad(nmxi2 * eps * d.gmag ** 2),
-        dist_weighted_energy=quad(np.minimum(ef.dist ** 2, 1.0) * d.density),
-        defect_sq_curvature=dsq_curv, defect_sq_velocity=dsq_vel,
-        err_l1=quad(np.abs(d.psi - ef.chi)),
-        err_weighted=quad((ef.chi - d.psi)
-                          * pl.tau_truncation(ef.dist / s0)))
-
     g1 = -2.0 * (dsq_curv + dsq_vel)
     h2 = np.sum(ef.hvec ** 2, axis=0)
     h_dot_gpsi = np.sum(ef.hvec * d.grad_psi, axis=0)
@@ -470,8 +473,17 @@ def oracle_relative_entropy(u, eps, pot, traj, cutoff, grid, t, s0):
     g7 = -quad(np.sum((d.grad_psi - d.grad_psi_mag * ef.xi) * t7, axis=0))
     t8 = ef.dt_xi + ef.adv_xi
     g8 = -quad(d.grad_psi_mag * np.sum(ef.xi * t8, axis=0))
-    b.identity_rhs = g1 + g2 + g3 + g4 + g5 + g6 + g7 + g8
-    return b
+    return record(
+        t=t, gl_energy=energy, dissipation=diss, rel_entropy=entropy,
+        equipartition_defect=quad(defect ** 2),
+        misalignment=quad(nmxi2 * d.grad_psi_mag),
+        tilt_excess=quad(nmxi2 * eps * d.gmag ** 2),
+        dist_weighted_energy=quad(np.minimum(ef.dist ** 2, 1.0) * d.density),
+        defect_sq_curvature=dsq_curv, defect_sq_velocity=dsq_vel,
+        err_l1=quad(np.abs(d.psi - ef.chi)),
+        err_weighted=quad((ef.chi - d.psi)
+                          * pl.tau_truncation(ef.dist / s0)),
+        identity_rhs=g1 + g2 + g3 + g4 + g5 + g6 + g7 + g8)
 
 
 def plane_with_cell_on_tube_edge(pot, profile):
@@ -522,7 +534,7 @@ def test_tube_evaluation_matches_whole_grid_oracle(standard_potential,
                                            cfg.grid, t, s0)
             assert (list(dg.csv_lines(table(got)))
                     == list(dg.csv_lines(table(want))))
-            assert got.identity_rhs == want.identity_rhs
+            assert got["identity_rhs"] == want["identity_rhs"]
         u = stepped(cfg, u)
 
 

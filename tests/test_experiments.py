@@ -6,8 +6,8 @@ import pytest
 import phaselab as pl
 from phaselab import experiments
 from phaselab.diagnostics import csv_lines
-from phaselab.experiments import (SWEEP_MODES, SweepPlan, check_identities,
-                                  fit_rate, gronwall_fit,
+from phaselab.experiments import (SWEEP_MODES, GronwallFit, SweepPlan,
+                                  check_identities, fit_rate, gronwall_fit,
                                   initial_entropy_study, run_sweep)
 from phaselab.solver import ConfigError
 
@@ -84,6 +84,13 @@ def test_gronwall_degenerate():
     # a nonpositive sample after the largest rate, and no sample at t > 0
     assert gronwall_fit([(0.0, 1.0), (0.1, 2.0), (0.2, 0.0)]).degenerate
     assert gronwall_fit([(0.0, 1.0), (0.0, 2.0)]).degenerate
+    # a NaN or inf E(0) or sample: no growth constant, not a passing one
+    for series in ([(0.0, math.nan), (0.1, 1.0)],
+                   [(0.0, 1.0), (0.1, math.nan), (0.2, 2.0)],
+                   [(0.0, 1.0), (0.1, math.inf)],
+                   [(0.0, math.inf), (0.1, 1.0)]):
+        assert gronwall_fit(series) == GronwallFit(c_hat=0.0,
+                                                   degenerate=True)
     with pytest.raises(ValueError, match="empty series"):
         gronwall_fit([])
 
