@@ -82,7 +82,9 @@ def _write_manifest(out_dir: Path, command: str, config_path, filled,
         "config": filled,
         "artifacts": sorted(str(a) for a in artifacts),
         "timings": timings,
-        "peak_rss_mb": _peak_rss_mb(),
+        # the peak resident set so far; ru_maxrss counts KiB on Linux
+        "peak_rss_mb": resource.getrusage(
+            resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     }
     if extra:
         manifest.update(extra)
@@ -90,12 +92,6 @@ def _write_manifest(out_dir: Path, command: str, config_path, filled,
     tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
                    encoding="utf-8")
     os.replace(tmp, out_dir / "manifest.json")
-
-
-def _peak_rss_mb() -> float:
-    """The peak resident set of this process so far, in MB (ru_maxrss
-    counts KiB on Linux)."""
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
 def _run_record(res) -> dict:
@@ -113,9 +109,8 @@ def _run_record(res) -> dict:
 def cmd_profile(args) -> int:
     pot, table = config.build_profile(args.name, args.coeffs, args.s_max,
                                       args.n)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / f"profile_{pot.name}.csv"
+    args.out.mkdir(parents=True, exist_ok=True)
+    path = args.out / f"profile_{pot.name}.csv"
     lines = ["s,theta,dtheta"]
     for s, th, dth in zip(table.s, table.theta, table.dtheta):
         lines.append(f"{float(s)!r},{float(th)!r},{float(dth)!r}")
@@ -140,7 +135,7 @@ def _run_simulation(cfg, out_dir: Path, snapshot_every):
     run leaves the file system as it found it.
     """
     stage = Path(tempfile.mkdtemp(prefix=".phaselab-snapshots-",
-                                  dir=_nearest_dir(out_dir)))
+                                  dir=_nearest_existing(out_dir)))
     names, last_row = [], None
 
     def sink(row, t, field):
@@ -175,32 +170,30 @@ def _run_simulation(cfg, out_dir: Path, snapshot_every):
     return res, artifacts
 
 
-def _nearest_dir(path: Path) -> Path:
-    """path itself if it is a directory, else its nearest ancestor that
-    is."""
-    return next(p for p in (path, *path.parents) if p.is_dir())
+def _nearest_existing(path: Path) -> Path:
+    """path itself if it exists, else its nearest ancestor that does."""
+    return next(p for p in (path, *path.parents) if p.exists())
 
 
 def cmd_simulate(args) -> int:
     doc = config.load_json(args.config)
     build_start = time.perf_counter()
     cfg, filled = config.build_simulation(doc, "simulate")
-    out_dir = Path(args.out)
     started = time.perf_counter()
     res, artifacts = _run_simulation(
-        cfg, out_dir, filled["diagnostics"].get("snapshot_every"))
+        cfg, args.out, filled["diagnostics"].get("snapshot_every"))
     wall = time.perf_counter() - started
     record = _run_record(res)
     timings = {"build_s": started - build_start, "wall_s": wall}
     for key in ("run_wall_s", "setup_s", "rows_s", "step_s", "identity_s"):
         timings[key] = record.pop(key)
-    _write_manifest(out_dir, "simulate", args.config, filled,
+    _write_manifest(args.out, "simulate", args.config, filled,
                     artifacts, timings, extra=record)
     last = res.rows[-1]
     print(f"completed {res.n_steps} steps to t = {last['t']:.6g}; "
           f"final relative entropy {last['rel_entropy']:.6e}, "
           f"interface L1 error {last['err_l1']:.6e}")
-    print(f"outputs in {out_dir}")
+    print(f"outputs in {args.out}")
     return EXIT_OK
 
 
@@ -208,26 +201,25 @@ def cmd_sweep(args) -> int:
     doc = config.load_json(args.plan)
     build_start = time.perf_counter()
     plan, filled = config.build_plan(doc)
-    out_dir = Path(args.out)
     started = time.perf_counter()
     result = plan.run()
     report, runs = result.report, result.runs
 
-    out_dir.mkdir(parents=True, exist_ok=True)
+    args.out.mkdir(parents=True, exist_ok=True)
     artifacts = []
     for eps, run_res in zip(plan.epsilons, runs):
         name = f"diagnostics_eps_{eps:g}.csv"
-        diagnostics.write_csv(out_dir / name, run_res.rows)
+        diagnostics.write_csv(args.out / name, run_res.rows)
         artifacts.append(name)
 
-    summary = out_dir / "summary.json"
+    summary = args.out / "summary.json"
     summary.write_text(
         json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n",
         encoding="utf-8")
     artifacts.append(summary.name)
     members = [{"epsilon": eps, **_run_record(run_res)}
                for eps, run_res in zip(plan.epsilons, runs)]
-    _write_manifest(out_dir, "sweep", args.plan, filled, artifacts,
+    _write_manifest(args.out, "sweep", args.plan, filled, artifacts,
                     {"build_s": started - build_start,
                      "wall_s": time.perf_counter() - started},
                     extra={"members": members})
@@ -248,20 +240,19 @@ def cmd_check_identities(args) -> int:
     build_start = time.perf_counter()
     cfg, filled = config.build_simulation(doc, "check-identities")
     min_order = float(filled["identities"]["min_order"])
-    out_dir = Path(args.out)
     started = time.perf_counter()
     report = experiments.check_identities(
         cfg, levels=int(filled["identities"]["levels"]))
 
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "identities.json"
+    args.out.mkdir(parents=True, exist_ok=True)
+    path = args.out / "identities.json"
     payload = report.to_json_dict()
     payload["min_order_required"] = min_order
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
                     encoding="utf-8")
     levels = [{"h": lv.h, **_run_record(run_res)}
               for lv, run_res in zip(report.levels, report.runs)]
-    _write_manifest(out_dir, "check-identities", args.config, filled,
+    _write_manifest(args.out, "check-identities", args.config, filled,
                     [path.name], {"build_s": started - build_start,
                                   "wall_s": time.perf_counter() - started},
                     extra={"levels": levels})
@@ -294,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="polynomial coefficients for the poly potential")
     p.add_argument("--s-max", type=float, default=8.0)
     p.add_argument("--n", type=int, default=4096)
-    p.add_argument("--out", default=".")
+    p.add_argument("--out", type=Path, default=".")
     p.set_defaults(func=cmd_profile)
 
     for name, func, cfg_flag in (
@@ -304,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument(cfg_flag, required=True,
                        dest=cfg_flag.lstrip("-").replace("-", "_"))
-        p.add_argument("--out", required=True)
+        p.add_argument("--out", type=Path, required=True)
         p.set_defaults(func=func)
     return parser
 
@@ -313,7 +304,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     _keep_freed_heap()
-    try:
+    try:   # an --out that cannot become a directory, before any work
+        if not (found := _nearest_existing(args.out)).is_dir():
+            raise ConfigError([f"--out: {found} is not a directory"])
         return args.func(args)
     except ConfigError as exc:
         print("invalid configuration:", file=sys.stderr)

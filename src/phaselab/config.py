@@ -20,7 +20,7 @@ import numpy as np
 
 from .diagnostics import default_s0
 from .experiments import (DEFAULT_DT_OVER_EPS2, DEFAULT_H_OVER_EPS,
-                          SWEEP_MODES, SweepPlan, unknown_mode)
+                          SWEEP_MODES, SweepPlan, mode_issues)
 from .geometry import CutoffSpec, PlaneInterface, SphereInterface
 from .grids import FULL, Grid, npts_for_spacing
 from .potentials import potential_by_name, solve_profile
@@ -99,10 +99,6 @@ READ_BY = {   # keys that one command reads and the others would ignore
     "identities": "check-identities",
     "diagnostics.snapshot_every": "simulate",
 }
-# base keys only mode full reads: an initial-entropy study neither steps nor
-# reads the weighted interface error that s0 scales
-FULL_MODE_BASE = ("stepper.scheme", "stepper.t_end", "diagnostics.cadence",
-                  "diagnostics.compute_identity", "diagnostics.s0")
 
 
 def _present(section) -> dict:
@@ -133,13 +129,16 @@ def _issues(section: dict, kinds: dict, where: str, required=()) -> list:
 
 
 def _run_issues(doc: dict, command=None) -> list:
-    """Every problem that the key tables show in a run document, and the
-    keys that only a command other than `command` reads."""
+    """Every problem the key tables show in a run document, the keys only a
+    command other than `command` reads, and a value `command` overrides."""
     issues = _issues(doc, RUN_KEYS, "", REQUIRED["run"])
     if command is not None:
         issues += [f"{path}: read only by {reader}, not by {command}"
                    for path, reader in READ_BY.items()
                    if reader != command and _lookup(doc, path) is not None]
+    if (command == "check-identities"   # every level computes the identity
+            and _lookup(doc, "diagnostics.compute_identity") is False):
+        issues.append("diagnostics.compute_identity: must be true")
     for name, kinds in SECTION_KEYS.items():
         if isinstance(doc.get(name), dict):
             issues.extend(_issues(doc[name], kinds, f"{name}.",
@@ -248,6 +247,8 @@ def build_simulation(doc: dict, command=None):
 
     diag_sec = filled["diagnostics"]
     diag_sec.setdefault("s0", default_s0(cutoff))
+    if command == "check-identities":
+        diag_sec["compute_identity"] = True
 
     cfg = SimulationConfig(
         epsilon=eps, potential=pot, profile=profile, trajectory=traj,
@@ -261,33 +262,25 @@ def build_simulation(doc: dict, command=None):
 def build_plan(doc: dict):
     """Construct a SweepPlan from a plan document {base, epsilons, ...}.
 
-    Its modes, the plan keys and bands each reads and their defaults are
-    those of experiments.SWEEP_MODES.  Problems of the plan are reported
-    together with the key problems of its base.
+    Its modes, with the keys, bands and defaults each reads and the base
+    keys each ignores, are those of experiments.SWEEP_MODES.  Problems of
+    the plan are reported together with the key problems of its base.
     """
-    bands = doc.get("bands") or {}
+    bands = doc["bands"] if IS_KIND[OBJECT](doc.get("bands")) else {}
     issues = (_issues(doc, PLAN_KEYS, "plan.", REQUIRED["plan"])
-              + _issues(bands if isinstance(bands, dict) else {}, BAND_KEYS,
-                        "plan.bands."))
-    doc = _present(doc)
-    mode = doc.get("mode", "full")
-    mode_issues = unknown_mode(mode)
-    known = not mode_issues
-    issues += mode_issues
-    issues += [f"plan.{key}: read only in mode {reader!r}"
-               for reader, spec in SWEEP_MODES.items()
-               if known and reader != mode
-               for key in (*spec["reads"],
-                           *(f"bands.{band}" for band in spec["bands"]))
-               if _lookup(doc, key) is not None]
+              + _issues(bands, BAND_KEYS, "plan.bands."))
+    doc, bands = _present(doc), _present(bands)
+    mode = doc.get("mode", SweepPlan.mode)
     base, epsilons = doc.get("base"), doc.get("epsilons")
+    issues += mode_issues(mode, [   # BAND_KEYS names the unknown bands
+        *(f"plan.{key}" for key in doc),
+        *(f"plan.bands.{name}" for name in bands if name in BAND_KEYS),
+        *(f"{name}.{key}" for name, section in
+          (base.items() if IS_KIND[OBJECT](base) else ())
+          if isinstance(section, dict) for key in _present(section))])
     if not (IS_KIND[OBJECT](base) and IS_KIND[NUMBERS](epsilons)):
         raise ConfigError(issues)   # no base config to check
-    unread = dict.fromkeys(PLAN_OWNED, "set per member by the plan")
-    if mode == "initial-entropy":   # the study evaluates t = 0 only
-        unread.update(dict.fromkeys(FULL_MODE_BASE,
-                                    "read only in mode 'full'"))
-    issues += [f"{path}: {why}" for path, why in unread.items()
+    issues += [f"{path}: set per member by the plan" for path in PLAN_OWNED
                if _lookup(base, path) is not None]
     # the base builds at the first eps, which is the list's to report: the
     # base's own keys are checked with a stand-in epsilon
@@ -298,17 +291,17 @@ def build_plan(doc: dict):
                                                "sweep"))
     base = dict(base, epsilon=epsilons[0])
     base_cfg, filled_base = build_simulation(base, "sweep")
-    for path in unread:   # nor does the manifest record them
-        section, _, key = path.rpartition(".")
+    spec = SWEEP_MODES[mode]
+    for path in (*PLAN_OWNED, *spec["ignores"]):   # nor does the manifest
+        section, _, key = path.rpartition(".")    # record them
         (filled_base[section] if section else filled_base).pop(key, None)
-    spacing, *others = SWEEP_MODES[mode]["reads"]   # member spacing first
     plan = SweepPlan(base=base_cfg, epsilons=[float(e) for e in epsilons],
-                     mode=mode, bands=_present(bands),
-                     h_over_eps=float(doc[spacing]) if spacing in doc else None,
-                     **{key: float(doc[key]) for key in others if key in doc})
+                     mode=mode, bands=bands,
+                     **{key: float(doc[key]) for key in spec["reads"]
+                        if key in doc})
     return plan, {**doc, "mode": mode, "base": filled_base,
-                  "bands": dict(plan.bands), spacing: plan.h_over_eps,
-                  **{key: getattr(plan, key) for key in others}}
+                  "bands": dict(plan.bands),
+                  **{key: getattr(plan, key) for key in spec["reads"]}}
 
 
 def load_json(path):

@@ -2,8 +2,8 @@
 fits, and the identity refinement harness behind check-identities.
 
 Sweep members couple the resolution to the interface width (h = eps/8 and
-dt = eps^2/20 by default) so that every member resolves its own transition
-layer equally well; reports carry fitted log-log slopes with residuals.
+dt = eps^2/20 by default in mode full) so that every member resolves its
+own transition layer equally well; reports carry fitted log-log slopes.
 Everything here is deterministic: fixed iteration order, no randomness.
 """
 
@@ -21,27 +21,46 @@ from .solver import BlowUpError, ConfigError, SimulationConfig
 DEFAULT_H_OVER_EPS = 8.0
 DEFAULT_DT_OVER_EPS2 = 20.0
 
-# per sweep mode: the plan keys it reads with their defaults, the member
-# spacing first; its bands; its study, found by name when a plan runs
+# per sweep mode: the plan keys it reads with defaults (h_over_eps, member
+# spacing, in all), bands, base keys it ignores, study (found by name on run)
 SWEEP_MODES = {
     "full": {"reads": {"h_over_eps": DEFAULT_H_OVER_EPS,
                        "dt_over_eps2": DEFAULT_DT_OVER_EPS2},
              "bands": {"err_l1": (0.8, 1.2), "rel_entropy": (1.7, 2.3),
                        "gronwall_factor": 2.0},
-             "study": "run_sweep"},
-    "initial-entropy": {"reads": {"initial_h_over_eps": 16.0},   # no step
+             "ignores": (), "study": "run_sweep"},
+    # t = 0 only: no step, and no weighted interface error for s0 to scale
+    "initial-entropy": {"reads": {"h_over_eps": 16.0},
                         "bands": {"initial_entropy": (1.8, 2.2)},
+                        "ignores": ("stepper.scheme", "stepper.t_end",
+                                    "diagnostics.cadence", "diagnostics.s0",
+                                    "diagnostics.compute_identity"),
                         "study": "initial_entropy_study"},
 }
 GRONWALL_FLOOR = 1e-10
 
 
-def unknown_mode(mode) -> list:
-    """The issue of a sweep mode SWEEP_MODES does not hold, if it is one."""
-    if mode in tuple(SWEEP_MODES):   # a list-valued mode is unhashable
-        return []
-    return [f"plan.mode: unknown mode {mode!r} (expected one of "
-            f"{', '.join(SWEEP_MODES)})"]
+def mode_issues(mode, keys) -> list:
+    """Issues of a sweep plan in `mode` that sets the key paths `keys`: an
+    unknown mode, or each plan key (`plan.dt_over_eps2`), band
+    (`plan.bands.err_l1`) or base key (`stepper.t_end`) another mode reads
+    and this one does not, naming every mode that reads it.  A mode reads
+    its plan keys, its bands and the base keys it does not ignore; a band
+    no mode reads is unknown, other keys are the caller's key tables'."""
+    if mode not in tuple(SWEEP_MODES):   # a list-valued mode is unhashable
+        return [f"plan.mode: unknown mode {mode!r} (expected one of "
+                f"{', '.join(SWEEP_MODES)})"]
+    issues = []
+    for key in keys:
+        section, _, name = key.rpartition(".")
+        readers = [repr(other) for other, spec in SWEEP_MODES.items()
+                   if (name in spec["bands"] if section == "plan.bands"
+                       else name in spec["reads"] if section == "plan"
+                       else key not in spec["ignores"])]
+        if repr(mode) not in readers and (readers or section == "plan.bands"):
+            issues.append(f"{key}: read only in mode {' or '.join(readers)}"
+                          if readers else f"{key}: unknown key")
+    return issues
 
 
 @dataclass
@@ -126,8 +145,8 @@ class SweepPlan:
 
     Members share everything except eps and the coupled resolution:
     h = eps / h_over_eps and dt = eps^2 / dt_over_eps2, h_over_eps by
-    default the mode's member spacing.  bands holds exactly the mode's
-    bands, defaults filled in; a band the mode does not read is an error.
+    default its mode's.  bands holds exactly the mode's bands, defaults
+    filled in; a band the mode does not read is an error.
     """
 
     base: SimulationConfig
@@ -138,22 +157,17 @@ class SweepPlan:
     bands: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if issues := unknown_mode(self.mode):
+        if issues := mode_issues(self.mode, [f"plan.bands.{name}"
+                                             for name in self.bands]):
             raise ConfigError(issues)
         spec = SWEEP_MODES[self.mode]
-        issues = [f"plan.bands.{name}: " + next(
-                      (f"read only in mode {other!r}"
-                       for other, read in SWEEP_MODES.items()
-                       if name in read["bands"]), "unknown key")
-                  for name in self.bands if name not in spec["bands"]]
-        spacing, default = next(iter(spec["reads"].items()))
         if self.h_over_eps is None:
-            self.h_over_eps = default
+            self.h_over_eps = spec["reads"]["h_over_eps"]
         # member divides by both, whatever the mode; NaN is not positive
-        issues += [f"plan.{key}: expected a positive number, got {value!r}"
-                   for key, value in ((spacing, self.h_over_eps),
-                                      ("dt_over_eps2", self.dt_over_eps2))
-                   if not value > 0.0]
+        issues = [f"plan.{key}: expected a positive number, got {value!r}"
+                  for key, value in (("h_over_eps", self.h_over_eps),
+                                     ("dt_over_eps2", self.dt_over_eps2))
+                  if not value > 0.0]
         if issues:
             raise ConfigError(issues)
         self.bands = {**spec["bands"], **self.bands}

@@ -550,6 +550,15 @@ def test_unknown_keys_all_listed(tmp_path, capsys):
         assert f"{key}: unknown key" in err
     assert not out.exists()
 
+    # every mode spaces its members by h_over_eps
+    plan = json.loads((CONFIGS / "initial_entropy_plane.json").read_text())
+    plan["initial_h_over_eps"] = 16
+    rc = cli.main(["sweep", "--plan", write_json(tmp_path / "p.json", plan),
+                   "--out", str(out)])
+    assert rc == 2
+    assert "plan.initial_h_over_eps: unknown key" in capsys.readouterr().err
+    assert not out.exists()
+
 
 def test_identity_levels_below_two_rejected(tmp_path, monkeypatch, capsys):
     def no_run(*args, **kwargs):
@@ -611,7 +620,7 @@ BAD_PLANS = [   # (plan, key path, value, message in the error)
      "sweep.epsilons: must be positive"),
     ("sweep_circle.json", ("h_over_eps",), 0.1,
      "member eps=0.16: grid: need at least 8 points per axis"),
-    ("initial_entropy_plane.json", ("initial_h_over_eps",), 0.05,
+    ("initial_entropy_plane.json", ("h_over_eps",), 0.05,
      "member eps=0.16: grid: need at least 8 points per axis"),
 ]
 
@@ -686,7 +695,7 @@ def test_identities_cadence_rejected_before_any_run(tmp_path, monkeypatch,
     assert not out.exists()
 
 
-def test_each_config_validated_once(tmp_path, monkeypatch):
+def test_validate_calls_per_command(tmp_path, monkeypatch):
     calls = []
     validate = phaselab.solver.validate
 
@@ -697,10 +706,12 @@ def test_each_config_validated_once(tmp_path, monkeypatch):
     monkeypatch.setattr(phaselab.solver, "validate", counting)
     plan = json.loads((CONFIGS / "sweep_circle.json").read_text())
     plan["base"]["stepper"]["t_end"] = 0.001
-    # a stepping sweep checks all four members before the first one runs,
-    # so every member's issues are reported together, and check-identities
-    # checks its coarsest level before it reads the levels' row times; then
-    # each run checks its own config, as every solver.run does
+    # a stepping sweep validates all four members before the first one
+    # runs, so every member's issues are reported together, and again in
+    # each member's solver.run: twice per member; an initial-entropy sweep
+    # steps none, so once per member; check-identities validates its
+    # coarsest level before it reads the levels' row times, then each of
+    # the three levels in its solver.run
     runs = [("sweep", "--plan", write_json(tmp_path / "p.json", plan), 8),
             ("sweep", "--plan", str(CONFIGS / "initial_entropy_plane.json"),
              4),
@@ -774,10 +785,6 @@ READ_ELSEWHERE = [   # (command, config, values set, message)
      {("diagnostics", "snapshot_every"): 1},
      "diagnostics.snapshot_every: read only by simulate, "
      "not by check-identities"),
-    ("sweep", "sweep_circle.json", {("initial_h_over_eps",): 16},
-     "plan.initial_h_over_eps: read only in mode 'initial-entropy'"),
-    ("sweep", "initial_entropy_plane.json", {("h_over_eps",): 8},
-     "plan.h_over_eps: read only in mode 'full'"),
     ("sweep", "initial_entropy_plane.json", {("dt_over_eps2",): 20},
      "plan.dt_over_eps2: read only in mode 'full'"),
     ("sweep", "initial_entropy_plane.json",
@@ -841,6 +848,53 @@ def test_initial_entropy_reads_no_step_size(tmp_path):
     assert 1.8 <= summary["slopes"]["initial_entropy"]["slope"] <= 2.2
     manifest = json.loads((out / "manifest.json").read_text())["config"]
     assert "dt_over_eps2" not in manifest
+    assert manifest["h_over_eps"] == 16.0   # the mode's member spacing
     assert manifest["base"]["stepper"] == {}
     assert manifest["base"]["diagnostics"] == {}
     assert manifest["bands"] == {"initial_entropy": [1.8, 2.2]}
+
+
+@pytest.mark.parametrize("value", [None, False])
+def test_check_identities_computes_the_identity(tmp_path, capsys, value):
+    # every refinement level computes the identity, so the manifest records
+    # true for an unset key, and an explicit false is rejected
+    doc = json.loads((CONFIGS / "identities_plane.json").read_text())
+    doc["diagnostics"].pop("compute_identity")
+    if value is not None:
+        doc["diagnostics"]["compute_identity"] = value
+    out = tmp_path / "out"
+    rc = cli.main(["check-identities", "--config",
+                   write_json(tmp_path / "c.json", doc), "--out", str(out)])
+    if value is None:
+        assert rc == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["diagnostics"]["compute_identity"] is True
+    else:
+        assert rc == 2
+        assert "diagnostics.compute_identity: must be true" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["file", "under-file"])
+@pytest.mark.parametrize("argv", [
+    ["profile", "standard"],
+    ["simulate", "--config", str(CONFIGS / "plane1d.json")],
+    ["sweep", "--plan", str(CONFIGS / "initial_entropy_plane.json")],
+    ["check-identities", "--config", str(CONFIGS / "identities_plane.json")],
+], ids=lambda argv: argv[0])
+def test_out_that_cannot_be_a_directory_rejected(tmp_path, monkeypatch,
+                                                 capsys, argv, below):
+    # the first of --out and its ancestors that exists must be a directory;
+    # that is checked before the config is loaded, and nothing is written
+    def no_load(path):
+        raise AssertionError("config loaded")
+
+    monkeypatch.setattr(config, "load_json", no_load)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("kept")
+    out = blocker / "out" if below else blocker
+    assert cli.main(argv + ["--out", str(out)]) == 2
+    assert f"--out: {blocker} is not a directory" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["blocker"]
+    assert blocker.read_text() == "kept"

@@ -202,3 +202,35 @@ def test_every_sweep_mode_has_a_shipped_plan():
     docs = [load(path.name) for path in sorted(CONFIGS.glob("*.json"))]
     modes = {doc.get("mode", "full") for doc in docs if "base" in doc}
     assert modes == set(experiments.SWEEP_MODES), modes
+
+
+def test_a_new_mode_is_one_row(monkeypatch):
+    # a probe row that reads full's plan keys and shares its gronwall_factor
+    # band: build_plan and a plan built in code both accept a plan in it,
+    # and a key only initial-entropy reads names that mode
+    monkeypatch.setitem(experiments.SWEEP_MODES, "probe", {
+        "reads": {"h_over_eps": 8.0, "dt_over_eps2": 20.0},
+        "bands": {"gronwall_factor": 2.0}, "ignores": (),
+        "study": "run_sweep"})
+    doc = dict(load("sweep_circle.json"), mode="probe", h_over_eps=10.0,
+               dt_over_eps2=40.0, bands={"gronwall_factor": 3.0})
+    plan, filled = config.build_plan(doc)
+    assert (plan.h_over_eps, plan.dt_over_eps2) == (10.0, 40.0)
+    assert plan.bands == {"gronwall_factor": 3.0}
+    assert filled["mode"] == "probe"
+    again = experiments.SweepPlan(base=plan.base, epsilons=plan.epsilons,
+                                  mode="probe", dt_over_eps2=40.0,
+                                  bands={"gronwall_factor": 3.0})
+    assert again.h_over_eps == 8.0 and again.bands == plan.bands
+
+    doc["bands"] = {"initial_entropy": [1.8, 2.2]}
+    with pytest.raises(ConfigError) as err:
+        config.build_plan(doc)
+    assert err.value.messages == [
+        "plan.bands.initial_entropy: read only in mode 'initial-entropy'"]
+    with pytest.raises(ConfigError) as err:
+        experiments.SweepPlan(base=plan.base, epsilons=plan.epsilons,
+                              mode="initial-entropy",
+                              bands={"gronwall_factor": 2.0})
+    assert err.value.messages == [
+        "plan.bands.gronwall_factor: read only in mode 'full' or 'probe'"]

@@ -149,7 +149,7 @@ def test_plan_takes_its_mode_bands_and_spacing(standard_potential, profile):
         plan = SweepPlan(base=base, epsilons=eps, mode=mode,
                          bands={name: (0.5, 1.5)})
         assert plan.bands == {**spec["bands"], name: (0.5, 1.5)}
-        assert plan.h_over_eps == next(iter(spec["reads"].values()))
+        assert plan.h_over_eps == spec["reads"]["h_over_eps"]
     assert SweepPlan(base=base, epsilons=eps).mode == "full"
     assert SweepPlan(base=base, epsilons=eps).h_over_eps == 8.0
     assert SweepPlan(base=base, epsilons=eps,
@@ -187,7 +187,7 @@ def test_plan_rejects_bands_its_mode_does_not_read(standard_potential,
     ({"dt_over_eps2": -20.0},
      "plan.dt_over_eps2: expected a positive number, got -20.0"),
     ({"mode": "initial-entropy", "h_over_eps": 0},
-     "plan.initial_h_over_eps: expected a positive number, got 0"),
+     "plan.h_over_eps: expected a positive number, got 0"),
 ])
 def test_plan_built_in_code_rejects_what_build_plan_does(standard_potential,
                                                          profile, kwargs,

@@ -1,5 +1,6 @@
 """Import hygiene: what a command loads before its first time step, and
-which modules know the trajectory classes and the grid kinds.
+which modules know the trajectory classes, the grid kinds and the sweep
+modes.
 
 Each loading case runs in a fresh interpreter, so the module sets are those
 of a command started from the shell, not of this test session.
@@ -13,6 +14,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from phaselab.experiments import SWEEP_MODES
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "phaselab"
@@ -171,3 +174,20 @@ def test_grids_own_the_grid_kind_rules(stem):
                   if isinstance(node, ast.Attribute) and node.attr == "mode"
                   and "grid" in names_in(node.value)]
     assert grid_kinds == [], f"a grid's mode read at {grid_kinds}"
+
+
+@pytest.mark.parametrize("path", [path for path in sorted(PACKAGE.glob("*.py"))
+                                  if path.stem != "experiments"],
+                         ids=lambda p: p.stem)
+def test_sweep_modes_are_named_in_experiments_only(path):
+    # a sweep mode is one row of experiments.SWEEP_MODES, so no other module
+    # spells a mode's name; the grid kind FULL = "full" in grids is a
+    # grid's mode, not a sweep's
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    grid_kind = [node.value for node in ast.walk(tree)
+                 if path.stem == "grids" and isinstance(node, ast.Assign)
+                 and ast.unparse(node.targets[0]) == "FULL"]
+    named = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)
+             and node.value in SWEEP_MODES and node not in grid_kind]
+    assert named == [], f"a sweep mode's name at {named}"
