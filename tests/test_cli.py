@@ -550,15 +550,6 @@ def test_unknown_keys_all_listed(tmp_path, capsys):
         assert f"{key}: unknown key" in err
     assert not out.exists()
 
-    # every mode spaces its members by h_over_eps
-    plan = json.loads((CONFIGS / "initial_entropy_plane.json").read_text())
-    plan["initial_h_over_eps"] = 16
-    rc = cli.main(["sweep", "--plan", write_json(tmp_path / "p.json", plan),
-                   "--out", str(out)])
-    assert rc == 2
-    assert "plan.initial_h_over_eps: unknown key" in capsys.readouterr().err
-    assert not out.exists()
-
 
 def test_identity_levels_below_two_rejected(tmp_path, monkeypatch, capsys):
     def no_run(*args, **kwargs):
@@ -785,6 +776,10 @@ READ_ELSEWHERE = [   # (command, config, values set, message)
      {("diagnostics", "snapshot_every"): 1},
      "diagnostics.snapshot_every: read only by simulate, "
      "not by check-identities"),
+    # every mode spaces its members by h_over_eps, so the old
+    # initial-entropy spacing key is read by no mode
+    ("sweep", "initial_entropy_plane.json", {("initial_h_over_eps",): 16},
+     "plan.initial_h_over_eps: unknown key"),
     ("sweep", "initial_entropy_plane.json", {("dt_over_eps2",): 20},
      "plan.dt_over_eps2: read only in mode 'full'"),
     ("sweep", "initial_entropy_plane.json",
