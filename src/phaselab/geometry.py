@@ -8,9 +8,12 @@ tube_fields, issues (its validation rules) and exempt_axes (the boundary
 faces the interface crosses).  The extended normal is damped by a cutoff
 eta on a tube of width r_c, the curvature vector by its plateau eta_tilde;
 the fields' closed-form derivatives are checked by finite differences.
-A sphere keeps one whole-grid array per grid and center, the distance r
-to its center (radial_frame); its tube fields read the direction e and r
-at the tube's cells only (radial_frame_at).
+tube_fields returns them by ExtendedFields.from_frame, the one copy of the
+closed forms, from e, the unit direction away from the phase: a plane is
+the sphere of infinite radius, with e = -n, k = 0 and 1/r = 0.  A sphere
+keeps one whole-grid array per grid and center, the distance r to its
+center (radial_frame); its tube fields read e and r at the tube's cells
+only (radial_frame_at).
 """
 
 from __future__ import annotations
@@ -52,18 +55,13 @@ class PlaneInterface:
         return np.tensordot(n, grid.coords, axes=(0, 0)) - self.offset
 
     def tube_fields(self, cutoff: CutoffSpec, grid: Grid, t: float,
-                    dist: np.ndarray, tube: np.ndarray) -> dict:
-        """The ExtendedFields tube fields: xi = eta(dist) n, div xi =
-        eta'(dist), and zero curvature, time derivative and grad H."""
+                    dist: np.ndarray, tube: np.ndarray) -> ExtendedFields:
+        """The sphere's fields at infinite radius: e = -n, k = 0, 1/r = 0;
+        xi = eta n, div xi = eta', and curvature fields are signed zeros."""
         n = np.asarray(self.normal, dtype=float)
-        s = _at_cells(dist, tube, dist.ndim)
-        zeros_s = np.zeros(s.shape)
-        zeros_v = np.zeros((len(n),) + s.shape)
-        eta, deta, _, _ = cutoff.profile(s)
-        return dict(xi=eta * n[:, np.newaxis], hvec=zeros_v,
-                    div_xi=deta, div_h=zeros_s, dt_xi_rad=zeros_s,
-                    adv_xi_rad=zeros_s, grad_h_rad=zeros_s,
-                    grad_h_tan=zeros_s, e=zeros_v)
+        e = np.broadcast_to(-n[:, np.newaxis], (len(n), tube.size))
+        return ExtendedFields.from_frame(cutoff, dist, tube, e, np.inf, 0.0,
+                                         self.dim)
 
     def issues(self, grid: Grid, r_c: float, eps: float) -> list:
         """The validation rules of a plane on this grid."""
@@ -116,31 +114,11 @@ class SphereInterface:
         return self.radius(t) - radial_frame(grid, self.center)
 
     def tube_fields(self, cutoff: CutoffSpec, grid: Grid, t: float,
-                    dist: np.ndarray, tube: np.ndarray) -> dict:
-        """The ExtendedFields tube fields.  With dist = R - r and e the unit
-        outward radial direction, the closed forms are
-            xi        = -eta(dist) e
-            H         = -k eta_t(dist) e,            k = (d-1)/R
-            div xi    = eta'(dist) - (d-1) eta / r
-            div H     = k eta_t'(dist) - (d-1) k eta_t / r
-            dt xi     = k eta'(dist) e
-            (H.g) xi  = -k eta_t(dist) eta'(dist) e
-            grad H    = k eta_t'(dist) e e - (k eta_t / r)(I - e e).
-        """
+                    dist: np.ndarray, tube: np.ndarray) -> ExtendedFields:
+        """The fields in the frame of the center, k = (d-1)/R."""
         safe_r, e = radial_frame_at(grid, self.center, tube)
-        dist = _at_cells(dist, tube, dist.ndim)
-        d, k = self.dim, self.curvature_scale(t)
-        eta, deta, eta_t, deta_t = cutoff.profile(dist)
-        return dict(
-            xi=-eta * e,
-            hvec=-k * eta_t * e,
-            div_xi=deta - (d - 1) * eta / safe_r,
-            div_h=k * deta_t - (d - 1) * k * eta_t / safe_r,
-            dt_xi_rad=k * deta,
-            adv_xi_rad=-k * eta_t * deta,
-            grad_h_rad=k * deta_t,
-            grad_h_tan=-k * eta_t / safe_r,
-            e=e)
+        return ExtendedFields.from_frame(cutoff, dist, tube, e, safe_r,
+                                         self.curvature_scale(t), self.dim)
 
     def issues(self, grid: Grid, r_c: float, eps: float) -> list:
         """The validation rules of a sphere on this grid."""
@@ -246,10 +224,10 @@ class ExtendedFields:
     so it is stored at the tube's cells only: tube holds their flat indices
     in a grid of the given shape, and the last axis of each field runs over
     the cells.  Vector fields carry the grid's component axis first.  grad
-    H has the radially symmetric form A e(x)e(x) + B (I - e(x)e(x)) with e
-    the unit radial direction (A = B = 0 for planes), which the two helpers
-    contract without materializing the matrix; dt xi and (H . grad) xi are
-    C e and D e, which xi_rate forms where it is read.
+    H is A e e + B (I - e e), e the unit direction away from the phase (-n
+    on a plane, where k = 0 and 1/r = 0 make A = B = 0), which the two
+    helpers contract without materializing the matrix; dt xi and (H .
+    grad) xi are C e and D e, which xi_rate forms where it is read.
     """
 
     shape: tuple
@@ -263,6 +241,29 @@ class ExtendedFields:
     grad_h_rad: np.ndarray   # A
     grad_h_tan: np.ndarray   # B
     e: np.ndarray
+
+    @classmethod
+    def from_frame(cls, cutoff: CutoffSpec, dist: np.ndarray, tube, e,
+                   safe_r, k: float, d: int) -> ExtendedFields:
+        """The fields at the tube cells from the frame there: e, safe_r (r
+        with zeros replaced by 1) and k = (d-1)/R.  With s = dist there,
+            xi        = -eta(s) e
+            H         = -k eta_t(s) e
+            div xi    = eta'(s) - (d-1) eta / r
+            div H     = k eta_t'(s) - (d-1) k eta_t / r
+            dt xi     = k eta'(s) e
+            (H.g) xi  = -k eta_t(s) eta'(s) e
+            grad H    = k eta_t'(s) e e - (k eta_t / r)(I - e e).
+        """
+        s = _at_cells(dist, tube, dist.ndim)
+        eta, deta, eta_t, deta_t = cutoff.profile(s)
+        return cls(shape=dist.shape, tube=tube, xi=-eta * e,
+                   hvec=-k * eta_t * e,
+                   div_xi=deta - (d - 1) * eta / safe_r,
+                   div_h=k * deta_t - (d - 1) * k * eta_t / safe_r,
+                   dt_xi_rad=k * deta, adv_xi_rad=-k * eta_t * deta,
+                   grad_h_rad=k * deta_t, grad_h_tan=-k * eta_t / safe_r,
+                   e=e)
 
     def restrict(self, f: np.ndarray) -> np.ndarray:
         """A whole-grid field, scalar or vector, at the tube cells."""
@@ -316,8 +317,7 @@ def extended_fields(traj: InterfaceTrajectory, cutoff: CutoffSpec,
     is an exact zero).  The distance that picks the tube is not kept."""
     dist = interface_distance(traj, grid, t)
     tube = np.flatnonzero(cutoff.in_tube(dist))
-    return ExtendedFields(shape=dist.shape, tube=tube,
-                          **traj.tube_fields(cutoff, grid, t, dist, tube))
+    return traj.tube_fields(cutoff, grid, t, dist, tube)
 
 
 def _at_cells(f, cells, ndim):

@@ -168,7 +168,7 @@ def make_polynomial_potential(coeffs) -> PotentialSpec:
     _validate("poly", w)
 
     nodes = np.linspace(-1.0, 1.0, _PSI_TABLE_INTERVALS + 1)
-    integrand = np.sqrt(np.maximum(2.0 * w(nodes), 0.0))
+    integrand = root_2w(w(nodes))
     table = np.concatenate([[0.0], np.cumsum(
         np.diff(nodes) * (integrand[1:] + integrand[:-1]) / 2.0)])
     table -= table[_PSI_TABLE_INTERVALS // 2]   # psi(0) = 0 exactly

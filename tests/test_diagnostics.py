@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 import phaselab as pl
-from phaselab import diagnostics as dg
+from phaselab import diagnostics as dg, geometry
 from phaselab.geometry import ExtendedFields, radial_frame
 from phaselab.potentials import root_2w
 
@@ -536,6 +536,42 @@ def test_tube_evaluation_matches_whole_grid_oracle(standard_potential,
                     == list(dg.csv_lines(table(want))))
             assert got["identity_rhs"] == want["identity_rhs"]
         u = stepped(cfg, u)
+
+
+# the names the diagnostics and C10 read of the interface fields: a
+# trajectory's tube_fields may return any object that has them
+FIELD_NAMES = ("xi", "hvec", "div_xi", "div_h", "xi_rate", "grad_h_quad",
+               "grad_h_vec", "restrict", "scatter")
+
+
+def test_fields_are_read_by_nine_names(standard_potential, profile,
+                                       monkeypatch):
+    cfgs = {name: ORACLE_GEOMETRIES[name](standard_potential, profile)
+            for name in ("full2d_circle", "radial_circle_d2",
+                         "tilted_plane2d")}
+
+    def outputs():
+        rows = {name: row(pl.initial_data(cfg), cfg,
+                          with_identity=True).tobytes()
+                for name, cfg in cfgs.items()}
+        reports = {name: pl.xi_pde_residuals(cfg.trajectory, cfg.cutoff,
+                                             cfg.grid, 0.05)
+                   for name, cfg in cfgs.items() if cfg.grid.mode == "full"}
+        return rows, reports
+
+    want = outputs()
+    whole, calls = geometry.extended_fields, []
+
+    def nine_names(*args):
+        calls.append(args)
+        ef = whole(*args)
+        return SimpleNamespace(**{name: getattr(ef, name)
+                                  for name in FIELD_NAMES})
+
+    monkeypatch.setattr(dg, "extended_fields", nine_names)
+    monkeypatch.setattr(geometry, "extended_fields", nine_names)
+    assert outputs() == want
+    assert len(calls) == 3 + 2 * 3   # a row each, three per C10 report
 
 
 def test_sqrt2w_of_derived_fields_is_the_potentials(standard_potential):

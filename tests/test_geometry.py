@@ -235,6 +235,28 @@ def test_extended_fields_radial_matches_full(sphere, cutoff):
     assert np.allclose(fr.adv_xi[0], ff.adv_xi[0], atol=1e-12)
 
 
+def test_plane_is_the_limit_of_the_tangent_sphere():
+    # the sphere of radius R touching the plane from its phase side: each
+    # field differs from the plane's by C/R, with C bounded as R grows
+    grid, cutoff = pl.full_grid(2, 1.0, 80), pl.CutoffSpec(r_c=0.5)
+    plane = pl.PlaneInterface(normal=(0.6, 0.8), offset=0.1)
+    flat = extended_fields(plane, cutoff, grid, 0.0)
+    names = TUBE_FIELDS + ("dt_xi_rad", "adv_xi_rad")
+    scaled = {}
+    for R in (1e3, 1e4):
+        center = tuple((plane.offset + R) * np.asarray(plane.normal))
+        sphere = pl.SphereInterface(center=center, radius0=R, dim=2,
+                                    t_max=1.0)
+        f = extended_fields(sphere, cutoff, grid, 0.0)
+        assert np.array_equal(f.tube, flat.tube)
+        scaled[R] = {name: R * np.max(np.abs(
+            f.scatter(getattr(f, name)) - flat.scatter(getattr(flat, name))))
+            for name in names}
+    for name in names:
+        assert np.isfinite(scaled[1e4][name]), name
+        assert scaled[1e4][name] <= 1.1 * scaled[1e3][name], (name, scaled)
+
+
 @pytest.mark.parametrize("traj", [
     pl.SphereInterface(center=(0.0, 0.0), radius0=1.0, dim=2, t_max=0.4),
     pl.PlaneInterface(normal=(1.0, 0.0), offset=0.0, t_max=10.0),
