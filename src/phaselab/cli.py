@@ -107,8 +107,7 @@ def _run_record(res) -> dict:
 
 
 def cmd_profile(args) -> int:
-    pot, table = config.build_profile(args.name, args.coeffs, args.s_max,
-                                      args.n)
+    pot, table = config.build_profile(args.name, args.s_max, args.n)
     args.out.mkdir(parents=True, exist_ok=True)
     path = args.out / f"profile_{pot.name}.csv"
     lines = ["s,theta,dtheta"]
@@ -280,9 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("profile", help="tabulate an equilibrium profile")
-    p.add_argument("name", help="potential name (standard, poly)")
-    p.add_argument("--coeffs", type=float, nargs="+", default=None,
-                   help="polynomial coefficients for the poly potential")
+    p.add_argument("name", help="potential name (standard)")
     p.add_argument("--s-max", type=float, default=8.0)
     p.add_argument("--n", type=int, default=4096)
     p.add_argument("--out", type=Path, default=".")

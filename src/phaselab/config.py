@@ -50,8 +50,7 @@ IS_KIND = {   # keyed by the wording of the error message
 (NUMBER, POSITIVE, INTEGER, POSITIVE_INTEGER, FLAG, TEXT, NUMBERS, BAND,
  OBJECT) = IS_KIND
 SECTION_KEYS = {
-    "potential": {"name": TEXT, "coeffs": NUMBERS, "s_max": NUMBER,
-                  "n_samples": INTEGER},
+    "potential": {"name": TEXT, "s_max": NUMBER, "n_samples": INTEGER},
     "cutoff": {"r_c": NUMBER, "c_quad": NUMBER},
     "grid": {"mode": TEXT, "dim": INTEGER, "half_width": NUMBER,
              "npts": INTEGER, "h_over_eps": POSITIVE},
@@ -179,16 +178,13 @@ def _build_trajectory(sec: dict):
         raise ConfigError([f"trajectory: {exc}"]) from exc
 
 
-def build_profile(name: str, coeffs, s_max: float, n_samples: int):
+def build_profile(name: str, s_max: float, n_samples: int):
     """(potential, profile table); a bad argument raises ConfigError, a
     profile that does not converge potentials.ProfileError."""
-    if coeffs is not None and name == "standard":
-        raise ConfigError(["potential.coeffs: read only by potential 'poly', "
-                           "not by 'standard'"])
     try:
-        pot = potential_by_name(name, coeffs)
+        pot = potential_by_name(name)
         return pot, solve_profile(pot, s_max=s_max, n_samples=n_samples)
-    except ValueError as exc:   # PotentialError, or s_max/n_samples too small
+    except ValueError as exc:   # PotentialError, or s_max/n_samples rejected
         raise ConfigError([f"potential: {exc}"]) from exc
 
 
@@ -212,8 +208,7 @@ def build_simulation(doc: dict, command=None):
                  for name in SECTION_KEYS
                  if READ_BY.get(name, command) == command}}
     pot_sec = filled["potential"]
-    pot, profile = build_profile(pot_sec["name"], pot_sec.get("coeffs"),
-                                 float(pot_sec["s_max"]),
+    pot, profile = build_profile(pot_sec["name"], float(pot_sec["s_max"]),
                                  int(pot_sec["n_samples"]))
     traj = _build_trajectory(traj_sec)
     eps = float(doc["epsilon"])

@@ -14,6 +14,7 @@ import scipy
 
 import phaselab.cli as cli
 import phaselab.grids
+import phaselab.potentials
 import phaselab.solver
 from phaselab import config, snapshots
 from phaselab.potentials import ProfileError
@@ -76,6 +77,36 @@ def test_profile_rejects_small_s_max(tmp_path, capsys):
                    str(tmp_path / "out")])
     assert rc == 2
     assert "s_max must be >= 5, got 3.0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_profile_rejects_infinite_s_max(tmp_path, capsys):
+    rc = cli.main(["profile", "standard", "--s-max", "inf", "--out",
+                   str(tmp_path / "out")])
+    assert rc == 2
+    assert "potential: s_max must be finite, got inf" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_profile_rejects_coeffs(tmp_path):
+    # the one well takes no coefficients; argparse exits 2
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["profile", "standard", "--coeffs", "1", "0", "--out",
+                  str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_profile_coarse_step_is_runtime_failure(tmp_path, capsys):
+    # RK4 at step 8/200 misses tanh(3 s / 2) by 2.01e-07 > 1e-7
+    rc = cli.main(["profile", "standard", "--n", "200", "--out",
+                   str(tmp_path / "out")])
+    assert rc == 1
+    assert ("runtime failure: profile integration did not converge (the "
+            "closed-form profile differs by 2.01e-07 from RK4 at step "
+            "s_max/n_samples = 0.04); raise n_samples (--n)") \
+        in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -593,6 +624,8 @@ BAD_VALUES = [   # (config, key path, value, key named in the error)
     ("sweep_circle.json", ("epsilons",), 0.1, "plan.epsilons"),
     ("sweep_circle.json", ("h_over_eps",), "x", "plan.h_over_eps"),
     ("plane1d.json", ("potential", "s_max"), 3, "s_max"),
+    ("plane1d.json", ("potential", "name"), "poly",
+     "potential: unknown potential 'poly'"),
     ("plane1d.json", ("stepper", "scheme"), "explicit", "stepper.scheme"),
     ("plane1d.json", ("stepper", "t_end"), -1, "stepper.t_end"),
     ("circle_radial.json", ("diagnostics", "s0"), 0,
@@ -715,17 +748,6 @@ def test_validate_calls_per_command(tmp_path, monkeypatch):
         assert len(calls) == expected, (command, path)
 
 
-def test_poly_manifest_records_coeffs(tmp_path):
-    doc = json.loads((CONFIGS / "plane1d.json").read_text())
-    doc["potential"] = {"name": "poly", "coeffs": [1, 0, -2, 0, 1]}
-    out = tmp_path / "out"
-    assert cli.main(["simulate", "--config",
-                     write_json(tmp_path / "c.json", doc),
-                     "--out", str(out)]) == 0
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["config"]["potential"]["coeffs"] == [1, 0, -2, 0, 1]
-
-
 REJECTED = [   # (config, values set, message); each value set is ignored
     ("sweep_circle.json", {("base", "epsilon"): 0.1},
      "epsilon: set per member by the plan"),
@@ -763,8 +785,9 @@ def test_ignored_value_rejected(tmp_path, capsys, name, values, message):
 
 
 READ_ELSEWHERE = [   # (command, config, values set, message)
+    # the one well takes no coefficients, so no potential reads them
     ("simulate", "plane1d.json", {("potential", "coeffs"): [5, 1]},
-     "potential.coeffs: read only by potential 'poly', not by 'standard'"),
+     "potential.coeffs: unknown key"),
     ("simulate", "plane1d.json", {("identities",): {"levels": 1}},
      "identities: read only by check-identities, not by simulate"),
     ("sweep", "sweep_circle.json", {("base", "identities"): {"levels": 3}},
@@ -830,12 +853,13 @@ def test_value_another_reader_reads_rejected(tmp_path, capsys, command, name,
     assert not out.exists()
 
 
-def test_initial_entropy_reads_no_step_size(tmp_path):
-    # dt = eps^2/20 breaks this potential's reaction limit eps^2/(2 max W'')
-    # with max W'' ~ 15.1, but the study never takes a step
+def test_initial_entropy_reads_no_step_size(tmp_path, monkeypatch):
+    # dt = eps^2/20 breaks the reaction limit eps^2/(2 max W'') of a well
+    # with max W'' = 15.1, but the study never takes a step
+    make = phaselab.potentials.make_standard_potential
+    monkeypatch.setattr(phaselab.potentials, "make_standard_potential",
+                        lambda: replace(make(), max_ddw=15.1))
     doc = json.loads((CONFIGS / "initial_entropy_plane.json").read_text())
-    doc["base"]["potential"] = {"name": "poly",
-                                "coeffs": [1, 0, -1, 0, -1, 0, 1]}
     out = tmp_path / "out"
     assert cli.main(["sweep", "--plan", write_json(tmp_path / "p.json", doc),
                      "--out", str(out)]) == 0

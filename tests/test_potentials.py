@@ -3,13 +3,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.integrate import cumulative_trapezoid, quad, solve_ivp
+from scipy.integrate import quad, solve_ivp
 from scipy.interpolate import PchipInterpolator
 
 import phaselab as pl
 import phaselab.potentials
-from phaselab.potentials import (_PSI_TABLE_INTERVALS, PotentialError,
-                                 PotentialSpec, ProfileError,
+from phaselab.potentials import (PotentialError, PotentialSpec, ProfileError,
                                  count_excursions, normalization_integral,
                                  root_2w)
 
@@ -28,6 +27,12 @@ def test_standard_values(standard_potential):
     assert p.max_ddw == 9.0
     # sign convention: dW pushes values toward the wells
     assert p.dw(0.5) < 0.0 < p.dw(-0.5)
+    # the double-well contract: zero at the wells, positive between them,
+    # symmetric, and sqrt(2 W) integrating to 2
+    s = np.linspace(-0.999, 0.999, 2001)
+    assert np.all(p.w(s) > 0.0)
+    assert np.max(np.abs(p.w(s) - p.w(-s))) <= 1e-12
+    assert abs(normalization_integral(p.w) - 2.0) <= 1e-8
 
 
 def test_standard_derivatives_consistent(standard_potential):
@@ -42,10 +47,8 @@ def test_standard_derivatives_consistent(standard_potential):
     assert abs(np.max(fd2) - p.max_ddw) < 1e-6
 
 
-@pytest.mark.parametrize("make", [
-    pl.make_standard_potential,
-    lambda: pl.make_polynomial_potential([1.0, 0.0, -2.0, 0.0, 1.0])],
-    ids=["standard", "poly"])
+@pytest.mark.parametrize("make", [pl.make_standard_potential],
+                         ids=["standard"])
 def test_dw_coef_is_dw(make):
     # the stepper evaluates W' from dw_coef, the diagnostics call dw
     p = make()
@@ -166,7 +169,8 @@ def test_profile_rejects_rough_potential(standard_potential):
         return base.w(s) * (1.0 + 0.4 * np.sin(200.0 * s) ** 2)
 
     rough = PotentialSpec(name="rough", w=rough_w, dw=base.dw, max_ddw=9.0,
-                          dw_coef=base.dw_coef, _psi=base._psi)
+                          dw_coef=base.dw_coef, _psi=base._psi,
+                          exact_profile=base.exact_profile)
     with pytest.raises(ProfileError):
         pl.solve_profile(rough, s_max=8.0, n_samples=64)
 
@@ -182,18 +186,17 @@ def rough_potential(base):
         s = np.asarray(s, dtype=float)
         return base.w(s) * (1.0 + 0.4 * np.sin(200.0 * s) ** 2)
 
-    return replace(base, name="rough", w=rough_w, exact_profile=None)
+    return replace(base, name="rough", w=rough_w)
 
 
-@pytest.mark.parametrize("make, n_samples, integrations", [
-    (pl.make_standard_potential, 4096, 1),
-    (lambda: pl.make_polynomial_potential([1.0, 0.0, -2.0, 0.0, 1.0]),
-     4096, 2),
-    (lambda: rough_potential(pl.make_standard_potential()), 64, 2),
-], ids=["standard", "poly", "rough"])
-def test_profile_check_integrates_once_with_closed_form(
-        monkeypatch, make, n_samples, integrations):
-    # a closed-form profile replaces the step-halved re-integration
+@pytest.mark.parametrize("make, n_samples", [
+    (pl.make_standard_potential, 4096),
+    (lambda: rough_potential(pl.make_standard_potential()), 64),
+], ids=["standard", "rough"])
+def test_profile_check_integrates_once_with_closed_form(monkeypatch, make,
+                                                        n_samples):
+    # the table is checked against the closed form, not re-integrated,
+    # also when the check fails
     calls = []
     integrate = phaselab.potentials._integrate_profile
 
@@ -206,7 +209,7 @@ def test_profile_check_integrates_once_with_closed_form(
     rough = pot.name == "rough"
     with pytest.raises(ProfileError) if rough else nullcontext():
         pl.solve_profile(pot, n_samples=n_samples)
-    assert calls == [n_samples, 2 * n_samples][:integrations]
+    assert calls == [n_samples]
 
 
 def test_profile_rejects_wrong_closed_form(standard_potential):
@@ -223,41 +226,13 @@ def test_psi_profile_composition(standard_potential, profile):
     assert np.max(np.abs(vals)) <= 1.0
 
 
-@pytest.mark.parametrize("pot", [
-    pl.make_standard_potential(),
-    pl.make_polynomial_potential([1.0, 0.0, -2.0, 0.0, 1.0])])
+@pytest.mark.parametrize("pot", [pl.make_standard_potential()])
 def test_kappa0_from_profile_table(pot):
-    # both wells normalize to theta = tanh(3s/2), whose L1 constant
-    # int |psi(theta) - sign s| ds is (2/3)(2 ln 2 - 1/2) in closed form;
-    # the table's trapezoid rule is off by 1.4e-6 (standard) and 6.5e-6
-    # (poly, whose psi is interpolated)
+    # theta = tanh(3s/2) has the L1 constant int |psi(theta) - sign s| ds
+    # = (2/3)(2 ln 2 - 1/2) in closed form; the table's trapezoid rule is
+    # off by 1.4e-6
     exact = (2.0 / 3.0) * (2.0 * np.log(2.0) - 0.5)
     assert pl.solve_profile(pot).kappa0() == pytest.approx(exact, abs=1e-5)
-
-
-def test_polynomial_potential_normalized():
-    # quartic well shape with a symmetric quadratic modulation
-    pot = pl.make_polynomial_potential([1.0, 0.0, -1.5, 0.0, 0.25, 0.0, 0.25])
-    assert abs(normalization_integral(pot.w) - 2.0) < 1e-8
-    u = np.linspace(-1, 1, 401)
-    vals = pot.psi(u)
-    assert np.max(np.abs(vals + pot.psi(-u))) < 1e-12
-    assert np.all(np.diff(vals) > 0)
-    assert vals[-1] == pytest.approx(1.0, abs=1e-12)
-    # table psi against direct quadrature (1024-interval table accuracy)
-    for val in (0.3, 0.7, 0.95):
-        oracle, _ = quad(lambda s: np.sqrt(2 * pot.w(s)), 0.0, val)
-        assert float(pot.psi(val)) == pytest.approx(oracle, abs=5e-5)
-
-
-def test_polynomial_potential_rejects_asymmetric():
-    with pytest.raises(PotentialError):
-        pl.make_polynomial_potential([1.0, 0.5, -2.0, 0.0, 1.0])
-
-
-def test_polynomial_potential_rejects_nan():
-    with pytest.raises(PotentialError):
-        pl.make_polynomial_potential([np.nan, 0.0, -2.0, 0.0, 1.0])
 
 
 def test_unknown_potential():
@@ -279,29 +254,16 @@ def test_count_excursions_given_bounds(values, count):
     assert count_excursions(u) == count
 
 
-@pytest.mark.parametrize("coeffs", [None, [1.0, 0.0, -2.0, 0.0, 1.0]])
-def test_profile_table_is_scipy_pchip(coeffs):
-    pot = pl.potential_by_name("poly" if coeffs else "standard", coeffs)
-    table = pl.solve_profile(pot)
-    oracle = PchipInterpolator(table.s, table.theta, extrapolate=False)
-    s_max = table.s_max
+def test_profile_table_is_scipy_pchip(profile):
+    oracle = PchipInterpolator(profile.s, profile.theta, extrapolate=False)
+    s_max = profile.s_max
     x = np.concatenate([
-        table.s, [-s_max, s_max, 0.0],
+        profile.s, [-s_max, s_max, 0.0],
         np.random.default_rng(7).uniform(-s_max, s_max, 100_000)])
-    assert np.array_equal(table(x), oracle(x))
-    assert np.array_equal(table(x[:, None]), oracle(x)[:, None])
+    assert np.array_equal(profile(x), oracle(x))
+    assert np.array_equal(profile(x[:, None]), oracle(x)[:, None])
     far = np.array([-1e3, -s_max - 1e-9, s_max + 1e-9, 40.0])
-    assert np.array_equal(table(far), np.sign(far))
-
-
-def test_poly_psi_table_is_cumulative_trapezoid():
-    pot = pl.make_polynomial_potential([1.0, 0.0, -1.5, 0.0, 0.25, 0.0, 0.25])
-    nodes = np.linspace(-1.0, 1.0, _PSI_TABLE_INTERVALS + 1)
-    table = cumulative_trapezoid(root_2w(pot.w(nodes.clip(-1, 1))), nodes,
-                                 initial=0.0)
-    table -= table[_PSI_TABLE_INTERVALS // 2]
-    table *= 1.0 / table[-1]
-    assert np.array_equal(pot.psi(nodes), table)
+    assert np.array_equal(profile(far), np.sign(far))
 
 
 @pytest.mark.parametrize("coeffs", [None] + ORACLE_POTENTIALS)

@@ -68,14 +68,12 @@ def test_step_leaves_its_input_unchanged(standard_potential, profile):
         assert not np.shares_memory(v_next, u)
 
 
-@pytest.mark.parametrize("coeffs", [None, [1.0, 0.0, -2.0, 0.0, 1.0]],
-                         ids=["standard", "poly"])
-def test_step_is_the_solve_of_the_reaction_right_side(standard_potential,
-                                                      profile, coeffs):
+@pytest.mark.parametrize("make", [pl.make_standard_potential],
+                         ids=["standard"])
+def test_step_is_the_solve_of_the_reaction_right_side(profile, make):
     # the Horner right side with the weight folded in is u - c W'(u) as the
     # diagnostics evaluate it, up to roundoff
-    pot = standard_potential if coeffs is None \
-        else pl.make_polynomial_potential(coeffs)
+    pot = make()
     rng = np.random.default_rng(7)
     for cfg in stepper_configs(pot, profile):
         u = pl.initial_data(cfg) + rng.uniform(-0.05, 0.05, cfg.grid.shape)
