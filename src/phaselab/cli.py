@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, config, diagnostics, experiments, snapshots, solver
-from .potentials import ProfileError, normalization_integral
+from .potentials import normalization_integral
 from .solver import BlowUpError, ConfigError
 
 EXIT_OK = 0
@@ -107,7 +107,7 @@ def _run_record(res) -> dict:
 
 
 def cmd_profile(args) -> int:
-    pot, table = config.build_profile(args.name, args.s_max, args.n)
+    pot, table = config.build_profile(args.name)
     args.out.mkdir(parents=True, exist_ok=True)
     path = args.out / f"profile_{pot.name}.csv"
     lines = ["s,theta,dtheta"]
@@ -280,8 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("profile", help="tabulate an equilibrium profile")
     p.add_argument("name", help="potential name (standard)")
-    p.add_argument("--s-max", type=float, default=8.0)
-    p.add_argument("--n", type=int, default=4096)
     p.add_argument("--out", type=Path, default=".")
     p.set_defaults(func=cmd_profile)
 
@@ -310,8 +308,7 @@ def main(argv=None) -> int:
         for msg in exc.messages:
             print(f"  - {msg}", file=sys.stderr)
         return EXIT_CONFIG
-    except (BlowUpError, ProfileError, ImportError,
-            np.linalg.LinAlgError) as exc:
+    except (BlowUpError, ImportError, np.linalg.LinAlgError) as exc:
         # ImportError: a scipy build without the compiled kernel the grid
         # solves with; LinAlgError: a radial operator that fails to factor
         print(f"runtime failure: {exc}", file=sys.stderr)

@@ -18,12 +18,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .diagnostics import default_s0
 from .experiments import (DEFAULT_DT_OVER_EPS2, DEFAULT_H_OVER_EPS,
                           SWEEP_MODES, SweepPlan, mode_issues)
 from .geometry import CutoffSpec, PlaneInterface, SphereInterface
-from .grids import FULL, Grid, npts_for_spacing
-from .potentials import potential_by_name, solve_profile
+from .grids import FULL, MAX_RADIAL_DIM, Grid, npts_for_spacing
+from .potentials import PotentialError, potential_by_name, solve_profile
 from .solver import ConfigError, SimulationConfig
 
 R_C_RADIUS_FRACTION = 0.45   # default r_c: this fraction of min_radius(),
@@ -50,14 +49,13 @@ IS_KIND = {   # keyed by the wording of the error message
 (NUMBER, POSITIVE, INTEGER, POSITIVE_INTEGER, FLAG, TEXT, NUMBERS, BAND,
  OBJECT) = IS_KIND
 SECTION_KEYS = {
-    "potential": {"name": TEXT, "s_max": NUMBER, "n_samples": INTEGER},
-    "cutoff": {"r_c": NUMBER, "c_quad": NUMBER},
+    "potential": {"name": TEXT},
+    "cutoff": {"r_c": NUMBER},
     "grid": {"mode": TEXT, "dim": INTEGER, "half_width": NUMBER,
              "npts": INTEGER, "h_over_eps": POSITIVE},
     "stepper": {"scheme": TEXT, "dt": POSITIVE, "dt_over_eps2": POSITIVE,
                 "t_end": NUMBER},
-    "diagnostics": {"cadence": INTEGER, "s0": POSITIVE,
-                    "compute_identity": FLAG,
+    "diagnostics": {"cadence": INTEGER, "compute_identity": FLAG,
                     "snapshot_every": POSITIVE_INTEGER},
     "identities": {"levels": INTEGER, "min_order": NUMBER},
 }
@@ -79,8 +77,8 @@ REQUIRED = {"run": ("epsilon", "trajectory", "grid"), "grid": ("half_width",),
             "plane": ("normal",), "sphere": ("dim", "radius0", "t_max"),
             "plan": ("base", "epsilons")}
 DEFAULTS = {   # the value a run reads for a key that is not set
-    "potential": {"name": "standard", "s_max": 8.0, "n_samples": 4096},
-    "cutoff": {"c_quad": 1.0},
+    "potential": {"name": "standard"},
+    "cutoff": {},
     "grid": {"mode": FULL},
     "stepper": {"scheme": SCHEME, "t_end": 0.0},
     "diagnostics": {"cadence": 10, "compute_identity": False},
@@ -89,7 +87,7 @@ DEFAULTS = {   # the value a run reads for a key that is not set
     "sphere": {},
 }
 # build_simulation computes the defaults of cutoff.r_c, grid.dim and .npts,
-# stepper.dt, diagnostics.s0 and a sphere's center.  A pair sets one value.
+# stepper.dt and a sphere's center.  A pair sets one value.
 EITHER_OR = (("grid.npts", "grid.h_over_eps"),
              ("stepper.dt", "stepper.dt_over_eps2"))
 PLAN_OWNED = ("epsilon", "grid.npts", "grid.h_over_eps", "stepper.dt",
@@ -170,6 +168,9 @@ def _build_trajectory(sec: dict):
                               offset=float(sec["offset"]),
                               t_max=float(sec["t_max"]))
     dim = int(sec["dim"])
+    if dim > MAX_RADIAL_DIM:   # no grid holds it; nor could [0.0] * dim
+        raise ConfigError([f"trajectory.dim: must be at most "
+                           f"{MAX_RADIAL_DIM}, got {dim}"])
     center = tuple(float(c) for c in sec.setdefault("center", [0.0] * dim))
     try:
         return SphereInterface(center=center, radius0=float(sec["radius0"]),
@@ -178,14 +179,13 @@ def _build_trajectory(sec: dict):
         raise ConfigError([f"trajectory: {exc}"]) from exc
 
 
-def build_profile(name: str, s_max: float, n_samples: int):
-    """(potential, profile table); a bad argument raises ConfigError, a
-    profile that does not converge potentials.ProfileError."""
+def build_profile(name: str):
+    """(potential, profile table); an unknown name raises ConfigError."""
     try:
         pot = potential_by_name(name)
-        return pot, solve_profile(pot, s_max=s_max, n_samples=n_samples)
-    except ValueError as exc:   # PotentialError, or s_max/n_samples rejected
+    except PotentialError as exc:
         raise ConfigError([f"potential: {exc}"]) from exc
+    return pot, solve_profile(pot)
 
 
 def build_simulation(doc: dict, command=None):
@@ -207,9 +207,7 @@ def build_simulation(doc: dict, command=None):
               **{name: {**DEFAULTS[name], **_present(doc.get(name))}
                  for name in SECTION_KEYS
                  if READ_BY.get(name, command) == command}}
-    pot_sec = filled["potential"]
-    pot, profile = build_profile(pot_sec["name"], float(pot_sec["s_max"]),
-                                 int(pot_sec["n_samples"]))
+    pot, profile = build_profile(filled["potential"]["name"])
     traj = _build_trajectory(traj_sec)
     eps = float(doc["epsilon"])
 
@@ -217,8 +215,7 @@ def build_simulation(doc: dict, command=None):
     cut_sec.setdefault("r_c", R_C_RADIUS_FRACTION * traj.min_radius()
                        if traj.min_radius() < np.inf else R_C_PLANE_DEFAULT)
     try:
-        cutoff = CutoffSpec(r_c=float(cut_sec["r_c"]),
-                            c_quad=float(cut_sec["c_quad"]))
+        cutoff = CutoffSpec(r_c=float(cut_sec["r_c"]))
     except ValueError as exc:
         raise ConfigError([f"cutoff: {exc}"]) from exc
 
@@ -241,7 +238,6 @@ def build_simulation(doc: dict, command=None):
                                                        DEFAULT_DT_OVER_EPS2))
 
     diag_sec = filled["diagnostics"]
-    diag_sec.setdefault("s0", default_s0(cutoff))
     if command == "check-identities":
         diag_sec["compute_identity"] = True
 
@@ -249,7 +245,7 @@ def build_simulation(doc: dict, command=None):
         epsilon=eps, potential=pot, profile=profile, trajectory=traj,
         cutoff=cutoff, grid=grid, dt=float(step_sec["dt"]),
         t_end=float(step_sec["t_end"]),
-        cadence=int(diag_sec["cadence"]), s0=float(diag_sec["s0"]),
+        cadence=int(diag_sec["cadence"]),
         compute_identity=diag_sec["compute_identity"])
     return cfg, filled
 

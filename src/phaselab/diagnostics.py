@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 
@@ -104,21 +103,17 @@ def derived_fields(u: np.ndarray, eps: float, pot: PotentialSpec,
     return curv, ef.restrict(curv), w, root_2w(w)
 
 
-def default_s0(cutoff: CutoffSpec) -> float:
-    """Distance scale of the weighted interface error when none is given."""
-    return cutoff.r_c / 4.0
-
-
 def relative_entropy(u: np.ndarray, eps: float, pot: PotentialSpec,
                      traj: InterfaceTrajectory, cutoff: CutoffSpec,
-                     grid: Grid, t: float, s0: Optional[float] = None,
+                     grid: Grid, t: float,
                      with_identity: bool = False) -> np.void:
     """Evaluate every tracked functional of one snapshot, returned as one
     record of ROW_DTYPE, the kind of row a run's table holds.
 
     The core value is int density - xi . grad psi; the call also fills the
     coercivity integrals, the two dissipation defect squares, the interface
-    errors, and (with_identity) the assembled right-hand side of the
+    errors (the weighted one on the distance scale r_c/4), and
+    (with_identity) the assembled right-hand side of the
     entropy evolution identity.  identity_residual, a rate across rows, is
     NaN, and so is identity_rhs without with_identity.
 
@@ -139,10 +134,9 @@ def relative_entropy(u: np.ndarray, eps: float, pot: PotentialSpec,
     comments; the out= calls repeat its operations in its order, so every
     sum keeps its bits.
     """
-    if s0 is None:
-        s0 = default_s0(cutoff)
     quad = grid.integrate
-    err_l1, err_w = _interface_errors(u, pot, traj, grid, t, s0, quad)
+    err_l1, err_w = _interface_errors(u, pot, traj, grid, t,
+                                      cutoff.r_c / 4.0, quad)
 
     ef = extended_fields(traj, cutoff, grid, t)
     curv, curv_t, w_t, sqrt2w_t = derived_fields(u, eps, pot, grid, ef)
@@ -360,10 +354,10 @@ def _identity_rhs(eps, d: TubeFields, ef, quad, dsq_curv, dsq_vel,
 def coercivity_bound_constant(cutoff: CutoffSpec) -> float:
     """Interface constant for the distance-weighted energy control.
 
-    From 1 - xi.n >= min(c_quad dist^2 / r_c^2, 1) and the equipartition
-    control: C = max(r_c^2 / c_quad, 1) + 1.
+    From 1 - xi.n >= min(dist^2 / r_c^2, 1) and the equipartition
+    control: C = max(r_c^2, 1) + 1.
     """
-    return max(cutoff.r_c ** 2 / cutoff.c_quad, 1.0) + 1.0
+    return max(cutoff.r_c ** 2, 1.0) + 1.0
 
 
 @dataclass

@@ -29,11 +29,11 @@ SWEEP_MODES = {
              "bands": {"err_l1": (0.8, 1.2), "rel_entropy": (1.7, 2.3),
                        "gronwall_factor": 2.0},
              "ignores": (), "study": "run_sweep"},
-    # t = 0 only: no step, and no weighted interface error for s0 to scale
+    # t = 0 only: one row of the initial data, so no step or row keys
     "initial-entropy": {"reads": {"h_over_eps": 16.0},
                         "bands": {"initial_entropy": (1.8, 2.2)},
                         "ignores": ("stepper.scheme", "stepper.t_end",
-                                    "diagnostics.cadence", "diagnostics.s0",
+                                    "diagnostics.cadence",
                                     "diagnostics.compute_identity"),
                         "study": "initial_entropy_study"},
 }
@@ -239,7 +239,7 @@ def initial_entropy_study(plan: SweepPlan) -> SweepResult:
         u0 = solver.initial_data(cfg)
         b = diagnostics.relative_entropy(
             u0, eps, cfg.potential, cfg.trajectory, cfg.cutoff, cfg.grid,
-            0.0, s0=cfg.s0)
+            0.0)
         values.append(float(b["rel_entropy"]))
     fit = fit_rate(list(zip(plan.epsilons, values)))
     return SweepResult(report=RateReport(

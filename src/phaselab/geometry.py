@@ -85,12 +85,12 @@ class SphereInterface:
     t_max: float
 
     def __post_init__(self):
+        if self.dim < 2:   # first, or a negative dim reads as a bad center
+            raise ValueError("sphere needs dim >= 2")
         if len(self.center) != self.dim:
             raise ValueError("center length must match dim")
         if not self.radius0 > 0.0:
             raise ValueError("radius0 must be positive")
-        if self.dim < 2:
-            raise ValueError("sphere needs dim >= 2")
         if not self.t_max < self.extinction_time:
             raise ValueError(
                 f"t_max={self.t_max} reaches extinction at "
@@ -170,21 +170,18 @@ def _smoothstep_deriv(x):
 
 @dataclass(frozen=True)
 class CutoffSpec:
-    """Tube cutoff eta(s) = (1 - c_quad s^2/r_c^2) * eta_tilde(s).
+    """Tube cutoff eta(s) = (1 - s^2/r_c^2) * eta_tilde(s).
 
     eta_tilde is 1 on |s| <= r_c/4, 0 on |s| >= r_c/2, and a monotone
     quintic smoothstep in between (C^2, so div xi stays differentiable).
-    c_quad must lie in (0, 4) to keep eta nonnegative on the plateau.
+    The quadratic factor is at least 3/4 where eta_tilde is nonzero.
     """
 
     r_c: float
-    c_quad: float = 1.0
 
     def __post_init__(self):
         if not self.r_c > 0.0:
             raise ValueError("r_c must be positive")
-        if not 0.0 < self.c_quad < 4.0:
-            raise ValueError("c_quad must lie in (0, 4)")
 
     def _ramp(self, s):
         """The smoothstep argument of eta_tilde: 0 at |s| = r_c/4, 1 at
@@ -205,15 +202,14 @@ class CutoffSpec:
         x = self._ramp(s)
         eta_t = 1.0 - smoothstep(x)
         deta_t = -np.sign(s) * _smoothstep_deriv(x) / (0.25 * self.r_c)
-        quad = 1.0 - self.c_quad * (s / self.r_c) ** 2
-        deta = (-2.0 * self.c_quad * s / self.r_c ** 2) * eta_t \
-            + quad * deta_t
+        quad = 1.0 - (s / self.r_c) ** 2
+        deta = (-2.0 * s / self.r_c ** 2) * eta_t + quad * deta_t
         return quad * eta_t, deta, eta_t, deta_t
 
     @property
     def deriv_bound(self) -> float:
         """C with |eta'(s)| <= C * min(1/r_c, |s|/r_c^2) for all s."""
-        return 4.0 * self.c_quad + 30.0
+        return 34.0   # 4 from the quadratic factor, 30 from the smoothstep
 
 
 @dataclass

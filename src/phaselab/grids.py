@@ -35,6 +35,9 @@ from .potentials import WELL_ROUNDOFF
 
 FULL = "full"
 RADIAL = "radial"
+# the largest radial dim d whose sphere area 2 pi^(d/2) / gamma(d/2) is a
+# float: gamma(d/2) overflows from d = 344
+MAX_RADIAL_DIM = 343
 
 
 @dataclass(frozen=True)
@@ -47,12 +50,13 @@ class Grid:
     def __post_init__(self):
         if self.mode not in (FULL, RADIAL):
             raise ValueError(f"unknown grid mode {self.mode!r}")
+        if not self.half_width > 0.0:   # before npts, derived from it
+            raise ValueError("half_width must be positive")
         if not self.npts >= 8:   # NaN fails every comparison
             raise ValueError("need at least 8 points per axis")
-        if not self.half_width > 0.0:
-            raise ValueError("half_width must be positive")
-        if self.mode == RADIAL and self.dim < 2:
-            raise ValueError("radial mode needs dim >= 2")
+        if self.mode == RADIAL and not 2 <= self.dim <= MAX_RADIAL_DIM:
+            raise ValueError(f"radial mode needs 2 <= dim <= "
+                             f"{MAX_RADIAL_DIM}")
         if self.mode == FULL and self.dim not in (1, 2):
             raise ValueError("full grids support dim 1 and 2")
 

@@ -57,7 +57,6 @@ class SimulationConfig:
     dt: float = 0.0
     t_end: float = 0.0
     cadence: int = 10
-    s0: Optional[float] = None
     compute_identity: bool = False
 
     def steps(self) -> int:
@@ -256,8 +255,7 @@ def run(cfg: SimulationConfig,
         row_start = time.perf_counter()
         rows[row] = diagnostics.relative_entropy(
             u, cfg.epsilon, cfg.potential, cfg.trajectory, cfg.cutoff,
-            cfg.grid, t, s0=cfg.s0,
-            with_identity=cfg.compute_identity)
+            cfg.grid, t, with_identity=cfg.compute_identity)
         rows_s += time.perf_counter() - row_start
 
     u = initial_data(cfg)

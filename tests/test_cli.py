@@ -17,7 +17,6 @@ import phaselab.grids
 import phaselab.potentials
 import phaselab.solver
 from phaselab import config, snapshots
-from phaselab.potentials import ProfileError
 from phaselab.snapshots import read_snapshot
 
 from conftest import make_circle_config
@@ -72,23 +71,6 @@ def test_profile_unknown_potential(tmp_path, capsys):
     assert "unknown potential" in capsys.readouterr().err
 
 
-def test_profile_rejects_small_s_max(tmp_path, capsys):
-    rc = cli.main(["profile", "standard", "--s-max", "3", "--out",
-                   str(tmp_path / "out")])
-    assert rc == 2
-    assert "s_max must be >= 5, got 3.0" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
-
-
-def test_profile_rejects_infinite_s_max(tmp_path, capsys):
-    rc = cli.main(["profile", "standard", "--s-max", "inf", "--out",
-                   str(tmp_path / "out")])
-    assert rc == 2
-    assert "potential: s_max must be finite, got inf" \
-        in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
-
-
 def test_profile_rejects_coeffs(tmp_path):
     # the one well takes no coefficients; argparse exits 2
     with pytest.raises(SystemExit) as exc:
@@ -98,30 +80,14 @@ def test_profile_rejects_coeffs(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
-def test_profile_coarse_step_is_runtime_failure(tmp_path, capsys):
-    # RK4 at step 8/200 misses tanh(3 s / 2) by 2.01e-07 > 1e-7
-    rc = cli.main(["profile", "standard", "--n", "200", "--out",
-                   str(tmp_path / "out")])
-    assert rc == 1
-    assert ("runtime failure: profile integration did not converge (the "
-            "closed-form profile differs by 2.01e-07 from RK4 at step "
-            "s_max/n_samples = 0.04); raise n_samples (--n)") \
-        in capsys.readouterr().err
+@pytest.mark.parametrize("flag, value", [("--s-max", "8"), ("--n", "4096")])
+def test_profile_rejects_size_flags(tmp_path, flag, value):
+    # the table is always 4,096 RK4 steps on [0, 8]; argparse exits 2
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["profile", "standard", flag, value, "--out",
+                  str(tmp_path / "out")])
+    assert exc.value.code == 2
     assert not (tmp_path / "out").exists()
-
-
-def test_profile_failure_is_runtime_failure(tmp_path, monkeypatch, capsys):
-    def fail(*a, **k):
-        raise ProfileError("profile integration did not converge")
-
-    monkeypatch.setattr(config, "solve_profile", fail)
-    out = tmp_path / "out"
-    for argv in (["profile", "standard"],
-                 ["simulate", "--config", str(CONFIGS / "plane1d.json")]):
-        assert cli.main(argv + ["--out", str(out)]) == 1
-        assert "runtime failure: profile integration did not converge" \
-            in capsys.readouterr().err
-    assert not out.exists()
 
 
 def test_simulate_plane_smoke(tmp_path):
@@ -620,6 +586,9 @@ BAD_VALUES = [   # (config, key path, value, key named in the error)
     ("plane1d.json", ("diagnostics", "compute_identity"), "no",
      "diagnostics.compute_identity"),
     ("plane1d.json", ("grid", "half_width"), [1], "grid.half_width"),
+    # named before the point count derived from it
+    ("plane1d.json", ("grid", "half_width"), -1,
+     "grid: half_width must be positive"),
     ("plane1d.json", ("trajectory", "normal"), 5, "trajectory.normal"),
     ("sweep_circle.json", ("epsilons",), 0.1, "plan.epsilons"),
     ("sweep_circle.json", ("h_over_eps",), "x", "plan.h_over_eps"),
@@ -628,10 +597,6 @@ BAD_VALUES = [   # (config, key path, value, key named in the error)
      "potential: unknown potential 'poly'"),
     ("plane1d.json", ("stepper", "scheme"), "explicit", "stepper.scheme"),
     ("plane1d.json", ("stepper", "t_end"), -1, "stepper.t_end"),
-    ("circle_radial.json", ("diagnostics", "s0"), 0,
-     "diagnostics.s0: expected a positive number, got 0"),
-    ("circle_radial.json", ("diagnostics", "s0"), -0.05,
-     "diagnostics.s0: expected a positive number, got -0.05"),
 ]
 
 
@@ -647,6 +612,34 @@ BAD_PLANS = [   # (plan, key path, value, message in the error)
     ("initial_entropy_plane.json", ("h_over_eps",), 0.05,
      "member eps=0.16: grid: need at least 8 points per axis"),
 ]
+
+
+@pytest.mark.parametrize("values, message", [
+    # no grid holds it, and the default center would be 1e18 floats
+    ({("trajectory", "dim"): 1e18},
+     "trajectory.dim: must be at most 343, got 1000000000000000000"),
+    # gamma(d/2) in the radial cell volumes overflows from d = 344
+    ({("trajectory", "dim"): 400, ("trajectory", "t_max"): 1e-5,
+      ("stepper", "t_end"): 0, ("cutoff", "r_c"): 0.3},
+     "trajectory.dim: must be at most 343, got 400"),
+    ({("grid", "dim"): 400},
+     "grid: radial mode needs 2 <= dim <= 343"),
+    # named as such, not as a center of the wrong length
+    ({("trajectory", "dim"): -5}, "trajectory: sphere needs dim >= 2"),
+], ids=["dim_1e18", "dim_400", "grid_dim_400", "dim_-5"])
+def test_unrepresentable_dim_is_config_error(tmp_path, capsys, values,
+                                             message):
+    doc = json.loads((CONFIGS / "circle_radial.json").read_text())
+    del doc["trajectory"]["center"]
+    for (section, key), value in values.items():
+        doc[section][key] = value
+    out = tmp_path / "out"
+    rc = cli.main(["simulate", "--config",
+                   write_json(tmp_path / "c.json", doc), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -788,6 +781,24 @@ READ_ELSEWHERE = [   # (command, config, values set, message)
     # the one well takes no coefficients, so no potential reads them
     ("simulate", "plane1d.json", {("potential", "coeffs"): [5, 1]},
      "potential.coeffs: unknown key"),
+    # the profile table's range and step count, the cutoff's quadratic
+    # factor and the weighted error's distance scale are constants, so no
+    # command reads them (a sweep base's s0: the initial-entropy row below)
+    ("simulate", "circle_radial.json", {("potential", "s_max"): 8.0},
+     "potential.s_max: unknown key"),
+    ("simulate", "circle_radial.json", {("potential", "n_samples"): 4096},
+     "potential.n_samples: unknown key"),
+    ("simulate", "circle_radial.json", {("cutoff", "c_quad"): 1.0},
+     "cutoff.c_quad: unknown key"),
+    ("simulate", "circle_radial.json", {("diagnostics", "s0"): 0.075},
+     "diagnostics.s0: unknown key"),
+    ("sweep", "sweep_circle.json", {("base", "potential", "s_max"): 8.0},
+     "potential.s_max: unknown key"),
+    ("sweep", "sweep_circle.json",
+     {("base", "potential", "n_samples"): 4096},
+     "potential.n_samples: unknown key"),
+    ("sweep", "sweep_circle.json", {("base", "cutoff", "c_quad"): 1.0},
+     "cutoff.c_quad: unknown key"),
     ("simulate", "plane1d.json", {("identities",): {"levels": 1}},
      "identities: read only by check-identities, not by simulate"),
     ("sweep", "sweep_circle.json", {("base", "identities"): {"levels": 3}},
@@ -819,7 +830,7 @@ READ_ELSEWHERE = [   # (command, config, values set, message)
      "diagnostics.compute_identity: read only in mode 'full'"),
     ("sweep", "initial_entropy_plane.json",
      {("base", "diagnostics"): {"s0": 0.1}},
-     "diagnostics.s0: read only in mode 'full'"),
+     "diagnostics.s0: unknown key"),
     ("sweep", "sweep_circle.json", {("bands", "initial_entropy"): [100, 200]},
      "plan.bands.initial_entropy: read only in mode 'initial-entropy'"),
     ("sweep", "initial_entropy_plane.json", {("bands", "err_l1"): [0.8, 1.2]},

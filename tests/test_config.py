@@ -99,9 +99,9 @@ def test_unknown_trajectory_type_message(kind):
 def test_null_means_default_and_required_null_is_missing():
     doc = load("plane1d.json")
     _, expected = config.build_simulation(doc)
-    doc["cutoff"]["c_quad"] = None
+    doc["cutoff"]["r_c"] = None
     doc["stepper"]["dt"] = None
-    doc["diagnostics"]["s0"] = None
+    doc["diagnostics"]["cadence"] = None
     doc["identities"] = None
     assert config.build_simulation(doc)[1] == expected
 

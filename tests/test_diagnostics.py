@@ -242,7 +242,7 @@ def test_interface_errors_exact_indicator(standard_potential, profile):
                              half_width=1.4)
     dist = cfg.trajectory.radius(0.0) - cfg.grid.axis
     u = np.where(dist >= 0.0, 1.0, -1.0)   # psi(u) = chi exactly
-    b = row(u, cfg, s0=cfg.cutoff.r_c / 4)
+    b = row(u, cfg)
     assert b["err_l1"] == 0.0
     assert b["err_weighted"] == 0.0
 
@@ -252,7 +252,7 @@ def test_interface_errors_profile_oracle(standard_potential, profile):
     eps = 0.05
     cfg = make_plane_config(standard_potential, profile, eps=eps,
                             h_over_eps=64)
-    b = row(pl.initial_data(cfg), cfg, s0=cfg.cutoff.r_c / 4)
+    b = row(pl.initial_data(cfg), cfg)
     err_l1, err_w = b["err_l1"], b["err_weighted"]
     half, _ = quad(lambda s: 1.0 - psi_exact(theta_exact(s)), 0.0, 30.0,
                    limit=400)
@@ -515,7 +515,7 @@ ORACLE_GEOMETRIES = {
 def test_tube_evaluation_matches_whole_grid_oracle(standard_potential,
                                                    profile, geometry):
     cfg = ORACLE_GEOMETRIES[geometry](standard_potential, profile)
-    s0 = dg.default_s0(cfg.cutoff)
+    s0 = cfg.cutoff.r_c / 4.0   # the weighted error's distance scale
     ef = pl.extended_fields(cfg.trajectory, cfg.cutoff, cfg.grid, 0.0)
     assert 0 < ef.tube.size < math.prod(ef.shape)   # a proper subset
     if geometry == "plane1d_cell_on_tube_edge":
@@ -528,7 +528,7 @@ def test_tube_evaluation_matches_whole_grid_oracle(standard_potential,
             t = k * cfg.dt_actual()
             got = dg.relative_entropy(u, cfg.epsilon, cfg.potential,
                                       cfg.trajectory, cfg.cutoff, cfg.grid,
-                                      t, s0=s0, with_identity=True)
+                                      t, with_identity=True)
             want = oracle_relative_entropy(u, cfg.epsilon, cfg.potential,
                                            cfg.trajectory, cfg.cutoff,
                                            cfg.grid, t, s0)

@@ -128,7 +128,7 @@ def test_distance_rate_matches_curvature(sphere):
 
 
 def test_cutoff_shape():
-    cut = pl.CutoffSpec(r_c=0.4, c_quad=1.0)
+    cut = pl.CutoffSpec(r_c=0.4)
     assert cut.profile(0.0)[0] == 1.0
     assert cut.profile(0.2)[0] == 0.0
     assert cut.profile(-0.5)[0] == 0.0
@@ -142,7 +142,7 @@ def test_cutoff_shape():
 
 
 def test_cutoff_derivative_bound():
-    cut = pl.CutoffSpec(r_c=0.4, c_quad=1.0)
+    cut = pl.CutoffSpec(r_c=0.4)
     s = np.linspace(-0.6, 0.6, 4001)
     d = 1e-7
     fd = (cut.profile(s + d)[0] - cut.profile(s - d)[0]) / (2 * d)
@@ -167,8 +167,6 @@ def test_nan_rejected(make):
 
 def test_cutoff_validation():
     with pytest.raises(ValueError):
-        pl.CutoffSpec(r_c=0.3, c_quad=4.5)
-    with pytest.raises(ValueError):
         pl.CutoffSpec(r_c=-0.1)
 
 
@@ -190,7 +188,7 @@ def test_xi_length_bound(sphere, cutoff):
     pts = rng.uniform(-1.3, 1.3, size=(500, 2))
     vals = fields_at(sphere, cutoff, pts, 0.1).xi.T
     dist = distance_at(sphere, pts, 0.1)
-    bound = np.maximum(1.0 - cutoff.c_quad * (dist / cutoff.r_c) ** 2, 0.0)
+    bound = np.maximum(1.0 - (dist / cutoff.r_c) ** 2, 0.0)
     assert np.all(np.linalg.norm(vals, axis=-1) <= bound + 1e-12)
 
 
@@ -331,7 +329,7 @@ def test_xi_residuals_plane(plane2d):
     assert rep.transport_half < 1e-12
     assert rep.length_half < 1e-12
     # curvature residual is genuinely O(dist): bounded ratio
-    assert rep.curvature_quarter < 3.0 * (2.0 * cut.c_quad / cut.r_c ** 2)
+    assert rep.curvature_quarter < 3.0 * (2.0 / cut.r_c ** 2)
 
 
 def test_xi_residuals_sphere_bounded_and_stable(sphere):

@@ -10,7 +10,7 @@ import pytest
 import scipy
 
 import phaselab as pl
-from phaselab.grids import _kernel
+from phaselab.grids import MAX_RADIAL_DIM, _kernel
 
 from conftest import whole_solver
 
@@ -98,6 +98,20 @@ def test_grid_validation():
         pl.full_grid(3, 1.0, 32)
     with pytest.raises(ValueError):
         pl.full_grid(1, 1.0, 4)
+    # a point count derived from a bad half-width is not what is named
+    with pytest.raises(ValueError, match="half_width must be positive"):
+        pl.full_grid(1, -1.0, -16)
+
+
+def test_max_radial_dim_is_the_last_finite_sphere_area():
+    # the radial cell volumes carry 2 pi^(d/2) / gamma(d/2)
+    assert math.isfinite(math.gamma(MAX_RADIAL_DIM / 2.0))
+    with pytest.raises(OverflowError):
+        math.gamma((MAX_RADIAL_DIM + 1) / 2.0)
+    top = pl.radial_grid(MAX_RADIAL_DIM, 1.4, 64)
+    assert np.all(np.isfinite(top.quad_weights))
+    with pytest.raises(ValueError, match="radial mode needs 2 <= dim <= 343"):
+        pl.radial_grid(MAX_RADIAL_DIM + 1, 1.4, 64)
 
 
 def _padded_neighbours(g, u, ax):

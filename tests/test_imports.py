@@ -191,3 +191,21 @@ def test_sweep_modes_are_named_in_experiments_only(path):
              if isinstance(node, ast.Constant) and isinstance(node.value, str)
              and node.value in SWEEP_MODES and node not in grid_kind]
     assert named == [], f"a sweep mode's name at {named}"
+
+
+@pytest.mark.parametrize("path", [path for path in sorted(PACKAGE.glob("*.py"))
+                                  if path.stem != "__init__"],
+                         ids=lambda p: p.stem)
+def test_no_unused_imports(path):
+    # every name a module imports is read in it; the package namespace
+    # imports to re-export
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {(alias.asname or alias.name).split(".")[0]: node.lineno
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for alias in node.names}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = {name: line for name, line in imported.items()
+              if name not in read}
+    assert unused == {}, f"imported and never read: {unused}"

@@ -1,16 +1,11 @@
-from contextlib import nullcontext
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from scipy.integrate import quad, solve_ivp
 from scipy.interpolate import PchipInterpolator
 
 import phaselab as pl
-import phaselab.potentials
-from phaselab.potentials import (PotentialError, PotentialSpec, ProfileError,
-                                 count_excursions, normalization_integral,
-                                 root_2w)
+from phaselab.potentials import (PotentialError, count_excursions,
+                                 normalization_integral, root_2w)
 
 # polynomial wells (low to high degree): the quartic unnormalized, a simple
 # root at +-1 (sqrt(2 W) ~ sqrt(1 - s)), a parabola and a triple root
@@ -149,73 +144,10 @@ def test_profile_equilibrium_identity(standard_potential, profile):
     assert np.max(np.abs(fd2 - standard_potential.dw(th[1:-1]))) < 1e-5
 
 
-def test_profile_preconditions(standard_potential):
-    with pytest.raises(ValueError):
-        pl.solve_profile(standard_potential, s_max=4.0)
-    with pytest.raises(ValueError):
-        pl.solve_profile(standard_potential, n_samples=32)
-
-
-def test_profile_rejects_nan_s_max(standard_potential):
-    with pytest.raises(ValueError, match="s_max"):
-        pl.solve_profile(standard_potential, s_max=np.nan)
-
-
-def test_profile_rejects_rough_potential(standard_potential):
-    base = standard_potential
-
-    def rough_w(s):
-        s = np.asarray(s, dtype=float)
-        return base.w(s) * (1.0 + 0.4 * np.sin(200.0 * s) ** 2)
-
-    rough = PotentialSpec(name="rough", w=rough_w, dw=base.dw, max_ddw=9.0,
-                          dw_coef=base.dw_coef, _psi=base._psi,
-                          exact_profile=base.exact_profile)
-    with pytest.raises(ProfileError):
-        pl.solve_profile(rough, s_max=8.0, n_samples=64)
-
-
 def test_standard_table_is_closed_form(profile):
     # the RK4 table itself, on its samples, against tanh(3 s / 2)
     exact = np.tanh(1.5 * profile.s)
     assert np.max(np.abs(profile.theta - exact)) <= 2e-12
-
-
-def rough_potential(base):
-    def rough_w(s):
-        s = np.asarray(s, dtype=float)
-        return base.w(s) * (1.0 + 0.4 * np.sin(200.0 * s) ** 2)
-
-    return replace(base, name="rough", w=rough_w)
-
-
-@pytest.mark.parametrize("make, n_samples", [
-    (pl.make_standard_potential, 4096),
-    (lambda: rough_potential(pl.make_standard_potential()), 64),
-], ids=["standard", "rough"])
-def test_profile_check_integrates_once_with_closed_form(monkeypatch, make,
-                                                        n_samples):
-    # the table is checked against the closed form, not re-integrated,
-    # also when the check fails
-    calls = []
-    integrate = phaselab.potentials._integrate_profile
-
-    def spy(p, s_max, n):
-        calls.append(n)
-        return integrate(p, s_max, n)
-
-    pot = make()
-    monkeypatch.setattr(phaselab.potentials, "_integrate_profile", spy)
-    rough = pot.name == "rough"
-    with pytest.raises(ProfileError) if rough else nullcontext():
-        pl.solve_profile(pot, n_samples=n_samples)
-    assert calls == [n_samples]
-
-
-def test_profile_rejects_wrong_closed_form(standard_potential):
-    wrong = replace(standard_potential, exact_profile=np.tanh)
-    with pytest.raises(ProfileError, match="closed-form profile differs"):
-        pl.solve_profile(wrong)
 
 
 def test_psi_profile_composition(standard_potential, profile):
