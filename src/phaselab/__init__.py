@@ -17,8 +17,7 @@ from .geometry import (CutoffSpec, PlaneInterface, SphereInterface,
                        extended_fields, interface_distance, tau_truncation,
                        xi_pde_residuals)
 from .grids import Grid, full_grid, radial_grid
-from .potentials import (PotentialSpec, ProfileTable, make_standard_potential,
-                         potential_by_name, solve_profile)
+from .potentials import ProfileTable, solve_profile
 from .solver import (BlowUpError, ConfigError, RunResult, SimulationConfig,
                      initial_data, make_stepper, run, validate)
 

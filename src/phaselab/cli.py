@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, config, diagnostics, experiments, snapshots, solver
-from .potentials import normalization_integral
+from .potentials import normalization_integral, solve_profile, w
 from .solver import BlowUpError, ConfigError
 
 EXIT_OK = 0
@@ -107,15 +107,15 @@ def _run_record(res) -> dict:
 
 
 def cmd_profile(args) -> int:
-    pot, table = config.build_profile(args.name)
+    table = solve_profile()
     args.out.mkdir(parents=True, exist_ok=True)
-    path = args.out / f"profile_{pot.name}.csv"
+    path = args.out / "profile_standard.csv"
     lines = ["s,theta,dtheta"]
     for s, th, dth in zip(table.s, table.theta, table.dtheta):
         lines.append(f"{float(s)!r},{float(th)!r},{float(dth)!r}")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
-    norm = normalization_integral(pot.w)
+    norm = normalization_integral(w)
     print(f"wrote {path}")
     print(f"normalization integral of sqrt(2W) over [-1,1]: {norm:.10f} "
           f"(target 2)")
@@ -278,8 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("profile", help="tabulate an equilibrium profile")
-    p.add_argument("name", help="potential name (standard)")
+    p = sub.add_parser("profile", help="tabulate the equilibrium profile")
     p.add_argument("--out", type=Path, default=".")
     p.set_defaults(func=cmd_profile)
 

@@ -22,12 +22,11 @@ from .experiments import (DEFAULT_DT_OVER_EPS2, DEFAULT_H_OVER_EPS,
                           SWEEP_MODES, SweepPlan, mode_issues)
 from .geometry import CutoffSpec, PlaneInterface, SphereInterface
 from .grids import FULL, MAX_RADIAL_DIM, Grid, npts_for_spacing
-from .potentials import PotentialError, potential_by_name, solve_profile
+from .potentials import solve_profile
 from .solver import ConfigError, SimulationConfig
 
 R_C_RADIUS_FRACTION = 0.45   # default r_c: this fraction of min_radius(),
 R_C_PLANE_DEFAULT = 0.5      # or this where it is inf (a plane)
-SCHEME = "semi-implicit"     # the one time stepper, solver.make_stepper
 
 
 IS_KIND = {   # keyed by the wording of the error message
@@ -76,11 +75,15 @@ BAND_KEYS = {name: BAND if isinstance(default, tuple) else NUMBER
 REQUIRED = {"run": ("epsilon", "trajectory", "grid"), "grid": ("half_width",),
             "plane": ("normal",), "sphere": ("dim", "radius0", "t_max"),
             "plan": ("base", "epsilons")}
+ONE_VALUE = {   # keys with one admissible value, which is their default
+    "potential.name": "standard",         # the quartic well of potentials
+    "stepper.scheme": "semi-implicit",    # solver.make_stepper
+}
 DEFAULTS = {   # the value a run reads for a key that is not set
-    "potential": {"name": "standard"},
+    "potential": {"name": ONE_VALUE["potential.name"]},
     "cutoff": {},
     "grid": {"mode": FULL},
-    "stepper": {"scheme": SCHEME, "t_end": 0.0},
+    "stepper": {"scheme": ONE_VALUE["stepper.scheme"], "t_end": 0.0},
     "diagnostics": {"cadence": 10, "compute_identity": False},
     "identities": {"levels": 3, "min_order": 1.0},
     "plane": {"offset": 0.0, "t_max": 10.0},
@@ -140,10 +143,10 @@ def _run_issues(doc: dict, command=None) -> list:
         if isinstance(doc.get(name), dict):
             issues.extend(_issues(doc[name], kinds, f"{name}.",
                                   REQUIRED.get(name, ())))
-    scheme = _lookup(doc, "stepper.scheme")
-    if isinstance(scheme, str) and scheme != SCHEME:
-        issues.append(f"stepper.scheme: unknown scheme {scheme!r} (expected "
-                      f"{SCHEME!r})")
+    for path, value in ONE_VALUE.items():   # a non-string: _issues names it
+        given = _lookup(doc, path)
+        if isinstance(given, str) and given != value:
+            issues.append(f"{path}: expected {value!r}, got {given!r}")
     traj = doc.get("trajectory")
     if isinstance(traj, dict):
         kind, kinds = traj.get("type"), tuple(TRAJECTORY_KEYS)
@@ -179,15 +182,6 @@ def _build_trajectory(sec: dict):
         raise ConfigError([f"trajectory: {exc}"]) from exc
 
 
-def build_profile(name: str):
-    """(potential, profile table); an unknown name raises ConfigError."""
-    try:
-        pot = potential_by_name(name)
-    except PotentialError as exc:
-        raise ConfigError([f"potential: {exc}"]) from exc
-    return pot, solve_profile(pot)
-
-
 def build_simulation(doc: dict, command=None):
     """Fill every default into a copy of a run document and construct a
     SimulationConfig from that copy alone.
@@ -207,7 +201,7 @@ def build_simulation(doc: dict, command=None):
               **{name: {**DEFAULTS[name], **_present(doc.get(name))}
                  for name in SECTION_KEYS
                  if READ_BY.get(name, command) == command}}
-    pot, profile = build_profile(filled["potential"]["name"])
+    profile = solve_profile()
     traj = _build_trajectory(traj_sec)
     eps = float(doc["epsilon"])
 
@@ -242,7 +236,7 @@ def build_simulation(doc: dict, command=None):
         diag_sec["compute_identity"] = True
 
     cfg = SimulationConfig(
-        epsilon=eps, potential=pot, profile=profile, trajectory=traj,
+        epsilon=eps, profile=profile, trajectory=traj,
         cutoff=cutoff, grid=grid, dt=float(step_sec["dt"]),
         t_end=float(step_sec["t_end"]),
         cadence=int(diag_sec["cadence"]),

@@ -27,7 +27,7 @@ import numpy as np
 from .geometry import (CutoffSpec, ExtendedFields, InterfaceTrajectory,
                        extended_fields, interface_distance, tau_truncation)
 from .grids import Grid
-from .potentials import PotentialSpec, root_2w
+from .potentials import dw, psi, root_2w, w
 
 GRAD_FLOOR_SCALE = 1e-12
 ENTROPY_FLOOR = -1e-10
@@ -81,8 +81,8 @@ def _blocks(shape: tuple) -> tuple:
     return tuple(slice(i, i + rows) for i in range(0, shape[0], rows))
 
 
-def derived_fields(u: np.ndarray, eps: float, pot: PotentialSpec,
-                   grid: Grid, ef: ExtendedFields) -> tuple:
+def derived_fields(u: np.ndarray, eps: float, grid: Grid,
+                   ef: ExtendedFields) -> tuple:
     """(curv, curv_t, w_t, sqrt2w_t): the curvature proxy curv = -(eps
     lap u - W'(u)/eps) of a snapshot on the whole grid (H_eps = curv n),
     and at the tube cells of ef curv, W(u) and sqrt(2 W(u)).
@@ -96,16 +96,15 @@ def derived_fields(u: np.ndarray, eps: float, pot: PotentialSpec,
     curv = grid.laplacian(u)
     for rows in _blocks(curv.shape):
         c = np.multiply(eps, curv[rows], out=curv[rows])
-        dw = pot.dw(u[rows])
-        np.subtract(c, np.divide(dw, eps, out=dw), out=c)
+        dw_u = dw(u[rows])
+        np.subtract(c, np.divide(dw_u, eps, out=dw_u), out=c)
         np.negative(c, out=c)
-    w = pot.w(ef.restrict(u).clip(-1.0, 1.0))
-    return curv, ef.restrict(curv), w, root_2w(w)
+    w_t = w(ef.restrict(u).clip(-1.0, 1.0))
+    return curv, ef.restrict(curv), w_t, root_2w(w_t)
 
 
-def relative_entropy(u: np.ndarray, eps: float, pot: PotentialSpec,
-                     traj: InterfaceTrajectory, cutoff: CutoffSpec,
-                     grid: Grid, t: float,
+def relative_entropy(u: np.ndarray, eps: float, traj: InterfaceTrajectory,
+                     cutoff: CutoffSpec, grid: Grid, t: float,
                      with_identity: bool = False) -> np.void:
     """Evaluate every tracked functional of one snapshot, returned as one
     record of ROW_DTYPE, the kind of row a run's table holds.
@@ -135,11 +134,11 @@ def relative_entropy(u: np.ndarray, eps: float, pot: PotentialSpec,
     sum keeps its bits.
     """
     quad = grid.integrate
-    err_l1, err_w = _interface_errors(u, pot, traj, grid, t,
-                                      cutoff.r_c / 4.0, quad)
+    err_l1, err_w = _interface_errors(u, traj, grid, t, cutoff.r_c / 4.0,
+                                      quad)
 
     ef = extended_fields(traj, cutoff, grid, t)
-    curv, curv_t, w_t, sqrt2w_t = derived_fields(u, eps, pot, grid, ef)
+    curv, curv_t, w_t, sqrt2w_t = derived_fields(u, eps, grid, ef)
     # dissipation = curv^2 / eps
     scratch = np.square(curv)
     diss = quad(np.divide(scratch, eps, out=scratch), out=scratch)
@@ -181,7 +180,7 @@ def relative_entropy(u: np.ndarray, eps: float, pot: PotentialSpec,
     tilt = quad(_tilt(nmxi2, gmag, eps, out=pair[0]), out=pair[0])
     # density over |curv n|^2, misalignment over nmxi2, equipartition over
     # gmag
-    density = _potential_terms(u, eps, pot, gmag, nmxi2, out=pair[0])
+    density = _potential_terms(u, eps, gmag, nmxi2, out=pair[0])
     misalignment = quad(nmxi2, out=nmxi2)
     equipartition = quad(gmag, out=gmag)
     density_t = ef.restrict(density)
@@ -256,7 +255,7 @@ def _tilt(nmxi2, gmag, eps, out):
     return out
 
 
-def _potential_terms(u, eps, pot, gmag, nmxi2, out):
+def _potential_terms(u, eps, gmag, nmxi2, out):
     """The terms that read W(u), block by block: density = 0.5 eps gmag^2
     + w / eps into out (returned), misalignment = nmxi2 gpm (gpm = sqrt2w
     gmag) over nmxi2, and equipartition = (sqrt(eps) gmag - sqrt2w /
@@ -264,11 +263,11 @@ def _potential_terms(u, eps, pot, gmag, nmxi2, out):
     root_eps = np.sqrt(eps)
     for rows in _blocks(gmag.shape):
         m, density = gmag[rows], out[rows]
-        w = pot.w(u[rows].clip(-1.0, 1.0))
-        sqrt2w = root_2w(w)
+        w_u = w(u[rows].clip(-1.0, 1.0))
+        sqrt2w = root_2w(w_u)
         np.multiply(0.5 * eps, np.square(m, out=density), out=density)
-        np.add(density, np.divide(w, eps, out=w), out=density)
-        np.multiply(nmxi2[rows], np.multiply(sqrt2w, m, out=w),
+        np.add(density, np.divide(w_u, eps, out=w_u), out=density)
+        np.multiply(nmxi2[rows], np.multiply(sqrt2w, m, out=w_u),
                     out=nmxi2[rows])
         np.multiply(root_eps, m, out=m)
         np.subtract(m, np.divide(sqrt2w, root_eps, out=sqrt2w), out=m)
@@ -276,20 +275,20 @@ def _potential_terms(u, eps, pot, gmag, nmxi2, out):
     return out
 
 
-def _interface_errors(u, pot, traj, grid, t, s0, quad) -> tuple:
+def _interface_errors(u, traj, grid, t, s0, quad) -> tuple:
     """(err_l1, err_weighted): the integrals of |psi - chi| and of
     (chi - psi) tau(dist / s0), chi = 1 where dist >= 0 and -1 elsewhere.
     The row calls it before it holds any other field, so it can afford
     the plain whole-grid expressions."""
     dist = interface_distance(traj, grid, t)
-    psi = pot.psi(u)
+    psi_u = psi(u)
     chi = np.where(dist >= 0.0, 1.0, -1.0)
-    scratch = np.abs(np.subtract(psi, chi))
+    scratch = np.abs(np.subtract(psi_u, chi))
     err_l1 = quad(scratch, out=scratch)
-    np.subtract(chi, psi, out=psi)
+    np.subtract(chi, psi_u, out=psi_u)
     del chi
     tau = _tau_of_distance(dist, s0, out=scratch)
-    return err_l1, quad(np.multiply(psi, tau, out=psi), out=psi)
+    return err_l1, quad(np.multiply(psi_u, tau, out=psi_u), out=psi_u)
 
 
 def _tau_of_distance(dist, s0, out):

@@ -238,8 +238,7 @@ def initial_entropy_study(plan: SweepPlan) -> SweepResult:
         cfg = plan.member(eps)
         u0 = solver.initial_data(cfg)
         b = diagnostics.relative_entropy(
-            u0, eps, cfg.potential, cfg.trajectory, cfg.cutoff, cfg.grid,
-            0.0)
+            u0, eps, cfg.trajectory, cfg.cutoff, cfg.grid, 0.0)
         values.append(float(b["rel_entropy"]))
     fit = fit_rate(list(zip(plan.epsilons, values)))
     return SweepResult(report=RateReport(

@@ -59,6 +59,10 @@ class Grid:
                              f"{MAX_RADIAL_DIM}")
         if self.mode == FULL and self.dim not in (1, 2):
             raise ValueError("full grids support dim 1 and 2")
+        limit = np.iinfo(np.intp).max   # the bytes an array can span
+        if 8 * math.prod(self.shape) > limit:   # one float64 field
+            raise ValueError(f"npts too large: one field would take more "
+                             f"than {limit} bytes")
 
     @property
     def h(self) -> float:

@@ -27,7 +27,7 @@ import numpy as np
 from . import diagnostics
 from .geometry import CutoffSpec, InterfaceTrajectory, interface_distance
 from .grids import Grid
-from .potentials import PotentialSpec, ProfileTable, count_excursions
+from .potentials import MAX_DDW, ProfileTable, count_excursions
 
 LAYER_RESOLUTION = 4.0      # transition layer needs h <= eps / 4
 BOUNDARY_FLATNESS = 1e-6    # |u0| >= 1 - this on phase-side boundary cells
@@ -49,7 +49,6 @@ class ConfigError(ValueError):
 @dataclass
 class SimulationConfig:
     epsilon: float
-    potential: PotentialSpec
     profile: ProfileTable
     trajectory: InterfaceTrajectory
     cutoff: CutoffSpec
@@ -98,7 +97,7 @@ def validate(cfg: SimulationConfig) -> list:
             f"(h = {h:.6g}, eps = {eps:.6g})")
 
     if cfg.t_end > 0.0:   # dt is read only by a run that steps
-        dt_stiff = eps ** 2 / (2.0 * cfg.potential.max_ddw)
+        dt_stiff = eps ** 2 / (2.0 * MAX_DDW)
         if not cfg.dt > 0.0:
             issues.append("stepper.dt: must be positive")
         elif cfg.dt > dt_stiff + 1e-15:
@@ -140,47 +139,30 @@ def initial_data(cfg: SimulationConfig) -> np.ndarray:
 def make_stepper(cfg: SimulationConfig) -> Callable:
     """One step step(v, out, band): v holds the field on band.rows, band a
     Grid.band_solver(dt) placed on the field; writes the field one step
-    later on those rows into out and returns out, v unchanged.  Horner
-    builds weight * (v - c W'(v)), c = dt/eps^2, in out from weighted
-    coefficients by out= ufuncs, and band.solve runs in place on it, so a
+    later on those rows into out and returns out, v unchanged.  The
+    reaction right side weight * (v + c W'(v)), c = -dt/eps^2, is the cubic
+    ((top v) v + lin) v, top = weight (9/2) c and lin = weight (1 - (9/2) c),
+    built in out by out= ufuncs, and band.solve runs in place on it, so a
     step allocates no field.  out must be a contiguous float64 array of v's
     shape that does not overlap v.  The nodes off band.rows keep their
     values."""
-    dt = cfg.dt_actual()
-    gamma = [-dt / cfg.epsilon ** 2 * a for a in cfg.potential.dw_coef]
-    gamma[1] += 1.0   # u - c W'(u), low to high degree
-    plan_top = plan_adds = None
-    rows = top = below = constant = None
+    c = -cfg.dt_actual() / cfg.epsilon ** 2
+    whole = rows = top = lin = None
 
     def step(v, out, band):
-        nonlocal plan_top, plan_adds, rows, top, below, constant
-        if band.rows is not rows:   # the plan on a new band, sliced once
-            if plan_top is None:
-                # the plan on the whole grid, built once: the top
-                # coefficient, then per lower degree the coefficient to add
-                # (none for an exact zero) before the next * v
-                plan_top = band.weight * gamma[-1]
-                plan_adds = [(band.weight * g,) if g else ()
-                             for g in gamma[-2::-1]]
-            rows = band.rows
-            top = _on_rows(plan_top, rows)
-            adds = [[_on_rows(a, rows) for a in coef] for coef in plan_adds]
-            below, constant = adds[:-1], adds[-1]
+        nonlocal whole, rows, top, lin
+        if band.rows is not rows:   # a new band: its rows' coefficients
+            if whole is None:   # the whole grid's, built once
+                whole = band.weight * (c * 4.5), band.weight * (c * -4.5 + 1.0)
+            rows, (top, lin) = band.rows, whole
+            if isinstance(band.weight, np.ndarray):   # 1.0 on full grids
+                top, lin = top[rows], lin[rows]
         np.multiply(top, v, out=out)
-        for coef in below:
-            for a in coef:
-                np.add(out, a, out=out)
-            np.multiply(out, v, out=out)
-        for a in constant:
-            np.add(out, a, out=out)
+        np.multiply(out, v, out=out)
+        np.add(out, lin, out=out)
+        np.multiply(out, v, out=out)
         return band.solve(out)
     return step
-
-
-def _on_rows(a, rows):
-    """A plan coefficient on the band's rows: an array sliced, a scalar
-    as it is."""
-    return a[rows] if isinstance(a, np.ndarray) else a
 
 
 @dataclass
@@ -254,8 +236,8 @@ def run(cfg: SimulationConfig,
         nonlocal rows_s
         row_start = time.perf_counter()
         rows[row] = diagnostics.relative_entropy(
-            u, cfg.epsilon, cfg.potential, cfg.trajectory, cfg.cutoff,
-            cfg.grid, t, with_identity=cfg.compute_identity)
+            u, cfg.epsilon, cfg.trajectory, cfg.cutoff, cfg.grid, t,
+            with_identity=cfg.compute_identity)
         rows_s += time.perf_counter() - row_start
 
     u = initial_data(cfg)

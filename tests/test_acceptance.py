@@ -44,8 +44,8 @@ def circle_sweep(sweep_plan):
 
 
 @pytest.fixture(scope="session")
-def dissipation_run(standard_potential, profile):
-    cfg = make_circle_config(standard_potential, profile, eps=0.04,
+def dissipation_run(profile):
+    cfg = make_circle_config(profile, eps=0.04,
                              radius0=1.0, half_width=1.8, t_end=0.2,
                              cadence=100, dt_over_eps2=80)
     return cfg, pl.run(cfg)
@@ -58,26 +58,25 @@ def circle_identity_study(dissipation_run):
 
 
 @pytest.fixture(scope="session")
-def plane_identity_study(standard_potential, profile):
-    cfg = make_plane_config(standard_potential, profile, cadence=1)
+def plane_identity_study(profile):
+    cfg = make_plane_config(profile, cadence=1)
     cfg.t_end = 40 * cfg.dt
     return check_identities(cfg, levels=3)
 
 
 @pytest.fixture(scope="session")
-def crosscheck_runs(standard_potential, profile):
+def crosscheck_runs(profile):
     eps = 0.08
-    radial = make_circle_config(standard_potential, profile, eps=eps,
-                                half_width=1.4, t_end=0.1)
-    full = make_circle_config(standard_potential, profile, eps=eps,
+    radial = make_circle_config(profile, eps=eps, half_width=1.4, t_end=0.1)
+    full = make_circle_config(profile, eps=eps,
                               half_width=1.4, t_end=0.1, mode="full")
     return pl.run(radial), pl.run(full)
 
 
-def test_c01_normalization_and_profile(standard_potential, profile):
+def test_c01_normalization_and_profile(profile):
     start = time.perf_counter()
-    from phaselab.potentials import normalization_integral
-    norm = normalization_integral(standard_potential.w)
+    from phaselab.potentials import normalization_integral, w
+    norm = normalization_integral(w)
     s = np.linspace(-8.0, 8.0, 4001)
     profile_err = float(np.max(np.abs(profile(s) - np.tanh(1.5 * s))))
     elapsed = time.perf_counter() - start
@@ -87,11 +86,11 @@ def test_c01_normalization_and_profile(standard_potential, profile):
            f"{elapsed:.2f}s")
 
 
-def test_c02_steady_profile_fidelity(standard_potential, profile):
+def test_c02_steady_profile_fidelity(profile):
     start = time.perf_counter()
     drifts = []
     for h_over_eps in (8, 16):
-        cfg = make_plane_config(standard_potential, profile, eps=0.05,
+        cfg = make_plane_config(profile, eps=0.05,
                                 h_over_eps=h_over_eps, t_end=0.1,
                                 cadence=10 ** 6)
         res = pl.run(cfg)
@@ -141,13 +140,12 @@ def test_c04_coercivity_suite(circle_sweep, dissipation_run, crosscheck_runs,
            f"{checked} snapshots checked, {len(violations)} violations")
 
 
-def test_c05_initial_entropy_rate(standard_potential, profile, sweep_plan):
+def test_c05_initial_entropy_rate(profile, sweep_plan):
     start = time.perf_counter()
     circle_rep = initial_entropy_study(SweepPlan(
         base=sweep_plan.base, epsilons=EPSILONS,
         mode="initial-entropy")).report
-    plane_base = make_plane_config(standard_potential, profile, eps=0.16,
-                                   half_width=2.0, r_c=1.0)
+    plane_base = make_plane_config(profile, eps=0.16, half_width=2.0, r_c=1.0)
     plane_rep = initial_entropy_study(SweepPlan(
         base=plane_base, epsilons=EPSILONS, mode="initial-entropy")).report
     s_c = circle_rep.slopes["initial_entropy"].slope
@@ -251,7 +249,7 @@ def test_c09_entropy_identity_refinement(plane_identity_study,
            f"circle orders={['%.2f' % o for o in circle_orders]} (>=1)")
 
 
-def test_c10_xi_pde_residuals(standard_potential):
+def test_c10_xi_pde_residuals():
     start = time.perf_counter()
     sphere = pl.SphereInterface(center=(0.0, 0.0), radius0=1.0, dim=2,
                                 t_max=0.22)

@@ -14,7 +14,6 @@ import scipy
 
 import phaselab.cli as cli
 import phaselab.grids
-import phaselab.potentials
 import phaselab.solver
 from phaselab import config, snapshots
 from phaselab.snapshots import read_snapshot
@@ -51,7 +50,7 @@ def read_csv(path):
 
 
 def test_profile_standard(tmp_path, capsys):
-    rc = cli.main(["profile", "standard", "--out", str(tmp_path)])
+    rc = cli.main(["profile", "--out", str(tmp_path)])
     assert rc == 0
     out = capsys.readouterr().out
     assert "normalization" in out
@@ -65,16 +64,19 @@ def test_profile_standard(tmp_path, capsys):
     assert float(mid["theta"]) == 0.0
 
 
-def test_profile_unknown_potential(tmp_path, capsys):
-    rc = cli.main(["profile", "nosuch", "--out", str(tmp_path)])
-    assert rc == 2
-    assert "unknown potential" in capsys.readouterr().err
+def test_profile_unknown_potential(tmp_path):
+    # profile takes no well name, the one well's or another; argparse exits 2
+    for name in ("nosuch", "standard"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["profile", name, "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_profile_rejects_coeffs(tmp_path):
     # the one well takes no coefficients; argparse exits 2
     with pytest.raises(SystemExit) as exc:
-        cli.main(["profile", "standard", "--coeffs", "1", "0", "--out",
+        cli.main(["profile", "--coeffs", "1", "0", "--out",
                   str(tmp_path / "out")])
     assert exc.value.code == 2
     assert not (tmp_path / "out").exists()
@@ -84,8 +86,7 @@ def test_profile_rejects_coeffs(tmp_path):
 def test_profile_rejects_size_flags(tmp_path, flag, value):
     # the table is always 4,096 RK4 steps on [0, 8]; argparse exits 2
     with pytest.raises(SystemExit) as exc:
-        cli.main(["profile", "standard", flag, value, "--out",
-                  str(tmp_path / "out")])
+        cli.main(["profile", flag, value, "--out", str(tmp_path / "out")])
     assert exc.value.code == 2
     assert not (tmp_path / "out").exists()
 
@@ -361,11 +362,10 @@ def test_blowup_after_snapshots_leaves_nothing(tmp_path, monkeypatch,
     assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
 
 
-def test_snapshot_writes_hold_no_fields(tmp_path, standard_potential,
-                                        profile):
+def test_snapshot_writes_hold_no_fields(tmp_path, profile):
     # the full-grid circle workload cut to t = 0.01 (5 rows): writing every
     # row's field as it is reached holds no more than writing the last one
-    cfg = replace(make_circle_config(standard_potential, profile, eps=0.08,
+    cfg = replace(make_circle_config(profile, eps=0.08,
                                      half_width=1.4, t_end=0.01,
                                      mode="full"), compute_identity=True)
     field = np.empty(cfg.grid.shape).nbytes
@@ -589,13 +589,16 @@ BAD_VALUES = [   # (config, key path, value, key named in the error)
     # named before the point count derived from it
     ("plane1d.json", ("grid", "half_width"), -1,
      "grid: half_width must be positive"),
+    # rejected by Grid before any field is allocated
+    ("plane1d.json", ("grid", "npts"), 1e300, "grid: npts too large"),
     ("plane1d.json", ("trajectory", "normal"), 5, "trajectory.normal"),
     ("sweep_circle.json", ("epsilons",), 0.1, "plan.epsilons"),
     ("sweep_circle.json", ("h_over_eps",), "x", "plan.h_over_eps"),
     ("plane1d.json", ("potential", "s_max"), 3, "s_max"),
     ("plane1d.json", ("potential", "name"), "poly",
-     "potential: unknown potential 'poly'"),
-    ("plane1d.json", ("stepper", "scheme"), "explicit", "stepper.scheme"),
+     "potential.name: expected 'standard', got 'poly'"),
+    ("plane1d.json", ("stepper", "scheme"), "explicit",
+     "stepper.scheme: expected 'semi-implicit', got 'explicit'"),
     ("plane1d.json", ("stepper", "t_end"), -1, "stepper.t_end"),
 ]
 
@@ -659,6 +662,24 @@ def test_bad_value_is_config_error(tmp_path, capsys, name, path, value, key):
                    "--out", str(out)])
     assert rc == 2
     assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_one_value_keys_listed_with_the_other_problems(tmp_path, capsys):
+    # potential.name and stepper.scheme each take one value; a wrong one is
+    # reported in the same list as every other problem of the document
+    doc = json.loads((CONFIGS / "plane1d.json").read_text())
+    doc["potential"]["name"] = "poly"
+    doc["stepper"]["scheme"] = "explicit"
+    doc["diagnostics"]["cadence"] = 2.7
+    out = tmp_path / "out"
+    rc = cli.main(["simulate", "--config", write_json(tmp_path / "c.json", doc),
+                   "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "potential.name: expected 'standard', got 'poly'" in err
+    assert "stepper.scheme: expected 'semi-implicit', got 'explicit'" in err
+    assert "diagnostics.cadence: expected an integer, got 2.7" in err
     assert not out.exists()
 
 
@@ -867,9 +888,7 @@ def test_value_another_reader_reads_rejected(tmp_path, capsys, command, name,
 def test_initial_entropy_reads_no_step_size(tmp_path, monkeypatch):
     # dt = eps^2/20 breaks the reaction limit eps^2/(2 max W'') of a well
     # with max W'' = 15.1, but the study never takes a step
-    make = phaselab.potentials.make_standard_potential
-    monkeypatch.setattr(phaselab.potentials, "make_standard_potential",
-                        lambda: replace(make(), max_ddw=15.1))
+    monkeypatch.setattr(phaselab.solver, "MAX_DDW", 15.1)
     doc = json.loads((CONFIGS / "initial_entropy_plane.json").read_text())
     out = tmp_path / "out"
     assert cli.main(["sweep", "--plan", write_json(tmp_path / "p.json", doc),
@@ -908,7 +927,7 @@ def test_check_identities_computes_the_identity(tmp_path, capsys, value):
 
 @pytest.mark.parametrize("below", [False, True], ids=["file", "under-file"])
 @pytest.mark.parametrize("argv", [
-    ["profile", "standard"],
+    ["profile"],
     ["simulate", "--config", str(CONFIGS / "plane1d.json")],
     ["sweep", "--plan", str(CONFIGS / "initial_entropy_plane.json")],
     ["check-identities", "--config", str(CONFIGS / "identities_plane.json")],

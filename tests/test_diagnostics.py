@@ -11,7 +11,7 @@ from scipy.integrate import quad
 import phaselab as pl
 from phaselab import diagnostics as dg, geometry
 from phaselab.geometry import ExtendedFields, radial_frame
-from phaselab.potentials import root_2w
+from phaselab.potentials import dw, psi, root_2w, w
 
 from conftest import make_circle_config, make_plane_config, stepped
 
@@ -30,99 +30,90 @@ def psi_exact(u):
 
 def row(u, cfg, **kw):
     """The relative_entropy record of u on cfg's geometry at t = 0."""
-    return dg.relative_entropy(u, cfg.epsilon, cfg.potential, cfg.trajectory,
-                               cfg.cutoff, cfg.grid, 0.0, **kw)
+    return dg.relative_entropy(u, cfg.epsilon, cfg.trajectory, cfg.cutoff,
+                               cfg.grid, 0.0, **kw)
 
 
-def derived(u, cfg, pot):
+def derived(u, cfg):
     """The whole-grid derived fields of u on cfg's grid: those of the
     whole-grid oracle below, whose integrands the diagnostics sum to the
     last bit."""
-    return oracle_derived_fields(u, cfg.epsilon, pot, cfg.grid)
+    return oracle_derived_fields(u, cfg.epsilon, cfg.grid)
 
 
-def test_gl_energy_minimizer(standard_potential, profile):
-    cfg = make_plane_config(standard_potential, profile, h_over_eps=3.2)
+def test_gl_energy_minimizer(profile):
+    cfg = make_plane_config(profile, h_over_eps=3.2)
     assert cfg.grid.npts == 64
     assert row(np.ones(cfg.grid.shape), cfg)["gl_energy"] == 0.0
 
 
-def test_gl_energy_profile_line_tension(standard_potential, profile):
+def test_gl_energy_profile_line_tension(profile):
     # co-area oracle: int theta'(x/eps)^2 / eps dx = int sqrt(2W) = 2;
     # the discrete gradient under-reads by ~0.6 (h/eps)^2, so resolve well
-    cfg = make_plane_config(standard_potential, profile, h_over_eps=128)
+    cfg = make_plane_config(profile, h_over_eps=128)
     val = row(pl.initial_data(cfg), cfg)["gl_energy"]
     assert val == pytest.approx(2.0, abs=1e-4)
 
 
-def test_gl_energy_circle_perimeter(standard_potential, profile):
+def test_gl_energy_circle_perimeter(profile):
     # line tension 2 times perimeter 2 pi R
-    cfg = make_circle_config(standard_potential, profile, eps=0.05,
-                             half_width=1.4, mode="full")
+    cfg = make_circle_config(profile, eps=0.05, half_width=1.4, mode="full")
     val = row(pl.initial_data(cfg), cfg)["gl_energy"]
     assert abs(val - 4.0 * math.pi) / (4.0 * math.pi) < 0.02
 
 
-def test_dissipation_minimizer(standard_potential, profile):
-    cfg = make_plane_config(standard_potential, profile, h_over_eps=3.2)
+def test_dissipation_minimizer(profile):
+    cfg = make_plane_config(profile, h_over_eps=3.2)
     assert cfg.grid.npts == 64
     assert row(-np.ones(cfg.grid.shape), cfg)["dissipation"] < 1e-24
 
 
-def test_dissipation_profile_refines_to_zero(standard_potential, profile):
+def test_dissipation_profile_refines_to_zero(profile):
     vals = []
     for h_over_eps in (16, 32):
-        cfg = make_plane_config(standard_potential, profile,
-                                h_over_eps=h_over_eps)
+        cfg = make_plane_config(profile, h_over_eps=h_over_eps)
         vals.append(row(pl.initial_data(cfg), cfg)["dissipation"])
     assert vals[1] < vals[0] / 8.0   # h^4 scaling of the squared residual
     assert vals[0] < 0.05
 
 
-def test_dissipation_shrinking_circle(standard_potential, profile):
+def test_dissipation_shrinking_circle(profile):
     # sharp-interface rate: line tension x int H^2 = 2 * 2 pi R / R^2
-    cfg = make_circle_config(standard_potential, profile, eps=0.04,
-                             half_width=1.4, h_over_eps=16)
+    cfg = make_circle_config(profile, eps=0.04, half_width=1.4, h_over_eps=16)
     val = row(pl.initial_data(cfg), cfg)["dissipation"]
     assert abs(val - 4.0 * math.pi) / (4.0 * math.pi) < 0.10
 
 
-def test_relative_entropy_uniform(standard_potential, profile):
-    cfg = make_circle_config(standard_potential, profile, eps=0.08,
-                             half_width=1.4)
+def test_relative_entropy_uniform(profile):
+    cfg = make_circle_config(profile, eps=0.08, half_width=1.4)
     b = dg.relative_entropy(np.ones(cfg.grid.shape), cfg.epsilon,
-                            standard_potential, cfg.trajectory, cfg.cutoff,
-                            cfg.grid, 0.0)
+                            cfg.trajectory, cfg.cutoff, cfg.grid, 0.0)
     for name in ("gl_energy", "rel_entropy", "equipartition_defect",
                  "misalignment", "tilt_excess", "dist_weighted_energy",
                  "defect_sq_curvature", "defect_sq_velocity"):
         assert b[name] == pytest.approx(0.0, abs=1e-20)
 
 
-def test_relative_entropy_far_interface_equals_energy(standard_potential,
-                                                      profile):
+def test_relative_entropy_far_interface_equals_energy(profile):
     # trajectory far outside the box: xi vanishes on the grid
-    cfg = make_plane_config(standard_potential, profile)
+    cfg = make_plane_config(profile)
     traj = pl.PlaneInterface(normal=(1.0,), offset=30.0, t_max=10.0)
     u0 = pl.initial_data(cfg)
-    b = dg.relative_entropy(u0, cfg.epsilon, standard_potential, traj,
-                            cfg.cutoff, cfg.grid, 0.0)
+    b = dg.relative_entropy(u0, cfg.epsilon, traj, cfg.cutoff, cfg.grid, 0.0)
     assert b["rel_entropy"] == pytest.approx(b["gl_energy"], abs=1e-12)
     assert b["gl_energy"] == pytest.approx(2.0, abs=1e-2)
 
 
-def test_initial_entropy_against_quadrature_oracle(standard_potential,
-                                                   profile):
+def test_initial_entropy_against_quadrature_oracle(profile):
     # only the cutoff term survives for the exact profile:
     # E(0) = int (1 - eta(x)) theta'(x/eps)^2 / eps dx
     r_c = 0.5
     cut = pl.CutoffSpec(r_c=r_c)
     ks = []
     for eps in (0.05, 0.025):
-        cfg = make_plane_config(standard_potential, profile, eps=eps,
-                                h_over_eps=32, r_c=r_c)
+        cfg = make_plane_config(profile, eps=eps, h_over_eps=32, r_c=r_c)
         u0 = pl.initial_data(cfg)
-        b = dg.relative_entropy(u0, eps, standard_potential, cfg.trajectory,
+        b = dg.relative_entropy(u0, eps, cfg.trajectory,
                                 cfg.cutoff, cfg.grid, 0.0)
         oracle, _ = quad(
             lambda x: (1.0 - cut.profile(x)[0]) * dtheta_exact(x / eps) ** 2 / eps,
@@ -132,51 +123,47 @@ def test_initial_entropy_against_quadrature_oracle(standard_potential,
     assert abs(ks[0] - ks[1]) / ks[0] < 0.05
 
 
-def test_coercivity_trivial_and_profile(standard_potential, profile):
-    cfg = make_circle_config(standard_potential, profile, eps=0.08,
-                             half_width=1.4)
+def test_coercivity_trivial_and_profile(profile):
+    cfg = make_circle_config(profile, eps=0.08, half_width=1.4)
     b = dg.relative_entropy(np.ones(cfg.grid.shape), cfg.epsilon,
-                            standard_potential, cfg.trajectory, cfg.cutoff,
-                            cfg.grid, 0.0)
+                            cfg.trajectory, cfg.cutoff, cfg.grid, 0.0)
     assert dg.coercivity_check(b, cfg.cutoff).passed
 
     u0 = pl.initial_data(cfg)
-    b = dg.relative_entropy(u0, cfg.epsilon, standard_potential,
+    b = dg.relative_entropy(u0, cfg.epsilon,
                             cfg.trajectory, cfg.cutoff, cfg.grid, 0.0)
     rep = dg.coercivity_check(b, cfg.cutoff)
     assert rep.passed, rep.violations()
     assert b["equipartition_defect"] <= 2.0 * b["rel_entropy"]
 
 
-def test_coercivity_on_rough_fields(standard_potential, profile):
+def test_coercivity_on_rough_fields(profile):
     # the four controls are pointwise algebra, so they must hold for any
     # field, not only near-profile ones
-    cfg = make_circle_config(standard_potential, profile, eps=0.08,
-                             half_width=1.4)
+    cfg = make_circle_config(profile, eps=0.08, half_width=1.4)
     rng = np.random.default_rng(42)
     r = cfg.grid.axis
     for _ in range(5):
         coeffs = rng.normal(size=4)
         u = np.tanh(coeffs[0] + coeffs[1] * np.sin(3 * r)
                     + coeffs[2] * np.cos(7 * r) + coeffs[3] * r)
-        b = dg.relative_entropy(u, cfg.epsilon, standard_potential,
+        b = dg.relative_entropy(u, cfg.epsilon,
                                 cfg.trajectory, cfg.cutoff, cfg.grid, 0.1)
         rep = dg.coercivity_check(b, cfg.cutoff, slack=1.0 + 1e-12)
         assert rep.passed, rep.violations()
         assert b["rel_entropy"] >= dg.ENTROPY_FLOOR
 
 
-def random_field_geometries(pot, profile):
+def random_field_geometries(profile):
     """A radial and a full 2D circle, a 1D plane and a tilted 2D plane, on
     grids coarse enough to evaluate hundreds of fields quickly."""
-    tilted = make_plane_config(pot, profile, eps=0.1, half_width=1.0,
+    tilted = make_plane_config(profile, eps=0.1, half_width=1.0,
                                h_over_eps=4, dim=2)
     return [
-        make_circle_config(pot, profile, eps=0.16, half_width=1.4,
-                           h_over_eps=4),
-        make_circle_config(pot, profile, eps=0.16, half_width=1.4,
+        make_circle_config(profile, eps=0.16, half_width=1.4, h_over_eps=4),
+        make_circle_config(profile, eps=0.16, half_width=1.4,
                            h_over_eps=4, mode="full"),
-        make_plane_config(pot, profile, h_over_eps=4),
+        make_plane_config(profile, h_over_eps=4),
         replace(tilted, trajectory=pl.PlaneInterface(
             normal=(0.6, 0.8), offset=0.1, t_max=10.0)),
     ]
@@ -193,20 +180,20 @@ RANDOM_FIELDS = {   # (rng, shape, scale) -> field
 @settings(max_examples=240, derandomize=True, deadline=None)
 @given(geometry=st.integers(0, 3), kind=st.sampled_from(sorted(RANDOM_FIELDS)),
        scale=st.floats(0.1, 5.0), seed=st.integers(0, 2 ** 32 - 1))
-def test_coercivity_algebra_on_random_fields(standard_potential, profile,
+def test_coercivity_algebra_on_random_fields(profile,
                                              geometry, kind, scale, seed):
     # the controls and the density split are pointwise algebra on the grid,
     # so they hold for any field, however far from a profile
-    cfg = random_field_geometries(standard_potential, profile)[geometry]
+    cfg = random_field_geometries(profile)[geometry]
     u = RANDOM_FIELDS[kind](np.random.default_rng(seed), cfg.grid.shape,
                             scale)
-    b = dg.relative_entropy(u, cfg.epsilon, standard_potential,
+    b = dg.relative_entropy(u, cfg.epsilon,
                             cfg.trajectory, cfg.cutoff, cfg.grid, 0.05)
     rep = dg.coercivity_check(b, cfg.cutoff, slack=1.0 + 1e-12)
     assert rep.passed, rep.violations()
     assert b["rel_entropy"] >= dg.ENTROPY_FLOOR
 
-    d = derived(u, cfg, standard_potential)
+    d = derived(u, cfg)
     eps = cfg.epsilon
     defect = np.sqrt(eps) * d.gmag - d.sqrt2w / np.sqrt(eps)
     inside = np.abs(u) <= 1.0
@@ -214,14 +201,13 @@ def test_coercivity_algebra_on_random_fields(standard_potential, profile,
                                d.density[inside], rtol=1e-14, atol=0.0)
 
 
-def test_young_absorption_pointwise(standard_potential, profile):
-    cfg = make_circle_config(standard_potential, profile, eps=0.08,
-                             half_width=1.4)
+def test_young_absorption_pointwise(profile):
+    cfg = make_circle_config(profile, eps=0.08, half_width=1.4)
     rng = np.random.default_rng(1)
     u = np.tanh(rng.normal(size=3) @ np.stack([
         np.sin(2 * cfg.grid.axis), np.cos(5 * cfg.grid.axis),
         cfg.grid.axis]))
-    d = derived(u, cfg, standard_potential)
+    d = derived(u, cfg)
     eps = cfg.epsilon
     defect2 = (np.sqrt(eps) * d.gmag - d.sqrt2w / np.sqrt(eps)) ** 2
     lhs = eps * d.gmag ** 2
@@ -229,17 +215,15 @@ def test_young_absorption_pointwise(standard_potential, profile):
     assert np.all(lhs <= rhs + 1e-10)
 
 
-def test_psi_bounded_on_snapshots(standard_potential, profile):
-    cfg = make_circle_config(standard_potential, profile, eps=0.08,
-                             half_width=1.4, t_end=0.02)
+def test_psi_bounded_on_snapshots(profile):
+    cfg = make_circle_config(profile, eps=0.08, half_width=1.4, t_end=0.02)
     res = pl.run(cfg)
-    d = derived(res.final_field, cfg, standard_potential)
+    d = derived(res.final_field, cfg)
     assert np.max(np.abs(d.psi)) <= 1.0
 
 
-def test_interface_errors_exact_indicator(standard_potential, profile):
-    cfg = make_circle_config(standard_potential, profile, eps=0.08,
-                             half_width=1.4)
+def test_interface_errors_exact_indicator(profile):
+    cfg = make_circle_config(profile, eps=0.08, half_width=1.4)
     dist = cfg.trajectory.radius(0.0) - cfg.grid.axis
     u = np.where(dist >= 0.0, 1.0, -1.0)   # psi(u) = chi exactly
     b = row(u, cfg)
@@ -247,11 +231,10 @@ def test_interface_errors_exact_indicator(standard_potential, profile):
     assert b["err_weighted"] == 0.0
 
 
-def test_interface_errors_profile_oracle(standard_potential, profile):
+def test_interface_errors_profile_oracle(profile):
     # substitution x = eps*s: err_L1 = eps * int |psi(theta(s)) - sign(s)| ds
     eps = 0.05
-    cfg = make_plane_config(standard_potential, profile, eps=eps,
-                            h_over_eps=64)
+    cfg = make_plane_config(profile, eps=eps, h_over_eps=64)
     b = row(pl.initial_data(cfg), cfg)
     err_l1, err_w = b["err_l1"], b["err_weighted"]
     half, _ = quad(lambda s: 1.0 - psi_exact(theta_exact(s)), 0.0, 30.0,
@@ -261,11 +244,10 @@ def test_interface_errors_profile_oracle(standard_potential, profile):
     assert 0.0 <= err_w <= err_l1 + 1e-15
 
 
-def test_identity_rhs_zero_on_uniform(standard_potential, profile):
-    cfg = make_circle_config(standard_potential, profile, eps=0.08,
-                             half_width=1.4)
+def test_identity_rhs_zero_on_uniform(profile):
+    cfg = make_circle_config(profile, eps=0.08, half_width=1.4)
     b = dg.relative_entropy(np.ones(cfg.grid.shape), cfg.epsilon,
-                            standard_potential, cfg.trajectory, cfg.cutoff,
+                            cfg.trajectory, cfg.cutoff,
                             cfg.grid, 0.0, with_identity=True)
     assert b["identity_rhs"] == pytest.approx(0.0, abs=1e-20)
     # a record of a run's row table: the residual, a rate across rows,
@@ -318,12 +300,11 @@ def row_loop_rates(rows, name):
             yield j, t[j], (x[j + 1] - x[j - 1]) / (t[j + 1] - t[j - 1])
 
 
-def test_column_readers_match_the_row_loop(standard_potential, profile):
+def test_column_readers_match_the_row_loop(profile):
     # the same IEEE operations in the same order as the row loop, so the
     # same bits: random rows on the row times of a run whose last interval
     # is shorter than the cadence, one rhs not assembled
-    cfg = make_plane_config(standard_potential, profile, cadence=7,
-                            t_end=0.004)
+    cfg = make_plane_config(profile, cadence=7, t_end=0.004)
     times = cfg.row_times()
     rng = np.random.default_rng(11)
     rows = dg.row_table(len(times))
@@ -376,7 +357,7 @@ def test_csv_rendering_fixed_columns(tmp_path):
 # oracle_derived_fields rather than the shipped ones.  The two must agree
 # to the last bit, because each quadrature sums the same array.
 
-def oracle_derived_fields(u, eps, pot, grid):
+def oracle_derived_fields(u, eps, grid):
     """Every derived field, n and grad psi among them, on every cell, by
     plain whole-grid expressions."""
     g = grid.gradient(u)
@@ -385,14 +366,14 @@ def oracle_derived_fields(u, eps, pot, grid):
     safe = np.where(gmag >= floor, gmag, 1.0)
     n = np.where(gmag >= floor, g / safe, 0.0)
     n[0] = np.where(gmag >= floor, n[0], 1.0)
-    w = pot.w(np.clip(u, -1.0, 1.0))
-    sqrt2w = np.sqrt(np.maximum(2.0 * w, 0.0))
-    curvature_scalar = -(eps * grid.laplacian(u) - pot.dw(u) / eps)
+    w_u = w(np.clip(u, -1.0, 1.0))
+    sqrt2w = np.sqrt(np.maximum(2.0 * w_u, 0.0))
+    curvature_scalar = -(eps * grid.laplacian(u) - dw(u) / eps)
     return SimpleNamespace(
-        gmag=gmag, n=n, psi=pot.psi(u), grad_psi=sqrt2w * g,
-        grad_psi_mag=sqrt2w * gmag, w=w, sqrt2w=sqrt2w,
+        gmag=gmag, n=n, psi=psi(u), grad_psi=sqrt2w * g,
+        grad_psi_mag=sqrt2w * gmag, w=w_u, sqrt2w=sqrt2w,
         curvature_scalar=curvature_scalar,
-        density=0.5 * eps * gmag ** 2 + w / eps)
+        density=0.5 * eps * gmag ** 2 + w_u / eps)
 
 
 def oracle_fields(traj, cutoff, grid, t):
@@ -440,9 +421,9 @@ def oracle_fields(traj, cutoff, grid, t):
                            grad_h_vec=ef.grad_h_vec, **fields)
 
 
-def oracle_relative_entropy(u, eps, pot, traj, cutoff, grid, t, s0):
+def oracle_relative_entropy(u, eps, traj, cutoff, grid, t, s0):
     """relative_entropy (with the identity) from whole-grid integrands."""
-    d = oracle_derived_fields(u, eps, pot, grid)
+    d = oracle_derived_fields(u, eps, grid)
     ef = oracle_fields(traj, cutoff, grid, t)
     quad = grid.integrate
 
@@ -486,25 +467,24 @@ def oracle_relative_entropy(u, eps, pot, traj, cutoff, grid, t, s0):
         identity_rhs=g1 + g2 + g3 + g4 + g5 + g6 + g7 + g8)
 
 
-def plane_with_cell_on_tube_edge(pot, profile):
+def plane_with_cell_on_tube_edge(profile):
     """A 1D plane whose cutoff puts one cell at |dist| = r_c/2 exactly: the
     ramp of the cutoff reads exactly 1 there."""
-    cfg = make_plane_config(pot, profile, eps=0.05, h_over_eps=4)
+    cfg = make_plane_config(profile, eps=0.05, h_over_eps=4)
     x = float(cfg.grid.axis[3 * cfg.grid.npts // 4])
     return replace(cfg, cutoff=pl.CutoffSpec(r_c=2.0 * x))
 
 
 ORACLE_GEOMETRIES = {
-    "full2d_circle": lambda pot, prof: make_circle_config(
-        pot, prof, eps=0.1, half_width=1.4, h_over_eps=4, mode="full"),
-    "radial_circle_d2": lambda pot, prof: make_circle_config(
-        pot, prof, eps=0.08, half_width=1.4),
-    "radial_sphere_d3": lambda pot, prof: make_circle_config(
-        pot, prof, eps=0.08, half_width=1.4, dim=3),
-    "plane1d": lambda pot, prof: make_plane_config(pot, prof),
-    "tilted_plane2d": lambda pot, prof: replace(
-        make_plane_config(pot, prof, eps=0.1, half_width=1.0, h_over_eps=4,
-                          dim=2),
+    "full2d_circle": lambda prof: make_circle_config(
+        prof, eps=0.1, half_width=1.4, h_over_eps=4, mode="full"),
+    "radial_circle_d2": lambda prof: make_circle_config(
+        prof, eps=0.08, half_width=1.4),
+    "radial_sphere_d3": lambda prof: make_circle_config(
+        prof, eps=0.08, half_width=1.4, dim=3),
+    "plane1d": lambda prof: make_plane_config(prof),
+    "tilted_plane2d": lambda prof: replace(
+        make_plane_config(prof, eps=0.1, half_width=1.0, h_over_eps=4, dim=2),
         trajectory=pl.PlaneInterface(normal=(0.6, 0.8), offset=0.1,
                                      t_max=10.0)),
     "plane1d_cell_on_tube_edge": plane_with_cell_on_tube_edge,
@@ -512,9 +492,8 @@ ORACLE_GEOMETRIES = {
 
 
 @pytest.mark.parametrize("geometry", sorted(ORACLE_GEOMETRIES))
-def test_tube_evaluation_matches_whole_grid_oracle(standard_potential,
-                                                   profile, geometry):
-    cfg = ORACLE_GEOMETRIES[geometry](standard_potential, profile)
+def test_tube_evaluation_matches_whole_grid_oracle(profile, geometry):
+    cfg = ORACLE_GEOMETRIES[geometry](profile)
     s0 = cfg.cutoff.r_c / 4.0   # the weighted error's distance scale
     ef = pl.extended_fields(cfg.trajectory, cfg.cutoff, cfg.grid, 0.0)
     assert 0 < ef.tube.size < math.prod(ef.shape)   # a proper subset
@@ -526,12 +505,11 @@ def test_tube_evaluation_matches_whole_grid_oracle(standard_potential,
     for k in range(31):   # the profile data, then a stepped field
         if k in (0, 30):
             t = k * cfg.dt_actual()
-            got = dg.relative_entropy(u, cfg.epsilon, cfg.potential,
-                                      cfg.trajectory, cfg.cutoff, cfg.grid,
-                                      t, with_identity=True)
-            want = oracle_relative_entropy(u, cfg.epsilon, cfg.potential,
-                                           cfg.trajectory, cfg.cutoff,
-                                           cfg.grid, t, s0)
+            got = dg.relative_entropy(u, cfg.epsilon, cfg.trajectory,
+                                      cfg.cutoff, cfg.grid, t,
+                                      with_identity=True)
+            want = oracle_relative_entropy(u, cfg.epsilon, cfg.trajectory,
+                                           cfg.cutoff, cfg.grid, t, s0)
             assert (list(dg.csv_lines(table(got)))
                     == list(dg.csv_lines(table(want))))
             assert got["identity_rhs"] == want["identity_rhs"]
@@ -544,9 +522,8 @@ FIELD_NAMES = ("xi", "hvec", "div_xi", "div_h", "xi_rate", "grad_h_quad",
                "grad_h_vec", "restrict", "scatter")
 
 
-def test_fields_are_read_by_nine_names(standard_potential, profile,
-                                       monkeypatch):
-    cfgs = {name: ORACLE_GEOMETRIES[name](standard_potential, profile)
+def test_fields_are_read_by_nine_names(profile, monkeypatch):
+    cfgs = {name: ORACLE_GEOMETRIES[name](profile)
             for name in ("full2d_circle", "radial_circle_d2",
                          "tilted_plane2d")}
 
@@ -574,27 +551,26 @@ def test_fields_are_read_by_nine_names(standard_potential, profile,
     assert len(calls) == 3 + 2 * 3   # a row each, three per C10 report
 
 
-def test_sqrt2w_of_derived_fields_is_the_potentials(standard_potential):
+def test_sqrt2w_of_derived_fields_is_the_potentials():
     u = np.random.default_rng(7).uniform(-1.3, 1.3, 400)
     grid = pl.radial_grid(2, 1.0, 400)
     traj = pl.SphereInterface(center=(0.0, 0.0), radius0=0.5, dim=2,
                               t_max=0.1)
     ef = pl.extended_fields(traj, pl.CutoffSpec(r_c=0.2), grid, 0.0)
-    sqrt2w_t = dg.derived_fields(u, 0.1, standard_potential, grid, ef)[3]
+    sqrt2w_t = dg.derived_fields(u, 0.1, grid, ef)[3]
     assert 0 < ef.tube.size < u.size
     assert np.array_equal(sqrt2w_t, root_2w(
-        standard_potential.w(u.clip(-1, 1)))[ef.tube])
+        w(u.clip(-1, 1)))[ef.tube])
 
 
-def test_identity_row_memory_bound(standard_potential, profile):
+def test_identity_row_memory_bound(profile):
     # the C11 280^2 circle: the row runs in stages, forms its whole-grid
     # values block by block into fields past their last use and writes each
     # quadrature's product over its integrand, so a row holds at most 10
     # fields at once (9.6 measured; 18.4 when derived_fields returned eight
     # whole-grid fields, 29.6 when every derived field lived to the end of
     # the row)
-    cfg = make_circle_config(standard_potential, profile, eps=0.08,
-                             half_width=1.4, mode="full")
+    cfg = make_circle_config(profile, eps=0.08, half_width=1.4, mode="full")
     assert cfg.grid.shape == (280, 280)
     u = pl.initial_data(cfg)
 
@@ -612,7 +588,7 @@ def test_identity_row_memory_bound(standard_potential, profile):
     assert peak <= 10 * u.nbytes, peak / u.nbytes
 
 
-def test_cold_full_grid_run_memory_bound(standard_potential, profile):
+def test_cold_full_grid_run_memory_bound(profile):
     # the C11 circle with identity rows cut to t = 0.01 (5 rows), from a
     # fresh grid and an empty radial-frame cache: validation, the initial
     # data, the rows and the steps between them hold at most 13 fields at
@@ -621,7 +597,7 @@ def test_cold_full_grid_run_memory_bound(standard_potential, profile):
     # coordinates), and a sphere never builds grid.coords
     def config():
         return replace(make_circle_config(
-            standard_potential, profile, eps=0.08, half_width=1.4,
+            profile, eps=0.08, half_width=1.4,
             t_end=0.01, mode="full"), compute_identity=True)
 
     pl.run(config())   # imports and kernels

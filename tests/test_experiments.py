@@ -95,9 +95,8 @@ def test_gronwall_degenerate():
         gronwall_fit([])
 
 
-def test_plan_validation(standard_potential, profile):
-    base = make_circle_config(standard_potential, profile, eps=0.16,
-                              half_width=1.8, t_end=0.02)
+def test_plan_validation(profile):
+    base = make_circle_config(profile, eps=0.16, half_width=1.8, t_end=0.02)
     plan = SweepPlan(base=base, epsilons=[0.16, 0.08])
     issues = plan.validate()
     assert any(">= 3" in m for m in issues)
@@ -122,9 +121,8 @@ def test_plan_validation(standard_potential, profile):
         in plan.validate()
 
 
-def test_member_coupling_monotone(standard_potential, profile):
-    base = make_circle_config(standard_potential, profile, eps=0.16,
-                              half_width=1.8, t_end=0.02)
+def test_member_coupling_monotone(profile):
+    base = make_circle_config(profile, eps=0.16, half_width=1.8, t_end=0.02)
     plan = SweepPlan(base=base, epsilons=[0.16, 0.08, 0.04, 0.02])
     rel = [plan.member(e).grid.h / e for e in plan.epsilons]
     assert all(b <= a + 1e-12 for a, b in zip(rel, rel[1:]))
@@ -132,15 +130,15 @@ def test_member_coupling_monotone(standard_potential, profile):
                for e in plan.epsilons)
 
 
-def test_initial_entropy_needs_three_points(standard_potential, profile):
-    base = make_plane_config(standard_potential, profile, half_width=1.0)
+def test_initial_entropy_needs_three_points(profile):
+    base = make_plane_config(profile, half_width=1.0)
     plan = SweepPlan(base=base, epsilons=[0.05], mode="initial-entropy")
     with pytest.raises(ConfigError):
         initial_entropy_study(plan)
 
 
-def test_plan_takes_its_mode_bands_and_spacing(standard_potential, profile):
-    base = make_plane_config(standard_potential, profile)
+def test_plan_takes_its_mode_bands_and_spacing(profile):
+    base = make_plane_config(profile)
     eps = [0.2, 0.1, 0.05]
     for mode, spec in SWEEP_MODES.items():
         assert SweepPlan(base=base, epsilons=eps, mode=mode).bands \
@@ -163,10 +161,9 @@ def test_plan_takes_its_mode_bands_and_spacing(standard_potential, profile):
     ("initial-entropy", {"err_l1": (0.8, 1.2), "gronwall_factor": 2.0},
      "plan.bands.err_l1: read only in mode 'full'"),
 ])
-def test_plan_rejects_bands_its_mode_does_not_read(standard_potential,
-                                                   profile, mode, bands,
+def test_plan_rejects_bands_its_mode_does_not_read(profile, mode, bands,
                                                    message):
-    base = make_plane_config(standard_potential, profile)
+    base = make_plane_config(profile)
     with pytest.raises(ConfigError) as err:
         SweepPlan(base=base, epsilons=[0.16, 0.08, 0.04], mode=mode,
                   bands=bands)
@@ -189,36 +186,32 @@ def test_plan_rejects_bands_its_mode_does_not_read(standard_potential,
     ({"mode": "initial-entropy", "h_over_eps": 0},
      "plan.h_over_eps: expected a positive number, got 0"),
 ])
-def test_plan_built_in_code_rejects_what_build_plan_does(standard_potential,
-                                                         profile, kwargs,
+def test_plan_built_in_code_rejects_what_build_plan_does(profile, kwargs,
                                                          message):
     # a ConfigError in build_plan's words, not a KeyError on the mode or a
     # ZeroDivisionError in member, which divides by both couplings
-    base = make_circle_config(standard_potential, profile)
+    base = make_circle_config(profile)
     with pytest.raises(ConfigError) as err:
         SweepPlan(base=base, epsilons=[0.16, 0.08, 0.04], **kwargs)
     assert err.value.messages == [message]
 
 
-def test_plan_runs_its_mode_study_found_by_name(standard_potential, profile,
-                                                monkeypatch):
+def test_plan_runs_its_mode_study_found_by_name(profile, monkeypatch):
     # looked up when the plan runs, so a wrapper set on the module runs
     calls = []
     for spec in SWEEP_MODES.values():
         monkeypatch.setattr(experiments, spec["study"],
                             lambda plan, name=spec["study"]:
                             calls.append((name, plan.mode)))
-    base = make_plane_config(standard_potential, profile)
+    base = make_plane_config(profile)
     for mode in SWEEP_MODES:
         SweepPlan(base=base, epsilons=[0.16, 0.08, 0.04], mode=mode).run()
     assert calls == [(spec["study"], mode)
                      for mode, spec in SWEEP_MODES.items()]
 
 
-def test_initial_entropy_validates_only_initial_members(standard_potential,
-                                                        profile):
-    base = make_plane_config(standard_potential, profile, eps=0.16,
-                             half_width=2.0, r_c=1.0)
+def test_initial_entropy_validates_only_initial_members(profile):
+    base = make_plane_config(profile, eps=0.16, half_width=2.0, r_c=1.0)
     # too coarse to step (h = eps/2), but the study never steps and its
     # members take the mode's finer spacing
     plan = SweepPlan(base=base, epsilons=[0.16, 0.08, 0.04], h_over_eps=2.0)
@@ -230,9 +223,8 @@ def test_initial_entropy_validates_only_initial_members(standard_potential,
     assert result.runs == []
 
 
-def test_initial_entropy_slope_plane(standard_potential, profile):
-    base = make_plane_config(standard_potential, profile, eps=0.16,
-                             half_width=2.0, r_c=1.0)
+def test_initial_entropy_slope_plane(profile):
+    base = make_plane_config(profile, eps=0.16, half_width=2.0, r_c=1.0)
     plan = SweepPlan(base=base, epsilons=[0.16, 0.08, 0.04, 0.02],
                      mode="initial-entropy")
     rep = initial_entropy_study(plan).report
@@ -241,9 +233,9 @@ def test_initial_entropy_slope_plane(standard_potential, profile):
     assert len(rep.quantities["initial_entropy"]) == 4
 
 
-def test_plane_sweep_interface_error_rate(standard_potential, profile):
+def test_plane_sweep_interface_error_rate(profile):
     # stationary interface: the L1 error is a pure profile-width effect
-    base = make_plane_config(standard_potential, profile, eps=0.16,
+    base = make_plane_config(profile, eps=0.16,
                              half_width=1.0, r_c=0.5, t_end=0.05)
     plan = SweepPlan(base=base, epsilons=[0.16, 0.08, 0.04, 0.02])
     result = run_sweep(plan)
@@ -251,9 +243,8 @@ def test_plane_sweep_interface_error_rate(standard_potential, profile):
     assert result.report.pass_flags["err_l1"]
 
 
-def test_sweep_deterministic(standard_potential, profile):
-    base = make_circle_config(standard_potential, profile, eps=0.16,
-                              half_width=1.8, t_end=0.01)
+def test_sweep_deterministic(profile):
+    base = make_circle_config(profile, eps=0.16, half_width=1.8, t_end=0.01)
     plan = SweepPlan(base=base, epsilons=[0.16, 0.08, 0.04])
     first = run_sweep(plan)
     again = run_sweep(plan)
@@ -263,9 +254,8 @@ def test_sweep_deterministic(standard_potential, profile):
     assert first.report.to_json_dict() == again.report.to_json_dict()
 
 
-def test_sweep_report_complete(standard_potential, profile):
-    base = make_circle_config(standard_potential, profile, eps=0.16,
-                              half_width=1.8, t_end=0.01)
+def test_sweep_report_complete(profile):
+    base = make_circle_config(profile, eps=0.16, half_width=1.8, t_end=0.01)
     plan = SweepPlan(base=base, epsilons=[0.16, 0.08, 0.04])
     rep = run_sweep(plan).report
     for name in ("sup_err_l1", "sup_rel_entropy", "initial_entropy"):
@@ -277,8 +267,8 @@ def test_sweep_report_complete(standard_potential, profile):
     assert "slope" in d["slopes"]["err_l1"]
 
 
-def test_check_identities_plane_orders(standard_potential, profile):
-    cfg = make_plane_config(standard_potential, profile, cadence=1)
+def test_check_identities_plane_orders(profile):
+    cfg = make_plane_config(profile, cadence=1)
     cfg.t_end = 40 * cfg.dt
     rep = check_identities(cfg, levels=3)
     assert len(rep.levels) == 3
@@ -289,9 +279,8 @@ def test_check_identities_plane_orders(standard_potential, profile):
     assert len(d["levels"]) == 3
 
 
-def test_check_identities_needs_two_levels(standard_potential, profile):
-    cfg = make_plane_config(standard_potential, profile, cadence=1,
-                            t_end=0.001)
+def test_check_identities_needs_two_levels(profile):
+    cfg = make_plane_config(profile, cadence=1, t_end=0.001)
     with pytest.raises(ValueError):
         check_identities(cfg, levels=1)
 
@@ -301,12 +290,11 @@ def test_check_identities_needs_two_levels(standard_potential, profile):
     ("t_end", float("nan"), "stepper.t_end: must be >= 0"),
     ("t_end", -1.0, "stepper.t_end: must be >= 0"),
     ("dt", 0.0, "stepper.dt: must be positive")])
-def test_check_identities_reports_invalid_values(standard_potential, profile,
+def test_check_identities_reports_invalid_values(profile,
                                                  field, value, message):
     # the shared-time check reads only the row times of valid values and
     # leaves the others to the validation of the first run
-    cfg = make_plane_config(standard_potential, profile, cadence=1,
-                            t_end=0.001)
+    cfg = make_plane_config(profile, cadence=1, t_end=0.001)
     setattr(cfg, field, value)
     with pytest.raises(ConfigError, match=message):
         check_identities(cfg)

@@ -98,7 +98,7 @@ CASES = {
         shipped("sweep", "initial_entropy_plane.json"), "summary.json",
         "5e06d7486983f39c6d1c54aad4a229147fb3ea178720ab9da797968b6961eac4"),
     "profile-standard": (
-        lambda tmp: ["profile", "standard"], "profile_standard.csv",
+        lambda tmp: ["profile"], "profile_standard.csv",
         "f1dcb8258d3ffae39cdd9d7f28f3924496fcca72f9954d1d209fec007c6cb708"),
 }
 
