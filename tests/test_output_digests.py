@@ -2,11 +2,13 @@
 
 Each case runs one command through `cli.main` and compares the sha256 of
 its numerical output with the digest recorded when the lock was set.  The
-profile table is locked as well: every other output starts from it.  The
-digests hold for the numpy and scipy the project is tested with (numpy
-2.4.6, scipy 1.17.1 on x86-64): another build may move the last bit of a
-sum.  A change that moves bits on purpose updates the digest here and says
-so in CHANGES.md; any other change must leave them as they are.
+profile table is locked as well: every other output starts from it, and so
+are the filled documents of the shipped configs and workloads, which the
+runs are built from.  The digests hold for the numpy and scipy the project
+is tested with (numpy 2.4.6, scipy 1.17.1 on x86-64): another build may
+move the last bit of a sum.  A change that moves bits on purpose updates
+the digest here and says so in CHANGES.md; any other change must leave
+them as they are.
 """
 
 import hashlib
@@ -18,6 +20,7 @@ import pytest
 import scipy
 
 import phaselab.cli as cli
+from phaselab import config
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -120,3 +123,31 @@ def test_output_digest(tmp_path, capsys, case):
         f"(running numpy {np.__version__}, scipy {scipy.__version__}). A "
         f"change that moves these bits on purpose updates the digest and "
         f"says so in CHANGES.md.")
+
+
+def _command(doc):
+    """The command that runs a shipped document."""
+    return ("sweep" if "base" in doc
+            else "check-identities" if "identities" in doc else "simulate")
+
+
+# sha256 of every shipped config's and workload's filled document, each
+# built as its command builds it: a moved default changes it
+FILLED_DOCUMENTS = (
+    "1117eb6318bfc6a35e78fd67d1faad24fd06e47b155a352bde9ad7f74f6c3f39")
+
+
+def test_filled_documents_digest():
+    filled = {}
+    for path in sorted([*(ROOT / "configs").glob("*.json"),
+                        *(ROOT / "perfbench" / "workloads").glob("*.json")]):
+        doc = json.loads(path.read_text())
+        command = _command(doc)
+        filled[f"{path.parent.name}/{path.name}"] = (
+            config.build_plan(doc)[1] if command == "sweep"
+            else config.build_simulation(doc, command)[1])
+    got = hashlib.sha256(
+        json.dumps(filled, sort_keys=True).encode()).hexdigest()
+    assert got == FILLED_DOCUMENTS, (
+        f"the filled documents have sha256 {got}, the lock records "
+        f"{FILLED_DOCUMENTS}: a default or a filled key moved")
