@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, config, diagnostics, experiments, snapshots, solver
-from .potentials import normalization_integral, solve_profile, w
+from .potentials import normalization_integral, solve_profile
 from .solver import BlowUpError, ConfigError
 
 EXIT_OK = 0
@@ -115,7 +115,7 @@ def cmd_profile(args) -> int:
         lines.append(f"{float(s)!r},{float(th)!r},{float(dth)!r}")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
-    norm = normalization_integral(w)
+    norm = normalization_integral()
     print(f"wrote {path}")
     print(f"normalization integral of sqrt(2W) over [-1,1]: {norm:.10f} "
           f"(target 2)")
@@ -307,10 +307,14 @@ def main(argv=None) -> int:
         for msg in exc.messages:
             print(f"  - {msg}", file=sys.stderr)
         return EXIT_CONFIG
-    except (BlowUpError, ImportError, np.linalg.LinAlgError) as exc:
+    except (BlowUpError, ImportError, np.linalg.LinAlgError,
+            MemoryError) as exc:
         # ImportError: a scipy build without the compiled kernel the grid
-        # solves with; LinAlgError: a radial operator that fails to factor
-        print(f"runtime failure: {exc}", file=sys.stderr)
+        # solves with; LinAlgError: a radial operator that fails to factor;
+        # MemoryError: a field or a row list larger than the memory (bare,
+        # with no message, when a Python list fails)
+        print(f"runtime failure: {str(exc) or 'out of memory'}",
+              file=sys.stderr)
         return EXIT_RUNTIME
 
 

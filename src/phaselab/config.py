@@ -2,11 +2,12 @@
 
 A run configuration is a single document with sections {potential,
 trajectory, cutoff, grid, stepper, diagnostics, identities}; a sweep plan
-wraps one as its base.  The key tables give the kind of every key; unknown
-keys and values of the wrong kind (NaN and Infinity too) are all reported
-in one ConfigError, and null means the default.  A builder fills every
-default into a copy of its document and builds from that copy alone, so the
-filled document that manifests record rebuilds the same run.
+wraps one as its base.  KEYS holds one row per key, its kind and default;
+missing required keys, unknown keys and values of the wrong kind (NaN and
+Infinity too) are all reported in one ConfigError, and null means the
+default.  A builder fills every default into a copy of its document and
+builds from that copy alone, so the filled document that manifests record
+rebuilds the same run.
 """
 
 from __future__ import annotations
@@ -47,54 +48,46 @@ IS_KIND = {   # keyed by the wording of the error message
 }
 (NUMBER, POSITIVE, INTEGER, POSITIVE_INTEGER, FLAG, TEXT, NUMBERS, BAND,
  OBJECT) = IS_KIND
-SECTION_KEYS = {
-    "potential": {"name": TEXT},
-    "cutoff": {"r_c": NUMBER},
-    "grid": {"mode": TEXT, "dim": INTEGER, "half_width": NUMBER,
-             "npts": INTEGER, "h_over_eps": POSITIVE},
-    "stepper": {"scheme": TEXT, "dt": POSITIVE, "dt_over_eps2": POSITIVE,
-                "t_end": NUMBER},
-    "diagnostics": {"cadence": INTEGER, "compute_identity": FLAG,
-                    "snapshot_every": POSITIVE_INTEGER},
-    "identities": {"levels": INTEGER, "min_order": NUMBER},
+REQUIRED = object()   # the default of a key that must be set
+KEYS = {   # the run document, each section and, under trajectory, each
+    # trajectory type: {key: (kind, default)}.  A kind IS_KIND does not name
+    # is the one value the key takes.  A None default is computed by
+    # build_simulation (cutoff.r_c, grid.dim and .npts, stepper.dt and a
+    # sphere's center) or leaves the key unset.
+    "run": {"epsilon": (POSITIVE, REQUIRED), "trajectory": (OBJECT, REQUIRED),
+            "potential": (OBJECT, None), "cutoff": (OBJECT, None),
+            "grid": (OBJECT, REQUIRED), "stepper": (OBJECT, None),
+            "diagnostics": (OBJECT, None), "identities": (OBJECT, None)},
+    "potential": {"name": ("standard", "standard")},   # potentials' quartic
+    "cutoff": {"r_c": (NUMBER, None)},
+    "grid": {"mode": (TEXT, FULL), "dim": (INTEGER, None),
+             "half_width": (NUMBER, REQUIRED), "npts": (INTEGER, None),
+             "h_over_eps": (POSITIVE, None)},
+    "stepper": {"scheme": ("semi-implicit", "semi-implicit"),   # make_stepper
+                "dt": (POSITIVE, None), "dt_over_eps2": (POSITIVE, None),
+                "t_end": (NUMBER, 0.0)},
+    "diagnostics": {"cadence": (INTEGER, 10),
+                    "compute_identity": (FLAG, False),
+                    "snapshot_every": (POSITIVE_INTEGER, None)},
+    "identities": {"levels": (INTEGER, 3), "min_order": (NUMBER, 1.0)},
+    "trajectory": {
+        "plane": {"type": ("plane", REQUIRED), "normal": (NUMBERS, REQUIRED),
+                  "offset": (NUMBER, 0.0), "t_max": (NUMBER, 10.0)},
+        "sphere": {"type": ("sphere", REQUIRED), "dim": (INTEGER, REQUIRED),
+                   "radius0": (NUMBER, REQUIRED), "center": (NUMBERS, None),
+                   "t_max": (NUMBER, REQUIRED)}},
 }
-TRAJECTORY_KEYS = {
-    "plane": {"type": TEXT, "normal": NUMBERS, "offset": NUMBER,
-              "t_max": NUMBER},
-    "sphere": {"type": TEXT, "dim": INTEGER, "radius0": NUMBER,
-               "center": NUMBERS, "t_max": NUMBER},
-}
-RUN_KEYS = {"epsilon": POSITIVE, "trajectory": OBJECT,
-            **{name: OBJECT for name in SECTION_KEYS}}
-PLAN_KEYS = {"mode": TEXT, "base": OBJECT, "epsilons": NUMBERS,
-             **{key: POSITIVE for spec in SWEEP_MODES.values()
-                for key in spec["reads"]}, "bands": OBJECT}
-BAND_KEYS = {name: BAND if isinstance(default, tuple) else NUMBER
+PLAN_KEYS = {   # SweepPlan fills the None defaults
+    "mode": (TEXT, None), "base": (OBJECT, REQUIRED),
+    "epsilons": (NUMBERS, REQUIRED),
+    **{key: (POSITIVE, None) for spec in SWEEP_MODES.values()
+       for key in spec["reads"]}, "bands": (OBJECT, None)}
+BAND_KEYS = {name: (BAND if isinstance(default, tuple) else NUMBER, None)
              for spec in SWEEP_MODES.values()
              for name, default in spec["bands"].items()}
-REQUIRED = {"run": ("epsilon", "trajectory", "grid"), "grid": ("half_width",),
-            "plane": ("normal",), "sphere": ("dim", "radius0", "t_max"),
-            "plan": ("base", "epsilons")}
-ONE_VALUE = {   # keys with one admissible value, which is their default
-    "potential.name": "standard",         # the quartic well of potentials
-    "stepper.scheme": "semi-implicit",    # solver.make_stepper
-}
-DEFAULTS = {   # the value a run reads for a key that is not set
-    "potential": {"name": ONE_VALUE["potential.name"]},
-    "cutoff": {},
-    "grid": {"mode": FULL},
-    "stepper": {"scheme": ONE_VALUE["stepper.scheme"], "t_end": 0.0},
-    "diagnostics": {"cadence": 10, "compute_identity": False},
-    "identities": {"levels": 3, "min_order": 1.0},
-    "plane": {"offset": 0.0, "t_max": 10.0},
-    "sphere": {},
-}
-# build_simulation computes the defaults of cutoff.r_c, grid.dim and .npts,
-# stepper.dt and a sphere's center.  A pair sets one value.
-EITHER_OR = (("grid.npts", "grid.h_over_eps"),
+EITHER_OR = (("grid.npts", "grid.h_over_eps"),   # a pair sets one value
              ("stepper.dt", "stepper.dt_over_eps2"))
-PLAN_OWNED = ("epsilon", "grid.npts", "grid.h_over_eps", "stepper.dt",
-              "stepper.dt_over_eps2")   # a plan sets these per member
+PLAN_OWNED = ("epsilon", *(path for pair in EITHER_OR for path in pair))
 READ_BY = {   # keys that one command reads and the others would ignore
     "identities": "check-identities",
     "diagnostics.snapshot_every": "simulate",
@@ -114,24 +107,35 @@ def _lookup(doc: dict, path: str):
     return doc.get(key)
 
 
-def _issues(section: dict, kinds: dict, where: str, required=()) -> list:
+def _issues(section: dict, rows: dict, where: str) -> list:
     """Missing required keys, unknown keys and set values of the wrong kind
     in one section."""
-    issues = [f"{where}{key}: missing required key" for key in required
-              if section.get(key) is None]
+    issues = [f"{where}{key}: missing required key"
+              for key, (_, default) in rows.items()
+              if default is REQUIRED and section.get(key) is None]
     for key, value in section.items():
-        if key not in kinds:
+        kind = rows[key][0] if key in rows else None
+        if kind is None:
             issues.append(f"{where}{key}: unknown key")
-        elif value is not None and not IS_KIND[kinds[key]](value):
-            issues.append(f"{where}{key}: expected {kinds[key]}, "
+        elif value is not None and not (IS_KIND[kind](value) if kind in IS_KIND
+                                        else value == kind):
+            issues.append(f"{where}{key}: expected "
+                          f"{kind if kind in IS_KIND else repr(kind)}, "
                           f"got {value!r}")
     return issues
 
 
+def _filled(rows: dict, section) -> dict:
+    """The set keys of a section over the defaults of its rows."""
+    return {**{key: default for key, (_, default) in rows.items()
+               if default is not None and default is not REQUIRED},
+            **_present(section)}
+
+
 def _run_issues(doc: dict, command=None) -> list:
-    """Every problem the key tables show in a run document, the keys only a
+    """Every problem the key rows show in a run document, the keys only a
     command other than `command` reads, and a value `command` overrides."""
-    issues = _issues(doc, RUN_KEYS, "", REQUIRED["run"])
+    issues = _issues(doc, KEYS["run"], "")
     if command is not None:
         issues += [f"{path}: read only by {reader}, not by {command}"
                    for path, reader in READ_BY.items()
@@ -139,23 +143,18 @@ def _run_issues(doc: dict, command=None) -> list:
     if (command == "check-identities"   # every level computes the identity
             and _lookup(doc, "diagnostics.compute_identity") is False):
         issues.append("diagnostics.compute_identity: must be true")
-    for name, kinds in SECTION_KEYS.items():
-        if isinstance(doc.get(name), dict):
-            issues.extend(_issues(doc[name], kinds, f"{name}.",
-                                  REQUIRED.get(name, ())))
-    for path, value in ONE_VALUE.items():   # a non-string: _issues names it
-        given = _lookup(doc, path)
-        if isinstance(given, str) and given != value:
-            issues.append(f"{path}: expected {value!r}, got {given!r}")
-    traj = doc.get("trajectory")
-    if isinstance(traj, dict):
-        kind, kinds = traj.get("type"), tuple(TRAJECTORY_KEYS)
-        if kind in kinds:   # a tuple, as a list-valued type is unhashable
-            issues.extend(_issues(traj, TRAJECTORY_KEYS[kind], "trajectory.",
-                                  REQUIRED[kind]))
-        else:
-            issues.append(f"trajectory.type: expected "
-                          f"{' or '.join(map(repr, kinds))}, got {kind!r}")
+    for name, rows in KEYS.items():
+        section = doc.get(name)
+        if name == "run" or not isinstance(section, dict):
+            continue
+        if name == "trajectory":
+            kind, types = section.get("type"), tuple(rows)
+            if kind not in types:   # a tuple: a list-valued type is unhashable
+                issues.append(f"trajectory.type: expected "
+                              f"{' or '.join(map(repr, types))}, got {kind!r}")
+                continue
+            rows = rows[kind]
+        issues.extend(_issues(section, rows, f"{name}."))
     return issues + [f"{two}: set either {one} or {two}, not both"
                      for one, two in EITHER_OR
                      if None not in (_lookup(doc, one), _lookup(doc, two))]
@@ -195,24 +194,18 @@ def build_simulation(doc: dict, command=None):
     issues = _run_issues(doc, command)
     if issues:
         raise ConfigError(issues)
-    traj_sec = {**DEFAULTS[doc["trajectory"]["type"]],
-                **_present(doc["trajectory"])}
-    filled = {"epsilon": doc["epsilon"], "trajectory": traj_sec,
-              **{name: {**DEFAULTS[name], **_present(doc.get(name))}
-                 for name in SECTION_KEYS
-                 if READ_BY.get(name, command) == command}}
+    kind = doc["trajectory"]["type"]
+    filled = {"epsilon": doc["epsilon"],
+              **{name: _filled(rows[kind] if name == "trajectory" else rows,
+                               doc.get(name)) for name, rows in KEYS.items()
+                 if name != "run" and READ_BY.get(name, command) == command}}
     profile = solve_profile()
-    traj = _build_trajectory(traj_sec)
+    traj = _build_trajectory(filled["trajectory"])
     eps = float(doc["epsilon"])
 
     cut_sec = filled["cutoff"]
     cut_sec.setdefault("r_c", R_C_RADIUS_FRACTION * traj.min_radius()
                        if traj.min_radius() < np.inf else R_C_PLANE_DEFAULT)
-    try:
-        cutoff = CutoffSpec(r_c=float(cut_sec["r_c"]))
-    except ValueError as exc:
-        raise ConfigError([f"cutoff: {exc}"]) from exc
-
     grid_sec = filled["grid"]
     half_width = float(grid_sec["half_width"])
     grid_sec.setdefault("dim", traj.dim)
@@ -220,11 +213,18 @@ def build_simulation(doc: dict, command=None):
         h_over_eps = float(grid_sec.pop("h_over_eps", DEFAULT_H_OVER_EPS))
         grid_sec["npts"] = npts_for_spacing(grid_sec["mode"], half_width,
                                             eps / h_over_eps)
-    try:
-        grid = Grid(mode=grid_sec["mode"], dim=int(grid_sec["dim"]),
-                    half_width=half_width, npts=int(grid_sec["npts"]))
-    except ValueError as exc:
-        raise ConfigError([f"grid: {exc}"]) from exc
+    parts, issues = {}, []   # every part that fails to build is listed
+    for name, part, args in (
+            ("cutoff", CutoffSpec, {"r_c": float(cut_sec["r_c"])}),
+            ("grid", Grid, {"mode": grid_sec["mode"], "half_width": half_width,
+                            "dim": int(grid_sec["dim"]),
+                            "npts": int(grid_sec["npts"])})):
+        try:
+            parts[name] = part(**args)
+        except ValueError as exc:
+            issues.append(f"{name}: {exc}")
+    if issues:
+        raise ConfigError(issues)
 
     step_sec = filled["stepper"]
     if "dt" not in step_sec:
@@ -236,9 +236,8 @@ def build_simulation(doc: dict, command=None):
         diag_sec["compute_identity"] = True
 
     cfg = SimulationConfig(
-        epsilon=eps, profile=profile, trajectory=traj,
-        cutoff=cutoff, grid=grid, dt=float(step_sec["dt"]),
-        t_end=float(step_sec["t_end"]),
+        epsilon=eps, profile=profile, trajectory=traj, **parts,
+        dt=float(step_sec["dt"]), t_end=float(step_sec["t_end"]),
         cadence=int(diag_sec["cadence"]),
         compute_identity=diag_sec["compute_identity"])
     return cfg, filled
@@ -252,7 +251,7 @@ def build_plan(doc: dict):
     the plan are reported together with the key problems of its base.
     """
     bands = doc["bands"] if IS_KIND[OBJECT](doc.get("bands")) else {}
-    issues = (_issues(doc, PLAN_KEYS, "plan.", REQUIRED["plan"])
+    issues = (_issues(doc, PLAN_KEYS, "plan.")
               + _issues(bands, BAND_KEYS, "plan.bands."))
     doc, bands = _present(doc), _present(bands)
     mode = doc.get("mode", SweepPlan.mode)

@@ -359,10 +359,16 @@ def check_identities(cfg: SimulationConfig, levels: int = 3) -> IdentityReport:
     if levels < 2:
         raise ConfigError([f"identities.levels: need >= 2 refinement "
                            f"levels, got {levels}"])
-    cfgs = [_refined(cfg, 2 ** lv) for lv in range(levels)]
+    cfgs, issues = [], []
+    for lv in range(levels):
+        try:
+            cfgs.append(_refined(cfg, 2 ** lv))
+        except ValueError as exc:   # no grid holds this level's spacing
+            issues.append(f"identities.levels: level {lv}: grid: {exc}")
+            break
     # before any level steps: the coarsest level's rules, which make its
     # row times defined, then the times all levels share
-    issues = solver.validate(cfgs[0])
+    issues = solver.validate(cfgs[0]) + issues
     if issues:
         raise ConfigError(issues)
     common = np.array(sorted(_shared_row_times(cfgs)))

@@ -182,6 +182,10 @@ class CutoffSpec:
     def __post_init__(self):
         if not self.r_c > 0.0:
             raise ValueError("r_c must be positive")
+        # eta' divides by r_c^2, which must neither underflow nor overflow
+        if not np.finfo(float).tiny <= self.r_c * self.r_c < np.inf:
+            raise ValueError(f"r_c = {self.r_c!r} out of range: r_c^2 is "
+                             f"not a normal float")
 
     def _ramp(self, s):
         """The smoothstep argument of eta_tilde: 0 at |s| = r_c/4, 1 at

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -81,8 +80,8 @@ def count_excursions(u, bounds=None) -> int:
     return int(np.count_nonzero(np.abs(np.asarray(u)) > limit))
 
 
-def normalization_integral(w: Callable) -> float:
-    """Quadrature of sqrt(2 W) over [-1, 1]; equals 2 for admissible W.
+def normalization_integral() -> float:
+    """Quadrature of sqrt(2 W) over [-1, 1]; equals 2 for the standard well.
 
     One vectorized call of w on the 101 tanh-sinh nodes.
     """

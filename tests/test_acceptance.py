@@ -75,8 +75,8 @@ def crosscheck_runs(profile):
 
 def test_c01_normalization_and_profile(profile):
     start = time.perf_counter()
-    from phaselab.potentials import normalization_integral, w
-    norm = normalization_integral(w)
+    from phaselab.potentials import normalization_integral
+    norm = normalization_integral()
     s = np.linspace(-8.0, 8.0, 4001)
     profile_err = float(np.max(np.abs(profile(s) - np.tanh(1.5 * s))))
     elapsed = time.perf_counter() - start

@@ -417,6 +417,30 @@ def test_unfactorable_radial_operator_is_runtime_failure(tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, name, owner, attr, exc", [
+    # a grid.npts whose field fits np.intp but not the memory: numpy's error
+    ("simulate", "plane1d.json", phaselab.solver, "validate",
+     MemoryError("Unable to allocate 6.94 EiB for an array")),
+    # identities.levels whose finest level's row list does not fit: bare
+    ("check-identities", "identities_plane.json",
+     phaselab.solver.SimulationConfig, "row_times", MemoryError()),
+], ids=["simulate", "check-identities"])
+def test_out_of_memory_is_runtime_failure(tmp_path, monkeypatch, capsys,
+                                          command, name, owner, attr, exc):
+    def raise_exc(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(owner, attr, raise_exc)
+    out = tmp_path / "out"
+    rc = cli.main([command, "--config", str(CONFIGS / name),
+                   "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"runtime failure: {str(exc) or 'out of memory'}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_simulate_circle_sample(tmp_path):
     out = tmp_path / "circle"
     rc = cli.main(["simulate", "--config",
@@ -600,6 +624,12 @@ BAD_VALUES = [   # (config, key path, value, key named in the error)
     ("plane1d.json", ("stepper", "scheme"), "explicit",
      "stepper.scheme: expected 'semi-implicit', got 'explicit'"),
     ("plane1d.json", ("stepper", "t_end"), -1, "stepper.t_end"),
+    # eta' would divide 0 by 0 at s = 0 and write NaN into row 0
+    ("circle_radial.json", ("cutoff", "r_c"), 1e-200,
+     "cutoff: r_c = 1e-200 out of range: r_c^2 is not a normal float"),
+    # r_c ** 2 would raise OverflowError in CutoffSpec.profile
+    ("plane1d.json", ("cutoff", "r_c"), 1e200,
+     "cutoff: r_c = 1e+200 out of range: r_c^2 is not a normal float"),
 ]
 
 
@@ -692,6 +722,25 @@ def test_identities_without_shared_time_rejected(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "diagnostics.cadence" in err and "stepper.t_end" in err
+    assert not out.exists()
+
+
+def test_identity_level_without_a_grid_rejected(tmp_path, monkeypatch,
+                                                capsys):
+    def no_run(*args, **kwargs):
+        raise AssertionError("solver.run called")
+
+    # level 53 would refine the 160 points to 160 * 2^53 per axis
+    monkeypatch.setattr(phaselab.solver, "run", no_run)
+    doc = json.loads((CONFIGS / "identities_plane.json").read_text())
+    doc["identities"]["levels"] = 100
+    out = tmp_path / "out"
+    rc = cli.main(["check-identities", "--config",
+                   write_json(tmp_path / "c.json", doc), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "identities.levels: level 53: grid: npts too large" in err
+    assert "Traceback" not in err
     assert not out.exists()
 
 

@@ -23,22 +23,22 @@ def load(name):
     return json.loads((CONFIGS / name).read_text())
 
 
-# Every key path of the kind tables, with the document it is set in and the
-# key name the error must start with.
+# Every key path of config.KEYS and the plan tables, with the document it is
+# set in and the key name the error must start with.
 CASES = (
     [("plane1d.json", (key,), kind, key)
-     for key, kind in config.RUN_KEYS.items()]
+     for key, (kind, _) in config.KEYS["run"].items()]
     + [("plane1d.json", (sec, key), kind, f"{sec}.{key}")
-       for sec, kinds in config.SECTION_KEYS.items()
-       for key, kind in kinds.items()]
+       for sec, rows in config.KEYS.items() if sec not in ("run", "trajectory")
+       for key, (kind, _) in rows.items()]
     + [(name, ("trajectory", key), kind, f"trajectory.{key}")
        for name, traj in (("plane1d.json", "plane"),
                           ("circle_radial.json", "sphere"))
-       for key, kind in config.TRAJECTORY_KEYS[traj].items()]
+       for key, (kind, _) in config.KEYS["trajectory"][traj].items()]
     + [("initial_entropy_plane.json", (key,), kind, f"plan.{key}")
-       for key, kind in config.PLAN_KEYS.items()]
+       for key, (kind, _) in config.PLAN_KEYS.items()]
     + [("initial_entropy_plane.json", ("bands", key), kind,
-        f"plan.bands.{key}") for key, kind in config.BAND_KEYS.items()]
+        f"plan.bands.{key}") for key, (kind, _) in config.BAND_KEYS.items()]
 )
 
 FINITE = st.integers(-10, 10) | st.floats(-1e3, 1e3)
@@ -68,6 +68,8 @@ WRONG = {   # values that are not of the kind
                       lambda p: p[0] > p[1]).map(list)),
     config.OBJECT: TEXT | BOOLS | FINITE | NONFINITE | LISTS,
 }
+# any value but a one-value kind's own (TEXT draws no string that long)
+OTHER_VALUE = TEXT | BOOLS | FINITE | NONFINITE | LISTS | OBJECTS
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
@@ -78,7 +80,7 @@ def test_wrong_kind_names_the_key(data):
         section = doc
         for part in path[:-1]:
             section = section.setdefault(part, {})
-        section[path[-1]] = data.draw(WRONG[kind], label=key)
+        section[path[-1]] = data.draw(WRONG.get(kind, OTHER_VALUE), label=key)
         build = config.build_plan if "base" in doc else config.build_simulation
         with pytest.raises(ConfigError) as err:
             build(doc)
@@ -114,6 +116,17 @@ def test_null_means_default_and_required_null_is_missing():
         "epsilon: missing required key",
         "grid.half_width: missing required key",
         "trajectory.normal: missing required key"]
+
+
+def test_construction_faults_listed_together():
+    # the cutoff and the grid each fail to build; both are listed
+    doc = load("plane1d.json")
+    doc["cutoff"]["r_c"] = -1
+    doc["grid"]["half_width"] = -1
+    with pytest.raises(ConfigError) as err:
+        config.build_simulation(doc)
+    assert err.value.messages == ["cutoff: r_c must be positive",
+                                  "grid: half_width must be positive"]
 
 
 def test_plan_and_base_problems_reported_together():

@@ -125,14 +125,8 @@ def test_output_digest(tmp_path, capsys, case):
         f"says so in CHANGES.md.")
 
 
-def _command(doc):
-    """The command that runs a shipped document."""
-    return ("sweep" if "base" in doc
-            else "check-identities" if "identities" in doc else "simulate")
-
-
 # sha256 of every shipped config's and workload's filled document, each
-# built as its command builds it: a moved default changes it
+# built as the command that runs it builds it: a moved default changes it
 FILLED_DOCUMENTS = (
     "1117eb6318bfc6a35e78fd67d1faad24fd06e47b155a352bde9ad7f74f6c3f39")
 
@@ -142,10 +136,10 @@ def test_filled_documents_digest():
     for path in sorted([*(ROOT / "configs").glob("*.json"),
                         *(ROOT / "perfbench" / "workloads").glob("*.json")]):
         doc = json.loads(path.read_text())
-        command = _command(doc)
+        command = "check-identities" if "identities" in doc else "simulate"
         filled[f"{path.parent.name}/{path.name}"] = (
-            config.build_plan(doc)[1] if command == "sweep"
-            else config.build_simulation(doc, command)[1])
+            config.build_plan(doc) if "base" in doc
+            else config.build_simulation(doc, command))[1]
     got = hashlib.sha256(
         json.dumps(filled, sort_keys=True).encode()).hexdigest()
     assert got == FILLED_DOCUMENTS, (

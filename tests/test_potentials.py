@@ -6,13 +6,6 @@ from scipy.interpolate import PchipInterpolator
 from phaselab.potentials import (MAX_DDW, PROFILE_S_MAX, count_excursions,
                                  dw, normalization_integral, psi, root_2w, w)
 
-# polynomial wells (low to high degree): the quartic unnormalized, a simple
-# root at +-1 (sqrt(2 W) ~ sqrt(1 - s)), a parabola and a triple root
-ORACLE_POTENTIALS = [
-    [1.0, 0.0, -2.0, 0.0, 1.0], [1.0, 0.0, -1.5, 0.0, 0.25, 0.0, 0.25],
-    [1.0, 0.0, -1.0], [1.0, 0.0, -3.0, 0.0, 3.0, 0.0, -1.0]]
-
-
 def test_standard_values():
     assert w(1.0) == 0.0
     assert w(-1.0) == 0.0
@@ -25,7 +18,7 @@ def test_standard_values():
     s = np.linspace(-0.999, 0.999, 2001)
     assert np.all(w(s) > 0.0)
     assert np.max(np.abs(w(s) - w(-s))) <= 1e-12
-    assert abs(normalization_integral(w) - 2.0) <= 1e-8
+    assert abs(normalization_integral() - 2.0) <= 1e-8
 
 
 def test_standard_derivatives_consistent():
@@ -40,7 +33,7 @@ def test_standard_derivatives_consistent():
 
 
 def test_normalization_quadrature():
-    norm = normalization_integral(w)
+    norm = normalization_integral()
     assert abs(norm - 2.0) < 1e-10
 
 
@@ -173,11 +166,8 @@ def test_profile_table_is_scipy_pchip(profile):
     assert np.array_equal(profile(far), np.sign(far))
 
 
-@pytest.mark.parametrize("coeffs", [None] + ORACLE_POTENTIALS)
-def test_normalization_integral_matches_adaptive_quadrature(coeffs):
-    """None is the shipped standard well."""
-    well = w if coeffs is None else np.polynomial.Polynomial(coeffs)
-    oracle, _ = quad(lambda s: np.sqrt(max(2.0 * float(well(s)), 0.0)),
+def test_normalization_integral_matches_adaptive_quadrature():
+    oracle, _ = quad(lambda s: np.sqrt(max(2.0 * float(w(s)), 0.0)),
                      -1.0, 1.0, limit=200, epsabs=1e-12, epsrel=1e-12)
-    assert normalization_integral(well) == pytest.approx(oracle, rel=1e-12,
-                                                         abs=0.0)
+    assert normalization_integral() == pytest.approx(oracle, rel=1e-12,
+                                                     abs=0.0)
