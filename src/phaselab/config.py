@@ -209,18 +209,21 @@ def build_simulation(doc: dict, command=None):
     grid_sec = filled["grid"]
     half_width = float(grid_sec["half_width"])
     grid_sec.setdefault("dim", traj.dim)
-    if "npts" not in grid_sec:
-        h_over_eps = float(grid_sec.pop("h_over_eps", DEFAULT_H_OVER_EPS))
-        grid_sec["npts"] = npts_for_spacing(grid_sec["mode"], half_width,
-                                            eps / h_over_eps)
+
+    def grid():
+        if "npts" not in grid_sec:
+            h_over_eps = float(grid_sec.pop("h_over_eps", DEFAULT_H_OVER_EPS))
+            grid_sec["npts"] = npts_for_spacing(grid_sec["mode"], half_width,
+                                                eps / h_over_eps)
+        return Grid(mode=grid_sec["mode"], half_width=half_width,
+                    dim=int(grid_sec["dim"]), npts=int(grid_sec["npts"]))
+
     parts, issues = {}, []   # every part that fails to build is listed
-    for name, part, args in (
-            ("cutoff", CutoffSpec, {"r_c": float(cut_sec["r_c"])}),
-            ("grid", Grid, {"mode": grid_sec["mode"], "half_width": half_width,
-                            "dim": int(grid_sec["dim"]),
-                            "npts": int(grid_sec["npts"])})):
+    for name, build in (
+            ("cutoff", lambda: CutoffSpec(r_c=float(cut_sec["r_c"]))),
+            ("grid", grid)):
         try:
-            parts[name] = part(**args)
+            parts[name] = build()
         except ValueError as exc:
             issues.append(f"{name}: {exc}")
     if issues:

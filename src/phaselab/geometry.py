@@ -292,10 +292,8 @@ class ExtendedFields:
         """(grad H)^T w = A (e.w) e + B (w - (e.w) e); grad H is symmetric
         for these trajectories."""
         ew = (self.e * w).sum(axis=0)
-        out = np.multiply(self.grad_h_rad * ew, self.e)
-        tan = np.multiply(ew, self.e)
-        np.multiply(self.grad_h_tan, np.subtract(w, tan, out=tan), out=tan)
-        return np.add(out, tan, out=out)
+        return (self.grad_h_rad * ew * self.e
+                + self.grad_h_tan * (w - ew * self.e))
 
 
 def interface_distance(traj: InterfaceTrajectory, grid: Grid,
@@ -334,13 +332,9 @@ def radial_frame(grid: Grid, center: tuple) -> np.ndarray:
     line center is the origin and r the axis."""
     if grid.mode == RADIAL:
         r = grid.axis.view()
-    else:
-        # sqrt(sum_k (x_k - c_k)^2), summed over k in order into r
-        r = np.zeros(grid.shape)
-        for x, c in zip(grid.open_coords, center):
-            rel = x - c
-            np.add(r, np.square(rel, out=rel), out=r)
-        np.sqrt(r, out=r)
+    else:   # summed over k in order, the open coordinates broadcasting
+        r = np.sqrt(sum(np.square(x - c)
+                        for x, c in zip(grid.open_coords, center)))
     r.flags.writeable = False
     return r
 

