@@ -163,10 +163,16 @@ def _run_issues(doc: dict, command=None) -> list:
 def _build_trajectory(sec: dict):
     if sec["type"] == "plane":
         normal = np.asarray(sec["normal"], dtype=float)
-        nrm = np.linalg.norm(normal)
-        if not nrm > 0.0:
+        if not np.any(normal):
             raise ConfigError(["trajectory.normal: must be nonzero"])
-        return PlaneInterface(normal=tuple(normal / nrm),
+        # normalizing divides by sqrt(n . n), which must neither underflow
+        # nor overflow
+        with np.errstate(over="ignore", under="ignore"):
+            square = float(normal.dot(normal))
+        if not np.finfo(float).tiny <= square < np.inf:
+            raise ConfigError([f"trajectory.normal: {sec['normal']} out of "
+                               f"range: |normal|^2 is not a normal float"])
+        return PlaneInterface(normal=tuple(normal / np.sqrt(square)),
                               offset=float(sec["offset"]),
                               t_max=float(sec["t_max"]))
     dim = int(sec["dim"])

@@ -91,6 +91,10 @@ class SphereInterface:
             raise ValueError("center length must match dim")
         if not self.radius0 > 0.0:
             raise ValueError("radius0 must be positive")
+        # R(t)^2 = radius0^2 - 2 (d - 1) t must be a float
+        if not np.finfo(float).tiny <= self.radius0 * self.radius0 < np.inf:
+            raise ValueError(f"radius0 = {self.radius0!r} out of range: "
+                             f"radius0^2 is not a normal float")
         if not self.t_max < self.extinction_time:
             raise ValueError(
                 f"t_max={self.t_max} reaches extinction at "

@@ -10,9 +10,9 @@ component) on the radial line.
 Every rule that depends on the grid kind lives here.  Grid.band_solver
 inverts I - dt L for the stencil of Grid.laplacian on the nodes a step
 changes: all of a full grid, by the type-II cosine transform; on the radial
-line the band of _band_span, the nodes off the wells widened by the halo
-past which the inverse is below one ulp, the bulk outside it frozen, by an
-LDL^T of the band's slice of the once-symmetrized operator.  Each
+line the band of _RadialBand.place, the nodes off the wells widened by the
+halo past which the inverse is below one ulp, the bulk outside it frozen,
+by an LDL^T of the band's slice of the once-symmetrized operator.  Each
 kind loads only the compiled scipy module it solves with, pocketfft's on
 full grids and LAPACK's on the radial line, and no scipy package
 initializer, not even scipy's own (_kernel).
@@ -212,8 +212,8 @@ class Grid:
 
         On full grids the band is the whole grid, it never moves, and its
         solve is the type-II cosine transform (_CosineBand).  On the radial
-        line it is the rule of _band_span, kept until the node a quarter
-        halo inside either edge leaves flatness (_RadialBand).
+        line it is the rule of _RadialBand.place, kept until the node a
+        quarter halo inside either edge leaves flatness.
         """
         if self.mode == FULL:
             return _CosineBand(self, dt)
@@ -311,12 +311,11 @@ def _radial_system(grid: Grid, dt: float) -> tuple:
     return head, sym_diag, sym_off, w
 
 
-def _ldl(d: np.ndarray, e: np.ndarray, overwrite: bool = False) -> tuple:
+def _ldl(d: np.ndarray, e: np.ndarray) -> tuple:
     """dpttrf's LDL^T (d_fac, e_fac) of the symmetric tridiagonal (d, e),
-    written over d and e when overwrite is set; LinAlgError if it fails."""
+    new arrays; LinAlgError if it fails."""
     dpttrf = _kernel("scipy.linalg", "_flapack").dpttrf
-    d_fac, e_fac, info = dpttrf(d, e, overwrite_d=overwrite,
-                                overwrite_e=overwrite)
+    d_fac, e_fac, info = dpttrf(d, e)
     if info != 0:
         raise np.linalg.LinAlgError(
             f"radial operator not positive definite after symmetrizing: "
@@ -334,28 +333,6 @@ def _band_halo(h: float, dt: float) -> int:
     if not rho > 0.0:
         return 1
     return max(1, math.ceil(52.0 * math.log(2.0) / -math.log(rho)))
-
-
-def _band_span(u: np.ndarray, halo: int, m: int, dev: np.ndarray,
-               off_well: np.ndarray) -> slice:
-    """The radial step band of field u, the slice of nodes a step from u
-    solves: the hull of the nodes with |1 - |u|| > WELL_ROUNDOFF widened by
-    halo (_band_halo) on each side, from node 0 when it comes within the m
-    axis nodes, slice(0, 0) when every node is flat.  dev (float) and
-    off_well (bool) are scratch of u's length, so a call allocates no
-    field."""
-    np.abs(u, out=dev)
-    np.subtract(1.0, dev, out=dev)
-    np.abs(dev, out=dev)
-    np.greater(dev, WELL_ROUNDOFF, out=off_well)
-    first = int(off_well.argmax())
-    if not off_well[first]:
-        return slice(0, 0)
-    # argmax of a reversed view would copy it; write the reversal instead
-    np.greater(dev[::-1], WELL_ROUNDOFF, out=off_well)
-    last = len(u) - 1 - int(off_well.argmax())
-    lo = first - halo
-    return slice(0 if lo <= m else lo, min(last + 1 + halo, len(u)))
 
 
 class _CosineBand:
@@ -388,14 +365,16 @@ class _RadialBand:
     """Grid.band_solver on the radial line.
 
     I - dt L is symmetrized (_radial_system) and factored whole once, so a
-    failure is raised here.  place(u) takes its rows lo..hi-1 from
-    _band_span, with scratch kept here so that it allocates nothing
-    line-sized, and re-factors their slice of W A into preallocated
-    buffers.  The rows see the frozen neighbours u[lo - 1] and u[hi]
-    through sym_off[lo - 1] and sym_off[hi - 1] on the right side: their
-    products are taken once there and subtracted from the first and last
-    right side of every step (0.0 at an end of the line, which leaves the
-    bits as they are).  A band
+    failure is raised here.  place(u) puts the band on rows lo..hi-1, the
+    hull of the nodes with |1 - |u|| > WELL_ROUNDOFF widened by the halo
+    (_band_halo) on each side, from node 0 when it comes within the axis
+    nodes, and none when every node is flat; it factors their slice of W A
+    anew.  A run places a band rarely (12 times in the 212,500 steps of
+    the shipped circle sweep), so place keeps no buffers.  The rows see
+    the frozen neighbours u[lo - 1] and u[hi] through sym_off[lo - 1] and
+    sym_off[hi - 1] on the right side: their products are taken once there
+    and subtracted from the first and last right side of every step (0.0
+    at an end of the line, which leaves the bits as they are).  A band
     from node 0 keeps the Thomas steps of the axis rows.  moved(v) watches
     the node halo // 4 inside each edge that is not an end of the line.  A
     band over the whole line factors the whole W A.
@@ -407,13 +386,15 @@ class _RadialBand:
             _radial_system(grid, dt)
         _ldl(self._sym_diag, self._sym_off)
         self._halo = _band_halo(grid.h, dt)
-        self._scratch = np.empty(grid.npts), np.empty(grid.npts, bool)
-        self._d_buf, self._e_buf = np.empty(grid.npts), np.empty(grid.npts - 1)
         self.rows, self._watched = None, ()
 
     def place(self, u: np.ndarray) -> slice:
-        rows = _band_span(u, self._halo, len(self._head), *self._scratch)
-        lo, hi, n = rows.start, rows.stop, len(u)
+        off_well = np.flatnonzero(np.abs(1.0 - np.abs(u)) > WELL_ROUNDOFF)
+        n, lo, hi = len(u), 0, 0
+        if off_well.size:
+            lo = int(off_well[0]) - self._halo
+            lo = 0 if lo <= len(self._head) else lo
+            hi = min(int(off_well[-1]) + 1 + self._halo, n)
         k, quarter = hi - lo, self._halo // 4
         # the watched nodes, counted from the band's first node; an edge at
         # an end of the line has none
@@ -422,10 +403,8 @@ class _RadialBand:
         if k == 0:   # every node flat: nothing moves
             self.solve = _unchanged
         else:
-            sym_off, d, e = self._sym_off, self._d_buf[:k], self._e_buf[:k - 1]
-            np.copyto(d, self._sym_diag[lo:hi])
-            np.copyto(e, sym_off[lo:hi - 1])
-            d_fac, e_fac = _ldl(d, e, overwrite=True)
+            sym_off = self._sym_off
+            d_fac, e_fac = _ldl(self._sym_diag[lo:hi], sym_off[lo:hi - 1])
             c_hi = sym_off[hi - 1] * u[hi] if hi < n else 0.0
             if lo > 0:
                 self.solve = partial(_band_solve, self._dpttrs, d_fac, e_fac,
@@ -433,8 +412,8 @@ class _RadialBand:
             else:
                 self.solve = partial(_axis_band_solve, self._dpttrs,
                                      self._head, d_fac, e_fac, c_hi)
-        self.rows = rows
-        return rows
+        self.rows = slice(lo, hi)
+        return self.rows
 
     def moved(self, v: np.ndarray) -> bool:
         for i in self._watched:

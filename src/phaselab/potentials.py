@@ -23,6 +23,7 @@ import numpy as np
 # |1 - |u|| within this counts as sitting on a well +-1: the roundoff a
 # stepped field keeps there (count_excursions, the radial step band)
 WELL_ROUNDOFF = 1e-12
+DW_COEF = 4.5   # W'(s) = DW_COEF s (s^2 - 1): read by dw and the step
 MAX_DDW = 9.0   # max of W''(s) = (9/2)(3 s^2 - 1) on [-1, 1]
 # the profile table: RK4 steps on [0, PROFILE_S_MAX], mirrored to the left
 PROFILE_S_MAX = 8.0
@@ -48,7 +49,7 @@ def w(s):
 def dw(s):
     """W'(s) = (9/2) s (s^2 - 1), a new array."""
     s = np.asarray(s, dtype=float)
-    return 4.5 * s * (s * s - 1.0)
+    return DW_COEF * s * (s * s - 1.0)
 
 
 def psi(u):

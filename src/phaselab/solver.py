@@ -28,7 +28,7 @@ import numpy as np
 from . import diagnostics
 from .geometry import CutoffSpec, InterfaceTrajectory, interface_distance
 from .grids import Grid
-from .potentials import MAX_DDW, ProfileTable, count_excursions
+from .potentials import DW_COEF, MAX_DDW, ProfileTable, count_excursions
 
 LAYER_RESOLUTION = 4.0      # transition layer needs h <= eps / 4
 BOUNDARY_FLATNESS = 1e-6    # |u0| >= 1 - this on phase-side boundary cells
@@ -146,22 +146,23 @@ def make_stepper(cfg: SimulationConfig) -> Callable:
     Grid.band_solver(dt) placed on the field; writes the field one step
     later on those rows into out and returns out, v unchanged.  The
     reaction right side weight * (v + c W'(v)), c = -dt/eps^2, is the cubic
-    ((top v) v + lin) v, top = weight (9/2) c and lin = weight (1 - (9/2) c),
-    built in out by out= ufuncs, and band.solve runs in place on it, so a
-    step allocates no field.  out must be a contiguous float64 array of v's
-    shape that does not overlap v.  The nodes off band.rows keep their
-    values."""
+    ((top v) v + lin) v, top = weight a c and lin = weight (1 - a c) with a
+    = DW_COEF, built in out by out= ufuncs, and band.solve runs in place on
+    it, so a step allocates no field.  top and lin are formed from the
+    band's rows of weight at each new band, a few per run (2 to 5 per
+    member of the shipped circle sweep).  out must be a contiguous float64
+    array of v's shape that does not overlap v.  The nodes off band.rows
+    keep their values."""
     c = -cfg.dt_actual() / cfg.epsilon ** 2
-    whole = rows = top = lin = None
+    rows = top = lin = None
 
     def step(v, out, band):
-        nonlocal whole, rows, top, lin
+        nonlocal rows, top, lin
         if band.rows is not rows:   # a new band: its rows' coefficients
-            if whole is None:   # the whole grid's, built once
-                whole = band.weight * (c * 4.5), band.weight * (c * -4.5 + 1.0)
-            rows, (top, lin) = band.rows, whole
-            if isinstance(band.weight, np.ndarray):   # 1.0 on full grids
-                top, lin = top[rows], lin[rows]
+            rows, weight = band.rows, band.weight
+            if isinstance(weight, np.ndarray):   # 1.0 on full grids
+                weight = weight[rows]
+            top, lin = weight * (c * DW_COEF), weight * (c * -DW_COEF + 1.0)
         np.multiply(top, v, out=out)
         np.multiply(out, v, out=out)
         np.add(out, lin, out=out)

@@ -535,6 +535,16 @@ def test_invalid_json_reports_config_error(tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+def test_json_array_config_reports_config_error(tmp_path, capsys):
+    bad = tmp_path / "array.json"
+    bad.write_text("[1, 2]")
+    out = tmp_path / "out"
+    rc = cli.main(["simulate", "--config", str(bad), "--out", str(out)])
+    assert rc == 2
+    assert f"{bad}: expected a JSON object" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_config_file_reports_config_error(tmp_path, capsys):
     out = tmp_path / "out"
     for command, flag in (("simulate", "--config"), ("sweep", "--plan"),
@@ -636,6 +646,16 @@ BAD_VALUES = [   # (config, key path, value, key named in the error)
     # r_c ** 2 would raise OverflowError in CutoffSpec.profile
     ("plane1d.json", ("cutoff", "r_c"), 1e200,
      "cutoff: r_c = 1e+200 out of range: r_c^2 is not a normal float"),
+    # |normal| would overflow to inf, and normal / inf is no unit vector
+    ("plane1d.json", ("trajectory", "normal"), [1e200],
+     "trajectory.normal: [1e+200] out of range"),
+    # nonzero, but |normal|^2 underflows to 0
+    ("plane1d.json", ("trajectory", "normal"), [1e-320],
+     "trajectory.normal: [1e-320] out of range"),
+    # radius0 ** 2 would raise OverflowError in the extinction time
+    ("circle_radial.json", ("trajectory", "radius0"), 1e300,
+     "trajectory: radius0 = 1e+300 out of range: radius0^2 is not a normal "
+     "float"),
 ]
 
 

@@ -20,7 +20,7 @@ import pytest
 import scipy
 
 import phaselab.cli as cli
-from phaselab import config
+from phaselab import config, grids
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -123,6 +123,25 @@ def test_output_digest(tmp_path, capsys, case):
         f"(running numpy {np.__version__}, scipy {scipy.__version__}). A "
         f"change that moves these bits on purpose updates the digest and "
         f"says so in CHANGES.md.")
+
+
+def test_sweep_member_places_its_band_rarely(tmp_path, capsys, monkeypatch):
+    # the radial band factors its rows anew at each placing and keeps no
+    # buffers, a design for rare placings: this member's 4,000 steps place
+    # it twice, and at most one placing per 1,000 steps is allowed
+    place, calls = grids._RadialBand.place, []
+
+    def counted(band, u):
+        calls.append(None)
+        return place(band, u)
+    monkeypatch.setattr(grids._RadialBand, "place", counted)
+    out = tmp_path / "out"
+    rc = cli.main(sweep_member_short(tmp_path) + ["--out", str(out)])
+    capsys.readouterr()
+    assert rc == 0
+    n_steps = json.loads((out / "manifest.json").read_text())["n_steps"]
+    assert n_steps == 4000
+    assert 1 <= len(calls) <= n_steps // 1000, len(calls)
 
 
 # sha256 of every shipped config's and workload's filled document, each
