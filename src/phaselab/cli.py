@@ -58,8 +58,10 @@ def _keep_freed_heap() -> bool:
     A full-grid diagnostic row allocates and frees whole-grid temporaries.
     By default glibc maps each of them afresh or hands the freed heap back
     once the row ends, and the next row faults the memory in again page by
-    page, zero-filled: on the 280² circle about 3,300 minor faults and a
-    third of the row's time.  Without mallopt nothing changes.
+    page, zero-filled: the 33 rows of the 280² identity workload take
+    54,240 minor faults without these options and 7,160 with them, about
+    1,430 a row, and about 0.09 s more system time.  Without mallopt
+    nothing changes.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt

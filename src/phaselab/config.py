@@ -52,8 +52,8 @@ REQUIRED = object()   # the default of a key that must be set
 KEYS = {   # the run document, each section and, under trajectory, each
     # trajectory type: {key: (kind, default)}.  A kind IS_KIND does not name
     # is the one value the key takes.  A None default is computed by
-    # build_simulation (cutoff.r_c, grid.dim and .npts, stepper.dt and a
-    # sphere's center) or leaves the key unset.
+    # build_simulation (cutoff.r_c, grid.dim and a sphere's center) or
+    # leaves the key unset.
     "run": {"epsilon": (POSITIVE, REQUIRED), "trajectory": (OBJECT, REQUIRED),
             "potential": (OBJECT, None), "cutoff": (OBJECT, None),
             "grid": (OBJECT, REQUIRED), "stepper": (OBJECT, None),
@@ -61,10 +61,10 @@ KEYS = {   # the run document, each section and, under trajectory, each
     "potential": {"name": ("standard", "standard")},   # potentials' quartic
     "cutoff": {"r_c": (NUMBER, None)},
     "grid": {"mode": (TEXT, FULL), "dim": (INTEGER, None),
-             "half_width": (NUMBER, REQUIRED), "npts": (INTEGER, None),
-             "h_over_eps": (POSITIVE, None)},
+             "half_width": (NUMBER, REQUIRED),
+             "h_over_eps": (POSITIVE, DEFAULT_H_OVER_EPS)},
     "stepper": {"scheme": ("semi-implicit", "semi-implicit"),   # make_stepper
-                "dt": (POSITIVE, None), "dt_over_eps2": (POSITIVE, None),
+                "dt_over_eps2": (POSITIVE, DEFAULT_DT_OVER_EPS2),
                 "t_end": (NUMBER, 0.0)},
     "diagnostics": {"cadence": (INTEGER, 10),
                     "compute_identity": (FLAG, False),
@@ -72,7 +72,7 @@ KEYS = {   # the run document, each section and, under trajectory, each
     "identities": {"levels": (INTEGER, 3), "min_order": (NUMBER, 1.0)},
     "trajectory": {
         "plane": {"type": ("plane", REQUIRED), "normal": (NUMBERS, REQUIRED),
-                  "offset": (NUMBER, 0.0), "t_max": (NUMBER, 10.0)},
+                  "offset": (NUMBER, 0.0)},
         "sphere": {"type": ("sphere", REQUIRED), "dim": (INTEGER, REQUIRED),
                    "radius0": (NUMBER, REQUIRED), "center": (NUMBERS, None),
                    "t_max": (NUMBER, REQUIRED)}},
@@ -85,9 +85,7 @@ PLAN_KEYS = {   # SweepPlan fills the None defaults
 BAND_KEYS = {name: (BAND if isinstance(default, tuple) else NUMBER, None)
              for spec in SWEEP_MODES.values()
              for name, default in spec["bands"].items()}
-EITHER_OR = (("grid.npts", "grid.h_over_eps"),   # a pair sets one value
-             ("stepper.dt", "stepper.dt_over_eps2"))
-PLAN_OWNED = ("epsilon", *(path for pair in EITHER_OR for path in pair))
+PLAN_OWNED = ("epsilon", "grid.h_over_eps", "stepper.dt_over_eps2")
 READ_BY = {   # keys that one command reads and the others would ignore
     "identities": "check-identities",
     "diagnostics.snapshot_every": "simulate",
@@ -155,9 +153,7 @@ def _run_issues(doc: dict, command=None) -> list:
                 continue
             rows = rows[kind]
         issues.extend(_issues(section, rows, f"{name}."))
-    return issues + [f"{two}: set either {one} or {two}, not both"
-                     for one, two in EITHER_OR
-                     if None not in (_lookup(doc, one), _lookup(doc, two))]
+    return issues
 
 
 def _build_trajectory(sec: dict):
@@ -173,8 +169,7 @@ def _build_trajectory(sec: dict):
             raise ConfigError([f"trajectory.normal: {sec['normal']} out of "
                                f"range: |normal|^2 is not a normal float"])
         return PlaneInterface(normal=tuple(normal / np.sqrt(square)),
-                              offset=float(sec["offset"]),
-                              t_max=float(sec["t_max"]))
+                              offset=float(sec["offset"]))
     dim = int(sec["dim"])
     if dim > MAX_RADIAL_DIM:   # no grid holds it; nor could [0.0] * dim
         raise ConfigError([f"trajectory.dim: must be at most "
@@ -217,12 +212,10 @@ def build_simulation(doc: dict, command=None):
     grid_sec.setdefault("dim", traj.dim)
 
     def grid():
-        if "npts" not in grid_sec:
-            h_over_eps = float(grid_sec.pop("h_over_eps", DEFAULT_H_OVER_EPS))
-            grid_sec["npts"] = npts_for_spacing(grid_sec["mode"], half_width,
-                                                eps / h_over_eps)
-        return Grid(mode=grid_sec["mode"], half_width=half_width,
-                    dim=int(grid_sec["dim"]), npts=int(grid_sec["npts"]))
+        mode = grid_sec["mode"]
+        return Grid(mode=mode, half_width=half_width, dim=int(grid_sec["dim"]),
+                    npts=npts_for_spacing(mode, half_width,
+                                          eps / float(grid_sec["h_over_eps"])))
 
     parts, issues = {}, []   # every part that fails to build is listed
     for name, build in (
@@ -236,17 +229,14 @@ def build_simulation(doc: dict, command=None):
         raise ConfigError(issues)
 
     step_sec = filled["stepper"]
-    if "dt" not in step_sec:
-        step_sec["dt"] = eps ** 2 / float(step_sec.pop("dt_over_eps2",
-                                                       DEFAULT_DT_OVER_EPS2))
-
     diag_sec = filled["diagnostics"]
     if command == "check-identities":
         diag_sec["compute_identity"] = True
 
     cfg = SimulationConfig(
         epsilon=eps, profile=profile, trajectory=traj, **parts,
-        dt=float(step_sec["dt"]), t_end=float(step_sec["t_end"]),
+        dt=eps ** 2 / float(step_sec["dt_over_eps2"]),
+        t_end=float(step_sec["t_end"]),
         cadence=int(diag_sec["cadence"]),
         compute_identity=diag_sec["compute_identity"])
     return cfg, filled

@@ -32,11 +32,12 @@ EXTINCTION_EPS_FACTOR = 4.0  # sphere must keep R(t_max) >= 4 eps
 @dataclass(frozen=True)
 class PlaneInterface:
     """Stationary flat interface {normal . x = offset}; the phase lies on the
-    side the (unit, inner) normal points into, so dist = normal . x - offset."""
+    side the (unit, inner) normal points into, so dist = normal . x - offset.
+    It does not move, so it has no horizon: t_max is inf."""
 
     normal: tuple
     offset: float = 0.0
-    t_max: float = 10.0
+    t_max = np.inf   # a class constant, not a field
 
     def __post_init__(self):
         n = np.asarray(self.normal, dtype=float)
@@ -51,8 +52,9 @@ class PlaneInterface:
         return np.inf
 
     def distance(self, grid: Grid, t: float) -> np.ndarray:
-        n = np.asarray(self.normal, dtype=float)
-        return np.tensordot(n, grid.coords, axes=(0, 0)) - self.offset
+        # summed over k in order, the open coordinates broadcasting
+        return sum(n * x for n, x in zip(self.normal,
+                                         grid.open_coords)) - self.offset
 
     def tube_fields(self, cutoff: CutoffSpec, grid: Grid, t: float,
                     dist: np.ndarray, tube: np.ndarray) -> ExtendedFields:
@@ -64,11 +66,17 @@ class PlaneInterface:
                                          self.dim)
 
     def issues(self, grid: Grid, r_c: float, eps: float) -> list:
-        """The validation rules of a plane on this grid."""
+        """The validation rules of a plane on this grid: it must cross the
+        box [-L, L]^d, which it misses when |offset| >= L sum |n_k|."""
         if grid.mode == RADIAL:
             return ["grid.mode: radial mode requires a sphere trajectory"]
-        return (["trajectory.normal: length must match grid dim"]
-                if self.dim != grid.dim else [])
+        if self.dim != grid.dim:
+            return ["trajectory.normal: length must match grid dim"]
+        reach = grid.half_width * sum(map(abs, self.normal))
+        if not abs(self.offset) < reach:
+            return [f"trajectory.offset: the plane misses the grid: |offset| "
+                    f"= {abs(self.offset):.6g} >= L sum |n_k| = {reach:.6g}"]
+        return []
 
     def exempt_axes(self) -> tuple:
         """The axes of the boundary faces parallel to the plane."""

@@ -94,21 +94,21 @@ def validate(cfg: SimulationConfig) -> list:
     h = grid.h
     if h > eps / LAYER_RESOLUTION + 1e-12:
         issues.append(
-            f"grid.npts: layer resolution requires h <= eps/{LAYER_RESOLUTION:g} "
-            f"(h = {h:.6g}, eps = {eps:.6g})")
+            f"grid.h_over_eps: layer resolution requires h <= "
+            f"eps/{LAYER_RESOLUTION:g} (h = {h:.6g}, eps = {eps:.6g})")
 
     if cfg.t_end > 0.0:   # dt is read only by a run that steps
         dt_stiff = eps ** 2 / (2.0 * MAX_DDW)
         if not cfg.dt > 0.0:
-            issues.append("stepper.dt: must be positive")
+            issues.append("stepper.dt_over_eps2: dt must be positive")
         elif cfg.dt > dt_stiff + 1e-15:
             issues.append(
-                f"stepper.dt: reaction stability requires dt <= "
+                f"stepper.dt_over_eps2: reaction stability requires dt <= "
                 f"eps^2/(2 max W'') = {dt_stiff:.3e} (dt = {cfg.dt:.3e})")
         elif not cfg.t_end / cfg.dt <= sys.maxsize:   # inf and NaN too
             issues.append(
-                f"stepper.dt: t_end / dt = {cfg.t_end / cfg.dt:.3e} steps, "
-                f"more than {sys.maxsize}")
+                f"stepper.dt_over_eps2: t_end / dt = {cfg.t_end / cfg.dt:.3e} "
+                f"steps, more than {sys.maxsize}")
 
     traj = cfg.trajectory
     if not cfg.t_end <= traj.t_max + 1e-12:
@@ -253,9 +253,10 @@ def run(cfg: SimulationConfig,
     clamps = 0
     max_abs_u = float(np.max(np.abs(u)))
     # two flat buffers, each the most values a block of band rows holds,
-    # kept for the run: fresh arrays per block cost 0.5 MB of peak RSS on
-    # the 280^2 grid, and a pair per row took the eps = 0.02 circle member
-    # from 301 to 84,644 minor faults
+    # kept for the run.  Peak RSS, six runs each pinned to one CPU: fresh
+    # arrays per block read 40.86-40.91 MB on the 280^2 identity workload
+    # against 40.75-40.86 MB (+0.1 MB); a pair per row read 35.26-35.39 MB
+    # on the eps = 0.02 circle member against 34.78-34.98 MB (+0.45 MB)
     size = min(max(BLOCK_BYTES // u.itemsize, u.size),
                max(1, min(cfg.cadence, n_steps)) * u.size)
     buffers = [np.empty(size) for _ in range(2)]
@@ -299,8 +300,9 @@ def run(cfg: SimulationConfig,
         if v.shape == u.shape:   # a band over the whole grid, never moved
             # u is then a view into buffers[1]; the idle buffers[0] is
             # dropped so that the row's own fields can take its memory
-            # (writing v back into u instead would hold one more field
-            # through the row)
+            # (writing v back into u instead holds one more field through
+            # the row: 41.86-41.98 MB peak RSS on the 280^2 identity
+            # workload against 40.75-40.86 MB)
             u, buffers[0] = v, None
         else:
             u[band.rows] = v

@@ -12,8 +12,7 @@ def profile():
 
 def make_plane_config(profile, eps=0.05, half_width=0.5, h_over_eps=8,
                       r_c=0.5, t_end=0.0, cadence=10, dim=1):
-    traj = pl.PlaneInterface(normal=(1.0,) + (0.0,) * (dim - 1), offset=0.0,
-                             t_max=10.0)
+    traj = pl.PlaneInterface(normal=(1.0,) + (0.0,) * (dim - 1), offset=0.0)
     grid = pl.full_grid(dim, half_width,
                         npts_for_spacing(FULL, half_width, eps / h_over_eps))
     return pl.SimulationConfig(
@@ -37,6 +36,14 @@ def make_circle_config(profile, eps=0.08, radius0=1.0, half_width=None,
         epsilon=eps, profile=profile, trajectory=traj,
         cutoff=pl.CutoffSpec(r_c=r_c), grid=grid,
         dt=eps ** 2 / dt_over_eps2, t_end=t_end, cadence=cadence)
+
+
+def whole_coords(grid):
+    """The coordinates of every cell stacked on a leading axis, shape
+    (ncomp,) + grid.shape, built from grid.axis."""
+    if grid.mode == FULL:
+        return np.stack(np.meshgrid(*[grid.axis] * grid.dim, indexing="ij"))
+    return grid.axis[np.newaxis, :]
 
 
 def stepped(cfg, u, steps=1):

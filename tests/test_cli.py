@@ -105,7 +105,9 @@ def test_simulate_plane_smoke(tmp_path):
     assert manifest["schema_version"] == 1
     for artifact in manifest["artifacts"]:
         assert (out / artifact).exists()
-    assert manifest["config"]["stepper"]["dt"] > 0
+    # the filled document records the ratio, and rebuilds the run's dt
+    assert manifest["config"]["stepper"]["dt_over_eps2"] == 20.0
+    assert config.build_simulation(manifest["config"])[0].dt == 0.05 ** 2 / 20
     assert manifest["clamp_count"] == 0
 
     snaps = sorted((out / "snapshots").glob("*.bin"))
@@ -131,8 +133,9 @@ def test_simulate_manifest_records_row_time(tmp_path):
     assert manifest["steps_per_s"] == pytest.approx(
         manifest["n_steps"] / timings["step_s"])
     assert 0.99 < manifest["max_abs_u"] <= 1.0 + 1e-12
-    # a full grid's step solves every cell
-    assert manifest["band_nodes_max"] == manifest["config"]["grid"]["npts"]
+    # a full grid's step solves every cell of the grid the manifest rebuilds
+    cfg, _ = config.build_simulation(manifest["config"], "simulate")
+    assert manifest["band_nodes_max"] == cfg.grid.npts
 
 
 @pytest.mark.parametrize("command", ["simulate", "sweep", "check-identities"])
@@ -272,13 +275,13 @@ def test_freed_heap_is_reused():
 
 def test_simulate_rejects_unresolved_layer(tmp_path, capsys):
     doc = json.loads((CONFIGS / "plane1d.json").read_text())
-    doc["grid"]["npts"] = 20   # h = eps/1
+    doc["grid"]["h_over_eps"] = 1   # h = eps/1
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps(doc))
     rc = cli.main(["simulate", "--config", str(cfg_path),
                    "--out", str(tmp_path / "out")])
     assert rc == 2
-    assert "layer resolution" in capsys.readouterr().err
+    assert "grid.h_over_eps: layer resolution" in capsys.readouterr().err
 
 
 def test_simulate_rejects_unflat_boundary(tmp_path, capsys):
@@ -418,7 +421,8 @@ def test_unfactorable_radial_operator_is_runtime_failure(tmp_path,
 
 
 @pytest.mark.parametrize("command, name, owner, attr, exc", [
-    # a grid.npts whose field fits np.intp but not the memory: numpy's error
+    # a grid.h_over_eps whose field fits np.intp but not the memory: numpy's
+    # error
     ("simulate", "plane1d.json", phaselab.solver, "validate",
      MemoryError("Unable to allocate 6.94 EiB for an array")),
     # identities.levels whose finest level's row list does not fit: bare
@@ -624,7 +628,7 @@ BAD_VALUES = [   # (config, key path, value, key named in the error)
     ("plane1d.json", ("grid", "half_width"), -1,
      "grid: half_width must be positive"),
     # rejected by Grid before any field is allocated
-    ("plane1d.json", ("grid", "npts"), 1e300, "grid: npts too large"),
+    ("plane1d.json", ("grid", "h_over_eps"), 1e300, "grid: npts too large"),
     # 2 half_width / h is inf: no point count, not an OverflowError
     ("plane1d.json", ("grid", "half_width"), 1e308,
      "grid: npts not finite: half_width = 1e+308 at spacing h = 0.00625"),
@@ -639,7 +643,7 @@ BAD_VALUES = [   # (config, key path, value, key named in the error)
     ("plane1d.json", ("stepper", "t_end"), -1, "stepper.t_end"),
     # about 8e300 steps: rejected before a step count is formed
     ("plane1d.json", ("stepper", "dt_over_eps2"), 1e300,
-     "stepper.dt: t_end / dt = 8.000e+300 steps, more than"),
+     "stepper.dt_over_eps2: t_end / dt = 8.000e+300 steps, more than"),
     # eta' would divide 0 by 0 at s = 0 and write NaN into row 0
     ("circle_radial.json", ("cutoff", "r_c"), 1e-200,
      "cutoff: r_c = 1e-200 out of range: r_c^2 is not a normal float"),
@@ -656,6 +660,16 @@ BAD_VALUES = [   # (config, key path, value, key named in the error)
     ("circle_radial.json", ("trajectory", "radius0"), 1e300,
      "trajectory: radius0 = 1e+300 out of range: radius0^2 is not a normal "
      "float"),
+    # the plane misses the grid, so no row would measure anything; rejected
+    # before the flatness rule divides its distance by eps
+    ("plane1d.json", ("trajectory", "offset"), 1e308,
+     "trajectory.offset: the plane misses the grid"),
+    # the run works them out: npts from grid.h_over_eps, dt from
+    # stepper.dt_over_eps2, and a static plane has no horizon
+    ("plane1d.json", ("grid", "npts"), 160, "grid.npts: unknown key"),
+    ("plane1d.json", ("stepper", "dt"), 1.25e-4, "stepper.dt: unknown key"),
+    ("plane1d.json", ("trajectory", "t_max"), 10.0,
+     "trajectory.t_max: unknown key"),
 ]
 
 
@@ -671,7 +685,8 @@ BAD_PLANS = [   # (plan, key path, value, message in the error)
     ("initial_entropy_plane.json", ("h_over_eps",), 0.05,
      "member eps=0.16: grid: need at least 8 points per axis"),
     ("sweep_circle.json", ("dt_over_eps2",), 1e300,
-     "member eps=0.16: stepper.dt: t_end / dt = 7.813e+300 steps, more than"),
+     "member eps=0.16: stepper.dt_over_eps2: t_end / dt = 7.813e+300 steps, "
+     "more than"),
 ]
 
 
@@ -759,7 +774,7 @@ def test_identities_without_shared_time_rejected(tmp_path, capsys):
      "identities.levels: level 53: grid: npts too large"),
     # about 2e300 steps on the coarsest level, more than a range can hold
     ("stepper", "dt_over_eps2", 1e300,
-     "stepper.dt: t_end / dt = 2.000e+300 steps, more than"),
+     "stepper.dt_over_eps2: t_end / dt = 2.000e+300 steps, more than"),
 ], ids=["levels", "dt_over_eps2"])
 def test_identities_rejected_before_any_level_steps(
         tmp_path, monkeypatch, capsys, section, key, value, message):
@@ -849,15 +864,15 @@ def test_validate_calls_per_command(tmp_path, monkeypatch):
 REJECTED = [   # (config, values set, message); each value set is ignored
     ("sweep_circle.json", {("base", "epsilon"): 0.1},
      "epsilon: set per member by the plan"),
+    ("sweep_circle.json", {("base", "grid", "h_over_eps"): 16},
+     "grid.h_over_eps: set per member by the plan"),
+    ("sweep_circle.json", {("base", "stepper", "dt_over_eps2"): 320},
+     "stepper.dt_over_eps2: set per member by the plan"),
+    # no run document has them: the plan works both out per member
     ("sweep_circle.json", {("base", "grid", "npts"): 141},
-     "grid.npts: set per member by the plan"),
+     "grid.npts: unknown key"),
     ("sweep_circle.json", {("base", "stepper", "dt"): 0.00128},
-     "stepper.dt: set per member by the plan"),
-    ("plane1d.json", {("grid", "npts"): 160, ("grid", "h_over_eps"): 8},
-     "grid.h_over_eps: set either grid.npts or grid.h_over_eps, not both"),
-    ("plane1d.json", {("stepper", "dt"): 1.25e-4,
-                      ("stepper", "dt_over_eps2"): 20},
-     "stepper.dt_over_eps2: set either stepper.dt or stepper.dt_over_eps2"),
+     "stepper.dt: unknown key"),
     ("plane1d.json", {("diagnostics", "snapshot_every"): 0},
      "diagnostics.snapshot_every: expected a positive integer, got 0"),
 ]

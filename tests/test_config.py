@@ -102,7 +102,7 @@ def test_null_means_default_and_required_null_is_missing():
     doc = load("plane1d.json")
     _, expected = config.build_simulation(doc)
     doc["cutoff"]["r_c"] = None
-    doc["stepper"]["dt"] = None
+    doc["stepper"]["dt_over_eps2"] = None
     doc["diagnostics"]["cadence"] = None
     doc["identities"] = None
     assert config.build_simulation(doc)[1] == expected

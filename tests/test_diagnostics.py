@@ -13,7 +13,8 @@ from phaselab import diagnostics as dg, geometry
 from phaselab.geometry import ExtendedFields, radial_frame
 from phaselab.potentials import dw, psi, root_2w, w
 
-from conftest import make_circle_config, make_plane_config, stepped
+from conftest import (make_circle_config, make_plane_config, stepped,
+                      whole_coords)
 
 
 def theta_exact(s):
@@ -97,7 +98,7 @@ def test_relative_entropy_uniform(profile):
 def test_relative_entropy_far_interface_equals_energy(profile):
     # trajectory far outside the box: xi vanishes on the grid
     cfg = make_plane_config(profile)
-    traj = pl.PlaneInterface(normal=(1.0,), offset=30.0, t_max=10.0)
+    traj = pl.PlaneInterface(normal=(1.0,), offset=30.0)
     u0 = pl.initial_data(cfg)
     b = dg.relative_entropy(u0, cfg.epsilon, traj, cfg.cutoff, cfg.grid, 0.0)
     assert b["rel_entropy"] == pytest.approx(b["gl_energy"], abs=1e-12)
@@ -165,7 +166,7 @@ def random_field_geometries(profile):
                            h_over_eps=4, mode="full"),
         make_plane_config(profile, h_over_eps=4),
         replace(tilted, trajectory=pl.PlaneInterface(
-            normal=(0.6, 0.8), offset=0.1, t_max=10.0)),
+            normal=(0.6, 0.8), offset=0.1)),
     ]
 
 
@@ -380,12 +381,13 @@ def oracle_fields(traj, cutoff, grid, t):
     """Every interface field on every cell of the grid (the tube is the
     whole grid), with dist, chi, dt xi and (H . grad) xi, and the grad H
     contractions of ExtendedFields."""
-    X = grid.coords
+    X = whole_coords(grid)
     shape = X.shape[1:]
     zeros_s, zeros_v = np.zeros(shape), np.zeros(X.shape)
     if isinstance(traj, pl.PlaneInterface):
         n = np.asarray(traj.normal, dtype=float)
-        dist = np.tensordot(n, X, axes=(0, 0)) - traj.offset
+        # n . x summed over k in order
+        dist = sum(n_k * x_k for n_k, x_k in zip(traj.normal, X)) - traj.offset
         n_field = n.reshape((-1,) + (1,) * len(shape)) * np.ones(shape)
         eta, deta = cutoff.profile(dist)[:2]
         fields = dict(xi=eta * n_field, hvec=zeros_v,
@@ -485,8 +487,7 @@ ORACLE_GEOMETRIES = {
     "plane1d": lambda prof: make_plane_config(prof),
     "tilted_plane2d": lambda prof: replace(
         make_plane_config(prof, eps=0.1, half_width=1.0, h_over_eps=4, dim=2),
-        trajectory=pl.PlaneInterface(normal=(0.6, 0.8), offset=0.1,
-                                     t_max=10.0)),
+        trajectory=pl.PlaneInterface(normal=(0.6, 0.8), offset=0.1)),
     "plane1d_cell_on_tube_edge": plane_with_cell_on_tube_edge,
 }
 
@@ -594,7 +595,7 @@ def test_cold_full_grid_run_memory_bound(profile):
     # data, the rows and the steps between them hold at most 13 fields at
     # once (12.6 measured; 13.6 while the idle step buffer lived through the
     # rows, 27.3 when the frame cached r, safe_r, e and the grid's
-    # coordinates), and a sphere never builds grid.coords
+    # coordinates)
     def config():
         return replace(make_circle_config(
             profile, eps=0.08, half_width=1.4,
@@ -612,4 +613,3 @@ def test_cold_full_grid_run_memory_bound(profile):
         tracemalloc.stop()
     assert len(res.rows) == 5
     assert peak <= 13 * field, peak / field
-    assert "coords" not in cfg.grid.__dict__

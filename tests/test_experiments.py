@@ -289,7 +289,7 @@ def test_check_identities_needs_two_levels(profile):
     ("cadence", 0, "diagnostics.cadence: must be >= 1"),
     ("t_end", float("nan"), "stepper.t_end: must be >= 0"),
     ("t_end", -1.0, "stepper.t_end: must be >= 0"),
-    ("dt", 0.0, "stepper.dt: must be positive")])
+    ("dt", 0.0, "stepper.dt_over_eps2: dt must be positive")])
 def test_check_identities_reports_invalid_values(profile,
                                                  field, value, message):
     # the shared-time check reads only the row times of valid values and

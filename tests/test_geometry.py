@@ -8,6 +8,8 @@ import phaselab as pl
 from phaselab.geometry import (extended_fields, interface_distance,
                                radial_frame, radial_frame_at, tau_truncation)
 
+from conftest import whole_coords
+
 
 @pytest.fixture(scope="module")
 def sphere():
@@ -17,7 +19,7 @@ def sphere():
 
 @pytest.fixture(scope="module")
 def plane2d():
-    return pl.PlaneInterface(normal=(1.0, 0.0), offset=0.0, t_max=10.0)
+    return pl.PlaneInterface(normal=(1.0, 0.0), offset=0.0)
 
 
 @pytest.fixture(scope="module")
@@ -257,7 +259,7 @@ def test_plane_is_the_limit_of_the_tangent_sphere():
 
 @pytest.mark.parametrize("traj", [
     pl.SphereInterface(center=(0.0, 0.0), radius0=1.0, dim=2, t_max=0.4),
-    pl.PlaneInterface(normal=(1.0, 0.0), offset=0.0, t_max=10.0),
+    pl.PlaneInterface(normal=(1.0, 0.0), offset=0.0),
 ], ids=["sphere", "plane"])
 def test_nan_time_rejected(traj):
     with pytest.raises(ValueError, match="outside"):
@@ -266,14 +268,14 @@ def test_nan_time_rejected(traj):
 
 def whole_grid_frame(grid, center):
     """(r, safe_r, e) on every cell by the whole-grid expressions the
-    sphere's frame once cached: r = |x - center| from grid.coords (the
+    sphere's frame once cached: r = |x - center| from whole_coords (the
     axis radially), safe_r = where(r > 0, r, 1) and e = where(r > 0,
     (x - center) / safe_r, 0)."""
     if grid.mode == "radial":
         r = grid.axis
         safe_r = np.where(r > 0.0, r, 1.0)
         return r, safe_r, np.where(r > 0.0, 1.0, 0.0)[np.newaxis, :]
-    rel = grid.coords - np.asarray(center).reshape((-1,) + (1,) * grid.dim)
+    rel = whole_coords(grid) - np.reshape(center, (-1,) + (1,) * grid.dim)
     r = np.sqrt(np.sum(rel ** 2, axis=0))
     safe_r = np.where(r > 0.0, r, 1.0)
     return r, safe_r, np.where(r > 0.0, rel / safe_r, 0.0)
@@ -287,12 +289,11 @@ def whole_grid_frame(grid, center):
 ], ids=["full_even", "full_odd_off_center", "radial_d2", "radial_d3"])
 def test_tube_frame_matches_whole_grid_oracle(cutoff, grid, center):
     # the cached r, and safe_r and e at the tube cells, are the bits of the
-    # whole-grid frame; a sphere's fields never build grid.coords
+    # whole-grid frame
     dim = len(center)
     sphere = pl.SphereInterface(center=center, radius0=1.0, dim=dim,
                                 t_max=0.1)
     ef = extended_fields(sphere, cutoff, grid, 0.05)
-    assert "coords" not in grid.__dict__
     r, safe_r, e = whole_grid_frame(grid, center)
     assert np.array_equal(radial_frame(grid, center), r)
     tube = ef.tube

@@ -12,7 +12,7 @@ import scipy
 import phaselab as pl
 from phaselab.grids import MAX_RADIAL_DIM, _kernel
 
-from conftest import whole_solver
+from conftest import whole_coords, whole_solver
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -76,7 +76,7 @@ def test_laplacian_second_order_interior_2d():
     errs = []
     for n in (32, 64):
         g = pl.full_grid(2, 1.0, n)
-        x = g.coords
+        x = whole_coords(g)
         u = np.sin(x[0]) * np.cos(x[1])
         exact = -2.0 * u
         err = np.abs(g.laplacian(u) - exact)[4:-4, 4:-4]
@@ -147,7 +147,7 @@ def test_boundary_faces():
     r = pl.radial_grid(3, 1.4, 141)
     assert [f.tolist() for f in r.boundary_faces(r.axis)] == [[r.axis[-1]]]
     g = pl.full_grid(2, 1.0, 10)
-    x = g.coords[0]
+    x = whole_coords(g)[0]
     assert [np.unique(f).tolist() for f in g.boundary_faces(x, (1,))] == [
         [g.axis[0]], [g.axis[-1]]]
     assert [f.shape for f in g.boundary_faces(x)] == [(10,)] * 4
