@@ -2,7 +2,7 @@
 
 Subcommands: profile, simulate, sweep, check-identities.  Exit codes:
 0 = all checks passed, 1 = runtime failure, 2 = invalid configuration,
-3 = checks ran but a configured band was violated.
+3 = checks ran but a pinned band was violated.
 """
 
 from __future__ import annotations
@@ -240,10 +240,9 @@ def cmd_check_identities(args) -> int:
     doc = config.load_json(args.config)
     build_start = time.perf_counter()
     cfg, filled = config.build_simulation(doc, "check-identities")
-    min_order = float(filled["identities"]["min_order"])
+    min_order = experiments.MIN_IDENTITY_ORDER
     started = time.perf_counter()
-    report = experiments.check_identities(
-        cfg, levels=int(filled["identities"]["levels"]))
+    report = experiments.check_identities(cfg)
 
     args.out.mkdir(parents=True, exist_ok=True)
     path = args.out / "identities.json"

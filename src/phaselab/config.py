@@ -20,9 +20,11 @@ from pathlib import Path
 import numpy as np
 
 from .experiments import (DEFAULT_DT_OVER_EPS2, DEFAULT_H_OVER_EPS,
-                          SWEEP_MODES, SweepPlan, mode_issues)
+                          IDENTITY_LEVELS, MIN_IDENTITY_ORDER, SWEEP_MODES,
+                          SweepPlan, mode_issues)
 from .geometry import CutoffSpec, PlaneInterface, SphereInterface
-from .grids import FULL, MAX_RADIAL_DIM, Grid, npts_for_spacing
+from .grids import (FULL, MAX_RADIAL_DIM, Grid, PointCountError,
+                    npts_for_spacing)
 from .potentials import solve_profile
 from .solver import ConfigError, SimulationConfig
 
@@ -42,18 +44,16 @@ IS_KIND = {   # keyed by the wording of the error message
     "a nonempty list of numbers": lambda v: (
         isinstance(v, (list, tuple)) and len(v) > 0
         and all(map(IS_KIND[NUMBER], v))),
-    "a [low, high] pair": lambda v: (IS_KIND[NUMBERS](v) and len(v) == 2
-                                     and v[0] <= v[1]),
     "an object": lambda v: isinstance(v, dict),
 }
-(NUMBER, POSITIVE, INTEGER, POSITIVE_INTEGER, FLAG, TEXT, NUMBERS, BAND,
+(NUMBER, POSITIVE, INTEGER, POSITIVE_INTEGER, FLAG, TEXT, NUMBERS,
  OBJECT) = IS_KIND
 REQUIRED = object()   # the default of a key that must be set
 KEYS = {   # the run document, each section and, under trajectory, each
     # trajectory type: {key: (kind, default)}.  A kind IS_KIND does not name
-    # is the one value the key takes.  A None default is computed by
-    # build_simulation (cutoff.r_c, grid.dim and a sphere's center) or
-    # leaves the key unset.
+    # is the one value the key takes (a tuple as a list): the pinned
+    # thresholds among them.  A None default is computed by build_simulation
+    # (cutoff.r_c, grid.dim and a sphere's center) or leaves the key unset.
     "run": {"epsilon": (POSITIVE, REQUIRED), "trajectory": (OBJECT, REQUIRED),
             "potential": (OBJECT, None), "cutoff": (OBJECT, None),
             "grid": (OBJECT, REQUIRED), "stepper": (OBJECT, None),
@@ -69,7 +69,8 @@ KEYS = {   # the run document, each section and, under trajectory, each
     "diagnostics": {"cadence": (INTEGER, 10),
                     "compute_identity": (FLAG, False),
                     "snapshot_every": (POSITIVE_INTEGER, None)},
-    "identities": {"levels": (INTEGER, 3), "min_order": (NUMBER, 1.0)},
+    "identities": {"levels": (IDENTITY_LEVELS, IDENTITY_LEVELS),
+                   "min_order": (MIN_IDENTITY_ORDER, MIN_IDENTITY_ORDER)},
     "trajectory": {
         "plane": {"type": ("plane", REQUIRED), "normal": (NUMBERS, REQUIRED),
                   "offset": (NUMBER, 0.0)},
@@ -82,9 +83,8 @@ PLAN_KEYS = {   # SweepPlan fills the None defaults
     "epsilons": (NUMBERS, REQUIRED),
     **{key: (POSITIVE, None) for spec in SWEEP_MODES.values()
        for key in spec["reads"]}, "bands": (OBJECT, None)}
-BAND_KEYS = {name: (BAND if isinstance(default, tuple) else NUMBER, None)
-             for spec in SWEEP_MODES.values()
-             for name, default in spec["bands"].items()}
+BAND_KEYS = {name: (band, None) for spec in SWEEP_MODES.values()
+             for name, band in spec["bands"].items()}
 PLAN_OWNED = ("epsilon", "grid.h_over_eps", "stepper.dt_over_eps2")
 READ_BY = {   # keys that one command reads and the others would ignore
     "identities": "check-identities",
@@ -113,12 +113,14 @@ def _issues(section: dict, rows: dict, where: str) -> list:
               if default is REQUIRED and section.get(key) is None]
     for key, value in section.items():
         kind = rows[key][0] if key in rows else None
+        pinned = list(kind) if isinstance(kind, tuple) else kind   # as JSON
         if kind is None:
             issues.append(f"{where}{key}: unknown key")
-        elif value is not None and not (IS_KIND[kind](value) if kind in IS_KIND
-                                        else value == kind):
+        elif value is not None and not (   # True == 1.0, but true is no number
+                IS_KIND[kind](value) if kind in IS_KIND
+                else value == pinned and not isinstance(value, bool)):
             issues.append(f"{where}{key}: expected "
-                          f"{kind if kind in IS_KIND else repr(kind)}, "
+                          f"{kind if kind in IS_KIND else repr(pinned)}, "
                           f"got {value!r}")
     return issues
 
@@ -223,8 +225,10 @@ def build_simulation(doc: dict, command=None):
             ("grid", grid)):
         try:
             parts[name] = build()
-        except ValueError as exc:
-            issues.append(f"{name}: {exc}")
+        except ValueError as exc:   # a point count names the spacing's key
+            key = (f"grid.h_over_eps = {grid_sec['h_over_eps']:g}"
+                   if isinstance(exc, PointCountError) else name)
+            issues.append(f"{key}: {exc}")
     if issues:
         raise ConfigError(issues)
 
@@ -279,11 +283,11 @@ def build_plan(doc: dict):
         section, _, key = path.rpartition(".")    # record them
         (filled_base[section] if section else filled_base).pop(key, None)
     plan = SweepPlan(base=base_cfg, epsilons=[float(e) for e in epsilons],
-                     mode=mode, bands=bands,
-                     **{key: float(doc[key]) for key in spec["reads"]
-                        if key in doc})
+                     mode=mode, **{key: float(doc[key])
+                                   for key in spec["reads"] if key in doc})
     return plan, {**doc, "mode": mode, "base": filled_base,
-                  "bands": dict(plan.bands),
+                  "bands": {name: list(band) if isinstance(band, tuple)
+                            else band for name, band in plan.bands.items()},
                   **{key: getattr(plan, key) for key in spec["reads"]}}
 
 

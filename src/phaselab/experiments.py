@@ -21,6 +21,8 @@ from .solver import BlowUpError, ConfigError, SimulationConfig
 DEFAULT_H_OVER_EPS = 8.0
 DEFAULT_DT_OVER_EPS2 = 20.0
 
+IDENTITY_LEVELS = 3        # pinned, as each mode's bands: check-identities'
+MIN_IDENTITY_ORDER = 1.0   # refinement levels and the least order it passes
 # per sweep mode: the plan keys it reads with defaults (h_over_eps, member
 # spacing, in all), bands, base keys it ignores, study (found by name on run)
 SWEEP_MODES = {
@@ -38,6 +40,8 @@ SWEEP_MODES = {
                         "study": "initial_entropy_study"},
 }
 GRONWALL_FLOOR = 1e-10
+PLAN_SPACING = {"grid.h_over_eps": "plan.h_over_eps",   # run key: plan key
+                "stepper.dt_over_eps2": "plan.dt_over_eps2"}
 
 
 def mode_issues(mode, keys) -> list:
@@ -145,8 +149,7 @@ class SweepPlan:
 
     Members share everything except eps and the coupled resolution:
     h = eps / h_over_eps and dt = eps^2 / dt_over_eps2, h_over_eps by
-    default its mode's.  bands holds exactly the mode's bands, defaults
-    filled in; a band the mode does not read is an error.
+    default its mode's.  Its bands are its mode's row.
     """
 
     base: SimulationConfig
@@ -154,15 +157,12 @@ class SweepPlan:
     mode: str = "full"
     h_over_eps: Optional[float] = None
     dt_over_eps2: float = DEFAULT_DT_OVER_EPS2
-    bands: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if issues := mode_issues(self.mode, [f"plan.bands.{name}"
-                                             for name in self.bands]):
+        if issues := mode_issues(self.mode, []):
             raise ConfigError(issues)
-        spec = SWEEP_MODES[self.mode]
         if self.h_over_eps is None:
-            self.h_over_eps = spec["reads"]["h_over_eps"]
+            self.h_over_eps = SWEEP_MODES[self.mode]["reads"]["h_over_eps"]
         # member divides by both, whatever the mode; NaN is not positive
         issues = [f"plan.{key}: expected a positive number, got {value!r}"
                   for key, value in (("h_over_eps", self.h_over_eps),
@@ -170,7 +170,7 @@ class SweepPlan:
                   if not value > 0.0]
         if issues:
             raise ConfigError(issues)
-        self.bands = {**spec["bands"], **self.bands}
+        self.bands = SWEEP_MODES[self.mode]["bands"]   # pinned: the row
 
     def validate(self) -> list:
         """Sweep issues, then member issues unless an eps is not positive."""
@@ -188,11 +188,14 @@ class SweepPlan:
         for e in eps if positive else ():
             try:
                 member = self.member(e)
-            except ValueError as exc:   # too few grid points at this spacing
-                issues.append(f"member eps={e}: grid: {exc}")
-            else:
-                issues += [f"member eps={e}: {m}"
-                           for m in solver.validate(member)]
+            except ValueError as exc:   # no grid holds this spacing
+                issues.append(f"member eps={e}: plan.h_over_eps = "
+                              f"{self.h_over_eps:g}: {exc}")
+                continue
+            for message in solver.validate(member):   # naming the plan's key
+                key, sep, rest = message.partition(": ")
+                issues.append(f"member eps={e}: "
+                              f"{PLAN_SPACING.get(key, key)}{sep}{rest}")
         return issues
 
     def member(self, eps: float) -> SimulationConfig:
@@ -330,11 +333,6 @@ class IdentityReport:
                 "dissipation_orders": self.dissipation_orders}
 
 
-def _refined(cfg: SimulationConfig, factor: int) -> SimulationConfig:
-    return replace(cfg, grid=cfg.grid.respaced(cfg.grid.h / factor),
-                   dt=cfg.dt / factor, compute_identity=True)
-
-
 def _shared_row_times(cfgs) -> set:
     """Interior row times all levels share, a centered one in each level."""
     times = [c.row_times() for c in cfgs]
@@ -352,19 +350,18 @@ def _shared_row_times(cfgs) -> set:
     return common
 
 
-def check_identities(cfg: SimulationConfig, levels: int = 3) -> IdentityReport:
-    """Short runs at (h, dt), (h/2, dt/2), ... comparing the centered dE/dt
-    against the assembled identity right-hand side, and the energy decay
-    against the dissipation, at the diagnostic times shared by every level."""
-    if levels < 2:
-        raise ConfigError([f"identities.levels: need >= 2 refinement "
-                           f"levels, got {levels}"])
+def check_identities(cfg: SimulationConfig) -> IdentityReport:
+    """IDENTITY_LEVELS short runs at (h, dt), (h/2, dt/2), ... comparing the
+    centered dE/dt against the assembled identity right-hand side, and the
+    energy decay against the dissipation, at the times all levels share."""
     cfgs, issues = [], []
-    for lv in range(levels):
+    for lv in range(IDENTITY_LEVELS):
         try:
-            cfgs.append(_refined(cfg, 2 ** lv))
+            cfgs.append(replace(
+                cfg, grid=cfg.grid.respaced(cfg.grid.h / 2 ** lv),
+                dt=cfg.dt / 2 ** lv, compute_identity=True))
         except ValueError as exc:   # no grid holds this level's spacing
-            issues.append(f"identities.levels: level {lv}: grid: {exc}")
+            issues.append(f"grid.h_over_eps: level {lv}: {exc}")
             break
     # before any level steps: the coarsest level's rules, which make its
     # row times defined, then the times all levels share

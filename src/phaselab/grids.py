@@ -40,6 +40,10 @@ RADIAL = "radial"
 MAX_RADIAL_DIM = 343
 
 
+class PointCountError(ValueError):
+    """A grid with too few or too many points: its spacing is to blame."""
+
+
 @dataclass(frozen=True)
 class Grid:
     mode: str          # "full" or "radial"
@@ -53,7 +57,7 @@ class Grid:
         if not self.half_width > 0.0:   # before npts, derived from it
             raise ValueError("half_width must be positive")
         if not self.npts >= 8:   # NaN fails every comparison
-            raise ValueError("need at least 8 points per axis")
+            raise PointCountError("need at least 8 points per axis")
         if self.mode == RADIAL and not 2 <= self.dim <= MAX_RADIAL_DIM:
             raise ValueError(f"radial mode needs 2 <= dim <= "
                              f"{MAX_RADIAL_DIM}")
@@ -61,8 +65,8 @@ class Grid:
             raise ValueError("full grids support dim 1 and 2")
         limit = np.iinfo(np.intp).max   # the bytes an array can span
         if 8 * math.prod(self.shape) > limit:   # one float64 field
-            raise ValueError(f"npts too large: one field would take more "
-                             f"than {limit} bytes")
+            raise PointCountError(f"too many points: one field would take "
+                                  f"more than {limit} bytes")
 
     @property
     def h(self) -> float:
@@ -90,16 +94,12 @@ class Grid:
         """The coordinates as ncomp arrays, each broadcasting to shape: the
         k-th is axis along axis k of the grid.  They are views of axis, so
         no whole-grid coordinate array is built."""
-        if self.mode == RADIAL:
-            return (self.axis,)
-        return tuple(self.axis.reshape((-1,) + (1,) * (self.dim - 1 - k))
-                     for k in range(self.dim))
+        return tuple(self.axis.reshape((-1,) + (1,) * (self.ncomp - 1 - k))
+                     for k in range(self.ncomp))
 
     def coords_at(self, cells: np.ndarray) -> np.ndarray:
         """The coordinates at the cells with the given flat indices, shape
         (ncomp, len(cells)), read off axis."""
-        if self.mode == RADIAL:
-            return self.axis.take(cells)[np.newaxis, :]
         return np.stack([self.axis.take(i)
                          for i in np.unravel_index(cells, self.shape)])
 

@@ -54,14 +54,14 @@ def dissipation_run(profile):
 @pytest.fixture(scope="session")
 def circle_identity_study(dissipation_run):
     cfg, _ = dissipation_run
-    return check_identities(cfg, levels=3)
+    return check_identities(cfg)
 
 
 @pytest.fixture(scope="session")
 def plane_identity_study(profile):
     cfg = make_plane_config(profile, cadence=1)
     cfg.t_end = 40 * cfg.dt
-    return check_identities(cfg, levels=3)
+    return check_identities(cfg)
 
 
 @pytest.fixture(scope="session")

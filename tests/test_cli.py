@@ -15,7 +15,7 @@ import scipy
 import phaselab.cli as cli
 import phaselab.grids
 import phaselab.solver
-from phaselab import config, snapshots
+from phaselab import config, experiments, snapshots
 from phaselab.snapshots import read_snapshot
 
 from conftest import make_circle_config
@@ -40,6 +40,15 @@ def small_plan(tmp_path, **extra):
     plan["base"]["stepper"]["t_end"] = 0.01
     plan["base"]["grid"]["half_width"] = 1.8
     return write_json(tmp_path / "plan.json", plan)
+
+
+@pytest.fixture
+def loose_bands(monkeypatch):
+    """Mode full's slope bands widened in its row, so that the small plan's
+    three coarse members pass them."""
+    for name in ("err_l1", "rel_entropy"):
+        monkeypatch.setitem(experiments.SWEEP_MODES["full"]["bands"], name,
+                            (0.0, 10.0))
 
 
 def read_csv(path):
@@ -139,7 +148,8 @@ def test_simulate_manifest_records_row_time(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["simulate", "sweep", "check-identities"])
-def test_manifest_records_build_time(tmp_path, monkeypatch, command):
+def test_manifest_records_build_time(tmp_path, monkeypatch, loose_bands,
+                                     command):
     """build_s is the time in the config builders (build_plan builds its base
     through build_simulation), and wall_s starts after it."""
     build = config.build_simulation
@@ -150,8 +160,7 @@ def test_manifest_records_build_time(tmp_path, monkeypatch, command):
 
     monkeypatch.setattr(config, "build_simulation", slow_build)
     argv = {"simulate": ["--config", str(CONFIGS / "plane1d.json")],
-            "sweep": ["--plan", small_plan(tmp_path, bands={
-                "err_l1": [0.0, 10.0], "rel_entropy": [0.0, 10.0]})],
+            "sweep": ["--plan", small_plan(tmp_path)],
             "check-identities": ["--config",
                                  str(CONFIGS / "identities_plane.json")]}
     out = tmp_path / "out"
@@ -180,15 +189,14 @@ def phases_within_run(record):
     return min(parts) >= 0.0 and sum(parts) <= record["run_wall_s"]
 
 
-def test_manifest_records_each_member_and_level(tmp_path):
+def test_manifest_records_each_member_and_level(tmp_path, loose_bands):
     """A sweep manifest records one run per epsilon and a check-identities
     manifest one per level; the result files stay free of wall times."""
     out = tmp_path / "sweep"
-    assert cli.main(["sweep", "--plan", small_plan(tmp_path, bands={
-        "err_l1": [0.0, 10.0], "rel_entropy": [0.0, 10.0]}),
-        "--out", str(out)]) == 0
+    assert cli.main(["sweep", "--plan", small_plan(tmp_path),
+                     "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
-    # the bands that mode full reads, the defaults filled in
+    # the bands of mode full's row
     assert manifest["config"]["bands"] == {
         "err_l1": [0.0, 10.0], "rel_entropy": [0.0, 10.0],
         "gronwall_factor": 2.0}
@@ -425,7 +433,7 @@ def test_unfactorable_radial_operator_is_runtime_failure(tmp_path,
     # error
     ("simulate", "plane1d.json", phaselab.solver, "validate",
      MemoryError("Unable to allocate 6.94 EiB for an array")),
-    # identities.levels whose finest level's row list does not fit: bare
+    # a finest identity level whose row list does not fit: bare
     ("check-identities", "identities_plane.json",
      phaselab.solver.SimulationConfig, "row_times", MemoryError()),
 ], ids=["simulate", "check-identities"])
@@ -455,9 +463,8 @@ def test_simulate_circle_sample(tmp_path):
     assert final_err <= 5 * 0.08
 
 
-def test_sweep_reports_and_determinism(tmp_path):
-    plan_path = small_plan(
-        tmp_path, bands={"err_l1": [0.0, 10.0], "rel_entropy": [0.0, 10.0]})
+def test_sweep_reports_and_determinism(tmp_path, loose_bands):
+    plan_path = small_plan(tmp_path)
 
     out1, out2 = tmp_path / "s1", tmp_path / "s2"
     assert cli.main(["sweep", "--plan", str(plan_path),
@@ -477,7 +484,9 @@ def test_sweep_reports_and_determinism(tmp_path):
 
 
 def test_sweep_band_violation_exit_code(tmp_path):
-    plan_path = small_plan(tmp_path, bands={"err_l1": [5.0, 6.0]})
+    # the small plan's coarse members read a rel_entropy slope of about
+    # 2.55, outside the pinned [1.7, 2.3]
+    plan_path = small_plan(tmp_path)
     assert cli.main(["sweep", "--plan", plan_path,
                      "--out", str(tmp_path / "out")]) == 3
 
@@ -597,8 +606,7 @@ def test_identity_levels_below_two_rejected(tmp_path, monkeypatch, capsys):
     rc = cli.main(["check-identities", "--config",
                    write_json(tmp_path / "c.json", doc), "--out", str(out)])
     assert rc == 2
-    assert "identities.levels: need >= 2 refinement levels, got 1" \
-        in capsys.readouterr().err
+    assert "identities.levels: expected 3, got 1" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -627,8 +635,10 @@ BAD_VALUES = [   # (config, key path, value, key named in the error)
     # named before the point count derived from it
     ("plane1d.json", ("grid", "half_width"), -1,
      "grid: half_width must be positive"),
-    # rejected by Grid before any field is allocated
-    ("plane1d.json", ("grid", "h_over_eps"), 1e300, "grid: npts too large"),
+    # rejected by Grid before any field is allocated, named by the key that
+    # sets the spacing
+    ("plane1d.json", ("grid", "h_over_eps"), 1e300,
+     "grid.h_over_eps = 1e+300: too many points"),
     # 2 half_width / h is inf: no point count, not an OverflowError
     ("plane1d.json", ("grid", "half_width"), 1e308,
      "grid: npts not finite: half_width = 1e+308 at spacing h = 0.00625"),
@@ -680,13 +690,21 @@ BAD_PLANS = [   # (plan, key path, value, message in the error)
      "sweep.epsilons: must be positive"),
     ("sweep_circle.json", ("epsilons",), [-0.04, 0.02, 0.01],
      "sweep.epsilons: must be positive"),
+    # a member's rules name the plan key that sets its spacing
     ("sweep_circle.json", ("h_over_eps",), 0.1,
-     "member eps=0.16: grid: need at least 8 points per axis"),
+     "member eps=0.16: plan.h_over_eps = 0.1: need at least 8 points per "
+     "axis"),
     ("initial_entropy_plane.json", ("h_over_eps",), 0.05,
-     "member eps=0.16: grid: need at least 8 points per axis"),
+     "member eps=0.16: plan.h_over_eps = 0.05: need at least 8 points per "
+     "axis"),
+    ("sweep_circle.json", ("h_over_eps",), 2,
+     "member eps=0.16: plan.h_over_eps: layer resolution requires"),
     ("sweep_circle.json", ("dt_over_eps2",), 1e300,
-     "member eps=0.16: stepper.dt_over_eps2: t_end / dt = 7.813e+300 steps, "
+     "member eps=0.16: plan.dt_over_eps2: t_end / dt = 7.813e+300 steps, "
      "more than"),
+    # a band is pinned: a plan may restate it, not set another
+    ("sweep_circle.json", ("bands", "err_l1"), [0.0, 10.0],
+     "plan.bands.err_l1: expected [0.8, 1.2], got [0.0, 10.0]"),
 ]
 
 
@@ -769,13 +787,20 @@ def test_identities_without_shared_time_rejected(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("section, key, value, message", [
-    # level 53 would refine the 160 points to 160 * 2^53 per axis
-    ("identities", "levels", 100,
-     "identities.levels: level 53: grid: npts too large"),
+    # the refinement levels and the least order are pinned: a document may
+    # restate them, not set another value (true is no number, though
+    # True == 1.0)
+    ("identities", "levels", 100, "identities.levels: expected 3, got 100"),
     # about 2e300 steps on the coarsest level, more than a range can hold
     ("stepper", "dt_over_eps2", 1e300,
      "stepper.dt_over_eps2: t_end / dt = 2.000e+300 steps, more than"),
-], ids=["levels", "dt_over_eps2"])
+    ("identities", "levels", 4, "identities.levels: expected 3, got 4"),
+    ("identities", "min_order", 0.5,
+     "identities.min_order: expected 1.0, got 0.5"),
+    ("identities", "min_order", True,
+     "identities.min_order: expected 1.0, got True"),
+], ids=["levels", "dt_over_eps2", "levels=4", "min_order=0.5",
+        "min_order=true"])
 def test_identities_rejected_before_any_level_steps(
         tmp_path, monkeypatch, capsys, section, key, value, message):
     def no_run(*args, **kwargs):

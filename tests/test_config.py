@@ -62,14 +62,24 @@ WRONG = {   # values that are not of the kind
     config.FLAG: TEXT | FINITE | NONFINITE | LISTS | OBJECTS,
     config.TEXT: FINITE | BOOLS | NONFINITE | LISTS | OBJECTS,
     config.NUMBERS: TEXT | BOOLS | FINITE | NONFINITE | BAD_LISTS | OBJECTS,
-    config.BAND: (TEXT | BOOLS | FINITE | BAD_LISTS | OBJECTS
-                  | st.lists(FINITE, min_size=3, max_size=4)
-                  | st.tuples(FINITE, FINITE).filter(
-                      lambda p: p[0] > p[1]).map(list)),
     config.OBJECT: TEXT | BOOLS | FINITE | NONFINITE | LISTS,
 }
-# any value but a one-value kind's own (TEXT draws no string that long)
 OTHER_VALUE = TEXT | BOOLS | FINITE | NONFINITE | LISTS | OBJECTS
+
+
+def other_value(pinned):
+    """Any value but a one-value key's own (TEXT draws no string that long),
+    near misses of a pinned number or band among them, and a bool, which
+    no pinned number takes though True == 1.0."""
+    near = st.nothing()
+    if isinstance(pinned, tuple):
+        near = st.sampled_from([[pinned[1], pinned[0]], [pinned[0]],
+                                [*pinned, pinned[1]], [0.0, 10.0]])
+    elif isinstance(pinned, (int, float)):
+        near = st.sampled_from([True, False, pinned / 2, pinned + 1])
+    return (near | OTHER_VALUE).filter(
+        lambda v: isinstance(v, bool) or not (
+            v == pinned or isinstance(v, list) and tuple(v) == pinned))
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
@@ -80,7 +90,9 @@ def test_wrong_kind_names_the_key(data):
         section = doc
         for part in path[:-1]:
             section = section.setdefault(part, {})
-        section[path[-1]] = data.draw(WRONG.get(kind, OTHER_VALUE), label=key)
+        section[path[-1]] = data.draw(WRONG[kind] if kind in WRONG
+                                      else other_value(kind),
+                                      label=key)
         build = config.build_plan if "base" in doc else config.build_simulation
         with pytest.raises(ConfigError) as err:
             build(doc)
@@ -140,7 +152,7 @@ def test_plan_and_base_problems_reported_together():
     assert err.value.messages == [
         "plan.epsilons: expected a nonempty list of numbers, "
         "got [0.16, '0.08']",
-        "plan.bands.err_l1: expected a [low, high] pair, got [1.2, 0.8]"]
+        "plan.bands.err_l1: expected [0.8, 1.2], got [1.2, 0.8]"]
 
     plan["epsilons"] = [0.16, 0.08, 0.04]
     plan["bands"]["err_l1"] = [0.8, 1.2]
@@ -148,7 +160,7 @@ def test_plan_and_base_problems_reported_together():
     with pytest.raises(ConfigError) as err:
         config.build_plan(plan)
     assert err.value.messages == [
-        "plan.bands.gronwall_factor: expected a number, got True",
+        "plan.bands.gronwall_factor: expected 2.0, got True",
         "diagnostics.cadence: expected an integer, got 2.7",
         "trajectory.radius0: expected a number, got inf"]
 
@@ -224,14 +236,13 @@ def test_a_new_mode_is_one_row(monkeypatch):
         "bands": {"gronwall_factor": 2.0}, "ignores": (),
         "study": "run_sweep"})
     doc = dict(load("sweep_circle.json"), mode="probe", h_over_eps=10.0,
-               dt_over_eps2=40.0, bands={"gronwall_factor": 3.0})
+               dt_over_eps2=40.0, bands={"gronwall_factor": 2.0})
     plan, filled = config.build_plan(doc)
     assert (plan.h_over_eps, plan.dt_over_eps2) == (10.0, 40.0)
-    assert plan.bands == {"gronwall_factor": 3.0}
+    assert plan.bands == {"gronwall_factor": 2.0}
     assert filled["mode"] == "probe"
     again = experiments.SweepPlan(base=plan.base, epsilons=plan.epsilons,
-                                  mode="probe", dt_over_eps2=40.0,
-                                  bands={"gronwall_factor": 3.0})
+                                  mode="probe", dt_over_eps2=40.0)
     assert again.h_over_eps == 8.0 and again.bands == plan.bands
 
     doc["bands"] = {"initial_entropy": [1.8, 2.2]}
@@ -239,9 +250,22 @@ def test_a_new_mode_is_one_row(monkeypatch):
         config.build_plan(doc)
     assert err.value.messages == [
         "plan.bands.initial_entropy: read only in mode 'initial-entropy'"]
+    doc = dict(load("initial_entropy_plane.json"),
+               bands={"gronwall_factor": 2.0})
     with pytest.raises(ConfigError) as err:
-        experiments.SweepPlan(base=plan.base, epsilons=plan.epsilons,
-                              mode="initial-entropy",
-                              bands={"gronwall_factor": 2.0})
+        config.build_plan(doc)
     assert err.value.messages == [
         "plan.bands.gronwall_factor: read only in mode 'full' or 'probe'"]
+
+
+def test_readme_sample_document_builds():
+    # the sample run document of the README's Configuration section, which
+    # shows every section, passes the key rows and builds; its identities
+    # restate the pinned values
+    readme = (CONFIGS.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Configuration\n", 1)[1]
+    doc = json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
+    cfg, _ = config.build_simulation(doc)
+    assert (cfg.epsilon, cfg.grid.mode) == (doc["epsilon"], "radial")
+    assert doc["identities"] == {"levels": experiments.IDENTITY_LEVELS,
+                                 "min_order": experiments.MIN_IDENTITY_ORDER}
