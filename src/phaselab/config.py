@@ -23,7 +23,7 @@ from .experiments import (DEFAULT_DT_OVER_EPS2, DEFAULT_H_OVER_EPS,
                           IDENTITY_LEVELS, MIN_IDENTITY_ORDER, SWEEP_MODES,
                           SweepPlan, mode_issues)
 from .geometry import CutoffSpec, PlaneInterface, SphereInterface
-from .grids import (FULL, MAX_RADIAL_DIM, Grid, PointCountError,
+from .grids import (FULL, MAX_RADIAL_DIM, MIN_NPTS, Grid, PointCountError,
                     npts_for_spacing)
 from .potentials import solve_profile
 from .solver import ConfigError, SimulationConfig
@@ -193,6 +193,8 @@ def build_simulation(doc: dict, command=None):
     Given the command that runs the document ("simulate", "sweep" or
     "check-identities"), a key in READ_BY that only another command reads
     is a problem too.  A section in READ_BY is filled for its reader only.
+    A sweep's base gets the fewest grid points: the plan respaces it for
+    each member and checks each member's spacing under its own keys.
     """
     issues = _run_issues(doc, command)
     if issues:
@@ -215,9 +217,10 @@ def build_simulation(doc: dict, command=None):
 
     def grid():
         mode = grid_sec["mode"]
+        npts = MIN_NPTS if command == "sweep" else npts_for_spacing(
+            mode, half_width, eps / float(grid_sec["h_over_eps"]))
         return Grid(mode=mode, half_width=half_width, dim=int(grid_sec["dim"]),
-                    npts=npts_for_spacing(mode, half_width,
-                                          eps / float(grid_sec["h_over_eps"])))
+                    npts=npts)
 
     parts, issues = {}, []   # every part that fails to build is listed
     for name, build in (
@@ -269,14 +272,14 @@ def build_plan(doc: dict):
         raise ConfigError(issues)   # no base config to check
     issues += [f"{path}: set per member by the plan" for path in PLAN_OWNED
                if _lookup(base, path) is not None]
-    # the base builds at the first eps, which is the list's to report: the
-    # base's own keys are checked with a stand-in epsilon
+    # a first eps that is not positive is listed with the base's problems
     if not IS_KIND[POSITIVE](epsilons[0]):
         issues.append("sweep.epsilons: must be positive")
+    # the base builds at a stand-in epsilon: each member takes its own, and
+    # the plan's validate checks each member's spacing
+    base = dict(base, epsilon=1.0)
     if issues:
-        raise ConfigError(issues + _run_issues(dict(base, epsilon=1.0),
-                                               "sweep"))
-    base = dict(base, epsilon=epsilons[0])
+        raise ConfigError(issues + _run_issues(base, "sweep"))
     base_cfg, filled_base = build_simulation(base, "sweep")
     spec = SWEEP_MODES[mode]
     for path in (*PLAN_OWNED, *spec["ignores"]):   # nor does the manifest

@@ -288,18 +288,8 @@ def _interface_errors(u, traj, grid, t, s0, quad) -> tuple:
     err_l1 = quad(np.abs(psi_u - chi))
     np.subtract(chi, psi_u, out=psi_u)
     del chi
-    tau = _tau_of_distance(dist, s0)
+    tau = tau_truncation(dist / s0)
     return err_l1, quad(np.multiply(psi_u, tau, out=psi_u), out=psi_u)
-
-
-def _tau_of_distance(dist, s0):
-    """tau_truncation(dist / s0), whose blend is evaluated only where
-    |dist / s0| < 1; beyond, tau is sign(dist / s0) exactly."""
-    s = dist / s0
-    near = np.abs(s) < 1.0
-    tau = np.sign(s)
-    tau[near] = tau_truncation(s[near])
-    return tau
 
 
 def _identity_rhs(eps, d: TubeFields, ef, quad, dsq_curv, dsq_vel,

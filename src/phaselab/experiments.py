@@ -16,6 +16,7 @@ from typing import Optional
 import numpy as np
 
 from . import diagnostics, solver
+from .grids import PointCountError
 from .solver import BlowUpError, ConfigError, SimulationConfig
 
 DEFAULT_H_OVER_EPS = 8.0
@@ -188,9 +189,10 @@ class SweepPlan:
         for e in eps if positive else ():
             try:
                 member = self.member(e)
-            except ValueError as exc:   # no grid holds this spacing
-                issues.append(f"member eps={e}: plan.h_over_eps = "
-                              f"{self.h_over_eps:g}: {exc}")
+            except ValueError as exc:   # no grid holds this spacing or width
+                key = (f"plan.h_over_eps = {self.h_over_eps:g}"
+                       if isinstance(exc, PointCountError) else "grid")
+                issues.append(f"member eps={e}: {key}: {exc}")
                 continue
             for message in solver.validate(member):   # naming the plan's key
                 key, sep, rest = message.partition(": ")

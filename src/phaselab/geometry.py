@@ -369,13 +369,16 @@ def radial_frame_at(grid: Grid, center: tuple, cells: np.ndarray) -> tuple:
 def tau_truncation(s):
     """Smooth odd clamp of the identity: s on |s| <= 1/2, sign(s) beyond
     |s| = 1, monotone quintic in between (C^2, tau(s) >= min(s, 1/2) for
-    s > 0)."""
+    s > 0).  The blend is evaluated only where |s| < 1, the cells near the
+    interface in a row's tau(dist / s0); beyond, tau is sign(s) exactly."""
     s = np.asarray(s, dtype=float)
-    a = np.abs(s)
+    near = np.abs(s) < 1.0
+    tau = np.sign(s, out=np.empty(s.shape))   # an array for a 0-d s too
+    a = np.abs(s[near])
     x = (2.0 * a - 1.0).clip(0.0, 1.0)
     blend = 0.5 + 0.5 * x + x * x * x * (2.0 + x * (-3.5 + 1.5 * x))
-    mag = np.where(a <= 0.5, a, np.where(a >= 1.0, 1.0, blend))
-    return np.sign(s) * mag
+    tau[near] *= np.where(a <= 0.5, a, blend)
+    return tau
 
 
 @dataclass

@@ -38,6 +38,7 @@ RADIAL = "radial"
 # the largest radial dim d whose sphere area 2 pi^(d/2) / gamma(d/2) is a
 # float: gamma(d/2) overflows from d = 344
 MAX_RADIAL_DIM = 343
+MIN_NPTS = 8   # points per axis (full) or radial nodes
 
 
 class PointCountError(ValueError):
@@ -56,8 +57,8 @@ class Grid:
             raise ValueError(f"unknown grid mode {self.mode!r}")
         if not self.half_width > 0.0:   # before npts, derived from it
             raise ValueError("half_width must be positive")
-        if not self.npts >= 8:   # NaN fails every comparison
-            raise PointCountError("need at least 8 points per axis")
+        if not self.npts >= MIN_NPTS:   # NaN fails every comparison
+            raise PointCountError(f"need at least {MIN_NPTS} points per axis")
         if self.mode == RADIAL and not 2 <= self.dim <= MAX_RADIAL_DIM:
             raise ValueError(f"radial mode needs 2 <= dim <= "
                              f"{MAX_RADIAL_DIM}")
@@ -394,13 +395,11 @@ class _RadialBand:
         else:
             sym_off = self._sym_off
             d_fac, e_fac = _ldl(self._sym_diag[lo:hi], sym_off[lo:hi - 1])
+            c_lo = sym_off[lo - 1] * u[lo - 1] if lo > 0 else 0.0
             c_hi = sym_off[hi - 1] * u[hi] if hi < n else 0.0
-            if lo > 0:
-                self.solve = partial(_band_solve, self._dpttrs, d_fac, e_fac,
-                                     sym_off[lo - 1] * u[lo - 1], c_hi)
-            else:
-                self.solve = partial(_axis_band_solve, self._dpttrs,
-                                     self._head, d_fac, e_fac, c_hi)
+            self.solve = partial(_band_solve, self._dpttrs,
+                                 self._head if lo == 0 else (), d_fac, e_fac,
+                                 c_lo, c_hi)
         self.rows = slice(lo, hi)
         return self.rows
 
@@ -415,19 +414,15 @@ def _unchanged(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _band_solve(dpttrs, d_fac, e_fac, c_lo, c_hi, x: np.ndarray):
-    """Solve the factored band in place on x, its rows past the axis block:
-    subtract the frozen couplings c_lo and c_hi, one dpttrs.  Returns x."""
+def _band_solve(dpttrs, head, d_fac, e_fac, c_lo, c_hi, x: np.ndarray):
+    """Solve the factored band in place on x: subtract the frozen couplings
+    c_lo and c_hi, eliminate the axis rows of head (as _radial_system gives
+    it; () for a band past them), one dpttrs, back-substitute the axis
+    nodes.  Returns x."""
     x[0] -= c_lo
     x[-1] -= c_hi
-    return dpttrs(d_fac, e_fac, x, overwrite_b=True)[0]
-
-
-def _axis_band_solve(dpttrs, head, d_fac, e_fac, c_hi, x: np.ndarray):
-    """Solve the factored band in place on x, its rows from node 0 (head as
-    _radial_system gives it): subtract the frozen coupling c_hi, eliminate
-    the axis rows, one dpttrs, back-substitute the axis nodes.  Returns x."""
-    x[-1] -= c_hi
+    if not head:   # the two loops' setup alone adds 0.4 us to a 4.7 us step
+        return dpttrs(d_fac, e_fac, x, overwrite_b=True)[0]
     for i, (mult, _, _) in enumerate(head, 1):
         x[i] -= mult * x[i - 1]
     x = dpttrs(d_fac, e_fac, x, overwrite_b=True)[0]
@@ -457,11 +452,14 @@ def _radial_diagonals(grid: Grid, dt: float) -> tuple:
 
 def npts_for_spacing(mode: str, half_width: float, h: float) -> int:
     """Points per axis (full) or radial nodes whose spacing is closest to h.
-    Raises ValueError when their count is not finite."""
-    spans = half_width / h if mode == RADIAL else 2.0 * half_width / h
+    When their count is not finite, raises PointCountError, or ValueError
+    if the width the points span, half_width or 2 half_width, is not."""
+    width = half_width if mode == RADIAL else 2.0 * half_width
+    spans = width / h
     if not math.isfinite(spans):
-        raise ValueError(f"npts not finite: half_width = {half_width:g} "
-                         f"at spacing h = {h:g}")
+        error = PointCountError if math.isfinite(width) else ValueError
+        raise error(f"npts not finite: half_width = {half_width:g} at "
+                    f"spacing h = {h:g}")
     return int(round(spans)) + (1 if mode == RADIAL else 0)
 
 

@@ -639,9 +639,14 @@ BAD_VALUES = [   # (config, key path, value, key named in the error)
     # sets the spacing
     ("plane1d.json", ("grid", "h_over_eps"), 1e300,
      "grid.h_over_eps = 1e+300: too many points"),
-    # 2 half_width / h is inf: no point count, not an OverflowError
+    # 2 half_width / h is inf: no point count, not an OverflowError; the
+    # width 2 half_width is inf itself, so half_width is to blame
     ("plane1d.json", ("grid", "half_width"), 1e308,
      "grid: npts not finite: half_width = 1e+308 at spacing h = 0.00625"),
+    # a finite width over a subnormal spacing: the spacing's key is named
+    ("plane1d.json", ("grid", "h_over_eps"), 1e308,
+     "grid.h_over_eps = 1e+308: npts not finite: half_width = 0.5 at "
+     "spacing h = 5e-310"),
     ("plane1d.json", ("trajectory", "normal"), 5, "trajectory.normal"),
     ("sweep_circle.json", ("epsilons",), 0.1, "plan.epsilons"),
     ("sweep_circle.json", ("h_over_eps",), "x", "plan.h_over_eps"),
@@ -702,6 +707,16 @@ BAD_PLANS = [   # (plan, key path, value, message in the error)
     ("sweep_circle.json", ("dt_over_eps2",), 1e300,
      "member eps=0.16: plan.dt_over_eps2: t_end / dt = 7.813e+300 steps, "
      "more than"),
+    # the base builds at a stand-in epsilon, so no member's spacing is
+    # checked at the run document's default, and every problem is listed
+    ("sweep_circle.json", ("epsilons",), [1e308, 0.08, 0.04, 0.02],
+     "member eps=1e+308: plan.h_over_eps = 16: need at least 8 points per "
+     "axis"),
+    ("sweep_circle.json", ("epsilons",), [1e-300, 0.08, 0.04, 0.02],
+     "member eps=1e-300: plan.h_over_eps = 16: too many points: "),
+    # 2 half_width overflows whatever the spacing: the grid is to blame
+    ("initial_entropy_plane.json", ("base", "grid", "half_width"), 1e308,
+     "member eps=0.16: grid: npts not finite: half_width = 1e+308"),
     # a band is pinned: a plan may restate it, not set another
     ("sweep_circle.json", ("bands", "err_l1"), [0.0, 10.0],
      "plan.bands.err_l1: expected [0.8, 1.2], got [0.0, 10.0]"),

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from phaselab import config, experiments
+from phaselab import config, experiments, solver
 from phaselab.solver import ConfigError
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -164,7 +164,7 @@ def test_plan_and_base_problems_reported_together():
         "diagnostics.cadence: expected an integer, got 2.7",
         "trajectory.radius0: expected a number, got inf"]
 
-    # the base takes the first eps, but a bad one is the list's problem
+    # a bad first eps is the list's problem, listed with the base's
     plan["bands"]["gronwall_factor"] = 2.0
     plan["epsilons"] = [-0.04, 0.02, 0.01]
     with pytest.raises(ConfigError) as err:
@@ -173,6 +173,23 @@ def test_plan_and_base_problems_reported_together():
         "sweep.epsilons: must be positive",
         "diagnostics.cadence: expected an integer, got 2.7",
         "trajectory.radius0: expected a number, got inf"]
+
+
+def test_plan_members_are_resolved_at_the_plan_spacing():
+    # the base builds at a stand-in epsilon, so an eps no grid holds at the
+    # plan's spacing is the plan's to report, with every other problem
+    limit = np.iinfo(np.intp).max
+    for epsilons, expected in (
+            ([1e308, 0.08, 0.04, 0.02],
+             ["member eps=1e+308: plan.h_over_eps = 16: need at least 8 "
+              "points per axis"]),
+            ([1e-300, 0.08, 0.04, 0.02],
+             ["sweep.epsilons: must be strictly descending",
+              f"member eps=1e-300: plan.h_over_eps = 16: too many points: "
+              f"one field would take more than {limit} bytes"])):
+        plan, _ = config.build_plan(dict(load("sweep_circle.json"),
+                                         epsilons=epsilons))
+        assert plan.validate() == expected
 
 
 def _plane1d_with(section, **values):
@@ -260,12 +277,13 @@ def test_a_new_mode_is_one_row(monkeypatch):
 
 def test_readme_sample_document_builds():
     # the sample run document of the README's Configuration section, which
-    # shows every section, passes the key rows and builds; its identities
-    # restate the pinned values
+    # shows every section, builds for the one command that reads them all;
+    # its identities restate the pinned values
     readme = (CONFIGS.parent / "README.md").read_text(encoding="utf-8")
     section = readme.split("\n## Configuration\n", 1)[1]
     doc = json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
-    cfg, _ = config.build_simulation(doc)
+    cfg, _ = config.build_simulation(doc, "check-identities")
+    assert solver.validate(cfg) == []
     assert (cfg.epsilon, cfg.grid.mode) == (doc["epsilon"], "radial")
     assert doc["identities"] == {"levels": experiments.IDENTITY_LEVELS,
                                  "min_order": experiments.MIN_IDENTITY_ORDER}

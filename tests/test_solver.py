@@ -1,6 +1,8 @@
+import json
 import tracemalloc
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,12 +10,15 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import solve_banded
 
 import phaselab as pl
+from phaselab import config
 from phaselab.grids import _band_halo, _radial_diagonals, _radial_system
 from phaselab.potentials import count_excursions, dw
 from phaselab.solver import BlowUpError, ConfigError
 
 from conftest import (make_circle_config, make_plane_config, stepped,
                       whole_solver)
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def test_initial_data_matches_profile(profile):
@@ -259,6 +264,24 @@ def test_steady_profile_drift_ratio(profile):
         exact = profile(cfg.grid.axis / cfg.epsilon)
         drifts.append(float(np.max(np.abs(res.final_field - exact))))
     assert 3.0 <= drifts[0] / drifts[1] <= 5.0
+
+
+def test_discrete_equilibrium_is_a_fixed_point_at_any_dt():
+    # a fixed point of the step solves L u = W'(u) / eps^2, which holds no
+    # dt: the equilibrium the step reaches from the odd profile on
+    # plane1d.json's grid is left in place by a step of a quarter of its
+    # dt (a Strang splitting's fixed points move with dt)
+    doc = json.loads((CONFIGS / "plane1d.json").read_text())
+    cfg, _ = config.build_simulation(doc, "simulate")
+    u = pl.initial_data(cfg)
+    for _ in range(1000):
+        u, before = stepped(cfg, u), u
+        if np.max(np.abs(u - before)) < 1e-14:
+            break
+    else:
+        raise AssertionError("no discrete equilibrium within 1000 steps")
+    quarter = replace(cfg, dt=cfg.dt / 4)
+    assert np.max(np.abs(stepped(quarter, u) - u)) < 1e-13
 
 
 def test_shrinking_circle_radius(profile):
